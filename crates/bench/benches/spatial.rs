@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use com_geo::{BoundingBox, GridIndex, KdTree, Point};
+use com_geo::{BoundingBox, GridIndex, Point};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -64,29 +64,5 @@ fn bench_churn(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_kdtree_vs_grid(c: &mut Criterion) {
-    // The design-choice ablation: same queries, both index structures.
-    let mut group = c.benchmark_group("grid_vs_kdtree");
-    for n in [500usize, 5_000] {
-        let (grid, queries) = filled_index(n, 7);
-        let tree = KdTree::build(grid.iter().copied().collect());
-        group.bench_with_input(BenchmarkId::new("grid_nearest", n), &grid, |b, g| {
-            let mut i = 0;
-            b.iter(|| {
-                i = (i + 1) % queries.len();
-                black_box(g.nearest_coverer(queries[i]))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("kdtree_nearest", n), &tree, |b, t| {
-            let mut i = 0;
-            b.iter(|| {
-                i = (i + 1) % queries.len();
-                black_box(t.nearest_coverer(queries[i]))
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_queries, bench_churn, bench_kdtree_vs_grid);
+criterion_group!(benches, bench_queries, bench_churn);
 criterion_main!(benches);

@@ -46,10 +46,7 @@ use std::path::PathBuf;
 
 use com_bench::runner::{merged_telemetry, SweepRunner};
 use com_core::{try_run_online, validate_run, MatcherFactory, MatcherRegistry, RunResult};
-use com_datagen::{
-    chengdu_nov, chengdu_oct, generate, instance_from_csv, synthetic, xian_nov, ScenarioConfig,
-    SyntheticParams,
-};
+use com_datagen::{generate, instance_from_csv, profiles, ScenarioConfig};
 use com_geo::DistanceMetric;
 use com_metrics::Table;
 use com_sim::{Instance, PlatformId, WorldConfig};
@@ -161,16 +158,10 @@ fn load_scenario(args: &Args) -> ScenarioConfig {
         let text = fs::read_to_string(path).expect("read config file");
         serde_json::from_str(&text).expect("parse ScenarioConfig JSON")
     } else {
-        match args.profile.as_str() {
-            "chengdu-oct" => chengdu_oct(),
-            "chengdu-nov" => chengdu_nov(),
-            "xian-nov" => xian_nov(),
-            "synthetic" => synthetic(SyntheticParams::default()),
-            other => {
-                eprintln!("unknown profile {other}");
-                usage()
-            }
-        }
+        profiles::by_name(&args.profile).unwrap_or_else(|| {
+            eprintln!("unknown profile {}", args.profile);
+            usage()
+        })
     }
 }
 

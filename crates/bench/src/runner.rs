@@ -364,19 +364,25 @@ pub fn canonical_assignment_json(a: &com_sim::Assignment) -> serde_json::Value {
     })
 }
 
-/// FNV-1a 64-bit digest of the canonical run JSON, rendered as
-/// `"fnv1a64:<16 hex digits>"`. Dependency-free and stable across
-/// platforms; used by session traces to fingerprint the final
-/// [`RunResult`] so a replay can assert it reproduced the whole run, not
-/// just each individual decision.
-pub fn canonical_run_digest(run: &RunResult) -> String {
-    let text = serde_json::to_string(&canonical_run_json(run)).expect("canonical run serializes");
+/// 64-bit FNV-1a: dependency-free and stable across runs, builds and
+/// platforms (unlike `std`'s randomized hasher). The one hash behind the
+/// canonical run digest and `matchd`'s session→shard placement.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.as_bytes() {
-        hash ^= u64::from(*byte);
+    for &byte in bytes {
+        hash ^= u64::from(byte);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    format!("fnv1a64:{hash:016x}")
+    hash
+}
+
+/// [`fnv1a64`] digest of the canonical run JSON, rendered as
+/// `"fnv1a64:<16 hex digits>"`; used by session traces to fingerprint the
+/// final [`RunResult`] so a replay can assert it reproduced the whole
+/// run, not just each individual decision.
+pub fn canonical_run_digest(run: &RunResult) -> String {
+    let text = serde_json::to_string(&canonical_run_json(run)).expect("canonical run serializes");
+    format!("fnv1a64:{:016x}", fnv1a64(text.as_bytes()))
 }
 
 #[cfg(test)]

@@ -245,10 +245,55 @@ pub fn synthetic(params: SyntheticParams) -> ScenarioConfig {
     }
 }
 
+/// The small synthetic smoke scenario behind every CLI's `--quick` (400
+/// requests, 120 workers): what the CI serving smokes and the committed
+/// trace corpus run.
+pub fn quick() -> ScenarioConfig {
+    synthetic(SyntheticParams {
+        n_requests: 400,
+        n_workers: 120,
+        ..SyntheticParams::default()
+    })
+}
+
+/// The full-scale synthetic city behind `--full-scale` (4000 requests,
+/// 1200 workers — 10× [`quick`]).
+pub fn full_scale() -> ScenarioConfig {
+    synthetic(SyntheticParams {
+        n_requests: 4_000,
+        n_workers: 1_200,
+        ..SyntheticParams::default()
+    })
+}
+
+/// Resolve a `--profile` token (`chengdu-oct`, `chengdu-nov`, `xian-nov`,
+/// `synthetic`) to its scenario; `None` for an unknown name.
+pub fn by_name(name: &str) -> Option<ScenarioConfig> {
+    match name {
+        "chengdu-oct" => Some(chengdu_oct()),
+        "chengdu-nov" => Some(chengdu_nov()),
+        "xian-nov" => Some(xian_nov()),
+        "synthetic" => Some(synthetic(SyntheticParams::default())),
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::generate;
+
+    #[test]
+    fn named_lookups_resolve_the_cli_tokens() {
+        assert_eq!(by_name("chengdu-oct").unwrap().seed, chengdu_oct().seed);
+        assert_eq!(by_name("xian-nov").unwrap().total_workers(), 244 + 269);
+        assert_eq!(by_name("synthetic").unwrap().total_requests(), 2_500);
+        assert!(by_name("atlantis").is_none());
+        assert_eq!(quick().total_requests(), 400);
+        assert_eq!(quick().total_workers(), 120);
+        assert_eq!(full_scale().total_requests(), 10 * quick().total_requests());
+        assert_eq!(full_scale().total_workers(), 10 * quick().total_workers());
+    }
 
     #[test]
     fn real_profiles_have_table_iii_ratios() {

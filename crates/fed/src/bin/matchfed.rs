@@ -33,7 +33,7 @@
 use std::fs;
 use std::time::{Duration, Instant};
 
-use com_datagen::{generate, synthetic, SyntheticParams};
+use com_datagen::{generate, profiles};
 use com_fed::{drive_federated, verify, FedOptions, FedReport, LoopbackPair};
 use com_serve::{ServerConfig, WireFormat};
 
@@ -198,18 +198,10 @@ fn main() {
         "quick"
     };
     let scenario = if args.full_scale {
-        synthetic(SyntheticParams {
-            n_requests: 4000,
-            n_workers: 1200,
-            ..SyntheticParams::default()
-        })
+        profiles::full_scale()
     } else {
         // --quick and the default are the same small scenario.
-        synthetic(SyntheticParams {
-            n_requests: 400,
-            n_workers: 120,
-            ..SyntheticParams::default()
-        })
+        profiles::quick()
     };
     let instance = generate(&scenario);
     let options = FedOptions {

@@ -53,8 +53,8 @@ use com_core::{
     MatcherRegistry, RunResult,
 };
 use com_serve::{
-    serve, ByeMsg, Client, ClientMsg, DeepStatsMsg, FedHello, Hello, ServerConfig, ServerHandle,
-    ServerMsg, WireFormat, WorkerMsg, DEFAULT_OFFER_DEADLINE_MS,
+    bad_data, event_msg, expect_ok, hello_msg, serve, ByeMsg, Client, DeepStatsMsg, FedHello,
+    ServerConfig, ServerHandle, ServerMsg, WireFormat, DEFAULT_OFFER_DEADLINE_MS,
 };
 use com_sim::{ArrivalEvent, Assignment, Instance, PlatformId, PlatformLedger};
 
@@ -123,10 +123,6 @@ impl FedReport {
     }
 }
 
-fn bad_data(detail: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, detail)
-}
-
 /// The canonical (wall-clock-free) projection of one response, or `None`
 /// for non-decision responses; used to byte-compare the two daemons'
 /// answers to the same request while driving.
@@ -138,6 +134,8 @@ fn response_assignment(msg: &ServerMsg) -> Option<&Assignment> {
     }
 }
 
+/// Connect to one daemon and open its (bare) federated session: owner of
+/// `platform`, dialling `peer` for outsourcing confirmation.
 fn open_session(
     addr: &str,
     peer: Option<String>,
@@ -146,60 +144,15 @@ fn open_session(
     options: &FedOptions,
 ) -> io::Result<Client> {
     let mut client = Client::connect(addr)?;
-    let hello = ClientMsg::hello(Hello {
-        matcher: options.matcher.clone(),
-        seed: options.seed,
-        world: instance.config.clone(),
-        platforms: instance.platform_names.clone(),
-        max_value: instance.max_value(),
-        frame: Some(options.frame.as_str().to_string()),
-        origin: None,
-        fed: Some(FedHello {
-            platform,
-            fed_sid: options.fed_sid,
-            peer,
-            deadline_ms: Some(options.deadline_ms),
-        }),
+    let mut hello = hello_msg(instance, &options.matcher, options.seed, options.frame);
+    hello.fed = Some(FedHello {
+        platform,
+        fed_sid: options.fed_sid,
+        peer,
+        deadline_ms: Some(options.deadline_ms),
     });
-    let (response, _busy) = client.rpc(&hello)?;
-    match response {
-        ServerMsg::welcome { frame, .. } => {
-            let accepted = frame.as_deref().and_then(WireFormat::parse);
-            if options.frame == WireFormat::Binary && accepted == Some(WireFormat::Binary) {
-                client.set_format(WireFormat::Binary);
-            }
-            Ok(client)
-        }
-        ServerMsg::error(e) => Err(bad_data(format!(
-            "hello refused by {addr}: {}: {}",
-            e.code, e.detail
-        ))),
-        other => Err(bad_data(format!("unexpected hello response: {other:?}"))),
-    }
-}
-
-fn expect_ok(response: ServerMsg, what: &str) -> io::Result<()> {
-    match response {
-        ServerMsg::ok => Ok(()),
-        ServerMsg::error(e) => Err(bad_data(format!(
-            "{what} refused: {}: {}",
-            e.code, e.detail
-        ))),
-        other => Err(bad_data(format!("unexpected {what} response: {other:?}"))),
-    }
-}
-
-fn close_session(client: &mut Client) -> io::Result<(Option<DeepStatsMsg>, ByeMsg)> {
-    let (response, _busy) = client.rpc(&ClientMsg::stats_deep)?;
-    let deep = match response {
-        ServerMsg::stats_deep(deep) => Some(*deep),
-        _ => None,
-    };
-    let (response, _busy) = client.rpc(&ClientMsg::shutdown)?;
-    match response {
-        ServerMsg::bye(bye) => Ok((deep, bye)),
-        other => Err(bad_data(format!("unexpected shutdown response: {other:?}"))),
-    }
+    client.open(None, hello)?;
+    Ok(client)
 }
 
 /// Drive `instance` through ONE federated daemon in lockstep — the
@@ -217,17 +170,10 @@ pub fn drive_single(
 ) -> io::Result<DaemonReport> {
     let mut client = open_session(addr, peer, platform, instance, options)?;
     for event in instance.stream.iter() {
+        let (response, _) = client.rpc(&event_msg(instance, event))?;
         match event {
-            ArrivalEvent::Worker(spec) => {
-                let msg = ClientMsg::worker(WorkerMsg {
-                    spec: *spec,
-                    history: instance.histories.get(&spec.id).cloned(),
-                });
-                let (response, _) = client.rpc(&msg)?;
-                expect_ok(response, "worker")?;
-            }
+            ArrivalEvent::Worker(_) => expect_ok(response, "worker")?,
             ArrivalEvent::Request(spec) => {
-                let (response, _) = client.rpc(&ClientMsg::request(*spec))?;
                 if response_assignment(&response).is_none() {
                     return Err(bad_data(format!(
                         "request {}: non-decision response {response:?}",
@@ -237,7 +183,7 @@ pub fn drive_single(
             }
         }
     }
-    let (deep_stats, bye) = close_session(&mut client)?;
+    let (deep_stats, bye) = client.close(None)?;
     Ok(DaemonReport {
         platform,
         bye,
@@ -269,12 +215,9 @@ pub fn drive_federated(
     let started = Instant::now();
     let mut divergent = Vec::new();
     for event in instance.stream.iter() {
+        let msg = event_msg(instance, event);
         match event {
-            ArrivalEvent::Worker(spec) => {
-                let msg = ClientMsg::worker(WorkerMsg {
-                    spec: *spec,
-                    history: instance.histories.get(&spec.id).cloned(),
-                });
+            ArrivalEvent::Worker(_) => {
                 let (ra, _) = a.rpc(&msg)?;
                 expect_ok(ra, "worker")?;
                 let (rb, _) = b.rpc(&msg)?;
@@ -290,7 +233,6 @@ pub fn drive_federated(
                 } else {
                     (&mut a, &mut b)
                 };
-                let msg = ClientMsg::request(*spec);
                 let (lend_side, _) = non_owner.rpc(&msg)?;
                 let (own_side, _) = owner.rpc(&msg)?;
                 match (
@@ -317,8 +259,8 @@ pub fn drive_federated(
     }
     let wall_secs = started.elapsed().as_secs_f64();
 
-    let (deep_a, bye_a) = close_session(&mut a)?;
-    let (deep_b, bye_b) = close_session(&mut b)?;
+    let (deep_a, bye_a) = a.close(None)?;
+    let (deep_b, bye_b) = b.close(None)?;
     Ok(FedReport {
         events: instance.stream.len(),
         wall_secs,

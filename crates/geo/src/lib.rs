@@ -23,14 +23,12 @@
 
 pub mod bbox;
 pub mod grid;
-pub mod kdtree;
 pub mod latlon;
 pub mod metric;
 pub mod point;
 
 pub use bbox::BoundingBox;
 pub use grid::{GridEntry, GridIndex};
-pub use kdtree::KdTree;
 pub use latlon::{GeoPoint, LocalProjection, EARTH_RADIUS_KM};
 pub use metric::DistanceMetric;
 pub use point::Point;

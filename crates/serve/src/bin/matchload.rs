@@ -10,31 +10,43 @@
 //!     [--json FILE] [--baseline FILE] [--strict]
 //! ```
 //!
-//! Streams a `com-datagen` scenario through a live matchd and reports
+//! Streams a `com-datagen` scenario through a live matchd — one front-end
+//! over [`com_serve::drive`], whatever the session count — and reports
 //! throughput and request round-trip latency (p50/p95/p99). Before
-//! shutdown it asks the server for `stats_deep` and prints the serving
-//! phase table (decode/ingest/decision/encode/flush latencies, queue
-//! high-water, busy-drops) plus — against a sharded server — the
-//! per-shard rows; the same tables land in the `--json` report as
-//! `server_phases` and `server_shards`.
+//! shutdown it asks the server for `stats_deep` and prints the per-shard
+//! rows and the serving phase table (decode/ingest/decision/encode/flush
+//! latencies, queue high-water, busy-drops); the same tables land in the
+//! `--json` report as `server_shards` and `server_phases`.
 //!
 //! * `--quick` — a small synthetic scenario (400 requests, 120 workers)
 //!   regardless of profile; what CI's serve-smoke job runs.
 //! * `--full-scale` — the full-scale city scenario (4000 requests, 1200
 //!   workers — 10× quick); the paper-scale serving experiment.
-//! * `--rate` — target event rate in events/s (default 0 = full speed).
+//! * `--rate` — target send rate in events/s *per connection*, whatever
+//!   the session count (default 0 = full speed).
 //! * `--frame` — wire framing to negotiate in `hello` (default
 //!   `ndjson`); `binary` switches to length-prefixed frames after the
 //!   server's `welcome` confirms.
-//! * `--window` — max messages in flight per connection (default 1 =
-//!   strict lockstep). Larger windows pipeline sends in batched writes;
-//!   the served outcome is identical, only transport overlap changes.
-//! * `--connections` / `--sessions` — drive K logical sessions
-//!   multiplexed over M connections (session `sid` rides connection
-//!   `sid % M`, with seed `--seed + sid`). Either flag above 1 switches
-//!   to the mux driver; the default (1/1) is the original bare-session
-//!   lockstep client.
-//! * `--json` — write the report (the `BENCH_serve.json` format).
+//! * `--window` — max messages in flight per connection, shared by its
+//!   sessions (default 1 = strict lockstep). Larger windows pipeline
+//!   sends in batched writes; the served outcome is identical, only
+//!   transport overlap changes.
+//! * `--sessions K` — drive K logical sessions, session `k` with seed
+//!   `--seed + k` (default 1). One session is addressed bare; K > 1 are
+//!   multiplexed as sids `0..K` in the mux envelope.
+//! * `--connections M` — spread the sessions over M connections, session
+//!   `k` on connection `k % M` (default 1). Never more connections than
+//!   sessions: M is clamped to K.
+//! * `--json` — write the report. One schema whatever K and M: run
+//!   parameters (`scenario`, `matcher`, `seed`, `connections`,
+//!   `sessions`, `requests`, `workers`, `events`, `rate_hz`, `frame`,
+//!   `window`), results (`wall_secs`, `events_per_sec`, `latency_us`
+//!   {`p50`,`p95`,`p99`,`mean`}, `busy`, `busy_dropped`,
+//!   `queue_high_water`), `per_session[]` (`sid` — null when bare —
+//!   `connection`, `seed`, `assigned`, `rejected`, `refused`, `revenue`,
+//!   `completed`, `audit_findings`, `digest`), the server's
+//!   `server_shards[]` and `server_phases[]` tables, `host_cores`,
+//!   `note`, and `baseline`.
 //! * `--baseline FILE` — embed a previously written `--json` report
 //!   under `"baseline"` in this run's report, so one file carries a
 //!   before/after phase-table comparison.
@@ -48,12 +60,8 @@ use std::fs;
 
 use com_bench::runner::{canonical_run_digest, canonical_run_json};
 use com_core::{try_run_online, MatcherRegistry};
-use com_datagen::{
-    chengdu_nov, chengdu_oct, generate, synthetic, xian_nov, ScenarioConfig, SyntheticParams,
-};
-use com_serve::{
-    drive_multi, replay_scenario, DeepStatsMsg, MultiOptions, ReplayOptions, ShardRow, WireFormat,
-};
+use com_datagen::{generate, profiles, ScenarioConfig};
+use com_serve::{drive, DeepStatsMsg, DriveOptions, ShardRow, WireFormat};
 
 struct Args {
     addr: String,
@@ -61,16 +69,10 @@ struct Args {
     config: Option<String>,
     quick: bool,
     full_scale: bool,
-    matcher: String,
-    seed: u64,
-    rate_hz: f64,
-    frame: WireFormat,
-    window: usize,
-    connections: usize,
-    sessions: usize,
     json_out: Option<String>,
     baseline: Option<String>,
     strict: bool,
+    drive: DriveOptions,
 }
 
 fn usage() -> ! {
@@ -78,7 +80,12 @@ fn usage() -> ! {
         "usage: matchload --addr HOST:PORT [--profile NAME | --config FILE] \
          [--quick] [--full-scale] [--matcher SPEC] [--seed N] [--rate HZ] \
          [--frame ndjson|binary] [--window N] [--connections M] \
-         [--sessions K] [--json FILE] [--baseline FILE] [--strict]"
+         [--sessions K] [--json FILE] [--baseline FILE] [--strict]\n\
+         \x20 --rate HZ        events/s per connection, whatever K is (0 = full speed)\n\
+         \x20 --window N       max messages in flight per connection (1 = lockstep)\n\
+         \x20 --sessions K     logical sessions, seed N+k each; one is addressed bare,\n\
+         \x20                  more are multiplexed as sids 0..K\n\
+         \x20 --connections M  sockets to spread them over (clamped to K)"
     );
     std::process::exit(2);
 }
@@ -90,16 +97,10 @@ fn parse_args() -> Args {
         config: None,
         quick: false,
         full_scale: false,
-        matcher: "demcom".into(),
-        seed: 42,
-        rate_hz: 0.0,
-        frame: WireFormat::Ndjson,
-        window: 1,
-        connections: 1,
-        sessions: 1,
         json_out: None,
         baseline: None,
         strict: false,
+        drive: DriveOptions::default(),
     };
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
@@ -109,62 +110,42 @@ fn parse_args() -> Args {
                 usage()
             })
         };
+        let mut positive = |flag: &str| match next(flag).parse::<usize>() {
+            Ok(n) if n > 0 => n,
+            _ => {
+                eprintln!("{flag} must be a positive integer");
+                usage()
+            }
+        };
         match arg.as_str() {
             "--addr" => args.addr = next("--addr"),
             "--profile" => args.profile = next("--profile"),
             "--config" => args.config = Some(next("--config")),
             "--quick" => args.quick = true,
             "--full-scale" => args.full_scale = true,
-            "--matcher" => args.matcher = next("--matcher"),
+            "--matcher" => args.drive.matcher = next("--matcher"),
             "--seed" => {
-                args.seed = next("--seed").parse().unwrap_or_else(|_| {
+                args.drive.seed = next("--seed").parse().unwrap_or_else(|_| {
                     eprintln!("--seed must be an integer");
                     usage()
                 })
             }
             "--rate" => {
-                args.rate_hz = next("--rate").parse().unwrap_or_else(|_| {
+                args.drive.rate_hz = next("--rate").parse().unwrap_or_else(|_| {
                     eprintln!("--rate must be a number (events/s, 0 = full speed)");
                     usage()
                 })
             }
             "--frame" => {
                 let token = next("--frame");
-                args.frame = WireFormat::parse(&token).unwrap_or_else(|| {
+                args.drive.frame = WireFormat::parse(&token).unwrap_or_else(|| {
                     eprintln!("--frame must be ndjson or binary");
                     usage()
                 })
             }
-            "--window" => {
-                args.window = next("--window").parse().unwrap_or_else(|_| {
-                    eprintln!("--window must be a positive integer");
-                    usage()
-                });
-                if args.window == 0 {
-                    eprintln!("--window must be a positive integer");
-                    usage()
-                }
-            }
-            "--connections" => {
-                args.connections = next("--connections").parse().unwrap_or_else(|_| {
-                    eprintln!("--connections must be a positive integer");
-                    usage()
-                });
-                if args.connections == 0 {
-                    eprintln!("--connections must be a positive integer");
-                    usage()
-                }
-            }
-            "--sessions" => {
-                args.sessions = next("--sessions").parse().unwrap_or_else(|_| {
-                    eprintln!("--sessions must be a positive integer");
-                    usage()
-                });
-                if args.sessions == 0 {
-                    eprintln!("--sessions must be a positive integer");
-                    usage()
-                }
-            }
+            "--window" => args.drive.window = positive("--window"),
+            "--connections" => args.drive.connections = positive("--connections"),
+            "--sessions" => args.drive.sessions = positive("--sessions"),
             "--json" => args.json_out = Some(next("--json")),
             "--baseline" => args.baseline = Some(next("--baseline")),
             "--strict" => args.strict = true,
@@ -184,19 +165,10 @@ fn parse_args() -> Args {
 
 fn load_scenario(args: &Args) -> ScenarioConfig {
     if args.quick {
-        return synthetic(SyntheticParams {
-            n_requests: 400,
-            n_workers: 120,
-            ..SyntheticParams::default()
-        });
+        return profiles::quick();
     }
     if args.full_scale {
-        // 10× quick: the paper-scale full city run.
-        return synthetic(SyntheticParams {
-            n_requests: 4000,
-            n_workers: 1200,
-            ..SyntheticParams::default()
-        });
+        return profiles::full_scale();
     }
     if let Some(path) = &args.config {
         let text = fs::read_to_string(path).unwrap_or_else(|e| {
@@ -208,16 +180,10 @@ fn load_scenario(args: &Args) -> ScenarioConfig {
             std::process::exit(2)
         });
     }
-    match args.profile.as_str() {
-        "chengdu-oct" => chengdu_oct(),
-        "chengdu-nov" => chengdu_nov(),
-        "xian-nov" => xian_nov(),
-        "synthetic" => synthetic(SyntheticParams::default()),
-        other => {
-            eprintln!("unknown profile {other}");
-            usage()
-        }
-    }
+    profiles::by_name(&args.profile).unwrap_or_else(|| {
+        eprintln!("unknown profile {}", args.profile);
+        usage()
+    })
 }
 
 fn us(ns: u64) -> f64 {
@@ -298,180 +264,6 @@ fn local_truth(instance: &com_sim::Instance, matcher_spec: &str, seed: u64) -> (
     )
 }
 
-/// The multi-connection mux driver (`--connections` / `--sessions`).
-fn run_multi(args: &Args, instance: &com_sim::Instance) {
-    let options = MultiOptions {
-        matcher: args.matcher.clone(),
-        base_seed: args.seed,
-        connections: args.connections,
-        sessions: args.sessions.max(args.connections),
-        frame: args.frame,
-        window: args.window,
-        rate_hz: args.rate_hz,
-    };
-    println!(
-        "matchload: {} events x {} sessions over {} connections -> {} \
-         [{}, base seed {}, frame {}, window {}]",
-        instance.stream.len(),
-        options.sessions,
-        options.connections,
-        args.addr,
-        args.matcher,
-        args.seed,
-        args.frame,
-        args.window,
-    );
-    let report = drive_multi(&args.addr, instance, &options).unwrap_or_else(|e| {
-        eprintln!("matchload: multi replay failed: {e}");
-        std::process::exit(1)
-    });
-
-    let h = &report.request_rtt_ns;
-    println!(
-        "served {} events across {} sessions in {:.2}s — {:.0} events/s \
-         aggregate, {} busy",
-        report.events,
-        report.sessions.len(),
-        report.wall_secs,
-        report.events_per_sec(),
-        report.busy,
-    );
-    println!(
-        "request rtt: p50 {:.1}us  p95 {:.1}us  p99 {:.1}us  mean {:.1}us",
-        us(h.p50()),
-        us(h.quantile(0.95)),
-        us(h.p99()),
-        h.mean() / 1e3,
-    );
-    for s in &report.sessions {
-        println!(
-            "  session {} (conn {}, seed {}): {} assigned, {} rejected, \
-             {} timed out, revenue {:.1}, {} audit findings",
-            s.sid,
-            s.connection,
-            s.seed,
-            s.assigned,
-            s.rejected,
-            s.refused,
-            s.bye.revenue,
-            s.bye.audit_findings.len(),
-        );
-        for finding in &s.bye.audit_findings {
-            eprintln!("    audit: {finding}");
-        }
-    }
-    if let Some(deep) = &report.deep_stats {
-        if !deep.shards.is_empty() {
-            print_shard_table(&deep.shards);
-        }
-        print_phase_table(deep);
-    }
-
-    if let Some(path) = &args.json_out {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let baseline = args.baseline.as_ref().map(|p| read_baseline(p));
-        let per_session: Vec<serde_json::Value> = report
-            .sessions
-            .iter()
-            .map(|s| {
-                serde_json::json!({
-                    "sid": s.sid,
-                    "connection": s.connection,
-                    "seed": s.seed,
-                    "assigned": s.assigned,
-                    "rejected": s.rejected,
-                    "refused": s.refused,
-                    "revenue": s.bye.revenue,
-                    "audit_findings": s.bye.audit_findings.len(),
-                    "digest": s.bye.digest.clone(),
-                })
-            })
-            .collect();
-        let json = serde_json::json!({
-            "scenario": scenario_name(args),
-            "mode": "multi",
-            "matcher": args.matcher,
-            "base_seed": args.seed,
-            "connections": options.connections,
-            "sessions": options.sessions,
-            "requests": instance.request_count(),
-            "workers": instance.worker_count(),
-            "events": report.events,
-            "rate_hz": args.rate_hz,
-            "frame": args.frame.as_str(),
-            "window": args.window,
-            "wall_secs": report.wall_secs,
-            "events_per_sec": report.events_per_sec(),
-            "latency_us": serde_json::json!({
-                "p50": us(h.p50()),
-                "p95": us(h.quantile(0.95)),
-                "p99": us(h.p99()),
-                "mean": h.mean() / 1e3,
-            }),
-            "busy": report.busy,
-            "per_session": per_session,
-            "server_shards": report
-                .deep_stats
-                .as_ref()
-                .map(|d| serde_json::to_value(&d.shards).expect("serialise shards"))
-                .unwrap_or_else(|| serde_json::Value::array(Vec::new())),
-            "server_phases": report
-                .deep_stats
-                .as_ref()
-                .map(|d| serde_json::to_value(&d.phases).expect("serialise phases"))
-                .unwrap_or_else(|| serde_json::Value::array(Vec::new())),
-            "host_cores": cores,
-            "note": "multi-session mux driver over loopback; every session \
-                     replays the same instance with seed base+sid; client and \
-                     server share the listed cores, so throughput is a \
-                     protocol-overhead floor, not a capacity ceiling",
-            "baseline": baseline,
-        });
-        write_json(path, &json);
-    }
-
-    if args.strict {
-        let mut failures = Vec::new();
-        if report.busy > 0 {
-            failures.push(format!("{} busy (dropped message) event(s)", report.busy));
-        }
-        for s in &report.sessions {
-            if !s.bye.audit_findings.is_empty() {
-                failures.push(format!(
-                    "session {}: {} audit finding(s)",
-                    s.sid,
-                    s.bye.audit_findings.len()
-                ));
-            }
-            let (local, digest) = local_truth(instance, &args.matcher, s.seed);
-            let served = serde_json::to_string(&s.bye.canonical).expect("serialise");
-            if local != served {
-                failures.push(format!(
-                    "session {}: served canonical run differs from local batch run",
-                    s.sid
-                ));
-            }
-            if !s.bye.digest.is_empty() && s.bye.digest != digest {
-                failures.push(format!(
-                    "session {}: served digest {} != local {digest}",
-                    s.sid, s.bye.digest
-                ));
-            }
-        }
-        if !failures.is_empty() {
-            eprintln!("matchload: --strict failed: {}", failures.join("; "));
-            std::process::exit(1);
-        }
-        println!(
-            "strict: all {} served sessions match their local batch runs exactly \
-             (canonical JSON and digest); audit clean",
-            report.sessions.len()
-        );
-    }
-}
-
 fn read_baseline(path: &str) -> serde_json::Value {
     let text = fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read baseline {path}: {e}");
@@ -497,45 +289,33 @@ fn write_json(path: &str, json: &serde_json::Value) {
 
 fn main() {
     let args = parse_args();
-    let scenario = load_scenario(&args);
-    let instance = generate(&scenario);
-    if args.connections > 1 || args.sessions > 1 {
-        run_multi(&args, &instance);
-        return;
-    }
+    let instance = generate(&load_scenario(&args));
+    let options = &args.drive;
     println!(
-        "matchload: {} events ({} requests, {} workers) -> {} [{}, seed {}, \
-         frame {}, window {}]",
+        "matchload: {} events ({} requests, {} workers) x {} sessions -> {} \
+         [{}, seed {}, frame {}, window {}]",
         instance.stream.len(),
         instance.request_count(),
         instance.worker_count(),
+        options.sessions,
         args.addr,
-        args.matcher,
-        args.seed,
-        args.frame,
-        args.window,
+        options.matcher,
+        options.seed,
+        options.frame,
+        options.window,
     );
-
-    let options = ReplayOptions {
-        matcher: args.matcher.clone(),
-        seed: args.seed,
-        rate_hz: args.rate_hz,
-        frame: args.frame,
-        window: args.window,
-    };
-    let report = replay_scenario(&args.addr, &instance, &options).unwrap_or_else(|e| {
+    let report = drive(&args.addr, &instance, options).unwrap_or_else(|e| {
         eprintln!("matchload: replay failed: {e}");
         std::process::exit(1)
     });
 
     let h = &report.request_rtt_ns;
     println!(
-        "served {} requests ({} assigned, {} rejected, {} timed out) in {:.2}s \
-         — {:.0} events/s, {} busy",
-        instance.request_count(),
-        report.assigned,
-        report.rejected,
-        report.refused,
+        "served {} events across {} sessions over {} connections in {:.2}s — \
+         {:.0} events/s, {} busy",
+        report.events,
+        report.sessions.len(),
+        report.connections,
         report.wall_secs,
         report.events_per_sec(),
         report.busy,
@@ -547,37 +327,67 @@ fn main() {
         us(h.p99()),
         h.mean() / 1e3,
     );
-    println!(
-        "server: revenue {:.1}, completed {}, cooperative {}, refused {}, \
-         audit findings {}",
-        report.bye.revenue,
-        report.bye.completed,
-        report.bye.cooperative,
-        report.bye.refused,
-        report.bye.audit_findings.len(),
-    );
-    for finding in &report.bye.audit_findings {
-        eprintln!("  audit: {finding}");
+    for s in &report.sessions {
+        println!(
+            "  session {} (conn {}, seed {}): {} assigned, {} rejected, {} timed out, \
+             revenue {:.1}, completed {}, cooperative {}, {} audit findings",
+            s.sid.map_or("bare".to_string(), |sid| sid.to_string()),
+            s.connection,
+            s.seed,
+            s.assigned,
+            s.rejected,
+            s.refused,
+            s.bye.revenue,
+            s.bye.completed,
+            s.bye.cooperative,
+            s.bye.audit_findings.len(),
+        );
+        for finding in &s.bye.audit_findings {
+            eprintln!("    audit: {finding}");
+        }
     }
     if let Some(deep) = &report.deep_stats {
+        if !deep.shards.is_empty() {
+            print_shard_table(&deep.shards);
+        }
         print_phase_table(deep);
     }
 
     if let Some(path) = &args.json_out {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let baseline = args.baseline.as_ref().map(|p| read_baseline(p));
+        let deep = report.deep_stats.as_ref();
+        // Empty tables when the server sent no `stats_deep`.
+        let shards = deep.map_or(&[][..], |d| &d.shards[..]);
+        let phases = deep.map_or(&[][..], |d| &d.phases[..]);
+        let per_session: Vec<serde_json::Value> = report
+            .sessions
+            .iter()
+            .map(|s| {
+                serde_json::json!({
+                    "sid": s.sid,
+                    "connection": s.connection,
+                    "seed": s.seed,
+                    "assigned": s.assigned,
+                    "rejected": s.rejected,
+                    "refused": s.refused,
+                    "revenue": s.bye.revenue,
+                    "completed": s.bye.completed,
+                    "audit_findings": s.bye.audit_findings.len(),
+                    "digest": s.bye.digest.clone(),
+                })
+            })
+            .collect();
         let json = serde_json::json!({
             "scenario": scenario_name(&args),
-            "matcher": args.matcher,
-            "seed": args.seed,
+            "matcher": options.matcher,
+            "seed": options.seed,
+            "connections": report.connections,
+            "sessions": report.sessions.len(),
             "requests": instance.request_count(),
             "workers": instance.worker_count(),
             "events": report.events,
-            "rate_hz": args.rate_hz,
-            "frame": args.frame.as_str(),
-            "window": args.window,
+            "rate_hz": options.rate_hz,
+            "frame": options.frame.as_str(),
+            "window": options.window,
             "wall_secs": report.wall_secs,
             "events_per_sec": report.events_per_sec(),
             "latency_us": serde_json::json!({
@@ -587,59 +397,62 @@ fn main() {
                 "mean": h.mean() / 1e3,
             }),
             "busy": report.busy,
-            "audit_findings": report.bye.audit_findings.len(),
-            "busy_dropped": report.deep_stats.as_ref().map(|d| d.busy_dropped).unwrap_or(report.busy),
-            "refused": report.refused,
-            "queue_high_water": report.deep_stats.as_ref().map(|d| d.queue_high_water).unwrap_or(0),
-            "server_phases": report
-                .deep_stats
-                .as_ref()
-                .map(|d| serde_json::to_value(&d.phases).expect("serialise phases"))
-                .unwrap_or_else(|| serde_json::Value::array(Vec::new())),
-            "host_cores": cores,
-            "note": "single connection over loopback; window 1 = synchronous \
-                     request-response, window > 1 pipelines with batched writes; \
-                     latency includes both protocol ends plus the decision itself; \
-                     client and server share the listed cores, so throughput is a \
-                     protocol-overhead floor, not a capacity ceiling",
+            "busy_dropped": deep.map_or(report.busy, |d| d.busy_dropped),
+            "queue_high_water": deep.map_or(0, |d| d.queue_high_water),
+            "per_session": per_session,
+            "server_shards": shards,
+            "server_phases": phases,
+            "host_cores": std::thread::available_parallelism().map_or(1, |n| n.get()),
+            "note": "loopback; every session replays the same instance with seed \
+                     seed+k; window 1 = synchronous request-response, window > 1 \
+                     pipelines with batched writes; latency includes both protocol \
+                     ends plus the decision itself; client and server share the \
+                     listed cores, so throughput is a protocol-overhead floor, not \
+                     a capacity ceiling",
             // The before-run report (`--baseline`), or null: one file
             // carries the before/after comparison.
-            "baseline": baseline,
+            "baseline": args.baseline.as_ref().map(|p| read_baseline(p)),
         });
         write_json(path, &json);
     }
 
     if args.strict {
         let mut failures = Vec::new();
-        if !report.bye.audit_findings.is_empty() {
-            failures.push(format!(
-                "{} audit finding(s)",
-                report.bye.audit_findings.len()
-            ));
-        }
         if report.busy > 0 {
-            failures.push(format!("{} busy (dropped line) event(s)", report.busy));
+            failures.push(format!("{} busy (dropped message) event(s)", report.busy));
         }
-        // The ground truth: the same instance, matcher, and seed through
-        // the local batch engine must match the served run byte for byte
-        // in the canonical projection.
-        let (local, digest) = local_truth(&instance, &args.matcher, args.seed);
-        let served = serde_json::to_string(&report.bye.canonical).expect("serialise");
-        if local != served {
-            failures.push("served canonical run differs from local batch run".into());
-            eprintln!("local:  {local}");
-            eprintln!("served: {served}");
-        }
-        if !report.bye.digest.is_empty() && report.bye.digest != digest {
-            failures.push(format!(
-                "served digest {} != local {digest}",
-                report.bye.digest
-            ));
+        for (k, s) in report.sessions.iter().enumerate() {
+            if !s.bye.audit_findings.is_empty() {
+                failures.push(format!(
+                    "session {k}: {} audit finding(s)",
+                    s.bye.audit_findings.len()
+                ));
+            }
+            // The ground truth: the same instance, matcher, and seed
+            // through the local batch engine must match the served run
+            // byte for byte in the canonical projection.
+            let (local, digest) = local_truth(&instance, &options.matcher, s.seed);
+            let served = serde_json::to_string(&s.bye.canonical).expect("serialise");
+            if local != served {
+                failures.push(format!(
+                    "session {k}: served canonical run differs from local batch run"
+                ));
+            }
+            if !s.bye.digest.is_empty() && s.bye.digest != digest {
+                failures.push(format!(
+                    "session {k}: served digest {} != local {digest}",
+                    s.bye.digest
+                ));
+            }
         }
         if !failures.is_empty() {
             eprintln!("matchload: --strict failed: {}", failures.join("; "));
             std::process::exit(1);
         }
-        println!("strict: served run matches the local batch run exactly; audit clean");
+        println!(
+            "strict: all {} served sessions match their local batch runs exactly \
+             (canonical JSON and digest); audit clean",
+            report.sessions.len()
+        );
     }
 }

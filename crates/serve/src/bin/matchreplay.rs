@@ -30,10 +30,8 @@
 
 use std::path::{Path, PathBuf};
 
-use com_datagen::{
-    chengdu_nov, chengdu_oct, generate, synthetic, xian_nov, ScenarioConfig, SyntheticParams,
-};
-use com_serve::{record_session, replay_trace, TraceReplayOptions, TraceReplayReport};
+use com_datagen::{generate, profiles, ScenarioConfig};
+use com_serve::{record_session, replay_trace, TraceReplayReport};
 
 struct Args {
     traces: Vec<PathBuf>,
@@ -119,11 +117,7 @@ fn parse_args() -> Args {
 
 fn load_scenario(args: &Args) -> ScenarioConfig {
     if args.quick {
-        return synthetic(SyntheticParams {
-            n_requests: 400,
-            n_workers: 120,
-            ..SyntheticParams::default()
-        });
+        return profiles::quick();
     }
     if let Some(path) = &args.config {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -135,16 +129,10 @@ fn load_scenario(args: &Args) -> ScenarioConfig {
             std::process::exit(2)
         });
     }
-    match args.profile.as_str() {
-        "chengdu-oct" => chengdu_oct(),
-        "chengdu-nov" => chengdu_nov(),
-        "xian-nov" => xian_nov(),
-        "synthetic" => synthetic(SyntheticParams::default()),
-        other => {
-            eprintln!("unknown profile {other}");
-            usage()
-        }
-    }
+    profiles::by_name(&args.profile).unwrap_or_else(|| {
+        eprintln!("unknown profile {}", args.profile);
+        usage()
+    })
 }
 
 fn record(args: &Args, path: &Path) {
@@ -210,13 +198,10 @@ fn main() {
         return;
     }
 
-    let options = TraceReplayOptions {
-        rate_hz: args.rate_hz,
-    };
     let mut reports = Vec::new();
     let mut any_failed = false;
     for path in &args.traces {
-        match replay_trace(path, &options) {
+        match replay_trace(path, args.rate_hz) {
             Ok(report) => {
                 any_failed |= report_one(&report, args.strict);
                 reports.push(report);

@@ -1,50 +1,96 @@
-//! Client side: a protocol client (NDJSON or binary framing) plus the
-//! scenario replay loop `matchload` and the loopback tests drive.
+//! The one wire client: a connection to `matchd` with exactly one read
+//! path ([`read_server_frame`]) and one write path
+//! ([`Client::queue_for`]).
 //!
-//! [`replay_scenario`] streams an [`Instance`]'s arrival events through a
-//! live `matchd` session. With `window == 1` (the default) it runs in
-//! strict request-response lockstep — one outstanding message, any `busy`
-//! answered by backing off and resending, so a replay is lossless and its
-//! final `bye` is comparable to a local batch run. With `window > 1` it
-//! *pipelines*: up to `window` messages are in flight at once and sends
-//! are batched into one write syscall per burst, which is how the binary
-//! framing's throughput headroom actually becomes events/second. The
-//! server answers strictly in order either way, so responses are matched
-//! to sends positionally; the window is kept far below the server's
-//! ingress queue capacity, so a `busy` (which would desynchronise the
-//! positional matching) is a hard error rather than a retry.
+//! Outgoing framing starts as NDJSON and switches to binary only when a
+//! `welcome` echoes the request ([`Client::open`]); incoming framing is
+//! auto-detected per message from its first byte, so the switchover is
+//! race-free. Session addressing is an argument, not a mode: `sid: None`
+//! puts the bare message on the wire (the one-session addressing),
+//! `Some(n)` wraps it in the `{"sid":n,"msg":…}` mux envelope. The
+//! scenario driver over this client is [`crate::drive`].
 
-use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
-
-use com_obs::Histogram;
-use com_sim::{ArrivalEvent, Instance};
+use std::time::Duration;
 
 use crate::framing::{self, FrameError, WireFormat, FRAME_MAGIC};
 use crate::protocol::{
-    decode_server, decode_server_frame, encode, ByeMsg, ClientFrame, ClientMsg, DeepStatsMsg,
-    Hello, ServerFrame, ServerMsg, WorkerMsg,
+    decode_server_frame, server_frame_from_content, write_msg, ByeMsg, ClientMsg, DeepStatsMsg,
+    Envelope, Hello, ServerFrame, ServerMsg,
 };
+
+/// How long to back off before resending a message the server dropped
+/// with `busy`.
+pub(crate) const BUSY_BACKOFF: Duration = Duration::from_millis(2);
+
+/// An `InvalidData` I/O error: the peer answered, but not with what the
+/// protocol allows here.
+pub fn bad_data(detail: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, detail.into())
+}
+
+/// The error for a response that is not what `what` is answered with: a
+/// typed server refusal, or a message of the wrong kind.
+pub(crate) fn unexpected(what: &str, response: ServerMsg) -> io::Error {
+    match response {
+        ServerMsg::error(e) => bad_data(format!("{what} refused: {}: {}", e.code, e.detail)),
+        other => bad_data(format!("unexpected {what} response: {other:?}")),
+    }
+}
+
+/// Read the next server message with its mux address, whatever its
+/// framing: a first byte of [`FRAME_MAGIC`] is a binary frame, anything
+/// else an NDJSON line (blank lines are skipped). EOF before or inside a
+/// message is `UnexpectedEof`; a frame declaring more than
+/// [`framing::MAX_FRAME_PAYLOAD`] is `InvalidData` before any payload
+/// byte is buffered. Every reader of server messages — [`Client`] and the
+/// federation peer link — is this function.
+pub fn read_server_frame<R: BufRead>(reader: &mut R) -> io::Result<ServerFrame> {
+    let eof = || io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection");
+    loop {
+        let first = match reader.fill_buf()? {
+            [] => return Err(eof()),
+            buf => buf[0],
+        };
+        if first == FRAME_MAGIC {
+            let mut header = [0u8; framing::FRAME_HEADER_LEN];
+            reader.read_exact(&mut header)?;
+            let len = u32::from_le_bytes(header[1..].try_into().expect("4 length bytes")) as usize;
+            if len > framing::MAX_FRAME_PAYLOAD {
+                return Err(bad_data(FrameError::Oversized { len }.to_string()));
+            }
+            let mut payload = vec![0u8; len];
+            reader.read_exact(&mut payload)?;
+            let content = framing::decode_payload(&payload).map_err(|e| bad_data(e.to_string()))?;
+            return server_frame_from_content(&content).map_err(|e| bad_data(e.to_string()));
+        }
+        let mut line = String::new();
+        reader.read_line(&mut line)?;
+        if !line.ends_with('\n') {
+            return Err(eof());
+        }
+        let text = line.trim();
+        if !text.is_empty() {
+            return decode_server_frame(text).map_err(|e| bad_data(e.to_string()));
+        }
+    }
+}
 
 /// A connected protocol client.
 pub struct Client {
     reader: BufReader<TcpStream>,
     stream: TcpStream,
-    /// Pending outgoing bytes ([`Client::queue_msg`] / [`Client::flush`]).
+    /// Pending outgoing bytes ([`Client::queue_for`] / [`Client::flush`]).
     wbuf: Vec<u8>,
-    /// Framing for *outgoing* messages. Incoming framing is auto-detected
-    /// per message from its first byte.
+    /// Framing for *outgoing* messages.
     format: WireFormat,
-}
-
-fn bad_data(detail: String) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, detail)
+    /// Messages resent after a `busy` ([`Client::busy`]).
+    busy: u64,
 }
 
 impl Client {
-    pub fn connect(addr: &str) -> std::io::Result<Client> {
+    pub fn connect(addr: &str) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         // Sends are already batched into one write per burst; Nagle
         // would only delay the burst behind an unacked response.
@@ -55,51 +101,31 @@ impl Client {
             stream,
             wbuf: Vec::with_capacity(4 * 1024),
             format: WireFormat::Ndjson,
+            busy: 0,
         })
     }
 
-    /// Switch the outgoing framing (after the server echoed `"binary"` in
-    /// `welcome`).
-    pub fn set_format(&mut self, format: WireFormat) {
-        self.format = format;
+    /// The outgoing framing in effect (binary only after a `welcome`
+    /// echoed it).
+    pub fn format(&self) -> WireFormat {
+        self.format
     }
 
-    /// Queue one message into the write buffer without flushing — the
-    /// pipelined replay path. Call [`Client::flush`] before blocking on
-    /// a response.
-    pub fn queue_msg(&mut self, msg: &ClientMsg) {
-        match self.format {
-            WireFormat::Ndjson => {
-                self.wbuf.extend_from_slice(encode(msg).as_bytes());
-                self.wbuf.push(b'\n');
-            }
-            WireFormat::Binary => framing::write_frame(msg, &mut self.wbuf),
-        }
+    /// Messages this client's request-response calls resent because the
+    /// server answered `busy` (dropped them), over the client's life.
+    pub(crate) fn busy(&self) -> u64 {
+        self.busy
     }
 
-    /// Queue one message addressed to logical session `sid` — bare when
-    /// `None`, wrapped in the `{"sid":…,"msg":…}` mux envelope otherwise.
-    pub fn queue_for(&mut self, sid: Option<u64>, msg: ClientMsg) {
-        match sid {
-            None => self.queue_msg(&msg),
-            Some(sid) => {
-                let frame = ClientFrame {
-                    sid: Some(sid),
-                    msg,
-                };
-                match self.format {
-                    WireFormat::Ndjson => {
-                        self.wbuf.extend_from_slice(encode(&frame).as_bytes());
-                        self.wbuf.push(b'\n');
-                    }
-                    WireFormat::Binary => framing::write_frame(&frame, &mut self.wbuf),
-                }
-            }
-        }
+    /// Queue one message for logical session `sid` into the write buffer
+    /// without flushing — bare when `None`, in the mux envelope
+    /// otherwise. Call [`Client::flush`] before blocking on a response.
+    pub fn queue_for(&mut self, sid: Option<u64>, msg: &ClientMsg) {
+        write_msg(self.format, &Envelope { sid, msg }, &mut self.wbuf);
     }
 
     /// Write every queued byte to the socket.
-    pub fn flush(&mut self) -> std::io::Result<()> {
+    pub fn flush(&mut self) -> io::Result<()> {
         if self.wbuf.is_empty() {
             return Ok(());
         }
@@ -108,406 +134,183 @@ impl Client {
         Ok(())
     }
 
-    /// Send one message immediately (queue + flush).
-    pub fn send(&mut self, msg: &ClientMsg) -> std::io::Result<()> {
-        self.queue_msg(msg);
+    /// Send one bare message immediately (queue + flush).
+    pub fn send(&mut self, msg: &ClientMsg) -> io::Result<()> {
+        self.queue_for(None, msg);
         self.flush()
     }
 
     /// Send one raw line verbatim (protocol-robustness tests).
-    pub fn send_raw(&mut self, line: &str) -> std::io::Result<()> {
+    pub fn send_raw(&mut self, line: &str) -> io::Result<()> {
         self.flush()?;
         self.stream.write_all(line.as_bytes())?;
         self.stream.write_all(b"\n")
     }
 
     /// Send raw bytes verbatim, no newline (framing-robustness tests).
-    pub fn send_bytes(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+    pub fn send_bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.flush()?;
         self.stream.write_all(bytes)
     }
 
-    /// Read the next server message, whatever its framing: a first byte
-    /// of [`FRAME_MAGIC`] is a binary frame, anything else an NDJSON
-    /// line. EOF is `UnexpectedEof`.
-    pub fn recv(&mut self) -> std::io::Result<ServerMsg> {
-        loop {
-            let first = {
-                let buf = self.reader.fill_buf()?;
-                if buf.is_empty() {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "server closed the connection",
-                    ));
-                }
-                buf[0]
-            };
-            if first == FRAME_MAGIC {
-                let mut header = [0u8; framing::FRAME_HEADER_LEN];
-                self.reader.read_exact(&mut header)?;
-                let len = u32::from_le_bytes(header[1..].try_into().unwrap()) as usize;
-                if len > framing::MAX_FRAME_PAYLOAD {
-                    return Err(bad_data(FrameError::Oversized { len }.to_string()));
-                }
-                let mut payload = vec![0u8; len];
-                self.reader.read_exact(&mut payload)?;
-                return framing::decode_msg(&payload).map_err(|e| bad_data(e.to_string()));
-            }
-            let mut line = String::new();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ));
-            }
-            let text = line.trim();
-            if text.is_empty() {
-                continue;
-            }
-            return decode_server(text).map_err(|e| bad_data(e.to_string()));
-        }
+    /// Read the next server message with its mux address
+    /// ([`read_server_frame`]).
+    pub fn recv_frame(&mut self) -> io::Result<ServerFrame> {
+        read_server_frame(&mut self.reader)
     }
 
-    /// Read the next server message *with its mux envelope*: `sid` is
-    /// `None` for a bare response, `Some` when the server tagged it for a
-    /// logical session. Framing is auto-detected per message, like
-    /// [`Client::recv`].
-    pub fn recv_frame(&mut self) -> std::io::Result<ServerFrame> {
-        loop {
-            let first = {
-                let buf = self.reader.fill_buf()?;
-                if buf.is_empty() {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "server closed the connection",
-                    ));
-                }
-                buf[0]
-            };
-            if first == FRAME_MAGIC {
-                let mut header = [0u8; framing::FRAME_HEADER_LEN];
-                self.reader.read_exact(&mut header)?;
-                let len = u32::from_le_bytes(header[1..].try_into().unwrap()) as usize;
-                if len > framing::MAX_FRAME_PAYLOAD {
-                    return Err(bad_data(FrameError::Oversized { len }.to_string()));
-                }
-                let mut payload = vec![0u8; len];
-                self.reader.read_exact(&mut payload)?;
-                let content =
-                    framing::decode_payload(&payload).map_err(|e| bad_data(e.to_string()))?;
-                return serde::Deserialize::from_content(&content)
-                    .map_err(|e: serde::Error| bad_data(e.to_string()));
-            }
-            let mut line = String::new();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ));
-            }
-            let text = line.trim();
-            if text.is_empty() {
-                continue;
-            }
-            return decode_server_frame(text).map_err(|e| bad_data(e.to_string()));
-        }
+    /// Read the next server message, whichever session it addresses.
+    pub fn recv(&mut self) -> io::Result<ServerMsg> {
+        Ok(self.recv_frame()?.msg)
     }
 
-    /// Send a message and wait for its (in-order) response. Out-of-band
-    /// `busy` means the line was dropped server-side: back off, resend,
-    /// and report how often that happened via the returned counter.
-    pub fn rpc(&mut self, msg: &ClientMsg) -> std::io::Result<(ServerMsg, u64)> {
+    /// Send a message to session `sid` and wait for its (in-order)
+    /// response — valid only while nothing else is in flight on the
+    /// connection, so an answer for any other session is an error.
+    /// Out-of-band `busy` means the message was dropped server-side: back
+    /// off, resend, and report how often that happened via the returned
+    /// counter.
+    pub fn rpc_for(&mut self, sid: Option<u64>, msg: &ClientMsg) -> io::Result<(ServerMsg, u64)> {
         let mut busy = 0u64;
         loop {
-            self.send(msg)?;
-            match self.recv()? {
+            self.queue_for(sid, msg);
+            self.flush()?;
+            let frame = self.recv_frame()?;
+            if frame.sid != sid {
+                return Err(bad_data(format!(
+                    "expected a response for session {sid:?}, got {frame:?}"
+                )));
+            }
+            match frame.msg {
                 ServerMsg::busy => {
                     busy += 1;
-                    std::thread::sleep(Duration::from_millis(2));
+                    self.busy += 1;
+                    std::thread::sleep(BUSY_BACKOFF);
                 }
                 response => return Ok((response, busy)),
             }
         }
     }
-}
 
-/// Replay tuning.
-#[derive(Debug, Clone)]
-pub struct ReplayOptions {
-    /// Matcher spec string (see `com_core::MatcherRegistry`).
-    pub matcher: String,
-    pub seed: u64,
-    /// Target event send rate in events/second; `0.0` = as fast as the
-    /// protocol allows.
-    pub rate_hz: f64,
-    /// Wire framing to request in `hello`. The client only switches when
-    /// the server echoes the request back in `welcome`.
-    pub frame: WireFormat,
-    /// Max messages in flight. `1` = strict lockstep (original
-    /// semantics, `busy` survivable); `> 1` pipelines and batches sends,
-    /// and `busy` becomes a hard error (see module docs).
-    pub window: usize,
-}
-
-impl Default for ReplayOptions {
-    fn default() -> Self {
-        ReplayOptions {
-            matcher: "demcom".into(),
-            seed: 42,
-            rate_hz: 0.0,
-            frame: WireFormat::Ndjson,
-            window: 1,
-        }
-    }
-}
-
-/// What a replay measured.
-#[derive(Debug)]
-pub struct ReplayReport {
-    pub events: usize,
-    pub assigned: usize,
-    pub rejected: usize,
-    /// Engine-refused decisions (`timeout` responses).
-    pub refused: usize,
-    /// Backpressure events survived (dropped lines that were resent).
-    pub busy: u64,
-    /// Event-streaming wall time: `hello` accepted → last event
-    /// response drained. Session teardown (deep stats, shutdown, audit,
-    /// the canonical run in `bye`) is excluded — a fixed per-session
-    /// cost, not per-event serving work.
-    pub wall_secs: f64,
-    /// Round-trip latency of `request` events, nanoseconds. Under
-    /// pipelining this measures send-to-response wall time, queueing
-    /// included.
-    pub request_rtt_ns: Histogram,
-    /// The server's deep telemetry snapshot (`stats_deep`), fetched just
-    /// before shutdown. `None` when the server predates the message or
-    /// runs with telemetry disabled.
-    pub deep_stats: Option<DeepStatsMsg>,
-    /// The server's final session report.
-    pub bye: ByeMsg,
-}
-
-impl ReplayReport {
-    /// Events per wall-clock second over the whole replay.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_secs <= 0.0 {
-            return 0.0;
-        }
-        self.events as f64 / self.wall_secs
-    }
-}
-
-/// One in-flight pipelined message awaiting its positional response.
-enum Pending {
-    Worker,
-    Request { sent: Instant },
-}
-
-struct ReplayCounts {
-    assigned: usize,
-    rejected: usize,
-    refused: usize,
-    request_rtt_ns: Histogram,
-}
-
-fn classify_worker(response: ServerMsg) -> std::io::Result<()> {
-    match response {
-        ServerMsg::ok => Ok(()),
-        ServerMsg::error(e) => Err(bad_data(format!(
-            "worker refused: {}: {}",
-            e.code, e.detail
-        ))),
-        other => Err(bad_data(format!("unexpected worker response: {other:?}"))),
-    }
-}
-
-fn classify_request(response: ServerMsg, counts: &mut ReplayCounts) -> std::io::Result<()> {
-    match response {
-        ServerMsg::assign(_) => counts.assigned += 1,
-        ServerMsg::reject(_) => counts.rejected += 1,
-        ServerMsg::timeout { .. } => counts.refused += 1,
-        ServerMsg::error(e) => {
-            return Err(bad_data(format!(
-                "request refused: {}: {}",
-                e.code, e.detail
-            )))
-        }
-        other => return Err(bad_data(format!("unexpected request response: {other:?}"))),
-    }
-    Ok(())
-}
-
-/// Receive and classify the oldest in-flight response.
-fn drain_one(
-    client: &mut Client,
-    pending: &mut VecDeque<Pending>,
-    counts: &mut ReplayCounts,
-) -> std::io::Result<()> {
-    let slot = pending
-        .pop_front()
-        .expect("drain_one called with nothing in flight");
-    let response = client.recv()?;
-    if matches!(response, ServerMsg::busy) {
-        // The server dropped a pipelined message; positional matching is
-        // broken and a silent resend would desynchronise the stream.
-        return Err(bad_data(
-            "server answered busy while pipelining — lower --window below the \
-             server's ingress queue capacity"
-                .into(),
-        ));
-    }
-    match slot {
-        Pending::Worker => classify_worker(response),
-        Pending::Request { sent } => {
-            counts
-                .request_rtt_ns
-                .record(sent.elapsed().as_nanos() as u64);
-            classify_request(response, counts)
-        }
-    }
-}
-
-/// Stream `instance` through a matchd session at `addr` and collect the
-/// report. The served outcome is exactly a batch `try_run_online` over
-/// the same instance and seed — in either framing, at any window —
-/// compare `report.bye.canonical` against
-/// `com_bench::runner::canonical_run_json` to verify.
-pub fn replay_scenario(
-    addr: &str,
-    instance: &Instance,
-    options: &ReplayOptions,
-) -> std::io::Result<ReplayReport> {
-    let mut client = Client::connect(addr)?;
-    let hello = ClientMsg::hello(Hello {
-        matcher: options.matcher.clone(),
-        seed: options.seed,
-        world: instance.config.clone(),
-        platforms: instance.platform_names.clone(),
-        max_value: instance.max_value(),
-        frame: Some(options.frame.as_str().to_string()),
-        origin: None,
-        fed: None,
-    });
-    let (response, mut busy) = client.rpc(&hello)?;
-    match response {
-        ServerMsg::welcome { frame, .. } => {
-            // Only switch framings on an explicit echo; an old server
-            // (no echo) or a downgrading one keeps us on NDJSON.
-            let accepted = frame.as_deref().and_then(WireFormat::parse);
-            if options.frame == WireFormat::Binary && accepted == Some(WireFormat::Binary) {
-                client.set_format(WireFormat::Binary);
-            }
-        }
-        ServerMsg::error(e) => {
-            return Err(bad_data(format!("hello refused: {}: {}", e.code, e.detail)))
-        }
-        other => return Err(bad_data(format!("unexpected hello response: {other:?}"))),
+    /// [`Client::rpc_for`] the bare session.
+    pub fn rpc(&mut self, msg: &ClientMsg) -> io::Result<(ServerMsg, u64)> {
+        self.rpc_for(None, msg)
     }
 
-    let started = Instant::now();
-    let mut counts = ReplayCounts {
-        assigned: 0,
-        rejected: 0,
-        refused: 0,
-        request_rtt_ns: Histogram::new(),
-    };
-    let period = if options.rate_hz > 0.0 {
-        Some(Duration::from_secs_f64(1.0 / options.rate_hz))
-    } else {
-        None
-    };
-    let window = options.window.max(1);
-    let mut pending: VecDeque<Pending> = VecDeque::with_capacity(window);
-
-    for (i, event) in instance.stream.iter().enumerate() {
-        if let Some(period) = period {
-            // Absolute pacing: event i goes out at started + i·period, so
-            // per-iteration jitter does not accumulate.
-            let due = started + period * i as u32;
-            if let Some(wait) = due.checked_duration_since(Instant::now()) {
-                std::thread::sleep(wait);
-            }
-        }
-        match event {
-            ArrivalEvent::Worker(spec) => {
-                let msg = ClientMsg::worker(WorkerMsg {
-                    spec: *spec,
-                    history: instance.histories.get(&spec.id).cloned(),
-                });
-                if window == 1 {
-                    let (response, b) = client.rpc(&msg)?;
-                    busy += b;
-                    classify_worker(response)?;
-                } else {
-                    client.queue_msg(&msg);
-                    pending.push_back(Pending::Worker);
+    /// Open logical session `sid`: `hello` → `welcome`, or the server's
+    /// typed refusal as an error. The outgoing framing switches to binary
+    /// only when the hello asked for it *and* the welcome echoes it — an
+    /// old server (no echo) or a downgrading one keeps the client on
+    /// NDJSON.
+    pub fn open(&mut self, sid: Option<u64>, hello: Hello) -> io::Result<()> {
+        let wants_binary = hello.frame.as_deref() == Some(WireFormat::Binary.as_str());
+        match self.rpc_for(sid, &ClientMsg::hello(hello))?.0 {
+            ServerMsg::welcome { frame, .. } => {
+                if wants_binary && frame.as_deref() == Some(WireFormat::Binary.as_str()) {
+                    self.format = WireFormat::Binary;
                 }
+                Ok(())
             }
-            ArrivalEvent::Request(spec) => {
-                if window == 1 {
-                    let sent = Instant::now();
-                    let (response, b) = client.rpc(&ClientMsg::request(*spec))?;
-                    counts
-                        .request_rtt_ns
-                        .record(sent.elapsed().as_nanos() as u64);
-                    busy += b;
-                    classify_request(response, &mut counts)?;
-                } else {
-                    client.queue_msg(&ClientMsg::request(*spec));
-                    pending.push_back(Pending::Request {
-                        sent: Instant::now(),
-                    });
-                }
-            }
-        }
-        if pending.len() >= window {
-            // Window full: flush the batched sends in one syscall, then
-            // drain half so sends and receives stay interleaved.
-            client.flush()?;
-            while pending.len() > window / 2 {
-                drain_one(&mut client, &mut pending, &mut counts)?;
-            }
+            other => Err(unexpected("hello", other)),
         }
     }
-    client.flush()?;
-    while !pending.is_empty() {
-        drain_one(&mut client, &mut pending, &mut counts)?;
+
+    /// Close logical session `sid`: a deep telemetry snapshot while the
+    /// session is still live (`None` when the server predates
+    /// `stats_deep`), then `shutdown` → the session's final `bye`.
+    pub fn close(&mut self, sid: Option<u64>) -> io::Result<(Option<DeepStatsMsg>, ByeMsg)> {
+        let deep = match self.rpc_for(sid, &ClientMsg::stats_deep)?.0 {
+            ServerMsg::stats_deep(deep) => Some(*deep),
+            _ => None,
+        };
+        match self.rpc_for(sid, &ClientMsg::shutdown)?.0 {
+            ServerMsg::bye(bye) => Ok((deep, bye)),
+            other => Err(unexpected("shutdown", other)),
+        }
     }
-    // Stop the throughput clock here: every event has been sent *and*
-    // answered. Teardown below (stats_deep, shutdown → audit + the full
-    // canonical run in `bye`) is a fixed per-session cost that grows
-    // with run size but is not per-event serving work — including it
-    // would understate fast framings most (at binary+window speeds it
-    // was ~30% of the old wall).
-    let wall_secs = started.elapsed().as_secs_f64();
+}
 
-    // Deep telemetry snapshot while the session is still live: the phase
-    // table covers exactly the events streamed above. Unknown-message
-    // errors (older server) degrade to `None`.
-    let (response, b) = client.rpc(&ClientMsg::stats_deep)?;
-    busy += b;
-    let deep_stats = match response {
-        ServerMsg::stats_deep(deep) => Some(*deep),
-        _ => None,
-    };
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::framing::{encode_frame, MAX_FRAME_PAYLOAD};
+    use crate::protocol::encode;
+    use std::io::ErrorKind;
 
-    let (response, b) = client.rpc(&ClientMsg::shutdown)?;
-    busy += b;
-    let ServerMsg::bye(bye) = response else {
-        return Err(bad_data(format!(
-            "unexpected shutdown response: {response:?}"
-        )));
-    };
-    Ok(ReplayReport {
-        events: instance.stream.len(),
-        assigned: counts.assigned,
-        rejected: counts.rejected,
-        refused: counts.refused,
-        busy,
-        wall_secs,
-        request_rtt_ns: counts.request_rtt_ns,
-        deep_stats,
-        bye,
-    })
+    fn tagged(sid: u64, msg: &ServerMsg) -> Envelope<'_, ServerMsg> {
+        Envelope {
+            sid: Some(sid),
+            msg,
+        }
+    }
+
+    #[test]
+    fn reads_both_framings_bare_and_enveloped_interleaved() {
+        let (ack, full) = (ServerMsg::ok, ServerMsg::busy);
+        let mut wire = Vec::new();
+        wire.extend_from_slice(format!("{}\n", encode(&ack)).as_bytes());
+        wire.extend_from_slice(&encode_frame(&full));
+        // Blank lines between messages are skipped, not answered.
+        wire.extend_from_slice(b"\n  \r\n");
+        wire.extend_from_slice(format!("{}\n", encode(&tagged(7, &full))).as_bytes());
+        wire.extend_from_slice(&encode_frame(&tagged(9, &ack)));
+        wire.extend_from_slice(format!("{}\n", encode(&ack)).as_bytes());
+
+        let mut reader = &wire[..];
+        let mut got = Vec::new();
+        for _ in 0..5 {
+            let frame = read_server_frame(&mut reader).expect("frame");
+            got.push((frame.sid, format!("{:?}", frame.msg)));
+        }
+        assert_eq!(
+            got,
+            vec![
+                (None, "ok".to_string()),
+                (None, "busy".to_string()),
+                (Some(7), "busy".to_string()),
+                (Some(9), "ok".to_string()),
+                (None, "ok".to_string()),
+            ]
+        );
+        assert!(reader.is_empty(), "every byte consumed");
+    }
+
+    #[test]
+    fn oversized_header_is_invalid_data_without_reading_the_payload() {
+        // Only the header is on the wire: had the reader tried to buffer
+        // the declared payload it would fail with UnexpectedEof instead.
+        let mut wire = vec![FRAME_MAGIC];
+        wire.extend_from_slice(&(MAX_FRAME_PAYLOAD as u32 + 1).to_le_bytes());
+        let err = read_server_frame(&mut &wire[..]).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        assert!(err.to_string().contains("exceeds"), "{err}");
+    }
+
+    #[test]
+    fn eof_before_or_inside_a_message_is_unexpected_eof() {
+        let kind = |wire: &[u8]| read_server_frame(&mut &wire[..]).unwrap_err().kind();
+        assert_eq!(kind(b""), ErrorKind::UnexpectedEof);
+        assert_eq!(kind(b"\n\n"), ErrorKind::UnexpectedEof);
+        // A line the peer never terminated.
+        assert_eq!(kind(b"\"ok\""), ErrorKind::UnexpectedEof);
+        let frame = encode_frame(&ServerMsg::ok);
+        // Inside the header, and inside the payload.
+        assert_eq!(kind(&frame[..3]), ErrorKind::UnexpectedEof);
+        assert_eq!(kind(&frame[..frame.len() - 1]), ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn undecodable_messages_are_invalid_data_in_each_framing() {
+        let kind = |wire: &[u8]| read_server_frame(&mut &wire[..]).unwrap_err().kind();
+        assert_eq!(kind(b"{not json\n"), ErrorKind::InvalidData);
+        assert_eq!(kind(b"{\"sid\":3}\n"), ErrorKind::InvalidData);
+        assert_eq!(
+            kind(&encode_frame(&ClientMsg::tick { to: 1.0 })),
+            ErrorKind::InvalidData
+        );
+        let mut junk = vec![FRAME_MAGIC];
+        junk.extend_from_slice(&2u32.to_le_bytes());
+        junk.extend_from_slice(&[0xFF, 0xFE]);
+        assert_eq!(kind(&junk), ErrorKind::InvalidData);
+    }
 }

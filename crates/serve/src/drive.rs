@@ -1,0 +1,428 @@
+//! The one session driver: [`drive`] streams an [`Instance`]'s arrival
+//! events through live `matchd` sessions and collects what the server
+//! decided. `matchload`, the loopback tests and (for its open / event /
+//! close steps) `com_fed` all push their workload through this module, so
+//! numbers from two serving modes come from the same code.
+//!
+//! **Sessions and connections.** `sessions` logical sessions replay the
+//! *same* instance, session `k` with seed `seed + k`, so every session's
+//! `bye` is independently verifiable against a local batch run. They ride
+//! `connections` sockets (clamped to `1..=sessions` — here and nowhere
+//! else), session `k` on connection `k % connections`. A run with one
+//! session addresses it **bare** (no envelope on the wire); a run with
+//! more tags session `k` with `sid = k` in the `{"sid":…,"msg":…}` mux
+//! envelope. Which addressing goes on the wire is read off `sessions`,
+//! not set by a flag.
+//!
+//! **The pump.** Each connection interleaves its sessions event by event
+//! — event *i* of every session before event *i+1* of any — which is the
+//! adversarial pattern for the server's routing: consecutive wire
+//! messages nearly always address different sids and, sharded, different
+//! shard queues. At most `window` messages are in flight per connection,
+//! checked after every queued message; a full window flushes the batched
+//! sends in one write and drains down to half so sends and receives stay
+//! interleaved. `window == 1` is therefore strict request-response
+//! lockstep. Responses are ordered per session but interleave arbitrarily
+//! across sessions, so each is matched to its session's oldest in-flight
+//! message by the frame's sid, never by global position.
+//!
+//! **`busy`** (the server dropped a message) is survivable by backing off
+//! and resending exactly when that message is the only one in flight on
+//! the connection; with more in flight the session's positional matching
+//! is broken and it is a hard error — keep `window` at or below the
+//! server's per-shard queue capacity.
+//!
+//! **Pacing.** `rate_hz` is events per second *per connection*, whatever
+//! the session count: the connection's n-th message is due at
+//! `start + n / rate_hz`, so per-iteration jitter does not accumulate.
+
+use std::collections::VecDeque;
+use std::io;
+use std::time::{Duration, Instant};
+
+use com_obs::Histogram;
+use com_sim::{ArrivalEvent, Instance};
+
+use crate::client::{bad_data, unexpected, Client, BUSY_BACKOFF};
+use crate::framing::WireFormat;
+use crate::protocol::{ByeMsg, ClientMsg, DeepStatsMsg, Hello, ServerMsg, WorkerMsg};
+
+/// How to drive.
+#[derive(Debug, Clone)]
+pub struct DriveOptions {
+    /// Matcher spec string (see `com_core::MatcherRegistry`).
+    pub matcher: String,
+    /// Session `k` runs with seed `seed + k`.
+    pub seed: u64,
+    /// TCP connections to open (all up front, before any traffic);
+    /// clamped to `1..=sessions`.
+    pub connections: usize,
+    /// Logical sessions to drive. One session is addressed bare, more are
+    /// multiplexed by sid.
+    pub sessions: usize,
+    /// Wire framing to request in every `hello`; the client only switches
+    /// when the server echoes it back in `welcome`.
+    pub frame: WireFormat,
+    /// Max messages in flight per connection, shared across its
+    /// sessions. `1` = strict lockstep.
+    pub window: usize,
+    /// Target send rate in events/second per connection; `0.0` = as fast
+    /// as the window allows.
+    pub rate_hz: f64,
+}
+
+impl Default for DriveOptions {
+    fn default() -> Self {
+        DriveOptions {
+            matcher: "demcom".into(),
+            seed: 42,
+            connections: 1,
+            sessions: 1,
+            frame: WireFormat::Ndjson,
+            window: 1,
+            rate_hz: 0.0,
+        }
+    }
+}
+
+/// One logical session's outcome.
+#[derive(Debug)]
+pub struct SessionOutcome {
+    /// How the session was addressed: `None` = bare (a one-session run).
+    pub sid: Option<u64>,
+    pub seed: u64,
+    /// Which connection carried it.
+    pub connection: usize,
+    pub assigned: usize,
+    pub rejected: usize,
+    /// Engine-refused decisions (`timeout` responses).
+    pub refused: usize,
+    /// The server's final report for this session (canonical run JSON and
+    /// digest included) — compare against
+    /// `com_bench::runner::canonical_run_json` of a local batch run.
+    pub bye: ByeMsg,
+}
+
+/// What [`drive`] measured, aggregated across connections.
+#[derive(Debug)]
+pub struct DriveReport {
+    /// Per-session outcomes; index = session number `k`.
+    pub sessions: Vec<SessionOutcome>,
+    /// Connections actually opened (the option, clamped).
+    pub connections: usize,
+    /// Total events delivered (events per session × sessions).
+    pub events: usize,
+    /// Backpressure events survived (dropped messages that were resent).
+    pub busy: u64,
+    /// Slowest connection's event-streaming wall time: sessions open →
+    /// last event response drained. Teardown (deep stats, shutdown,
+    /// audit, the canonical run in `bye`) is excluded — a fixed
+    /// per-session cost, not per-event serving work.
+    pub wall_secs: f64,
+    /// Request send-to-response wall time across every session, client
+    /// queueing included, nanoseconds.
+    pub request_rtt_ns: Histogram,
+    /// Session 0's deep server telemetry, fetched once streaming ended
+    /// and before any session on its connection shut down — carries the
+    /// phase table and the per-shard rows.
+    pub deep_stats: Option<DeepStatsMsg>,
+}
+
+impl DriveReport {
+    /// Aggregate events per wall-clock second.
+    pub fn events_per_sec(&self) -> f64 {
+        if self.wall_secs <= 0.0 {
+            return 0.0;
+        }
+        self.events as f64 / self.wall_secs
+    }
+}
+
+/// The `hello` that opens a session over `instance`'s world.
+pub fn hello_msg(instance: &Instance, matcher: &str, seed: u64, frame: WireFormat) -> Hello {
+    Hello {
+        matcher: matcher.to_string(),
+        seed,
+        world: instance.config.clone(),
+        platforms: instance.platform_names.clone(),
+        max_value: instance.max_value(),
+        frame: Some(frame.as_str().to_string()),
+        origin: None,
+        fed: None,
+    }
+}
+
+/// The wire message for one arrival event (a worker carries its
+/// acceptance history).
+pub fn event_msg(instance: &Instance, event: &ArrivalEvent) -> ClientMsg {
+    match event {
+        ArrivalEvent::Worker(spec) => ClientMsg::worker(WorkerMsg {
+            spec: *spec,
+            history: instance.histories.get(&spec.id).cloned(),
+        }),
+        ArrivalEvent::Request(spec) => ClientMsg::request(*spec),
+    }
+}
+
+/// Require the plain acknowledgement a `worker` (or `tick`) is answered
+/// with.
+pub fn expect_ok(response: ServerMsg, what: &str) -> io::Result<()> {
+    match response {
+        ServerMsg::ok => Ok(()),
+        other => Err(unexpected(what, other)),
+    }
+}
+
+/// One in-flight message awaiting its session's next response.
+enum Pending {
+    Worker,
+    Request { sent: Instant },
+}
+
+/// One session's client-side state while its stream is in flight.
+struct SessionState {
+    sid: Option<u64>,
+    pending: VecDeque<Pending>,
+    assigned: usize,
+    rejected: usize,
+    refused: usize,
+}
+
+/// One connection mid-stream.
+struct Pump<'a> {
+    client: Client,
+    instance: &'a Instance,
+    /// This connection's sessions: sids `conn, conn + M, …` of `M`
+    /// connections, so sid `s` sits at index `s / M`.
+    states: Vec<SessionState>,
+    connections: u64,
+    in_flight: usize,
+    /// The message queued last — the one to resend on a survivable
+    /// `busy`.
+    last: Option<(Option<u64>, &'a ArrivalEvent)>,
+    busy: u64,
+    request_rtt_ns: Histogram,
+}
+
+impl<'a> Pump<'a> {
+    fn queue(&mut self, index: usize, event: &'a ArrivalEvent) {
+        let state = &mut self.states[index];
+        self.client
+            .queue_for(state.sid, &event_msg(self.instance, event));
+        state.pending.push_back(match event {
+            ArrivalEvent::Worker(_) => Pending::Worker,
+            ArrivalEvent::Request(_) => Pending::Request {
+                sent: Instant::now(),
+            },
+        });
+        self.last = Some((state.sid, event));
+        self.in_flight += 1;
+    }
+
+    /// Receive one response and settle it against the oldest in-flight
+    /// message of the session it addresses.
+    fn drain_one(&mut self) -> io::Result<()> {
+        let frame = self.client.recv_frame()?;
+        let index = frame.sid.map_or(0, |s| s / self.connections) as usize;
+        let Some(state) = self.states.get_mut(index).filter(|s| s.sid == frame.sid) else {
+            return Err(bad_data(format!("response for unknown session: {frame:?}")));
+        };
+        if matches!(frame.msg, ServerMsg::busy) {
+            let (sid, event) = self.last.filter(|_| self.in_flight == 1).ok_or_else(|| {
+                bad_data(format!(
+                    "server answered busy for session {:?} with {} messages in flight — a \
+                     silent resend would reorder the session's stream; lower --window to at \
+                     most the server's shard queue capacity",
+                    frame.sid, self.in_flight
+                ))
+            })?;
+            self.busy += 1;
+            std::thread::sleep(BUSY_BACKOFF);
+            self.client.queue_for(sid, &event_msg(self.instance, event));
+            return self.client.flush();
+        }
+        let slot = state.pending.pop_front().ok_or_else(|| {
+            bad_data(format!(
+                "response for session {:?} with nothing in flight: {:?}",
+                frame.sid, frame.msg
+            ))
+        })?;
+        self.in_flight -= 1;
+        match slot {
+            Pending::Worker => expect_ok(frame.msg, "worker"),
+            Pending::Request { sent } => {
+                self.request_rtt_ns.record(sent.elapsed().as_nanos() as u64);
+                match frame.msg {
+                    ServerMsg::assign(_) => state.assigned += 1,
+                    ServerMsg::reject(_) => state.rejected += 1,
+                    ServerMsg::timeout { .. } => state.refused += 1,
+                    other => return Err(unexpected("request", other)),
+                }
+                Ok(())
+            }
+        }
+    }
+
+    fn drain_to(&mut self, target: usize) -> io::Result<()> {
+        self.client.flush()?;
+        while self.in_flight > target {
+            self.drain_one()?;
+        }
+        Ok(())
+    }
+}
+
+/// Drive connection `conn` of `connections`, carrying sessions `sids`,
+/// through the whole instance; the report covers this connection alone.
+fn drive_connection(
+    mut client: Client,
+    conn: usize,
+    connections: usize,
+    sids: Vec<Option<u64>>,
+    instance: &Instance,
+    options: &DriveOptions,
+) -> io::Result<DriveReport> {
+    let seed_of = |sid: Option<u64>| options.seed + sid.unwrap_or(0);
+    for &sid in &sids {
+        let hello = hello_msg(instance, &options.matcher, seed_of(sid), options.frame);
+        client.open(sid, hello)?;
+    }
+    let mut pump = Pump {
+        client,
+        instance,
+        states: sids
+            .iter()
+            .map(|&sid| SessionState {
+                sid,
+                pending: VecDeque::new(),
+                assigned: 0,
+                rejected: 0,
+                refused: 0,
+            })
+            .collect(),
+        connections: connections as u64,
+        in_flight: 0,
+        last: None,
+        busy: 0,
+        request_rtt_ns: Histogram::new(),
+    };
+    let window = options.window.max(1);
+    let started = Instant::now();
+    let mut sent = 0u64;
+    for event in instance.stream.iter() {
+        for index in 0..pump.states.len() {
+            if options.rate_hz > 0.0 {
+                let due = started + Duration::from_secs_f64(sent as f64 / options.rate_hz);
+                if let Some(wait) = due.checked_duration_since(Instant::now()) {
+                    std::thread::sleep(wait);
+                }
+            }
+            pump.queue(index, event);
+            sent += 1;
+            if pump.in_flight >= window {
+                pump.drain_to(window / 2)?;
+            }
+        }
+    }
+    pump.drain_to(0)?;
+    // Stop the throughput clock here: every event has been sent *and*
+    // answered.
+    let wall_secs = started.elapsed().as_secs_f64();
+
+    let Pump {
+        mut client,
+        states,
+        busy,
+        request_rtt_ns,
+        ..
+    } = pump;
+    // The first session's snapshot, taken while all of the connection's
+    // sessions are still open.
+    let mut deep_stats = None;
+    let mut sessions = Vec::with_capacity(states.len());
+    for state in states {
+        let (deep, bye) = client.close(state.sid)?;
+        if sessions.is_empty() {
+            deep_stats = deep;
+        }
+        sessions.push(SessionOutcome {
+            sid: state.sid,
+            seed: seed_of(state.sid),
+            connection: conn,
+            assigned: state.assigned,
+            rejected: state.rejected,
+            refused: state.refused,
+            bye,
+        });
+    }
+    Ok(DriveReport {
+        events: instance.stream.len() * sessions.len(),
+        sessions,
+        connections: 1,
+        busy: busy + client.busy(),
+        wall_secs,
+        request_rtt_ns,
+        deep_stats,
+    })
+}
+
+/// Stream `instance` through `options.sessions` matchd sessions at `addr`
+/// and collect the report. Every served session is exactly a batch
+/// `try_run_online` over the same instance and its seed — in either
+/// framing, at any window, bare or multiplexed.
+pub fn drive(addr: &str, instance: &Instance, options: &DriveOptions) -> io::Result<DriveReport> {
+    let sessions = options.sessions.max(1);
+    // Never more connections than sessions — an idle connection would
+    // have nothing to say.
+    let connections = options.connections.clamp(1, sessions);
+    // All sockets up front, so a `--once` server sees every connection
+    // before any session finishes.
+    let clients = (0..connections)
+        .map(|_| Client::connect(addr))
+        .collect::<io::Result<Vec<_>>>()?;
+    let outcomes: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = clients
+            .into_iter()
+            .enumerate()
+            .map(|(conn, client)| {
+                let sids: Vec<Option<u64>> = (conn..sessions)
+                    .step_by(connections)
+                    .map(|k| (sessions > 1).then_some(k as u64))
+                    .collect();
+                scope.spawn(move || {
+                    drive_connection(client, conn, connections, sids, instance, options)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|_| Err(bad_data("connection driver panicked")))
+            })
+            .collect()
+    });
+
+    let mut report = DriveReport {
+        sessions: Vec::with_capacity(sessions),
+        connections,
+        events: 0,
+        busy: 0,
+        wall_secs: 0.0,
+        request_rtt_ns: Histogram::new(),
+        deep_stats: None,
+    };
+    for (conn, part) in outcomes.into_iter().enumerate() {
+        let part = part?;
+        report.events += part.events;
+        report.busy += part.busy;
+        report.wall_secs = report.wall_secs.max(part.wall_secs);
+        report.request_rtt_ns.merge(&part.request_rtt_ns);
+        if conn == 0 {
+            report.deep_stats = part.deep_stats;
+        }
+        report.sessions.extend(part.sessions);
+    }
+    report.sessions.sort_by_key(|s| s.sid);
+    Ok(report)
+}

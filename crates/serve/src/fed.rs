@@ -33,7 +33,7 @@
 //! per-offer deadline bounds the damage for any other driver.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, SyncSender};
@@ -44,8 +44,9 @@ use com_core::{OutsourceChannel, OutsourceOutcome, OutsourceReject};
 use com_sim::{PlatformId, RequestSpec, Value};
 use com_stream::WorkerId;
 
-use crate::framing::{self, WireFormat, FRAME_MAGIC};
-use crate::protocol::{decode_server, encode, ClientMsg, FedStatsMsg, OfferMsg, ServerMsg};
+use crate::client::read_server_frame;
+use crate::framing::WireFormat;
+use crate::protocol::{write_msg, ClientMsg, FedStatsMsg, OfferMsg, ServerMsg};
 
 /// Default per-offer deadline when the `hello` does not set one.
 pub const DEFAULT_OFFER_DEADLINE_MS: u64 = 1_000;
@@ -153,13 +154,7 @@ impl PeerLink {
             let (tx, rx) = mpsc::sync_channel(1);
             conn.pending.lock().unwrap().insert(offer, tx);
             let mut bytes = Vec::with_capacity(256);
-            match format {
-                WireFormat::Ndjson => {
-                    bytes.extend_from_slice(encode(msg).as_bytes());
-                    bytes.push(b'\n');
-                }
-                WireFormat::Binary => framing::write_frame(msg, &mut bytes),
-            }
+            write_msg(format, msg, &mut bytes);
             match conn.stream.write_all(&bytes) {
                 Ok(()) => Ok(rx),
                 Err(e) => {
@@ -184,18 +179,17 @@ impl PeerLink {
 }
 
 /// Read lender verdicts off the peer connection and resolve them
-/// against the pending registry. Framing is auto-detected per message
-/// (first byte [`FRAME_MAGIC`] = binary frame, else an NDJSON line),
-/// mirroring every other reader in this crate. Exits on EOF or error,
-/// failing this connection's still-pending offers fast by dropping
-/// their senders.
+/// against the pending registry, through the crate's one reader
+/// ([`read_server_frame`]: framing auto-detected per message). Exits on
+/// EOF or error, failing this connection's still-pending offers fast by
+/// dropping their senders.
 fn reader_loop(
     mut reader: BufReader<TcpStream>,
     pending: Arc<Mutex<HashMap<u64, SyncSender<PeerReply>>>>,
     stats: Arc<FedShared>,
 ) {
-    while let Ok(msg) = read_server_msg(&mut reader) {
-        let (offer, reply) = match msg {
+    while let Ok(frame) = read_server_frame(&mut reader) {
+        let (offer, reply) = match frame.msg {
             ServerMsg::outsource_accept { offer, .. } => (offer, PeerReply::Accept),
             ServerMsg::outsource_reject { offer, code, .. } => (offer, PeerReply::Reject { code }),
             // `busy` (lender shard backlogged) and anything else: not a
@@ -217,40 +211,6 @@ fn reader_loop(
     // recv sees a disconnect immediately instead of waiting out the
     // deadline.
     pending.lock().unwrap().clear();
-}
-
-/// Read one server message, whatever its framing.
-fn read_server_msg(reader: &mut BufReader<TcpStream>) -> std::io::Result<ServerMsg> {
-    let bad = |d: String| std::io::Error::new(std::io::ErrorKind::InvalidData, d);
-    loop {
-        let first = {
-            let buf = reader.fill_buf()?;
-            if buf.is_empty() {
-                return Err(std::io::ErrorKind::UnexpectedEof.into());
-            }
-            buf[0]
-        };
-        if first == FRAME_MAGIC {
-            let mut header = [0u8; framing::FRAME_HEADER_LEN];
-            reader.read_exact(&mut header)?;
-            let len = u32::from_le_bytes(header[1..].try_into().unwrap()) as usize;
-            if len > framing::MAX_FRAME_PAYLOAD {
-                return Err(bad(format!("oversized peer frame ({len} bytes)")));
-            }
-            let mut payload = vec![0u8; len];
-            reader.read_exact(&mut payload)?;
-            return framing::decode_msg(&payload).map_err(|e| bad(e.to_string()));
-        }
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(std::io::ErrorKind::UnexpectedEof.into());
-        }
-        let text = line.trim();
-        if text.is_empty() {
-            continue;
-        }
-        return decode_server(text).map_err(|e| bad(e.to_string()));
-    }
 }
 
 /// The wire implementation of the core outsourcing seam: offers become
@@ -372,8 +332,10 @@ impl OutsourceChannel for WireOutsource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::encode;
     use com_geo::Point;
     use com_sim::{RequestId, Timestamp};
+    use std::io::BufRead;
     use std::net::TcpListener;
 
     fn request() -> RequestSpec {

@@ -5,14 +5,18 @@
 //! must be answered immediately (§II-A) — and this crate is the
 //! long-running dispatch service the batch tooling lacked.
 //!
-//! * [`protocol`] — the newline-delimited JSON wire protocol (`hello`,
-//!   `worker`, `request`, `tick`, `stats`, `shutdown` in;
-//!   `assign`/`reject`/`timeout`, `busy`, `stats`, `bye` out).
+//! * [`protocol`] — the message types of the wire protocol (`hello`,
+//!   `worker`, `request`, `tick`, `stats`, `stats_deep`, `shutdown` and
+//!   the inter-daemon `outsource_offer` in; `welcome`, `ok`,
+//!   `assign`/`reject`/`timeout`, `busy`, `error`, `stats`, `bye` and the
+//!   offer verdicts out), their NDJSON encoding, and the
+//!   `{"sid":…,"msg":…}` mux envelope that addresses one of many logical
+//!   sessions on a connection.
 //! * [`framing`] — the optional length-prefixed binary framing,
 //!   negotiated per session in `hello` (`"frame": "binary"`); NDJSON
 //!   stays the default and the debug path.
-//! * [`session`] — one client's [`com_core::MatchSession`] plus the event
-//!   log needed to audit the finished run with `validate_run`.
+//! * [`session`] — one logical session: a [`com_core::MatchSession`] plus
+//!   the event log needed to audit the finished run with `validate_run`.
 //! * [`server`] — the threaded TCP server behind the `matchd` binary:
 //!   per-connection router threads decoding and dispatching to the shard
 //!   pool, bounded per-shard ingress queues with `busy` backpressure,
@@ -20,9 +24,14 @@
 //! * [`shard`] — the shared-nothing shard executors that own the logical
 //!   sessions, plus the deterministic session→shard [`Placement`] rules
 //!   (stable hash, or `com-geo` grid cells).
-//! * [`client`] — the protocol client, the lockstep scenario [`replay`]
-//!   loop, and the multi-connection mux driver ([`loadgen`]) behind the
-//!   `matchload` binary.
+//! * [`fed`] — the federation peer link: a daemon's outsourcing
+//!   decisions as `outsource_offer` negotiations with its rival daemon.
+//! * [`client`] — the one wire client: one reader
+//!   ([`read_server_frame`]), one writer ([`Client::queue_for`]),
+//!   session [`Client::open`] / [`Client::close`].
+//! * [`drive`] — the one session driver over that client: K sessions ×
+//!   M connections, windowed or lockstep, paced or flat out; behind the
+//!   `matchload` binary, the loopback tests, and `com_fed`.
 //! * [`trace`] — the flight-recorder session trace (schema v1): one JSONL
 //!   file per recorded session, written by `matchd --record`.
 //! * [`replay`] — deterministic trace re-execution behind the
@@ -33,9 +42,9 @@
 //! `sync_channel` — no new dependencies.
 
 pub mod client;
+pub mod drive;
 pub mod fed;
 pub mod framing;
-pub mod loadgen;
 pub mod protocol;
 pub mod replay;
 pub mod server;
@@ -43,22 +52,22 @@ pub mod session;
 pub mod shard;
 pub mod trace;
 
-pub use client::{replay_scenario, Client, ReplayOptions, ReplayReport};
+pub use client::{bad_data, read_server_frame, Client};
+pub use drive::{
+    drive, event_msg, expect_ok, hello_msg, DriveOptions, DriveReport, SessionOutcome,
+};
 pub use fed::{FedShared, WireOutsource, DEFAULT_OFFER_DEADLINE_MS};
 pub use framing::{
     decode_msg, decode_payload, encode_frame, write_frame, FrameError, WireFormat, FRAME_MAGIC,
     MAX_FRAME_PAYLOAD, MAX_LINE_BYTES,
 };
-pub use loadgen::{drive_multi, MultiOptions, MultiReport, SessionOutcome};
 pub use protocol::{
     client_frame_from_content, decode_client, decode_client_frame, decode_server,
     decode_server_frame, encode, server_frame_from_content, ByeMsg, ClientFrame, ClientMsg,
     CounterRow, DecodeError, DeepStatsMsg, ErrorMsg, FedByeMsg, FedHello, FedStatsMsg, GaugeRow,
     Hello, OfferMsg, PhaseRow, ServerFrame, ServerMsg, ShardRow, StatsMsg, WorkerMsg,
 };
-pub use replay::{
-    read_trace, record_session, replay_trace, Divergence, TraceReplayOptions, TraceReplayReport,
-};
+pub use replay::{read_trace, record_session, replay_trace, Divergence, TraceReplayReport};
 pub use server::{serve, QueueStats, ServerConfig, ServerCounters, ServerHandle};
 pub use session::{FinishedSession, ServeSession};
 pub use shard::{Placement, ShardStats, DEFAULT_GRID_CELL};

@@ -26,9 +26,9 @@
 //!
 //! ## Session multiplexing
 //!
-//! A bare message addresses the connection's single *legacy* session —
-//! the original one-session-per-connection protocol, unchanged. A message
-//! wrapped in the **mux envelope** `{"sid": N, "msg": <message>}`
+//! A bare message addresses the connection's single *bare* session — the
+//! one-session addressing, what a client with one session speaks. A
+//! message wrapped in the **mux envelope** `{"sid": N, "msg": <message>}`
 //! addresses logical session `N` instead, and its response comes back in
 //! the same envelope, so one connection can interleave hundreds of
 //! concurrent sessions: each `{"sid":N,"msg":{"hello":…}}` opens an
@@ -48,6 +48,8 @@ use serde::{Deserialize, Serialize};
 
 use com_pricing::WorkerHistory;
 use com_sim::{Assignment, RequestSpec, WorkerSpec, WorldConfig};
+
+use crate::framing::{write_frame, WireFormat};
 
 /// Session opener: which matcher to run, the RNG seed, and the world the
 /// session plays out in. `max_value` is the stream's expected largest
@@ -492,12 +494,28 @@ pub fn encode<T: Serialize>(msg: &T) -> String {
     serde_json::to_string(msg).expect("protocol messages always serialize")
 }
 
+/// Append `msg` to `out` in `format`: an NDJSON line or one binary frame.
+/// Every writer in the crate (client, server, peer link) goes through
+/// here.
+pub(crate) fn write_msg<T: Serialize>(format: WireFormat, msg: &T, out: &mut Vec<u8>) {
+    match format {
+        WireFormat::Ndjson => {
+            out.extend_from_slice(encode(msg).as_bytes());
+            out.push(b'\n');
+        }
+        WireFormat::Binary => write_frame(msg, out),
+    }
+}
+
+/// Parse one line to its value tree. Decoding is two-stage so the error
+/// distinguishes unparseable bytes from a well-formed JSON value that is
+/// not a protocol message.
+fn parse_line(line: &str) -> Result<Content, DecodeError> {
+    serde_json::parse_content(line).map_err(|e| DecodeError::BadJson(e.to_string()))
+}
+
 fn decode<T: serde::de::Deserialize>(line: &str) -> Result<T, DecodeError> {
-    // Two-stage decode so the error distinguishes unparseable bytes from
-    // a well-formed JSON value that is not a protocol message.
-    let value: serde_json::Value =
-        serde_json::from_str(line).map_err(|e| DecodeError::BadJson(e.to_string()))?;
-    serde_json::from_value(value).map_err(|e| DecodeError::UnknownMessage(e.to_string()))
+    T::from_content(&parse_line(line)?).map_err(|e| DecodeError::UnknownMessage(e.to_string()))
 }
 
 /// Parse one client line.
@@ -510,15 +528,15 @@ pub fn decode_server(line: &str) -> Result<ServerMsg, DecodeError> {
     decode(line)
 }
 
-/// A client message with its mux address: `sid: None` is a bare (legacy)
-/// message, `sid: Some(n)` the envelope `{"sid":n,"msg":<message>}`.
+/// A client message with its mux address: `sid: None` is a bare message,
+/// `sid: Some(n)` the envelope `{"sid":n,"msg":<message>}`.
 ///
 /// The envelope is hand-rolled (not derived) because it *flattens away*
 /// when `sid` is absent — a bare frame serializes as the inner message
-/// itself, so legacy peers round-trip unchanged. Discrimination on decode
-/// is unambiguous: protocol messages are externally tagged single-key
-/// objects (or bare strings) and no tag is named `sid`, so a top-level
-/// `"sid"` key can only be the envelope.
+/// itself, so one-session peers round-trip unchanged. Discrimination on
+/// decode is unambiguous: protocol messages are externally tagged
+/// single-key objects (or bare strings) and no tag is named `sid`, so a
+/// top-level `"sid"` key can only be the envelope.
 #[derive(Debug, Clone)]
 pub struct ClientFrame {
     pub sid: Option<u64>,
@@ -530,6 +548,20 @@ pub struct ClientFrame {
 pub struct ServerFrame {
     pub sid: Option<u64>,
     pub msg: ServerMsg,
+}
+
+/// A message *borrowed* together with its mux address — what every writer
+/// serializes, so tagging a message with its `sid` never clones it.
+/// Serializes exactly like [`ClientFrame`]/[`ServerFrame`].
+pub(crate) struct Envelope<'a, T> {
+    pub(crate) sid: Option<u64>,
+    pub(crate) msg: &'a T,
+}
+
+impl<T: Serialize> Serialize for Envelope<'_, T> {
+    fn to_content(&self) -> Content {
+        frame_to_content(self.sid, self.msg)
+    }
 }
 
 fn frame_to_content<T: Serialize>(sid: Option<u64>, msg: &T) -> Content {
@@ -619,16 +651,12 @@ pub fn server_frame_from_content(content: &Content) -> Result<ServerFrame, Decod
 
 /// Parse one client line, mux envelope or bare.
 pub fn decode_client_frame(line: &str) -> Result<ClientFrame, DecodeError> {
-    let value: serde_json::Value =
-        serde_json::from_str(line).map_err(|e| DecodeError::BadJson(e.to_string()))?;
-    client_frame_from_content(&value.to_content())
+    client_frame_from_content(&parse_line(line)?)
 }
 
 /// Parse one server line, mux envelope or bare.
 pub fn decode_server_frame(line: &str) -> Result<ServerFrame, DecodeError> {
-    let value: serde_json::Value =
-        serde_json::from_str(line).map_err(|e| DecodeError::BadJson(e.to_string()))?;
-    server_frame_from_content(&value.to_content())
+    server_frame_from_content(&parse_line(line)?)
 }
 
 #[cfg(test)]

@@ -32,14 +32,6 @@ use crate::trace::{
     TraceRecorder, TRACE_VERSION,
 };
 
-/// Replay tuning.
-#[derive(Debug, Clone, Default)]
-pub struct TraceReplayOptions {
-    /// Target event rate in events/second; `0.0` replays as fast as the
-    /// engine decides (the normal benchmarking mode).
-    pub rate_hz: f64,
-}
-
 /// One point where the replay disagreed with the recording.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Divergence {
@@ -176,10 +168,11 @@ fn decision_text(d: &TraceDecision) -> String {
 /// session *refuses* (impossible for an untampered trace, since only
 /// accepted events are recorded) — are hard errors. Disagreement with the
 /// recording is not an error: it lands in `report.divergences`.
-pub fn replay_trace(
-    path: &Path,
-    options: &TraceReplayOptions,
-) -> Result<TraceReplayReport, String> {
+///
+/// `rate_hz` paces the replay to a target event rate in events/second;
+/// `0.0` replays as fast as the engine decides (the normal benchmarking
+/// mode).
+pub fn replay_trace(path: &Path, rate_hz: f64) -> Result<TraceReplayReport, String> {
     let (meta, lines) = read_trace(path)?;
     let hello = Hello {
         matcher: meta.matcher.clone(),
@@ -193,7 +186,7 @@ pub fn replay_trace(
     };
     let mut session = ServeSession::open(&hello)?;
     let mut divergences = Vec::new();
-    let period = (options.rate_hz > 0.0).then(|| Duration::from_secs_f64(1.0 / options.rate_hz));
+    let period = (rate_hz > 0.0).then(|| Duration::from_secs_f64(1.0 / rate_hz));
     let recorded: std::collections::HashMap<u64, &TraceDecision> = lines
         .iter()
         .filter_map(|l| match l {

@@ -42,14 +42,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use serde::content::Content;
-use serde::Serialize;
-
-use crate::framing::{
-    self, split_frame, write_frame, FrameSplit, WireFormat, FRAME_MAGIC, MAX_LINE_BYTES,
-};
+use crate::framing::{self, split_frame, FrameSplit, WireFormat, FRAME_MAGIC, MAX_LINE_BYTES};
 use crate::protocol::{
-    decode_client_frame, encode, ClientFrame, ClientMsg, DecodeError, ErrorMsg, ServerMsg,
+    decode_client_frame, write_msg, ClientFrame, ClientMsg, DecodeError, Envelope, ErrorMsg,
+    ServerMsg,
 };
 use crate::shard::{Placement, PoolShared, ShardPool};
 
@@ -334,22 +330,6 @@ struct WriterState {
 /// streams without ever pausing.
 const FLUSH_THRESHOLD: usize = 256 * 1024;
 
-/// A server response wrapped in its mux envelope, serialized borrowed so
-/// tagging a response with its `sid` never clones the payload.
-struct Enveloped<'a> {
-    sid: u64,
-    msg: &'a ServerMsg,
-}
-
-impl Serialize for Enveloped<'_> {
-    fn to_content(&self) -> Content {
-        Content::Map(vec![
-            (Content::Str("sid".to_string()), Content::U64(self.sid)),
-            (Content::Str("msg".to_string()), self.msg.to_content()),
-        ])
-    }
-}
-
 /// A connection's writer, shared by its router thread (out-of-band
 /// `busy`, typed rejections) and every shard that owns one of its
 /// sessions (responses). Responses are *queued* into a buffer and flushed
@@ -407,43 +387,30 @@ impl SharedWriter {
         self.lock().format = format;
     }
 
-    /// Queue one response for the logical session `sid` addresses: bare
-    /// for `None`, wrapped in the `{"sid":…,"msg":…}` envelope otherwise.
+    /// Queue one response for the logical session `sid` addresses — bare
+    /// for `None`, in the `{"sid":…,"msg":…}` envelope otherwise — into
+    /// the pending buffer without flushing. The envelope borrows the
+    /// message, so tagging a response never clones it.
     pub(crate) fn queue_for(&self, sid: Option<u64>, msg: &ServerMsg) {
-        match sid {
-            None => self.queue(msg),
-            Some(sid) => self.queue(&Enveloped { sid, msg }),
-        }
-    }
-
-    /// Queue-and-flush counterpart of [`SharedWriter::queue_for`], for
-    /// immediate messages (`busy`, rejections, the final `bye`).
-    pub(crate) fn send_for(&self, sid: Option<u64>, msg: &ServerMsg) {
-        match sid {
-            None => self.send(msg),
-            Some(sid) => self.send(&Enveloped { sid, msg }),
-        }
-    }
-
-    /// Encode one message into the pending buffer without flushing.
-    fn queue<T: Serialize>(&self, msg: &T) {
         let mut state = self.lock();
         let _span = com_obs::span(com_obs::PHASE_SERVE_ENCODE);
-        Self::queue_locked(&mut state, msg);
+        write_msg(state.format, &Envelope { sid, msg }, &mut state.buf);
         if state.buf.len() >= FLUSH_THRESHOLD {
             drop(_span);
             Self::flush_locked(&mut state);
         }
     }
 
-    fn queue_locked<T: Serialize>(state: &mut WriterState, msg: &T) {
-        match state.format {
-            WireFormat::Ndjson => {
-                state.buf.extend_from_slice(encode(msg).as_bytes());
-                state.buf.push(b'\n');
-            }
-            WireFormat::Binary => write_frame(msg, &mut state.buf),
+    /// Queue-and-flush counterpart of [`SharedWriter::queue_for`], in one
+    /// lock acquisition — the path for immediate messages (`busy`,
+    /// rejections, the final `bye`).
+    pub(crate) fn send_for(&self, sid: Option<u64>, msg: &ServerMsg) {
+        let mut state = self.lock();
+        {
+            let _span = com_obs::span(com_obs::PHASE_SERVE_ENCODE);
+            write_msg(state.format, &Envelope { sid, msg }, &mut state.buf);
         }
+        Self::flush_locked(&mut state);
     }
 
     /// Write the pending buffer to the socket. Errors are deliberately
@@ -467,17 +434,6 @@ impl SharedWriter {
             }
         }
         state.buf.clear();
-    }
-
-    /// Queue and flush in one lock acquisition — the path for immediate
-    /// messages.
-    fn send<T: Serialize>(&self, msg: &T) {
-        let mut state = self.lock();
-        {
-            let _span = com_obs::span(com_obs::PHASE_SERVE_ENCODE);
-            Self::queue_locked(&mut state, msg);
-        }
-        Self::flush_locked(&mut state);
     }
 }
 
@@ -548,7 +504,8 @@ pub(crate) trait IngressSink {
 /// this connection has said `hello` for.
 struct Router {
     pool: Arc<PoolShared>,
-    /// `None` = the connection's bare (un-multiplexed) session.
+    /// `None` = the connection's bare session (the one-session
+    /// addressing).
     routes: HashMap<Option<u64>, usize>,
     ctx: ConnCtx,
     counters: Arc<ServerCounters>,
@@ -931,7 +888,7 @@ mod tests {
         let mut sink = RecSink::new();
         let mut buf = Vec::new();
         buf.extend_from_slice(b"{\"stats\":null}\n");
-        write_frame(&ServerMsg::ok, &mut buf);
+        framing::write_frame(&ServerMsg::ok, &mut buf);
         buf.extend_from_slice(b"  \n{\"shutdown\":null}\n");
         let mut discard = Discard::None;
         assert!(drain_ingress(&mut buf, &mut discard, &mut sink));

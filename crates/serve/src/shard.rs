@@ -13,8 +13,8 @@
 //! ## Placement
 //!
 //! Session→shard placement is **deterministic**: it depends only on the
-//! session's own key (its `sid`, or the connection id for bare legacy
-//! sessions) — never on load, arrival order, or wall clock — so the same
+//! session's own key (its `sid`, or the connection id for a bare
+//! session) — never on load, arrival order, or wall clock — so the same
 //! workload lands on the same shards run after run, and a recorded
 //! session replays against the same executor layout. [`Placement::Hash`]
 //! is an FNV-1a hash of the session key; [`Placement::Grid`] buckets the
@@ -40,6 +40,10 @@ use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
+// The same stable hash the canonical run digest uses: placement must
+// hash identically across runs and builds, which rules out `std`'s
+// randomized hasher.
+use com_bench::runner::fnv1a64;
 use com_obs::Histogram;
 
 use crate::framing::WireFormat;
@@ -48,24 +52,12 @@ use crate::server::{ConnCtx, QueueStats, ServerConfig, ServerCounters, SharedWri
 use crate::session::ServeSession;
 use crate::trace::{sanitize_spec, TraceRecorder};
 
-/// 64-bit FNV-1a — the same stable, dependency-free hash the canonical
-/// run digest uses. Placement must hash identically across runs and
-/// builds, which rules out `std`'s randomized hasher.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1_0000_01b3);
-    }
-    hash
-}
-
 /// How sessions are assigned to shards. Deterministic by construction:
 /// both modes are pure functions of the session's own key.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Placement {
     /// FNV-1a hash of the session key (`sid` for multiplexed sessions,
-    /// the connection id for bare legacy sessions), modulo shard count.
+    /// the connection id for bare sessions), modulo shard count.
     Hash,
     /// Grid-cell placement: bucket `hello.origin` into the square cell of
     /// side `cell` (world units) it falls in and hash the cell — sessions
@@ -172,7 +164,7 @@ impl ShardStats {
 pub(crate) struct SessionReport {
     /// Server-assigned logical session id (dense, in `hello` order).
     pub lsid: u64,
-    /// The wire sid (`None` for a bare legacy session).
+    /// The wire sid (`None` for a bare session).
     pub sid: Option<u64>,
     pub shard: usize,
     pub algorithm: String,
@@ -713,7 +705,7 @@ fn handle_msg(
                 let report = finish_entry(entry, shard, stats, counters);
                 finished.entry(conn_id).or_default().push(report);
                 if bare {
-                    // Legacy semantics: `shutdown` on the bare session
+                    // One-session semantics: `shutdown` on the bare session
                     // ends the connection, not just the session.
                     done_flag.store(true, Ordering::SeqCst);
                 }

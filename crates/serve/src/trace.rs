@@ -66,7 +66,7 @@ pub struct TraceMeta {
     /// replay identically whatever the session's framing was.
     pub frame: Option<String>,
     /// The mux envelope sid this logical session was driven under, when
-    /// it was multiplexed (`None` = bare legacy session). Informational,
+    /// it was multiplexed (`None` = bare session). Informational,
     /// like `frame`: replay never depends on it.
     #[serde(default)]
     pub sid: Option<u64>,

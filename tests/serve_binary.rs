@@ -10,10 +10,9 @@ use com_datagen::{generate, synthetic, SyntheticParams};
 use com_geo::Point;
 use com_pricing::WorkerHistory;
 use com_serve::{
-    decode_msg, decode_payload, encode, encode_frame, replay_scenario, serve, ByeMsg, Client,
-    ClientMsg, CounterRow, DeepStatsMsg, ErrorMsg, GaugeRow, Hello, PhaseRow, ReplayOptions,
-    ServerConfig, ServerMsg, ShardRow, StatsMsg, WireFormat, WorkerMsg, FRAME_MAGIC,
-    MAX_FRAME_PAYLOAD,
+    decode_msg, decode_payload, drive, encode, encode_frame, serve, ByeMsg, Client, ClientMsg,
+    CounterRow, DeepStatsMsg, DriveOptions, ErrorMsg, GaugeRow, Hello, PhaseRow, ServerConfig,
+    ServerMsg, ShardRow, StatsMsg, WireFormat, WorkerMsg, FRAME_MAGIC, MAX_FRAME_PAYLOAD,
 };
 use com_sim::{
     Assignment, Instance, MatchKind, PlatformId, RequestId, RequestSpec, Timestamp, WorkerId,
@@ -334,28 +333,20 @@ fn truncated_frames_and_trailing_bytes_are_rejected() {
 
 fn open_session(addr: &str, frame: Option<&str>) -> Client {
     let mut client = Client::connect(addr).expect("connect");
-    let (response, _) = client
-        .rpc(&ClientMsg::hello(Hello {
-            matcher: "demcom".into(),
-            seed: 7,
-            world: WorldConfig::city(10.0),
-            platforms: vec!["A".into(), "B".into()],
-            max_value: Some(20.0),
-            origin: None,
-            frame: frame.map(|s| s.to_string()),
-            fed: None,
-        }))
-        .expect("hello");
-    let ServerMsg::welcome {
-        frame: echoed_frame,
-        ..
-    } = response
-    else {
-        panic!("expected welcome, got {response:?}");
+    let hello = Hello {
+        matcher: "demcom".into(),
+        seed: 7,
+        world: WorldConfig::city(10.0),
+        platforms: vec!["A".into(), "B".into()],
+        max_value: Some(20.0),
+        origin: None,
+        frame: frame.map(|s| s.to_string()),
+        fed: None,
     };
+    client.open(None, hello).expect("hello");
     if frame == Some("binary") {
-        assert_eq!(echoed_frame.as_deref(), Some("binary"));
-        client.set_format(WireFormat::Binary);
+        // The client switches only on the server's echo.
+        assert_eq!(client.format(), WireFormat::Binary);
     }
     client
 }
@@ -476,36 +467,40 @@ fn binary_pipelined_run_is_byte_identical_to_ndjson_and_batch() {
     let handle = serve(ServerConfig::default()).expect("bind ephemeral port");
     let addr = handle.addr().to_string();
 
-    let ndjson = replay_scenario(
+    let ndjson = drive(
         &addr,
         &instance,
-        &ReplayOptions {
+        &DriveOptions {
             matcher: "ramcom".into(),
             seed: 13,
-            ..ReplayOptions::default()
+            sessions: 1,
+            ..DriveOptions::default()
         },
     )
     .expect("ndjson replay");
 
-    let binary = replay_scenario(
+    let binary = drive(
         &addr,
         &instance,
-        &ReplayOptions {
+        &DriveOptions {
             matcher: "ramcom".into(),
             seed: 13,
+            sessions: 1,
             frame: WireFormat::Binary,
             window: 64,
-            ..ReplayOptions::default()
+            ..DriveOptions::default()
         },
     )
     .expect("binary replay");
 
     // Both served runs are clean…
     for report in [&ndjson, &binary] {
-        assert_eq!(report.bye.audit_findings, Vec::<String>::new());
+        assert_eq!(report.sessions.len(), 1);
+        assert_eq!(report.sessions[0].bye.audit_findings, Vec::<String>::new());
         assert_eq!(report.busy, 0);
         assert_eq!(report.events, instance.stream.len());
     }
+    let (ndjson_bye, binary_bye) = (&ndjson.sessions[0].bye, &binary.sessions[0].bye);
     if let Some(deep) = &binary.deep_stats {
         assert_eq!(deep.oversized_rejected, 0);
     }
@@ -515,10 +510,10 @@ fn binary_pipelined_run_is_byte_identical_to_ndjson_and_batch() {
     let mut matcher = registry.resolve("ramcom").unwrap()();
     let batch = try_run_online(&instance, matcher.as_mut(), 13);
     let batch_text = canonical_text(&canonical_run_json(&batch));
-    assert_eq!(canonical_text(&ndjson.bye.canonical), batch_text);
-    assert_eq!(canonical_text(&binary.bye.canonical), batch_text);
-    assert_eq!(ndjson.bye.revenue, batch.total_revenue());
-    assert_eq!(binary.bye.revenue, batch.total_revenue());
+    assert_eq!(canonical_text(&ndjson_bye.canonical), batch_text);
+    assert_eq!(canonical_text(&binary_bye.canonical), batch_text);
+    assert_eq!(ndjson_bye.revenue, batch.total_revenue());
+    assert_eq!(binary_bye.revenue, batch.total_revenue());
 
     assert_eq!(handle.counters().protocol_errors(), 0);
     assert_eq!(handle.counters().dropped(), 0);

@@ -7,7 +7,7 @@
 use com_bench::runner::canonical_run_json;
 use com_core::{try_run_online, MatcherRegistry};
 use com_datagen::{generate, synthetic, SyntheticParams};
-use com_serve::{replay_scenario, serve, ReplayOptions, ServerConfig, ServerMsg};
+use com_serve::{drive, event_msg, hello_msg, serve, DriveOptions, ServerConfig, ServerMsg};
 use com_sim::Instance;
 
 fn quick_instance() -> Instance {
@@ -32,22 +32,26 @@ fn served_run_equals_batch_run_and_audits_clean() {
     let handle = serve(ServerConfig::default()).expect("bind ephemeral port");
     let addr = handle.addr().to_string();
 
-    let options = ReplayOptions {
+    let options = DriveOptions {
         matcher: "demcom".into(),
         seed: 9,
-        ..ReplayOptions::default()
+        sessions: 1,
+        ..DriveOptions::default()
     };
-    let report = replay_scenario(&addr, &instance, &options).expect("loopback replay");
+    let report = drive(&addr, &instance, &options).expect("loopback replay");
+    let [session] = &report.sessions[..] else {
+        panic!("one session driven, got {}", report.sessions.len());
+    };
 
     // The auditor is silent and nothing was dropped.
-    assert_eq!(report.bye.audit_findings, Vec::<String>::new());
+    assert_eq!(session.bye.audit_findings, Vec::<String>::new());
     assert_eq!(report.busy, 0);
     assert_eq!(handle.counters().dropped(), 0);
 
     // Per-request accounting is consistent end to end.
     assert_eq!(report.events, instance.stream.len());
-    assert_eq!(report.assigned as u64, report.bye.completed);
-    assert_eq!(report.refused as u64, report.bye.refused);
+    assert_eq!(session.assigned as u64, session.bye.completed);
+    assert_eq!(session.refused as u64, session.bye.refused);
     assert!(report.request_rtt_ns.count() as usize == instance.request_count());
 
     // The served run IS the batch run.
@@ -56,9 +60,9 @@ fn served_run_equals_batch_run_and_audits_clean() {
     let batch = try_run_online(&instance, matcher.as_mut(), 9);
     assert_eq!(
         canonical_text(&canonical_run_json(&batch)),
-        canonical_text(&report.bye.canonical),
+        canonical_text(&session.bye.canonical),
     );
-    assert_eq!(report.bye.revenue, batch.total_revenue());
+    assert_eq!(session.bye.revenue, batch.total_revenue());
 
     assert_eq!(handle.counters().connections(), 1);
     assert_eq!(handle.counters().sessions_finished(), 1);
@@ -75,14 +79,16 @@ fn sequential_sessions_on_one_server_are_independent() {
 
     let mut canonicals = Vec::new();
     for _ in 0..2 {
-        let options = ReplayOptions {
+        let options = DriveOptions {
             matcher: "ramcom".into(),
             seed: 4242,
-            ..ReplayOptions::default()
+            sessions: 1,
+            ..DriveOptions::default()
         };
-        let report = replay_scenario(&addr, &instance, &options).expect("loopback replay");
-        assert_eq!(report.bye.audit_findings, Vec::<String>::new());
-        canonicals.push(canonical_text(&report.bye.canonical));
+        let report = drive(&addr, &instance, &options).expect("loopback replay");
+        let bye = &report.sessions[0].bye;
+        assert_eq!(bye.audit_findings, Vec::<String>::new());
+        canonicals.push(canonical_text(&bye.canonical));
     }
     // Same seed, fresh session: deterministic across connections.
     assert_eq!(canonicals[0], canonicals[1]);
@@ -97,31 +103,12 @@ fn stats_reports_live_counters_mid_session() {
     let addr = handle.addr().to_string();
 
     let mut client = com_serve::Client::connect(&addr).expect("connect");
-    let hello = com_serve::ClientMsg::hello(com_serve::Hello {
-        matcher: "tota".into(),
-        seed: 1,
-        world: instance.config.clone(),
-        platforms: instance.platform_names.clone(),
-        max_value: instance.max_value(),
-        origin: None,
-        frame: None,
-        fed: None,
-    });
-    let (response, _) = client.rpc(&hello).expect("hello");
-    assert!(matches!(response, ServerMsg::welcome { .. }));
+    let hello = hello_msg(&instance, "tota", 1, com_serve::WireFormat::Ndjson);
+    client.open(None, hello).expect("hello");
 
     let mut sent = 0u64;
     for event in instance.stream.iter().take(50) {
-        let msg = match event {
-            com_sim::ArrivalEvent::Worker(spec) => {
-                com_serve::ClientMsg::worker(com_serve::WorkerMsg {
-                    spec: *spec,
-                    history: instance.histories.get(&spec.id).cloned(),
-                })
-            }
-            com_sim::ArrivalEvent::Request(spec) => com_serve::ClientMsg::request(*spec),
-        };
-        client.rpc(&msg).expect("event");
+        client.rpc(&event_msg(&instance, event)).expect("event");
         sent += 1;
     }
     let (response, _) = client.rpc(&com_serve::ClientMsg::stats).expect("stats");

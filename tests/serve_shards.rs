@@ -2,8 +2,8 @@
 //! connection land on shared-nothing shard threads, and the shard count
 //! is *unobservable* in the results — every builtin spec's per-session
 //! canonical run JSON and finish digest are byte-identical across
-//! `--shards 1`, `--shards 4`, and the pre-refactor bare
-//! one-session-per-connection path, with a silent auditor throughout.
+//! `--shards 1`, `--shards 4`, and the bare one-session path, with a
+//! silent auditor throughout.
 //! Mux edge cases (unknown sid, duplicate hello, interleaved sids,
 //! mid-stream disconnect with sessions open on several shards) get typed
 //! errors and clean drains, never wedged connections.
@@ -15,10 +15,10 @@ use com_core::{try_run_online, validate_run, MatcherRegistry, MatcherSpec};
 use com_datagen::{generate, synthetic, SyntheticParams};
 use com_geo::Point;
 use com_serve::{
-    drive_multi, replay_scenario, serve, Client, ClientMsg, Hello, MultiOptions, Placement,
-    ReplayOptions, ServerConfig, ServerHandle, ServerMsg, WorkerMsg,
+    drive, event_msg, hello_msg, serve, Client, ClientMsg, DriveOptions, Hello, Placement,
+    ServerConfig, ServerHandle, ServerMsg, WireFormat,
 };
-use com_sim::{ArrivalEvent, Instance};
+use com_sim::Instance;
 
 fn quick_instance() -> Instance {
     generate(&synthetic(SyntheticParams {
@@ -45,42 +45,21 @@ fn canonical_text(value: &serde_json::Value) -> String {
 }
 
 fn hello_for(instance: &Instance, matcher: &str, seed: u64) -> ClientMsg {
-    ClientMsg::hello(Hello {
-        matcher: matcher.into(),
-        seed,
-        world: instance.config.clone(),
-        platforms: instance.platform_names.clone(),
-        max_value: instance.max_value(),
-        origin: None,
-        frame: None,
-        fed: None,
-    })
+    ClientMsg::hello(hello_msg(instance, matcher, seed, WireFormat::Ndjson))
 }
 
-fn event_msg(instance: &Instance, event: &ArrivalEvent) -> ClientMsg {
-    match event {
-        ArrivalEvent::Worker(spec) => ClientMsg::worker(WorkerMsg {
-            spec: *spec,
-            history: instance.histories.get(&spec.id).cloned(),
-        }),
-        ArrivalEvent::Request(spec) => ClientMsg::request(*spec),
-    }
-}
-
-/// One strict mux round-trip: send the enveloped message, read the next
-/// frame, and require it to carry the same sid.
+/// One strict mux round-trip: send the enveloped message and require the
+/// next frame to carry the same sid (`rpc_for` errors otherwise).
 fn mux_rpc(client: &mut Client, sid: u64, msg: ClientMsg) -> ServerMsg {
-    client.queue_for(Some(sid), msg);
-    client.flush().expect("flush");
-    let frame = client.recv_frame().expect("response frame");
-    assert_eq!(frame.sid, Some(sid), "response addressed to wrong sid");
-    frame.msg
+    let (response, busy) = client.rpc_for(Some(sid), &msg).expect("mux round-trip");
+    assert_eq!(busy, 0, "sid {sid}: message dropped");
+    response
 }
 
 /// The acceptance gate for the shard refactor: for every builtin matcher
 /// spec, the per-session canonical run JSON and finish digest are
 /// byte-identical across a 1-shard server, a 4-shard server, and the
-/// pre-refactor bare path — all equal to the local batch engine, whose
+/// bare one-session path — all equal to the local batch engine, whose
 /// run the auditor (`validate_run`) also finds sound.
 #[test]
 fn every_builtin_is_shard_count_invariant() {
@@ -110,17 +89,22 @@ fn every_builtin_is_shard_count_invariant() {
             ));
         }
 
-        // The pre-refactor path: one bare session per connection.
-        let bare = replay_scenario(
+        // The bare path: a one-session run puts no envelope on the wire.
+        let bare = drive(
             &one.addr().to_string(),
             &instance,
-            &ReplayOptions {
+            &DriveOptions {
                 matcher: matcher.clone(),
                 seed: base_seed,
-                ..ReplayOptions::default()
+                sessions: 1,
+                ..DriveOptions::default()
             },
         )
         .expect("bare replay");
+        let [bare] = &bare.sessions[..] else {
+            panic!("{matcher}: one bare session expected");
+        };
+        assert_eq!(bare.sid, None, "{matcher}: one session is addressed bare");
         assert_eq!(bare.bye.audit_findings, Vec::<String>::new());
         assert_eq!(
             canonical_text(&bare.bye.canonical),
@@ -131,38 +115,37 @@ fn every_builtin_is_shard_count_invariant() {
 
         // The mux path, 3 sessions over 2 connections, on both servers.
         for (label, handle, shards) in [("1 shard", &one, 1), ("4 shards", &four, 4)] {
-            let report = drive_multi(
+            let report = drive(
                 &handle.addr().to_string(),
                 &instance,
-                &MultiOptions {
+                &DriveOptions {
                     matcher: matcher.clone(),
-                    base_seed,
+                    seed: base_seed,
                     connections: 2,
                     sessions,
-                    ..MultiOptions::default()
+                    window: 32,
+                    ..DriveOptions::default()
                 },
             )
             .expect("mux replay");
             assert_eq!(report.busy, 0, "{matcher} on {label}: dropped messages");
             assert_eq!(report.sessions.len(), sessions);
-            for outcome in &report.sessions {
-                let (canonical, digest) = &truth[outcome.sid as usize];
+            for (outcome, (canonical, digest)) in report.sessions.iter().zip(&truth) {
+                let sid = outcome.sid.expect("several sessions are addressed by sid");
+                assert_eq!(outcome.seed, base_seed + sid, "{matcher} on {label}");
                 assert_eq!(
                     outcome.bye.audit_findings,
                     Vec::<String>::new(),
-                    "{matcher} on {label}: sid {} audit",
-                    outcome.sid
+                    "{matcher} on {label}: sid {sid} audit",
                 );
                 assert_eq!(
                     &canonical_text(&outcome.bye.canonical),
                     canonical,
-                    "{matcher} on {label}: sid {} canonical run",
-                    outcome.sid
+                    "{matcher} on {label}: sid {sid} canonical run",
                 );
                 assert_eq!(
                     &outcome.bye.digest, digest,
-                    "{matcher} on {label}: sid {} digest",
-                    outcome.sid
+                    "{matcher} on {label}: sid {sid} digest",
                 );
             }
             let deep = report.deep_stats.expect("stats_deep over conn 0");
@@ -373,4 +356,149 @@ fn grid_placement_serves_identically_to_hash_placement() {
     // Same seed, same events: placement cannot leak into the result.
     assert_eq!(digests[0], digests[1]);
     grid.shutdown();
+}
+
+/// The window bounds what is in flight on a connection however many
+/// sessions share it: 8 sessions × window 8 into a single shard whose
+/// ingress queue holds exactly 8 can never overflow it, so the run is
+/// drop-free and every session is the batch run. (A driver that checks
+/// the window once per event *row* has up to 15 in flight here and dies
+/// on the first `busy`.)
+#[test]
+fn window_is_per_message_so_a_full_window_never_overflows_the_shard_queue() {
+    let instance = quick_instance();
+    let handle = serve(ServerConfig {
+        shards: 1,
+        queue_capacity: 8,
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let options = DriveOptions {
+        matcher: "demcom".into(),
+        seed: 5,
+        connections: 1,
+        sessions: 8,
+        window: 8,
+        ..DriveOptions::default()
+    };
+    let report = drive(&handle.addr().to_string(), &instance, &options).expect("mux replay");
+    assert_eq!(report.busy, 0);
+    assert_eq!(handle.counters().dropped(), 0);
+    assert_eq!(report.sessions.len(), 8);
+    let registry = MatcherRegistry::builtin();
+    for outcome in &report.sessions {
+        let factory = registry.resolve("demcom").expect("builtin resolves");
+        let batch = try_run_online(&instance, factory().as_mut(), outcome.seed);
+        assert_eq!(outcome.bye.digest, canonical_run_digest(&batch));
+        assert_eq!(outcome.bye.audit_findings, Vec::<String>::new());
+    }
+    handle.shutdown();
+}
+
+/// Drive through a byte-recording TCP proxy in front of `server` and
+/// return the mux address of every message the client put on the wire,
+/// plus how many of them were binary frames.
+fn wire_addresses(server: &ServerHandle, options: &DriveOptions) -> (Vec<Option<u64>>, usize) {
+    use std::io::{Read, Write};
+    use std::net::{Shutdown, TcpListener, TcpStream};
+
+    let instance = quick_instance();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
+    let proxy_addr = listener.local_addr().unwrap().to_string();
+    let upstream_addr = server.addr();
+    let proxy = std::thread::spawn(move || {
+        let (mut client, _) = listener.accept().expect("accept");
+        let mut upstream = TcpStream::connect(upstream_addr).expect("connect upstream");
+        let (mut client_out, mut upstream_in) = (
+            client.try_clone().expect("clone"),
+            upstream.try_clone().expect("clone"),
+        );
+        let back = std::thread::spawn(move || {
+            let _ = std::io::copy(&mut upstream_in, &mut client_out);
+            let _ = client_out.shutdown(Shutdown::Write);
+        });
+        let (mut recorded, mut chunk) = (Vec::new(), [0u8; 4096]);
+        loop {
+            match client.read(&mut chunk) {
+                Ok(0) | Err(_) => break,
+                Ok(n) => {
+                    recorded.extend_from_slice(&chunk[..n]);
+                    upstream.write_all(&chunk[..n]).expect("forward");
+                }
+            }
+        }
+        let _ = upstream.shutdown(Shutdown::Write);
+        back.join().expect("proxy return leg");
+        recorded
+    });
+    let report = drive(&proxy_addr, &instance, options).expect("drive through proxy");
+    assert_eq!(report.busy, 0);
+    drop(report);
+    let recorded = proxy.join().expect("proxy");
+
+    let (mut sids, mut binary, mut rest) = (Vec::new(), 0usize, &recorded[..]);
+    while let Some(&first) = rest.first() {
+        let frame = if first == com_serve::FRAME_MAGIC {
+            binary += 1;
+            let len = u32::from_le_bytes(rest[1..5].try_into().unwrap()) as usize;
+            let content = com_serve::decode_payload(&rest[5..5 + len]).expect("payload");
+            rest = &rest[5 + len..];
+            com_serve::client_frame_from_content(&content).expect("client frame")
+        } else {
+            let nl = rest
+                .iter()
+                .position(|&b| b == b'\n')
+                .expect("terminated line");
+            let line = std::str::from_utf8(&rest[..nl]).expect("utf-8 line");
+            rest = &rest[nl + 1..];
+            com_serve::decode_client_frame(line).expect("client line")
+        };
+        sids.push(frame.sid);
+    }
+    (sids, binary)
+}
+
+/// Which addressing goes on the wire is read off the session count, in
+/// both framings: one session never sends an envelope, K > 1 sessions
+/// tag every message — `hello`, events, `stats_deep`, `shutdown` — with
+/// their sid.
+#[test]
+fn one_session_is_bare_on_the_wire_and_k_sessions_tag_every_message() {
+    let server = shard_server(2);
+    let per_session = quick_instance().stream.len() + 3;
+    for frame in [WireFormat::Ndjson, WireFormat::Binary] {
+        let options = DriveOptions {
+            matcher: "tota".into(),
+            frame,
+            window: 16,
+            ..DriveOptions::default()
+        };
+        let (sids, binary) = wire_addresses(&server, &options);
+        assert_eq!(sids.len(), per_session, "{frame}: one session");
+        assert!(sids.iter().all(Option::is_none), "{frame}: envelope sent");
+        // Only the hello that negotiates the framing is NDJSON.
+        let expect_binary = |n: usize| {
+            if frame == WireFormat::Binary {
+                n - 1
+            } else {
+                0
+            }
+        };
+        assert_eq!(binary, expect_binary(sids.len()), "{frame}: framing");
+
+        let (sids, binary) = wire_addresses(
+            &server,
+            &DriveOptions {
+                sessions: 3,
+                ..options
+            },
+        );
+        assert_eq!(sids.len(), 3 * per_session, "{frame}: three sessions");
+        for sid in 0..3u64 {
+            let tagged = sids.iter().filter(|s| **s == Some(sid)).count();
+            assert_eq!(tagged, per_session, "{frame}: sid {sid}");
+        }
+        assert_eq!(binary, expect_binary(sids.len()), "{frame}: framing");
+    }
+    server.shutdown();
 }

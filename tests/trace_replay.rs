@@ -16,10 +16,7 @@ use std::process::Command;
 
 use com_core::MatcherSpec;
 use com_datagen::{generate, synthetic, SyntheticParams};
-use com_serve::{
-    record_session, replay_scenario, replay_trace, serve, ReplayOptions, ServerConfig,
-    TraceReplayOptions,
-};
+use com_serve::{drive, record_session, replay_trace, serve, DriveOptions, ServerConfig};
 use com_sim::Instance;
 
 fn quick_instance() -> Instance {
@@ -58,8 +55,7 @@ fn every_builtin_spec_replays_byte_identically() {
             record_session(&path, &instance, &spec_str, 7).expect("record local session");
         assert!(recorded.findings.is_empty(), "{spec_str}: audit at record");
 
-        let report =
-            replay_trace(&path, &TraceReplayOptions::default()).expect("replay recorded trace");
+        let report = replay_trace(&path, 0.0).expect("replay recorded trace");
         assert!(
             report.is_clean(),
             "{spec_str}: divergences {:?}, findings {:?}",
@@ -92,13 +88,15 @@ fn live_recorded_session_replays_byte_identically() {
     .expect("bind ephemeral port");
     let addr = handle.addr().to_string();
 
-    let options = ReplayOptions {
+    let options = DriveOptions {
         matcher: "demcom".into(),
         seed: 31,
-        ..ReplayOptions::default()
+        sessions: 1,
+        ..DriveOptions::default()
     };
-    let report = replay_scenario(&addr, &instance, &options).expect("loopback replay");
-    assert!(report.bye.audit_findings.is_empty());
+    let report = drive(&addr, &instance, &options).expect("loopback replay");
+    let bye = &report.sessions[0].bye;
+    assert!(bye.audit_findings.is_empty());
     handle.shutdown();
 
     // Exactly one session trace was recorded, named after the session.
@@ -115,8 +113,7 @@ fn live_recorded_session_replays_byte_identically() {
 
     // The recording replays byte-identically, and the replayed canonical
     // run is the very value the live client received in its `bye`.
-    let replayed =
-        replay_trace(&traces[0], &TraceReplayOptions::default()).expect("replay live trace");
+    let replayed = replay_trace(&traces[0], 0.0).expect("replay live trace");
     assert!(
         replayed.is_clean(),
         "divergences {:?}, findings {:?}",
@@ -126,7 +123,7 @@ fn live_recorded_session_replays_byte_identically() {
     assert_eq!(replayed.events, instance.stream.len() as u64);
     assert_eq!(
         canonical_text(&replayed.canonical),
-        canonical_text(&report.bye.canonical),
+        canonical_text(&bye.canonical),
         "replay of the live recording diverged from what the client saw",
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -170,8 +167,7 @@ fn tampered_decision_is_reported_at_its_event_index_and_fails_strict() {
     // Lenient replay: the run itself is unchanged (the engine ignores
     // recorded decisions), so exactly one divergence — the flipped
     // decision, at its event index, with both sides reported.
-    let report =
-        replay_trace(&tampered_path, &TraceReplayOptions::default()).expect("replay tampered");
+    let report = replay_trace(&tampered_path, 0.0).expect("replay tampered");
     assert_eq!(report.divergences.len(), 1, "{:?}", report.divergences);
     let d = &report.divergences[0];
     assert_eq!(d.index, tampered_index);
@@ -222,12 +218,13 @@ fn deep_stats_reports_the_serving_phase_table_over_loopback() {
     let handle = serve(ServerConfig::default()).expect("bind ephemeral port");
     let addr = handle.addr().to_string();
 
-    let options = ReplayOptions {
+    let options = DriveOptions {
         matcher: "greedy-rt".into(),
         seed: 5,
-        ..ReplayOptions::default()
+        sessions: 1,
+        ..DriveOptions::default()
     };
-    let report = replay_scenario(&addr, &instance, &options).expect("loopback replay");
+    let report = drive(&addr, &instance, &options).expect("loopback replay");
     handle.shutdown();
 
     let deep = report.deep_stats.expect("server answers stats_deep");
