@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use com_matching::{greedy_matching, hopcroft_karp, hungarian, ssp_max_weight, BipartiteGraph};
+use com_matching::{greedy_matching, hungarian, ssp_max_weight, BipartiteGraph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,9 +33,6 @@ fn bench_solvers(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("greedy", n), &g, |b, g| {
             b.iter(|| black_box(greedy_matching(g).total_weight()))
-        });
-        group.bench_with_input(BenchmarkId::new("hopcroft_karp", n), &g, |b, g| {
-            b.iter(|| black_box(hopcroft_karp(g).len()))
         });
     }
     group.finish();

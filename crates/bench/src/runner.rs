@@ -30,6 +30,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 use com_core::{try_run_online, AuditFinding, Instance, MatcherSpec, RunResult};
+// The canonical projection lives in `com-core` (the serving crates need it
+// without the experiment harness); re-exported here for existing imports.
+pub use com_core::{canonical_assignment_json, canonical_run_digest, canonical_run_json, fnv1a64};
 use com_obs::RunTelemetry;
 
 /// A job that panicked inside [`SweepRunner::try_map`]: which cell, and
@@ -318,71 +321,6 @@ pub fn merged_telemetry(label: &str, runs: &[RunResult]) -> Option<RunTelemetry>
         return None;
     }
     Some(RunTelemetry::merged(label, &reports))
-}
-
-/// The deterministic projection of a run: everything the matcher decided
-/// (assignments, payments, travel) plus derived revenue metrics,
-/// excluding *all* telemetry — wall-clock measurements vary between
-/// executions, and even deterministic counters only exist when a
-/// collector happens to be installed, so including them would make run
-/// identity depend on the observer (a batch run and a served run of the
-/// same instance/matcher/seed must compare equal even though serving
-/// always collects). Byte-identical across thread counts, runs, and
-/// telemetry configurations.
-pub fn canonical_run_json(run: &RunResult) -> serde_json::Value {
-    let assignments: Vec<serde_json::Value> = run
-        .assignments
-        .iter()
-        .map(canonical_assignment_json)
-        .collect();
-    serde_json::json!({
-        "algorithm": run.algorithm,
-        "assignments": assignments,
-        "total_revenue": run.total_revenue(),
-        "completed": run.completed(),
-        "cooperative": run.cooperative_count(),
-        "acceptance_ratio": run.acceptance_ratio(),
-    })
-}
-
-/// The deterministic projection of one per-request record: everything the
-/// matcher decided, excluding the wall-clock `decision_nanos`. This is
-/// the unit of byte-exact decision comparison used by [`canonical_run_json`]
-/// and by the serving layer's session traces (`matchd --record` /
-/// `matchreplay`).
-pub fn canonical_assignment_json(a: &com_sim::Assignment) -> serde_json::Value {
-    serde_json::json!({
-        "request": a.request.id.0,
-        "platform": a.request.platform.0,
-        "kind": format!("{:?}", a.kind),
-        "worker": a.worker.map(|w| w.0),
-        "worker_platform": a.worker_platform.map(|p| p.0),
-        "outer_payment": a.outer_payment,
-        "was_cooperative_offer": a.was_cooperative_offer,
-        "travel_km": a.travel_km,
-        "decided_at": a.decided_at.as_secs(),
-    })
-}
-
-/// 64-bit FNV-1a: dependency-free and stable across runs, builds and
-/// platforms (unlike `std`'s randomized hasher). The one hash behind the
-/// canonical run digest and `matchd`'s session→shard placement.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// [`fnv1a64`] digest of the canonical run JSON, rendered as
-/// `"fnv1a64:<16 hex digits>"`; used by session traces to fingerprint the
-/// final [`RunResult`] so a replay can assert it reproduced the whole
-/// run, not just each individual decision.
-pub fn canonical_run_digest(run: &RunResult) -> String {
-    let text = serde_json::to_string(&canonical_run_json(run)).expect("canonical run serializes");
-    format!("fnv1a64:{:016x}", fnv1a64(text.as_bytes()))
 }
 
 #[cfg(test)]

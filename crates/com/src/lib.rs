@@ -75,16 +75,16 @@ pub use com_stream as stream;
 /// The most common imports, re-exported flat.
 pub mod prelude {
     pub use com_bench::runner::{
-        canonical_run_json, merged_telemetry, run_grid, run_grid_audited, CellPanic, GridCell,
-        SweepRunner,
+        merged_telemetry, run_grid, run_grid_audited, CellPanic, GridCell, SweepRunner,
     };
     pub use com_core::{
-        competitive_ratio_random_order, offline_solve, run_online, try_run_online, validate_run,
-        Assignment, AuditFinding, ConstraintViolation, Decision, DecisionFailure, DemCom,
-        DemComConfig, EventStream, GreedyRt, Instance, MatchKind, MatcherEntry, MatcherFactory,
-        MatcherRegistry, MatcherSpec, OfflineMode, OnlineMatcher, PlatformId, RamCom, RamComConfig,
-        RequestId, RequestSpec, RouteAwareCom, RunResult, ServiceModel, SpecError, StreamInfo,
-        ThresholdMode, Timestamp, TotaGreedy, Value, WorkerId, WorkerSpec, World, WorldConfig,
+        canonical_run_json, competitive_ratio_random_order, offline_solve, run_online,
+        try_run_online, validate_run, Assignment, AuditFinding, ConstraintViolation, Decision,
+        DecisionFailure, DemCom, DemComConfig, EventStream, GreedyRt, Instance, MatchKind,
+        MatcherEntry, MatcherFactory, MatcherRegistry, MatcherSpec, OfflineMode, OnlineMatcher,
+        PlatformId, RamCom, RamComConfig, RequestId, RequestSpec, RouteAwareCom, RunResult,
+        ServiceModel, SpecError, StreamInfo, ThresholdMode, Timestamp, TotaGreedy, Value, WorkerId,
+        WorkerSpec, World, WorldConfig,
     };
     pub use com_datagen::{
         chengdu_nov, chengdu_oct, generate, synthetic, xian_nov, DailyProfile, Hotspot,
@@ -93,8 +93,7 @@ pub mod prelude {
     pub use com_geo::{BoundingBox, GeoPoint, GridIndex, LocalProjection, Point};
     pub use com_metrics::{SweepSeries, Table};
     pub use com_pricing::{
-        max_expected_revenue, AcceptanceModel, EmpiricalAcceptance, MinPaymentEstimator,
-        MonteCarloParams, PriceCandidates, WorkerHistory,
+        max_expected_revenue, MinPaymentEstimator, MonteCarloParams, PriceCandidates, WorkerHistory,
     };
 }
 

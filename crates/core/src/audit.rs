@@ -461,7 +461,7 @@ pub fn total_findings() -> u64 {
 }
 
 /// Drain the recorder: the total since the last drain plus up to
-/// [`SAMPLE_CAP`] retained findings.
+/// `SAMPLE_CAP` (64) retained findings.
 pub fn take_findings() -> (u64, Vec<RecordedFinding>) {
     let total = TOTAL_FINDINGS.swap(0, Ordering::Relaxed);
     let sample = match SAMPLE.lock() {

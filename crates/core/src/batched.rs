@@ -20,11 +20,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use com_matching::{hungarian, BipartiteGraph};
-use com_pricing::{bernoulli, MinPaymentEstimator, WorkerHistory};
-use com_sim::{ArrivalEvent, Assignment, Instance, MatchKind, RequestSpec, Timestamp, World};
+use com_sim::{ArrivalEvent, Assignment, Instance, RequestSpec, Timestamp, World};
 
 use crate::config::DemComConfig;
+use crate::cooperative;
 use crate::engine::RunResult;
+use crate::matcher::Decision;
+use crate::session::try_apply_decision;
 
 /// Configuration of the batched matcher.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,82 +157,40 @@ fn flush(
     }
     let matching = hungarian(&graph);
 
+    // Every batch decision goes through the online engine's validation;
+    // only the decision time differs (the flush, not the arrival).
+    let mut record = |world: &mut World, r: &RequestSpec, decision: Decision| {
+        let mut assignment = try_apply_decision(world, r, decision, 0)
+            .unwrap_or_else(|v| panic!("batched decision violates a constraint: {v:?}"));
+        assignment.decided_at = decided_at;
+        assignments.push(assignment);
+    };
+
     let mut matched = vec![false; batch.len()];
     for &(i, j, _) in &matching.pairs {
-        let r = &batch[j];
-        let wid = worker_ids[i];
-        let travel_km = world
-            .config()
-            .metric
-            .distance(world.worker(wid).location, r.location);
-        world.assign(wid, r, r.value);
         matched[j] = true;
-        assignments.push(Assignment {
-            request: *r,
-            kind: MatchKind::Inner,
-            worker: Some(wid),
-            worker_platform: Some(r.platform),
-            outer_payment: 0.0,
-            was_cooperative_offer: false,
-            travel_km,
-            decided_at,
-            decision_nanos: 0,
-        });
+        let worker = worker_ids[i];
+        record(world, &batch[j], Decision::Inner { worker });
     }
 
-    // Leftovers: DemCOM-style outer offers.
-    let estimator = MinPaymentEstimator::new(config.demcom.monte_carlo);
+    // Leftovers: DemCOM-style outer offers to the workers that were
+    // already waiting when the request arrived.
     for (j, r) in batch.iter().enumerate() {
         if matched[j] {
             continue;
         }
-        let outer = world.outer_coverers(r.platform, r.location);
-        let feasible: Vec<_> = outer
+        let feasible: Vec<_> = world
+            .outer_coverers(r.platform, r.location)
             .into_iter()
             .filter(|(_, w)| w.entered_at <= r.arrival)
             .collect();
-        let assignment = if feasible.is_empty() {
-            reject(r, false, decided_at)
-        } else {
-            let histories: Vec<&WorkerHistory> = feasible
-                .iter()
-                .map(|(_, w)| &world.worker(w.id).history)
-                .collect();
-            let payment = estimator.estimate(r.value, &histories, rng);
-            if payment > r.value {
-                // Pricing found no viable payment, so no worker was ever
-                // offered anything — this is not a cooperative offer
-                // (AcpRt counts offers actually extended, Table III).
-                reject(r, false, decided_at)
-            } else {
-                let mut taken = None;
-                for ((platform, idle), history) in feasible.iter().zip(&histories) {
-                    if bernoulli(rng, history.acceptance_prob(payment)) {
-                        taken = Some((*platform, *idle));
-                        break;
-                    }
-                }
-                match taken {
-                    Some((platform, idle)) => {
-                        let travel_km = world.config().metric.distance(idle.location, r.location);
-                        world.assign(idle.id, r, payment);
-                        Assignment {
-                            request: *r,
-                            kind: MatchKind::Outer,
-                            worker: Some(idle.id),
-                            worker_platform: Some(platform),
-                            outer_payment: payment,
-                            was_cooperative_offer: true,
-                            travel_km,
-                            decided_at,
-                            decision_nanos: 0,
-                        }
-                    }
-                    None => reject(r, true, decided_at),
-                }
-            }
-        };
-        assignments.push(assignment);
+        let decision = cooperative::offer(
+            world,
+            &feasible,
+            cooperative::min_payment(config.demcom.monte_carlo, r.value),
+            rng,
+        );
+        record(world, r, decision);
     }
 
     let nanos = started.elapsed().as_nanos() as u64;
@@ -239,20 +199,6 @@ fn flush(
     let start_idx = assignments.len() - batch.len();
     for a in &mut assignments[start_idx..] {
         a.decision_nanos = per_request;
-    }
-}
-
-fn reject(r: &RequestSpec, offered: bool, decided_at: Timestamp) -> Assignment {
-    Assignment {
-        request: *r,
-        kind: MatchKind::Rejected,
-        worker: None,
-        worker_platform: None,
-        outer_payment: 0.0,
-        was_cooperative_offer: offered,
-        travel_km: 0.0,
-        decided_at,
-        decision_nanos: 0,
     }
 }
 

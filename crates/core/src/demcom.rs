@@ -21,10 +21,10 @@
 use rand::rngs::StdRng;
 
 use com_geo::GridEntry;
-use com_pricing::{bernoulli, MinPaymentEstimator, WorkerHistory};
 use com_sim::{IdleWorker, PlatformId, RequestSpec, World};
 
 use crate::config::DemComConfig;
+use crate::cooperative;
 use crate::matcher::{Decision, OnlineMatcher, StreamInfo};
 
 /// Deterministic cross online matching (Algorithm 1).
@@ -82,52 +82,14 @@ impl OnlineMatcher for DemCom {
         if let Some(w) = inner {
             return Decision::Inner { worker: w.id };
         }
-        let outer = &self.outer;
-        if outer.is_empty() {
-            // Lines 9–10: nobody to even ask.
-            return Decision::Reject {
-                was_cooperative_offer: false,
-            };
-        }
-
-        // Line 12: estimate the minimum outer payment (Algorithm 2).
-        let histories: Vec<&WorkerHistory> = outer
-            .iter()
-            .map(|(_, w)| &world.worker(w.id).history)
-            .collect();
-        let payment = {
-            let _span = com_obs::span(com_obs::PHASE_PRICING);
-            let estimator = MinPaymentEstimator::new(self.config.monte_carlo);
-            estimator.estimate(request.value, &histories, rng)
-        };
-
-        // Lines 13–14: serving would lose money, so no offer is ever
-        // extended — not a cooperative offer (AcpRt's denominator counts
-        // offers actually made, Table III).
-        if payment > request.value {
-            return Decision::Reject {
-                was_cooperative_offer: false,
-            };
-        }
-
-        // Lines 15–24: offer v'_r to each candidate; nearest acceptor
-        // serves (the candidate list is nearest-first, so the first
-        // acceptor is the nearest one).
-        let _span = com_obs::span(com_obs::PHASE_OFFER);
-        for ((platform, idle), history) in outer.iter().zip(&histories) {
-            if bernoulli(rng, history.acceptance_prob(payment)) {
-                return Decision::Outer {
-                    worker: idle.id,
-                    platform: *platform,
-                    payment,
-                };
-            }
-        }
-
-        // Line 26: everyone declined.
-        Decision::Reject {
-            was_cooperative_offer: true,
-        }
+        // Lines 9–26: price by the Monte Carlo minimum payment, then
+        // offer it nearest-first.
+        cooperative::offer(
+            world,
+            &self.outer,
+            cooperative::min_payment(self.config.monte_carlo, request.value),
+            rng,
+        )
     }
 }
 

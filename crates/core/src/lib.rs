@@ -38,6 +38,9 @@
 //! * [`travel`] — route-aware matching with a pickup-distance cap (the
 //!   paper's §VII future-work direction), plus per-assignment travel
 //!   accounting.
+//! * [`canonical`] — the deterministic projection of a run
+//!   ([`canonical_run_json`], [`canonical_run_digest`]): the bytes every
+//!   serving mode is compared against the batch engine on.
 //! * [`audit`] — the always-on post-run auditor: [`validate_run`]
 //!   re-derives every paper invariant from a finished assignment log,
 //!   independently of the engine's own enforcement, in release builds
@@ -45,7 +48,9 @@
 
 pub mod audit;
 pub mod batched;
+pub mod canonical;
 pub mod config;
+mod cooperative;
 pub mod demcom;
 pub mod engine;
 pub mod matcher;
@@ -63,6 +68,7 @@ pub use audit::{
     record_findings, take_findings, total_findings, validate_run, AuditFinding, RecordedFinding,
 };
 pub use batched::{run_batched, BatchedCom};
+pub use canonical::{canonical_assignment_json, canonical_run_digest, canonical_run_json, fnv1a64};
 pub use config::{DemComConfig, RamComConfig, ThresholdMode};
 pub use demcom::DemCom;
 pub use engine::{run_online, try_run_online, DecisionFailure, RunResult};

@@ -25,7 +25,7 @@
 use serde::{Deserialize, Serialize};
 
 use com_geo::GridIndex;
-use com_matching::{auction, hungarian, ssp_max_weight, BipartiteGraph};
+use com_matching::{hungarian, ssp_max_weight, BipartiteGraph};
 use com_sim::{Instance, PlatformId, RequestSpec, Value, WorkerSpec};
 
 /// Which offline solver to run.
@@ -35,8 +35,6 @@ pub enum OfflineMode {
     ExactBipartite,
     /// Sparse successive shortest paths — exact at city scale.
     SparseExact,
-    /// Bertsekas ε-scaled auction — exact, used for cross-validation.
-    Auction,
     /// Full-knowledge value-descending scheduler honouring worker
     /// re-entry (the day-long tables' OFF row).
     GreedySchedule,
@@ -137,12 +135,12 @@ pub fn offline_solve(instance: &Instance, mode: OfflineMode) -> OfflineResult {
     };
 
     match mode {
-        OfflineMode::ExactBipartite | OfflineMode::SparseExact | OfflineMode::Auction => {
+        OfflineMode::ExactBipartite | OfflineMode::SparseExact => {
             let og = build_graph(instance);
-            let matching = match mode {
-                OfflineMode::ExactBipartite => hungarian(&og.graph),
-                OfflineMode::SparseExact => ssp_max_weight(&og.graph),
-                _ => auction(&og.graph),
+            let matching = if mode == OfflineMode::ExactBipartite {
+                hungarian(&og.graph)
+            } else {
+                ssp_max_weight(&og.graph)
             };
             for &(_, j, w) in &matching.pairs {
                 credit(og.requests[j].platform, w);
@@ -310,15 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn auction_agrees_with_hungarian() {
-        let inst = small_instance(true);
-        let a = offline_solve(&inst, OfflineMode::ExactBipartite);
-        let b = offline_solve(&inst, OfflineMode::Auction);
-        assert!((a.total_revenue - b.total_revenue).abs() < 1e-4);
-        assert_eq!(a.completed, b.completed);
-    }
-
-    #[test]
     fn upper_bound_dominates_exact() {
         let inst = small_instance(true);
         let exact = offline_solve(&inst, OfflineMode::ExactBipartite);
@@ -421,7 +410,6 @@ mod tests {
         for mode in [
             OfflineMode::ExactBipartite,
             OfflineMode::SparseExact,
-            OfflineMode::Auction,
             OfflineMode::GreedySchedule,
             OfflineMode::UpperBound,
         ] {

@@ -18,10 +18,11 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use com_geo::GridEntry;
-use com_pricing::{bernoulli, max_expected_revenue, WorkerHistory};
+use com_pricing::max_expected_revenue;
 use com_sim::{IdleWorker, PlatformId, RequestSpec, World};
 
 use crate::config::RamComConfig;
+use crate::cooperative;
 use crate::matcher::{Decision, OnlineMatcher, StreamInfo};
 
 /// Randomized cross online matching (Algorithm 3).
@@ -79,41 +80,16 @@ impl RamCom {
                 &mut self.grid_buf,
             );
         }
-        let outer = &self.outer;
-        if outer.is_empty() {
-            return Decision::Reject {
-                was_cooperative_offer: false,
-            };
-        }
-        let histories: Vec<&WorkerHistory> = outer
-            .iter()
-            .map(|(_, w)| &world.worker(w.id).history)
-            .collect();
-        let pricing = {
-            let _span = com_obs::span(com_obs::PHASE_PRICING);
-            max_expected_revenue(request.value, &histories, self.config.candidates)
-        };
-        let Some(pricing) = pricing else {
-            // No payment in (0, v_r] yields positive expected revenue —
-            // no worker was ever offered anything, so this is not a
-            // cooperative offer (AcpRt counts offers actually extended).
-            return Decision::Reject {
-                was_cooperative_offer: false,
-            };
-        };
-        let _span = com_obs::span(com_obs::PHASE_OFFER);
-        for ((platform, idle), history) in outer.iter().zip(&histories) {
-            if bernoulli(rng, history.acceptance_prob(pricing.payment)) {
-                return Decision::Outer {
-                    worker: idle.id,
-                    platform: *platform,
-                    payment: pricing.payment,
-                };
-            }
-        }
-        Decision::Reject {
-            was_cooperative_offer: true,
-        }
+        // No payment in (0, v_r] with positive expected revenue ⇒ `None`.
+        let candidates = self.config.candidates;
+        cooperative::offer(
+            world,
+            &self.outer,
+            |histories, _| {
+                max_expected_revenue(request.value, histories, candidates).map(|p| p.payment)
+            },
+            rng,
+        )
     }
 }
 

@@ -14,10 +14,10 @@
 
 use rand::rngs::StdRng;
 
-use com_pricing::{bernoulli, MinPaymentEstimator, WorkerHistory};
 use com_sim::{RequestSpec, World};
 
 use crate::config::DemComConfig;
+use crate::cooperative;
 use crate::matcher::{Decision, OnlineMatcher, StreamInfo};
 
 /// Route-aware COM: DemCOM with a pickup-distance cap.
@@ -77,39 +77,12 @@ impl OnlineMatcher for RouteAwareCom {
                 .filter(|(_, w)| metric.distance(w.location, request.location) <= cap)
                 .collect()
         };
-        if outer.is_empty() {
-            return Decision::Reject {
-                was_cooperative_offer: false,
-            };
-        }
-
-        let histories: Vec<&WorkerHistory> = outer
-            .iter()
-            .map(|(_, w)| &world.worker(w.id).history)
-            .collect();
-        let payment = {
-            let _span = com_obs::span(com_obs::PHASE_PRICING);
-            let estimator = MinPaymentEstimator::new(self.config.monte_carlo);
-            estimator.estimate(request.value, &histories, rng)
-        };
-        if payment > request.value {
-            return Decision::Reject {
-                was_cooperative_offer: true,
-            };
-        }
-        let _span = com_obs::span(com_obs::PHASE_OFFER);
-        for ((platform, idle), history) in outer.iter().zip(&histories) {
-            if bernoulli(rng, history.acceptance_prob(payment)) {
-                return Decision::Outer {
-                    worker: idle.id,
-                    platform: *platform,
-                    payment,
-                };
-            }
-        }
-        Decision::Reject {
-            was_cooperative_offer: true,
-        }
+        cooperative::offer(
+            world,
+            &outer,
+            cooperative::min_payment(self.config.monte_carlo, request.value),
+            rng,
+        )
     }
 }
 
@@ -165,6 +138,41 @@ mod tests {
             loose,
             Decision::Inner {
                 worker: WorkerId(1)
+            }
+        );
+    }
+
+    #[test]
+    fn pricing_failure_is_not_a_cooperative_offer() {
+        // The only outer worker in range never worked for less than ¥50, so
+        // Algorithm 2 prices a ¥5 request above its value: no offer is ever
+        // extended and AcpRt's denominator must not grow.
+        let mut config = WorldConfig::city(10.0);
+        config.service = ServiceModel::one_shot();
+        let mut world = com_sim::World::new(config, vec!["A".into(), "B".into()]);
+        world.register_worker(
+            WorkerSpec::new(
+                WorkerId(2),
+                PlatformId(1),
+                ts(0.0),
+                Point::new(5.1, 5.0),
+                1.0,
+            ),
+            WorkerHistory::from_values(vec![50.0, 60.0]),
+        );
+        world.worker_arrives(WorkerId(2));
+        let r = RequestSpec::new(
+            RequestId(1),
+            PlatformId(0),
+            ts(1.0),
+            Point::new(5.0, 5.0),
+            5.0,
+        );
+        let d = RouteAwareCom::with_cap(1.0).decide(&world, &r, &mut StdRng::seed_from_u64(4));
+        assert_eq!(
+            d,
+            Decision::Reject {
+                was_cooperative_offer: false
             }
         );
     }

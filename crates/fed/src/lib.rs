@@ -47,7 +47,7 @@
 use std::io;
 use std::time::Instant;
 
-use com_bench::runner::{canonical_assignment_json, canonical_run_digest, canonical_run_json};
+use com_core::{canonical_assignment_json, canonical_run_digest, canonical_run_json};
 use com_core::{
     merge_platform_runs, project_platform_instance, project_platform_run, try_run_online,
     MatcherRegistry, RunResult,

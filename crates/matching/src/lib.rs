@@ -11,34 +11,25 @@
 //! * [`BipartiteGraph`] — a sparse weighted bipartite graph.
 //! * [`greedy_matching`] — sort-by-weight greedy (1/2-approximation); the
 //!   fast fallback for very large instances.
-//! * [`hopcroft_karp()`] — maximum-*cardinality* matching in `O(E√V)`; used
-//!   for completed-request counts and as a feasibility oracle.
 //! * [`hungarian()`] — exact maximum-weight matching (dense Kuhn–Munkres,
-//!   `O(min(n,m)²·max(n,m))`); the reference solver for small/medium
+//!   `O(min(n,m)²·max(n,m))`); the production solver for small/medium
 //!   instances and all competitive-ratio experiments.
 //! * [`ssp_max_weight`] — exact maximum-weight matching via successive
 //!   shortest augmenting paths with potentials (sparse; `O(K·E·log V)`),
 //!   which handles the city-scale offline instances where a dense matrix
-//!   would not fit.
-//! * [`auction()`] — exact maximum-weight matching via Bertsekas ε-scaled
-//!   auctions; a third independent solver used for cross-validation (and
-//!   the naturally parallelisable option).
+//!   would not fit, and doubles as the Hungarian solver's test oracle.
 //!
-//! All solvers return a [`Matching`] and agree with each other; the test
-//! suite cross-validates them against brute-force enumeration.
+//! All solvers return a [`Matching`]; the two exact ones cross-validate
+//! each other and are checked against brute-force enumeration.
 
-pub mod auction;
 pub mod graph;
 pub mod greedy;
-pub mod hopcroft_karp;
 pub mod hungarian;
 pub mod ssp;
 pub mod validate;
 
-pub use auction::auction;
 pub use graph::{BipartiteGraph, Edge};
 pub use greedy::greedy_matching;
-pub use hopcroft_karp::hopcroft_karp;
 pub use hungarian::hungarian;
 pub use ssp::ssp_max_weight;
 pub use validate::{is_valid_matching, matching_weight};

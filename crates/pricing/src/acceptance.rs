@@ -1,159 +1,10 @@
-//! Acceptance-probability models.
+//! Group acceptance probability (Definition 4.1).
+//!
+//! The paper has one acceptance model — the empirical history CDF of
+//! Definition 3.1, [`WorkerHistory::acceptance_prob`] — so the pricing
+//! kernels program against [`WorkerHistory`] directly.
 
 use crate::{Value, WorkerHistory};
-
-/// The probability a worker accepts a cooperative request at a given outer
-/// payment.
-///
-/// The paper's model is the empirical history CDF (Definition 3.1); the
-/// trait exists so ablation experiments can swap in parametric models
-/// without touching the matching algorithms.
-pub trait AcceptanceModel {
-    /// `pr(v', w)` — probability the worker would serve a request paying
-    /// `payment`. Must be monotone non-decreasing in `payment` and within
-    /// `[0, 1]`.
-    fn acceptance_prob(&self, payment: Value) -> f64;
-
-    /// The smallest payment with non-zero acceptance probability, when the
-    /// model has a hard floor (the empirical CDF does; a logistic curve
-    /// does not).
-    fn min_accepted_payment(&self) -> Option<Value> {
-        None
-    }
-
-    /// The candidate payments at which the model's acceptance probability
-    /// changes (CDF breakpoints). Parametric models return an empty list
-    /// and rely on grid candidates instead.
-    fn breakpoints(&self) -> Vec<Value> {
-        Vec::new()
-    }
-
-    /// The breakpoints as a *cached, sorted* slice, when the model keeps
-    /// one (empirical models do). `None` tells the pricing maximiser the
-    /// model has no cache, so it must fall back to [`Self::breakpoints`];
-    /// `Some` enables the allocation-free streaming merge.
-    fn breakpoints_sorted(&self) -> Option<&[Value]> {
-        None
-    }
-
-    /// The raw *sorted* empirical history values, when the model is an
-    /// empirical CDF over such values. Combined with
-    /// [`Self::breakpoints_sorted`], this lets the pricing maximiser walk
-    /// the CDF with a monotone cursor instead of binary-searching per
-    /// candidate. Implementations must guarantee
-    /// `acceptance_prob(p) == count(v <= p) / len` over exactly these
-    /// values (empty slice ⇒ the newcomer rule: probability 1 for any
-    /// positive payment).
-    fn empirical_values(&self) -> Option<&[Value]> {
-        None
-    }
-}
-
-/// The paper's empirical model: a thin wrapper over [`WorkerHistory`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct EmpiricalAcceptance {
-    history: WorkerHistory,
-}
-
-impl EmpiricalAcceptance {
-    pub fn new(history: WorkerHistory) -> Self {
-        EmpiricalAcceptance { history }
-    }
-
-    pub fn from_values(values: Vec<Value>) -> Self {
-        Self::new(WorkerHistory::from_values(values))
-    }
-
-    pub fn history(&self) -> &WorkerHistory {
-        &self.history
-    }
-
-    pub fn history_mut(&mut self) -> &mut WorkerHistory {
-        &mut self.history
-    }
-}
-
-impl AcceptanceModel for EmpiricalAcceptance {
-    fn acceptance_prob(&self, payment: Value) -> f64 {
-        self.history.acceptance_prob(payment)
-    }
-
-    fn min_accepted_payment(&self) -> Option<Value> {
-        self.history.min_accepted_payment()
-    }
-
-    fn breakpoints(&self) -> Vec<Value> {
-        self.history.breakpoints()
-    }
-
-    fn breakpoints_sorted(&self) -> Option<&[Value]> {
-        Some(self.history.breakpoints_sorted())
-    }
-
-    fn empirical_values(&self) -> Option<&[Value]> {
-        Some(self.history.values())
-    }
-}
-
-impl AcceptanceModel for WorkerHistory {
-    fn acceptance_prob(&self, payment: Value) -> f64 {
-        WorkerHistory::acceptance_prob(self, payment)
-    }
-
-    fn min_accepted_payment(&self) -> Option<Value> {
-        WorkerHistory::min_accepted_payment(self)
-    }
-
-    fn breakpoints(&self) -> Vec<Value> {
-        WorkerHistory::breakpoints(self)
-    }
-
-    fn breakpoints_sorted(&self) -> Option<&[Value]> {
-        Some(WorkerHistory::breakpoints_sorted(self))
-    }
-
-    fn empirical_values(&self) -> Option<&[Value]> {
-        Some(WorkerHistory::values(self))
-    }
-}
-
-/// A smooth logistic acceptance curve `1 / (1 + e^{−k(v' − m)})`, used by
-/// the ablation experiments to test the algorithms' sensitivity to the
-/// acceptance model (the empirical CDF is a step function; this is its
-/// smooth counterpart).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogisticAcceptance {
-    /// Payment at which acceptance probability is 0.5.
-    pub midpoint: Value,
-    /// Steepness `k > 0`.
-    pub steepness: f64,
-}
-
-impl LogisticAcceptance {
-    pub fn new(midpoint: Value, steepness: f64) -> Self {
-        assert!(steepness > 0.0, "steepness must be positive");
-        LogisticAcceptance {
-            midpoint,
-            steepness,
-        }
-    }
-}
-
-impl AcceptanceModel for LogisticAcceptance {
-    fn acceptance_prob(&self, payment: Value) -> f64 {
-        1.0 / (1.0 + (-self.steepness * (payment - self.midpoint)).exp())
-    }
-}
-
-/// A constant acceptance probability, for tests and degenerate scenarios.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConstantAcceptance(pub f64);
-
-impl AcceptanceModel for ConstantAcceptance {
-    fn acceptance_prob(&self, _payment: Value) -> f64 {
-        self.0.clamp(0.0, 1.0)
-    }
-}
 
 /// Group acceptance probability of Definition 4.1: the probability that
 /// *any* worker in `workers` accepts payment `payment`, assuming
@@ -162,7 +13,7 @@ impl AcceptanceModel for ConstantAcceptance {
 /// ```text
 /// pr(v', W) = 1 − Π_{w ∈ W} (1 − pr(v', w))
 /// ```
-pub fn group_acceptance_prob<M: AcceptanceModel + ?Sized>(workers: &[&M], payment: Value) -> f64 {
+pub fn group_acceptance_prob(workers: &[&WorkerHistory], payment: Value) -> f64 {
     let none_accept: f64 = workers
         .iter()
         .map(|w| 1.0 - w.acceptance_prob(payment))
@@ -176,74 +27,40 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn empirical_delegates_to_history() {
-        let m = EmpiricalAcceptance::from_values(vec![4.0, 8.0]);
-        assert_eq!(m.acceptance_prob(4.0), 0.5);
-        assert_eq!(m.min_accepted_payment(), Some(4.0));
-        assert_eq!(m.breakpoints(), vec![4.0, 8.0]);
-    }
-
-    #[test]
-    fn logistic_shape() {
-        let m = LogisticAcceptance::new(10.0, 1.0);
-        assert!((m.acceptance_prob(10.0) - 0.5).abs() < 1e-12);
-        assert!(m.acceptance_prob(20.0) > 0.99);
-        assert!(m.acceptance_prob(0.0) < 0.01);
-        assert!(m.min_accepted_payment().is_none());
-        assert!(m.breakpoints().is_empty());
-    }
-
-    #[test]
-    fn constant_clamps() {
-        assert_eq!(ConstantAcceptance(2.0).acceptance_prob(1.0), 1.0);
-        assert_eq!(ConstantAcceptance(-1.0).acceptance_prob(1.0), 0.0);
-        assert_eq!(ConstantAcceptance(0.3).acceptance_prob(99.0), 0.3);
-    }
-
-    #[test]
     fn group_acceptance_of_independent_workers() {
-        let a = ConstantAcceptance(0.5);
-        let b = ConstantAcceptance(0.5);
-        let group: Vec<&dyn AcceptanceModel> = vec![&a, &b];
-        assert!((group_acceptance_prob(&group, 1.0) - 0.75).abs() < 1e-12);
+        // Each accepts ¥1 with probability 1/2.
+        let a = WorkerHistory::from_values(vec![1.0, 3.0]);
+        let b = WorkerHistory::from_values(vec![0.5, 2.0]);
+        assert!((group_acceptance_prob(&[&a, &b], 1.0) - 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn group_acceptance_empty_is_zero() {
-        let group: Vec<&dyn AcceptanceModel> = vec![];
-        assert_eq!(group_acceptance_prob(&group, 1.0), 0.0);
+        assert_eq!(group_acceptance_prob(&[], 1.0), 0.0);
     }
 
     #[test]
     fn group_acceptance_with_certain_worker_is_one() {
-        let a = ConstantAcceptance(1.0);
-        let b = ConstantAcceptance(0.1);
-        let group: Vec<&dyn AcceptanceModel> = vec![&a, &b];
-        assert_eq!(group_acceptance_prob(&group, 1.0), 1.0);
+        let certain = WorkerHistory::from_values(vec![1.0]);
+        let reluctant = WorkerHistory::from_values(vec![1.0, 5.0, 5.0, 5.0]);
+        assert_eq!(reluctant.acceptance_prob(1.0), 0.25);
+        assert_eq!(group_acceptance_prob(&[&certain, &reluctant], 1.0), 1.0);
     }
 
     proptest! {
         #[test]
         fn prop_group_at_least_best_individual(
-            probs in proptest::collection::vec(0.0f64..1.0, 1..8),
+            hists in proptest::collection::vec(
+                proptest::collection::vec(0.0f64..10.0, 1..8), 1..8),
+            payment in 0.0f64..10.0,
         ) {
-            let models: Vec<ConstantAcceptance> =
-                probs.iter().map(|&p| ConstantAcceptance(p)).collect();
-            let refs: Vec<&ConstantAcceptance> = models.iter().collect();
-            let group = group_acceptance_prob(&refs, 1.0);
-            let best = probs.iter().fold(0.0f64, |a, &b| a.max(b));
+            let workers: Vec<WorkerHistory> =
+                hists.into_iter().map(WorkerHistory::from_values).collect();
+            let refs: Vec<&WorkerHistory> = workers.iter().collect();
+            let group = group_acceptance_prob(&refs, payment);
+            let best = refs.iter().fold(0.0f64, |a, w| a.max(w.acceptance_prob(payment)));
             prop_assert!(group >= best - 1e-12);
             prop_assert!(group <= 1.0 + 1e-12);
-        }
-
-        #[test]
-        fn prop_logistic_monotone(
-            mid in 0.0f64..50.0, k in 0.01f64..5.0,
-            a in 0.0f64..100.0, b in 0.0f64..100.0,
-        ) {
-            let m = LogisticAcceptance::new(mid, k);
-            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            prop_assert!(m.acceptance_prob(lo) <= m.acceptance_prob(hi) + 1e-12);
         }
     }
 }

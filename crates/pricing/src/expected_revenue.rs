@@ -14,17 +14,17 @@
 //! "the algorithm in \[14\]" (Tong et al., SIGMOD'18) for this maximisation
 //! and cites an `O(max v_r)` cost — our [`PriceCandidates::IntegerGrid`]
 //! strategy matches that complexity; [`PriceCandidates::Breakpoints`] is
-//! the exact maximiser for empirical models.
+//! the exact maximiser.
 
 use serde::{Deserialize, Serialize};
 
-use crate::acceptance::{group_acceptance_prob, AcceptanceModel};
-use crate::Value;
+use crate::acceptance::group_acceptance_prob;
+use crate::{Value, WorkerHistory};
 
 /// How candidate payments are enumerated.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub enum PriceCandidates {
-    /// Exact for empirical (step) acceptance models: evaluate at every
+    /// Exact (the acceptance CDFs are step functions): evaluate at every
     /// distinct history value `≤ v_r` across the worker set, plus `v_r`
     /// itself. Cost `O(B·|W|)` where `B` is the number of breakpoints.
     #[default]
@@ -33,8 +33,8 @@ pub enum PriceCandidates {
     /// `1, 2, …, ⌊v_r⌋` plus `v_r`. Exact when request values are
     /// integers (as in the paper's running example).
     IntegerGrid,
-    /// A fixed-size uniform grid over `(0, v_r]`; approximation for
-    /// smooth (parametric) acceptance models.
+    /// A fixed-size uniform grid over `(0, v_r]`: an approximation whose
+    /// cost does not depend on the histories (ablation).
     UniformGrid(usize),
 }
 
@@ -55,18 +55,18 @@ pub struct PricingOutcome {
 /// falls through).
 ///
 /// ```
-/// use com_pricing::{max_expected_revenue, EmpiricalAcceptance, PriceCandidates};
+/// use com_pricing::{max_expected_revenue, PriceCandidates, WorkerHistory};
 ///
-/// let w = EmpiricalAcceptance::from_values(vec![4.0, 6.0, 8.0]);
+/// let w = WorkerHistory::from_values(vec![4.0, 6.0, 8.0]);
 /// let out = max_expected_revenue(10.0, &[&w], PriceCandidates::Breakpoints).unwrap();
 /// // Candidates 4 (pr 1/3), 6 (pr 2/3), 8 (pr 1), 10 (pr 1):
 /// // expected revenues 2.0, 2.67, 2.0, 0 — pay ¥6.
 /// assert_eq!(out.payment, 6.0);
 /// assert!((out.expected_revenue - 8.0 / 3.0).abs() < 1e-12);
 /// ```
-pub fn max_expected_revenue<M: AcceptanceModel + ?Sized>(
+pub fn max_expected_revenue(
     request_value: Value,
-    workers: &[&M],
+    workers: &[&WorkerHistory],
     strategy: PriceCandidates,
 ) -> Option<PricingOutcome> {
     assert!(
@@ -85,68 +85,43 @@ pub fn max_expected_revenue<M: AcceptanceModel + ?Sized>(
 
     match strategy {
         PriceCandidates::Breakpoints => {
-            match merge_lanes(workers) {
-                Some(mut lanes) => {
-                    // Streaming k-way merge over the cached per-worker
-                    // breakpoint slices (plus a virtual `[v_r]` lane):
-                    // candidates come out ascending and deduplicated
-                    // without building, sorting, or deduplicating a pooled
-                    // Vec, and each worker's CDF is walked with a monotone
-                    // cursor instead of a binary search per candidate.
-                    // Float operations and evaluation order are identical
-                    // to the rebuild path below, so decisions (and the
-                    // serve-vs-batch byte-identity invariant) are
-                    // unchanged.
-                    let mut vr_emitted = false;
-                    loop {
-                        let mut next = if vr_emitted {
-                            None
-                        } else {
-                            Some(request_value)
-                        };
-                        for lane in &lanes {
-                            if let Some(&b) = lane.breaks.get(lane.bpos) {
-                                if b <= request_value && next.is_none_or(|n| b < n) {
-                                    next = Some(b);
-                                }
-                            }
+            // Streaming k-way merge over the cached per-worker breakpoint
+            // slices (plus a virtual `[v_r]` lane): candidates come out
+            // ascending and deduplicated without building, sorting, or
+            // deduplicating a pooled Vec, and each worker's CDF is walked
+            // with a monotone cursor instead of a binary search per
+            // candidate. Float operations and evaluation order are those
+            // of the pooled collect-sort-dedup enumeration (kept as a test
+            // reference), so decisions are bit-identical to it.
+            let mut lanes: Vec<Lane> = workers.iter().map(|w| Lane::new(w)).collect();
+            let mut vr_emitted = false;
+            loop {
+                let mut next = if vr_emitted {
+                    None
+                } else {
+                    Some(request_value)
+                };
+                for lane in &lanes {
+                    if let Some(&b) = lane.breaks.get(lane.bpos) {
+                        if b <= request_value && next.is_none_or(|n| b < n) {
+                            next = Some(b);
                         }
-                        let Some(cand) = next else { break };
-                        if cand == request_value {
-                            vr_emitted = true;
-                        }
-                        let mut none_accept = 1.0f64;
-                        for lane in &mut lanes {
-                            while lane.breaks.get(lane.bpos).is_some_and(|&b| b == cand) {
-                                lane.bpos += 1;
-                            }
-                            none_accept *= 1.0 - lane.prob_at(cand);
-                        }
-                        tracker.consider_with_pr(cand, 1.0 - none_accept);
                     }
-                    com_obs::counter_add("pricing.breakpoint_merges", 1);
                 }
-                None => {
-                    // At least one model caches nothing (parametric or
-                    // foreign implementation): rebuild the pooled
-                    // candidate list the pre-cache way.
-                    let mut cands: Vec<Value> = Vec::new();
-                    for w in workers {
-                        cands.extend(
-                            w.breakpoints()
-                                .into_iter()
-                                .filter(|&b| b > 0.0 && b <= request_value),
-                        );
-                    }
-                    cands.push(request_value);
-                    cands.sort_by(|a, b| a.total_cmp(b));
-                    cands.dedup();
-                    for c in cands {
-                        tracker.consider(workers, c);
-                    }
-                    com_obs::counter_add("pricing.breakpoint_rebuilds", 1);
+                let Some(cand) = next else { break };
+                if cand == request_value {
+                    vr_emitted = true;
                 }
+                let mut none_accept = 1.0f64;
+                for lane in &mut lanes {
+                    while lane.breaks.get(lane.bpos).is_some_and(|&b| b == cand) {
+                        lane.bpos += 1;
+                    }
+                    none_accept *= 1.0 - lane.prob_at(cand);
+                }
+                tracker.consider_with_pr(cand, 1.0 - none_accept);
             }
+            com_obs::counter_add("pricing.breakpoint_merges", 1);
         }
         PriceCandidates::IntegerGrid => {
             let mut p = 1.0;
@@ -202,7 +177,7 @@ impl BestTracker {
     }
 
     /// Consider a candidate, computing `pr(payment, W)` from scratch.
-    fn consider<M: AcceptanceModel + ?Sized>(&mut self, workers: &[&M], payment: Value) {
+    fn consider(&mut self, workers: &[&WorkerHistory], payment: Value) {
         if payment <= 0.0 || payment > self.request_value {
             self.evaluated += 1;
             return;
@@ -223,7 +198,17 @@ struct Lane<'a> {
     vpos: usize,
 }
 
-impl Lane<'_> {
+impl<'a> Lane<'a> {
+    fn new(worker: &'a WorkerHistory) -> Self {
+        let breaks = worker.breakpoints_sorted();
+        Lane {
+            breaks,
+            bpos: breaks.partition_point(|&b| b <= 0.0),
+            vals: worker.values(),
+            vpos: 0,
+        }
+    }
+
     /// `pr(cand, w)`: replicates `WorkerHistory::acceptance_prob` exactly
     /// (`partition_point(v <= cand) / N`, newcomer rule for an empty
     /// history) but advances a forward-only cursor instead of binary
@@ -240,31 +225,9 @@ impl Lane<'_> {
     }
 }
 
-/// Build one merge lane per worker from the cached breakpoint and history
-/// slices. `None` when any model lacks the caches (parametric models, or
-/// foreign [`AcceptanceModel`] impls that keep the defaults) — the caller
-/// then falls back to rebuilding the pooled candidate list.
-fn merge_lanes<'a, M: AcceptanceModel + ?Sized>(workers: &[&'a M]) -> Option<Vec<Lane<'a>>> {
-    workers
-        .iter()
-        .map(|w| {
-            let breaks = w.breakpoints_sorted()?;
-            let vals = w.empirical_values()?;
-            let bpos = breaks.partition_point(|&b| b <= 0.0);
-            Some(Lane {
-                breaks,
-                bpos,
-                vals,
-                vpos: 0,
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ConstantAcceptance, EmpiricalAcceptance, LogisticAcceptance};
     use proptest::prelude::*;
 
     #[test]
@@ -284,31 +247,39 @@ mod tests {
             5.0, // 9 ≤ 5
             9.0, // 10th value above v_r
         ];
-        let w = EmpiricalAcceptance::from_values(history);
-        let workers: Vec<&EmpiricalAcceptance> = vec![&w];
-        let out = max_expected_revenue(6.0, &workers, PriceCandidates::IntegerGrid).unwrap();
+        let w = WorkerHistory::from_values(history);
+        let out = max_expected_revenue(6.0, &[&w], PriceCandidates::IntegerGrid).unwrap();
         assert_eq!(out.payment, 4.0);
         assert!((out.acceptance_prob - 0.8).abs() < 1e-12);
         assert!((out.expected_revenue - 1.6).abs() < 1e-12);
     }
 
-    /// Delegates to an empirical model but keeps the trait's default
-    /// (`None`) cache accessors, forcing `max_expected_revenue` down the
-    /// pooled-rebuild path — the reference the streaming merge must match.
-    struct Uncached(EmpiricalAcceptance);
-
-    impl AcceptanceModel for Uncached {
-        fn acceptance_prob(&self, payment: Value) -> f64 {
-            self.0.acceptance_prob(payment)
+    /// The pre-cache enumeration the streaming merge replaced: pool every
+    /// worker's breakpoints in `(0, v_r]` plus `v_r`, sort, dedup, and
+    /// evaluate each candidate from scratch. Test-only reference the merge
+    /// is bit-compared against.
+    fn rebuild_reference(
+        request_value: Value,
+        workers: &[&WorkerHistory],
+    ) -> Option<PricingOutcome> {
+        let mut tracker = BestTracker {
+            request_value,
+            best: None,
+            evaluated: 0,
+        };
+        let mut cands: Vec<Value> = workers
+            .iter()
+            .flat_map(|w| w.breakpoints_sorted())
+            .copied()
+            .filter(|&b| b > 0.0 && b <= request_value)
+            .collect();
+        cands.push(request_value);
+        cands.sort_by(|a, b| a.total_cmp(b));
+        cands.dedup();
+        for c in cands {
+            tracker.consider(workers, c);
         }
-
-        fn min_accepted_payment(&self) -> Option<Value> {
-            self.0.min_accepted_payment()
-        }
-
-        fn breakpoints(&self) -> Vec<Value> {
-            self.0.breakpoints()
-        }
+        tracker.best
     }
 
     fn outcome_bits(o: &Option<PricingOutcome>) -> Option<(u64, u64, u64)> {
@@ -326,40 +297,45 @@ mod tests {
         // Duplicated breakpoints across workers, a breakpoint equal to
         // v_r, one above v_r, and an empty (newcomer) history — the edge
         // cases the merge dedup/filter must handle.
-        let cached = [
-            EmpiricalAcceptance::from_values(vec![2.0, 5.0, 8.0, 12.0]),
-            EmpiricalAcceptance::from_values(vec![5.0, 5.0, 7.0]),
-            EmpiricalAcceptance::from_values(vec![]),
+        let hs = [
+            WorkerHistory::from_values(vec![2.0, 5.0, 8.0, 12.0]),
+            WorkerHistory::from_values(vec![5.0, 5.0, 7.0]),
+            WorkerHistory::from_values(vec![]),
         ];
-        let uncached: Vec<Uncached> = cached.iter().cloned().map(Uncached).collect();
+        let workers: Vec<&WorkerHistory> = hs.iter().collect();
         for value in [1.0, 5.0, 8.0, 8.5, 30.0] {
-            let fast: Vec<&EmpiricalAcceptance> = cached.iter().collect();
-            let slow: Vec<&Uncached> = uncached.iter().collect();
-            let a = max_expected_revenue(value, &fast, PriceCandidates::Breakpoints);
-            let b = max_expected_revenue(value, &slow, PriceCandidates::Breakpoints);
-            assert_eq!(outcome_bits(&a), outcome_bits(&b), "v_r = {value}");
+            let merged = max_expected_revenue(value, &workers, PriceCandidates::Breakpoints);
+            let rebuilt = rebuild_reference(value, &workers);
+            assert_eq!(
+                outcome_bits(&merged),
+                outcome_bits(&rebuilt),
+                "v_r = {value}"
+            );
         }
     }
 
     #[test]
-    fn mixed_cached_and_uncached_workers_fall_back_consistently() {
-        // One worker without caches forces the whole call onto the rebuild
-        // path; the outcome must equal the all-uncached reference.
-        let e = EmpiricalAcceptance::from_values(vec![3.0, 6.0]);
-        let u = Uncached(EmpiricalAcceptance::from_values(vec![4.0, 9.0]));
-        let e_uncached = Uncached(e.clone());
-        let mixed: Vec<&dyn AcceptanceModel> = vec![&e, &u];
-        let reference: Vec<&dyn AcceptanceModel> = vec![&e_uncached, &u];
-        let a = max_expected_revenue(10.0, &mixed, PriceCandidates::Breakpoints);
-        let b = max_expected_revenue(10.0, &reference, PriceCandidates::Breakpoints);
-        assert_eq!(outcome_bits(&a), outcome_bits(&b));
+    fn curve_maximum_matches_the_maximiser() {
+        // The whole price → expected-revenue curve, computed the slow way
+        // at every breakpoint: its maximum is what the maximiser returns.
+        let a = WorkerHistory::from_values(vec![4.0, 8.0, 12.0]);
+        let b = WorkerHistory::from_values(vec![6.0, 10.0]);
+        let workers = [&a, &b];
+        let best_on_curve = [4.0, 6.0, 8.0, 10.0, 11.0]
+            .iter()
+            .map(|&p| (11.0 - p) * group_acceptance_prob(&workers, p))
+            .fold(0.0f64, f64::max);
+        let opt = max_expected_revenue(11.0, &workers, PriceCandidates::Breakpoints)
+            .map(|o| o.expected_revenue)
+            .unwrap_or(0.0);
+        assert!((best_on_curve - opt).abs() < 1e-12);
     }
 
     #[test]
     fn breakpoints_match_integer_grid_on_integer_histories() {
-        let a = EmpiricalAcceptance::from_values(vec![2.0, 5.0, 7.0]);
-        let b = EmpiricalAcceptance::from_values(vec![3.0, 4.0]);
-        let workers: Vec<&EmpiricalAcceptance> = vec![&a, &b];
+        let a = WorkerHistory::from_values(vec![2.0, 5.0, 7.0]);
+        let b = WorkerHistory::from_values(vec![3.0, 4.0]);
+        let workers = [&a, &b];
         let bp = max_expected_revenue(8.0, &workers, PriceCandidates::Breakpoints).unwrap();
         let grid = max_expected_revenue(8.0, &workers, PriceCandidates::IntegerGrid).unwrap();
         assert!((bp.expected_revenue - grid.expected_revenue).abs() < 1e-12);
@@ -368,31 +344,29 @@ mod tests {
 
     #[test]
     fn empty_workers_yield_none() {
-        let workers: Vec<&ConstantAcceptance> = vec![];
-        assert!(max_expected_revenue(5.0, &workers, PriceCandidates::Breakpoints).is_none());
+        assert!(max_expected_revenue(5.0, &[], PriceCandidates::Breakpoints).is_none());
     }
 
     #[test]
     fn never_accepting_workers_yield_none() {
-        let no = ConstantAcceptance(0.0);
-        let workers: Vec<&ConstantAcceptance> = vec![&no];
-        assert!(max_expected_revenue(5.0, &workers, PriceCandidates::UniformGrid(32)).is_none());
+        // Same ¥50 floor as below, on the grid arm.
+        let no = WorkerHistory::from_values(vec![50.0, 60.0]);
+        assert!(max_expected_revenue(5.0, &[&no], PriceCandidates::UniformGrid(32)).is_none());
     }
 
     #[test]
     fn floor_higher_than_value_yields_none() {
         // The worker only ever accepted fares ≥ 50; a request worth 5 can
         // never attract them within (0, v_r].
-        let w = EmpiricalAcceptance::from_values(vec![50.0, 60.0]);
-        let workers: Vec<&EmpiricalAcceptance> = vec![&w];
-        assert!(max_expected_revenue(5.0, &workers, PriceCandidates::Breakpoints).is_none());
+        let w = WorkerHistory::from_values(vec![50.0, 60.0]);
+        assert!(max_expected_revenue(5.0, &[&w], PriceCandidates::Breakpoints).is_none());
     }
 
     #[test]
     fn always_accepting_worker_prices_low() {
-        let yes = ConstantAcceptance(1.0);
-        let workers: Vec<&ConstantAcceptance> = vec![&yes];
-        let out = max_expected_revenue(10.0, &workers, PriceCandidates::UniformGrid(100)).unwrap();
+        // A newcomer (empty history) accepts any positive payment.
+        let yes = WorkerHistory::new();
+        let out = max_expected_revenue(10.0, &[&yes], PriceCandidates::UniformGrid(100)).unwrap();
         // Smallest candidate wins: margin is maximal.
         assert!(out.payment <= 0.1 + 1e-12);
         assert!(out.expected_revenue >= 9.9 - 1e-9);
@@ -400,29 +374,17 @@ mod tests {
 
     #[test]
     fn payment_at_most_request_value_even_when_only_full_price_works() {
-        let w = EmpiricalAcceptance::from_values(vec![6.0]);
-        let workers: Vec<&EmpiricalAcceptance> = vec![&w];
+        let w = WorkerHistory::from_values(vec![6.0]);
         // Only v' = 6 = v_r has pr > 0, and margin 0 ⇒ expected 0 ⇒ None.
-        assert!(max_expected_revenue(6.0, &workers, PriceCandidates::Breakpoints).is_none());
-    }
-
-    #[test]
-    fn logistic_models_use_grids() {
-        let m = LogisticAcceptance::new(5.0, 1.5);
-        let workers: Vec<&LogisticAcceptance> = vec![&m];
-        let out = max_expected_revenue(10.0, &workers, PriceCandidates::UniformGrid(200)).unwrap();
-        assert!(out.payment > 0.0 && out.payment <= 10.0);
-        assert!(out.expected_revenue > 0.0);
-        // Sanity: interior maximum for a smooth S-curve.
-        assert!(out.payment > 2.0 && out.payment < 9.0);
+        assert!(max_expected_revenue(6.0, &[&w], PriceCandidates::Breakpoints).is_none());
     }
 
     #[test]
     fn more_workers_never_reduce_expected_revenue() {
-        let a = EmpiricalAcceptance::from_values(vec![4.0, 6.0]);
-        let b = EmpiricalAcceptance::from_values(vec![3.0, 8.0]);
-        let one: Vec<&EmpiricalAcceptance> = vec![&a];
-        let two: Vec<&EmpiricalAcceptance> = vec![&a, &b];
+        let a = WorkerHistory::from_values(vec![4.0, 6.0]);
+        let b = WorkerHistory::from_values(vec![3.0, 8.0]);
+        let one = [&a];
+        let two = [&a, &b];
         let e1 = max_expected_revenue(9.0, &one, PriceCandidates::Breakpoints)
             .map(|o| o.expected_revenue)
             .unwrap_or(0.0);
@@ -439,8 +401,8 @@ mod tests {
             hist in proptest::collection::vec(0.5f64..20.0, 1..12),
             value in 1.0f64..25.0,
         ) {
-            let w = EmpiricalAcceptance::from_values(hist);
-            let workers: Vec<&EmpiricalAcceptance> = vec![&w];
+            let w = WorkerHistory::from_values(hist);
+            let workers = [&w];
             let exact = max_expected_revenue(value, &workers, PriceCandidates::Breakpoints)
                 .map(|o| o.expected_revenue).unwrap_or(0.0);
             let grid = max_expected_revenue(value, &workers, PriceCandidates::UniformGrid(64))
@@ -457,16 +419,13 @@ mod tests {
             h2 in proptest::collection::vec(0.0f64..20.0, 0..12),
             value in 0.5f64..25.0,
         ) {
-            let a = EmpiricalAcceptance::from_values(h1);
-            let b = EmpiricalAcceptance::from_values(h2);
-            let (ua, ub) = (Uncached(a.clone()), Uncached(b.clone()));
-            let fast: Vec<&EmpiricalAcceptance> = vec![&a, &b];
-            let slow: Vec<&Uncached> = vec![&ua, &ub];
+            let a = WorkerHistory::from_values(h1);
+            let b = WorkerHistory::from_values(h2);
+            let workers = [&a, &b];
             prop_assert_eq!(
                 outcome_bits(&max_expected_revenue(
-                    value, &fast, PriceCandidates::Breakpoints)),
-                outcome_bits(&max_expected_revenue(
-                    value, &slow, PriceCandidates::Breakpoints)),
+                    value, &workers, PriceCandidates::Breakpoints)),
+                outcome_bits(&rebuild_reference(value, &workers)),
             );
         }
 
@@ -475,8 +434,8 @@ mod tests {
             hist in proptest::collection::vec(0.5f64..20.0, 1..12),
             value in 1.0f64..25.0,
         ) {
-            let w = EmpiricalAcceptance::from_values(hist);
-            let workers: Vec<&EmpiricalAcceptance> = vec![&w];
+            let w = WorkerHistory::from_values(hist);
+            let workers = [&w];
             if let Some(o) =
                 max_expected_revenue(value, &workers, PriceCandidates::Breakpoints)
             {

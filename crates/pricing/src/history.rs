@@ -111,11 +111,6 @@ impl WorkerHistory {
         self.values.first().copied()
     }
 
-    /// Largest value in the history.
-    pub fn max_value(&self) -> Option<Value> {
-        self.values.last().copied()
-    }
-
     /// The `q`-quantile of history values (`q ∈ [0, 1]`, nearest-rank).
     pub fn quantile(&self, q: f64) -> Option<Value> {
         if self.values.is_empty() {
@@ -146,14 +141,9 @@ impl WorkerHistory {
 
     /// The distinct values of the history — the breakpoints of the
     /// empirical CDF (candidate prices for expected-revenue
-    /// maximisation).
-    pub fn breakpoints(&self) -> Vec<Value> {
-        self.breaks.clone()
-    }
-
-    /// The cached breakpoints as a sorted slice, without allocating.
-    /// Pricing's streaming maximiser merges these per worker instead of
-    /// rebuilding and re-sorting a candidate pool per decision.
+    /// maximisation) — as a cached sorted slice. Pricing's streaming
+    /// maximiser merges these per worker instead of rebuilding and
+    /// re-sorting a candidate pool per decision.
     #[inline]
     pub fn breakpoints_sorted(&self) -> &[Value] {
         &self.breaks
@@ -235,7 +225,6 @@ mod tests {
     fn min_accepted_payment_is_smallest_history_value() {
         let h = WorkerHistory::from_values(vec![8.0, 3.0, 12.0]);
         assert_eq!(h.min_accepted_payment(), Some(3.0));
-        assert_eq!(h.max_value(), Some(12.0));
     }
 
     #[test]
@@ -260,7 +249,6 @@ mod tests {
     #[test]
     fn breakpoints_deduplicate() {
         let h = WorkerHistory::from_values(vec![5.0, 5.0, 7.0, 7.0, 9.0]);
-        assert_eq!(h.breakpoints(), vec![5.0, 7.0, 9.0]);
         assert_eq!(h.breakpoints_sorted(), &[5.0, 7.0, 9.0]);
     }
 

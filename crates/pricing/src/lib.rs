@@ -11,32 +11,28 @@
 //!
 //! * [`WorkerHistory`] — a worker's completed-request values with the
 //!   empirical-CDF acceptance probability `pr(v', w) = N(v ≤ v') / N`.
-//! * [`AcceptanceModel`] — the trait both algorithms program against, with
-//!   empirical, logistic (ablation), and constant implementations.
+//!   It is the paper's only acceptance model, so every kernel below takes
+//!   `&[&WorkerHistory]` — there is no acceptance trait to implement.
+//! * [`group_acceptance_prob`] — `pr(v', W) = 1 − Π_w (1 − pr(v', w))`,
+//!   the group acceptance probability of Definition 4.1.
 //! * [`MinPaymentEstimator`] — the paper's Algorithm 2: a Monte Carlo +
 //!   dichotomy estimator of the minimum outer payment, with the
 //!   `n_s = ⌈4·ln(2/ξ)/η²⌉` sample-size rule of Lemma 1.
 //! * [`max_expected_revenue`] — the maximum-expected-revenue pricing of
 //!   Definition 4.1 (the role played by "\[14\]" in RamCOM):
-//!   `argmax_{v'} (v_r − v')·pr(v', W)` with
-//!   `pr(v', W) = 1 − Π_w (1 − pr(v', w))`.
+//!   `argmax_{v'} (v_r − v')·pr(v', W)`.
 
 pub mod acceptance;
-pub mod analysis;
 pub mod expected_revenue;
 pub mod history;
 pub mod monte_carlo;
 pub mod sampling;
 
-pub use acceptance::{
-    group_acceptance_prob, AcceptanceModel, ConstantAcceptance, EmpiricalAcceptance,
-    LogisticAcceptance,
-};
-pub use analysis::{full_price_acceptance, group_floor, pricing_curve, CurvePoint};
+pub use acceptance::group_acceptance_prob;
 pub use expected_revenue::{max_expected_revenue, PriceCandidates, PricingOutcome};
 pub use history::WorkerHistory;
 pub use monte_carlo::{MinPaymentEstimator, MonteCarloParams};
-pub use sampling::{any_accepts, bernoulli, sample_acceptances};
+pub use sampling::{any_accepts, bernoulli};
 
 /// Monetary value type (kept structurally identical to `com_stream::Value`
 /// without introducing a dependency edge).

@@ -13,7 +13,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::sampling::any_accepts;
-use crate::{AcceptanceModel, Value};
+use crate::{Value, WorkerHistory};
 
 /// Accuracy parameters of Algorithm 2 / Lemma 1.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -78,10 +78,10 @@ impl MinPaymentEstimator {
     ///
     /// With no feasible workers the estimate is `v_r + ε` (certain
     /// rejection), matching the behaviour of an all-rejecting instance.
-    pub fn estimate<M: AcceptanceModel + ?Sized, R: Rng + ?Sized>(
+    pub fn estimate<R: Rng + ?Sized>(
         &self,
         request_value: Value,
-        workers: &[&M],
+        workers: &[&WorkerHistory],
         rng: &mut R,
     ) -> Value {
         assert!(
@@ -105,10 +105,10 @@ impl MinPaymentEstimator {
 
     /// One sampling instance (Algorithm 2 lines 3–15): accept/reject at
     /// full value, then dichotomy.
-    fn sample_instance<M: AcceptanceModel + ?Sized, R: Rng + ?Sized>(
+    fn sample_instance<R: Rng + ?Sized>(
         &self,
         request_value: Value,
-        workers: &[&M],
+        workers: &[&WorkerHistory],
         rng: &mut R,
     ) -> Value {
         let p = &self.params;
@@ -139,7 +139,6 @@ impl MinPaymentEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ConstantAcceptance, EmpiricalAcceptance};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -161,29 +160,28 @@ mod tests {
     #[test]
     fn no_workers_means_rejection_price() {
         let e = estimator(0.1, 0.5);
-        let workers: Vec<&ConstantAcceptance> = vec![];
         let mut rng = StdRng::seed_from_u64(1);
-        let v = e.estimate(10.0, &workers, &mut rng);
+        let v = e.estimate(10.0, &[], &mut rng);
         assert!(v > 10.0);
     }
 
     #[test]
     fn never_accepting_workers_exceed_request_value() {
         let e = estimator(0.1, 0.5);
-        let no = ConstantAcceptance(0.0);
-        let workers: Vec<&ConstantAcceptance> = vec![&no, &no];
+        // Nobody here ever worked for less than ¥50.
+        let no = WorkerHistory::from_values(vec![50.0, 60.0]);
         let mut rng = StdRng::seed_from_u64(2);
-        let v = e.estimate(10.0, &workers, &mut rng);
+        let v = e.estimate(10.0, &[&no, &no], &mut rng);
         assert!(v > 10.0, "estimate {v} should exceed the request value");
     }
 
     #[test]
     fn always_accepting_workers_drive_payment_to_zero() {
         let e = estimator(0.05, 0.5);
-        let yes = ConstantAcceptance(1.0);
-        let workers: Vec<&ConstantAcceptance> = vec![&yes];
+        // A newcomer (empty history) accepts any positive payment.
+        let yes = WorkerHistory::new();
         let mut rng = StdRng::seed_from_u64(3);
-        let v = e.estimate(10.0, &workers, &mut rng);
+        let v = e.estimate(10.0, &[&yes], &mut rng);
         // Dichotomy bottoms out within the resolution ξ·v_r of zero.
         assert!(v <= 10.0 * 0.05 * 2.0, "estimate {v} should be near zero");
         assert!(v > 0.0);
@@ -194,10 +192,9 @@ mod tests {
         // Worker history is a point mass at 5: acceptance is a hard step
         // at 5, so every instance's dichotomy converges to ≈5.
         let e = estimator(0.02, 0.5);
-        let w = EmpiricalAcceptance::from_values(vec![5.0; 10]);
-        let workers: Vec<&EmpiricalAcceptance> = vec![&w];
+        let w = WorkerHistory::from_values(vec![5.0; 10]);
         let mut rng = StdRng::seed_from_u64(4);
-        let v = e.estimate(10.0, &workers, &mut rng);
+        let v = e.estimate(10.0, &[&w], &mut rng);
         assert!(
             (v - 5.0).abs() <= 10.0 * 0.02 + 1e-9,
             "estimate {v} should be within dichotomy resolution of 5"
@@ -207,11 +204,10 @@ mod tests {
     #[test]
     fn estimate_between_floor_and_value_for_mixed_histories() {
         let e = estimator(0.1, 0.5);
-        let a = EmpiricalAcceptance::from_values(vec![3.0, 6.0, 9.0]);
-        let b = EmpiricalAcceptance::from_values(vec![4.0, 8.0]);
-        let workers: Vec<&EmpiricalAcceptance> = vec![&a, &b];
+        let a = WorkerHistory::from_values(vec![3.0, 6.0, 9.0]);
+        let b = WorkerHistory::from_values(vec![4.0, 8.0]);
         let mut rng = StdRng::seed_from_u64(5);
-        let v = e.estimate(10.0, &workers, &mut rng);
+        let v = e.estimate(10.0, &[&a, &b], &mut rng);
         // Must sit above the hardest possible floor (0) and below v_r+ε.
         assert!(v > 0.0 && v <= 10.0 + 0.01);
         // The analytic floor is 3.0 (min history value); the estimate
@@ -220,10 +216,27 @@ mod tests {
     }
 
     #[test]
+    fn algorithm_2_estimate_brackets_the_analytic_floor() {
+        // On a hard-step single-worker CDF the Monte Carlo estimate must
+        // land within the dichotomy resolution of the analytic floor — the
+        // worker's smallest history value — or above it, when full-price
+        // rejections bias it up.
+        let w = WorkerHistory::from_values(vec![5.0; 20]);
+        let floor = w.min_accepted_payment().unwrap();
+        let e = MinPaymentEstimator::default();
+        let est = e.estimate(10.0, &[&w], &mut StdRng::seed_from_u64(12));
+        assert!(
+            est >= floor - e.params.xi * 10.0 - 1e-9,
+            "estimate {est} sits below floor {floor} minus resolution"
+        );
+        assert!(est <= 10.0 + e.params.epsilon);
+    }
+
+    #[test]
     fn deterministic_under_seed() {
         let e = estimator(0.1, 0.5);
-        let w = EmpiricalAcceptance::from_values(vec![2.0, 5.0, 7.0]);
-        let workers: Vec<&EmpiricalAcceptance> = vec![&w];
+        let w = WorkerHistory::from_values(vec![2.0, 5.0, 7.0]);
+        let workers = [&w];
         let a = e.estimate(9.0, &workers, &mut StdRng::seed_from_u64(9));
         let b = e.estimate(9.0, &workers, &mut StdRng::seed_from_u64(9));
         assert_eq!(a, b);
@@ -231,8 +244,8 @@ mod tests {
 
     #[test]
     fn tighter_xi_gives_tighter_spread() {
-        let w = EmpiricalAcceptance::from_values(vec![5.0; 4]);
-        let workers: Vec<&EmpiricalAcceptance> = vec![&w];
+        let w = WorkerHistory::from_values(vec![5.0; 4]);
+        let workers = [&w];
         let coarse = estimator(0.25, 0.5).estimate(10.0, &workers, &mut StdRng::seed_from_u64(11));
         let fine = estimator(0.01, 0.5).estimate(10.0, &workers, &mut StdRng::seed_from_u64(11));
         assert!((fine - 5.0).abs() <= (coarse - 5.0).abs() + 1e-9);
@@ -248,7 +261,6 @@ mod tests {
     #[should_panic(expected = "request value must be positive")]
     fn rejects_bad_request_value() {
         let e = estimator(0.1, 0.5);
-        let workers: Vec<&ConstantAcceptance> = vec![];
-        e.estimate(0.0, &workers, &mut StdRng::seed_from_u64(1));
+        e.estimate(0.0, &[], &mut StdRng::seed_from_u64(1));
     }
 }

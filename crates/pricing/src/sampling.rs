@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use crate::{AcceptanceModel, Value};
+use crate::{Value, WorkerHistory};
 
 /// One Bernoulli draw: `true` with probability `p` (clamped to `[0, 1]`).
 ///
@@ -20,24 +20,12 @@ pub fn bernoulli<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
     rng.random_range(0.0..1.0) <= p
 }
 
-/// Sample each worker's accept/reject decision at `payment`.
-pub fn sample_acceptances<M: AcceptanceModel + ?Sized, R: Rng + ?Sized>(
-    workers: &[&M],
-    payment: Value,
-    rng: &mut R,
-) -> Vec<bool> {
-    workers
-        .iter()
-        .map(|w| bernoulli(rng, w.acceptance_prob(payment)))
-        .collect()
-}
-
 /// Whether *any* worker accepts at `payment` (one sampling instance of
 /// Algorithm 2, lines 4/9: "sample each w_out … check whether someone
 /// would like to serve"). Draws a decision for every worker so the RNG
 /// stream is independent of short-circuiting.
-pub fn any_accepts<M: AcceptanceModel + ?Sized, R: Rng + ?Sized>(
-    workers: &[&M],
+pub fn any_accepts<R: Rng + ?Sized>(
+    workers: &[&WorkerHistory],
     payment: Value,
     rng: &mut R,
 ) -> bool {
@@ -53,7 +41,6 @@ pub fn any_accepts<M: AcceptanceModel + ?Sized, R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ConstantAcceptance;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -81,34 +68,33 @@ mod tests {
     }
 
     #[test]
-    fn sample_acceptances_shape_and_extremes() {
-        let yes = ConstantAcceptance(1.0);
-        let no = ConstantAcceptance(0.0);
-        let group: Vec<&ConstantAcceptance> = vec![&yes, &no, &yes];
-        let mut rng = StdRng::seed_from_u64(3);
-        let s = sample_acceptances(&group, 5.0, &mut rng);
-        assert_eq!(s, vec![true, false, true]);
-    }
-
-    #[test]
     fn any_accepts_extremes() {
-        let yes = ConstantAcceptance(1.0);
-        let no = ConstantAcceptance(0.0);
+        // At ¥5: a newcomer always accepts, a ¥50-floor worker never does.
+        let yes = WorkerHistory::new();
+        let no = WorkerHistory::from_values(vec![50.0]);
         let mut rng = StdRng::seed_from_u64(3);
-        let all_no: Vec<&ConstantAcceptance> = vec![&no, &no];
-        assert!(!any_accepts(&all_no, 5.0, &mut rng));
-        let one_yes: Vec<&ConstantAcceptance> = vec![&no, &yes];
-        assert!(any_accepts(&one_yes, 5.0, &mut rng));
-        let empty: Vec<&ConstantAcceptance> = vec![];
-        assert!(!any_accepts(&empty, 5.0, &mut rng));
+        assert!(!any_accepts(&[&no, &no], 5.0, &mut rng));
+        assert!(any_accepts(&[&no, &yes], 5.0, &mut rng));
+        assert!(!any_accepts(&[], 5.0, &mut rng));
     }
 
     #[test]
     fn deterministic_under_seed() {
-        let m = ConstantAcceptance(0.5);
-        let group: Vec<&ConstantAcceptance> = vec![&m; 10];
-        let a = sample_acceptances(&group, 1.0, &mut StdRng::seed_from_u64(42));
-        let b = sample_acceptances(&group, 1.0, &mut StdRng::seed_from_u64(42));
-        assert_eq!(a, b);
+        // Ten coin-flip workers: same seed, same answer, and the same
+        // number of draws consumed (one per worker, no short-circuit).
+        let m = WorkerHistory::from_values(vec![1.0, 3.0]);
+        let group = [&m; 10];
+        let (mut a, mut b) = (StdRng::seed_from_u64(42), StdRng::seed_from_u64(42));
+        assert_eq!(
+            any_accepts(&group, 1.0, &mut a),
+            any_accepts(&group, 1.0, &mut b)
+        );
+        let mut ten_draws = StdRng::seed_from_u64(42);
+        for _ in 0..10 {
+            let _: f64 = ten_draws.random_range(0.0..1.0);
+        }
+        let next: f64 = a.random_range(0.0..1.0);
+        assert_eq!(next, b.random_range(0.0..1.0));
+        assert_eq!(next, ten_draws.random_range(0.0..1.0));
     }
 }

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! Streams a `com-datagen` scenario through a live matchd — one front-end
-//! over [`com_serve::drive`], whatever the session count — and reports
+//! over [`com_serve::drive()`], whatever the session count — and reports
 //! throughput and request round-trip latency (p50/p95/p99). Before
 //! shutdown it asks the server for `stats_deep` and prints the per-shard
 //! rows and the serving phase table (decode/ingest/decision/encode/flush
@@ -58,7 +58,7 @@
 
 use std::fs;
 
-use com_bench::runner::{canonical_run_digest, canonical_run_json};
+use com_core::{canonical_run_digest, canonical_run_json};
 use com_core::{try_run_online, MatcherRegistry};
 use com_datagen::{generate, profiles, ScenarioConfig};
 use com_serve::{drive, DeepStatsMsg, DriveOptions, ShardRow, WireFormat};

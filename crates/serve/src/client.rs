@@ -8,7 +8,7 @@
 //! race-free. Session addressing is an argument, not a mode: `sid: None`
 //! puts the bare message on the wire (the one-session addressing),
 //! `Some(n)` wraps it in the `{"sid":n,"msg":…}` mux envelope. The
-//! scenario driver over this client is [`crate::drive`].
+//! scenario driver over this client is [`crate::drive()`].
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;

@@ -99,7 +99,7 @@ pub struct SessionOutcome {
     pub refused: usize,
     /// The server's final report for this session (canonical run JSON and
     /// digest included) — compare against
-    /// `com_bench::runner::canonical_run_json` of a local batch run.
+    /// `com_core::canonical_run_json` of a local batch run.
     pub bye: ByeMsg,
 }
 

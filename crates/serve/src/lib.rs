@@ -29,7 +29,7 @@
 //! * [`client`] — the one wire client: one reader
 //!   ([`read_server_frame`]), one writer ([`Client::queue_for`]),
 //!   session [`Client::open`] / [`Client::close`].
-//! * [`drive`] — the one session driver over that client: K sessions ×
+//! * [`drive()`] — the one session driver over that client: K sessions ×
 //!   M connections, windowed or lockstep, paced or flat out; behind the
 //!   `matchload` binary, the loopback tests, and `com_fed`.
 //! * [`trace`] — the flight-recorder session trace (schema v1): one JSONL

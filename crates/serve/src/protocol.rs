@@ -401,7 +401,7 @@ pub struct ByeMsg {
     pub refused: u64,
     pub audit_findings: Vec<String>,
     pub canonical: serde_json::Value,
-    /// `com_bench::runner::canonical_run_digest` over `canonical`: a
+    /// `com_core::canonical_run_digest` over `canonical`: a
     /// compact fingerprint matching the trace `finish` line, so a client
     /// can check run identity without re-serializing the projection.
     /// `#[serde(default)]` (empty) when talking to a pre-shard server.

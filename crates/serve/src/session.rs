@@ -455,7 +455,7 @@ impl ServeSession {
             rec.write(&TraceLine::Finish(TraceFinish {
                 events: instance.stream.len() as u64,
                 decisions: self.assigned + self.rejected + self.refused,
-                digest: com_bench::runner::canonical_run_digest(&run),
+                digest: com_core::canonical_run_digest(&run),
                 revenue: run.total_revenue(),
                 completed: run.completed() as u64,
                 audit_findings: findings.len() as u64,
@@ -490,14 +490,14 @@ impl FinishedSession {
             events: self.instance.stream.len() as u64,
             refused: self.run.failures.len() as u64,
             audit_findings: self.findings.clone(),
-            canonical: com_bench::runner::canonical_run_json(&self.run),
-            digest: com_bench::runner::canonical_run_digest(&self.run),
+            canonical: com_core::canonical_run_json(&self.run),
+            digest: com_core::canonical_run_digest(&self.run),
             fed: self.fed.map(|(platform, degraded_offers)| {
                 let projected = com_core::project_platform_run(&self.run, platform);
                 FedByeMsg {
                     platform: platform.0,
-                    canonical: com_bench::runner::canonical_run_json(&projected),
-                    digest: com_bench::runner::canonical_run_digest(&projected),
+                    canonical: com_core::canonical_run_json(&projected),
+                    digest: com_core::canonical_run_digest(&projected),
                     ledger: com_sim::PlatformLedger::for_platform(platform, &self.run.assignments),
                     degraded_offers,
                 }

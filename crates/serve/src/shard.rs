@@ -7,7 +7,7 @@
 //! the per-connection router threads (see [`crate::server`]). Because one
 //! session lives on exactly one shard and the channel is FIFO, responses
 //! stay strictly ordered per session with zero hot-path synchronisation;
-//! the only shared state is the connection's [`SharedWriter`] (a mutex
+//! the only shared state is the connection's `SharedWriter` (a mutex
 //! around the outgoing byte buffer) and a handful of monotonic counters.
 //!
 //! ## Placement
@@ -26,10 +26,10 @@
 //!
 //! ## Drain
 //!
-//! Teardown is two-phase: the router broadcasts [`ShardMsg::CloseConn`]
+//! Teardown is two-phase: the router broadcasts `ShardMsg::CloseConn`
 //! to every shard (a blocking send — close must never be dropped), each
 //! shard finishes and audits the connection's sessions it owns and ships
-//! one [`SessionReport`] per session back over the ack channel, and the
+//! one `SessionReport` per session back over the ack channel, and the
 //! router sorts the collected reports by logical session id. Reporting
 //! order is therefore stable however many shards the sessions were spread
 //! across.
@@ -43,7 +43,7 @@ use std::thread::JoinHandle;
 // The same stable hash the canonical run digest uses: placement must
 // hash identically across runs and builds, which rules out `std`'s
 // randomized hasher.
-use com_bench::runner::fnv1a64;
+use com_core::fnv1a64;
 use com_obs::Histogram;
 
 use crate::framing::WireFormat;

@@ -22,11 +22,11 @@
 //! touched session state, so a replay without them reproduces the run.
 //!
 //! Decisions are recorded in their **canonical projection**
-//! ([`com_bench::runner::canonical_assignment_json`]): every
+//! ([`com_core::canonical_assignment_json`]): every
 //! decision-determined field, excluding the wall-clock `decision_nanos`.
 //! Byte-comparing the serialized projection is exactly the byte-identity
 //! `matchreplay --strict` asserts, and the `finish` line's FNV-1a digest
-//! over [`com_bench::runner::canonical_run_json`] fingerprints the whole
+//! over [`com_core::canonical_run_json`] fingerprints the whole
 //! run (assignment order included) as a second, independent check.
 
 use std::fs::File;
@@ -108,7 +108,7 @@ pub struct TraceDecision {
     pub outcome: String,
     /// The constraint violation text on `"timeout"` outcomes.
     pub violation: Option<String>,
-    /// [`com_bench::runner::canonical_assignment_json`] of the record.
+    /// [`com_core::canonical_assignment_json`] of the record.
     pub assignment: serde_json::Value,
 }
 
@@ -119,7 +119,7 @@ pub struct TraceFinish {
     pub events: u64,
     /// Decision lines written (request events).
     pub decisions: u64,
-    /// [`com_bench::runner::canonical_run_digest`] of the final run.
+    /// [`com_core::canonical_run_digest`] of the final run.
     pub digest: String,
     pub revenue: f64,
     pub completed: u64,
@@ -228,7 +228,7 @@ pub fn decision_from_response(i: u64, response: &ServerMsg) -> Option<TraceDecis
         i,
         outcome: outcome.to_string(),
         violation,
-        assignment: com_bench::runner::canonical_assignment_json(assignment),
+        assignment: com_core::canonical_assignment_json(assignment),
     })
 }
 

@@ -113,3 +113,17 @@ fn offline_solvers_are_deterministic() {
         assert_eq!(a, b, "{mode:?} not deterministic");
     }
 }
+
+#[test]
+fn batched_run_bytes_are_pinned() {
+    // `run_batched` has no registry spec, so no committed trace covers it;
+    // this digest (recorded before the cooperative-offer path was shared)
+    // is what pins its decisions, payments and RNG draw order.
+    let instance = generate(&com::datagen::profiles::quick());
+    let run = com::core::run_batched(&instance, com::core::BatchedCom::new(30.0), 42);
+    assert!(run.cooperative_count() > 0, "outer path not exercised");
+    assert_eq!(
+        com::core::canonical_run_digest(&run),
+        "fnv1a64:f63b225d586f44a3"
+    );
+}

@@ -167,9 +167,7 @@ proptest! {
         let inst = build_instance(workers, requests, true);
         let h = offline_solve(&inst, OfflineMode::ExactBipartite).total_revenue;
         let s = offline_solve(&inst, OfflineMode::SparseExact).total_revenue;
-        let a = offline_solve(&inst, OfflineMode::Auction).total_revenue;
         prop_assert!((h - s).abs() < 1e-4, "hungarian {h} != ssp {s}");
-        prop_assert!((h - a).abs() < 1e-4, "hungarian {h} != auction {a}");
     }
 
     #[test]

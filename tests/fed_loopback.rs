@@ -3,7 +3,7 @@
 //! byte-identical — canonical run, digest, ledgers — to a single-process
 //! batch run over the same instance and seed, in both wire framings.
 
-use com_bench::runner::canonical_run_json;
+use com_core::canonical_run_json;
 use com_core::{try_run_online, MatcherRegistry};
 use com_datagen::{generate, synthetic, SyntheticParams};
 use com_fed::{drive_federated, run_loopback, verify, FedOptions, LoopbackPair};

@@ -4,7 +4,7 @@
 //! and a pipelined binary loopback run is byte-identical — canonical
 //! JSON and all — to both the NDJSON run and the batch engine.
 
-use com_bench::runner::canonical_run_json;
+use com_core::canonical_run_json;
 use com_core::{try_run_online, MatcherRegistry};
 use com_datagen::{generate, synthetic, SyntheticParams};
 use com_geo::Point;

@@ -4,7 +4,7 @@
 //! `try_run_online` run — same decisions, same payments, same canonical
 //! JSON — with a silent auditor and zero backpressure drops.
 
-use com_bench::runner::canonical_run_json;
+use com_core::canonical_run_json;
 use com_core::{try_run_online, MatcherRegistry};
 use com_datagen::{generate, synthetic, SyntheticParams};
 use com_serve::{drive, event_msg, hello_msg, serve, DriveOptions, ServerConfig, ServerMsg};

@@ -10,7 +10,7 @@
 
 use std::time::{Duration, Instant};
 
-use com_bench::runner::{canonical_run_digest, canonical_run_json};
+use com_core::{canonical_run_digest, canonical_run_json};
 use com_core::{try_run_online, validate_run, MatcherRegistry, MatcherSpec};
 use com_datagen::{generate, synthetic, SyntheticParams};
 use com_geo::Point;

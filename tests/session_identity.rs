@@ -10,7 +10,7 @@
 //! here on, so future session changes cannot silently fork the two
 //! replay paths.
 
-use com_bench::runner::canonical_run_json;
+use com_core::canonical_run_json;
 use com_core::{run_online, try_run_online, MatchSession, MatcherRegistry, MatcherSpec, RunResult};
 use com_datagen::{generate, synthetic, SyntheticParams};
 use com_sim::Instance;

@@ -67,7 +67,7 @@ fn every_builtin_spec_replays_byte_identically() {
         assert_eq!(report.decisions, instance.request_count() as u64);
         // Full canonical byte-identity with the recording-time run, not
         // just the digest.
-        let recorded_canonical = com_bench::runner::canonical_run_json(&recorded.run);
+        let recorded_canonical = com_core::canonical_run_json(&recorded.run);
         assert_eq!(
             canonical_text(&recorded_canonical),
             canonical_text(&report.canonical),
