@@ -80,8 +80,8 @@ impl SessionConfig {
     }
 }
 
-/// One decision produced by [`MatchSession::ingest`]. Worker arrivals
-/// produce no output; a request event produces exactly one.
+/// One decision produced by [`MatchSession::ingest`]: `Some` for every
+/// request event, `None` for every worker arrival.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SessionOutput {
     /// The matcher's decision was valid and applied (served or the
@@ -258,19 +258,22 @@ impl<'m> MatchSession<'m> {
     /// its decision. On `Err` the session state is untouched — a live
     /// feed can reject the one bad event (time rewind, duplicate arrival,
     /// or, in strict mode, an invalid decision) and keep going.
+    ///
+    /// A request event always yields `Some` decision and a worker arrival
+    /// always `None` — callers that classify request outcomes rely on it.
     pub fn ingest(
         &mut self,
         event: &ArrivalEvent,
-    ) -> Result<Vec<SessionOutput>, ConstraintViolation> {
+    ) -> Result<Option<SessionOutput>, ConstraintViolation> {
         self.world.try_advance_to(event.time())?;
-        let mut outputs = Vec::new();
-        match event {
+        let output = match event {
             ArrivalEvent::Worker(spec) => {
                 if self.world.find_worker(spec.id).is_none() {
                     let history = self.histories.get(&spec.id).cloned().unwrap_or_default();
                     self.world.try_register_worker(*spec, history)?;
                 }
                 self.world.try_worker_arrives(spec.id)?;
+                None
             }
             ArrivalEvent::Request(request) => {
                 let span = com_obs::span(com_obs::PHASE_DECISION);
@@ -327,7 +330,7 @@ impl<'m> MatchSession<'m> {
                 match try_apply_decision(&mut self.world, request, decision, nanos) {
                     Ok(assignment) => {
                         self.assignments.push(assignment.clone());
-                        outputs.push(SessionOutput::Decided(assignment));
+                        Some(SessionOutput::Decided(assignment))
                     }
                     Err(violation) if self.lenient => {
                         com_obs::counter_add("engine.constraint_violations", 1);
@@ -347,15 +350,15 @@ impl<'m> MatchSession<'m> {
                             request: *request,
                             violation: violation.clone(),
                         });
-                        outputs.push(SessionOutput::Refused {
+                        Some(SessionOutput::Refused {
                             assignment,
                             violation,
-                        });
+                        })
                     }
                     Err(violation) => return Err(violation),
                 }
             }
-        }
+        };
         // Sample on every stream event (a burst of worker arrivals grows
         // the world without any request being processed). Dense for the
         // first `MEMORY_SAMPLE_EVERY` events so short runs still catch
@@ -371,7 +374,7 @@ impl<'m> MatchSession<'m> {
             self.log_capacity = self.assignments.capacity();
             self.sample_memory();
         }
-        Ok(outputs)
+        Ok(output)
     }
 
     /// Advance the simulation clock to `to` without an event, processing
@@ -635,7 +638,7 @@ mod tests {
         let mut session = MatchSession::new(config, Box::new(DemCom::default()), 7);
         let mut served = 0;
         for event in instance.stream.iter() {
-            for out in session.ingest(event).unwrap() {
+            if let Some(out) = session.ingest(event).unwrap() {
                 if out.assignment().is_completed() {
                     served += 1;
                 }

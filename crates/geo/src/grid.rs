@@ -70,6 +70,9 @@ pub struct GridIndex {
     /// worker who is long gone.
     radius_counts: BTreeMap<u64, u32>,
     len: usize,
+    /// Most items ever indexed at once — what the memory metric charges
+    /// the id maps for (see [`GridIndex::approx_bytes`]).
+    peak_len: usize,
 }
 
 /// Key for `radius_counts`: non-negative finite bits order like the floats
@@ -107,6 +110,7 @@ impl GridIndex {
             max_radius: 0.0,
             radius_counts: BTreeMap::new(),
             len: 0,
+            peak_len: 0,
         }
     }
 
@@ -166,6 +170,7 @@ impl GridIndex {
         *self.radius_counts.entry(radius_key(radius)).or_insert(0) += 1;
         self.max_radius = self.max_radius.max(radius);
         self.len += 1;
+        self.peak_len = self.peak_len.max(self.len);
     }
 
     /// Remove an item by id. Returns the entry if it was present.
@@ -326,7 +331,19 @@ impl GridIndex {
         self.len = 0;
     }
 
+    /// The most items this index has ever held at once.
+    #[inline]
+    pub fn peak_len(&self) -> usize {
+        self.peak_len
+    }
+
     /// Approximate heap footprint in bytes (for the memory metric).
+    ///
+    /// The id map is charged for its high-water length — a map never
+    /// shrinks — rather than `HashMap::capacity()`: whether a remove/re-add
+    /// churn grows the table depends on the per-map random hash seed, and
+    /// the metric must be a function of the operation sequence alone so
+    /// two runs of one instance and seed report the same bytes.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let cells: usize = self
@@ -336,7 +353,7 @@ impl GridIndex {
             .sum();
         cells
             + self.cells.capacity() * size_of::<Vec<GridEntry>>()
-            + self.locations.capacity() * (size_of::<u64>() + size_of::<usize>() + 16)
+            + self.peak_len * (size_of::<u64>() + size_of::<usize>() + 16)
             + self.radius_counts.len() * (size_of::<u64>() + size_of::<u32>() + 16)
     }
 }

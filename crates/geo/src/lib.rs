@@ -14,22 +14,17 @@
 //! * [`GridIndex`] — a uniform-grid spatial hash supporting the two queries
 //!   the online matchers need under churn: "all items whose *own* radius
 //!   covers a query point" and "the nearest such item".
-//! * [`GeoPoint`] / [`LocalProjection`] — latitude/longitude support, so
-//!   real trace data (when available) can be projected into the planar model
-//!   the algorithms operate on.
 //!
 //! Everything is allocation-conscious: the hot queries reuse caller-provided
 //! buffers where it matters and the grid stores plain `u64` keys.
 
 pub mod bbox;
 pub mod grid;
-pub mod latlon;
 pub mod metric;
 pub mod point;
 
 pub use bbox::BoundingBox;
 pub use grid::{GridEntry, GridIndex};
-pub use latlon::{GeoPoint, LocalProjection, EARTH_RADIUS_KM};
 pub use metric::DistanceMetric;
 pub use point::Point;
 

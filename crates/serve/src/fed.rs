@@ -17,13 +17,29 @@
 //!   borrower degrades to a cooperative reject.
 //! * local deadline — no usable reply in `deadline_ms`; same degrade.
 //!
-//! The link is lazy (no connection until the first offer), retries a
-//! send exactly once over a fresh connection when the peer vanished
+//! The exchange is blocking and runs on the shard thread itself: the
+//! shard is stalled inside `offer` until the verdict anyway, so at most
+//! one offer is ever in flight per link and the link needs no reader
+//! thread, reply registry or channel. [`WireOutsource`] writes the offer,
+//! then reads verdicts through the crate's one reader
+//! ([`read_server_frame`]) under a read timeout of whatever is left of the
+//! deadline. The two ways a deadline can fire are kept apart:
+//!
+//! * **between frames** (nothing of a reply has arrived): the offer
+//!   degrades and the link is *kept*. If the verdict does turn up later,
+//!   the next offer's read meets it first, recognises it by its older
+//!   offer id, counts it in `stale_replies` and reads on.
+//! * **inside a frame** (some bytes of a reply were consumed), like any
+//!   I/O or decode error: the offer degrades and the link is *dropped*,
+//!   because the stream position is no longer a message boundary and a
+//!   kept link could desync every later exchange.
+//!
+//! The link is lazy (no connection until the first offer) and retries an
+//! offer exactly once over a fresh connection when the link failed
 //! mid-negotiation (offer ids make the retry idempotent — the lender's
-//! verdict is a pure function of its replica), and drops replies that
-//! arrive after their offer's deadline (counted as stale). Offer
-//! round-trips are spanned as [`com_obs::PHASE_FED_OFFER`],
-//! deliberately *outside* the matcher's `decision` phase.
+//! verdict is a pure function of its replica). Offer round-trips are
+//! spanned as [`com_obs::PHASE_FED_OFFER`], deliberately *outside* the
+//! matcher's `decision` phase.
 //!
 //! Deadlock note: two daemons blocking on offers to each other would
 //! deadlock until both deadlines fire. The `matchfed` driver prevents
@@ -32,12 +48,10 @@
 //! sees the event, so at most one offer is ever in flight — and the
 //! per-offer deadline bounds the damage for any other driver.
 
-use std::collections::HashMap;
-use std::io::{BufReader, Write};
+use std::io::{self, BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use com_core::{OutsourceChannel, OutsourceOutcome, OutsourceReject};
@@ -51,8 +65,8 @@ use crate::protocol::{write_msg, ClientMsg, FedStatsMsg, OfferMsg, ServerMsg};
 /// Default per-offer deadline when the `hello` does not set one.
 pub const DEFAULT_OFFER_DEADLINE_MS: u64 = 1_000;
 
-/// Federation counters shared between the shard thread (offers out,
-/// lends answered), the peer-link reader thread (stale replies), and
+/// Federation counters shared between the session's outsourcing channel
+/// (offers out, stale replies), its lender side (lends answered), and
 /// `stats_deep` snapshots.
 #[derive(Debug, Default)]
 pub struct FedShared {
@@ -85,132 +99,71 @@ impl FedShared {
     }
 }
 
-/// The lender's verdict as routed back from the reader thread.
-enum PeerReply {
-    Accept,
-    Reject { code: String },
-}
-
-/// One live connection to the peer daemon: the write half plus the
-/// pending-reply registry its reader thread resolves against. The
-/// registry is per-connection so a dead link's reader can fail its own
-/// pending offers fast (dropping the senders) without racing offers
-/// registered on a successor connection.
-struct PeerConn {
-    stream: TcpStream,
-    pending: Arc<Mutex<HashMap<u64, SyncSender<PeerReply>>>>,
-}
-
-impl Drop for PeerConn {
-    fn drop(&mut self) {
-        // The reader thread holds a dup of this socket, so merely
-        // dropping our fd would keep the connection open (and the reader
-        // blocked) forever. Shut the socket down so the reader unblocks
-        // with EOF and the peer daemon sees the link close.
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
-    }
-}
-
-/// The lazy outgoing link to the rival daemon.
+/// The lazy outgoing link to the rival daemon. `conn` is dialled by the
+/// first offer and is `None` again after any failure, so the next attempt
+/// reconnects.
 struct PeerLink {
     addr: String,
     format: WireFormat,
-    conn: Option<PeerConn>,
-    stats: Arc<FedShared>,
+    conn: Option<BufReader<TcpStream>>,
 }
 
 impl PeerLink {
-    /// Connect if not connected, spawning the reply reader thread.
-    fn ensure(&mut self) -> std::io::Result<&mut PeerConn> {
-        if self.conn.is_none() {
-            let stream = TcpStream::connect(&self.addr)?;
-            stream.set_nodelay(true).ok();
-            let pending: Arc<Mutex<HashMap<u64, SyncSender<PeerReply>>>> =
-                Arc::new(Mutex::new(HashMap::new()));
-            let reader = BufReader::new(stream.try_clone()?);
-            {
-                let pending = Arc::clone(&pending);
-                let stats = Arc::clone(&self.stats);
-                std::thread::Builder::new()
-                    .name("fed-peer-reader".into())
-                    .spawn(move || reader_loop(reader, pending, stats))
-                    .map_err(|e| std::io::Error::other(e.to_string()))?;
-            }
-            self.conn = Some(PeerConn { stream, pending });
-        }
-        Ok(self.conn.as_mut().expect("just ensured"))
-    }
-
-    /// Register a reply slot and write one offer. On any failure the
-    /// connection is dropped so the next attempt reconnects.
-    fn send_offer(
+    /// One blocking exchange: write the encoded offer, then read until
+    /// offer `offer`'s verdict arrives or `deadline` passes between two
+    /// frames (`TimedOut`, link intact). Any `Err` — connect, write, EOF,
+    /// an undecodable reply, or the deadline firing *inside* a frame —
+    /// leaves the stream position unknown; the caller drops the link.
+    fn exchange(
         &mut self,
-        msg: &ClientMsg,
+        bytes: &[u8],
         offer: u64,
-    ) -> std::io::Result<mpsc::Receiver<PeerReply>> {
-        let format = self.format;
-        let result = (|| {
-            let conn = self.ensure()?;
-            let (tx, rx) = mpsc::sync_channel(1);
-            conn.pending.lock().unwrap().insert(offer, tx);
-            let mut bytes = Vec::with_capacity(256);
-            write_msg(format, msg, &mut bytes);
-            match conn.stream.write_all(&bytes) {
-                Ok(()) => Ok(rx),
-                Err(e) => {
-                    conn.pending.lock().unwrap().remove(&offer);
-                    Err(e)
-                }
-            }
-        })();
-        if result.is_err() {
-            self.conn = None;
-        }
-        result
-    }
-
-    /// Forget a timed-out offer so a late reply counts as stale instead
-    /// of resolving into nothing.
-    fn forget(&mut self, offer: u64) {
-        if let Some(conn) = &self.conn {
-            conn.pending.lock().unwrap().remove(&offer);
-        }
-    }
-}
-
-/// Read lender verdicts off the peer connection and resolve them
-/// against the pending registry, through the crate's one reader
-/// ([`read_server_frame`]: framing auto-detected per message). Exits on
-/// EOF or error, failing this connection's still-pending offers fast by
-/// dropping their senders.
-fn reader_loop(
-    mut reader: BufReader<TcpStream>,
-    pending: Arc<Mutex<HashMap<u64, SyncSender<PeerReply>>>>,
-    stats: Arc<FedShared>,
-) {
-    while let Ok(frame) = read_server_frame(&mut reader) {
-        let (offer, reply) = match frame.msg {
-            ServerMsg::outsource_accept { offer, .. } => (offer, PeerReply::Accept),
-            ServerMsg::outsource_reject { offer, code, .. } => (offer, PeerReply::Reject { code }),
-            // `busy` (lender shard backlogged) and anything else: not a
-            // verdict; the offer runs into its deadline and degrades.
-            _ => continue,
-        };
-        match pending.lock().unwrap().remove(&offer) {
-            // The borrower may have timed out between our remove and its
-            // forget — a dropped receiver is fine, send_for is best-effort.
-            Some(tx) => {
-                let _ = tx.send(reply);
-            }
+        deadline: Instant,
+        stats: &FedShared,
+    ) -> io::Result<OutsourceOutcome> {
+        let conn = match &mut self.conn {
+            Some(conn) => conn,
             None => {
-                stats.stale_replies.fetch_add(1, Ordering::Relaxed);
+                let stream = TcpStream::connect(&self.addr)?;
+                stream.set_nodelay(true).ok();
+                self.conn.insert(BufReader::new(stream))
             }
+        };
+        conn.get_mut().write_all(bytes)?;
+        loop {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return Ok(OutsourceOutcome::TimedOut);
+            }
+            conn.get_ref().set_read_timeout(Some(remaining))?;
+            // Wait for the first byte of the next frame separately: a
+            // timeout here consumed nothing, one inside
+            // `read_server_frame` did.
+            match conn.fill_buf() {
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return Ok(OutsourceOutcome::TimedOut);
+                }
+                Err(e) => return Err(e),
+                Ok(_) => {}
+            }
+            let (id, outcome) = match read_server_frame(conn)?.msg {
+                ServerMsg::outsource_accept { offer, .. } => (offer, OutsourceOutcome::Accepted),
+                ServerMsg::outsource_reject { offer, code, .. } => (
+                    offer,
+                    OutsourceOutcome::Rejected(OutsourceReject::from_code(&code)),
+                ),
+                // `busy` (lender shard backlogged) and anything else: not a
+                // verdict; the offer runs into its deadline and degrades.
+                _ => continue,
+            };
+            if id == offer {
+                return Ok(outcome);
+            }
+            // Offer ids only grow and one offer is in flight at a time, so
+            // this is the late verdict of an offer that already timed out.
+            stats.stale_replies.fetch_add(1, Ordering::Relaxed);
         }
     }
-    // Fail whatever is still pending on this connection: the borrower's
-    // recv sees a disconnect immediately instead of waiting out the
-    // deadline.
-    pending.lock().unwrap().clear();
 }
 
 /// The wire implementation of the core outsourcing seam: offers become
@@ -242,7 +195,6 @@ impl WireOutsource {
                 addr,
                 format,
                 conn: None,
-                stats: Arc::clone(&stats),
             }),
             fed_sid,
             deadline: Duration::from_millis(deadline_ms.max(1)),
@@ -277,40 +229,23 @@ impl OutsourceChannel for WireOutsource {
             payment,
             deadline_ms: self.deadline.as_millis() as u64,
         });
+        let mut bytes = Vec::with_capacity(256);
+        write_msg(link.format, &msg, &mut bytes);
         let deadline = Instant::now() + self.deadline;
         let mut retried = false;
         let outcome = loop {
-            let rx = match link.send_offer(&msg, offer) {
-                Ok(rx) => rx,
-                Err(_) if !retried && Instant::now() < deadline => {
+            match link.exchange(&bytes, offer, deadline, &self.stats) {
+                Ok(outcome) => break outcome,
+                Err(_) => {
+                    link.conn = None;
+                    if retried || Instant::now() >= deadline {
+                        break OutsourceOutcome::TimedOut;
+                    }
                     // One idempotent retry over a fresh connection: the
-                    // peer may have restarted between offers.
+                    // peer may have restarted, and the offer id makes
+                    // asking twice safe.
                     retried = true;
                     self.stats.offers_retried.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                Err(_) => break OutsourceOutcome::TimedOut,
-            };
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match rx.recv_timeout(remaining) {
-                Ok(PeerReply::Accept) => break OutsourceOutcome::Accepted,
-                Ok(PeerReply::Reject { code }) => {
-                    break OutsourceOutcome::Rejected(OutsourceReject::from_code(&code))
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    link.forget(offer);
-                    break OutsourceOutcome::TimedOut;
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // The link died mid-negotiation (reader failed our
-                    // slot). Retry once; the offer id makes it safe.
-                    link.conn = None;
-                    if !retried && Instant::now() < deadline {
-                        retried = true;
-                        self.stats.offers_retried.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    break OutsourceOutcome::TimedOut;
                 }
             }
         };
@@ -332,10 +267,9 @@ impl OutsourceChannel for WireOutsource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::encode;
+    use crate::protocol::{decode_client, encode};
     use com_geo::Point;
     use com_sim::{RequestId, Timestamp};
-    use std::io::BufRead;
     use std::net::TcpListener;
 
     fn request() -> RequestSpec {
@@ -383,38 +317,24 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let peer = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let (mut stream, mut reader) = scripted_link(&listener);
             let mut answered = 0usize;
-            loop {
-                let mut line = String::new();
-                if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                    break;
-                }
-                let Ok(ClientMsg::outsource_offer(o)) = crate::protocol::decode_client(line.trim())
-                else {
-                    continue;
-                };
+            while let Some(o) = next_offer(&mut reader) {
                 let reply = match answered {
-                    0 => Some(ServerMsg::outsource_accept {
-                        fed_sid: o.fed_sid,
-                        offer: o.offer,
-                    }),
-                    1 => Some(ServerMsg::outsource_reject {
-                        fed_sid: o.fed_sid,
-                        offer: o.offer,
-                        code: "desync".into(),
-                        detail: "scripted".into(),
-                    }),
-                    _ => None, // silent: the borrower must hit its deadline
+                    0 => accept_line(&o),
+                    1 => {
+                        let reject = ServerMsg::outsource_reject {
+                            fed_sid: o.fed_sid,
+                            offer: o.offer,
+                            code: "desync".into(),
+                            detail: "scripted".into(),
+                        };
+                        format!("{}\n", encode(&reject))
+                    }
+                    _ => String::new(), // silent: the borrower must hit its deadline
                 };
                 answered += 1;
-                if let Some(reply) = reply {
-                    let mut stream = stream.try_clone().unwrap();
-                    stream
-                        .write_all(format!("{}\n", encode(&reply)).as_bytes())
-                        .unwrap();
-                }
+                stream.write_all(reply.as_bytes()).unwrap();
             }
         });
 
@@ -441,5 +361,122 @@ mod tests {
         assert_eq!(stats.offers_accepted.load(Ordering::Relaxed), 1);
         assert_eq!(stats.offers_rejected.load(Ordering::Relaxed), 1);
         assert_eq!(stats.offers_timed_out.load(Ordering::Relaxed), 1);
+    }
+
+    /// The next offer a scripted lender receives; `None` once the borrower
+    /// has hung up.
+    fn next_offer(reader: &mut BufReader<TcpStream>) -> Option<OfferMsg> {
+        loop {
+            let mut line = String::new();
+            if reader.read_line(&mut line).unwrap_or(0) == 0 {
+                return None;
+            }
+            if let Ok(ClientMsg::outsource_offer(o)) = decode_client(line.trim()) {
+                return Some(o);
+            }
+        }
+    }
+
+    fn accept_line(o: &OfferMsg) -> String {
+        let accept = ServerMsg::outsource_accept {
+            fed_sid: o.fed_sid,
+            offer: o.offer,
+        };
+        format!("{}\n", encode(&accept))
+    }
+
+    fn scripted_link(listener: &TcpListener) -> (TcpStream, BufReader<TcpStream>) {
+        let (stream, _) = listener.accept().unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        (stream, reader)
+    }
+
+    #[test]
+    fn late_verdict_is_counted_stale_and_the_link_survives() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, mut reader) = scripted_link(&listener);
+            // Sit on offer 0 until offer 1 arrives — the borrower sends it
+            // only after offer 0's deadline fired — then answer both.
+            let first = next_offer(&mut reader).unwrap();
+            let second = next_offer(&mut reader).unwrap();
+            assert_eq!((first.offer, second.offer), (0, 1));
+            let verdicts = accept_line(&first) + &accept_line(&second);
+            stream.write_all(verdicts.as_bytes()).unwrap();
+            assert!(next_offer(&mut reader).is_none());
+            // The borrower is gone and never dialled a second time.
+            listener.set_nonblocking(true).unwrap();
+            assert!(listener.accept().is_err(), "the link was re-dialled");
+        });
+
+        let stats = Arc::new(FedShared::default());
+        let mut ch = WireOutsource::new(Some(addr), WireFormat::Ndjson, 9, 100, Arc::clone(&stats));
+        let r = request();
+        assert!(matches!(
+            ch.offer(&r, WorkerId(3), PlatformId(1), 2.0),
+            OutsourceOutcome::TimedOut
+        ));
+        assert!(matches!(
+            ch.offer(&r, WorkerId(3), PlatformId(1), 2.0),
+            OutsourceOutcome::Accepted
+        ));
+        drop(ch);
+        peer.join().unwrap();
+        assert_eq!(stats.stale_replies.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.offers_timed_out.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.offers_accepted.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.offers_retried.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn stall_inside_a_frame_drops_the_link() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let half_verdict = |o: &OfferMsg| {
+                let line = accept_line(o);
+                line[..line.len() / 2].to_string()
+            };
+            // Link 1: half a verdict, then hang up — an error inside a
+            // frame, which earns the one retry.
+            let (mut stream, mut reader) = scripted_link(&listener);
+            let o = next_offer(&mut reader).unwrap();
+            assert_eq!(o.offer, 0);
+            stream.write_all(half_verdict(&o).as_bytes()).unwrap();
+            drop((stream, reader));
+            // Link 2: the retry. Half a verdict again, then stall with the
+            // socket open — the deadline fires inside a frame, and the
+            // borrower must hang up rather than reuse the desynced link.
+            let (mut stream, mut reader) = scripted_link(&listener);
+            let o = next_offer(&mut reader).unwrap();
+            assert_eq!(o.offer, 0, "the retry reuses the offer id");
+            stream.write_all(half_verdict(&o).as_bytes()).unwrap();
+            assert!(next_offer(&mut reader).is_none(), "desynced link reused");
+            // Link 3: the next offer dials afresh and resolves.
+            let (mut stream, mut reader) = scripted_link(&listener);
+            let o = next_offer(&mut reader).unwrap();
+            assert_eq!(o.offer, 1);
+            stream.write_all(accept_line(&o).as_bytes()).unwrap();
+            assert!(next_offer(&mut reader).is_none());
+        });
+
+        let stats = Arc::new(FedShared::default());
+        let mut ch = WireOutsource::new(Some(addr), WireFormat::Ndjson, 9, 150, Arc::clone(&stats));
+        let r = request();
+        assert!(matches!(
+            ch.offer(&r, WorkerId(3), PlatformId(1), 2.0),
+            OutsourceOutcome::TimedOut
+        ));
+        assert!(matches!(
+            ch.offer(&r, WorkerId(3), PlatformId(1), 2.0),
+            OutsourceOutcome::Accepted
+        ));
+        drop(ch);
+        peer.join().unwrap();
+        assert_eq!(stats.offers_retried.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.offers_timed_out.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.offers_accepted.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.stale_replies.load(Ordering::Relaxed), 0);
     }
 }

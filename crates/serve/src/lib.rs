@@ -20,12 +20,16 @@
 //! * [`server`] — the threaded TCP server behind the `matchd` binary:
 //!   per-connection router threads decoding and dispatching to the shard
 //!   pool, bounded per-shard ingress queues with `busy` backpressure,
-//!   graceful drain-and-audit teardown in stable session-id order.
-//! * [`shard`] — the shared-nothing shard executors that own the logical
-//!   sessions, plus the deterministic session→shard [`Placement`] rules
+//!   graceful drain-and-audit teardown in stable session-id order. Owns
+//!   the two shared shapes: one `Conn` per connection (writer, counters,
+//!   `done` flag behind one `Arc`) and the daemon-wide `Daemon`.
+//! * [`shard`] — the shared-nothing shard executors: one `Shard` struct
+//!   per thread owning its logical sessions, with every handler a method
+//!   on it, plus the deterministic session→shard [`Placement`] rules
 //!   (stable hash, or `com-geo` grid cells).
 //! * [`fed`] — the federation peer link: a daemon's outsourcing
-//!   decisions as `outsource_offer` negotiations with its rival daemon.
+//!   decisions as blocking `outsource_offer` exchanges with its rival
+//!   daemon, on the shard thread, under the offer deadline.
 //! * [`client`] — the one wire client: one reader
 //!   ([`read_server_frame`]), one writer ([`Client::queue_for`]),
 //!   session [`Client::open`] / [`Client::close`].

@@ -28,10 +28,18 @@
 //! [`framing::MAX_FRAME_PAYLOAD`] is answered with a typed error, counted
 //! per connection, and discarded without ever buffering the oversized
 //! bytes. Responses are batched: shards queue encoded replies into each
-//! connection's shared writer and flush only when their ingress queue
+//! connection's writer and flush only when their ingress queue
 //! runs dry (or the buffer crosses its threshold), so a burst of
 //! pipelined client messages costs one write syscall, not one per
 //! decision.
+//!
+//! Two owned shapes carry all cross-thread state. `Daemon` — config, stop
+//! flag, counters, per-shard stats, the federation route table — is built
+//! by [`serve`] before any thread starts and shared as one `Arc`. `Conn`
+//! is one accepted connection — id, writer behind its mutex, rejection
+//! counters, `done` flag — allocated once at accept; its router and every
+//! shard owning one of its sessions hold the same `Arc`, and a routed
+//! message costs one refcount bump.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -47,7 +55,7 @@ use crate::protocol::{
     decode_client_frame, write_msg, ClientFrame, ClientMsg, DecodeError, Envelope, ErrorMsg,
     ServerMsg,
 };
-use crate::shard::{Placement, PoolShared, ShardPool};
+use crate::shard::{Placement, PoolShared, ShardPool, ShardStats};
 
 /// How long blocking points (socket reads, queue receives) wait before
 /// re-checking the stop flag. Bounds shutdown latency.
@@ -152,6 +160,9 @@ pub struct ServerCounters {
 }
 
 impl ServerCounters {
+    pub(crate) fn protocol_error(&self) {
+        self.protocol_errors.fetch_add(1, Ordering::Relaxed);
+    }
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
@@ -166,14 +177,56 @@ impl ServerCounters {
     }
 }
 
+/// Everything the daemon's threads share, built once by [`serve`] before
+/// any of them starts and reached through one `Arc`: the configuration,
+/// the stop flag, the server-wide counters, the per-shard health table,
+/// the logical-session id allocator and the federation route table.
+pub(crate) struct Daemon {
+    pub(crate) config: ServerConfig,
+    stop: AtomicBool,
+    pub(crate) counters: ServerCounters,
+    /// One row per shard executor (`config.shards`, at least one).
+    pub(crate) shards: Vec<ShardStats>,
+    /// Dense logical session ids, in `hello` order across all shards.
+    pub(crate) next_lsid: AtomicU64,
+    /// Federation routing: `fed_sid` → owning shard. Offers arrive on the
+    /// *peer's* connection, which has no `(conn, sid)` route to the
+    /// session that must answer them — they route by the shared
+    /// federation session id instead. Routers insert at `hello`
+    /// placement; the owning shard removes when the session finishes. Off
+    /// the per-event hot path (touched only on fed `hello`s and inbound
+    /// offers).
+    fed_routes: Mutex<HashMap<u64, usize>>,
+}
+
+impl Daemon {
+    pub(crate) fn new(config: ServerConfig) -> Daemon {
+        Daemon {
+            shards: (0..config.shards.max(1))
+                .map(|_| ShardStats::default())
+                .collect(),
+            config,
+            stop: AtomicBool::new(false),
+            counters: ServerCounters::default(),
+            next_lsid: AtomicU64::new(0),
+            fed_routes: Mutex::new(HashMap::new()),
+        }
+    }
+
+    pub(crate) fn fed_routes(&self) -> std::sync::MutexGuard<'_, HashMap<u64, usize>> {
+        self.fed_routes
+            .lock()
+            .expect("no code path panics while holding the fed route table")
+    }
+}
+
 /// A running server. Dropping the handle stops it; prefer
 /// [`ServerHandle::shutdown`] (or [`ServerHandle::join`] in `once` mode)
 /// to observe the join.
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    daemon: Arc<Daemon>,
     accept: Option<JoinHandle<()>>,
-    counters: Arc<ServerCounters>,
 }
 
 impl ServerHandle {
@@ -183,7 +236,7 @@ impl ServerHandle {
     }
 
     pub fn counters(&self) -> &ServerCounters {
-        &self.counters
+        &self.daemon.counters
     }
 
     /// Signal stop and join every thread. Sessions still connected are
@@ -200,7 +253,7 @@ impl ServerHandle {
     }
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.daemon.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
@@ -220,33 +273,23 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let counters = Arc::new(ServerCounters::default());
-
+    let daemon = Arc::new(Daemon::new(config));
     let accept = {
-        let stop = Arc::clone(&stop);
-        let counters = Arc::clone(&counters);
-        std::thread::spawn(move || accept_loop(listener, config, stop, counters))
+        let daemon = Arc::clone(&daemon);
+        std::thread::spawn(move || accept_loop(listener, daemon))
     };
-
     Ok(ServerHandle {
         addr,
-        stop,
+        daemon,
         accept: Some(accept),
-        counters,
     })
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    config: ServerConfig,
-    stop: Arc<AtomicBool>,
-    counters: Arc<ServerCounters>,
-) {
-    let pool = ShardPool::start(&config, Arc::clone(&counters));
+fn accept_loop(listener: TcpListener, daemon: Arc<Daemon>) {
+    let pool = ShardPool::start(&daemon);
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
     let mut accepted_any = false;
-    while !stop.load(Ordering::SeqCst) {
+    while !daemon.stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 // Both sides batch into few large writes, so Nagle buys
@@ -254,13 +297,10 @@ fn accept_loop(
                 // pipelined burst mid-window.
                 stream.set_nodelay(true).ok();
                 accepted_any = true;
-                let conn_id = counters.connections.fetch_add(1, Ordering::Relaxed);
-                let stop = Arc::clone(&stop);
-                let counters = Arc::clone(&counters);
+                let conn_id = daemon.counters.connections.fetch_add(1, Ordering::Relaxed);
                 let shared = Arc::clone(&pool.shared);
-                let conf = config.clone();
                 connections.push(std::thread::spawn(move || {
-                    handle_connection(stream, conf, conn_id, stop, counters, shared)
+                    handle_connection(stream, conn_id, shared)
                 }));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -273,7 +313,7 @@ fn accept_loop(
         // multi-connection client holds all its connections open until
         // its last session says goodbye, so this cannot fire early.
         connections.retain(|h| !h.is_finished());
-        if config.once && accepted_any && connections.is_empty() {
+        if daemon.config.once && accepted_any && connections.is_empty() {
             break;
         }
     }
@@ -283,42 +323,7 @@ fn accept_loop(
     pool.stop();
 }
 
-/// Everything a shard needs to answer for a connection: identity, the
-/// shared writer, the per-connection rejection counters, and the `done`
-/// flag a bare-session `shutdown` uses to end the connection.
-#[derive(Clone)]
-pub(crate) struct ConnCtx {
-    pub(crate) conn_id: u64,
-    pub(crate) writer: SharedWriter,
-    pub(crate) oversized: Arc<AtomicU64>,
-    /// Mux frames rejected for a malformed envelope (missing/ill-typed
-    /// `sid` or missing `msg`) — the `stats_deep.bad_envelope_rejected`
-    /// figure.
-    pub(crate) bad_envelope: Arc<AtomicU64>,
-    pub(crate) done: Arc<AtomicBool>,
-}
-
-impl ConnCtx {
-    fn new(conn_id: u64, writer: SharedWriter) -> ConnCtx {
-        ConnCtx {
-            conn_id,
-            writer,
-            oversized: Arc::new(AtomicU64::new(0)),
-            bad_envelope: Arc::new(AtomicU64::new(0)),
-            done: Arc::new(AtomicBool::new(false)),
-        }
-    }
-
-    /// Detached context for tests — writes go nowhere.
-    #[cfg(test)]
-    pub(crate) fn detached(conn_id: u64) -> ConnCtx {
-        ConnCtx::new(conn_id, SharedWriter::detached())
-    }
-}
-
-/// The stream plus its pending output buffer and negotiated framing,
-/// guarded by one mutex so queued responses and out-of-band `busy`
-/// interleave in a well-defined order.
+/// The stream plus its pending output buffer and negotiated framing.
 struct WriterState {
     stream: Option<TcpStream>,
     buf: Vec<u8>,
@@ -330,33 +335,45 @@ struct WriterState {
 /// streams without ever pausing.
 const FLUSH_THRESHOLD: usize = 256 * 1024;
 
-/// A connection's writer, shared by its router thread (out-of-band
-/// `busy`, typed rejections) and every shard that owns one of its
-/// sessions (responses). Responses are *queued* into a buffer and flushed
-/// in batches; see [`SharedWriter::flush`].
-#[derive(Clone)]
-pub(crate) struct SharedWriter {
-    inner: Arc<Mutex<WriterState>>,
+/// One accepted connection: everything its router thread and the shards
+/// owning its sessions share, behind one `Arc` — identity, the writer, the
+/// per-connection rejection counters, and the `done` flag a bare-session
+/// `shutdown` uses to end the connection.
+///
+/// The writer mutex guards the pending output buffer, the socket's write
+/// half and the negotiated framing, so queued responses and out-of-band
+/// `busy` interleave in a well-defined order. Responses are *queued* and
+/// flushed in batches (see [`Conn::flush`]). It is contended only when
+/// the router writes out of band (`busy`, typed rejections) or when the
+/// connection's sessions live on more than one shard.
+pub(crate) struct Conn {
+    pub(crate) id: u64,
+    writer: Mutex<WriterState>,
     /// One audit finding per connection when the lock is found poisoned.
-    poison_noted: Arc<AtomicBool>,
+    poison_noted: AtomicBool,
+    pub(crate) oversized: AtomicU64,
+    /// Mux frames rejected for a malformed envelope (missing/ill-typed
+    /// `sid` or missing `msg`) — the `stats_deep.bad_envelope_rejected`
+    /// figure.
+    pub(crate) bad_envelope: AtomicU64,
+    pub(crate) done: AtomicBool,
 }
 
-impl SharedWriter {
-    fn new(stream: Option<TcpStream>) -> Self {
-        SharedWriter {
-            inner: Arc::new(Mutex::new(WriterState {
+impl Conn {
+    /// `stream: None` is a detached connection whose writes go nowhere.
+    pub(crate) fn new(id: u64, stream: Option<TcpStream>) -> Arc<Conn> {
+        Arc::new(Conn {
+            id,
+            writer: Mutex::new(WriterState {
                 stream,
                 buf: Vec::new(),
                 format: WireFormat::Ndjson,
-            })),
-            poison_noted: Arc::new(AtomicBool::new(false)),
-        }
-    }
-
-    /// Detached writer for tests — every send is a no-op.
-    #[cfg(test)]
-    pub(crate) fn detached() -> Self {
-        SharedWriter::new(None)
+            }),
+            poison_noted: AtomicBool::new(false),
+            oversized: AtomicU64::new(0),
+            bad_envelope: AtomicU64::new(0),
+            done: AtomicBool::new(false),
+        })
     }
 
     /// Lock the writer, recovering a poisoned guard instead of cascading
@@ -365,7 +382,7 @@ impl SharedWriter {
     /// thread was doing; recovery is logged once per connection as an
     /// audit finding.
     fn lock(&self) -> std::sync::MutexGuard<'_, WriterState> {
-        self.inner.lock().unwrap_or_else(|poisoned| {
+        self.writer.lock().unwrap_or_else(|poisoned| {
             if !self.poison_noted.swap(true, Ordering::Relaxed) {
                 com_core::record_findings(
                     "matchd shared writer",
@@ -401,9 +418,9 @@ impl SharedWriter {
         }
     }
 
-    /// Queue-and-flush counterpart of [`SharedWriter::queue_for`], in one
-    /// lock acquisition — the path for immediate messages (`busy`,
-    /// rejections, the final `bye`).
+    /// Queue-and-flush counterpart of [`Conn::queue_for`], in one lock
+    /// acquisition — the path for immediate messages (`busy`, rejections,
+    /// the final `bye`).
     pub(crate) fn send_for(&self, sid: Option<u64>, msg: &ServerMsg) {
         let mut state = self.lock();
         {
@@ -437,29 +454,19 @@ impl SharedWriter {
     }
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    config: ServerConfig,
-    conn_id: u64,
-    stop: Arc<AtomicBool>,
-    counters: Arc<ServerCounters>,
-    pool: Arc<PoolShared>,
-) {
+fn handle_connection(stream: TcpStream, conn_id: u64, pool: Arc<PoolShared>) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let writer = SharedWriter::new(stream.try_clone().ok());
-    let ctx = ConnCtx::new(conn_id, writer.clone());
     let mut router = Router {
-        pool,
+        conn: Conn::new(conn_id, stream.try_clone().ok()),
         routes: HashMap::new(),
-        ctx: ctx.clone(),
-        counters,
+        pool,
     };
-    reader_loop(stream, &mut router, &stop, &ctx.done);
+    reader_loop(stream, &mut router);
     // The socket is done (EOF, error, stop, or a bare-session shutdown):
     // drain every logical session this connection opened, wherever it
     // lives, and report in stable session-id order.
     let reports = router.pool.close_conn(conn_id);
-    if config.print_stats {
+    if router.pool.daemon.config.print_stats {
         for r in &reports {
             let sid = r
                 .sid
@@ -481,7 +488,7 @@ fn handle_connection(
     }
     // Anything a shard queued after its last flush leaves with the
     // connection.
-    writer.flush();
+    router.conn.flush();
 }
 
 /// Where decoded ingress goes — implemented by [`Router`] in production
@@ -507,14 +514,20 @@ struct Router {
     /// `None` = the connection's bare session (the one-session
     /// addressing).
     routes: HashMap<Option<u64>, usize>,
-    ctx: ConnCtx,
-    counters: Arc<ServerCounters>,
+    conn: Arc<Conn>,
 }
 
 impl Router {
+    /// Count one protocol error and answer it out of band.
+    fn refuse(&self, sid: Option<u64>, response: &ServerMsg) {
+        self.pool.daemon.counters.protocol_error();
+        self.conn.send_for(sid, response);
+    }
+
     /// Dispatch one decoded message to the shard owning its session.
     /// Returns `false` when the pool is gone (server stopping).
     fn route(&mut self, sid: Option<u64>, msg: ClientMsg, decode_ns: u64) -> bool {
+        let daemon = &self.pool.daemon;
         // An outsource offer arrives on the *peer daemon's* connection,
         // which has no (conn, sid) route to the federated session that
         // must answer it — it routes by the shared fed_sid through the
@@ -522,16 +535,13 @@ impl Router {
         // it came in on.
         if let ClientMsg::outsource_offer(o) = &msg {
             let (fed_sid, offer) = (o.fed_sid, o.offer);
-            return match self.pool.fed_route(fed_sid) {
-                Some(shard) => {
-                    self.pool
-                        .try_ingress(shard, &self.ctx, sid, msg, decode_ns, &self.counters)
-                }
+            let shard = daemon.fed_routes().get(&fed_sid).copied();
+            return match shard {
+                Some(shard) => self
+                    .pool
+                    .try_ingress(shard, &self.conn, sid, msg, decode_ns),
                 None => {
-                    self.counters
-                        .protocol_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.ctx.writer.send_for(
+                    self.refuse(
                         sid,
                         &ServerMsg::outsource_reject {
                             fed_sid,
@@ -551,11 +561,11 @@ impl Router {
             Some(&shard) => shard,
             None => match &msg {
                 ClientMsg::hello(h) => {
-                    let shard = self.pool.placement.place(
-                        self.ctx.conn_id,
+                    let shard = daemon.config.placement.place(
+                        self.conn.id,
                         sid,
                         h.origin,
-                        self.pool.shards(),
+                        daemon.shards.len(),
                     );
                     // A federated hello also registers its fed_sid so the
                     // rival daemon's offers (arriving on a *different*
@@ -564,7 +574,7 @@ impl Router {
                     // an unknown-fed-session reject from the shard, which
                     // is the correct degradation.
                     if let Some(fed) = &h.fed {
-                        self.pool.register_fed(fed.fed_sid, shard);
+                        daemon.fed_routes().insert(fed.fed_sid, shard);
                     }
                     self.routes.insert(sid, shard);
                     shard
@@ -572,9 +582,6 @@ impl Router {
                 other => {
                     // Not a hello and no session to address: refuse at
                     // the router — there is no shard to order against.
-                    self.counters
-                        .protocol_errors
-                        .fetch_add(1, Ordering::Relaxed);
                     let response = match sid {
                         Some(s) => error("unknown-sid", format!("no open session with sid {s}")),
                         None if matches!(other, ClientMsg::shutdown) => {
@@ -582,35 +589,39 @@ impl Router {
                         }
                         None => error("no-session", "say hello first"),
                     };
-                    self.ctx.writer.send_for(sid, &response);
+                    self.refuse(sid, &response);
                     return true;
                 }
             },
         };
         self.pool
-            .try_ingress(shard, &self.ctx, sid, msg, decode_ns, &self.counters)
+            .try_ingress(shard, &self.conn, sid, msg, decode_ns)
     }
 
-    /// Answer a decode failure. When the connection has a bare session
-    /// the error is routed through its shard so it lands in FIFO order
-    /// with pipelined responses; otherwise it is written immediately.
-    fn decode_error(&mut self, err: DecodeError) {
-        self.counters
-            .protocol_errors
-            .fetch_add(1, Ordering::Relaxed);
+    /// Route a decoded frame, or answer its decode failure. When the
+    /// connection has a bare session the error is routed through its
+    /// shard so it lands in FIFO order with pipelined responses;
+    /// otherwise it is written immediately.
+    fn dispatch(&mut self, decoded: Result<ClientFrame, DecodeError>, decode_ns: u64) -> bool {
+        let err = match decoded {
+            Ok(ClientFrame { sid, msg }) => return self.route(sid, msg, decode_ns),
+            Err(err) => err,
+        };
+        self.pool.daemon.counters.protocol_error();
         let response = match err {
             DecodeError::BadJson(d) => error("bad-json", d),
             DecodeError::BadFrame(d) => error("bad-frame", d),
             DecodeError::BadEnvelope(d) => {
-                self.ctx.bad_envelope.fetch_add(1, Ordering::Relaxed);
+                self.conn.bad_envelope.fetch_add(1, Ordering::Relaxed);
                 error("bad-envelope", d)
             }
             DecodeError::UnknownMessage(d) => error("unknown-message", d),
         };
         match self.routes.get(&None) {
-            Some(&shard) => self.pool.reply_via(shard, &self.ctx, None, response),
-            None => self.ctx.writer.send_for(None, &response),
+            Some(&shard) => self.pool.reply_via(shard, &self.conn, None, response),
+            None => self.conn.send_for(None, &response),
         }
+        true
     }
 }
 
@@ -618,14 +629,7 @@ impl IngressSink for Router {
     fn on_line(&mut self, line: &str) -> bool {
         let started = Instant::now();
         let decoded = decode_client_frame(line);
-        let decode_ns = started.elapsed().as_nanos() as u64;
-        match decoded {
-            Ok(ClientFrame { sid, msg }) => self.route(sid, msg, decode_ns),
-            Err(e) => {
-                self.decode_error(e);
-                true
-            }
-        }
+        self.dispatch(decoded, started.elapsed().as_nanos() as u64)
     }
 
     fn on_frame(&mut self, payload: &[u8]) -> bool {
@@ -635,38 +639,25 @@ impl IngressSink for Router {
             Ok(content) => crate::protocol::client_frame_from_content(&content),
         };
         let decode_ns = started.elapsed().as_nanos() as u64;
-        match decoded {
-            Ok(ClientFrame { sid, msg }) => {
-                // Reply framing follows offer framing on a pure peer-link
-                // connection (no sessions of its own): a borrower sending
-                // binary offers reads binary verdicts back. Ordinary
-                // session connections negotiate framing in `hello` and
-                // are left alone.
-                if self.routes.is_empty() && matches!(msg, ClientMsg::outsource_offer(_)) {
-                    self.ctx.writer.set_format(WireFormat::Binary);
-                }
-                self.route(sid, msg, decode_ns)
-            }
-            Err(e) => {
-                self.decode_error(e);
-                true
-            }
+        // Reply framing follows offer framing on a pure peer-link
+        // connection (no sessions of its own): a borrower sending binary
+        // offers reads binary verdicts back. Ordinary session connections
+        // negotiate framing in `hello` and are left alone.
+        if self.routes.is_empty()
+            && matches!(&decoded, Ok(frame) if matches!(frame.msg, ClientMsg::outsource_offer(_)))
+        {
+            self.conn.set_format(WireFormat::Binary);
         }
+        self.dispatch(decoded, decode_ns)
     }
 
     fn reject_oversized(&mut self, code: &str, detail: String) {
-        self.ctx.oversized.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .protocol_errors
-            .fetch_add(1, Ordering::Relaxed);
-        self.ctx.writer.send_for(None, &error(code, detail));
+        self.conn.oversized.fetch_add(1, Ordering::Relaxed);
+        self.refuse(None, &error(code, detail));
     }
 
     fn reject_bad_line(&mut self, detail: String) {
-        self.counters
-            .protocol_errors
-            .fetch_add(1, Ordering::Relaxed);
-        self.ctx.writer.send_for(None, &error("bad-json", detail));
+        self.refuse(None, &error("bad-json", detail));
     }
 }
 
@@ -681,24 +672,20 @@ enum Discard {
     ToNewline,
 }
 
-fn reader_loop(
-    mut stream: TcpStream,
-    sink: &mut impl IngressSink,
-    stop: &AtomicBool,
-    done: &AtomicBool,
-) {
+fn reader_loop(mut stream: TcpStream, router: &mut Router) {
     let mut buf: Vec<u8> = Vec::with_capacity(8 * 1024);
     let mut chunk = [0u8; 16 * 1024];
     let mut discard = Discard::None;
     loop {
-        if stop.load(Ordering::SeqCst) || done.load(Ordering::SeqCst) {
+        if router.pool.daemon.stop.load(Ordering::SeqCst) || router.conn.done.load(Ordering::SeqCst)
+        {
             return;
         }
         match stream.read(&mut chunk) {
             Ok(0) => return,
             Ok(n) => {
                 buf.extend_from_slice(&chunk[..n]);
-                if !drain_ingress(&mut buf, &mut discard, sink) {
+                if !drain_ingress(&mut buf, &mut discard, router) {
                     return; // shard pool gone (server stopping)
                 }
             }

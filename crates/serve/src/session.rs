@@ -224,22 +224,15 @@ impl ServeSession {
     pub fn request(&mut self, spec: &RequestSpec) -> Result<ServerMsg, ConstraintViolation> {
         let event = ArrivalEvent::Request(*spec);
         let started = std::time::Instant::now();
-        let outputs = {
+        let output = {
             let _span = com_obs::span(com_obs::PHASE_SERVE_INGEST);
             self.core.ingest(&event)?
-        };
+        }
+        .expect("MatchSession::ingest yields a decision for every request event");
         self.ingest_ns.record(started.elapsed().as_nanos() as u64);
         let event_index = self.events.len() as u64;
         self.record_event(&event, None);
         self.events.push(event);
-        let Some(output) = outputs.into_iter().next() else {
-            // A request event always yields exactly one decision; guard
-            // anyway so a future engine change cannot panic the daemon.
-            return Ok(ServerMsg::error(crate::protocol::ErrorMsg {
-                code: "constraint".into(),
-                detail: "request produced no decision".into(),
-            }));
-        };
         let response = match output {
             SessionOutput::Decided(a) if a.is_completed() => {
                 self.assigned += 1;

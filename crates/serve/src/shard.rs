@@ -1,14 +1,20 @@
 //! Shard executors: the shared-nothing core of the refactored server.
 //!
-//! `matchd --shards N` starts N **shard worker threads**. Each shard owns
-//! its logical sessions outright — session state is plain mutable data on
-//! the shard thread, never behind a lock — and receives decoded protocol
-//! messages over one bounded MPSC channel (its *ingress queue*) fed by
-//! the per-connection router threads (see [`crate::server`]). Because one
-//! session lives on exactly one shard and the channel is FIFO, responses
-//! stay strictly ordered per session with zero hot-path synchronisation;
-//! the only shared state is the connection's `SharedWriter` (a mutex
-//! around the outgoing byte buffer) and a handful of monotonic counters.
+//! `matchd --shards N` starts N **shard worker threads**, each running one
+//! `Shard`: a struct that owns its logical sessions outright — session
+//! state is plain mutable data on the shard thread, never behind a lock —
+//! together with the index of its federated sessions and one slot per
+//! connection with traffic on it (the connection to flush, plus the
+//! reports of its sessions already finished by `shutdown`). Every handler
+//! is a method on it. A shard receives decoded protocol messages over one
+//! bounded MPSC channel (its *ingress queue*) fed by the per-connection
+//! router threads (see [`crate::server`]). Because one session lives on
+//! exactly one shard and the channel is FIFO, responses stay strictly
+//! ordered per session with zero hot-path synchronisation; the only
+//! shared state is each connection's `Conn` (one `Arc`; a mutex around
+//! the outgoing byte buffer) and the daemon-wide `Daemon` (config,
+//! monotonic counters, the per-shard stats table and the federation route
+//! table), built once before any thread starts.
 //!
 //! ## Placement
 //!
@@ -37,7 +43,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 // The same stable hash the canonical run digest uses: placement must
@@ -45,10 +51,11 @@ use std::thread::JoinHandle;
 // randomized hasher.
 use com_core::fnv1a64;
 use com_obs::Histogram;
+use com_sim::ConstraintViolation;
 
 use crate::framing::WireFormat;
-use crate::protocol::{ClientMsg, ErrorMsg, Hello, ServerMsg, ShardRow};
-use crate::server::{ConnCtx, QueueStats, ServerConfig, ServerCounters, SharedWriter};
+use crate::protocol::{ClientMsg, Hello, ServerMsg, ShardRow};
+use crate::server::{error, Conn, Daemon, QueueStats};
 use crate::session::ServeSession;
 use crate::trace::{sanitize_spec, TraceRecorder};
 
@@ -177,11 +184,11 @@ pub(crate) struct SessionReport {
 
 /// What routers send to shard executors.
 pub(crate) enum ShardMsg {
-    /// One decoded client message for the session `(ctx.conn_id, sid)`.
+    /// One decoded client message for the session `(conn.id, sid)`.
     /// `decode_ns` is the router-side decode duration, accounted into the
     /// shard's phase table ([`com_obs::span_record`]).
     Ingress {
-        ctx: ConnCtx,
+        conn: Arc<Conn>,
         sid: Option<u64>,
         msg: ClientMsg,
         decode_ns: u64,
@@ -190,7 +197,7 @@ pub(crate) enum ShardMsg {
     /// the shard's own responses (protocol errors on a connection whose
     /// bare session this shard owns).
     Reply {
-        ctx: ConnCtx,
+        conn: Arc<Conn>,
         sid: Option<u64>,
         msg: ServerMsg,
     },
@@ -208,33 +215,10 @@ pub(crate) enum ShardMsg {
 /// The shared face of the shard pool: what router threads need to route.
 pub(crate) struct PoolShared {
     txs: Vec<SyncSender<ShardMsg>>,
-    pub(crate) stats: Arc<Vec<ShardStats>>,
-    pub(crate) placement: Placement,
-    /// Daemon-global federation routing: `fed_sid` → owning shard.
-    /// Offers arrive on the *peer's* connection, which has no `(conn,
-    /// sid)` route to the session that must answer them — they route by
-    /// the shared federation session id instead. Routers insert at
-    /// `hello` placement; the owning shard removes when the session
-    /// finishes. Off the per-event hot path (touched only on fed
-    /// `hello`s and inbound offers).
-    fed_routes: Arc<Mutex<HashMap<u64, usize>>>,
+    pub(crate) daemon: Arc<Daemon>,
 }
 
 impl PoolShared {
-    pub(crate) fn shards(&self) -> usize {
-        self.txs.len()
-    }
-
-    /// Route a fed `hello` so later offers can find its shard.
-    pub(crate) fn register_fed(&self, fed_sid: u64, shard: usize) {
-        self.fed_routes.lock().unwrap().insert(fed_sid, shard);
-    }
-
-    /// The shard that owns `fed_sid`'s session, if any.
-    pub(crate) fn fed_route(&self, fed_sid: u64) -> Option<usize> {
-        self.fed_routes.lock().unwrap().get(&fed_sid).copied()
-    }
-
     /// Try to hand one decoded message to `shard`. On a full queue the
     /// message is dropped and `busy` sent out of band (sid-tagged so a
     /// mux client knows which session's message was lost). Returns
@@ -242,15 +226,14 @@ impl PoolShared {
     pub(crate) fn try_ingress(
         &self,
         shard: usize,
-        ctx: &ConnCtx,
+        conn: &Arc<Conn>,
         sid: Option<u64>,
         msg: ClientMsg,
         decode_ns: u64,
-        counters: &ServerCounters,
     ) -> bool {
-        let stats = &self.stats[shard];
+        let stats = &self.daemon.shards[shard];
         match self.txs[shard].try_send(ShardMsg::Ingress {
-            ctx: ctx.clone(),
+            conn: Arc::clone(conn),
             sid,
             msg,
             decode_ns,
@@ -261,9 +244,9 @@ impl PoolShared {
                 true
             }
             Err(TrySendError::Full(_)) => {
-                counters.dropped.fetch_add(1, Ordering::Relaxed);
+                self.daemon.counters.dropped.fetch_add(1, Ordering::Relaxed);
                 stats.busy_dropped.fetch_add(1, Ordering::Relaxed);
-                ctx.writer.send_for(sid, &ServerMsg::busy);
+                conn.send_for(sid, &ServerMsg::busy);
                 true
             }
             Err(TrySendError::Disconnected(_)) => false,
@@ -274,16 +257,22 @@ impl PoolShared {
     /// order with that shard's own responses. Falls back to an immediate
     /// out-of-band write when the shard queue is full — an error response
     /// is never silently lost.
-    pub(crate) fn reply_via(&self, shard: usize, ctx: &ConnCtx, sid: Option<u64>, msg: ServerMsg) {
+    pub(crate) fn reply_via(
+        &self,
+        shard: usize,
+        conn: &Arc<Conn>,
+        sid: Option<u64>,
+        msg: ServerMsg,
+    ) {
         match self.txs[shard].try_send(ShardMsg::Reply {
-            ctx: ctx.clone(),
+            conn: Arc::clone(conn),
             sid,
             msg,
         }) {
-            Ok(()) => self.stats[shard].queue.on_enqueue(),
+            Ok(()) => self.daemon.shards[shard].queue.on_enqueue(),
             Err(TrySendError::Full(m)) | Err(TrySendError::Disconnected(m)) => {
                 if let ShardMsg::Reply { msg, .. } = m {
-                    ctx.writer.send_for(sid, &msg);
+                    conn.send_for(sid, &msg);
                 }
             }
         }
@@ -319,38 +308,27 @@ pub(crate) struct ShardPool {
 }
 
 impl ShardPool {
-    /// Spawn `config.shards` executors (at least one), each with a
-    /// bounded ingress channel of `config.queue_capacity`.
-    pub(crate) fn start(config: &ServerConfig, counters: Arc<ServerCounters>) -> ShardPool {
-        let n = config.shards.max(1);
-        let stats = Arc::new((0..n).map(|_| ShardStats::default()).collect::<Vec<_>>());
-        let next_lsid = Arc::new(AtomicU64::new(0));
-        let fed_routes = Arc::new(Mutex::new(HashMap::new()));
-        let mut txs = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for shard in 0..n {
-            let (tx, rx) = mpsc::sync_channel(config.queue_capacity.max(1));
+    /// Spawn one executor per row of `daemon.shards`, each with a bounded
+    /// ingress channel of `config.queue_capacity`.
+    pub(crate) fn start(daemon: &Arc<Daemon>) -> ShardPool {
+        let mut txs = Vec::new();
+        let mut handles = Vec::new();
+        for id in 0..daemon.shards.len() {
+            let (tx, rx) = mpsc::sync_channel(daemon.config.queue_capacity.max(1));
             txs.push(tx);
-            let stats = Arc::clone(&stats);
-            let counters = Arc::clone(&counters);
-            let next_lsid = Arc::clone(&next_lsid);
-            let fed_routes = Arc::clone(&fed_routes);
-            let config = config.clone();
+            // Sessions are not `Send`: the shard is built on its own thread.
+            let daemon = Arc::clone(daemon);
             handles.push(
                 std::thread::Builder::new()
-                    .name(format!("matchd-shard-{shard}"))
-                    .spawn(move || {
-                        shard_loop(shard, rx, stats, config, counters, next_lsid, fed_routes)
-                    })
+                    .name(format!("matchd-shard-{id}"))
+                    .spawn(move || Shard::new(id, daemon).shard_loop(rx))
                     .expect("spawn shard thread"),
             );
         }
         ShardPool {
             shared: Arc::new(PoolShared {
                 txs,
-                stats,
-                placement: config.placement,
-                fed_routes,
+                daemon: Arc::clone(daemon),
             }),
             handles,
         }
@@ -367,385 +345,332 @@ impl ShardPool {
     }
 }
 
-/// One live session on a shard, with everything needed to answer and
-/// eventually drain it.
+/// A session's address on its shard: `(connection id, wire sid)`.
+type Key = (u64, Option<u64>);
+
+/// One live session on a shard.
 struct Entry {
     session: ServeSession,
     lsid: u64,
-    sid: Option<u64>,
-    ctx: ConnCtx,
-    /// The federation session id this session registered, if federated
-    /// — what to clean out of `fed_index`/`fed_routes` when it closes.
-    fed_sid: Option<u64>,
 }
 
-fn error(code: &str, detail: impl Into<String>) -> ServerMsg {
-    ServerMsg::error(ErrorMsg {
-        code: code.into(),
-        detail: detail.into(),
-    })
+/// What a shard keeps per connection with traffic on it: the connection
+/// itself (for the flush-when-empty cycle) and the reports of its sessions
+/// already finished by protocol `shutdown`, held until the connection
+/// closes so the drain report is complete.
+struct ConnSlot {
+    conn: Arc<Conn>,
+    finished: Vec<SessionReport>,
 }
 
-/// The shard executor: single-threaded ownership of its sessions, the
-/// same drain-hot/flush-when-empty discipline the per-connection session
-/// loop used — responses pile up in each connection's writer buffer while
-/// ingress is hot and flush once the queue runs dry.
-#[allow(clippy::too_many_arguments)]
-fn shard_loop(
-    shard: usize,
-    rx: Receiver<ShardMsg>,
-    stats: Arc<Vec<ShardStats>>,
-    config: ServerConfig,
-    counters: Arc<ServerCounters>,
-    next_lsid: Arc<AtomicU64>,
-    fed_routes: Arc<Mutex<HashMap<u64, usize>>>,
-) {
-    // Thread-local collector: this shard's phase table aggregates every
-    // session it owns (decode time included, via span_record).
-    if config.telemetry {
-        com_obs::install();
+fn constraint(violation: ConstraintViolation) -> ServerMsg {
+    error("constraint", violation.to_string())
+}
+
+/// One shard executor: single-threaded ownership of its sessions — plain
+/// mutable data, never behind a lock.
+struct Shard {
+    id: usize,
+    daemon: Arc<Daemon>,
+    sessions: HashMap<Key, Entry>,
+    /// This shard's federated sessions: fed_sid → session key. Inbound
+    /// offers carry only the fed_sid; this resolves them to the session
+    /// that must answer.
+    fed_index: HashMap<u64, Key>,
+    conns: HashMap<u64, ConnSlot>,
+}
+
+impl Shard {
+    fn new(id: usize, daemon: Arc<Daemon>) -> Shard {
+        Shard {
+            id,
+            daemon,
+            sessions: HashMap::new(),
+            fed_index: HashMap::new(),
+            conns: HashMap::new(),
+        }
     }
-    let mut sessions: HashMap<(u64, Option<u64>), Entry> = HashMap::new();
-    // This shard's federated sessions: fed_sid → session key. Inbound
-    // offers carry only the fed_sid; this resolves them to the session
-    // that must answer.
-    let mut fed_index: HashMap<u64, (u64, Option<u64>)> = HashMap::new();
-    // Reports for sessions already finished by protocol `shutdown`,
-    // held until the connection closes so the drain report is complete.
-    let mut finished: HashMap<u64, Vec<SessionReport>> = HashMap::new();
-    // Writers of connections with traffic on this shard, for the
-    // flush-when-empty cycle.
-    let mut writers: HashMap<u64, SharedWriter> = HashMap::new();
-    loop {
-        let msg = match rx.try_recv() {
-            Ok(m) => m,
-            Err(TryRecvError::Empty) => {
-                for w in writers.values() {
-                    w.flush();
+
+    fn stats(&self) -> &ShardStats {
+        &self.daemon.shards[self.id]
+    }
+
+    fn slot(&mut self, conn: &Arc<Conn>) -> &mut ConnSlot {
+        self.conns.entry(conn.id).or_insert_with(|| ConnSlot {
+            conn: Arc::clone(conn),
+            finished: Vec::new(),
+        })
+    }
+
+    /// Drain-hot/flush-when-empty: responses pile up in each connection's
+    /// writer buffer while ingress is hot and flush once the queue runs
+    /// dry.
+    fn shard_loop(mut self, rx: Receiver<ShardMsg>) {
+        // Thread-local collector: this shard's phase table aggregates every
+        // session it owns (decode time included, via span_record).
+        if self.daemon.config.telemetry {
+            com_obs::install();
+        }
+        loop {
+            let msg = match rx.try_recv() {
+                Ok(m) => m,
+                Err(TryRecvError::Empty) => {
+                    for slot in self.conns.values() {
+                        slot.conn.flush();
+                    }
+                    match rx.recv() {
+                        Ok(m) => m,
+                        Err(_) => break,
+                    }
                 }
-                match rx.recv() {
-                    Ok(m) => m,
-                    Err(_) => break,
+                Err(TryRecvError::Disconnected) => break,
+            };
+            match msg {
+                ShardMsg::Stop => break,
+                ShardMsg::Reply { conn, sid, msg } => {
+                    self.stats().queue.on_drain();
+                    self.slot(&conn);
+                    conn.queue_for(sid, &msg);
                 }
-            }
-            Err(TryRecvError::Disconnected) => break,
-        };
-        match msg {
-            ShardMsg::Stop => break,
-            ShardMsg::Reply { ctx, sid, msg } => {
-                stats[shard].queue.on_drain();
-                writers
-                    .entry(ctx.conn_id)
-                    .or_insert_with(|| ctx.writer.clone());
-                ctx.writer.queue_for(sid, &msg);
-            }
-            ShardMsg::Ingress {
-                ctx,
-                sid,
-                msg,
-                decode_ns,
-            } => {
-                let depth = stats[shard].queue.on_drain();
-                com_obs::gauge_set("ingress.queue_depth", depth as f64);
-                com_obs::span_record(com_obs::PHASE_SERVE_DECODE, decode_ns);
-                writers
-                    .entry(ctx.conn_id)
-                    .or_insert_with(|| ctx.writer.clone());
-                handle_msg(
-                    shard,
-                    &mut sessions,
-                    &mut finished,
-                    &mut fed_index,
-                    &fed_routes,
-                    ctx,
+                ShardMsg::Ingress {
+                    conn,
                     sid,
                     msg,
-                    &config,
-                    &counters,
-                    &stats,
-                    &next_lsid,
-                );
-            }
-            ShardMsg::CloseConn { conn_id, ack } => {
-                writers.remove(&conn_id);
-                let mut reports = finished.remove(&conn_id).unwrap_or_default();
-                let keys: Vec<(u64, Option<u64>)> = sessions
-                    .keys()
-                    .filter(|k| k.0 == conn_id)
-                    .copied()
-                    .collect();
-                for key in keys {
-                    let entry = sessions.remove(&key).expect("key just listed");
-                    unregister_fed(&entry, &mut fed_index, &fed_routes);
-                    reports.push(finish_entry(entry, shard, &stats, &counters));
+                    decode_ns,
+                } => {
+                    let depth = self.stats().queue.on_drain();
+                    com_obs::gauge_set("ingress.queue_depth", depth as f64);
+                    com_obs::span_record(com_obs::PHASE_SERVE_DECODE, decode_ns);
+                    self.slot(&conn);
+                    self.handle_msg(&conn, sid, msg);
                 }
-                for report in reports {
-                    let _ = ack.send(report);
+                ShardMsg::CloseConn { conn_id, ack } => {
+                    let Some(slot) = self.conns.remove(&conn_id) else {
+                        continue;
+                    };
+                    let mut reports = slot.finished;
+                    let keys: Vec<Key> = self
+                        .sessions
+                        .keys()
+                        .filter(|k| k.0 == conn_id)
+                        .copied()
+                        .collect();
+                    for key in keys {
+                        let entry = self.sessions.remove(&key).expect("key just listed");
+                        reports.push(self.finish_entry(&slot.conn, key.1, entry));
+                    }
+                    for report in reports {
+                        let _ = ack.send(report);
+                    }
                 }
             }
         }
+        if self.daemon.config.telemetry {
+            com_obs::uninstall();
+        }
     }
-    if config.telemetry {
-        com_obs::uninstall();
+
+    /// Drop a closing session's federation registrations (shard-local
+    /// index and daemon-global route). Harmless for non-federated
+    /// sessions.
+    fn unregister_fed(&mut self, entry: &Entry) {
+        if let Some(fed_sid) = entry.session.fed_sid() {
+            self.fed_index.remove(&fed_sid);
+            self.daemon.fed_routes().remove(&fed_sid);
+        }
     }
-}
 
-/// Drop a closing session's federation registrations (shard-local index
-/// and daemon-global route). Harmless for non-federated sessions.
-fn unregister_fed(
-    entry: &Entry,
-    fed_index: &mut HashMap<u64, (u64, Option<u64>)>,
-    fed_routes: &Arc<Mutex<HashMap<u64, usize>>>,
-) {
-    if let Some(fed_sid) = entry.fed_sid {
-        fed_index.remove(&fed_sid);
-        fed_routes.lock().unwrap().remove(&fed_sid);
+    /// Finish one session: close the run, audit it, send the `bye`
+    /// (flushed immediately — it may be the last thing the connection
+    /// says), and build the drain report.
+    fn finish_entry(&mut self, conn: &Conn, sid: Option<u64>, entry: Entry) -> SessionReport {
+        self.unregister_fed(&entry);
+        self.stats().sessions_open.fetch_sub(1, Ordering::Relaxed);
+        let done = entry.session.finish();
+        self.daemon
+            .counters
+            .sessions_finished
+            .fetch_add(1, Ordering::Relaxed);
+        let bye = done.bye();
+        let report = SessionReport {
+            lsid: entry.lsid,
+            sid,
+            shard: self.id,
+            algorithm: done.run.algorithm.clone(),
+            events: done.instance.stream.len() as u64,
+            findings: done.findings.len(),
+            digest: bye.digest.clone(),
+            ingest_ns: done.ingest_ns,
+        };
+        conn.send_for(sid, &ServerMsg::bye(bye));
+        report
     }
-}
 
-/// Finish one session: close the run, audit it, send the `bye` (flushed
-/// immediately — it may be the last thing the connection says), and build
-/// the drain report.
-fn finish_entry(
-    entry: Entry,
-    shard: usize,
-    stats: &Arc<Vec<ShardStats>>,
-    counters: &Arc<ServerCounters>,
-) -> SessionReport {
-    stats[shard].sessions_open.fetch_sub(1, Ordering::Relaxed);
-    let done = entry.session.finish();
-    counters.sessions_finished.fetch_add(1, Ordering::Relaxed);
-    let bye = done.bye();
-    let report = SessionReport {
-        lsid: entry.lsid,
-        sid: entry.sid,
-        shard,
-        algorithm: done.run.algorithm.clone(),
-        events: done.instance.stream.len() as u64,
-        findings: done.findings.len(),
-        digest: bye.digest.clone(),
-        ingest_ns: done.ingest_ns,
-    };
-    entry.ctx.writer.send_for(entry.sid, &ServerMsg::bye(bye));
-    report
-}
-
-/// Dispatch one decoded client message for session `(ctx.conn_id, sid)`.
-#[allow(clippy::too_many_arguments)]
-fn handle_msg(
-    shard: usize,
-    sessions: &mut HashMap<(u64, Option<u64>), Entry>,
-    finished: &mut HashMap<u64, Vec<SessionReport>>,
-    fed_index: &mut HashMap<u64, (u64, Option<u64>)>,
-    fed_routes: &Arc<Mutex<HashMap<u64, usize>>>,
-    ctx: ConnCtx,
-    sid: Option<u64>,
-    msg: ClientMsg,
-    config: &ServerConfig,
-    counters: &Arc<ServerCounters>,
-    stats: &Arc<Vec<ShardStats>>,
-    next_lsid: &Arc<AtomicU64>,
-) {
-    let key = (ctx.conn_id, sid);
-    match msg {
-        ClientMsg::hello(hello) => {
-            if sessions.contains_key(&key) {
-                counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                ctx.writer
-                    .queue_for(sid, &error("duplicate-hello", "session already open"));
-                return;
-            }
-            match ServeSession::open(&hello) {
-                Ok(mut s) => {
-                    let lsid = next_lsid.fetch_add(1, Ordering::Relaxed);
-                    stats[shard].sessions_open.fetch_add(1, Ordering::Relaxed);
-                    stats[shard].sessions_total.fetch_add(1, Ordering::Relaxed);
-                    if let Some(dir) = &config.record_dir {
-                        attach_recorder(&mut s, dir, lsid, sid, shard, &hello);
-                    }
-                    // Negotiate framing: honour a recognised request,
-                    // silently downgrade anything else to NDJSON. The
-                    // welcome goes out in the connection's *current*
-                    // framing; the switch applies after it and is never
-                    // undone — once any session negotiates binary the
-                    // connection stays binary (mux clients read with
-                    // per-message auto-detection anyway).
-                    let format = hello
-                        .frame
-                        .as_deref()
-                        .and_then(WireFormat::parse)
-                        .unwrap_or(WireFormat::Ndjson);
-                    ctx.writer.queue_for(
-                        sid,
-                        &ServerMsg::welcome {
-                            algorithm: s.algorithm(),
-                            frame: Some(format.as_str().to_string()),
-                        },
-                    );
-                    if format == WireFormat::Binary {
-                        ctx.writer.set_format(WireFormat::Binary);
-                    }
-                    let fed_sid = s.fed_sid();
-                    if let Some(fs) = fed_sid {
-                        fed_index.insert(fs, key);
-                    }
-                    sessions.insert(
-                        key,
-                        Entry {
-                            session: s,
-                            lsid,
+    /// Dispatch one decoded client message for session `(conn.id, sid)`.
+    fn handle_msg(&mut self, conn: &Arc<Conn>, sid: Option<u64>, msg: ClientMsg) {
+        let key = (conn.id, sid);
+        let counters = &self.daemon.counters;
+        match msg {
+            ClientMsg::hello(hello) => {
+                if self.sessions.contains_key(&key) {
+                    counters.protocol_error();
+                    conn.queue_for(sid, &error("duplicate-hello", "session already open"));
+                    return;
+                }
+                match ServeSession::open(&hello) {
+                    Ok(mut s) => {
+                        let lsid = self.daemon.next_lsid.fetch_add(1, Ordering::Relaxed);
+                        let stats = self.stats();
+                        stats.sessions_open.fetch_add(1, Ordering::Relaxed);
+                        stats.sessions_total.fetch_add(1, Ordering::Relaxed);
+                        if let Some(dir) = &self.daemon.config.record_dir {
+                            attach_recorder(&mut s, dir, lsid, sid, self.id, &hello);
+                        }
+                        // Negotiate framing: honour a recognised request,
+                        // silently downgrade anything else to NDJSON. The
+                        // welcome goes out in the connection's *current*
+                        // framing; the switch applies after it and is never
+                        // undone — once any session negotiates binary the
+                        // connection stays binary (mux clients read with
+                        // per-message auto-detection anyway).
+                        let format = hello
+                            .frame
+                            .as_deref()
+                            .and_then(WireFormat::parse)
+                            .unwrap_or(WireFormat::Ndjson);
+                        conn.queue_for(
                             sid,
-                            ctx,
-                            fed_sid,
-                        },
-                    );
-                }
-                Err(detail) => {
-                    counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    ctx.writer.queue_for(sid, &error("unknown-matcher", detail));
-                }
-            }
-        }
-        ClientMsg::worker(msg) => {
-            with_entry(
-                sessions,
-                &key,
-                &ctx,
-                counters,
-                "say hello first",
-                |e| match e.session.worker(&msg) {
-                    Ok(()) => ServerMsg::ok,
-                    Err(violation) => error("constraint", violation.to_string()),
-                },
-            );
-        }
-        ClientMsg::request(spec) => {
-            with_entry(
-                sessions,
-                &key,
-                &ctx,
-                counters,
-                "say hello first",
-                |e| match e.session.request(&spec) {
-                    Ok(response) => response,
-                    Err(violation) => error("constraint", violation.to_string()),
-                },
-            );
-        }
-        ClientMsg::tick { to } => {
-            with_entry(
-                sessions,
-                &key,
-                &ctx,
-                counters,
-                "say hello first",
-                |e| match e.session.tick(to) {
-                    Ok(()) => ServerMsg::ok,
-                    Err(violation) => error("constraint", violation.to_string()),
-                },
-            );
-        }
-        ClientMsg::stats => {
-            let dropped = counters.dropped();
-            with_entry(sessions, &key, &ctx, counters, "say hello first", |e| {
-                ServerMsg::stats(e.session.stats(dropped))
-            });
-        }
-        ClientMsg::outsource_offer(offer) => {
-            // Offers arrive on the *peer daemon's* connection and routed
-            // here by fed_sid (see `PoolShared::fed_routes`); answer on
-            // that same connection. The borrower's shard thread is
-            // blocked on this verdict, so it flushes immediately instead
-            // of joining the batched writer cycle.
-            let response = match fed_index
-                .get(&offer.fed_sid)
-                .and_then(|k| sessions.get_mut(k))
-            {
-                Some(entry) => entry.session.handle_offer(&offer),
-                None => {
-                    // A reject from `handle_offer` is a valid protocol
-                    // outcome; an offer for a session this shard does not
-                    // hold is a routing failure and counts as one.
-                    counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    ServerMsg::outsource_reject {
-                        fed_sid: offer.fed_sid,
-                        offer: offer.offer,
-                        code: "unknown-fed-session".into(),
-                        detail: format!("no federated session with fed_sid {}", offer.fed_sid),
+                            &ServerMsg::welcome {
+                                algorithm: s.algorithm(),
+                                frame: Some(format.as_str().to_string()),
+                            },
+                        );
+                        if format == WireFormat::Binary {
+                            conn.set_format(WireFormat::Binary);
+                        }
+                        if let Some(fed_sid) = s.fed_sid() {
+                            self.fed_index.insert(fed_sid, key);
+                        }
+                        self.sessions.insert(key, Entry { session: s, lsid });
+                    }
+                    Err(detail) => {
+                        counters.protocol_error();
+                        conn.queue_for(sid, &error("unknown-matcher", detail));
                     }
                 }
-            };
-            ctx.writer.send_for(sid, &response);
-        }
-        ClientMsg::stats_deep => {
-            let dropped = counters.dropped();
-            let my = &stats[shard];
-            let oversized = ctx.oversized.load(Ordering::Relaxed);
-            let bad_envelope = ctx.bad_envelope.load(Ordering::Relaxed);
-            let rows: Vec<ShardRow> = stats.iter().enumerate().map(|(i, s)| s.row(i)).collect();
-            with_entry(sessions, &key, &ctx, counters, "say hello first", |e| {
-                let mut deep = e.session.deep_stats(
-                    dropped,
-                    my.queue.depth(),
-                    my.queue.high_water(),
-                    oversized,
-                    bad_envelope,
-                );
-                deep.shard = Some(shard as u64);
-                deep.shards = rows.clone();
-                ServerMsg::stats_deep(Box::new(deep))
-            });
-        }
-        ClientMsg::shutdown => match sessions.remove(&key) {
-            Some(entry) => {
-                let bare = entry.sid.is_none();
-                let done_flag = Arc::clone(&entry.ctx.done);
-                let conn_id = entry.ctx.conn_id;
-                unregister_fed(&entry, fed_index, fed_routes);
-                let report = finish_entry(entry, shard, stats, counters);
-                finished.entry(conn_id).or_default().push(report);
-                if bare {
-                    // One-session semantics: `shutdown` on the bare session
-                    // ends the connection, not just the session.
-                    done_flag.store(true, Ordering::SeqCst);
+            }
+            ClientMsg::worker(msg) => self.with_entry(conn, sid, |e| {
+                e.session
+                    .worker(&msg)
+                    .map_or_else(constraint, |()| ServerMsg::ok)
+            }),
+            ClientMsg::request(spec) => self.with_entry(conn, sid, |e| {
+                e.session.request(&spec).unwrap_or_else(constraint)
+            }),
+            ClientMsg::tick { to } => self.with_entry(conn, sid, |e| {
+                e.session
+                    .tick(to)
+                    .map_or_else(constraint, |()| ServerMsg::ok)
+            }),
+            ClientMsg::stats => {
+                let dropped = counters.dropped();
+                self.with_entry(conn, sid, |e| ServerMsg::stats(e.session.stats(dropped)));
+            }
+            ClientMsg::outsource_offer(offer) => {
+                // Offers arrive on the *peer daemon's* connection and routed
+                // here by fed_sid (see `Daemon::fed_routes`); answer on that
+                // same connection. The borrower's shard thread is blocked
+                // on this verdict, so it flushes immediately instead of
+                // joining the batched writer cycle.
+                let response = match self
+                    .fed_index
+                    .get(&offer.fed_sid)
+                    .and_then(|k| self.sessions.get_mut(k))
+                {
+                    Some(entry) => entry.session.handle_offer(&offer),
+                    None => {
+                        // A reject from `handle_offer` is a valid protocol
+                        // outcome; an offer for a session this shard does not
+                        // hold is a routing failure and counts as one.
+                        counters.protocol_error();
+                        ServerMsg::outsource_reject {
+                            fed_sid: offer.fed_sid,
+                            offer: offer.offer,
+                            code: "unknown-fed-session".into(),
+                            detail: format!("no federated session with fed_sid {}", offer.fed_sid),
+                        }
+                    }
+                };
+                conn.send_for(sid, &response);
+            }
+            ClientMsg::stats_deep => {
+                let dropped = counters.dropped();
+                let queue = &self.stats().queue;
+                let (depth, high_water) = (queue.depth(), queue.high_water());
+                let oversized = conn.oversized.load(Ordering::Relaxed);
+                let bad_envelope = conn.bad_envelope.load(Ordering::Relaxed);
+                let rows: Vec<ShardRow> = self
+                    .daemon
+                    .shards
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| s.row(i))
+                    .collect();
+                let shard = self.id as u64;
+                self.with_entry(conn, sid, |e| {
+                    let mut deep =
+                        e.session
+                            .deep_stats(dropped, depth, high_water, oversized, bad_envelope);
+                    deep.shard = Some(shard);
+                    deep.shards = rows;
+                    ServerMsg::stats_deep(Box::new(deep))
+                });
+            }
+            ClientMsg::shutdown => match self.sessions.remove(&key) {
+                Some(entry) => {
+                    let report = self.finish_entry(conn, sid, entry);
+                    self.slot(conn).finished.push(report);
+                    if sid.is_none() {
+                        // One-session semantics: `shutdown` on the bare session
+                        // ends the connection, not just the session.
+                        conn.done.store(true, Ordering::SeqCst);
+                    }
                 }
-            }
-            None => no_session(&ctx, sid, counters, "shutdown before hello"),
-        },
-    }
-}
-
-/// Answer one message against a live session, or refuse it with the mux
-/// error (`unknown-sid` for an enveloped message, `no-session` for a bare
-/// one). Error responses count as protocol errors, exactly like the
-/// pre-shard server.
-fn with_entry(
-    sessions: &mut HashMap<(u64, Option<u64>), Entry>,
-    key: &(u64, Option<u64>),
-    ctx: &ConnCtx,
-    counters: &Arc<ServerCounters>,
-    missing_detail: &str,
-    f: impl FnOnce(&mut Entry) -> ServerMsg,
-) {
-    match sessions.get_mut(key) {
-        Some(entry) => {
-            let response = f(entry);
-            if matches!(response, ServerMsg::error(_)) {
-                counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            }
-            ctx.writer.queue_for(key.1, &response);
+                None => self.no_session(conn, sid, "shutdown before hello"),
+            },
         }
-        None => no_session(ctx, key.1, counters, missing_detail),
     }
-}
 
-fn no_session(ctx: &ConnCtx, sid: Option<u64>, counters: &Arc<ServerCounters>, detail: &str) {
-    counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-    let response = match sid {
-        Some(s) => error("unknown-sid", format!("no open session with sid {s}")),
-        None => error("no-session", detail),
-    };
-    ctx.writer.queue_for(sid, &response);
+    /// Answer one message against a live session, or refuse it with the
+    /// mux error (`unknown-sid` for an enveloped message, `no-session` for
+    /// a bare one). Error responses count as protocol errors, exactly like
+    /// the pre-shard server.
+    fn with_entry(
+        &mut self,
+        conn: &Conn,
+        sid: Option<u64>,
+        f: impl FnOnce(&mut Entry) -> ServerMsg,
+    ) {
+        match self.sessions.get_mut(&(conn.id, sid)) {
+            Some(entry) => {
+                let response = f(entry);
+                if matches!(response, ServerMsg::error(_)) {
+                    self.daemon.counters.protocol_error();
+                }
+                conn.queue_for(sid, &response);
+            }
+            None => self.no_session(conn, sid, "say hello first"),
+        }
+    }
+
+    fn no_session(&self, conn: &Conn, sid: Option<u64>, detail: &str) {
+        self.daemon.counters.protocol_error();
+        let response = match sid {
+            Some(s) => error("unknown-sid", format!("no open session with sid {s}")),
+            None => error("no-session", detail),
+        };
+        conn.queue_for(sid, &response);
+    }
 }
 
 /// Open the flight recorder for a fresh session, named by its logical
@@ -845,28 +770,26 @@ mod tests {
         let (tx, rx) = mpsc::sync_channel(2);
         let shared = PoolShared {
             txs: vec![tx],
-            stats: Arc::new(vec![ShardStats::default()]),
-            placement: Placement::Hash,
-            fed_routes: Arc::new(Mutex::new(HashMap::new())),
+            daemon: Arc::new(Daemon::new(Default::default())),
         };
-        let counters = ServerCounters::default();
-        let ctx = ConnCtx::detached(0);
-        assert!(shared.try_ingress(0, &ctx, None, ClientMsg::stats, 0, &counters));
-        assert!(shared.try_ingress(0, &ctx, Some(7), ClientMsg::stats, 0, &counters));
+        let (counters, stats) = (&shared.daemon.counters, &shared.daemon.shards[0]);
+        let conn = Conn::new(0, None);
+        assert!(shared.try_ingress(0, &conn, None, ClientMsg::stats, 0));
+        assert!(shared.try_ingress(0, &conn, Some(7), ClientMsg::stats, 0));
         // Queue full: the next two messages are dropped, not queued.
-        assert!(shared.try_ingress(0, &ctx, None, ClientMsg::stats, 0, &counters));
-        assert!(shared.try_ingress(0, &ctx, Some(7), ClientMsg::stats, 0, &counters));
+        assert!(shared.try_ingress(0, &conn, None, ClientMsg::stats, 0));
+        assert!(shared.try_ingress(0, &conn, Some(7), ClientMsg::stats, 0));
         assert_eq!(counters.dropped(), 2);
-        assert_eq!(shared.stats[0].row(0).busy_dropped, 2);
+        assert_eq!(stats.row(0).busy_dropped, 2);
         // Depth tracks only queued messages; drops never inflate it.
-        assert_eq!(shared.stats[0].queue.depth(), 2);
-        assert_eq!(shared.stats[0].queue.high_water(), 2);
-        assert_eq!(shared.stats[0].row(0).events_routed, 2);
+        assert_eq!(stats.queue.depth(), 2);
+        assert_eq!(stats.queue.high_water(), 2);
+        assert_eq!(stats.row(0).events_routed, 2);
         // Only the first two messages ever reach the shard side.
         assert_eq!(rx.try_iter().count(), 2);
         // A gone shard (server stopping) reports dead instead of dropping.
         drop(rx);
-        assert!(!shared.try_ingress(0, &ctx, None, ClientMsg::stats, 0, &counters));
+        assert!(!shared.try_ingress(0, &conn, None, ClientMsg::stats, 0));
         assert_eq!(counters.dropped(), 2);
     }
 }

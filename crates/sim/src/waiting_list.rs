@@ -165,11 +165,14 @@ impl WaitingList {
         self.entries.values()
     }
 
-    /// Approximate heap footprint in bytes (memory metric).
+    /// Approximate heap footprint in bytes (memory metric). `entries`
+    /// mirrors the index id for id, so it is charged for the same
+    /// high-water length ([`GridIndex::approx_bytes`] says why not
+    /// `capacity()`).
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         self.index.approx_bytes()
-            + self.entries.capacity() * (size_of::<WorkerId>() + size_of::<IdleWorker>() + 16)
+            + self.index.peak_len() * (size_of::<WorkerId>() + size_of::<IdleWorker>() + 16)
     }
 }
 

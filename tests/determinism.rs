@@ -93,6 +93,26 @@ fn seeds_change_randomized_algorithms_but_not_instances() {
 }
 
 #[test]
+fn memory_metric_is_identical_across_runs() {
+    // Every `World` gets freshly seeded hash maps, so this fails whenever
+    // the memory estimate reads anything the hash seed can move (such as
+    // `HashMap::capacity()` after remove/re-add churn).
+    let instance = generate(&com::datagen::profiles::quick());
+    for make in [
+        || Box::new(TotaGreedy) as Box<dyn OnlineMatcher>,
+        || Box::new(RamCom::default()) as Box<dyn OnlineMatcher>,
+    ] {
+        let runs: Vec<RunResult> = (0..16)
+            .map(|_| run_online(&instance, make().as_mut(), 42))
+            .collect();
+        for run in &runs[1..] {
+            assert_eq!(run.peak_memory_bytes, runs[0].peak_memory_bytes);
+            assert_eq!(run.final_memory_bytes, runs[0].final_memory_bytes);
+        }
+    }
+}
+
+#[test]
 fn offline_solvers_are_deterministic() {
     let mut config = synthetic(SyntheticParams {
         n_requests: 150,
