@@ -124,10 +124,10 @@ fn emit_table(out: &Path, name: &str, table: &Table, json: &serde_json::Value) {
 
 fn run_table(runner: &SweepRunner, name: &str, quick: bool, out: &Path) {
     let result = match name {
-        "table5" => tables::table5_with(runner, quick),
-        "table6" => tables::table6_with(runner, quick),
-        "table7" => tables::table7_with(runner, quick),
-        "table5x30" => tables::run_table_multiday_with(
+        "table5" => tables::table5(runner, quick),
+        "table6" => tables::table6(runner, quick),
+        "table7" => tables::table7(runner, quick),
+        "table5x30" => tables::run_table_multiday(
             runner,
             "table5x30",
             "Table V: Results on RDC10 and RYC10 (simulated, 1/10 scale)",
@@ -147,9 +147,9 @@ fn run_table(runner: &SweepRunner, name: &str, quick: bool, out: &Path) {
 
 fn run_sweep(runner: &SweepRunner, name: &str, quick: bool, out: &Path) {
     let result = match name {
-        "fig5r" => figures::sweep_requests_with(runner, quick),
-        "fig5w" => figures::sweep_workers_with(runner, quick),
-        "fig5rad" => figures::sweep_radius_with(runner, quick),
+        "fig5r" => figures::sweep_requests(runner, quick),
+        "fig5w" => figures::sweep_workers(runner, quick),
+        "fig5rad" => figures::sweep_radius(runner, quick),
         _ => unreachable!(),
     };
     let mut markdown = String::new();
@@ -174,7 +174,7 @@ fn run_sweep(runner: &SweepRunner, name: &str, quick: bool, out: &Path) {
 
 fn run_cr(runner: &SweepRunner, quick: bool, out: &Path) {
     let (instances, orders) = if quick { (4, 8) } else { (16, 32) };
-    let study = cr::run_cr_study_with(runner, instances, orders);
+    let study = cr::run_cr_study(runner, instances, orders);
     emit_table(
         out,
         "cr",
@@ -184,7 +184,7 @@ fn run_cr(runner: &SweepRunner, quick: bool, out: &Path) {
 }
 
 fn run_ablation(runner: &SweepRunner, quick: bool, out: &Path) {
-    let results = ablation::run_all_with(runner, quick);
+    let results = ablation::run_all(runner, quick);
     let mut markdown = String::new();
     for a in &results {
         let t = a.to_table();

@@ -9,7 +9,7 @@
 //!     [--stats] [--trace out.jsonl] [--threads N] [--strict]
 //! ```
 //!
-//! Algorithm names resolve through `com-core`'s `MatcherRegistry` — the
+//! Algorithm names parse through `com-core`'s `MatcherSpec` — the
 //! same source of truth the `repro` harness uses — so an unknown
 //! `--algo` produces an error listing the valid specs instead of a
 //! panic.
@@ -45,7 +45,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use com_bench::runner::{merged_telemetry, SweepRunner};
-use com_core::{try_run_online, validate_run, MatcherFactory, MatcherRegistry, RunResult};
+use com_core::{try_run_online, validate_run, MatcherSpec, RunResult};
 use com_datagen::{generate, instance_from_csv, profiles, ScenarioConfig};
 use com_geo::DistanceMetric;
 use com_metrics::Table;
@@ -153,30 +153,18 @@ fn parse_args() -> Args {
     args
 }
 
-fn load_scenario(args: &Args) -> ScenarioConfig {
-    if let Some(path) = &args.config {
-        let text = fs::read_to_string(path).expect("read config file");
-        serde_json::from_str(&text).expect("parse ScenarioConfig JSON")
-    } else {
-        profiles::by_name(&args.profile).unwrap_or_else(|| {
-            eprintln!("unknown profile {}", args.profile);
-            usage()
-        })
-    }
+/// Print a one-line error and exit 2 (bad input, not a bug).
+fn fail(message: impl std::fmt::Display) -> ! {
+    eprintln!("simulate: {message}");
+    std::process::exit(2)
 }
 
-/// Resolve every requested `--algo` spec through the shared registry,
-/// exiting with the registry's own error message (which lists the valid
-/// specs) on the first unknown name.
-fn resolve_algos(registry: &MatcherRegistry, names: &[String]) -> Vec<MatcherFactory> {
+/// Parse every requested `--algo` spec, exiting with the parser's own
+/// error message (which lists the valid specs) on the first unknown name.
+fn parse_algos(names: &[String]) -> Vec<MatcherSpec> {
     names
         .iter()
-        .map(|name| {
-            registry.resolve(name).unwrap_or_else(|e| {
-                eprintln!("simulate: {e}");
-                std::process::exit(2)
-            })
-        })
+        .map(|name| MatcherSpec::parse(name).unwrap_or_else(|e| fail(e)))
         .collect()
 }
 
@@ -201,18 +189,18 @@ fn report_row(run: &RunResult, platforms: usize) -> Vec<String> {
 fn build_instance(args: &Args, scenario: &ScenarioConfig) -> Instance {
     match (&args.workers_csv, &args.requests_csv) {
         (Some(w), Some(r)) => {
-            let workers = fs::read_to_string(w).expect("read workers csv");
-            let requests = fs::read_to_string(r).expect("read requests csv");
+            let read = |path: &PathBuf| {
+                fs::read_to_string(path)
+                    .unwrap_or_else(|e| fail(format!("cannot read {}: {e}", path.display())))
+            };
+            let (workers, requests) = (read(w), read(r));
             instance_from_csv(
                 &workers,
                 &requests,
                 args.platforms.clone(),
                 WorldConfig::city(30.0),
             )
-            .unwrap_or_else(|e| {
-                eprintln!("CSV error: {e}");
-                std::process::exit(2)
-            })
+            .unwrap_or_else(|e| fail(format!("CSV error: {e}")))
         }
         (None, None) => generate(scenario),
         _ => {
@@ -283,7 +271,8 @@ fn print_stats(reports: &[com_obs::RunTelemetry]) {
 
 fn main() {
     let args = parse_args();
-    let scenario = load_scenario(&args);
+    let scenario =
+        profiles::load(args.config.as_deref(), &args.profile).unwrap_or_else(|e| fail(e));
 
     if args.emit_config {
         println!(
@@ -298,8 +287,7 @@ fn main() {
     } else {
         args.algos.clone()
     };
-    let registry = MatcherRegistry::builtin();
-    let factories = resolve_algos(&registry, &algo_names);
+    let specs = parse_algos(&algo_names);
 
     let threads = if args.trace.is_some() && args.threads != 1 {
         eprintln!("--trace streams through a single collector; forcing --threads 1");
@@ -346,8 +334,8 @@ fn main() {
     // installed above stays active (the runner never clobbers a live
     // collector); with `--stats` the runner installs one per worker.
     let runner = SweepRunner::new(threads).with_telemetry(args.stats || args.trace.is_some());
-    let runs: Vec<RunResult> = runner.map(factories, |_, factory| {
-        let mut matcher = factory();
+    let runs: Vec<RunResult> = runner.map(specs, |_, spec| {
+        let mut matcher = spec.build();
         try_run_online(&instance, matcher.as_mut(), args.seed)
     });
 

@@ -383,15 +383,10 @@ pub fn worker_shifts(quick: bool) -> AblationResult {
     }
 }
 
-/// All ablations (serial; see [`run_all_with`]).
-pub fn run_all(quick: bool) -> Vec<AblationResult> {
-    run_all_with(&SweepRunner::serial(), quick)
-}
-
 /// All ablations, one parallel job per study. Every study regenerates
 /// its own instance and replays with explicit seeds, so the fan-out is
 /// deterministic; results come back in presentation order.
-pub fn run_all_with(runner: &SweepRunner, quick: bool) -> Vec<AblationResult> {
+pub fn run_all(runner: &SweepRunner, quick: bool) -> Vec<AblationResult> {
     let studies: Vec<fn(bool) -> AblationResult> = vec![
         demcom_xi_sweep,
         ramcom_pricing_strategies,
@@ -442,7 +437,7 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        for a in run_all(true) {
+        for a in run_all(&SweepRunner::serial(), true) {
             let ascii = a.to_table().render_ascii();
             assert!(ascii.contains("Variant"));
         }

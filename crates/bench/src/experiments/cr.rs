@@ -75,16 +75,11 @@ fn cr_params(seed: u64) -> SyntheticParams {
 }
 
 /// Run the study: `instances` random instances, `orders` sampled arrival
-/// orders each (serial; see [`run_cr_study_with`]).
-pub fn run_cr_study(instances: usize, orders: usize) -> CrStudy {
-    run_cr_study_with(&SweepRunner::serial(), instances, orders)
-}
-
-/// Run the study, fanning the (instance × matcher) grid across
+/// orders each, fanning the (instance × matcher) grid across
 /// `runner`'s workers. Per-cell order sampling is seeded from the
 /// instance index, and the cross-instance reduction folds in instance
 /// order, so the study is bit-identical to serial execution.
-pub fn run_cr_study_with(runner: &SweepRunner, instances: usize, orders: usize) -> CrStudy {
+pub fn run_cr_study(runner: &SweepRunner, instances: usize, orders: usize) -> CrStudy {
     // Phase 1: the one-shot instances (Fig. 4's strict bipartite model,
     // where the Hungarian OFF is exact), generated in parallel.
     let instance_jobs: Vec<usize> = (0..instances).collect();
@@ -137,7 +132,7 @@ mod tests {
 
     #[test]
     fn study_produces_sane_ratios() {
-        let study = run_cr_study(2, 4);
+        let study = run_cr_study(&SweepRunner::serial(), 2, 4);
         assert_eq!(study.rows.len(), 3);
         for r in &study.rows {
             assert!(
@@ -153,7 +148,7 @@ mod tests {
 
     #[test]
     fn ramcom_clears_its_theoretical_bound_empirically() {
-        let study = run_cr_study(2, 4);
+        let study = run_cr_study(&SweepRunner::serial(), 2, 4);
         let ram = study.row("RamCOM").unwrap();
         // The 1/8e bound is a worst-case guarantee; empirical instances
         // sit far above it.
@@ -167,7 +162,7 @@ mod tests {
 
     #[test]
     fn table_rendering() {
-        let study = run_cr_study(1, 2);
+        let study = run_cr_study(&SweepRunner::serial(), 1, 2);
         let ascii = study.to_table().render_ascii();
         assert!(ascii.contains("Algorithm"));
         assert!(ascii.contains("RamCOM"));

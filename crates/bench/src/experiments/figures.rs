@@ -138,12 +138,7 @@ fn run_sweep(
 }
 
 /// Fig. 5(a)–(d): sweep the total number of requests `|R|`.
-pub fn sweep_requests(quick: bool) -> SweepResult {
-    sweep_requests_with(&SweepRunner::serial(), quick)
-}
-
-/// Fig. 5(a)–(d) with a parallel grid runner.
-pub fn sweep_requests_with(runner: &SweepRunner, quick: bool) -> SweepResult {
+pub fn sweep_requests(runner: &SweepRunner, quick: bool) -> SweepResult {
     let xs: Vec<f64> = if quick {
         vec![500.0, 1_000.0, 2_500.0, 5_000.0]
     } else {
@@ -158,12 +153,7 @@ pub fn sweep_requests_with(runner: &SweepRunner, quick: bool) -> SweepResult {
 }
 
 /// Fig. 5(e)–(h): sweep the total number of workers `|W|`.
-pub fn sweep_workers(quick: bool) -> SweepResult {
-    sweep_workers_with(&SweepRunner::serial(), quick)
-}
-
-/// Fig. 5(e)–(h) with a parallel grid runner.
-pub fn sweep_workers_with(runner: &SweepRunner, quick: bool) -> SweepResult {
+pub fn sweep_workers(runner: &SweepRunner, quick: bool) -> SweepResult {
     let xs: Vec<f64> = if quick {
         vec![100.0, 200.0, 500.0, 1_000.0]
     } else {
@@ -178,12 +168,7 @@ pub fn sweep_workers_with(runner: &SweepRunner, quick: bool) -> SweepResult {
 }
 
 /// Fig. 5(i)–(l): sweep the service radius `rad`.
-pub fn sweep_radius(quick: bool) -> SweepResult {
-    sweep_radius_with(&SweepRunner::serial(), quick)
-}
-
-/// Fig. 5(i)–(l) with a parallel grid runner.
-pub fn sweep_radius_with(runner: &SweepRunner, quick: bool) -> SweepResult {
+pub fn sweep_radius(runner: &SweepRunner, quick: bool) -> SweepResult {
     let xs: Vec<f64> = if quick {
         vec![0.5, 1.0, 1.5]
     } else {
@@ -203,7 +188,7 @@ mod tests {
 
     #[test]
     fn quick_request_sweep_has_expected_shape() {
-        let s = sweep_requests(true);
+        let s = sweep_requests(&SweepRunner::serial(), true);
         assert_eq!(s.revenue.xs.len(), 4);
         assert_eq!(s.points.len(), 4 * 3);
         // Revenue grows with |R| for every algorithm.
@@ -220,7 +205,7 @@ mod tests {
 
     #[test]
     fn quick_radius_sweep_keeps_memory_flat() {
-        let s = sweep_radius(true);
+        let s = sweep_radius(&SweepRunner::serial(), true);
         for (name, ys) in &s.memory.columns {
             let min = ys.iter().copied().fold(f64::INFINITY, f64::min);
             let max = ys.iter().copied().fold(0.0f64, f64::max);
@@ -233,7 +218,7 @@ mod tests {
 
     #[test]
     fn acceptance_series_only_tracks_com_algorithms() {
-        let s = sweep_radius(true);
+        let s = sweep_radius(&SweepRunner::serial(), true);
         assert_eq!(s.acceptance.columns.len(), 2);
         assert!(s.acceptance.column("DemCOM").is_some());
         assert!(s.acceptance.column("RamCOM").is_some());

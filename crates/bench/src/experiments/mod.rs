@@ -1,10 +1,10 @@
 //! Experiment implementations, one module per paper artefact family.
 //!
-//! Matcher construction goes through `com-core`'s [`MatcherSpec`] /
-//! `MatcherRegistry` API (one source of truth shared with the `simulate`
-//! binary), and every module exposes a `*_with` variant taking a
-//! [`crate::runner::SweepRunner`] so the (instance × matcher × seed)
-//! grid fans out across threads with bit-identical results.
+//! Matcher construction goes through `com-core`'s [`MatcherSpec`] (one
+//! source of truth shared with the `simulate` binary), and every
+//! experiment takes a [`crate::runner::SweepRunner`] so the (instance ×
+//! matcher × seed) grid fans out across threads with bit-identical
+//! results.
 
 pub mod ablation;
 pub mod cr;

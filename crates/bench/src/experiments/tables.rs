@@ -134,16 +134,10 @@ fn averaged_method_row(runs: &[RunResult]) -> MethodRow {
     }
 }
 
-/// Run one table experiment on a scenario (serial; see
-/// [`run_table_with`] for the parallel grid version).
-pub fn run_table(id: &str, title: &str, config: &ScenarioConfig, quick: bool) -> TableResult {
-    run_table_with(&SweepRunner::serial(), id, title, config, quick)
-}
-
 /// Run one table experiment, fanning the (matcher × seed) grid across
 /// `runner`'s workers. Online results are bit-identical to serial
 /// execution; only wall-clock fields (response time) vary.
-pub fn run_table_with(
+pub fn run_table(
     runner: &SweepRunner,
     id: &str,
     title: &str,
@@ -151,7 +145,7 @@ pub fn run_table_with(
     quick: bool,
 ) -> TableResult {
     let config = if quick {
-        scaled_down(config, 10)
+        config.scaled(10)
     } else {
         config.clone()
     };
@@ -192,27 +186,6 @@ pub fn run_table_with(
     }
 }
 
-/// A density-preserving scale-down of a scenario (counts ÷ `factor`,
-/// area ÷ `factor`), used by `--quick` and the criterion benches.
-pub fn scaled_down(config: &ScenarioConfig, factor: usize) -> ScenarioConfig {
-    config.scaled(factor)
-}
-
-/// A multi-day study: regenerate the scenario with `days` different
-/// seeds (the paper's tables average a month of days) and report each
-/// method's total-revenue mean ± population std across days, plus the
-/// mean completion count. Quantifies day-to-day variance that the
-/// single-instance tables hide.
-pub fn run_table_multiday(
-    id: &str,
-    title: &str,
-    config: &ScenarioConfig,
-    days: usize,
-    quick: bool,
-) -> TableResult {
-    run_table_multiday_with(&SweepRunner::serial(), id, title, config, days, quick)
-}
-
 /// One day's measurements: OFF plus every standard online method.
 struct DayMeasurements {
     /// (revenue_d, revenue_y, completed_d, completed_y) for OFF then each
@@ -224,10 +197,14 @@ struct DayMeasurements {
     rate: Vec<Option<f64>>,
 }
 
-/// Multi-day study fanned across `runner`'s workers, one job per day
-/// (each day regenerates its instance and replays every method, so the
-/// grain is chunky and cross-day aggregation folds in day order).
-pub fn run_table_multiday_with(
+/// A multi-day study: regenerate the scenario with `days` different
+/// seeds (the paper's tables average a month of days) and report each
+/// method's total-revenue mean ± population std across days, plus the
+/// mean completion count. Quantifies day-to-day variance that the
+/// single-instance tables hide. Fanned across `runner`'s workers, one job
+/// per day (each day regenerates its instance and replays every method,
+/// so the grain is chunky and cross-day aggregation folds in day order).
+pub fn run_table_multiday(
     runner: &SweepRunner,
     id: &str,
     title: &str,
@@ -237,7 +214,7 @@ pub fn run_table_multiday_with(
 ) -> TableResult {
     assert!(days >= 1);
     let base = if quick {
-        scaled_down(config, 10)
+        config.scaled(10)
     } else {
         config.clone()
     };
@@ -339,13 +316,8 @@ pub fn run_table_multiday_with(
 }
 
 /// Table V: results on RDC10 and RYC10 (Chengdu, October).
-pub fn table5(quick: bool) -> TableResult {
-    table5_with(&SweepRunner::serial(), quick)
-}
-
-/// Table V with a parallel grid runner.
-pub fn table5_with(runner: &SweepRunner, quick: bool) -> TableResult {
-    run_table_with(
+pub fn table5(runner: &SweepRunner, quick: bool) -> TableResult {
+    run_table(
         runner,
         "table5",
         "Table V: Results on RDC10 and RYC10 (simulated, 1/10 scale)",
@@ -355,13 +327,8 @@ pub fn table5_with(runner: &SweepRunner, quick: bool) -> TableResult {
 }
 
 /// Table VI: results on RDC11 and RYC11 (Chengdu, November).
-pub fn table6(quick: bool) -> TableResult {
-    table6_with(&SweepRunner::serial(), quick)
-}
-
-/// Table VI with a parallel grid runner.
-pub fn table6_with(runner: &SweepRunner, quick: bool) -> TableResult {
-    run_table_with(
+pub fn table6(runner: &SweepRunner, quick: bool) -> TableResult {
+    run_table(
         runner,
         "table6",
         "Table VI: Results on RDC11 and RYC11 (simulated, 1/10 scale)",
@@ -371,13 +338,8 @@ pub fn table6_with(runner: &SweepRunner, quick: bool) -> TableResult {
 }
 
 /// Table VII: results on RDX11 and RYX11 (Xi'an, November).
-pub fn table7(quick: bool) -> TableResult {
-    table7_with(&SweepRunner::serial(), quick)
-}
-
-/// Table VII with a parallel grid runner.
-pub fn table7_with(runner: &SweepRunner, quick: bool) -> TableResult {
-    run_table_with(
+pub fn table7(runner: &SweepRunner, quick: bool) -> TableResult {
+    run_table(
         runner,
         "table7",
         "Table VII: Results on RDX11 and RYX11 (simulated, 1/10 scale)",
@@ -392,7 +354,7 @@ mod tests {
 
     #[test]
     fn quick_table5_reproduces_paper_shape() {
-        let t = table5(true);
+        let t = table5(&SweepRunner::serial(), true);
         assert_eq!(t.rows.len(), 4);
         let off = t.row("OFF").unwrap();
         let tota = t.row("TOTA").unwrap();
@@ -440,7 +402,7 @@ mod tests {
 
     #[test]
     fn table_renders_all_columns() {
-        let t = table7(true);
+        let t = table7(&SweepRunner::serial(), true);
         let ascii = t.to_table().render_ascii();
         assert!(ascii.contains("Rev_D"));
         assert!(ascii.contains("OFF"));
@@ -451,7 +413,14 @@ mod tests {
 
     #[test]
     fn multiday_reports_every_method_with_variance() {
-        let t = run_table_multiday("md", "Multi-day", &chengdu_oct(), 3, true);
+        let t = run_table_multiday(
+            &SweepRunner::serial(),
+            "md",
+            "Multi-day",
+            &chengdu_oct(),
+            3,
+            true,
+        );
         assert_eq!(t.rows.len(), 4);
         for r in &t.rows {
             assert!(r.method.contains('%'), "{} lacks variance", r.method);
@@ -468,7 +437,7 @@ mod tests {
 
     #[test]
     fn scaled_down_respects_floors() {
-        let c = scaled_down(&chengdu_oct(), 1_000_000);
+        let c = chengdu_oct().scaled(1_000_000);
         assert!(c.platforms.iter().all(|p| p.n_requests == 10));
         assert!(c.platforms.iter().all(|p| p.n_workers == 4));
     }

@@ -16,8 +16,9 @@
 //!
 //! Run `cargo run -p com-bench --release --bin repro -- all` to regenerate
 //! everything (add `--quick` for a minutes-scale smoke pass, `--threads N`
-//! to fan the grid across workers); criterion micro-benchmarks for the
-//! same code paths live in `benches/`.
+//! to fan the grid across workers). Every entry point takes the
+//! [`runner::SweepRunner`] it fans out on; timings at Table III scale
+//! come from the repo benchmark (`benchmark/run.sh`).
 //!
 //! The [`runner`] module is the scaling substrate: a deterministic
 //! parallel sweep runner whose results are bit-identical to serial

@@ -27,12 +27,11 @@
 //! });
 //! let instance = generate(&scenario);
 //!
-//! // Algorithms are built through the matcher registry: parse a spec
-//! // string ("tota", "demcom", "ramcom", "greedy-rt", "route-aware:2.5")
-//! // and mint a fresh matcher per run.
-//! let registry = MatcherRegistry::builtin();
-//! let mut ramcom = registry.build("ramcom").unwrap();
-//! let mut tota = registry.build("tota").unwrap();
+//! // Algorithms are built from matcher specs: parse a spec string
+//! // ("tota", "demcom", "ramcom", "greedy-rt", "route-aware:2.5") and
+//! // build a fresh matcher per run.
+//! let mut ramcom = MatcherSpec::parse("ramcom").unwrap().build();
+//! let mut tota = MatcherSpec::parse("tota").unwrap().build();
 //!
 //! let ramcom_run = run_online(&instance, ramcom.as_mut(), 42);
 //! let tota_run = run_online(&instance, tota.as_mut(), 42);
@@ -40,7 +39,7 @@
 //!
 //! // Unknown specs are a `Result`, not a panic — the error lists the
 //! // valid spec templates.
-//! assert!(registry.build("uber-dispatch").is_err());
+//! assert!(MatcherSpec::parse("uber-dispatch").is_err());
 //!
 //! // The always-on auditor re-derives every paper invariant from the
 //! // finished log; a sound matcher leaves it silent (release builds too).
@@ -81,10 +80,10 @@ pub mod prelude {
         canonical_run_json, competitive_ratio_random_order, offline_solve, run_online,
         try_run_online, validate_run, Assignment, AuditFinding, ConstraintViolation, Decision,
         DecisionFailure, DemCom, DemComConfig, EventStream, GreedyRt, Instance, MatchKind,
-        MatcherEntry, MatcherFactory, MatcherRegistry, MatcherSpec, OfflineMode, OnlineMatcher,
-        PlatformId, RamCom, RamComConfig, RequestId, RequestSpec, RouteAwareCom, RunResult,
-        ServiceModel, SpecError, StreamInfo, ThresholdMode, Timestamp, TotaGreedy, Value, WorkerId,
-        WorkerSpec, World, WorldConfig,
+        MatcherFactory, MatcherRegistry, MatcherSpec, OfflineMode, OnlineMatcher, PlatformId,
+        RamCom, RamComConfig, RequestId, RequestSpec, RouteAwareCom, RunResult, ServiceModel,
+        SpecError, StreamInfo, ThresholdMode, Timestamp, TotaGreedy, Value, WorkerId, WorkerSpec,
+        World, WorldConfig,
     };
     pub use com_datagen::{
         chengdu_nov, chengdu_oct, generate, synthetic, xian_nov, DailyProfile, Hotspot,

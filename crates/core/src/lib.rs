@@ -32,9 +32,9 @@
 //! * [`ratio`] — empirical competitive-ratio measurement under the
 //!   adversarial and random-order models (Definitions 2.7/2.8).
 //! * [`registry`] — the algorithm-construction API: [`MatcherSpec`]
-//!   parses CLI strings like `"ramcom"` or `"route-aware:2.5"`, and
-//!   [`MatcherRegistry`] maps spec strings to `Send + Sync` factories
-//!   minting fresh matchers per run (`Result`-based lookup, no panics).
+//!   parses CLI strings like `"ramcom"` or `"route-aware:2.5"` and
+//!   builds fresh matchers (or `Send + Sync` factories minting one per
+//!   run) from them (`Result`-based parsing, no panics).
 //! * [`travel`] — route-aware matching with a pickup-distance cap (the
 //!   paper's §VII future-work direction), plus per-assignment travel
 //!   accounting.
@@ -80,7 +80,7 @@ pub use outsource::{
 };
 pub use ramcom::RamCom;
 pub use ratio::{competitive_ratio_random_order, CrReport};
-pub use registry::{MatcherEntry, MatcherFactory, MatcherRegistry, MatcherSpec, SpecError};
+pub use registry::{MatcherFactory, MatcherRegistry, MatcherSpec, SpecError};
 pub use session::{MatchSession, SessionConfig, SessionOutput};
 pub use timeline::{hourly_timeline, HourlyBucket};
 pub use tota::{GreedyRt, TotaGreedy};

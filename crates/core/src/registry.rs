@@ -2,31 +2,30 @@
 //!
 //! Every entry point that turns an algorithm *name* into a runnable
 //! matcher goes through here: [`MatcherSpec`] is the parsed form of CLI
-//! strings like `"ramcom"` or `"route-aware:2.5"`, and
-//! [`MatcherRegistry`] maps spec strings to `Send + Sync` factories that
-//! mint a fresh `Box<dyn OnlineMatcher>` per run. Lookup is
-//! `Result`-based — an unknown name is a [`SpecError`] listing the valid
-//! specs, never a panic — and the registry is iterable, so harness code
-//! (`simulate`, `repro`, the experiment modules) can enumerate what it
-//! can build from one source of truth.
+//! strings like `"ramcom"` or `"route-aware:2.5"`, and it either builds a
+//! fresh `Box<dyn OnlineMatcher>` or hands out a `Send + Sync`
+//! [`MatcherFactory`] that mints one per run. Parsing is `Result`-based —
+//! an unknown name is a [`SpecError`] listing the valid specs, never a
+//! panic — and [`MatcherSpec::standard`] / [`MatcherSpec::all_builtin`]
+//! enumerate what harness code (`simulate`, `repro`, the experiment
+//! modules) can build, from one source of truth.
 //!
-//! Factories rather than matchers are the unit of registration because a
+//! Factories rather than matchers are what sweeps share because a
 //! matcher is stateful across one replay (`begin`/`decide`) and must not
 //! be shared between runs; a factory can be cloned into worker threads
 //! and invoked once per (instance × seed) cell of a sweep.
 //!
 //! ```
-//! use com_core::registry::{MatcherRegistry, MatcherSpec};
+//! use com_core::registry::MatcherSpec;
 //!
-//! let registry = MatcherRegistry::builtin();
 //! // Fixed-name lookup…
-//! let factory = registry.resolve("ramcom").unwrap();
+//! let factory = MatcherSpec::parse("ramcom").unwrap().factory();
 //! assert_eq!(factory().name(), "RamCOM");
 //! // …and parameterised specs parse through the same call.
-//! let capped = registry.resolve("route-aware:2.5").unwrap();
-//! assert_eq!(capped().name(), "RouteAware");
+//! let capped = MatcherSpec::parse("route-aware:2.5").unwrap();
+//! assert_eq!(capped.build().name(), "RouteAware");
 //! // Unknown names are errors, not panics.
-//! assert!(registry.resolve("simulated-annealing").is_err());
+//! assert!(MatcherSpec::parse("simulated-annealing").is_err());
 //! // The paper's presentation order, for experiment tables.
 //! let names: Vec<&str> = MatcherSpec::standard().iter().map(|s| s.display_name()).collect();
 //! assert_eq!(names, ["TOTA", "DemCOM", "RamCOM"]);
@@ -189,7 +188,7 @@ impl fmt::Display for MatcherSpec {
 /// specs so CLI users see the menu, not a stack trace.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpecError {
-    /// The name matches no registered matcher and no built-in family.
+    /// The name matches no built-in family.
     Unknown { spec: String },
     /// The family is known but its parameter is malformed.
     BadParam { spec: String, reason: String },
@@ -214,182 +213,26 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// One registered matcher: a canonical name, the display name its runs
-/// report under, a one-line summary, and the factory.
-pub struct MatcherEntry {
-    name: String,
-    display_name: String,
-    summary: String,
-    factory: MatcherFactory,
-}
-
-impl MatcherEntry {
-    /// Canonical spec string (the lookup key).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Name this matcher's runs report under.
-    pub fn display_name(&self) -> &str {
-        &self.display_name
-    }
-
-    /// One-line human description.
-    pub fn summary(&self) -> &str {
-        &self.summary
-    }
-
-    /// Mint a fresh matcher.
-    pub fn build(&self) -> Box<dyn OnlineMatcher> {
-        (self.factory)()
-    }
-
-    /// Clone the factory for use on other threads.
-    pub fn factory(&self) -> MatcherFactory {
-        Arc::clone(&self.factory)
-    }
-}
-
-impl fmt::Debug for MatcherEntry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MatcherEntry")
-            .field("name", &self.name)
-            .field("display_name", &self.display_name)
-            .finish_non_exhaustive()
-    }
-}
-
-/// The registry: an ordered set of named matcher factories plus the
-/// parameterised built-in families ([`MatcherSpec::parse`] handles specs
-/// containing `:`). `Default`/[`MatcherRegistry::builtin`] registers the
-/// four fixed-name built-ins; [`MatcherRegistry::register`] adds custom
-/// algorithms without touching harness code.
-#[derive(Default)]
-pub struct MatcherRegistry {
-    entries: Vec<MatcherEntry>,
-}
+/// [`MatcherSpec::parse`] under its older spelling, kept because
+/// `benchmark/` and the integration tests call
+/// `MatcherRegistry::builtin().resolve(s)` / `.build(s)`. Nothing can be
+/// registered; code in the workspace calls [`MatcherSpec`] directly.
+pub struct MatcherRegistry;
 
 impl MatcherRegistry {
-    /// An empty registry (register everything yourself).
-    pub fn empty() -> Self {
-        MatcherRegistry::default()
-    }
-
-    /// Every built-in fixed-name algorithm, in presentation order.
-    /// Parameterised families (`route-aware:<cap-km>`) resolve through
-    /// [`MatcherRegistry::resolve`] without being listed as entries.
+    /// The built-in algorithms — everything [`MatcherSpec::parse`] accepts.
     pub fn builtin() -> Self {
-        let mut r = MatcherRegistry::empty();
-        for (spec, summary) in [
-            (
-                MatcherSpec::Tota,
-                "single-platform greedy baseline (Tong et al. ICDE'16)",
-            ),
-            (
-                MatcherSpec::GreedyRt,
-                "random value-threshold baseline (source of RamCOM's randomisation)",
-            ),
-            (
-                MatcherSpec::DemCom,
-                "deterministic COM: inner first, then minimum outer payment (Alg. 1)",
-            ),
-            (
-                MatcherSpec::RamCom,
-                "randomized COM: value-threshold routing + expected-revenue pricing (Alg. 3)",
-            ),
-        ] {
-            r.register_spec(spec, summary);
-        }
-        r
+        MatcherRegistry
     }
 
-    /// Register a built-in spec under its canonical name.
-    pub fn register_spec(&mut self, spec: MatcherSpec, summary: &str) {
-        self.register(
-            spec.canonical(),
-            spec.display_name().to_string(),
-            summary.to_string(),
-            spec.factory(),
-        );
-    }
-
-    /// Register a custom factory. A later registration under an existing
-    /// name replaces the earlier one (latest wins), so callers can
-    /// override a built-in with a tuned configuration.
-    pub fn register(
-        &mut self,
-        name: String,
-        display_name: String,
-        summary: String,
-        factory: MatcherFactory,
-    ) {
-        let name = name.to_ascii_lowercase();
-        if let Some(e) = self.entries.iter_mut().find(|e| e.name == name) {
-            e.display_name = display_name;
-            e.summary = summary;
-            e.factory = factory;
-        } else {
-            self.entries.push(MatcherEntry {
-                name,
-                display_name,
-                summary,
-                factory,
-            });
-        }
-    }
-
-    /// Resolve a spec string to a factory: registered entries first
-    /// (case-insensitive), then the parameterised built-in families.
+    /// Resolve a spec string to a factory.
     pub fn resolve(&self, spec: &str) -> Result<MatcherFactory, SpecError> {
-        let lower = spec.trim().to_ascii_lowercase();
-        if let Some(e) = self.entries.iter().find(|e| e.name == lower) {
-            return Ok(e.factory());
-        }
-        // Parameterised forms (anything carrying an argument) fall through
-        // to the spec parser; bare names must be registered entries so the
-        // error menu reflects what this registry actually offers.
-        if lower.contains(':') {
-            return MatcherSpec::parse(spec).map(|parsed| parsed.factory());
-        }
-        Err(SpecError::Unknown {
-            spec: spec.to_string(),
-        })
+        MatcherSpec::parse(spec).map(|parsed| parsed.factory())
     }
 
     /// Build a fresh matcher straight from a spec string.
     pub fn build(&self, spec: &str) -> Result<Box<dyn OnlineMatcher>, SpecError> {
-        self.resolve(spec).map(|f| f())
-    }
-
-    /// Iterate the registered entries in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = &MatcherEntry> {
-        self.entries.iter()
-    }
-
-    /// Number of registered entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no entry is registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Every spec this registry accepts: registered names plus the
-    /// parameterised templates. This is the menu CLI errors print.
-    pub fn known_specs(&self) -> Vec<String> {
-        let mut specs: Vec<String> = self.entries.iter().map(|e| e.name.clone()).collect();
-        specs.push("route-aware:<cap-km>".into());
-        specs
-    }
-}
-
-impl fmt::Debug for MatcherRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MatcherRegistry")
-            .field("entries", &self.entries)
-            .finish()
+        MatcherSpec::parse(spec).map(|parsed| parsed.build())
     }
 }
 
@@ -452,15 +295,23 @@ mod tests {
     }
 
     #[test]
-    fn registry_resolves_and_lists() {
+    fn registry_agrees_with_spec_parse() {
         let r = MatcherRegistry::builtin();
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.resolve("RamCOM").unwrap()().name(), "RamCOM");
-        assert_eq!(r.resolve("route-aware:1.0").unwrap()().name(), "RouteAware");
-        assert!(r.resolve("nope").is_err());
-        let specs = r.known_specs();
-        assert!(specs.contains(&"demcom".to_string()));
-        assert!(specs.contains(&"route-aware:<cap-km>".to_string()));
+        let templates = MatcherSpec::TEMPLATES.map(|t| t.replace("<cap-km>", "2.5"));
+        let aliases = ["TOTA", "Greedy-RT", "DemCOM", "RamCOM", "RouteAware:1"];
+        let bad = ["nope", "route-aware", "route-aware:-1"];
+        for s in templates
+            .iter()
+            .map(String::as_str)
+            .chain(aliases)
+            .chain(bad)
+        {
+            let via_registry = r.build(s).map(|m| m.name());
+            let via_spec = MatcherSpec::parse(s).map(|m| m.build().name());
+            assert_eq!(via_registry, via_spec, "{s}");
+            assert_eq!(r.resolve(s).map(|f| f().name()), via_spec, "{s}");
+            assert_eq!(via_spec.is_err(), bad.contains(&s), "{s}");
+        }
     }
 
     #[test]
@@ -490,32 +341,9 @@ mod tests {
     }
 
     #[test]
-    fn custom_registration_and_override() {
-        let mut r = MatcherRegistry::builtin();
-        r.register(
-            "my-capped".into(),
-            "RouteAware".into(),
-            "route-aware with a tuned cap".into(),
-            MatcherSpec::RouteAware { pickup_cap_km: 0.7 }.factory(),
-        );
-        assert_eq!(r.resolve("my-capped").unwrap()().name(), "RouteAware");
-        // Latest wins on re-registration.
-        r.register(
-            "my-capped".into(),
-            "TOTA".into(),
-            "now something else".into(),
-            MatcherSpec::Tota.factory(),
-        );
-        assert_eq!(r.resolve("my-capped").unwrap()().name(), "TOTA");
-        assert_eq!(r.len(), 5);
-    }
-
-    #[test]
     fn factories_are_send_sync() {
         fn assert_send_sync<T: Send + Sync>(_: &T) {}
         let f = MatcherSpec::DemCom.factory();
         assert_send_sync(&f);
-        let r = MatcherRegistry::builtin();
-        assert_send_sync(&r);
     }
 }

@@ -11,6 +11,8 @@
 //! workers from each platform" over the Chengdu geometry, defaults
 //! `|R| = 2500`, `|W| = 500`.
 
+use std::path::Path;
+
 use serde::{Deserialize, Serialize};
 
 use com_geo::{BoundingBox, Point};
@@ -267,15 +269,31 @@ pub fn full_scale() -> ScenarioConfig {
 }
 
 /// Resolve a `--profile` token (`chengdu-oct`, `chengdu-nov`, `xian-nov`,
-/// `synthetic`) to its scenario; `None` for an unknown name.
+/// `synthetic`, and the `quick` / `full-scale` presets behind the flags
+/// of those names) to its scenario; `None` for an unknown name.
 pub fn by_name(name: &str) -> Option<ScenarioConfig> {
     match name {
         "chengdu-oct" => Some(chengdu_oct()),
         "chengdu-nov" => Some(chengdu_nov()),
         "xian-nov" => Some(xian_nov()),
         "synthetic" => Some(synthetic(SyntheticParams::default())),
+        "quick" => Some(quick()),
+        "full-scale" => Some(full_scale()),
         _ => None,
     }
+}
+
+/// The scenario a CLI was asked for: the serialised [`ScenarioConfig`] in
+/// `config` (`--config FILE`) when given, else the `profile` token. The
+/// error is one line naming the file or token; every binary prints it and
+/// exits 2.
+pub fn load(config: Option<&Path>, profile: &str) -> Result<ScenarioConfig, String> {
+    let Some(path) = config else {
+        return by_name(profile).ok_or_else(|| format!("unknown profile {profile}"));
+    };
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    serde_json::from_str(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))
 }
 
 #[cfg(test)]
@@ -293,6 +311,29 @@ mod tests {
         assert_eq!(quick().total_workers(), 120);
         assert_eq!(full_scale().total_requests(), 10 * quick().total_requests());
         assert_eq!(full_scale().total_workers(), 10 * quick().total_workers());
+    }
+
+    #[test]
+    fn load_prefers_the_file_and_names_what_failed() {
+        assert_eq!(load(None, "quick"), Ok(quick()));
+        let err = load(None, "atlantis").unwrap_err();
+        assert!(err.contains("atlantis"), "{err}");
+
+        let dir = std::env::temp_dir().join(format!("com-datagen-load-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let missing = dir.join("missing.json");
+        let err = load(Some(&missing), "quick").unwrap_err();
+        assert!(err.contains("missing.json"), "{err}");
+
+        let malformed = dir.join("malformed.json");
+        std::fs::write(&malformed, "{ \"extent\": ").unwrap();
+        let err = load(Some(&malformed), "quick").unwrap_err();
+        assert!(err.contains("malformed.json"), "{err}");
+
+        let good = dir.join("good.json");
+        std::fs::write(&good, serde_json::to_string(&xian_nov()).unwrap()).unwrap();
+        assert_eq!(load(Some(&good), "atlantis"), Ok(xian_nov()));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl ScenarioConfig {
     /// by `factor` **and** shrinks the city area by the same factor
     /// (side length by `√factor`), so worker density — the quantity that
     /// drives coverage and completion ratios — is unchanged. Used by
-    /// `--quick` experiment modes and the criterion benches.
+    /// the `--quick` experiment modes.
     pub fn scaled(&self, factor: usize) -> Self {
         assert!(factor >= 1, "scale factor must be at least 1");
         let mut c = self.clone();

@@ -50,7 +50,7 @@ use std::time::Instant;
 use com_core::{canonical_assignment_json, canonical_run_digest, canonical_run_json};
 use com_core::{
     merge_platform_runs, project_platform_instance, project_platform_run, try_run_online,
-    MatcherRegistry, RunResult,
+    MatcherSpec, RunResult,
 };
 use com_serve::{
     bad_data, event_msg, expect_ok, hello_msg, serve, ByeMsg, Client, DeepStatsMsg, FedHello,
@@ -61,7 +61,7 @@ use com_sim::{ArrivalEvent, Assignment, Instance, PlatformId, PlatformLedger};
 /// How to drive the federated pair.
 #[derive(Debug, Clone)]
 pub struct FedOptions {
-    /// Matcher spec string (see `com_core::MatcherRegistry`).
+    /// Matcher spec string (see `com_core::MatcherSpec`).
     pub matcher: String,
     pub seed: u64,
     /// Wire framing for *both* client links and (echoed into
@@ -290,11 +290,9 @@ fn canonical_text(value: &serde_json::Value) -> String {
 }
 
 fn reference_run(instance: &Instance, options: &FedOptions) -> Result<RunResult, String> {
-    let registry = MatcherRegistry::builtin();
-    let factory = registry
-        .resolve(&options.matcher)
-        .map_err(|e| format!("unknown matcher {}: {e:?}", options.matcher))?;
-    let mut matcher = factory();
+    let mut matcher = MatcherSpec::parse(&options.matcher)
+        .map_err(|e| format!("unknown matcher {}: {e:?}", options.matcher))?
+        .build();
     Ok(try_run_online(instance, matcher.as_mut(), options.seed))
 }
 

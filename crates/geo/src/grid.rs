@@ -24,12 +24,10 @@ pub struct GridEntry {
 
 /// A uniform-grid spatial hash over a bounded region.
 ///
-/// Supports O(1) amortised insert/remove by id and two query flavours:
-///
-/// * [`GridIndex::coverers`] — every item whose own circle covers a query
-///   point (the paper's range constraint, worker-side radius).
-/// * [`GridIndex::within`] — every item within a query-side radius of a
-///   point (used by offline graph construction and diagnostics).
+/// Supports O(1) amortised insert/remove by id and the reverse range
+/// query ([`GridIndex::coverers`], [`GridIndex::nearest_coverer`]): the
+/// items whose own circle covers a query point (the paper's range
+/// constraint, worker-side radius).
 ///
 /// Items whose location falls outside the configured extent are clamped to
 /// the boundary cells, so the index never loses items — queries stay exact
@@ -131,11 +129,6 @@ impl GridIndex {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The extent this index covers.
-    pub fn extent(&self) -> BoundingBox {
-        self.extent
     }
 
     #[inline]
@@ -264,28 +257,6 @@ impl GridIndex {
         out
     }
 
-    /// All items within `radius` km of `point` (query-side radius),
-    /// appended to `out` (cleared first).
-    pub fn within_into(&self, point: Point, radius: Km, out: &mut Vec<GridEntry>) {
-        out.clear();
-        let cells = self.for_cells_in_circle(point, radius, |bucket| {
-            for e in bucket {
-                if point.covers(e.location, radius) {
-                    out.push(*e);
-                }
-            }
-        });
-        com_obs::counter_add("grid.cells_scanned", cells as u64);
-        com_obs::counter_add("grid.candidates", out.len() as u64);
-    }
-
-    /// Allocating convenience wrapper around [`GridIndex::within_into`].
-    pub fn within(&self, point: Point, radius: Km) -> Vec<GridEntry> {
-        let mut out = Vec::new();
-        self.within_into(point, radius, &mut out);
-        out
-    }
-
     /// The nearest item whose own circle covers `point`, if any. Both
     /// DemCOM and the TOTA baseline assign an incoming request to the
     /// *nearest* feasible worker, so this is the hottest query in the
@@ -316,19 +287,6 @@ impl GridIndex {
     /// Iterate over all entries (arbitrary order).
     pub fn iter(&self) -> impl Iterator<Item = &GridEntry> {
         self.cells.iter().flatten()
-    }
-
-    /// Remove all items, keeping the allocated cell structure.
-    pub fn clear(&mut self) {
-        for c in &mut self.cells {
-            c.clear();
-        }
-        self.locations.clear();
-        self.radius_counts.clear();
-        // With live-radius tracking there is nothing to retain: an empty
-        // index scans exactly one cell per query until items return.
-        self.max_radius = 0.0;
-        self.len = 0;
     }
 
     /// The most items this index has ever held at once.
@@ -432,32 +390,6 @@ mod tests {
         g.insert(1, Point::new(12.0, 12.0), 3.0);
         assert_eq!(g.coverers(Point::new(10.0, 10.0)).len(), 1);
         assert!(g.coverers(Point::new(5.0, 5.0)).is_empty());
-    }
-
-    #[test]
-    fn within_query() {
-        let mut g = GridIndex::new(BoundingBox::square(10.0), 1.0);
-        g.insert(1, Point::new(2.0, 2.0), 0.1);
-        g.insert(2, Point::new(3.0, 2.0), 0.1);
-        g.insert(3, Point::new(7.0, 7.0), 0.1);
-        let mut ids: Vec<u64> = g
-            .within(Point::new(2.5, 2.0), 0.6)
-            .iter()
-            .map(|e| e.id)
-            .collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![1, 2]);
-    }
-
-    #[test]
-    fn clear_retains_capacity_and_correctness() {
-        let mut g = GridIndex::new(BoundingBox::square(10.0), 1.0);
-        g.insert(1, Point::new(5.0, 5.0), 2.0);
-        g.clear();
-        assert!(g.is_empty());
-        assert_eq!(g.max_radius(), 0.0);
-        g.insert(2, Point::new(5.0, 5.0), 0.5);
-        assert_eq!(g.coverers(Point::new(5.2, 5.0)).len(), 1);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Reporting substrate for the COM experiments: result tables in the
 //! shape of the paper's Tables V–VII, sweep series in the shape of
-//! Fig. 5, summary statistics, and a byte-counting global allocator for
-//! the memory-cost metric.
+//! Fig. 5, and a byte-counting global allocator for the memory-cost
+//! metric.
 //!
 //! This crate is deliberately free of simulator dependencies — it
 //! formats and aggregates plain numbers, so the experiment harness can
@@ -12,13 +12,11 @@
 pub mod memory;
 pub mod series;
 pub mod spark;
-pub mod stats;
 pub mod table;
 
-pub use memory::{CountingAllocator, MemoryGauge};
+pub use memory::CountingAllocator;
 pub use series::SweepSeries;
 pub use spark::{sparkline, sparkline_row};
-pub use stats::{mean, percentile, stddev, Summary};
 pub use table::Table;
 
 /// Format a byte count as mebibytes with two decimals (the unit of the

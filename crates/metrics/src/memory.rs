@@ -1,13 +1,9 @@
 //! Byte-counting allocator for the memory-cost metric.
 //!
 //! The paper reports the "memory cost" of each algorithm (Table V,
-//! Figs. 5(c)/(g)/(k)). Two measurement mechanisms are provided:
-//!
-//! * [`CountingAllocator`] — a global-allocator wrapper counting live and
-//!   peak heap bytes process-wide. The `repro` binary installs it with
-//!   `#[global_allocator]`.
-//! * [`MemoryGauge`] — a scoped helper that snapshots the counter around
-//!   a region so per-run deltas can be reported.
+//! Figs. 5(c)/(g)/(k)). [`CountingAllocator`] is a global-allocator
+//! wrapper counting live and peak heap bytes process-wide; the `repro`
+//! binary installs it with `#[global_allocator]`.
 //!
 //! The structural `approx_bytes()` estimates in the simulator remain
 //! useful for cross-checking (they exclude transient allocations).
@@ -80,28 +76,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 }
 
-/// Scoped memory measurement: live bytes at construction vs peak since.
-#[derive(Debug, Clone, Copy)]
-pub struct MemoryGauge {
-    baseline_live: usize,
-}
-
-impl MemoryGauge {
-    /// Start a measurement region: resets the peak to the current live
-    /// level.
-    pub fn start() -> Self {
-        CountingAllocator::reset_peak();
-        MemoryGauge {
-            baseline_live: CountingAllocator::live_bytes(),
-        }
-    }
-
-    /// Peak bytes allocated above the baseline since `start`.
-    pub fn peak_delta(&self) -> usize {
-        CountingAllocator::peak_bytes().saturating_sub(self.baseline_live)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,16 +107,5 @@ mod tests {
         assert!(CountingAllocator::live_bytes() >= live_after_alloc + 1024 - 1024);
         let new_layout = Layout::from_size_align(2048, 8).unwrap();
         unsafe { a.dealloc(new_ptr, new_layout) };
-    }
-
-    #[test]
-    fn gauge_measures_peak_delta() {
-        let a = CountingAllocator;
-        let gauge = MemoryGauge::start();
-        let layout = Layout::from_size_align(1 << 16, 8).unwrap();
-        let ptr = unsafe { a.alloc(layout) };
-        let delta = gauge.peak_delta();
-        assert!(delta >= 1 << 16, "delta {delta} misses the allocation");
-        unsafe { a.dealloc(ptr, layout) };
     }
 }

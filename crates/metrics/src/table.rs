@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 /// A simple column-aligned table with a title, rendered as ASCII (for the
-/// terminal), Markdown (for EXPERIMENTS.md), or CSV.
+/// terminal) or Markdown (for EXPERIMENTS.md).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Table {
     pub title: String,
@@ -91,19 +91,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as CSV (headers first; no escaping — cells are plain
-    /// numbers and identifiers).
-    pub fn render_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -136,14 +123,6 @@ mod tests {
         assert!(md.contains("| Method | Rev | CpR |"));
         assert!(md.contains("|---|---|---|"));
         assert!(md.contains("| TOTA | 1.343 | 68689 |"));
-    }
-
-    #[test]
-    fn csv_shape() {
-        let csv = sample().render_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "Method,Rev,CpR");
-        assert_eq!(lines[2], "TOTA,1.343,68689");
     }
 
     #[test]

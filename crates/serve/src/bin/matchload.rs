@@ -57,18 +57,17 @@
 //!   zero dropped messages; exit 1 otherwise.
 
 use std::fs;
+use std::path::Path;
 
 use com_core::{canonical_run_digest, canonical_run_json};
-use com_core::{try_run_online, MatcherRegistry};
-use com_datagen::{generate, profiles, ScenarioConfig};
+use com_core::{try_run_online, MatcherSpec};
+use com_datagen::{generate, profiles};
 use com_serve::{drive, DeepStatsMsg, DriveOptions, ShardRow, WireFormat};
 
 struct Args {
     addr: String,
     profile: String,
     config: Option<String>,
-    quick: bool,
-    full_scale: bool,
     json_out: Option<String>,
     baseline: Option<String>,
     strict: bool,
@@ -95,13 +94,12 @@ fn parse_args() -> Args {
         addr: String::new(),
         profile: "synthetic".into(),
         config: None,
-        quick: false,
-        full_scale: false,
         json_out: None,
         baseline: None,
         strict: false,
         drive: DriveOptions::default(),
     };
+    let (mut quick, mut full_scale) = (false, false);
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         let mut next = |flag: &str| {
@@ -121,8 +119,8 @@ fn parse_args() -> Args {
             "--addr" => args.addr = next("--addr"),
             "--profile" => args.profile = next("--profile"),
             "--config" => args.config = Some(next("--config")),
-            "--quick" => args.quick = true,
-            "--full-scale" => args.full_scale = true,
+            "--quick" => quick = true,
+            "--full-scale" => full_scale = true,
             "--matcher" => args.drive.matcher = next("--matcher"),
             "--seed" => {
                 args.drive.seed = next("--seed").parse().unwrap_or_else(|_| {
@@ -160,30 +158,12 @@ fn parse_args() -> Args {
         eprintln!("--addr is required");
         usage()
     }
+    // The two presets are profile tokens that beat --config and --profile.
+    if quick || full_scale {
+        args.config = None;
+        args.profile = if quick { "quick" } else { "full-scale" }.into();
+    }
     args
-}
-
-fn load_scenario(args: &Args) -> ScenarioConfig {
-    if args.quick {
-        return profiles::quick();
-    }
-    if args.full_scale {
-        return profiles::full_scale();
-    }
-    if let Some(path) = &args.config {
-        let text = fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2)
-        });
-        return serde_json::from_str(&text).unwrap_or_else(|e| {
-            eprintln!("cannot parse {path}: {e}");
-            std::process::exit(2)
-        });
-    }
-    profiles::by_name(&args.profile).unwrap_or_else(|| {
-        eprintln!("unknown profile {}", args.profile);
-        usage()
-    })
 }
 
 fn us(ns: u64) -> f64 {
@@ -235,24 +215,21 @@ fn print_shard_table(shards: &[ShardRow]) {
 }
 
 fn scenario_name(args: &Args) -> String {
-    if args.quick {
-        "quick-synthetic".to_string()
-    } else if args.full_scale {
-        "full-scale-synthetic".to_string()
-    } else {
-        args.profile.clone()
+    match args.profile.as_str() {
+        preset @ ("quick" | "full-scale") => format!("{preset}-synthetic"),
+        profile => profile.to_string(),
     }
 }
 
 /// Local batch ground truth for one session seed: canonical run JSON
 /// (normalised through the parser) and the finish digest.
 fn local_truth(instance: &com_sim::Instance, matcher_spec: &str, seed: u64) -> (String, String) {
-    let registry = MatcherRegistry::builtin();
-    let factory = registry.resolve(matcher_spec).unwrap_or_else(|e| {
-        eprintln!("matchload: {e}");
-        std::process::exit(2)
-    });
-    let mut matcher = factory();
+    let mut matcher = MatcherSpec::parse(matcher_spec)
+        .unwrap_or_else(|e| {
+            eprintln!("matchload: {e}");
+            std::process::exit(2)
+        })
+        .build();
     let batch = try_run_online(instance, matcher.as_mut(), seed);
     let local = serde_json::to_string(&canonical_run_json(&batch)).expect("serialise");
     // Round-trip through the parser so both sides use the identical
@@ -289,7 +266,12 @@ fn write_json(path: &str, json: &serde_json::Value) {
 
 fn main() {
     let args = parse_args();
-    let instance = generate(&load_scenario(&args));
+    let scenario = profiles::load(args.config.as_deref().map(Path::new), &args.profile)
+        .unwrap_or_else(|e| {
+            eprintln!("matchload: {e}");
+            std::process::exit(2)
+        });
+    let instance = generate(&scenario);
     let options = &args.drive;
     println!(
         "matchload: {} events ({} requests, {} workers) x {} sessions -> {} \

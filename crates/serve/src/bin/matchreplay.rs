@@ -30,7 +30,7 @@
 
 use std::path::{Path, PathBuf};
 
-use com_datagen::{generate, profiles, ScenarioConfig};
+use com_datagen::{generate, profiles};
 use com_serve::{record_session, replay_trace, TraceReplayReport};
 
 struct Args {
@@ -43,7 +43,6 @@ struct Args {
     seed: u64,
     profile: String,
     config: Option<String>,
-    quick: bool,
 }
 
 fn usage() -> ! {
@@ -66,8 +65,8 @@ fn parse_args() -> Args {
         seed: 42,
         profile: "synthetic".into(),
         config: None,
-        quick: false,
     };
+    let mut quick = false;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         let mut next = |flag: &str| {
@@ -95,7 +94,7 @@ fn parse_args() -> Args {
             }
             "--profile" => args.profile = next("--profile"),
             "--config" => args.config = Some(next("--config")),
-            "--quick" => args.quick = true,
+            "--quick" => quick = true,
             "--help" | "-h" => usage(),
             other if other.starts_with('-') => {
                 eprintln!("unknown flag {other}");
@@ -112,31 +111,20 @@ fn parse_args() -> Args {
         eprintln!("--record and trace replay are mutually exclusive");
         usage()
     }
+    // The preset is a profile token that beats --config and --profile.
+    if quick {
+        args.config = None;
+        args.profile = "quick".into();
+    }
     args
 }
 
-fn load_scenario(args: &Args) -> ScenarioConfig {
-    if args.quick {
-        return profiles::quick();
-    }
-    if let Some(path) = &args.config {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2)
-        });
-        return serde_json::from_str(&text).unwrap_or_else(|e| {
-            eprintln!("cannot parse {path}: {e}");
-            std::process::exit(2)
-        });
-    }
-    profiles::by_name(&args.profile).unwrap_or_else(|| {
-        eprintln!("unknown profile {}", args.profile);
-        usage()
-    })
-}
-
 fn record(args: &Args, path: &Path) {
-    let scenario = load_scenario(args);
+    let scenario = profiles::load(args.config.as_deref().map(Path::new), &args.profile)
+        .unwrap_or_else(|e| {
+            eprintln!("matchreplay: {e}");
+            std::process::exit(2)
+        });
     let instance = generate(&scenario);
     let finished = record_session(path, &instance, &args.matcher, args.seed).unwrap_or_else(|e| {
         eprintln!("matchreplay: recording failed: {e}");

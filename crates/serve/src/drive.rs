@@ -50,7 +50,7 @@ use crate::protocol::{ByeMsg, ClientMsg, DeepStatsMsg, Hello, ServerMsg, WorkerM
 /// How to drive.
 #[derive(Debug, Clone)]
 pub struct DriveOptions {
-    /// Matcher spec string (see `com_core::MatcherRegistry`).
+    /// Matcher spec string (see `com_core::MatcherSpec`).
     pub matcher: String,
     /// Session `k` runs with seed `seed + k`.
     pub seed: u64,

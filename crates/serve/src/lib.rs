@@ -68,8 +68,8 @@ pub use framing::{
 pub use protocol::{
     client_frame_from_content, decode_client, decode_client_frame, decode_server,
     decode_server_frame, encode, server_frame_from_content, ByeMsg, ClientFrame, ClientMsg,
-    CounterRow, DecodeError, DeepStatsMsg, ErrorMsg, FedByeMsg, FedHello, FedStatsMsg, GaugeRow,
-    Hello, OfferMsg, PhaseRow, ServerFrame, ServerMsg, ShardRow, StatsMsg, WorkerMsg,
+    CounterRow, DecodeError, DeepStatsMsg, ErrorMsg, FedByeMsg, FedHello, FedStatsMsg, Frame,
+    GaugeRow, Hello, OfferMsg, PhaseRow, ServerFrame, ServerMsg, ShardRow, StatsMsg, WorkerMsg,
 };
 pub use replay::{read_trace, record_session, replay_trace, Divergence, TraceReplayReport};
 pub use server::{serve, QueueStats, ServerConfig, ServerCounters, ServerHandle};

@@ -59,7 +59,7 @@ use crate::framing::{write_frame, WireFormat};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Hello {
     /// Matcher spec string, e.g. `"demcom"` or `"route-aware:2.5"`
-    /// (resolved through `com_core::MatcherRegistry::builtin`).
+    /// (parsed by `com_core::MatcherSpec::parse`).
     pub matcher: String,
     pub seed: u64,
     pub world: WorldConfig,
@@ -528,7 +528,7 @@ pub fn decode_server(line: &str) -> Result<ServerMsg, DecodeError> {
     decode(line)
 }
 
-/// A client message with its mux address: `sid: None` is a bare message,
+/// A message with its mux address: `sid: None` is a bare message,
 /// `sid: Some(n)` the envelope `{"sid":n,"msg":<message>}`.
 ///
 /// The envelope is hand-rolled (not derived) because it *flattens away*
@@ -538,21 +538,20 @@ pub fn decode_server(line: &str) -> Result<ServerMsg, DecodeError> {
 /// single-key objects (or bare strings) and no tag is named `sid`, so a
 /// top-level `"sid"` key can only be the envelope.
 #[derive(Debug, Clone)]
-pub struct ClientFrame {
+pub struct Frame<M> {
     pub sid: Option<u64>,
-    pub msg: ClientMsg,
+    pub msg: M,
 }
 
-/// A server message with its mux address (see [`ClientFrame`]).
-#[derive(Debug, Clone)]
-pub struct ServerFrame {
-    pub sid: Option<u64>,
-    pub msg: ServerMsg,
-}
+/// A client message with its mux address.
+pub type ClientFrame = Frame<ClientMsg>;
+
+/// A server message with its mux address.
+pub type ServerFrame = Frame<ServerMsg>;
 
 /// A message *borrowed* together with its mux address — what every writer
 /// serializes, so tagging a message with its `sid` never clones it.
-/// Serializes exactly like [`ClientFrame`]/[`ServerFrame`].
+/// Serializes exactly like [`Frame`].
 pub(crate) struct Envelope<'a, T> {
     pub(crate) sid: Option<u64>,
     pub(crate) msg: &'a T,
@@ -595,36 +594,28 @@ fn split_envelope(value: &Content) -> Result<(Option<u64>, &Content), String> {
     Ok((Some(*sid), msg))
 }
 
-impl Serialize for ClientFrame {
+impl<M: Serialize> Serialize for Frame<M> {
     fn to_content(&self) -> Content {
         frame_to_content(self.sid, &self.msg)
     }
 }
 
-impl Deserialize for ClientFrame {
+impl<M: Deserialize> Deserialize for Frame<M> {
     fn from_content(c: &Content) -> Result<Self, serde::de::Error> {
         let (sid, msg) = split_envelope(c).map_err(serde::de::Error::custom)?;
-        Ok(ClientFrame {
+        Ok(Frame {
             sid,
-            msg: ClientMsg::from_content(msg)?,
+            msg: M::from_content(msg)?,
         })
     }
 }
 
-impl Serialize for ServerFrame {
-    fn to_content(&self) -> Content {
-        frame_to_content(self.sid, &self.msg)
-    }
-}
-
-impl Deserialize for ServerFrame {
-    fn from_content(c: &Content) -> Result<Self, serde::de::Error> {
-        let (sid, msg) = split_envelope(c).map_err(serde::de::Error::custom)?;
-        Ok(ServerFrame {
-            sid,
-            msg: ServerMsg::from_content(msg)?,
-        })
-    }
+/// The one body behind [`client_frame_from_content`] and
+/// [`server_frame_from_content`].
+fn frame_from_content<M: Deserialize>(content: &Content) -> Result<Frame<M>, DecodeError> {
+    let (sid, msg) = split_envelope(content).map_err(DecodeError::BadEnvelope)?;
+    let msg = M::from_content(msg).map_err(|e| DecodeError::UnknownMessage(e.to_string()))?;
+    Ok(Frame { sid, msg })
 }
 
 /// Split an already-decoded value tree into a typed client frame.
@@ -634,19 +625,13 @@ impl Deserialize for ServerFrame {
 /// [`DecodeError::UnknownMessage`]. The binary framing path calls this
 /// directly on the decoded frame payload.
 pub fn client_frame_from_content(content: &Content) -> Result<ClientFrame, DecodeError> {
-    let (sid, msg) = split_envelope(content).map_err(DecodeError::BadEnvelope)?;
-    let msg =
-        ClientMsg::from_content(msg).map_err(|e| DecodeError::UnknownMessage(e.to_string()))?;
-    Ok(ClientFrame { sid, msg })
+    frame_from_content(content)
 }
 
 /// Split an already-decoded value tree into a typed server frame (see
 /// [`client_frame_from_content`]).
 pub fn server_frame_from_content(content: &Content) -> Result<ServerFrame, DecodeError> {
-    let (sid, msg) = split_envelope(content).map_err(DecodeError::BadEnvelope)?;
-    let msg =
-        ServerMsg::from_content(msg).map_err(|e| DecodeError::UnknownMessage(e.to_string()))?;
-    Ok(ServerFrame { sid, msg })
+    frame_from_content(content)
 }
 
 /// Parse one client line, mux envelope or bare.

@@ -12,9 +12,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use com_core::{
-    validate_run, MatchSession, MatcherRegistry, RunResult, SessionConfig, SessionOutput,
-};
+use com_core::{validate_run, MatchSession, MatcherSpec, RunResult, SessionConfig, SessionOutput};
 use com_obs::Histogram;
 use com_pricing::WorkerHistory;
 use com_sim::{
@@ -83,13 +81,10 @@ pub struct FinishedSession {
 }
 
 impl ServeSession {
-    /// Open a session from a `hello`. Fails with the registry's own
+    /// Open a session from a `hello`. Fails with the spec parser's own
     /// message (listing valid specs) when the matcher is unknown.
     pub fn open(hello: &Hello) -> Result<Self, String> {
-        let registry = MatcherRegistry::builtin();
-        let factory = registry
-            .resolve(&hello.matcher)
-            .map_err(|e| e.to_string())?;
+        let spec = MatcherSpec::parse(&hello.matcher).map_err(|e| e.to_string())?;
         let config = SessionConfig {
             world: hello.world.clone(),
             platform_names: hello.platforms.clone(),
@@ -98,7 +93,7 @@ impl ServeSession {
         };
         let mut fed = None;
         let core = match &hello.fed {
-            None => MatchSession::new(config, factory(), hello.seed),
+            None => MatchSession::new(config, spec.build(), hello.seed),
             Some(f) => {
                 if usize::from(f.platform) >= hello.platforms.len() {
                     return Err(format!(
@@ -129,7 +124,7 @@ impl ServeSession {
                     shared,
                     lendable: HashMap::new(),
                 });
-                MatchSession::new(config, factory(), hello.seed)
+                MatchSession::new(config, spec.build(), hello.seed)
                     .with_owned_platform(Some(platform))
                     .with_outsource_channel(Box::new(channel))
             }
