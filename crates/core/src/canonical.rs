@@ -61,11 +61,17 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// [`fnv1a64`] digest of the canonical run JSON, rendered as
-/// `"fnv1a64:<16 hex digits>"`; used by session traces to fingerprint the
-/// final [`RunResult`] so a replay can assert it reproduced the whole
-/// run, not just each individual decision.
-pub fn canonical_run_digest(run: &RunResult) -> String {
-    let text = serde_json::to_string(&canonical_run_json(run)).expect("canonical run serializes");
+/// [`fnv1a64`] digest of an already-built [`canonical_run_json`] tree,
+/// rendered as `"fnv1a64:<16 hex digits>"` — for callers that also ship
+/// the tree (a session's `bye`) and should not build it twice.
+pub fn canonical_digest(canonical: &serde_json::Value) -> String {
+    let text = serde_json::to_string(canonical).expect("canonical run serializes");
     format!("fnv1a64:{:016x}", fnv1a64(text.as_bytes()))
+}
+
+/// [`canonical_digest`] of `run`'s canonical JSON; used by session traces
+/// to fingerprint the final [`RunResult`] so a replay can assert it
+/// reproduced the whole run, not just each individual decision.
+pub fn canonical_run_digest(run: &RunResult) -> String {
+    canonical_digest(&canonical_run_json(run))
 }

@@ -68,7 +68,9 @@ pub use audit::{
     record_findings, take_findings, total_findings, validate_run, AuditFinding, RecordedFinding,
 };
 pub use batched::{run_batched, BatchedCom};
-pub use canonical::{canonical_assignment_json, canonical_run_digest, canonical_run_json, fnv1a64};
+pub use canonical::{
+    canonical_assignment_json, canonical_digest, canonical_run_digest, canonical_run_json, fnv1a64,
+};
 pub use config::{DemComConfig, RamComConfig, ThresholdMode};
 pub use demcom::DemCom;
 pub use engine::{run_online, try_run_online, DecisionFailure, RunResult};

@@ -170,7 +170,7 @@ pub fn drive_single(
 ) -> io::Result<DaemonReport> {
     let mut client = open_session(addr, peer, platform, instance, options)?;
     for event in instance.stream.iter() {
-        let (response, _) = client.rpc(&event_msg(instance, event))?;
+        let response = client.rpc(&event_msg(instance, event))?;
         match event {
             ArrivalEvent::Worker(_) => expect_ok(response, "worker")?,
             ArrivalEvent::Request(spec) => {
@@ -218,10 +218,8 @@ pub fn drive_federated(
         let msg = event_msg(instance, event);
         match event {
             ArrivalEvent::Worker(_) => {
-                let (ra, _) = a.rpc(&msg)?;
-                expect_ok(ra, "worker")?;
-                let (rb, _) = b.rpc(&msg)?;
-                expect_ok(rb, "worker")?;
+                expect_ok(a.rpc(&msg)?, "worker")?;
+                expect_ok(b.rpc(&msg)?, "worker")?;
             }
             ArrivalEvent::Request(spec) => {
                 // Non-owner first: the lender's replica must have seen
@@ -233,8 +231,8 @@ pub fn drive_federated(
                 } else {
                     (&mut a, &mut b)
                 };
-                let (lend_side, _) = non_owner.rpc(&msg)?;
-                let (own_side, _) = owner.rpc(&msg)?;
+                let lend_side = non_owner.rpc(&msg)?;
+                let own_side = owner.rpc(&msg)?;
                 match (
                     response_assignment(&lend_side),
                     response_assignment(&own_side),

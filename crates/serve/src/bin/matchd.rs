@@ -3,8 +3,7 @@
 //! ```text
 //! cargo run -p com-serve --release --bin matchd -- \
 //!     [--addr HOST:PORT] [--addr-file FILE] [--queue N] \
-//!     [--shards N] [--placement hash|grid[:CELL]] [--once] [--stats] \
-//!     [--record DIR] [--no-telemetry]
+//!     [--shards N] [--once] [--stats] [--record DIR] [--no-telemetry]
 //! ```
 //!
 //! Listens for newline-delimited-JSON sessions (see
@@ -15,7 +14,8 @@
 //! may drive one bare session, or multiplex many logical sessions by
 //! wrapping every message in the `{"sid":…,"msg":…}` envelope. Sessions
 //! execute on a pool of shared-nothing shard threads
-//! (`com_serve::shard`); placement is deterministic either way. A `hello`
+//! (`com_serve::shard`), placed by a stable hash of the session key
+//! (`hello.origin` is accepted and ignored). A `hello`
 //! carrying `"frame": "binary"` switches the connection to
 //! length-prefixed binary frames (see `com_serve::framing`) after the
 //! NDJSON `welcome`; no flag is needed — framing is negotiated in-band
@@ -25,14 +25,11 @@
 //!   an ephemeral port.
 //! * `--addr-file` — write the bound address to FILE once listening
 //!   (how scripts discover an ephemeral port).
-//! * `--queue` — ingress queue capacity per shard (default 1024); when
-//!   full, messages are dropped and answered with `busy`.
+//! * `--queue` — ingress queue capacity per shard (default 1024). Only
+//!   sizes a buffer: when it is full the connection's reader waits and
+//!   TCP pushes back on the client; nothing is dropped.
 //! * `--shards` — shard worker threads (default 1). Sessions are
 //!   identical at any shard count; only parallelism changes.
-//! * `--placement` — session→shard rule: `hash` (default, stable hash of
-//!   the session key) or `grid[:CELL]` (bucket `hello.origin` into a
-//!   square grid cell of side CELL world units and hash the cell, so
-//!   spatially co-located sessions share a shard).
 //! * `--once` — exit once at least one connection was accepted and all
 //!   accepted connections have finished (CI smoke runs).
 //! * `--stats` — print a per-session ingest-latency summary when each
@@ -47,7 +44,7 @@
 //! Without `--once` the daemon runs until killed; every in-flight
 //! session is still drained and audited on client disconnect.
 
-use com_serve::{serve, Placement, ServerConfig};
+use com_serve::{serve, ServerConfig};
 
 /// Write the bound address atomically: scripts poll `--addr-file` and
 /// must never observe a half-written address, so the text lands in a
@@ -71,8 +68,7 @@ fn write_addr_file(path: &str, addr: &str) -> std::io::Result<()> {
 fn usage() -> ! {
     eprintln!(
         "usage: matchd [--addr HOST:PORT] [--addr-file FILE] [--queue N] \
-         [--shards N] [--placement hash|grid[:CELL]] [--once] [--stats] \
-         [--record DIR] [--no-telemetry]"
+         [--shards N] [--once] [--stats] [--record DIR] [--no-telemetry]"
     );
     std::process::exit(2);
 }
@@ -109,12 +105,6 @@ fn main() {
                     eprintln!("--shards must be a positive integer");
                     usage()
                 }
-            }
-            "--placement" => {
-                config.placement = Placement::parse(&next("--placement")).unwrap_or_else(|e| {
-                    eprintln!("--placement: {e}");
-                    usage()
-                })
             }
             "--once" => config.once = true,
             "--stats" => config.print_stats = true,

@@ -15,7 +15,7 @@
 //! throughput and request round-trip latency (p50/p95/p99). Before
 //! shutdown it asks the server for `stats_deep` and prints the per-shard
 //! rows and the serving phase table (decode/ingest/decision/encode/flush
-//! latencies, queue high-water, busy-drops); the same tables land in the
+//! latencies, queue high-water); the same tables land in the
 //! `--json` report as `server_shards` and `server_phases`.
 //!
 //! * `--quick` — a small synthetic scenario (400 requests, 120 workers)
@@ -30,7 +30,8 @@
 //! * `--window` — max messages in flight per connection, shared by its
 //!   sessions (default 1 = strict lockstep). Larger windows pipeline
 //!   sends in batched writes; the served outcome is identical, only
-//!   transport overlap changes.
+//!   transport overlap changes. Independent of the server's `--queue`:
+//!   a backlogged shard stops reading the socket, it never drops.
 //! * `--sessions K` — drive K logical sessions, session `k` with seed
 //!   `--seed + k` (default 1). One session is addressed bare; K > 1 are
 //!   multiplexed as sids `0..K` in the mux envelope.
@@ -41,8 +42,8 @@
 //!   parameters (`scenario`, `matcher`, `seed`, `connections`,
 //!   `sessions`, `requests`, `workers`, `events`, `rate_hz`, `frame`,
 //!   `window`), results (`wall_secs`, `events_per_sec`, `latency_us`
-//!   {`p50`,`p95`,`p99`,`mean`}, `busy`, `busy_dropped`,
-//!   `queue_high_water`), `per_session[]` (`sid` — null when bare —
+//!   {`p50`,`p95`,`p99`,`mean`}, `queue_high_water`),
+//!   `per_session[]` (`sid` — null when bare —
 //!   `connection`, `seed`, `assigned`, `rejected`, `refused`, `revenue`,
 //!   `completed`, `audit_findings`, `digest`), the server's
 //!   `server_shards[]` and `server_phases[]` tables, `host_cores`,
@@ -53,8 +54,8 @@
 //! * `--strict` — verify every served session end to end: replay the
 //!   same instance through the local batch engine (`try_run_online`,
 //!   per-session seed) and require the server's canonical run JSON and
-//!   finish digest to match byte for byte, zero audit findings, and
-//!   zero dropped messages; exit 1 otherwise.
+//!   finish digest to match byte for byte and zero audit findings;
+//!   exit 1 otherwise.
 
 use std::fs;
 use std::path::Path;
@@ -174,8 +175,8 @@ fn us(ns: u64) -> f64 {
 /// microsecond of a request's server time goes.
 fn print_phase_table(deep: &DeepStatsMsg) {
     println!(
-        "server phases ({}, queue depth {} / high-water {}, {} dropped):",
-        deep.algorithm, deep.queue_depth, deep.queue_high_water, deep.busy_dropped,
+        "server phases ({}, queue depth {} / high-water {}):",
+        deep.algorithm, deep.queue_depth, deep.queue_high_water,
     );
     println!(
         "  {:<18} {:>8} {:>10} {:>10} {:>10} {:>10}",
@@ -198,18 +199,13 @@ fn print_phase_table(deep: &DeepStatsMsg) {
 fn print_shard_table(shards: &[ShardRow]) {
     println!("server shards ({}):", shards.len());
     println!(
-        "  {:<6} {:>9} {:>10} {:>14} {:>9} {:>11}",
-        "shard", "sessions", "total", "events_routed", "queue_hw", "busy_drops"
+        "  {:<6} {:>9} {:>10} {:>14} {:>9}",
+        "shard", "sessions", "total", "events_routed", "queue_hw"
     );
     for s in shards {
         println!(
-            "  {:<6} {:>9} {:>10} {:>14} {:>9} {:>11}",
-            s.shard,
-            s.sessions,
-            s.sessions_total,
-            s.events_routed,
-            s.queue_high_water,
-            s.busy_dropped,
+            "  {:<6} {:>9} {:>10} {:>14} {:>9}",
+            s.shard, s.sessions, s.sessions_total, s.events_routed, s.queue_high_water,
         );
     }
 }
@@ -294,13 +290,12 @@ fn main() {
     let h = &report.request_rtt_ns;
     println!(
         "served {} events across {} sessions over {} connections in {:.2}s — \
-         {:.0} events/s, {} busy",
+         {:.0} events/s",
         report.events,
         report.sessions.len(),
         report.connections,
         report.wall_secs,
         report.events_per_sec(),
-        report.busy,
     );
     println!(
         "request rtt: p50 {:.1}us  p95 {:.1}us  p99 {:.1}us  mean {:.1}us",
@@ -378,8 +373,6 @@ fn main() {
                 "p99": us(h.p99()),
                 "mean": h.mean() / 1e3,
             }),
-            "busy": report.busy,
-            "busy_dropped": deep.map_or(report.busy, |d| d.busy_dropped),
             "queue_high_water": deep.map_or(0, |d| d.queue_high_water),
             "per_session": per_session,
             "server_shards": shards,
@@ -400,9 +393,6 @@ fn main() {
 
     if args.strict {
         let mut failures = Vec::new();
-        if report.busy > 0 {
-            failures.push(format!("{} busy (dropped message) event(s)", report.busy));
-        }
         for (k, s) in report.sessions.iter().enumerate() {
             if !s.bye.audit_findings.is_empty() {
                 failures.push(format!(

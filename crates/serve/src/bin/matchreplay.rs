@@ -25,8 +25,8 @@
 //!   corpus on every push.
 //!
 //! `--rate HZ` paces replay to a target event rate (default 0 = as fast
-//! as the engine decides). `--json FILE` writes a `BENCH_replay.json`
-//! throughput report over all replayed traces.
+//! as the engine decides). `--json FILE` writes a throughput report over
+//! all replayed traces.
 
 use std::path::{Path, PathBuf};
 

@@ -10,19 +10,21 @@
 //! `Some(n)` wraps it in the `{"sid":n,"msg":…}` mux envelope. The
 //! scenario driver over this client is [`crate::drive()`].
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
 
-use crate::framing::{self, FrameError, WireFormat, FRAME_MAGIC};
+use crate::framing::{self, WireFormat, FRAME_MAGIC, MAX_FRAME_PAYLOAD};
 use crate::protocol::{
     decode_server_frame, server_frame_from_content, write_msg, ByeMsg, ClientMsg, DeepStatsMsg,
     Envelope, Hello, ServerFrame, ServerMsg,
 };
 
-/// How long to back off before resending a message the server dropped
-/// with `busy`.
-pub(crate) const BUSY_BACKOFF: Duration = Duration::from_millis(2);
+/// What a [`Client`] lets one server message grow past
+/// [`MAX_FRAME_PAYLOAD`] for every message it has queued on the
+/// connection: a `bye` carries the session's whole canonical run, so it
+/// is linear in what the session streamed (160–190 bytes per request by
+/// framing, twice that with a `fed` half).
+const BYE_BYTES_PER_QUEUED_MSG: usize = 1024;
 
 /// An `InvalidData` I/O error: the peer answered, but not with what the
 /// protocol allows here.
@@ -42,12 +44,14 @@ pub(crate) fn unexpected(what: &str, response: ServerMsg) -> io::Error {
 /// Read the next server message with its mux address, whatever its
 /// framing: a first byte of [`FRAME_MAGIC`] is a binary frame, anything
 /// else an NDJSON line (blank lines are skipped). EOF before or inside a
-/// message is `UnexpectedEof`; a frame declaring more than
-/// [`framing::MAX_FRAME_PAYLOAD`] is `InvalidData` before any payload
-/// byte is buffered. Every reader of server messages — [`Client`] and the
-/// federation peer link — is this function.
-pub fn read_server_frame<R: BufRead>(reader: &mut R) -> io::Result<ServerFrame> {
+/// message is `UnexpectedEof`. A message longer than `cap` bytes is
+/// `InvalidData` in either framing: a frame on its declared length,
+/// before any payload byte is buffered; a line once `cap` bytes arrived
+/// without a newline. Every reader of server messages — [`Client`] and
+/// the federation peer link — is this function.
+pub fn read_server_frame<R: BufRead>(reader: &mut R, cap: usize) -> io::Result<ServerFrame> {
     let eof = || io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection");
+    let oversized = |len: usize| bad_data(format!("message of {len} bytes exceeds {cap}"));
     loop {
         let first = match reader.fill_buf()? {
             [] => return Err(eof()),
@@ -57,8 +61,8 @@ pub fn read_server_frame<R: BufRead>(reader: &mut R) -> io::Result<ServerFrame> 
             let mut header = [0u8; framing::FRAME_HEADER_LEN];
             reader.read_exact(&mut header)?;
             let len = u32::from_le_bytes(header[1..].try_into().expect("4 length bytes")) as usize;
-            if len > framing::MAX_FRAME_PAYLOAD {
-                return Err(bad_data(FrameError::Oversized { len }.to_string()));
+            if len > cap {
+                return Err(oversized(len));
             }
             let mut payload = vec![0u8; len];
             reader.read_exact(&mut payload)?;
@@ -66,9 +70,14 @@ pub fn read_server_frame<R: BufRead>(reader: &mut R) -> io::Result<ServerFrame> 
             return server_frame_from_content(&content).map_err(|e| bad_data(e.to_string()));
         }
         let mut line = String::new();
-        reader.read_line(&mut line)?;
+        let limit = (cap as u64).saturating_add(1);
+        reader.by_ref().take(limit).read_line(&mut line)?;
         if !line.ends_with('\n') {
-            return Err(eof());
+            return Err(if line.len() > cap {
+                oversized(line.len())
+            } else {
+                eof()
+            });
         }
         let text = line.trim();
         if !text.is_empty() {
@@ -85,8 +94,8 @@ pub struct Client {
     wbuf: Vec<u8>,
     /// Framing for *outgoing* messages.
     format: WireFormat,
-    /// Messages resent after a `busy` ([`Client::busy`]).
-    busy: u64,
+    /// Messages queued over the connection's life; scales the read cap.
+    queued: usize,
 }
 
 impl Client {
@@ -101,7 +110,7 @@ impl Client {
             stream,
             wbuf: Vec::with_capacity(4 * 1024),
             format: WireFormat::Ndjson,
-            busy: 0,
+            queued: 0,
         })
     }
 
@@ -111,17 +120,12 @@ impl Client {
         self.format
     }
 
-    /// Messages this client's request-response calls resent because the
-    /// server answered `busy` (dropped them), over the client's life.
-    pub(crate) fn busy(&self) -> u64 {
-        self.busy
-    }
-
     /// Queue one message for logical session `sid` into the write buffer
     /// without flushing — bare when `None`, in the mux envelope
     /// otherwise. Call [`Client::flush`] before blocking on a response.
     pub fn queue_for(&mut self, sid: Option<u64>, msg: &ClientMsg) {
         write_msg(self.format, &Envelope { sid, msg }, &mut self.wbuf);
+        self.queued += 1;
     }
 
     /// Write every queued byte to the socket.
@@ -154,9 +158,12 @@ impl Client {
     }
 
     /// Read the next server message with its mux address
-    /// ([`read_server_frame`]).
+    /// ([`read_server_frame`]), capped at [`MAX_FRAME_PAYLOAD`] plus a
+    /// fixed allowance per message queued so far, so a `bye` of any
+    /// session this client could have streamed is readable.
     pub fn recv_frame(&mut self) -> io::Result<ServerFrame> {
-        read_server_frame(&mut self.reader)
+        let cap = self.queued.saturating_mul(BYE_BYTES_PER_QUEUED_MSG);
+        read_server_frame(&mut self.reader, cap.saturating_add(MAX_FRAME_PAYLOAD))
     }
 
     /// Read the next server message, whichever session it addresses.
@@ -167,33 +174,20 @@ impl Client {
     /// Send a message to session `sid` and wait for its (in-order)
     /// response — valid only while nothing else is in flight on the
     /// connection, so an answer for any other session is an error.
-    /// Out-of-band `busy` means the message was dropped server-side: back
-    /// off, resend, and report how often that happened via the returned
-    /// counter.
-    pub fn rpc_for(&mut self, sid: Option<u64>, msg: &ClientMsg) -> io::Result<(ServerMsg, u64)> {
-        let mut busy = 0u64;
-        loop {
-            self.queue_for(sid, msg);
-            self.flush()?;
-            let frame = self.recv_frame()?;
-            if frame.sid != sid {
-                return Err(bad_data(format!(
-                    "expected a response for session {sid:?}, got {frame:?}"
-                )));
-            }
-            match frame.msg {
-                ServerMsg::busy => {
-                    busy += 1;
-                    self.busy += 1;
-                    std::thread::sleep(BUSY_BACKOFF);
-                }
-                response => return Ok((response, busy)),
-            }
+    pub fn rpc_for(&mut self, sid: Option<u64>, msg: &ClientMsg) -> io::Result<ServerMsg> {
+        self.queue_for(sid, msg);
+        self.flush()?;
+        let frame = self.recv_frame()?;
+        if frame.sid != sid {
+            return Err(bad_data(format!(
+                "expected a response for session {sid:?}, got {frame:?}"
+            )));
         }
+        Ok(frame.msg)
     }
 
     /// [`Client::rpc_for`] the bare session.
-    pub fn rpc(&mut self, msg: &ClientMsg) -> io::Result<(ServerMsg, u64)> {
+    pub fn rpc(&mut self, msg: &ClientMsg) -> io::Result<ServerMsg> {
         self.rpc_for(None, msg)
     }
 
@@ -204,7 +198,7 @@ impl Client {
     /// NDJSON.
     pub fn open(&mut self, sid: Option<u64>, hello: Hello) -> io::Result<()> {
         let wants_binary = hello.frame.as_deref() == Some(WireFormat::Binary.as_str());
-        match self.rpc_for(sid, &ClientMsg::hello(hello))?.0 {
+        match self.rpc_for(sid, &ClientMsg::hello(hello))? {
             ServerMsg::welcome { frame, .. } => {
                 if wants_binary && frame.as_deref() == Some(WireFormat::Binary.as_str()) {
                     self.format = WireFormat::Binary;
@@ -219,11 +213,11 @@ impl Client {
     /// session is still live (`None` when the server predates
     /// `stats_deep`), then `shutdown` → the session's final `bye`.
     pub fn close(&mut self, sid: Option<u64>) -> io::Result<(Option<DeepStatsMsg>, ByeMsg)> {
-        let deep = match self.rpc_for(sid, &ClientMsg::stats_deep)?.0 {
+        let deep = match self.rpc_for(sid, &ClientMsg::stats_deep)? {
             ServerMsg::stats_deep(deep) => Some(*deep),
             _ => None,
         };
-        match self.rpc_for(sid, &ClientMsg::shutdown)?.0 {
+        match self.rpc_for(sid, &ClientMsg::shutdown)? {
             ServerMsg::bye(bye) => Ok((deep, bye)),
             other => Err(unexpected("shutdown", other)),
         }
@@ -233,9 +227,14 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framing::{encode_frame, MAX_FRAME_PAYLOAD};
-    use crate::protocol::encode;
+    use crate::framing::encode_frame;
+    use crate::protocol::{encode, ByeMsg};
     use std::io::ErrorKind;
+
+    /// `read_server_frame` under the peer link's constant cap.
+    fn read(reader: &mut &[u8]) -> io::Result<ServerFrame> {
+        read_server_frame(reader, MAX_FRAME_PAYLOAD)
+    }
 
     fn tagged(sid: u64, msg: &ServerMsg) -> Envelope<'_, ServerMsg> {
         Envelope {
@@ -259,7 +258,7 @@ mod tests {
         let mut reader = &wire[..];
         let mut got = Vec::new();
         for _ in 0..5 {
-            let frame = read_server_frame(&mut reader).expect("frame");
+            let frame = read(&mut reader).expect("frame");
             got.push((frame.sid, format!("{:?}", frame.msg)));
         }
         assert_eq!(
@@ -281,14 +280,48 @@ mod tests {
         // the declared payload it would fail with UnexpectedEof instead.
         let mut wire = vec![FRAME_MAGIC];
         wire.extend_from_slice(&(MAX_FRAME_PAYLOAD as u32 + 1).to_le_bytes());
-        let err = read_server_frame(&mut &wire[..]).unwrap_err();
+        let err = read(&mut &wire[..]).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidData);
         assert!(err.to_string().contains("exceeds"), "{err}");
     }
 
+    /// A `bye` past the constant cap — what a Table III session ends with
+    /// — is readable under the cap a client that streamed the session
+    /// has, and refused under the constant one, in both framings.
+    #[test]
+    fn a_bye_past_the_constant_cap_is_read_under_the_scaled_one() {
+        let bye = ServerMsg::bye(ByeMsg {
+            algorithm: "DemCOM".into(),
+            revenue: 0.0,
+            completed: 0,
+            cooperative: 0,
+            events: 0,
+            refused: 0,
+            audit_findings: vec!["x".repeat(17 << 20)],
+            canonical: serde_json::Value::null(),
+            digest: String::new(),
+            fed: None,
+        });
+        let scaled = MAX_FRAME_PAYLOAD + 2_000 * BYE_BYTES_PER_QUEUED_MSG;
+        let frame = encode_frame(&bye);
+        let line = format!("{}\n", encode(&bye)).into_bytes();
+        for mut wire in [&frame[..], &line[..]] {
+            assert!(wire.len() > 17 << 20 && wire.len() < scaled);
+            let got = read_server_frame(&mut wire, scaled).expect("under the scaled cap");
+            assert!(matches!(got.msg, ServerMsg::bye(_)));
+        }
+        // The frame is refused on its header alone: with no payload on the
+        // wire, buffering it would be UnexpectedEof instead.
+        for mut wire in [&frame[..framing::FRAME_HEADER_LEN], &line[..]] {
+            let err = read(&mut wire).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("exceeds"), "{err}");
+        }
+    }
+
     #[test]
     fn eof_before_or_inside_a_message_is_unexpected_eof() {
-        let kind = |wire: &[u8]| read_server_frame(&mut &wire[..]).unwrap_err().kind();
+        let kind = |mut wire: &[u8]| read(&mut wire).unwrap_err().kind();
         assert_eq!(kind(b""), ErrorKind::UnexpectedEof);
         assert_eq!(kind(b"\n\n"), ErrorKind::UnexpectedEof);
         // A line the peer never terminated.
@@ -301,7 +334,7 @@ mod tests {
 
     #[test]
     fn undecodable_messages_are_invalid_data_in_each_framing() {
-        let kind = |wire: &[u8]| read_server_frame(&mut &wire[..]).unwrap_err().kind();
+        let kind = |mut wire: &[u8]| read(&mut wire).unwrap_err().kind();
         assert_eq!(kind(b"{not json\n"), ErrorKind::InvalidData);
         assert_eq!(kind(b"{\"sid\":3}\n"), ErrorKind::InvalidData);
         assert_eq!(

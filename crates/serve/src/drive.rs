@@ -26,11 +26,12 @@
 //! across sessions, so each is matched to its session's oldest in-flight
 //! message by the frame's sid, never by global position.
 //!
-//! **`busy`** (the server dropped a message) is survivable by backing off
-//! and resending exactly when that message is the only one in flight on
-//! the connection; with more in flight the session's positional matching
-//! is broken and it is a hard error — keep `window` at or below the
-//! server's per-shard queue capacity.
+//! **Flow control** is the transport's: the server answers every message
+//! it accepts, in order, and a backlogged shard simply stops reading the
+//! socket. `window` is therefore independent of the server's queue sizes
+//! and bounded only by socket buffering, as in any pipelined TCP protocol
+//! — the pump reads between bursts so the two directions cannot wedge
+//! each other.
 //!
 //! **Pacing.** `rate_hz` is events per second *per connection*, whatever
 //! the session count: the connection's n-th message is due at
@@ -43,7 +44,7 @@ use std::time::{Duration, Instant};
 use com_obs::Histogram;
 use com_sim::{ArrivalEvent, Instance};
 
-use crate::client::{bad_data, unexpected, Client, BUSY_BACKOFF};
+use crate::client::{bad_data, unexpected, Client};
 use crate::framing::WireFormat;
 use crate::protocol::{ByeMsg, ClientMsg, DeepStatsMsg, Hello, ServerMsg, WorkerMsg};
 
@@ -112,8 +113,6 @@ pub struct DriveReport {
     pub connections: usize,
     /// Total events delivered (events per session × sessions).
     pub events: usize,
-    /// Backpressure events survived (dropped messages that were resent).
-    pub busy: u64,
     /// Slowest connection's event-streaming wall time: sessions open →
     /// last event response drained. Teardown (deep stats, shutdown,
     /// audit, the canonical run in `bye`) is excluded — a fixed
@@ -197,15 +196,11 @@ struct Pump<'a> {
     states: Vec<SessionState>,
     connections: u64,
     in_flight: usize,
-    /// The message queued last — the one to resend on a survivable
-    /// `busy`.
-    last: Option<(Option<u64>, &'a ArrivalEvent)>,
-    busy: u64,
     request_rtt_ns: Histogram,
 }
 
-impl<'a> Pump<'a> {
-    fn queue(&mut self, index: usize, event: &'a ArrivalEvent) {
+impl Pump<'_> {
+    fn queue(&mut self, index: usize, event: &ArrivalEvent) {
         let state = &mut self.states[index];
         self.client
             .queue_for(state.sid, &event_msg(self.instance, event));
@@ -215,7 +210,6 @@ impl<'a> Pump<'a> {
                 sent: Instant::now(),
             },
         });
-        self.last = Some((state.sid, event));
         self.in_flight += 1;
     }
 
@@ -227,20 +221,6 @@ impl<'a> Pump<'a> {
         let Some(state) = self.states.get_mut(index).filter(|s| s.sid == frame.sid) else {
             return Err(bad_data(format!("response for unknown session: {frame:?}")));
         };
-        if matches!(frame.msg, ServerMsg::busy) {
-            let (sid, event) = self.last.filter(|_| self.in_flight == 1).ok_or_else(|| {
-                bad_data(format!(
-                    "server answered busy for session {:?} with {} messages in flight — a \
-                     silent resend would reorder the session's stream; lower --window to at \
-                     most the server's shard queue capacity",
-                    frame.sid, self.in_flight
-                ))
-            })?;
-            self.busy += 1;
-            std::thread::sleep(BUSY_BACKOFF);
-            self.client.queue_for(sid, &event_msg(self.instance, event));
-            return self.client.flush();
-        }
         let slot = state.pending.pop_front().ok_or_else(|| {
             bad_data(format!(
                 "response for session {:?} with nothing in flight: {:?}",
@@ -302,8 +282,6 @@ fn drive_connection(
             .collect(),
         connections: connections as u64,
         in_flight: 0,
-        last: None,
-        busy: 0,
         request_rtt_ns: Histogram::new(),
     };
     let window = options.window.max(1);
@@ -332,7 +310,6 @@ fn drive_connection(
     let Pump {
         mut client,
         states,
-        busy,
         request_rtt_ns,
         ..
     } = pump;
@@ -359,7 +336,6 @@ fn drive_connection(
         events: instance.stream.len() * sessions.len(),
         sessions,
         connections: 1,
-        busy: busy + client.busy(),
         wall_secs,
         request_rtt_ns,
         deep_stats,
@@ -407,7 +383,6 @@ pub fn drive(addr: &str, instance: &Instance, options: &DriveOptions) -> io::Res
         sessions: Vec::with_capacity(sessions),
         connections,
         events: 0,
-        busy: 0,
         wall_secs: 0.0,
         request_rtt_ns: Histogram::new(),
         deep_stats: None,
@@ -415,7 +390,6 @@ pub fn drive(addr: &str, instance: &Instance, options: &DriveOptions) -> io::Res
     for (conn, part) in outcomes.into_iter().enumerate() {
         let part = part?;
         report.events += part.events;
-        report.busy += part.busy;
         report.wall_secs = report.wall_secs.max(part.wall_secs);
         report.request_rtt_ns.merge(&part.request_rtt_ns);
         if conn == 0 {

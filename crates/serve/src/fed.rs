@@ -59,7 +59,7 @@ use com_sim::{PlatformId, RequestSpec, Value};
 use com_stream::WorkerId;
 
 use crate::client::read_server_frame;
-use crate::framing::WireFormat;
+use crate::framing::{WireFormat, MAX_FRAME_PAYLOAD};
 use crate::protocol::{write_msg, ClientMsg, FedStatsMsg, OfferMsg, ServerMsg};
 
 /// Default per-offer deadline when the `hello` does not set one.
@@ -146,14 +146,14 @@ impl PeerLink {
                 Err(e) => return Err(e),
                 Ok(_) => {}
             }
-            let (id, outcome) = match read_server_frame(conn)?.msg {
+            let (id, outcome) = match read_server_frame(conn, MAX_FRAME_PAYLOAD)?.msg {
                 ServerMsg::outsource_accept { offer, .. } => (offer, OutsourceOutcome::Accepted),
                 ServerMsg::outsource_reject { offer, code, .. } => (
                     offer,
                     OutsourceOutcome::Rejected(OutsourceReject::from_code(&code)),
                 ),
-                // `busy` (lender shard backlogged) and anything else: not a
-                // verdict; the offer runs into its deadline and degrades.
+                // Anything else is not a verdict: read on, and let the offer
+                // run into its deadline if none comes.
                 _ => continue,
             };
             if id == offer {

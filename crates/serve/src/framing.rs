@@ -97,8 +97,6 @@ impl std::fmt::Display for WireFormat {
 /// Why a frame (or frame payload) failed to decode.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FrameError {
-    /// Declared payload length exceeds [`MAX_FRAME_PAYLOAD`].
-    Oversized { len: usize },
     /// Truncated, bad tag, bad UTF-8, trailing bytes, too deep, …
     Malformed(String),
 }
@@ -106,12 +104,6 @@ pub enum FrameError {
 impl std::fmt::Display for FrameError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FrameError::Oversized { len } => {
-                write!(
-                    f,
-                    "frame payload of {len} bytes exceeds {MAX_FRAME_PAYLOAD}"
-                )
-            }
             FrameError::Malformed(d) => write!(f, "malformed frame: {d}"),
         }
     }

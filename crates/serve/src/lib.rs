@@ -8,8 +8,8 @@
 //! * [`protocol`] — the message types of the wire protocol (`hello`,
 //!   `worker`, `request`, `tick`, `stats`, `stats_deep`, `shutdown` and
 //!   the inter-daemon `outsource_offer` in; `welcome`, `ok`,
-//!   `assign`/`reject`/`timeout`, `busy`, `error`, `stats`, `bye` and the
-//!   offer verdicts out), their NDJSON encoding, and the
+//!   `assign`/`reject`/`timeout`, `error`, `stats`, `bye` and the offer
+//!   verdicts out), their NDJSON encoding, and the
 //!   `{"sid":…,"msg":…}` mux envelope that addresses one of many logical
 //!   sessions on a connection.
 //! * [`framing`] — the optional length-prefixed binary framing,
@@ -19,14 +19,15 @@
 //!   the event log needed to audit the finished run with `validate_run`.
 //! * [`server`] — the threaded TCP server behind the `matchd` binary:
 //!   per-connection router threads decoding and dispatching to the shard
-//!   pool, bounded per-shard ingress queues with `busy` backpressure,
-//!   graceful drain-and-audit teardown in stable session-id order. Owns
+//!   pool, bounded per-shard ingress queues whose backpressure is the
+//!   transport's (a full queue stops the connection's reader), graceful
+//!   drain-and-audit teardown in stable session-id order. Owns
 //!   the two shared shapes: one `Conn` per connection (writer, counters,
 //!   `done` flag behind one `Arc`) and the daemon-wide `Daemon`.
 //! * [`shard`] — the shared-nothing shard executors: one `Shard` struct
 //!   per thread owning its logical sessions, with every handler a method
-//!   on it, plus the deterministic session→shard [`Placement`] rules
-//!   (stable hash, or `com-geo` grid cells).
+//!   on it, plus the deterministic session→shard placement rule (a
+//!   stable hash of the session key).
 //! * [`fed`] — the federation peer link: a daemon's outsourcing
 //!   decisions as blocking `outsource_offer` exchanges with its rival
 //!   daemon, on the shard thread, under the offer deadline.
@@ -74,5 +75,5 @@ pub use protocol::{
 pub use replay::{read_trace, record_session, replay_trace, Divergence, TraceReplayReport};
 pub use server::{serve, QueueStats, ServerConfig, ServerCounters, ServerHandle};
 pub use session::{FinishedSession, ServeSession};
-pub use shard::{Placement, ShardStats, DEFAULT_GRID_CELL};
+pub use shard::ShardStats;
 pub use trace::{TraceLine, TraceRecorder, TRACE_VERSION};

@@ -16,13 +16,17 @@
 //! | `"stats_deep"`                        | `{"stats_deep": {...}}`                 |
 //! | `"shutdown"`                          | `{"bye": {...}}`, then close            |
 //!
-//! In addition the server may emit `"busy"` *out of band* whenever the
-//! addressed shard's bounded ingress queue is full: the offending line
-//! was **dropped** (never queued, never answered) and the per-server drop
-//! counter incremented. A client that receives `busy` should back off and
-//! resend. Closing the connection without `shutdown` still finishes and
-//! audits every open session server-side; the `bye`s are simply
-//! unreceivable.
+//! **Flow control is the transport's.** Every message the server reads is
+//! answered, in order; none is ever dropped. When the addressed shard's
+//! bounded ingress queue is full the server stops *reading* the
+//! connection until there is room, so overload shows up as latency and,
+//! once the socket buffers fill, as the client's own `write` blocking. A
+//! client that pipelines must therefore keep reading responses while it
+//! writes; how far ahead it may run is bounded by socket buffering, not by
+//! any server queue size. (`"busy"` is a retired response that current
+//! servers never send; it stays decodable.) Closing the connection
+//! without `shutdown` still finishes and audits every open session
+//! server-side; the `bye`s are simply unreceivable.
 //!
 //! ## Session multiplexing
 //!
@@ -73,10 +77,8 @@ pub struct Hello {
     /// and the missing echo in `welcome` downgrades the client safely.
     #[serde(default)]
     pub frame: Option<String>,
-    /// Session anchor point for grid placement (`matchd --placement
-    /// grid`): the session is pinned to the shard owning the grid cell
-    /// this point falls in. Absent (or under hash placement) the session
-    /// is placed by stable hash of its session key instead.
+    /// Session anchor point. Accepted and ignored: sessions are placed
+    /// by stable hash of their session key.
     #[serde(default)]
     pub origin: Option<com_geo::Point>,
     /// Federated mode (`fedd`): this session is one platform's half of a
@@ -192,7 +194,8 @@ pub struct StatsMsg {
     pub rejected: u64,
     /// Engine-refused decisions (`timeout` responses).
     pub refused: u64,
-    /// Lines dropped by the bounded ingress queue, server-wide.
+    /// Always 0: the server never drops a message (field kept for wire
+    /// compatibility).
     pub dropped: u64,
     /// Current simulation time, seconds.
     pub now_secs: f64,
@@ -264,7 +267,7 @@ pub struct ShardRow {
     pub queue_depth: u64,
     /// Deepest the shard's ingress channel has been.
     pub queue_high_water: u64,
-    /// Messages dropped with `busy` because the channel was full.
+    /// Always 0 (field kept for wire compatibility).
     pub busy_dropped: u64,
 }
 
@@ -282,8 +285,8 @@ pub struct DeepStatsMsg {
     pub queue_depth: u64,
     /// Deepest the ingress queue has been over the connection's life.
     pub queue_high_water: u64,
-    /// Lines this server dropped with `busy` (server-wide, same counter
-    /// as `stats.dropped`).
+    /// Always 0, like `stats.dropped` (field kept for wire
+    /// compatibility).
     pub busy_dropped: u64,
     /// Oversized lines/frames this connection rejected with a typed
     /// error (`oversized-line` / `oversized-frame`). `#[serde(default)]`
@@ -435,7 +438,9 @@ pub enum ServerMsg {
         assignment: Assignment,
         violation: String,
     },
-    /// Out-of-band backpressure: the last line was dropped, resend later.
+    /// Retired and never sent: a full queue stops the connection's
+    /// reader instead of dropping. Kept decodable for peers built against
+    /// the frozen wire schema.
     busy,
     error(ErrorMsg),
     stats(StatsMsg),

@@ -262,8 +262,7 @@ pub fn replay_trace(path: &Path, rate_hz: f64) -> Result<TraceReplayReport, Stri
     let wall_secs = started.elapsed().as_secs_f64();
 
     let finished = session.finish();
-    let digest_got = com_core::canonical_run_digest(&finished.run);
-    let canonical = com_core::canonical_run_json(&finished.run);
+    let digest_got = finished.digest;
     let mut digest_expected = None;
     if let Some(f) = &recorded_finish {
         digest_expected = Some(f.digest.clone());
@@ -294,7 +293,7 @@ pub fn replay_trace(path: &Path, rate_hz: f64) -> Result<TraceReplayReport, Stri
         divergences,
         digest_expected,
         digest_got,
-        canonical,
+        canonical: finished.canonical,
         audit_findings: finished.findings,
     })
 }

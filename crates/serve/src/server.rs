@@ -9,9 +9,9 @@
 //! logical session it addresses — the `sid` of a mux envelope, or the
 //! connection's bare session — and hands the decoded message to that
 //! session's shard over a bounded `sync_channel`. When a shard's ingress
-//! queue is full the message is *dropped*, `busy` (sid-tagged) goes back
-//! out of band, and the server-wide drop counter bumps — ingress never
-//! grows unboundedly no matter how fast clients flood.
+//! queue is full the router *waits*: its socket goes unread and TCP pushes
+//! back on the client, so ingress never grows unboundedly no matter how
+//! fast clients flood, and nothing the router accepted is ever dropped.
 //!
 //! Teardown is always graceful: a protocol `shutdown`, a client
 //! disconnect, or [`ServerHandle::shutdown`] all drain each logical
@@ -55,7 +55,7 @@ use crate::protocol::{
     decode_client_frame, write_msg, ClientFrame, ClientMsg, DecodeError, Envelope, ErrorMsg,
     ServerMsg,
 };
-use crate::shard::{Placement, PoolShared, ShardPool, ShardStats};
+use crate::shard::{place, PoolShared, ShardPool, ShardStats};
 
 /// How long blocking points (socket reads, queue receives) wait before
 /// re-checking the stop flag. Bounds shutdown latency.
@@ -67,16 +67,13 @@ pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port (read it back from
     /// [`ServerHandle::addr`]).
     pub addr: String,
-    /// Ingress queue capacity per shard (decoded messages buffered
-    /// between router threads and the shard executor before `busy` kicks
-    /// in).
+    /// Ingress queue capacity per shard: decoded messages buffered
+    /// between router threads and the shard executor before a router
+    /// blocks. Sizes a buffer; correctness does not depend on it.
     pub queue_capacity: usize,
     /// Shard worker threads (each owns its sessions outright). Clamped to
     /// at least 1.
     pub shards: usize,
-    /// How fresh sessions are assigned to shards. Deterministic either
-    /// way; see [`Placement`].
-    pub placement: Placement,
     /// Exit the accept loop once at least one connection was accepted and
     /// all accepted connections have finished (CI and one-shot
     /// benchmarks).
@@ -99,7 +96,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             queue_capacity: 1024,
             shards: 1,
-            placement: Placement::Hash,
             once: false,
             print_stats: false,
             record_dir: None,
@@ -109,8 +105,9 @@ impl Default for ServerConfig {
 }
 
 /// Ingress-queue health for one shard, shared between router threads
-/// (increment on enqueue) and the shard executor (decrement on drain).
-/// `sync_channel` exposes no length, so the queue keeps its own.
+/// (increment before the blocking send) and the shard executor (decrement
+/// on drain). `sync_channel` exposes no length, so the queue keeps its
+/// own; it includes messages a router is parked on.
 #[derive(Debug, Default)]
 pub struct QueueStats {
     depth: AtomicU64,
@@ -151,9 +148,6 @@ impl QueueStats {
 pub struct ServerCounters {
     pub connections: AtomicU64,
     pub sessions_finished: AtomicU64,
-    /// Messages dropped by full shard ingress queues (busy responses
-    /// sent).
-    pub dropped: AtomicU64,
     /// Protocol errors answered (bad JSON, unknown message, unknown sid,
     /// …).
     pub protocol_errors: AtomicU64,
@@ -162,9 +156,6 @@ pub struct ServerCounters {
 impl ServerCounters {
     pub(crate) fn protocol_error(&self) {
         self.protocol_errors.fetch_add(1, Ordering::Relaxed);
-    }
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
     }
     pub fn connections(&self) -> u64 {
         self.connections.load(Ordering::Relaxed)
@@ -341,11 +332,11 @@ const FLUSH_THRESHOLD: usize = 256 * 1024;
 /// `shutdown` uses to end the connection.
 ///
 /// The writer mutex guards the pending output buffer, the socket's write
-/// half and the negotiated framing, so queued responses and out-of-band
-/// `busy` interleave in a well-defined order. Responses are *queued* and
-/// flushed in batches (see [`Conn::flush`]). It is contended only when
-/// the router writes out of band (`busy`, typed rejections) or when the
-/// connection's sessions live on more than one shard.
+/// half and the negotiated framing, so queued responses and the router's
+/// out-of-band refusals interleave in a well-defined order. Responses are
+/// *queued* and flushed in batches (see [`Conn::flush`]). It is contended
+/// only when the router writes out of band (typed rejections) or when
+/// the connection's sessions live on more than one shard.
 pub(crate) struct Conn {
     pub(crate) id: u64,
     writer: Mutex<WriterState>,
@@ -419,8 +410,8 @@ impl Conn {
     }
 
     /// Queue-and-flush counterpart of [`Conn::queue_for`], in one lock
-    /// acquisition — the path for immediate messages (`busy`, rejections,
-    /// the final `bye`).
+    /// acquisition — the path for immediate messages (rejections, offer
+    /// verdicts, the final `bye`).
     pub(crate) fn send_for(&self, sid: Option<u64>, msg: &ServerMsg) {
         let mut state = self.lock();
         {
@@ -537,9 +528,7 @@ impl Router {
             let (fed_sid, offer) = (o.fed_sid, o.offer);
             let shard = daemon.fed_routes().get(&fed_sid).copied();
             return match shard {
-                Some(shard) => self
-                    .pool
-                    .try_ingress(shard, &self.conn, sid, msg, decode_ns),
+                Some(shard) => self.pool.ingress(shard, &self.conn, sid, msg, decode_ns),
                 None => {
                     self.refuse(
                         sid,
@@ -556,17 +545,11 @@ impl Router {
         }
         let shard = match self.routes.get(&sid) {
             // Sticky for the connection's lifetime: a duplicate `hello`
-            // must reach the shard that owns the live session, whatever
-            // origin it claims.
+            // must reach the shard that owns the live session.
             Some(&shard) => shard,
             None => match &msg {
                 ClientMsg::hello(h) => {
-                    let shard = daemon.config.placement.place(
-                        self.conn.id,
-                        sid,
-                        h.origin,
-                        daemon.shards.len(),
-                    );
+                    let shard = place(self.conn.id, sid, daemon.shards.len());
                     // A federated hello also registers its fed_sid so the
                     // rival daemon's offers (arriving on a *different*
                     // connection) can find this shard. If the open later
@@ -594,8 +577,7 @@ impl Router {
                 }
             },
         };
-        self.pool
-            .try_ingress(shard, &self.conn, sid, msg, decode_ns)
+        self.pool.ingress(shard, &self.conn, sid, msg, decode_ns)
     }
 
     /// Route a decoded frame, or answer its decode failure. When the
@@ -619,9 +601,11 @@ impl Router {
         };
         match self.routes.get(&None) {
             Some(&shard) => self.pool.reply_via(shard, &self.conn, None, response),
-            None => self.conn.send_for(None, &response),
+            None => {
+                self.conn.send_for(None, &response);
+                true
+            }
         }
-        true
     }
 }
 

@@ -67,10 +67,15 @@ pub struct ServeSession {
     fed: Option<FedState>,
 }
 
-/// Everything a finished session reports: the run, the audit verdict,
-/// and the instance it was audited against.
+/// Everything a finished session reports: the run, its canonical
+/// projection and digest (built once, here), the audit verdict, and the
+/// instance it was audited against.
 pub struct FinishedSession {
     pub run: RunResult,
+    /// `com_core::canonical_run_json` of `run`.
+    pub canonical: serde_json::Value,
+    /// `com_core::canonical_digest` of `canonical`.
+    pub digest: String,
     pub findings: Vec<String>,
     pub instance: Instance,
     pub ingest_ns: Histogram,
@@ -372,15 +377,15 @@ impl ServeSession {
         Ok(())
     }
 
-    /// Current counters (`stats` response); `dropped` is supplied by the
-    /// server, which owns the ingress queues.
-    pub fn stats(&self, dropped: u64) -> StatsMsg {
+    /// Current counters (`stats` response).
+    pub fn stats(&self) -> StatsMsg {
         StatsMsg {
             events: self.core.events_ingested() as u64,
             assigned: self.assigned,
             rejected: self.rejected,
             refused: self.refused,
-            dropped,
+            // Frozen wire field: the server never drops a message.
+            dropped: 0,
             now_secs: self.core.now().as_secs(),
         }
     }
@@ -391,21 +396,20 @@ impl ServeSession {
     /// With telemetry off the tables are simply empty.
     pub fn deep_stats(
         &self,
-        dropped: u64,
         queue_depth: u64,
         queue_high_water: u64,
         oversized_rejected: u64,
         bad_envelope_rejected: u64,
     ) -> DeepStatsMsg {
         let mut deep = DeepStatsMsg {
-            stats: self.stats(dropped),
+            stats: self.stats(),
             algorithm: self.algorithm(),
             phases: Vec::new(),
             counters: Vec::new(),
             gauges: Vec::new(),
             queue_depth,
             queue_high_water,
-            busy_dropped: dropped,
+            busy_dropped: 0,
             oversized_rejected,
             bad_envelope_rejected,
             shard: None,
@@ -439,11 +443,13 @@ impl ServeSession {
             .iter()
             .map(|f| f.to_string())
             .collect();
+        let canonical = com_core::canonical_run_json(&run);
+        let digest = com_core::canonical_digest(&canonical);
         let trace_path = self.recorder.and_then(|mut rec| {
             rec.write(&TraceLine::Finish(TraceFinish {
                 events: instance.stream.len() as u64,
                 decisions: self.assigned + self.rejected + self.refused,
-                digest: com_core::canonical_run_digest(&run),
+                digest: digest.clone(),
                 revenue: run.total_revenue(),
                 completed: run.completed() as u64,
                 audit_findings: findings.len() as u64,
@@ -452,6 +458,8 @@ impl ServeSession {
         });
         FinishedSession {
             run,
+            canonical,
+            digest,
             findings,
             instance,
             ingest_ns: self.ingest_ns,
@@ -469,7 +477,7 @@ impl FinishedSession {
     /// and byte-compares across the two daemons. The top-level fields
     /// stay the full replica's, so the usual single-process identity
     /// checks keep working unchanged.
-    pub fn bye(&self) -> ByeMsg {
+    pub fn bye(self) -> ByeMsg {
         ByeMsg {
             algorithm: self.run.algorithm.clone(),
             revenue: self.run.total_revenue(),
@@ -477,15 +485,16 @@ impl FinishedSession {
             cooperative: self.run.cooperative_count() as u64,
             events: self.instance.stream.len() as u64,
             refused: self.run.failures.len() as u64,
-            audit_findings: self.findings.clone(),
-            canonical: com_core::canonical_run_json(&self.run),
-            digest: com_core::canonical_run_digest(&self.run),
+            audit_findings: self.findings,
+            canonical: self.canonical,
+            digest: self.digest,
             fed: self.fed.map(|(platform, degraded_offers)| {
                 let projected = com_core::project_platform_run(&self.run, platform);
+                let canonical = com_core::canonical_run_json(&projected);
                 FedByeMsg {
                     platform: platform.0,
-                    canonical: com_core::canonical_run_json(&projected),
-                    digest: com_core::canonical_run_digest(&projected),
+                    digest: com_core::canonical_digest(&canonical),
+                    canonical,
                     ledger: com_sim::PlatformLedger::for_platform(platform, &self.run.assignments),
                     degraded_offers,
                 }

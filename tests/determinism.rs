@@ -146,4 +146,10 @@ fn batched_run_bytes_are_pinned() {
         com::core::canonical_run_digest(&run),
         "fnv1a64:f63b225d586f44a3"
     );
+    // The tree a `bye` ships digests to the same bytes.
+    let tree = com::core::canonical_run_json(&run);
+    assert_eq!(
+        com::core::canonical_digest(&tree),
+        "fnv1a64:f63b225d586f44a3"
+    );
 }

@@ -224,7 +224,7 @@ fn lender_rejects_expired_and_unknown_session_offers() {
             deadline_ms: None,
         }),
     });
-    let (response, _) = lender.rpc(&hello).expect("hello");
+    let response = lender.rpc(&hello).expect("hello");
     assert!(matches!(response, ServerMsg::welcome { .. }));
 
     // A second connection plays the rival daemon's peer link.
@@ -247,13 +247,13 @@ fn lender_rejects_expired_and_unknown_session_offers() {
         })
     };
 
-    let (response, _) = peer.rpc(&offer(options.fed_sid, 0)).expect("expired offer");
+    let response = peer.rpc(&offer(options.fed_sid, 0)).expect("expired offer");
     match response {
         ServerMsg::outsource_reject { code, .. } => assert_eq!(code, "expired"),
         other => panic!("expected outsource_reject, got {other:?}"),
     }
 
-    let (response, _) = peer
+    let response = peer
         .rpc(&offer(options.fed_sid + 999, 1_000))
         .expect("unknown-session offer");
     match response {

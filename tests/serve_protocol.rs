@@ -32,7 +32,7 @@ fn hello_msg() -> ClientMsg {
 
 fn open_session(addr: &str) -> Client {
     let mut client = Client::connect(addr).expect("connect");
-    let (response, _) = client.rpc(&hello_msg()).expect("hello");
+    let response = client.rpc(&hello_msg()).expect("hello");
     assert!(matches!(response, ServerMsg::welcome { .. }));
     client
 }
@@ -67,10 +67,10 @@ fn malformed_json_gets_structured_error_and_session_survives() {
         spec: worker(1, 1.0),
         history: None,
     });
-    let (response, _) = client.rpc(&msg).expect("worker");
+    let response = client.rpc(&msg).expect("worker");
     assert!(matches!(response, ServerMsg::ok));
 
-    let (response, _) = client.rpc(&ClientMsg::shutdown).expect("shutdown");
+    let response = client.rpc(&ClientMsg::shutdown).expect("shutdown");
     assert!(matches!(response, ServerMsg::bye(_)));
     assert_eq!(handle.counters().protocol_errors(), 1);
     handle.shutdown();
@@ -106,13 +106,13 @@ fn malformed_envelopes_get_typed_error_and_are_counted() {
 
     // The session survives, and deep stats report exactly the two
     // rejected envelopes on this connection.
-    let (response, _) = client.rpc(&ClientMsg::stats_deep).expect("stats_deep");
+    let response = client.rpc(&ClientMsg::stats_deep).expect("stats_deep");
     let ServerMsg::stats_deep(deep) = response else {
         panic!("expected stats_deep, got {response:?}");
     };
     assert_eq!(deep.bad_envelope_rejected, 2);
 
-    let (response, _) = client.rpc(&ClientMsg::shutdown).expect("shutdown");
+    let response = client.rpc(&ClientMsg::shutdown).expect("shutdown");
     assert!(matches!(response, ServerMsg::bye(_)));
     assert_eq!(handle.counters().protocol_errors(), 2);
     handle.shutdown();
@@ -123,7 +123,7 @@ fn events_before_hello_and_duplicate_hello_are_refused() {
     let handle = start_server();
     let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
 
-    let (response, _) = client
+    let response = client
         .rpc(&ClientMsg::request(RequestSpec::new(
             RequestId(1),
             PlatformId(0),
@@ -137,9 +137,9 @@ fn events_before_hello_and_duplicate_hello_are_refused() {
     };
     assert_eq!(e.code, "no-session");
 
-    let (response, _) = client.rpc(&hello_msg()).expect("hello");
+    let response = client.rpc(&hello_msg()).expect("hello");
     assert!(matches!(response, ServerMsg::welcome { .. }));
-    let (response, _) = client.rpc(&hello_msg()).expect("second hello");
+    let response = client.rpc(&hello_msg()).expect("second hello");
     let ServerMsg::error(e) = response else {
         panic!("expected error, got {response:?}");
     };
@@ -151,7 +151,7 @@ fn events_before_hello_and_duplicate_hello_are_refused() {
 fn unknown_matcher_is_refused_with_the_registry_message() {
     let handle = start_server();
     let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
-    let (response, _) = client
+    let response = client
         .rpc(&ClientMsg::hello(Hello {
             matcher: "does-not-exist".into(),
             seed: 1,
@@ -177,7 +177,7 @@ fn out_of_order_timestamps_are_refused_without_corrupting_the_session() {
     let handle = start_server();
     let mut client = open_session(&handle.addr().to_string());
 
-    let (response, _) = client
+    let response = client
         .rpc(&ClientMsg::worker(WorkerMsg {
             spec: worker(1, 10.0),
             history: None,
@@ -186,7 +186,7 @@ fn out_of_order_timestamps_are_refused_without_corrupting_the_session() {
     assert!(matches!(response, ServerMsg::ok));
 
     // Clock is at t=10; an event at t=5 is a time rewind.
-    let (response, _) = client
+    let response = client
         .rpc(&ClientMsg::worker(WorkerMsg {
             spec: worker(2, 5.0),
             history: None,
@@ -199,19 +199,19 @@ fn out_of_order_timestamps_are_refused_without_corrupting_the_session() {
     assert!(e.detail.contains("monotone"), "detail: {}", e.detail);
 
     // A tick backwards is refused the same way.
-    let (response, _) = client.rpc(&ClientMsg::tick { to: 1.0 }).expect("tick");
+    let response = client.rpc(&ClientMsg::tick { to: 1.0 }).expect("tick");
     assert!(matches!(response, ServerMsg::error(_)));
 
     // The session survives: in-order traffic still works and the final
     // run audits clean (the refused events never entered the log).
-    let (response, _) = client
+    let response = client
         .rpc(&ClientMsg::worker(WorkerMsg {
             spec: worker(3, 20.0),
             history: None,
         }))
         .expect("worker");
     assert!(matches!(response, ServerMsg::ok));
-    let (response, _) = client.rpc(&ClientMsg::shutdown).expect("shutdown");
+    let response = client.rpc(&ClientMsg::shutdown).expect("shutdown");
     let ServerMsg::bye(bye) = response else {
         panic!("expected bye, got {response:?}");
     };
@@ -228,9 +228,9 @@ fn duplicate_worker_arrival_is_a_constraint_error() {
         spec: worker(1, 1.0),
         history: None,
     });
-    let (response, _) = client.rpc(&msg).expect("worker");
+    let response = client.rpc(&msg).expect("worker");
     assert!(matches!(response, ServerMsg::ok));
-    let (response, _) = client.rpc(&msg).expect("worker again");
+    let response = client.rpc(&msg).expect("worker again");
     let ServerMsg::error(e) = response else {
         panic!("expected error, got {response:?}");
     };
@@ -245,7 +245,7 @@ fn mid_stream_disconnect_drains_and_audits_the_session() {
     let addr = handle.addr().to_string();
     {
         let mut client = open_session(&addr);
-        let (response, _) = client
+        let response = client
             .rpc(&ClientMsg::worker(WorkerMsg {
                 spec: worker(1, 1.0),
                 history: None,
@@ -266,9 +266,8 @@ fn mid_stream_disconnect_drains_and_audits_the_session() {
     }
     // The server is still healthy: a fresh session works end to end.
     let mut client = open_session(&addr);
-    let (response, _) = client.rpc(&ClientMsg::shutdown).expect("shutdown");
+    let response = client.rpc(&ClientMsg::shutdown).expect("shutdown");
     assert!(matches!(response, ServerMsg::bye(_)));
     assert_eq!(handle.counters().sessions_finished(), 2);
-    assert_eq!(handle.counters().dropped(), 0);
     handle.shutdown();
 }

@@ -15,8 +15,8 @@ use com_core::{try_run_online, validate_run, MatcherRegistry, MatcherSpec};
 use com_datagen::{generate, synthetic, SyntheticParams};
 use com_geo::Point;
 use com_serve::{
-    drive, event_msg, hello_msg, serve, Client, ClientMsg, DriveOptions, Hello, Placement,
-    ServerConfig, ServerHandle, ServerMsg, WireFormat,
+    drive, event_msg, hello_msg, serve, Client, ClientMsg, DriveOptions, Hello, ServerConfig,
+    ServerHandle, ServerMsg, WireFormat,
 };
 use com_sim::Instance;
 
@@ -51,9 +51,7 @@ fn hello_for(instance: &Instance, matcher: &str, seed: u64) -> ClientMsg {
 /// One strict mux round-trip: send the enveloped message and require the
 /// next frame to carry the same sid (`rpc_for` errors otherwise).
 fn mux_rpc(client: &mut Client, sid: u64, msg: ClientMsg) -> ServerMsg {
-    let (response, busy) = client.rpc_for(Some(sid), &msg).expect("mux round-trip");
-    assert_eq!(busy, 0, "sid {sid}: message dropped");
-    response
+    client.rpc_for(Some(sid), &msg).expect("mux round-trip")
 }
 
 /// The acceptance gate for the shard refactor: for every builtin matcher
@@ -128,7 +126,6 @@ fn every_builtin_is_shard_count_invariant() {
                 },
             )
             .expect("mux replay");
-            assert_eq!(report.busy, 0, "{matcher} on {label}: dropped messages");
             assert_eq!(report.sessions.len(), sessions);
             for (outcome, (canonical, digest)) in report.sessions.iter().zip(&truth) {
                 let sid = outcome.sid.expect("several sessions are addressed by sid");
@@ -179,7 +176,6 @@ fn message_for_unknown_sid_gets_typed_error_and_connection_survives() {
     assert!(matches!(response, ServerMsg::welcome { .. }));
     let response = mux_rpc(&mut client, 1, ClientMsg::shutdown);
     assert!(matches!(response, ServerMsg::bye(_)));
-    assert_eq!(handle.counters().dropped(), 0);
     handle.shutdown();
 }
 
@@ -193,8 +189,7 @@ fn duplicate_hello_for_live_sid_is_refused_without_killing_the_session() {
     assert!(matches!(response, ServerMsg::welcome { .. }));
 
     // A second hello for the same live sid — even with a different seed
-    // and an origin that would place elsewhere — is refused by the
-    // session's owning shard.
+    // and an origin — is refused by the session's owning shard.
     let re_hello = Hello {
         matcher: "ramcom".into(),
         seed: 99,
@@ -307,92 +302,46 @@ fn disconnect_with_sessions_open_on_several_shards_drains_them_all() {
     let response = mux_rpc(&mut client, 0, ClientMsg::shutdown);
     assert!(matches!(response, ServerMsg::bye(_)));
     assert_eq!(handle.counters().sessions_finished(), 7);
-    assert_eq!(handle.counters().dropped(), 0);
     handle.shutdown();
 }
 
-/// Grid placement is deterministic and serving-neutral: the same hello
-/// origins land on the same shards every run, and results equal the
-/// hash-placed ones.
-#[test]
-fn grid_placement_serves_identically_to_hash_placement() {
-    let instance = quick_instance();
-    let grid = serve(ServerConfig {
-        shards: 4,
-        placement: Placement::parse("grid:1.0").expect("placement token"),
-        ..ServerConfig::default()
-    })
-    .expect("bind ephemeral port");
-    let mut client = Client::connect(&grid.addr().to_string()).expect("connect");
-
-    let mut digests = Vec::new();
-    for (sid, origin) in [(0u64, Point::new(0.5, 0.5)), (1, Point::new(8.5, 8.5))] {
-        let hello = Hello {
-            matcher: "demcom".into(),
-            seed: 17,
-            world: instance.config.clone(),
-            platforms: instance.platform_names.clone(),
-            max_value: instance.max_value(),
-            origin: Some(origin),
-            frame: None,
-            fed: None,
-        };
-        let response = mux_rpc(&mut client, sid, ClientMsg::hello(hello));
-        assert!(matches!(response, ServerMsg::welcome { .. }));
-    }
-    for event in instance.stream.iter().take(30) {
-        for sid in 0..2u64 {
-            let response = mux_rpc(&mut client, sid, event_msg(&instance, event));
-            assert!(!matches!(response, ServerMsg::error(_)));
-        }
-    }
-    for sid in 0..2u64 {
-        let ServerMsg::bye(bye) = mux_rpc(&mut client, sid, ClientMsg::shutdown) else {
-            panic!("expected bye");
-        };
-        assert_eq!(bye.audit_findings, Vec::<String>::new());
-        digests.push(bye.digest);
-    }
-    // Same seed, same events: placement cannot leak into the result.
-    assert_eq!(digests[0], digests[1]);
-    grid.shutdown();
-}
-
-/// The window bounds what is in flight on a connection however many
-/// sessions share it: 8 sessions × window 8 into a single shard whose
-/// ingress queue holds exactly 8 can never overflow it, so the run is
-/// drop-free and every session is the batch run. (A driver that checks
-/// the window once per event *row* has up to 15 in flight here and dies
-/// on the first `busy`.)
+/// The window is independent of the server's queue sizes: 8 sessions ×
+/// window 64 into shard queues that hold 2 messages each is drop-free and
+/// every session is the batch run, because a full queue stops the
+/// connection's reader instead of dropping. (A server that drops and
+/// answers `busy` kills this run at the first overflow: with 64 messages
+/// in flight the driver cannot tell which one was lost.)
 #[test]
 fn window_is_per_message_so_a_full_window_never_overflows_the_shard_queue() {
     let instance = quick_instance();
-    let handle = serve(ServerConfig {
-        shards: 1,
-        queue_capacity: 8,
-        ..ServerConfig::default()
-    })
-    .expect("bind ephemeral port");
-    let options = DriveOptions {
-        matcher: "demcom".into(),
-        seed: 5,
-        connections: 1,
-        sessions: 8,
-        window: 8,
-        ..DriveOptions::default()
-    };
-    let report = drive(&handle.addr().to_string(), &instance, &options).expect("mux replay");
-    assert_eq!(report.busy, 0);
-    assert_eq!(handle.counters().dropped(), 0);
-    assert_eq!(report.sessions.len(), 8);
     let registry = MatcherRegistry::builtin();
-    for outcome in &report.sessions {
-        let factory = registry.resolve("demcom").expect("builtin resolves");
-        let batch = try_run_online(&instance, factory().as_mut(), outcome.seed);
-        assert_eq!(outcome.bye.digest, canonical_run_digest(&batch));
-        assert_eq!(outcome.bye.audit_findings, Vec::<String>::new());
+    for (shards, connections) in [(1, 1), (2, 2)] {
+        let handle = serve(ServerConfig {
+            shards,
+            queue_capacity: 2,
+            ..ServerConfig::default()
+        })
+        .expect("bind ephemeral port");
+        let options = DriveOptions {
+            matcher: "demcom".into(),
+            seed: 5,
+            connections,
+            sessions: 8,
+            window: 64,
+            ..DriveOptions::default()
+        };
+        let report = drive(&handle.addr().to_string(), &instance, &options).expect("mux replay");
+        assert_eq!(report.sessions.len(), 8);
+        for outcome in &report.sessions {
+            let factory = registry.resolve("demcom").expect("builtin resolves");
+            let batch = try_run_online(&instance, factory().as_mut(), outcome.seed);
+            assert_eq!(outcome.bye.digest, canonical_run_digest(&batch));
+            assert_eq!(outcome.bye.audit_findings, Vec::<String>::new());
+        }
+        let deep = report.deep_stats.expect("stats_deep over conn 0");
+        assert!(deep.shards.iter().all(|s| s.busy_dropped == 0));
+        handle.shutdown();
     }
-    handle.shutdown();
 }
 
 /// Drive through a byte-recording TCP proxy in front of `server` and
@@ -431,9 +380,7 @@ fn wire_addresses(server: &ServerHandle, options: &DriveOptions) -> (Vec<Option<
         back.join().expect("proxy return leg");
         recorded
     });
-    let report = drive(&proxy_addr, &instance, options).expect("drive through proxy");
-    assert_eq!(report.busy, 0);
-    drop(report);
+    drive(&proxy_addr, &instance, options).expect("drive through proxy");
     let recorded = proxy.join().expect("proxy");
 
     let (mut sids, mut binary, mut rest) = (Vec::new(), 0usize, &recorded[..]);
