@@ -217,7 +217,7 @@ fn us(ns: u64) -> String {
 
 /// The `--stats` report: one per-phase latency table plus one
 /// counter/gauge table covering every instrumented run.
-fn print_stats(reports: &[com_obs::RunTelemetry]) {
+fn print_telemetry(reports: &[com_obs::RunTelemetry]) {
     let mut phases = Table::new(
         "per-phase latency (µs)",
         &[
@@ -384,7 +384,7 @@ fn main() {
         if reports.len() > 1 {
             reports.extend(merged_telemetry("all algorithms (merged)", &runs));
         }
-        print_stats(&reports);
+        print_telemetry(&reports);
         com_obs::uninstall();
         if let Some(path) = &args.trace {
             println!("trace written to {}", path.display());

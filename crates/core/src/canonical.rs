@@ -53,7 +53,13 @@ pub fn canonical_assignment_json(a: &Assignment) -> serde_json::Value {
 /// platforms (unlike `std`'s randomized hasher). The one hash behind the
 /// canonical run digest and `matchd`'s session→shard placement.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_from(FNV_OFFSET, bytes)
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// [`fnv1a64`] continued from a running `hash`.
+fn fnv1a64_from(mut hash: u64, bytes: &[u8]) -> u64 {
     for &byte in bytes {
         hash ^= u64::from(byte);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -61,12 +67,29 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// Hashes text as it is written instead of keeping it.
+struct Fnv1a64(u64);
+
+impl std::fmt::Write for Fnv1a64 {
+    fn write_str(&mut self, text: &str) -> std::fmt::Result {
+        self.0 = fnv1a64_from(self.0, text.as_bytes());
+        Ok(())
+    }
+}
+
 /// [`fnv1a64`] digest of an already-built [`canonical_run_json`] tree,
 /// rendered as `"fnv1a64:<16 hex digits>"` — for callers that also ship
 /// the tree (a session's `bye`) and should not build it twice.
 pub fn canonical_digest(canonical: &serde_json::Value) -> String {
-    let text = serde_json::to_string(canonical).expect("canonical run serializes");
-    format!("fnv1a64:{:016x}", fnv1a64(text.as_bytes()))
+    // `Display` renders `serde_json::to_string`'s bytes from a borrow
+    // (`to_string` deep-clones the tree first), hashed as they are
+    // written: a `city` run is ≈ 29 MB of text, and a second exact-size
+    // copy of it (`canonical.to_string()`) is not harmless — CHANGES.md,
+    // PR 17.
+    use std::fmt::Write as _;
+    let mut hash = Fnv1a64(FNV_OFFSET);
+    write!(hash, "{canonical}").expect("hashing never fails");
+    format!("fnv1a64:{:016x}", hash.0)
 }
 
 /// [`canonical_digest`] of `run`'s canonical JSON; used by session traces

@@ -35,19 +35,20 @@
 //!
 //! [`verify`] replays the instance through the local batch engine
 //! (`try_run_online`, same matcher and seed) and checks, per daemon:
-//! full-replica canonical run and digest equal to the reference; the
-//! `bye.fed` projection equal to [`com_core::project_platform_run`] of
-//! the reference; [`com_core::merge_platform_runs`] over the two owned
+//! the full replica against the reference and the `bye.fed` half against
+//! [`com_core::project_platform_run`] of it (both through
+//! [`ByeMsg::disagreements`]: canonical run, digest, silent server-side
+//! audit); [`com_core::merge_platform_runs`] over the two owned
 //! projections rebuilding the reference byte-for-byte; the reported
 //! [`com_sim::PlatformLedger`] agreeing with locally-derived books; the
-//! server-side audit silent; the projected-instance audit silent; and
-//! zero degraded offers. Any live per-request divergence between the two
-//! daemons' answers is caught while driving, before the byes.
+//! projected-instance audit silent; and zero degraded offers. Any live
+//! per-request divergence between the two daemons' answers is caught
+//! while driving, before the byes.
 
 use std::io;
 use std::time::Instant;
 
-use com_core::{canonical_assignment_json, canonical_run_digest, canonical_run_json};
+use com_core::{canonical_assignment_json, canonical_run_json};
 use com_core::{
     merge_platform_runs, project_platform_instance, project_platform_run, try_run_online,
     MatcherSpec, RunResult,
@@ -278,15 +279,6 @@ pub fn drive_federated(
     })
 }
 
-/// Canonicalize a JSON value for byte comparison: round-trip through
-/// text so a value parsed off the wire and a value built locally compare
-/// through the same representation.
-fn canonical_text(value: &serde_json::Value) -> String {
-    let text = serde_json::to_string(value).expect("canonical value serializes");
-    let parsed: serde_json::Value = serde_json::from_str(&text).expect("round-trip");
-    serde_json::to_string(&parsed).expect("canonical value serializes")
-}
-
 fn reference_run(instance: &Instance, options: &FedOptions) -> Result<RunResult, String> {
     let mut matcher = MatcherSpec::parse(&options.matcher)
         .map_err(|e| format!("unknown matcher {}: {e:?}", options.matcher))?
@@ -310,24 +302,14 @@ pub fn verify(instance: &Instance, report: &FedReport, options: &FedOptions) -> 
             return failures;
         }
     };
-    let reference_canonical = canonical_text(&canonical_run_json(&reference));
 
     let mut projections = Vec::new();
     for daemon in &report.daemons {
         let p = PlatformId(daemon.platform);
         let tag = format!("platform {}", daemon.platform);
         // Full replica: the served run IS the batch run, byte for byte.
-        let served = canonical_text(&daemon.bye.canonical);
-        if served != reference_canonical {
-            failures.push(format!(
-                "{tag}: full-replica canonical differs from reference"
-            ));
-        }
-        if !daemon.bye.audit_findings.is_empty() {
-            failures.push(format!(
-                "{tag}: server-side audit found {:?}",
-                daemon.bye.audit_findings
-            ));
+        for d in daemon.bye.disagreements(&reference) {
+            failures.push(format!("{tag}: full replica: {d}"));
         }
         // Owned-slice projection: canonical, digest, ledger, degradation.
         let projection = project_platform_run(&reference, p);
@@ -337,17 +319,8 @@ pub fn verify(instance: &Instance, report: &FedReport, options: &FedOptions) -> 
                 if fed.platform != daemon.platform {
                     failures.push(format!("{tag}: fed half claims platform {}", fed.platform));
                 }
-                if canonical_text(&fed.canonical)
-                    != canonical_text(&canonical_run_json(&projection))
-                {
-                    failures.push(format!("{tag}: projected canonical differs from reference"));
-                }
-                if fed.digest != canonical_run_digest(&projection) {
-                    failures.push(format!(
-                        "{tag}: projected digest {} != locally derived {}",
-                        fed.digest,
-                        canonical_run_digest(&projection)
-                    ));
+                for d in fed.disagreements(&projection) {
+                    failures.push(format!("{tag}: owned projection: {d}"));
                 }
                 let books = PlatformLedger::for_platform(p, &reference.assignments);
                 if !fed.ledger.agrees_with(&books) {
@@ -383,7 +356,8 @@ pub fn verify(instance: &Instance, report: &FedReport, options: &FedOptions) -> 
     match merge_platform_runs(instance, &parts) {
         Err(e) => failures.push(format!("merge failed: {e}")),
         Ok(merged) => {
-            if canonical_text(&canonical_run_json(&merged)) != reference_canonical {
+            if canonical_run_json(&merged).to_string() != canonical_run_json(&reference).to_string()
+            {
                 failures.push("merged platform slices differ from reference run".into());
             }
         }

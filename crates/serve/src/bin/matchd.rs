@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p com-serve --release --bin matchd -- \
 //!     [--addr HOST:PORT] [--addr-file FILE] [--queue N] \
-//!     [--shards N] [--once] [--stats] [--record DIR] [--no-telemetry]
+//!     [--shards N] [--once] [--record DIR] [--no-telemetry]
 //! ```
 //!
 //! Listens for newline-delimited-JSON sessions (see
@@ -32,8 +32,6 @@
 //!   identical at any shard count; only parallelism changes.
 //! * `--once` — exit once at least one connection was accepted and all
 //!   accepted connections have finished (CI smoke runs).
-//! * `--stats` — print a per-session ingest-latency summary when each
-//!   connection drains, in stable session-id order.
 //! * `--record` — flight recorder: write one trace per logical session
 //!   (`session-<sid>-<matcher>-<seed>.jsonl`, schema in
 //!   `com_serve::trace`) into DIR; replay later with `matchreplay`.
@@ -68,7 +66,7 @@ fn write_addr_file(path: &str, addr: &str) -> std::io::Result<()> {
 fn usage() -> ! {
     eprintln!(
         "usage: matchd [--addr HOST:PORT] [--addr-file FILE] [--queue N] \
-         [--shards N] [--once] [--stats] [--record DIR] [--no-telemetry]"
+         [--shards N] [--once] [--record DIR] [--no-telemetry]"
     );
     std::process::exit(2);
 }
@@ -107,7 +105,6 @@ fn main() {
                 }
             }
             "--once" => config.once = true,
-            "--stats" => config.print_stats = true,
             "--record" => config.record_dir = Some(next("--record").into()),
             "--no-telemetry" => config.telemetry = false,
             "--help" | "-h" => usage(),

@@ -4,15 +4,16 @@
 //! cargo run -p com-serve --release --bin matchload -- \
 //!     --addr HOST:PORT \
 //!     [--profile chengdu-oct|chengdu-nov|xian-nov|synthetic | --config FILE] \
-//!     [--quick] [--full-scale] [--matcher SPEC] [--seed N] [--rate HZ] \
+//!     [--quick] [--full-scale] [--matcher SPEC] [--seed N] \
 //!     [--frame ndjson|binary] [--window N] \
 //!     [--connections M] [--sessions K] \
-//!     [--json FILE] [--baseline FILE] [--strict]
+//!     [--json FILE] [--strict]
 //! ```
 //!
 //! Streams a `com-datagen` scenario through a live matchd — one front-end
-//! over [`com_serve::drive()`], whatever the session count — and reports
-//! throughput and request round-trip latency (p50/p95/p99). Before
+//! over [`com_serve::drive()`], whatever the session count — as fast as
+//! the window allows, and checks what came back. It is the correctness
+//! front-end; timings to quote come from `benchmark/run.sh`. Before
 //! shutdown it asks the server for `stats_deep` and prints the per-shard
 //! rows and the serving phase table (decode/ingest/decision/encode/flush
 //! latencies, queue high-water); the same tables land in the
@@ -22,8 +23,6 @@
 //!   regardless of profile; what CI's serve-smoke job runs.
 //! * `--full-scale` — the full-scale city scenario (4000 requests, 1200
 //!   workers — 10× quick); the paper-scale serving experiment.
-//! * `--rate` — target send rate in events/s *per connection*, whatever
-//!   the session count (default 0 = full speed).
 //! * `--frame` — wire framing to negotiate in `hello` (default
 //!   `ndjson`); `binary` switches to length-prefixed frames after the
 //!   server's `welcome` confirms.
@@ -40,27 +39,22 @@
 //!   sessions: M is clamped to K.
 //! * `--json` — write the report. One schema whatever K and M: run
 //!   parameters (`scenario`, `matcher`, `seed`, `connections`,
-//!   `sessions`, `requests`, `workers`, `events`, `rate_hz`, `frame`,
-//!   `window`), results (`wall_secs`, `events_per_sec`, `latency_us`
-//!   {`p50`,`p95`,`p99`,`mean`}, `queue_high_water`),
+//!   `sessions`, `requests`, `workers`, `events`, `frame`, `window`),
+//!   results (`wall_secs`, `events_per_sec`, `queue_high_water`),
 //!   `per_session[]` (`sid` — null when bare —
 //!   `connection`, `seed`, `assigned`, `rejected`, `refused`, `revenue`,
 //!   `completed`, `audit_findings`, `digest`), the server's
-//!   `server_shards[]` and `server_phases[]` tables, `host_cores`,
-//!   `note`, and `baseline`.
-//! * `--baseline FILE` — embed a previously written `--json` report
-//!   under `"baseline"` in this run's report, so one file carries a
-//!   before/after phase-table comparison.
+//!   `server_shards[]` and `server_phases[]` tables, `host_cores` and
+//!   `note`.
 //! * `--strict` — verify every served session end to end: replay the
 //!   same instance through the local batch engine (`try_run_online`,
-//!   per-session seed) and require the server's canonical run JSON and
-//!   finish digest to match byte for byte and zero audit findings;
-//!   exit 1 otherwise.
+//!   per-session seed) and require `ByeMsg::disagreements` to be empty —
+//!   canonical run JSON and finish digest byte for byte, zero audit
+//!   findings; exit 1 otherwise.
 
 use std::fs;
 use std::path::Path;
 
-use com_core::{canonical_run_digest, canonical_run_json};
 use com_core::{try_run_online, MatcherSpec};
 use com_datagen::{generate, profiles};
 use com_serve::{drive, DeepStatsMsg, DriveOptions, ShardRow, WireFormat};
@@ -70,7 +64,6 @@ struct Args {
     profile: String,
     config: Option<String>,
     json_out: Option<String>,
-    baseline: Option<String>,
     strict: bool,
     drive: DriveOptions,
 }
@@ -78,10 +71,9 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: matchload --addr HOST:PORT [--profile NAME | --config FILE] \
-         [--quick] [--full-scale] [--matcher SPEC] [--seed N] [--rate HZ] \
+         [--quick] [--full-scale] [--matcher SPEC] [--seed N] \
          [--frame ndjson|binary] [--window N] [--connections M] \
-         [--sessions K] [--json FILE] [--baseline FILE] [--strict]\n\
-         \x20 --rate HZ        events/s per connection, whatever K is (0 = full speed)\n\
+         [--sessions K] [--json FILE] [--strict]\n\
          \x20 --window N       max messages in flight per connection (1 = lockstep)\n\
          \x20 --sessions K     logical sessions, seed N+k each; one is addressed bare,\n\
          \x20                  more are multiplexed as sids 0..K\n\
@@ -96,7 +88,6 @@ fn parse_args() -> Args {
         profile: "synthetic".into(),
         config: None,
         json_out: None,
-        baseline: None,
         strict: false,
         drive: DriveOptions::default(),
     };
@@ -129,12 +120,6 @@ fn parse_args() -> Args {
                     usage()
                 })
             }
-            "--rate" => {
-                args.drive.rate_hz = next("--rate").parse().unwrap_or_else(|_| {
-                    eprintln!("--rate must be a number (events/s, 0 = full speed)");
-                    usage()
-                })
-            }
             "--frame" => {
                 let token = next("--frame");
                 args.drive.frame = WireFormat::parse(&token).unwrap_or_else(|| {
@@ -146,7 +131,6 @@ fn parse_args() -> Args {
             "--connections" => args.drive.connections = positive("--connections"),
             "--sessions" => args.drive.sessions = positive("--sessions"),
             "--json" => args.json_out = Some(next("--json")),
-            "--baseline" => args.baseline = Some(next("--baseline")),
             "--strict" => args.strict = true,
             "--help" | "-h" => usage(),
             other => {
@@ -217,37 +201,6 @@ fn scenario_name(args: &Args) -> String {
     }
 }
 
-/// Local batch ground truth for one session seed: canonical run JSON
-/// (normalised through the parser) and the finish digest.
-fn local_truth(instance: &com_sim::Instance, matcher_spec: &str, seed: u64) -> (String, String) {
-    let mut matcher = MatcherSpec::parse(matcher_spec)
-        .unwrap_or_else(|e| {
-            eprintln!("matchload: {e}");
-            std::process::exit(2)
-        })
-        .build();
-    let batch = try_run_online(instance, matcher.as_mut(), seed);
-    let local = serde_json::to_string(&canonical_run_json(&batch)).expect("serialise");
-    // Round-trip through the parser so both sides use the identical
-    // value representation before comparing.
-    let local: serde_json::Value = serde_json::from_str(&local).expect("round-trip");
-    (
-        serde_json::to_string(&local).expect("serialise"),
-        canonical_run_digest(&batch),
-    )
-}
-
-fn read_baseline(path: &str) -> serde_json::Value {
-    let text = fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read baseline {path}: {e}");
-        std::process::exit(2)
-    });
-    serde_json::from_str::<serde_json::Value>(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse baseline {path}: {e}");
-        std::process::exit(2)
-    })
-}
-
 fn write_json(path: &str, json: &serde_json::Value) {
     fs::write(
         path,
@@ -287,7 +240,6 @@ fn main() {
         std::process::exit(1)
     });
 
-    let h = &report.request_rtt_ns;
     println!(
         "served {} events across {} sessions over {} connections in {:.2}s — \
          {:.0} events/s",
@@ -296,13 +248,6 @@ fn main() {
         report.connections,
         report.wall_secs,
         report.events_per_sec(),
-    );
-    println!(
-        "request rtt: p50 {:.1}us  p95 {:.1}us  p99 {:.1}us  mean {:.1}us",
-        us(h.p50()),
-        us(h.quantile(0.95)),
-        us(h.p99()),
-        h.mean() / 1e3,
     );
     for s in &report.sessions {
         println!(
@@ -362,17 +307,10 @@ fn main() {
             "requests": instance.request_count(),
             "workers": instance.worker_count(),
             "events": report.events,
-            "rate_hz": options.rate_hz,
             "frame": options.frame.as_str(),
             "window": options.window,
             "wall_secs": report.wall_secs,
             "events_per_sec": report.events_per_sec(),
-            "latency_us": serde_json::json!({
-                "p50": us(h.p50()),
-                "p95": us(h.quantile(0.95)),
-                "p99": us(h.p99()),
-                "mean": h.mean() / 1e3,
-            }),
             "queue_high_water": deep.map_or(0, |d| d.queue_high_water),
             "per_session": per_session,
             "server_shards": shards,
@@ -380,41 +318,25 @@ fn main() {
             "host_cores": std::thread::available_parallelism().map_or(1, |n| n.get()),
             "note": "loopback; every session replays the same instance with seed \
                      seed+k; window 1 = synchronous request-response, window > 1 \
-                     pipelines with batched writes; latency includes both protocol \
-                     ends plus the decision itself; client and server share the \
+                     pipelines with batched writes; client and server share the \
                      listed cores, so throughput is a protocol-overhead floor, not \
-                     a capacity ceiling",
-            // The before-run report (`--baseline`), or null: one file
-            // carries the before/after comparison.
-            "baseline": args.baseline.as_ref().map(|p| read_baseline(p)),
+                     a capacity ceiling — quote benchmark/run.sh for timings",
         });
         write_json(path, &json);
     }
 
     if args.strict {
+        // The ground truth: the same instance, matcher and seed through
+        // the local batch engine must be the served run, byte for byte.
+        let spec = MatcherSpec::parse(&options.matcher).unwrap_or_else(|e| {
+            eprintln!("matchload: {e}");
+            std::process::exit(2)
+        });
         let mut failures = Vec::new();
         for (k, s) in report.sessions.iter().enumerate() {
-            if !s.bye.audit_findings.is_empty() {
-                failures.push(format!(
-                    "session {k}: {} audit finding(s)",
-                    s.bye.audit_findings.len()
-                ));
-            }
-            // The ground truth: the same instance, matcher, and seed
-            // through the local batch engine must match the served run
-            // byte for byte in the canonical projection.
-            let (local, digest) = local_truth(&instance, &options.matcher, s.seed);
-            let served = serde_json::to_string(&s.bye.canonical).expect("serialise");
-            if local != served {
-                failures.push(format!(
-                    "session {k}: served canonical run differs from local batch run"
-                ));
-            }
-            if !s.bye.digest.is_empty() && s.bye.digest != digest {
-                failures.push(format!(
-                    "session {k}: served digest {} != local {digest}",
-                    s.bye.digest
-                ));
+            let batch = try_run_online(&instance, spec.build().as_mut(), s.seed);
+            for d in s.bye.disagreements(&batch) {
+                failures.push(format!("session {k}: {d}"));
             }
         }
         if !failures.is_empty() {

@@ -3,7 +3,7 @@
 //! ```text
 //! # replay (the default): re-run traces and compare decisions
 //! cargo run -p com-serve --release --bin matchreplay -- \
-//!     [--strict] [--rate HZ] [--json FILE] TRACE.jsonl...
+//!     [--strict] TRACE.jsonl...
 //!
 //! # record: write a trace by playing a scenario locally (no server)
 //! cargo run -p com-serve --release --bin matchreplay -- \
@@ -12,10 +12,8 @@
 //! ```
 //!
 //! Replay drives each trace's events straight through a `ServeSession` —
-//! no sockets, no protocol framing — so it is the fastest way to push a
-//! recorded workload through the engine, and every decision is
-//! byte-compared against the recording (canonical projection, wall-clock
-//! excluded):
+//! no sockets, no protocol framing — and byte-compares every decision
+//! against the recording (canonical projection, wall-clock excluded):
 //!
 //! * default (lenient): divergences are *reported*, first mismatching
 //!   event index and both decisions side by side, and the exit code stays
@@ -23,10 +21,6 @@
 //! * `--strict`: any divergence, digest mismatch, or `validate_run`
 //!   finding exits 1 — the CI mode, run over the committed `traces/`
 //!   corpus on every push.
-//!
-//! `--rate HZ` paces replay to a target event rate (default 0 = as fast
-//! as the engine decides). `--json FILE` writes a throughput report over
-//! all replayed traces.
 
 use std::path::{Path, PathBuf};
 
@@ -36,8 +30,6 @@ use com_serve::{record_session, replay_trace, TraceReplayReport};
 struct Args {
     traces: Vec<PathBuf>,
     strict: bool,
-    rate_hz: f64,
-    json_out: Option<String>,
     record: Option<PathBuf>,
     matcher: String,
     seed: u64,
@@ -47,7 +39,7 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: matchreplay [--strict] [--rate HZ] [--json FILE] TRACE.jsonl...\n\
+        "usage: matchreplay [--strict] TRACE.jsonl...\n\
          \x20      matchreplay --record TRACE.jsonl --matcher SPEC [--seed N] \
          [--quick | --profile NAME | --config FILE]"
     );
@@ -58,8 +50,6 @@ fn parse_args() -> Args {
     let mut args = Args {
         traces: Vec::new(),
         strict: false,
-        rate_hz: 0.0,
-        json_out: None,
         record: None,
         matcher: "demcom".into(),
         seed: 42,
@@ -77,13 +67,6 @@ fn parse_args() -> Args {
         };
         match arg.as_str() {
             "--strict" => args.strict = true,
-            "--rate" => {
-                args.rate_hz = next("--rate").parse().unwrap_or_else(|_| {
-                    eprintln!("--rate must be a number (events/s, 0 = full speed)");
-                    usage()
-                })
-            }
-            "--json" => args.json_out = Some(next("--json")),
             "--record" => args.record = Some(next("--record").into()),
             "--matcher" => args.matcher = next("--matcher"),
             "--seed" => {
@@ -186,64 +169,15 @@ fn main() {
         return;
     }
 
-    let mut reports = Vec::new();
     let mut any_failed = false;
     for path in &args.traces {
-        match replay_trace(path, args.rate_hz) {
-            Ok(report) => {
-                any_failed |= report_one(&report, args.strict);
-                reports.push(report);
-            }
+        match replay_trace(path) {
+            Ok(report) => any_failed |= report_one(&report, args.strict),
             Err(e) => {
                 eprintln!("matchreplay: {e}");
                 any_failed = true;
             }
         }
-    }
-
-    if let Some(path) = &args.json_out {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let total_events: u64 = reports.iter().map(|r| r.events).sum();
-        let total_secs: f64 = reports.iter().map(|r| r.wall_secs).sum();
-        let rows: Vec<serde_json::Value> = reports
-            .iter()
-            .map(|r| {
-                serde_json::json!({
-                    "trace": r.path.clone(),
-                    "matcher": r.matcher.clone(),
-                    "seed": r.seed,
-                    "events": r.events,
-                    "decisions": r.decisions,
-                    "wall_secs": r.wall_secs,
-                    "events_per_sec": r.events_per_sec(),
-                    "divergences": r.divergences.len(),
-                    "audit_findings": r.audit_findings.len(),
-                })
-            })
-            .collect();
-        let json = serde_json::json!({
-            "traces": serde_json::Value::array(rows),
-            "total_events": total_events,
-            "total_wall_secs": total_secs,
-            "events_per_sec": if total_secs > 0.0 { total_events as f64 / total_secs } else { 0.0 },
-            "rate_hz": args.rate_hz,
-            "host_cores": cores,
-            "note": "single-threaded replay of pre-parsed traces straight through \
-                     MatchSession — no sockets, no protocol framing, trace parsing \
-                     outside the timed region; this is engine decision throughput, \
-                     an upper bound no served configuration reaches",
-        });
-        std::fs::write(
-            path,
-            serde_json::to_string_pretty(&json).expect("serialise report"),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1)
-        });
-        println!("report written to {path}");
     }
 
     if any_failed && args.strict {

@@ -1,8 +1,10 @@
 //! The one session driver: [`drive`] streams an [`Instance`]'s arrival
 //! events through live `matchd` sessions and collects what the server
 //! decided. `matchload`, the loopback tests and (for its open / event /
-//! close steps) `com_fed` all push their workload through this module, so
-//! numbers from two serving modes come from the same code.
+//! close steps) `com_fed` all push their workload through this module. It
+//! is a correctness driver: closed-loop, as fast as the window allows,
+//! reporting only `wall_secs` / `events_per_sec`. Paced open-loop load and
+//! latency from the intended send time are `benchmark/run.sh`'s job.
 //!
 //! **Sessions and connections.** `sessions` logical sessions replay the
 //! *same* instance, session `k` with seed `seed + k`, so every session's
@@ -32,16 +34,11 @@
 //! and bounded only by socket buffering, as in any pipelined TCP protocol
 //! — the pump reads between bursts so the two directions cannot wedge
 //! each other.
-//!
-//! **Pacing.** `rate_hz` is events per second *per connection*, whatever
-//! the session count: the connection's n-th message is due at
-//! `start + n / rate_hz`, so per-iteration jitter does not accumulate.
 
 use std::collections::VecDeque;
 use std::io;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use com_obs::Histogram;
 use com_sim::{ArrivalEvent, Instance};
 
 use crate::client::{bad_data, unexpected, Client};
@@ -67,9 +64,6 @@ pub struct DriveOptions {
     /// Max messages in flight per connection, shared across its
     /// sessions. `1` = strict lockstep.
     pub window: usize,
-    /// Target send rate in events/second per connection; `0.0` = as fast
-    /// as the window allows.
-    pub rate_hz: f64,
 }
 
 impl Default for DriveOptions {
@@ -81,7 +75,6 @@ impl Default for DriveOptions {
             sessions: 1,
             frame: WireFormat::Ndjson,
             window: 1,
-            rate_hz: 0.0,
         }
     }
 }
@@ -118,9 +111,6 @@ pub struct DriveReport {
     /// audit, the canonical run in `bye`) is excluded — a fixed
     /// per-session cost, not per-event serving work.
     pub wall_secs: f64,
-    /// Request send-to-response wall time across every session, client
-    /// queueing included, nanoseconds.
-    pub request_rtt_ns: Histogram,
     /// Session 0's deep server telemetry, fetched once streaming ended
     /// and before any session on its connection shut down — carries the
     /// phase table and the per-shard rows.
@@ -175,7 +165,7 @@ pub fn expect_ok(response: ServerMsg, what: &str) -> io::Result<()> {
 /// One in-flight message awaiting its session's next response.
 enum Pending {
     Worker,
-    Request { sent: Instant },
+    Request,
 }
 
 /// One session's client-side state while its stream is in flight.
@@ -196,7 +186,6 @@ struct Pump<'a> {
     states: Vec<SessionState>,
     connections: u64,
     in_flight: usize,
-    request_rtt_ns: Histogram,
 }
 
 impl Pump<'_> {
@@ -206,9 +195,7 @@ impl Pump<'_> {
             .queue_for(state.sid, &event_msg(self.instance, event));
         state.pending.push_back(match event {
             ArrivalEvent::Worker(_) => Pending::Worker,
-            ArrivalEvent::Request(_) => Pending::Request {
-                sent: Instant::now(),
-            },
+            ArrivalEvent::Request(_) => Pending::Request,
         });
         self.in_flight += 1;
     }
@@ -230,8 +217,7 @@ impl Pump<'_> {
         self.in_flight -= 1;
         match slot {
             Pending::Worker => expect_ok(frame.msg, "worker"),
-            Pending::Request { sent } => {
-                self.request_rtt_ns.record(sent.elapsed().as_nanos() as u64);
+            Pending::Request => {
                 match frame.msg {
                     ServerMsg::assign(_) => state.assigned += 1,
                     ServerMsg::reject(_) => state.rejected += 1,
@@ -282,21 +268,12 @@ fn drive_connection(
             .collect(),
         connections: connections as u64,
         in_flight: 0,
-        request_rtt_ns: Histogram::new(),
     };
     let window = options.window.max(1);
     let started = Instant::now();
-    let mut sent = 0u64;
     for event in instance.stream.iter() {
         for index in 0..pump.states.len() {
-            if options.rate_hz > 0.0 {
-                let due = started + Duration::from_secs_f64(sent as f64 / options.rate_hz);
-                if let Some(wait) = due.checked_duration_since(Instant::now()) {
-                    std::thread::sleep(wait);
-                }
-            }
             pump.queue(index, event);
-            sent += 1;
             if pump.in_flight >= window {
                 pump.drain_to(window / 2)?;
             }
@@ -308,10 +285,7 @@ fn drive_connection(
     let wall_secs = started.elapsed().as_secs_f64();
 
     let Pump {
-        mut client,
-        states,
-        request_rtt_ns,
-        ..
+        mut client, states, ..
     } = pump;
     // The first session's snapshot, taken while all of the connection's
     // sessions are still open.
@@ -337,7 +311,6 @@ fn drive_connection(
         sessions,
         connections: 1,
         wall_secs,
-        request_rtt_ns,
         deep_stats,
     })
 }
@@ -384,14 +357,12 @@ pub fn drive(addr: &str, instance: &Instance, options: &DriveOptions) -> io::Res
         connections,
         events: 0,
         wall_secs: 0.0,
-        request_rtt_ns: Histogram::new(),
         deep_stats: None,
     };
     for (conn, part) in outcomes.into_iter().enumerate() {
         let part = part?;
         report.events += part.events;
         report.wall_secs = report.wall_secs.max(part.wall_secs);
-        report.request_rtt_ns.merge(&part.request_rtt_ns);
         if conn == 0 {
             report.deep_stats = part.deep_stats;
         }

@@ -21,7 +21,7 @@
 //!   per-connection router threads decoding and dispatching to the shard
 //!   pool, bounded per-shard ingress queues whose backpressure is the
 //!   transport's (a full queue stops the connection's reader), graceful
-//!   drain-and-audit teardown in stable session-id order. Owns
+//!   drain-and-audit teardown behind a per-connection barrier. Owns
 //!   the two shared shapes: one `Conn` per connection (writer, counters,
 //!   `done` flag behind one `Arc`) and the daemon-wide `Daemon`.
 //! * [`shard`] — the shared-nothing shard executors: one `Shard` struct
@@ -35,7 +35,7 @@
 //!   ([`read_server_frame`]), one writer ([`Client::queue_for`]),
 //!   session [`Client::open`] / [`Client::close`].
 //! * [`drive()`] — the one session driver over that client: K sessions ×
-//!   M connections, windowed or lockstep, paced or flat out; behind the
+//!   M connections, windowed or lockstep, always closed-loop; behind the
 //!   `matchload` binary, the loopback tests, and `com_fed`.
 //! * [`trace`] — the flight-recorder session trace (schema v1): one JSONL
 //!   file per recorded session, written by `matchd --record`.

@@ -50,6 +50,7 @@
 use serde::content::Content;
 use serde::{Deserialize, Serialize};
 
+use com_core::RunResult;
 use com_pricing::WorkerHistory;
 use com_sim::{Assignment, RequestSpec, WorkerSpec, WorldConfig};
 
@@ -99,7 +100,8 @@ pub struct FedHello {
     pub platform: u16,
     /// Cross-daemon session binding: offers between the paired sessions
     /// carry this id, and the lender routes inbound offers to the session
-    /// that registered it. Must be unique per daemon.
+    /// that registered it. Unique per daemon: a `hello` naming a
+    /// `fed_sid` that already has a live session is a `duplicate-hello`.
     pub fed_sid: u64,
     /// The rival daemon's `host:port` for the outgoing peer link. Absent
     /// means lend-only: this session answers inbound offers but degrades
@@ -413,6 +415,44 @@ pub struct ByeMsg {
     /// Federation half of the report, present only in `fedd` mode.
     #[serde(default)]
     pub fed: Option<FedByeMsg>,
+}
+
+/// Where a served canonical run and its digest differ from the local
+/// batch run they must equal. Text is compared as `Value`'s `Display`,
+/// the byte form the digest is defined over.
+fn run_diff(canonical: &serde_json::Value, digest: &str, batch: &RunResult) -> Vec<String> {
+    let local = com_core::canonical_run_json(batch);
+    let local_digest = com_core::canonical_digest(&local);
+    let mut found = Vec::new();
+    if canonical.to_string() != local.to_string() {
+        found.push("canonical run differs from the local batch run".to_string());
+    }
+    if digest != local_digest {
+        found.push(format!("digest {digest} != local {local_digest}"));
+    }
+    found
+}
+
+impl FedByeMsg {
+    /// [`ByeMsg::disagreements`] for the owned-platform half, against
+    /// `com_core::project_platform_run` of the batch run.
+    pub fn disagreements(&self, projection: &RunResult) -> Vec<String> {
+        run_diff(&self.canonical, &self.digest, projection)
+    }
+}
+
+impl ByeMsg {
+    /// "The served run is the batch run", checked in one place: every way
+    /// this report disagrees with `batch` (the same instance, matcher and
+    /// seed through `com_core::try_run_online`) — canonical text, digest,
+    /// a non-silent server-side audit. Empty means byte-identical.
+    pub fn disagreements(&self, batch: &RunResult) -> Vec<String> {
+        let mut found = run_diff(&self.canonical, &self.digest, batch);
+        if !self.audit_findings.is_empty() {
+            found.push(format!("server-side audit found {:?}", self.audit_findings));
+        }
+        found
+    }
 }
 
 /// Server → client messages.
@@ -872,6 +912,68 @@ mod tests {
         let back: FedStatsMsg = serde_json::from_str(&line).unwrap();
         assert_eq!(back.offers_sent, 4);
         assert_eq!(back.offers_timed_out, 1);
+    }
+
+    #[test]
+    fn disagreements_name_exactly_the_tampered_part() {
+        let instance = com_datagen::generate(&com_datagen::profiles::quick());
+        let mut matcher = com_core::MatcherSpec::parse("tota").unwrap().build();
+        let batch = com_core::try_run_online(&instance, matcher.as_mut(), 3);
+        let canonical = com_core::canonical_run_json(&batch);
+        let own = ByeMsg {
+            algorithm: batch.algorithm.clone(),
+            revenue: batch.total_revenue(),
+            completed: batch.completed() as u64,
+            cooperative: 0,
+            events: instance.stream.len() as u64,
+            refused: 0,
+            audit_findings: vec![],
+            digest: com_core::canonical_digest(&canonical),
+            canonical,
+            fed: None,
+        };
+        // As a client holds it: parsed off the wire, not built locally.
+        let ServerMsg::bye(own) = decode_server(&encode(&ServerMsg::bye(own))).unwrap() else {
+            panic!("wrong variant")
+        };
+        assert_eq!(own.disagreements(&batch), Vec::<String>::new());
+
+        let text = own.canonical.to_string();
+        let flipped = text.replacen("\"completed\":", "\"completed\":1", 1);
+        assert_ne!(flipped, text, "fixture has a completed cell");
+        let tampered = ByeMsg {
+            canonical: serde_json::from_str(&flipped).unwrap(),
+            ..own.clone()
+        };
+        let found = tampered.disagreements(&batch);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].starts_with("canonical run differs"), "{found:?}");
+
+        let tampered = ByeMsg {
+            digest: "fnv1a64:00000000deadbeef".into(),
+            ..own.clone()
+        };
+        let found = tampered.disagreements(&batch);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].starts_with("digest fnv1a64:00000000deadbeef != local"));
+
+        let tampered = ByeMsg {
+            audit_findings: vec!["worker 3 double-booked".into()],
+            ..own.clone()
+        };
+        let found = tampered.disagreements(&batch);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].contains("worker 3 double-booked"), "{found:?}");
+
+        // The federated half goes through the same comparison.
+        let half = FedByeMsg {
+            platform: 0,
+            canonical: own.canonical.clone(),
+            digest: "fnv1a64:00000000deadbeef".into(),
+            ledger: Default::default(),
+            degraded_offers: 0,
+        };
+        assert_eq!(half.disagreements(&batch).len(), 1);
     }
 
     #[test]

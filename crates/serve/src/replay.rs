@@ -21,7 +21,7 @@
 //! `traces/` corpus is (re)generated deterministically.
 
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use com_sim::{ArrivalEvent, Instance};
 
@@ -168,11 +168,7 @@ fn decision_text(d: &TraceDecision) -> String {
 /// session *refuses* (impossible for an untampered trace, since only
 /// accepted events are recorded) — are hard errors. Disagreement with the
 /// recording is not an error: it lands in `report.divergences`.
-///
-/// `rate_hz` paces the replay to a target event rate in events/second;
-/// `0.0` replays as fast as the engine decides (the normal benchmarking
-/// mode).
-pub fn replay_trace(path: &Path, rate_hz: f64) -> Result<TraceReplayReport, String> {
+pub fn replay_trace(path: &Path) -> Result<TraceReplayReport, String> {
     let (meta, lines) = read_trace(path)?;
     let hello = Hello {
         matcher: meta.matcher.clone(),
@@ -186,7 +182,6 @@ pub fn replay_trace(path: &Path, rate_hz: f64) -> Result<TraceReplayReport, Stri
     };
     let mut session = ServeSession::open(&hello)?;
     let mut divergences = Vec::new();
-    let period = (rate_hz > 0.0).then(|| Duration::from_secs_f64(1.0 / rate_hz));
     let recorded: std::collections::HashMap<u64, &TraceDecision> = lines
         .iter()
         .filter_map(|l| match l {
@@ -201,14 +196,6 @@ pub fn replay_trace(path: &Path, rate_hz: f64) -> Result<TraceReplayReport, Stri
     for line in &lines {
         match line {
             TraceLine::Event(ev) => {
-                if let Some(period) = period {
-                    // Absolute pacing against the replay epoch, same
-                    // discipline as the protocol client.
-                    let due = started + period * events as u32;
-                    if let Some(wait) = due.checked_duration_since(Instant::now()) {
-                        std::thread::sleep(wait);
-                    }
-                }
                 events += 1;
                 match &ev.event {
                     ArrivalEvent::Worker(spec) => {

@@ -18,10 +18,10 @@
 //! session through [`crate::session::ServeSession::finish`] — the run is
 //! closed, audited with `com_core::validate_run`, and (when the socket
 //! still exists) reported in a `bye`. On disconnect the router broadcasts
-//! a close to every shard and collects one report per logical session,
-//! sorted by session id so `--stats` output is reproducible however many
-//! shards the sessions were spread across. Router threads poll a stop
-//! flag on a read timeout, so every thread joins; nothing is detached.
+//! a close to every shard and waits on that barrier: every session the
+//! connection opened, on whatever shard, is finished and audited before
+//! the router's last flush. Router threads poll a stop flag on a read
+//! timeout, so every thread joins; nothing is detached.
 //!
 //! Input caps are enforced before decoding: a line longer than
 //! [`framing::MAX_LINE_BYTES`] or a frame payload larger than
@@ -78,9 +78,6 @@ pub struct ServerConfig {
     /// all accepted connections have finished (CI and one-shot
     /// benchmarks).
     pub once: bool,
-    /// Print a per-session ingest-latency summary to stderr when each
-    /// connection drains, in session-id order.
-    pub print_stats: bool,
     /// Flight recorder: write one trace per logical session into this
     /// directory (`matchd --record`). `None` = no recording.
     pub record_dir: Option<PathBuf>,
@@ -97,7 +94,6 @@ impl Default for ServerConfig {
             queue_capacity: 1024,
             shards: 1,
             once: false,
-            print_stats: false,
             record_dir: None,
             telemetry: true,
         }
@@ -183,10 +179,10 @@ pub(crate) struct Daemon {
     /// Federation routing: `fed_sid` → owning shard. Offers arrive on the
     /// *peer's* connection, which has no `(conn, sid)` route to the
     /// session that must answer them — they route by the shared
-    /// federation session id instead. Routers insert at `hello`
-    /// placement; the owning shard removes when the session finishes. Off
-    /// the per-event hot path (touched only on fed `hello`s and inbound
-    /// offers).
+    /// federation session id instead. The owning shard inserts once the
+    /// session is open (refusing a `fed_sid` that is already routed) and
+    /// removes when it finishes; routers only read. Off the per-event hot
+    /// path (touched only on fed `hello`s and inbound offers).
     fed_routes: Mutex<HashMap<u64, usize>>,
 }
 
@@ -454,29 +450,9 @@ fn handle_connection(stream: TcpStream, conn_id: u64, pool: Arc<PoolShared>) {
     };
     reader_loop(stream, &mut router);
     // The socket is done (EOF, error, stop, or a bare-session shutdown):
-    // drain every logical session this connection opened, wherever it
-    // lives, and report in stable session-id order.
-    let reports = router.pool.close_conn(conn_id);
-    if router.pool.daemon.config.print_stats {
-        for r in &reports {
-            let sid = r
-                .sid
-                .map(|s| format!("sid {s}"))
-                .unwrap_or_else(|| "bare".to_string());
-            eprintln!(
-                "session {} ({sid}, shard {}) {}: {} events, {} findings, \
-                 ingest p50 {}ns p99 {}ns, digest {}",
-                r.lsid,
-                r.shard,
-                r.algorithm,
-                r.events,
-                r.findings,
-                r.ingest_ns.p50(),
-                r.ingest_ns.p99(),
-                r.digest,
-            );
-        }
-    }
+    // finish and audit every logical session this connection opened,
+    // wherever it lives.
+    router.pool.close_conn(conn_id);
     // Anything a shard queued after its last flush leaves with the
     // connection.
     router.conn.flush();
@@ -548,17 +524,8 @@ impl Router {
             // must reach the shard that owns the live session.
             Some(&shard) => shard,
             None => match &msg {
-                ClientMsg::hello(h) => {
+                ClientMsg::hello(_) => {
                     let shard = place(self.conn.id, sid, daemon.shards.len());
-                    // A federated hello also registers its fed_sid so the
-                    // rival daemon's offers (arriving on a *different*
-                    // connection) can find this shard. If the open later
-                    // fails the route is left dangling; offers then get
-                    // an unknown-fed-session reject from the shard, which
-                    // is the correct degradation.
-                    if let Some(fed) = &h.fed {
-                        daemon.fed_routes().insert(fed.fed_sid, shard);
-                    }
                     self.routes.insert(sid, shard);
                     shard
                 }

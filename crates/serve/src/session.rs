@@ -4,16 +4,16 @@
 //! Wraps the core session with what serving adds on top: the accumulated
 //! event log (so the finished run can be audited against a reconstructed
 //! [`Instance`]), per-worker histories fed over the wire, response
-//! classification (assign / reject / timeout), an ingest-latency
-//! histogram, and — when a [`TraceRecorder`] is attached — the flight
-//! recorder: every accepted event and every decision streamed to a
-//! session trace (see [`crate::trace`]).
+//! classification (assign / reject / timeout), and — when a
+//! [`TraceRecorder`] is attached — the flight recorder: every accepted
+//! event and every decision streamed to a session trace (see
+//! [`crate::trace`]). `ingest` is timed once, by the com-obs
+//! [`com_obs::PHASE_SERVE_INGEST`] span `stats_deep` reads.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use com_core::{validate_run, MatchSession, MatcherSpec, RunResult, SessionConfig, SessionOutput};
-use com_obs::Histogram;
 use com_pricing::WorkerHistory;
 use com_sim::{
     ArrivalEvent, ConstraintViolation, EventStream, Instance, MatchKind, PlatformId, RequestSpec,
@@ -57,9 +57,6 @@ pub struct ServeSession {
     platform_names: Vec<String>,
     histories: HashMap<WorkerId, WorkerHistory>,
     events: Vec<ArrivalEvent>,
-    /// Nanoseconds spent inside `ingest` per event (decision + world
-    /// update, excluding transport).
-    pub ingest_ns: Histogram,
     assigned: u64,
     rejected: u64,
     refused: u64,
@@ -78,7 +75,6 @@ pub struct FinishedSession {
     pub digest: String,
     pub findings: Vec<String>,
     pub instance: Instance,
-    pub ingest_ns: Histogram,
     /// Where the session trace landed, when one was recorded and survived.
     pub trace_path: Option<std::path::PathBuf>,
     /// `(owned platform, degraded offer count)` for a federated session.
@@ -140,7 +136,6 @@ impl ServeSession {
             platform_names: hello.platforms.clone(),
             histories: HashMap::new(),
             events: Vec::new(),
-            ingest_ns: Histogram::new(),
             assigned: 0,
             rejected: 0,
             refused: 0,
@@ -209,12 +204,10 @@ impl ServeSession {
             self.core.add_history(msg.spec.id, history.clone());
         }
         let event = ArrivalEvent::Worker(msg.spec);
-        let started = std::time::Instant::now();
         {
             let _span = com_obs::span(com_obs::PHASE_SERVE_INGEST);
             self.core.ingest(&event)?;
         }
-        self.ingest_ns.record(started.elapsed().as_nanos() as u64);
         self.record_event(&event, msg.history.as_ref());
         self.events.push(event);
         Ok(())
@@ -223,13 +216,11 @@ impl ServeSession {
     /// Ingest a request arrival and classify the one decision it yields.
     pub fn request(&mut self, spec: &RequestSpec) -> Result<ServerMsg, ConstraintViolation> {
         let event = ArrivalEvent::Request(*spec);
-        let started = std::time::Instant::now();
         let output = {
             let _span = com_obs::span(com_obs::PHASE_SERVE_INGEST);
             self.core.ingest(&event)?
         }
         .expect("MatchSession::ingest yields a decision for every request event");
-        self.ingest_ns.record(started.elapsed().as_nanos() as u64);
         let event_index = self.events.len() as u64;
         self.record_event(&event, None);
         self.events.push(event);
@@ -462,7 +453,6 @@ impl ServeSession {
             digest,
             findings,
             instance,
-            ingest_ns: self.ingest_ns,
             trace_path,
             fed,
         }

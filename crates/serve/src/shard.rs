@@ -3,10 +3,9 @@
 //! `matchd --shards N` starts N **shard worker threads**, each running one
 //! `Shard`: a struct that owns its logical sessions outright — session
 //! state is plain mutable data on the shard thread, never behind a lock —
-//! together with the index of its federated sessions and one slot per
-//! connection with traffic on it (the connection to flush, plus the
-//! reports of its sessions already finished by `shutdown`). Every handler
-//! is a method on it. A shard receives decoded protocol messages over one
+//! together with the index of its federated sessions and the connections
+//! with traffic on it (to flush). Every handler is a method on it. A
+//! shard receives decoded protocol messages over one
 //! bounded MPSC channel (its *ingress queue*) fed by the per-connection
 //! router threads (see [`crate::server`]). Because one session lives on
 //! exactly one shard and the channel is FIFO, responses stay strictly
@@ -35,12 +34,11 @@
 //!
 //! ## Drain
 //!
-//! Teardown is two-phase: the router broadcasts `ShardMsg::CloseConn`
-//! to every shard, each shard finishes and audits the connection's
-//! sessions it owns and ships one `SessionReport` per session back over
-//! the ack channel, and the router sorts the collected reports by logical
-//! session id. Reporting order is therefore stable however many shards
-//! the sessions were spread across.
+//! Teardown is a barrier: the router broadcasts `ShardMsg::CloseConn` to
+//! every shard and waits until each has finished and audited the
+//! connection's sessions it owns and dropped its end of the ack channel.
+//! When `PoolShared::close_conn` returns, every session the connection
+//! ever opened is finished, wherever it lived.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,7 +50,6 @@ use std::thread::JoinHandle;
 // hash identically across runs and builds, which rules out `std`'s
 // randomized hasher.
 use com_core::fnv1a64;
-use com_obs::Histogram;
 use com_sim::ConstraintViolation;
 
 use crate::framing::WireFormat;
@@ -98,22 +95,6 @@ impl ShardStats {
     }
 }
 
-/// One finished logical session's drain summary, shipped from the shard
-/// that owned it back to the connection's router at close.
-pub(crate) struct SessionReport {
-    /// Server-assigned logical session id (dense, in `hello` order).
-    pub lsid: u64,
-    /// The wire sid (`None` for a bare session).
-    pub sid: Option<u64>,
-    pub shard: usize,
-    pub algorithm: String,
-    pub events: u64,
-    pub findings: usize,
-    /// `canonical_run_digest` of the finished run.
-    pub digest: String,
-    pub ingest_ns: Histogram,
-}
-
 /// What routers send to shard executors.
 pub(crate) enum ShardMsg {
     /// One decoded client message for the session `(conn.id, sid)`.
@@ -133,13 +114,9 @@ pub(crate) enum ShardMsg {
         sid: Option<u64>,
         msg: ServerMsg,
     },
-    /// The connection is gone: finish every session it owns here, ship
-    /// one [`SessionReport`] per session (shutdown-finished ones
-    /// included), then drop `ack`.
-    CloseConn {
-        conn_id: u64,
-        ack: mpsc::Sender<SessionReport>,
-    },
+    /// The connection is gone: finish every session it owns here, then
+    /// drop `ack` — a barrier, nothing is ever sent on it.
+    CloseConn { conn_id: u64, ack: mpsc::Sender<()> },
     /// Server shutdown: exit the shard loop.
     Stop,
 }
@@ -202,11 +179,11 @@ impl PoolShared {
         self.send(shard, ShardMsg::Reply { conn, sid, msg })
     }
 
-    /// Drain every session `conn_id` owns anywhere in the pool. Reports
-    /// come back sorted by logical session id — stable however many
-    /// shards the connection's sessions were spread across.
-    pub(crate) fn close_conn(&self, conn_id: u64) -> Vec<SessionReport> {
-        let (ack, reports) = mpsc::channel();
+    /// Finish every session `conn_id` owns anywhere in the pool: returns
+    /// once each shard has finished and audited its share and dropped its
+    /// end of the barrier (`recv` fails when the last sender is gone).
+    pub(crate) fn close_conn(&self, conn_id: u64) {
+        let (ack, barrier) = mpsc::channel::<()>();
         for tx in &self.txs {
             let _ = tx.send(ShardMsg::CloseConn {
                 conn_id,
@@ -214,12 +191,7 @@ impl PoolShared {
             });
         }
         drop(ack);
-        let mut reports: Vec<SessionReport> = reports.iter().collect();
-        // Stable session-id order whatever shard each session lived on:
-        // mux sessions sort by their wire sid, bare ones by the dense
-        // server-assigned id.
-        reports.sort_by_key(|r| (r.sid.unwrap_or(r.lsid), r.lsid));
-        reports
+        let _ = barrier.recv();
     }
 }
 
@@ -271,21 +243,6 @@ impl ShardPool {
 /// A session's address on its shard: `(connection id, wire sid)`.
 type Key = (u64, Option<u64>);
 
-/// One live session on a shard.
-struct Entry {
-    session: ServeSession,
-    lsid: u64,
-}
-
-/// What a shard keeps per connection with traffic on it: the connection
-/// itself (for the flush-when-empty cycle) and the reports of its sessions
-/// already finished by protocol `shutdown`, held until the connection
-/// closes so the drain report is complete.
-struct ConnSlot {
-    conn: Arc<Conn>,
-    finished: Vec<SessionReport>,
-}
-
 fn constraint(violation: ConstraintViolation) -> ServerMsg {
     error("constraint", violation.to_string())
 }
@@ -295,12 +252,13 @@ fn constraint(violation: ConstraintViolation) -> ServerMsg {
 struct Shard {
     id: usize,
     daemon: Arc<Daemon>,
-    sessions: HashMap<Key, Entry>,
+    sessions: HashMap<Key, ServeSession>,
     /// This shard's federated sessions: fed_sid → session key. Inbound
     /// offers carry only the fed_sid; this resolves them to the session
     /// that must answer.
     fed_index: HashMap<u64, Key>,
-    conns: HashMap<u64, ConnSlot>,
+    /// Every connection with traffic here, for the flush-when-empty cycle.
+    conns: HashMap<u64, Arc<Conn>>,
 }
 
 impl Shard {
@@ -318,11 +276,10 @@ impl Shard {
         &self.daemon.shards[self.id]
     }
 
-    fn slot(&mut self, conn: &Arc<Conn>) -> &mut ConnSlot {
-        self.conns.entry(conn.id).or_insert_with(|| ConnSlot {
-            conn: Arc::clone(conn),
-            finished: Vec::new(),
-        })
+    fn remember(&mut self, conn: &Arc<Conn>) {
+        self.conns
+            .entry(conn.id)
+            .or_insert_with(|| Arc::clone(conn));
     }
 
     /// Drain-hot/flush-when-empty: responses pile up in each connection's
@@ -338,8 +295,8 @@ impl Shard {
             let msg = match rx.try_recv() {
                 Ok(m) => m,
                 Err(TryRecvError::Empty) => {
-                    for slot in self.conns.values() {
-                        slot.conn.flush();
+                    for conn in self.conns.values() {
+                        conn.flush();
                     }
                     match rx.recv() {
                         Ok(m) => m,
@@ -352,7 +309,7 @@ impl Shard {
                 ShardMsg::Stop => break,
                 ShardMsg::Reply { conn, sid, msg } => {
                     self.stats().queue.on_drain();
-                    self.slot(&conn);
+                    self.remember(&conn);
                     conn.queue_for(sid, &msg);
                 }
                 ShardMsg::Ingress {
@@ -364,14 +321,13 @@ impl Shard {
                     let depth = self.stats().queue.on_drain();
                     com_obs::gauge_set("ingress.queue_depth", depth as f64);
                     com_obs::span_record(com_obs::PHASE_SERVE_DECODE, decode_ns);
-                    self.slot(&conn);
+                    self.remember(&conn);
                     self.handle_msg(&conn, sid, msg);
                 }
                 ShardMsg::CloseConn { conn_id, ack } => {
-                    let Some(slot) = self.conns.remove(&conn_id) else {
+                    let Some(conn) = self.conns.remove(&conn_id) else {
                         continue;
                     };
-                    let mut reports = slot.finished;
                     let keys: Vec<Key> = self
                         .sessions
                         .keys()
@@ -379,12 +335,10 @@ impl Shard {
                         .copied()
                         .collect();
                     for key in keys {
-                        let entry = self.sessions.remove(&key).expect("key just listed");
-                        reports.push(self.finish_entry(&slot.conn, key.1, entry));
+                        let session = self.sessions.remove(&key).expect("key just listed");
+                        self.finish_session(&conn, key.1, session);
                     }
-                    for report in reports {
-                        let _ = ack.send(report);
-                    }
+                    drop(ack);
                 }
             }
         }
@@ -396,36 +350,25 @@ impl Shard {
     /// Drop a closing session's federation registrations (shard-local
     /// index and daemon-global route). Harmless for non-federated
     /// sessions.
-    fn unregister_fed(&mut self, entry: &Entry) {
-        if let Some(fed_sid) = entry.session.fed_sid() {
+    fn unregister_fed(&mut self, session: &ServeSession) {
+        if let Some(fed_sid) = session.fed_sid() {
             self.fed_index.remove(&fed_sid);
             self.daemon.fed_routes().remove(&fed_sid);
         }
     }
 
-    /// Finish one session: close the run, audit it, send the `bye`
+    /// Finish one session: close the run, audit it and send the `bye`
     /// (flushed immediately — it may be the last thing the connection
-    /// says), and build the drain report.
-    fn finish_entry(&mut self, conn: &Conn, sid: Option<u64>, entry: Entry) -> SessionReport {
-        self.unregister_fed(&entry);
+    /// says).
+    fn finish_session(&mut self, conn: &Conn, sid: Option<u64>, session: ServeSession) {
+        self.unregister_fed(&session);
         self.stats().sessions_open.fetch_sub(1, Ordering::Relaxed);
-        let mut done = entry.session.finish();
+        let done = session.finish();
         self.daemon
             .counters
             .sessions_finished
             .fetch_add(1, Ordering::Relaxed);
-        let report = SessionReport {
-            lsid: entry.lsid,
-            sid,
-            shard: self.id,
-            algorithm: done.run.algorithm.clone(),
-            events: done.instance.stream.len() as u64,
-            findings: done.findings.len(),
-            digest: done.digest.clone(),
-            ingest_ns: std::mem::take(&mut done.ingest_ns),
-        };
         conn.send_for(sid, &ServerMsg::bye(done.bye()));
-        report
     }
 
     /// Dispatch one decoded client message for session `(conn.id, sid)`.
@@ -441,6 +384,23 @@ impl Shard {
                 }
                 match ServeSession::open(&hello) {
                     Ok(mut s) => {
+                        if let Some(fed_sid) = s.fed_sid() {
+                            // The rival daemon's offers reach this session
+                            // by fed_sid alone, whatever connection they
+                            // arrive on, so a fed_sid names at most one live
+                            // session per daemon: claim its route now that
+                            // the session exists, or refuse the `hello`.
+                            let mut routes = self.daemon.fed_routes();
+                            if routes.contains_key(&fed_sid) {
+                                counters.protocol_error();
+                                let detail =
+                                    format!("fed_sid {fed_sid} already has a live session");
+                                conn.queue_for(sid, &error("duplicate-hello", detail));
+                                return;
+                            }
+                            routes.insert(fed_sid, self.id);
+                            self.fed_index.insert(fed_sid, key);
+                        }
                         let lsid = self.daemon.next_lsid.fetch_add(1, Ordering::Relaxed);
                         let stats = self.stats();
                         stats.sessions_open.fetch_add(1, Ordering::Relaxed);
@@ -470,10 +430,7 @@ impl Shard {
                         if format == WireFormat::Binary {
                             conn.set_format(WireFormat::Binary);
                         }
-                        if let Some(fed_sid) = s.fed_sid() {
-                            self.fed_index.insert(fed_sid, key);
-                        }
-                        self.sessions.insert(key, Entry { session: s, lsid });
+                        self.sessions.insert(key, s);
                     }
                     Err(detail) => {
                         counters.protocol_error();
@@ -481,21 +438,17 @@ impl Shard {
                     }
                 }
             }
-            ClientMsg::worker(msg) => self.with_entry(conn, sid, |e| {
-                e.session
-                    .worker(&msg)
-                    .map_or_else(constraint, |()| ServerMsg::ok)
+            ClientMsg::worker(msg) => self.with_session(conn, sid, |s| {
+                s.worker(&msg).map_or_else(constraint, |()| ServerMsg::ok)
             }),
-            ClientMsg::request(spec) => self.with_entry(conn, sid, |e| {
-                e.session.request(&spec).unwrap_or_else(constraint)
-            }),
-            ClientMsg::tick { to } => self.with_entry(conn, sid, |e| {
-                e.session
-                    .tick(to)
-                    .map_or_else(constraint, |()| ServerMsg::ok)
+            ClientMsg::request(spec) => {
+                self.with_session(conn, sid, |s| s.request(&spec).unwrap_or_else(constraint))
+            }
+            ClientMsg::tick { to } => self.with_session(conn, sid, |s| {
+                s.tick(to).map_or_else(constraint, |()| ServerMsg::ok)
             }),
             ClientMsg::stats => {
-                self.with_entry(conn, sid, |e| ServerMsg::stats(e.session.stats()));
+                self.with_session(conn, sid, |s| ServerMsg::stats(s.stats()));
             }
             ClientMsg::outsource_offer(offer) => {
                 // Offers arrive on the *peer daemon's* connection and routed
@@ -508,7 +461,7 @@ impl Shard {
                     .get(&offer.fed_sid)
                     .and_then(|k| self.sessions.get_mut(k))
                 {
-                    Some(entry) => entry.session.handle_offer(&offer),
+                    Some(session) => session.handle_offer(&offer),
                     None => {
                         // A reject from `handle_offer` is a valid protocol
                         // outcome; an offer for a session this shard does not
@@ -537,19 +490,16 @@ impl Shard {
                     .map(|(i, s)| s.row(i))
                     .collect();
                 let shard = self.id as u64;
-                self.with_entry(conn, sid, |e| {
-                    let mut deep = e
-                        .session
-                        .deep_stats(depth, high_water, oversized, bad_envelope);
+                self.with_session(conn, sid, |s| {
+                    let mut deep = s.deep_stats(depth, high_water, oversized, bad_envelope);
                     deep.shard = Some(shard);
                     deep.shards = rows;
                     ServerMsg::stats_deep(Box::new(deep))
                 });
             }
             ClientMsg::shutdown => match self.sessions.remove(&key) {
-                Some(entry) => {
-                    let report = self.finish_entry(conn, sid, entry);
-                    self.slot(conn).finished.push(report);
+                Some(session) => {
+                    self.finish_session(conn, sid, session);
                     if sid.is_none() {
                         // One-session semantics: `shutdown` on the bare session
                         // ends the connection, not just the session.
@@ -565,15 +515,15 @@ impl Shard {
     /// mux error (`unknown-sid` for an enveloped message, `no-session` for
     /// a bare one). Error responses count as protocol errors, exactly like
     /// the pre-shard server.
-    fn with_entry(
+    fn with_session(
         &mut self,
         conn: &Conn,
         sid: Option<u64>,
-        f: impl FnOnce(&mut Entry) -> ServerMsg,
+        f: impl FnOnce(&mut ServeSession) -> ServerMsg,
     ) {
         match self.sessions.get_mut(&(conn.id, sid)) {
-            Some(entry) => {
-                let response = f(entry);
+            Some(session) => {
+                let response = f(session);
                 if matches!(response, ServerMsg::error(_)) {
                     self.daemon.counters.protocol_error();
                 }
@@ -641,6 +591,50 @@ mod tests {
         let distinct: std::collections::HashSet<usize> =
             (0..64).map(|sid| place(0, Some(sid), 4)).collect();
         assert!(distinct.len() > 1);
+    }
+
+    /// The drain contract, without sockets or sleeps: `CloseConn`'s ack is
+    /// a barrier — once every sender is gone, every session the connection
+    /// opened on the shard is finished and audited.
+    #[test]
+    fn close_conn_barrier_opens_only_after_every_session_is_finished() {
+        let daemon = Arc::new(Daemon::new(Default::default()));
+        let (tx, rx) = mpsc::sync_channel(8);
+        let shard = {
+            let daemon = Arc::clone(&daemon);
+            // Sessions are not `Send`: the shard is built on its own thread.
+            std::thread::spawn(move || Shard::new(0, daemon).shard_loop(rx))
+        };
+        let conn = Conn::new(7, None);
+        for sid in 0..2 {
+            let hello = ClientMsg::hello(Hello {
+                matcher: "tota".into(),
+                seed: sid,
+                world: com_sim::WorldConfig::city(10.0),
+                platforms: vec!["A".into(), "B".into()],
+                max_value: None,
+                frame: None,
+                origin: None,
+                fed: None,
+            });
+            let msg = ShardMsg::Ingress {
+                conn: Arc::clone(&conn),
+                sid: Some(sid),
+                msg: hello,
+                decode_ns: 0,
+            };
+            tx.send(msg).expect("shard alive");
+        }
+        let (ack, barrier) = mpsc::channel::<()>();
+        let conn_id = conn.id;
+        tx.send(ShardMsg::CloseConn { conn_id, ack })
+            .expect("shard alive");
+        assert!(barrier.recv().is_err(), "nothing is sent on the barrier");
+        assert_eq!(daemon.counters.sessions_finished(), 2);
+        let row = daemon.shards[0].row(0);
+        assert_eq!((row.sessions, row.sessions_total), (0, 2));
+        tx.send(ShardMsg::Stop).expect("shard alive");
+        shard.join().expect("shard thread");
     }
 
     /// The flow-control contract, deterministically and without sockets

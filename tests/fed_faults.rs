@@ -265,3 +265,120 @@ fn lender_rejects_expired_and_unknown_session_offers() {
     drop(lender);
     handle.shutdown();
 }
+
+/// A `hello` opening a lend-only federated session that owns platform 0.
+fn lend_only_hello(instance: &Instance, matcher: &str, options: &FedOptions) -> ClientMsg {
+    ClientMsg::hello(Hello {
+        matcher: matcher.to_string(),
+        seed: options.seed,
+        world: instance.config.clone(),
+        platforms: instance.platform_names.clone(),
+        max_value: instance.max_value(),
+        frame: Some(WireFormat::Ndjson.as_str().to_string()),
+        origin: None,
+        fed: Some(FedHello {
+            platform: 0,
+            fed_sid: options.fed_sid,
+            peer: None,
+            deadline_ms: None,
+        }),
+    })
+}
+
+/// The verdict code a fresh peer connection gets for a well-formed offer
+/// on `fed_sid` that the (empty) replica cannot have decided.
+fn offer_verdict(addr: &str, fed_sid: u64) -> String {
+    let mut peer = Client::connect(addr).expect("connect peer");
+    let offer = ClientMsg::outsource_offer(OfferMsg {
+        fed_sid,
+        offer: 1,
+        request: RequestSpec::new(
+            RequestId(999),
+            PlatformId(1),
+            Timestamp::from_secs(1.0),
+            com_geo::Point::new(0.0, 0.0),
+            5.0,
+        ),
+        worker: WorkerId(1),
+        worker_platform: PlatformId(0),
+        payment: 2.5,
+        deadline_ms: 1_000,
+    });
+    match peer.rpc(&offer).expect("offer") {
+        ServerMsg::outsource_reject { code, .. } => code,
+        other => panic!("expected outsource_reject, got {other:?}"),
+    }
+}
+
+/// The daemon-wide `fed_sid` route belongs to the session that opened
+/// it. A `hello` the daemon refuses must not re-point it (every later
+/// offer would be answered `unknown-fed-session`, degrading the rival
+/// daemon's every outsourcing decision), and a second *valid* `hello`
+/// naming a live `fed_sid` is a `duplicate-hello`.
+#[test]
+fn refused_fed_hello_does_not_hijack_a_live_route() {
+    let instance = small_instance();
+    let options = FedOptions {
+        seed: 7,
+        ..FedOptions::default()
+    };
+    let handle = serve(ServerConfig {
+        shards: 2,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = handle.addr().to_string();
+
+    let mut lender = Client::connect(&addr).expect("connect");
+    let response = lender
+        .rpc(&lend_only_hello(&instance, &options.matcher, &options))
+        .expect("hello");
+    assert!(matches!(response, ServerMsg::welcome { .. }));
+
+    // Fresh connections hash to either shard, so the strangers' refused
+    // hellos land on both the lender's shard and the other one.
+    for attempt in 0..8 {
+        let mut stranger = Client::connect(&addr).expect("connect stranger");
+        let refused = stranger
+            .rpc(&lend_only_hello(&instance, "no-such-matcher", &options))
+            .expect("refused hello");
+        match refused {
+            ServerMsg::error(e) => assert_eq!(e.code, "unknown-matcher"),
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        // The replica has decided nothing, so it lends nothing: `desync`
+        // is the live session validating the offer.
+        assert_eq!(
+            offer_verdict(&addr, options.fed_sid),
+            "desync",
+            "attempt {attempt}"
+        );
+    }
+
+    let mut rival = Client::connect(&addr).expect("connect rival");
+    let refused = rival
+        .rpc(&lend_only_hello(&instance, &options.matcher, &options))
+        .expect("duplicate hello");
+    match refused {
+        ServerMsg::error(e) => assert_eq!(e.code, "duplicate-hello"),
+        other => panic!("expected duplicate-hello, got {other:?}"),
+    }
+    // The first session is untouched: it still answers its own
+    // connection and still validates offers.
+    assert!(matches!(
+        lender.rpc(&ClientMsg::stats).expect("stats"),
+        ServerMsg::stats(_)
+    ));
+    assert_eq!(offer_verdict(&addr, options.fed_sid), "desync");
+
+    // Closing it frees the fed_sid for a successor.
+    assert!(matches!(
+        lender.rpc(&ClientMsg::shutdown).expect("shutdown"),
+        ServerMsg::bye(_)
+    ));
+    let response = rival
+        .rpc(&lend_only_hello(&instance, &options.matcher, &options))
+        .expect("successor hello");
+    assert!(matches!(response, ServerMsg::welcome { .. }));
+    handle.shutdown();
+}

@@ -50,7 +50,10 @@ fn served_run_equals_batch_run_and_audits_clean() {
     assert_eq!(report.events, instance.stream.len());
     assert_eq!(session.assigned as u64, session.bye.completed);
     assert_eq!(session.refused as u64, session.bye.refused);
-    assert!(report.request_rtt_ns.count() as usize == instance.request_count());
+    assert_eq!(
+        session.assigned + session.rejected + session.refused,
+        instance.request_count()
+    );
 
     // The served run IS the batch run.
     let registry = MatcherRegistry::builtin();

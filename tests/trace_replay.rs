@@ -55,7 +55,7 @@ fn every_builtin_spec_replays_byte_identically() {
             record_session(&path, &instance, &spec_str, 7).expect("record local session");
         assert!(recorded.findings.is_empty(), "{spec_str}: audit at record");
 
-        let report = replay_trace(&path, 0.0).expect("replay recorded trace");
+        let report = replay_trace(&path).expect("replay recorded trace");
         assert!(
             report.is_clean(),
             "{spec_str}: divergences {:?}, findings {:?}",
@@ -113,7 +113,7 @@ fn live_recorded_session_replays_byte_identically() {
 
     // The recording replays byte-identically, and the replayed canonical
     // run is the very value the live client received in its `bye`.
-    let replayed = replay_trace(&traces[0], 0.0).expect("replay live trace");
+    let replayed = replay_trace(&traces[0]).expect("replay live trace");
     assert!(
         replayed.is_clean(),
         "divergences {:?}, findings {:?}",
@@ -167,7 +167,7 @@ fn tampered_decision_is_reported_at_its_event_index_and_fails_strict() {
     // Lenient replay: the run itself is unchanged (the engine ignores
     // recorded decisions), so exactly one divergence — the flipped
     // decision, at its event index, with both sides reported.
-    let report = replay_trace(&tampered_path, 0.0).expect("replay tampered");
+    let report = replay_trace(&tampered_path).expect("replay tampered");
     assert_eq!(report.divergences.len(), 1, "{:?}", report.divergences);
     let d = &report.divergences[0];
     assert_eq!(d.index, tampered_index);
