@@ -80,6 +80,37 @@ impl SessionConfig {
     }
 }
 
+/// What is wrong with `event`'s own fields, if anything. Events decoded
+/// from the wire or a trace are untrusted input that never went through
+/// `RequestSpec::new` / `WorkerSpec::new`; unchecked, a non-positive or
+/// NaN value trips the pricing kernels' asserts, a platform outside the
+/// roster indexes past the waiting lists, and a NaN time or place poisons
+/// the clock or the grid. (A *worker's* platform is checked at
+/// registration: `UnknownPlatform`.)
+fn malformed(event: &ArrivalEvent, platforms: usize) -> Option<&'static str> {
+    let positive = |x: f64| x.is_finite() && x > 0.0;
+    let location = match event {
+        ArrivalEvent::Request(r) if !positive(r.value) => {
+            return Some("request value must be finite and positive")
+        }
+        ArrivalEvent::Request(r) if r.platform.index() >= platforms => {
+            return Some("request platform is outside the roster")
+        }
+        ArrivalEvent::Worker(w) if !positive(w.radius) => {
+            return Some("worker radius must be finite and positive")
+        }
+        ArrivalEvent::Request(r) => r.location,
+        ArrivalEvent::Worker(w) => w.location,
+    };
+    if !location.is_finite() {
+        Some("location must be finite")
+    } else if !event.time().as_secs().is_finite() {
+        Some("arrival time must be finite")
+    } else {
+        None
+    }
+}
+
 /// One decision produced by [`MatchSession::ingest`]: `Some` for every
 /// request event, `None` for every worker arrival.
 #[derive(Debug, Clone, PartialEq)]
@@ -256,8 +287,9 @@ impl<'m> MatchSession<'m> {
     /// Feed one arrival event. Worker arrivals register (if needed) and
     /// enqueue the worker; request arrivals invoke the matcher and apply
     /// its decision. On `Err` the session state is untouched — a live
-    /// feed can reject the one bad event (time rewind, duplicate arrival,
-    /// or, in strict mode, an invalid decision) and keep going.
+    /// feed can reject the one bad event (malformed, time rewind,
+    /// duplicate arrival, or, in strict mode, an invalid decision) and
+    /// keep going.
     ///
     /// A request event always yields `Some` decision and a worker arrival
     /// always `None` — callers that classify request outcomes rely on it.
@@ -265,6 +297,9 @@ impl<'m> MatchSession<'m> {
         &mut self,
         event: &ArrivalEvent,
     ) -> Result<Option<SessionOutput>, ConstraintViolation> {
+        if let Some(problem) = malformed(event, self.world.platform_count()) {
+            return Err(ConstraintViolation::MalformedEvent { problem });
+        }
         self.world.try_advance_to(event.time())?;
         let output = match event {
             ArrivalEvent::Worker(spec) => {
@@ -664,6 +699,86 @@ mod tests {
         assert_eq!(session.events_ingested(), 1);
         // The session still accepts in-order events afterwards.
         session.ingest(&events[3]).unwrap();
+    }
+
+    #[test]
+    fn malformed_events_are_refused_before_they_touch_anything() {
+        let instance = tiny_instance();
+        let events: Vec<_> = instance.stream.iter().cloned().collect();
+        let (ArrivalEvent::Worker(w), ArrivalEvent::Request(r)) = (events[1], events[3]) else {
+            panic!("tiny_instance is workers then requests");
+        };
+        // What a decoder can build but `RequestSpec::new` /
+        // `WorkerSpec::new` would not: struct literals, fields unchecked.
+        let nowhere = Point::new(f64::NAN, 1.0);
+        let never = Timestamp::from_secs(f64::INFINITY);
+        let hostile = [
+            ArrivalEvent::Request(Rq { value: -1.0, ..r }),
+            ArrivalEvent::Request(Rq { value: 0.0, ..r }),
+            ArrivalEvent::Request(Rq {
+                value: f64::NAN,
+                ..r
+            }),
+            ArrivalEvent::Request(Rq {
+                value: f64::INFINITY,
+                ..r
+            }),
+            ArrivalEvent::Request(Rq {
+                platform: PlatformId(9),
+                ..r
+            }),
+            ArrivalEvent::Request(Rq {
+                location: nowhere,
+                ..r
+            }),
+            ArrivalEvent::Request(Rq {
+                arrival: never,
+                ..r
+            }),
+            ArrivalEvent::Worker(WorkerSpec { radius: -1.0, ..w }),
+            ArrivalEvent::Worker(WorkerSpec {
+                radius: f64::NAN,
+                ..w
+            }),
+            ArrivalEvent::Worker(WorkerSpec {
+                location: nowhere,
+                ..w
+            }),
+            ArrivalEvent::Worker(WorkerSpec {
+                arrival: never,
+                ..w
+            }),
+        ];
+
+        let visible_state = |session: &MatchSession| {
+            (
+                session.events_ingested(),
+                session.now(),
+                session.world().worker_count(),
+                session.world().approx_bytes(),
+            )
+        };
+        let digest = |hostile: &[ArrivalEvent]| {
+            let config = SessionConfig::from_instance(&instance);
+            let mut session = MatchSession::new(config, Box::new(DemCom::default()), 7);
+            for event in &events {
+                for bad in hostile {
+                    let before = visible_state(&session);
+                    let err = session.ingest(bad).unwrap_err();
+                    assert!(
+                        matches!(err, ConstraintViolation::MalformedEvent { .. }),
+                        "{bad:?}: {err}"
+                    );
+                    assert_eq!(visible_state(&session), before, "{bad:?}");
+                }
+                session.ingest(event).unwrap();
+            }
+            crate::canonical_digest(&crate::canonical_run_json(&session.finish()))
+        };
+        // Seen between every two good events — including while the outer
+        // worker is in range, where a bad value used to reach Algorithm 2's
+        // assert — the hostile events leave no trace in the run.
+        assert_eq!(digest(&hostile), digest(&[]));
     }
 
     #[test]

@@ -17,7 +17,11 @@
 //!   the group acceptance probability of Definition 4.1.
 //! * [`MinPaymentEstimator`] — the paper's Algorithm 2: a Monte Carlo +
 //!   dichotomy estimator of the minimum outer payment, with the
-//!   `n_s = ⌈4·ln(2/ξ)/η²⌉` sample-size rule of Lemma 1.
+//!   `n_s = ⌈4·ln(2/ξ)/η²⌉` sample-size rule of Lemma 1. Its cost is its
+//!   draws: each worker's CDF is consulted once per distinct payment of
+//!   a call, not once per sampling instance.
+//! * [`bernoulli`] — the one accept/reject draw behind every cooperative
+//!   offer.
 //! * [`max_expected_revenue`] — the maximum-expected-revenue pricing of
 //!   Definition 4.1 (the role played by "\[14\]" in RamCOM):
 //!   `argmax_{v'} (v_r − v')·pr(v', W)`.
@@ -32,7 +36,7 @@ pub use acceptance::group_acceptance_prob;
 pub use expected_revenue::{max_expected_revenue, PriceCandidates, PricingOutcome};
 pub use history::WorkerHistory;
 pub use monte_carlo::{MinPaymentEstimator, MonteCarloParams};
-pub use sampling::{any_accepts, bernoulli};
+pub use sampling::bernoulli;
 
 /// Monetary value type (kept structurally identical to `com_stream::Value`
 /// without introducing a dependency edge).

@@ -355,8 +355,15 @@ impl ServeSession {
         }
     }
 
-    /// Advance the session clock without an event.
+    /// Advance the session clock without an event. `to_secs` is wire
+    /// input: NaN (which `Timestamp::from_secs` asserts against) is
+    /// refused like any other malformed event.
     pub fn tick(&mut self, to_secs: f64) -> Result<(), ConstraintViolation> {
+        if to_secs.is_nan() {
+            return Err(ConstraintViolation::MalformedEvent {
+                problem: "tick time is NaN",
+            });
+        }
         self.core.drain_timers(Timestamp::from_secs(to_secs))?;
         if let Some(rec) = self.recorder.as_mut() {
             let line = TraceLine::Tick(TraceTick {

@@ -78,6 +78,12 @@ fn telemetry_counters_track_the_pricing_work() {
         samples,
         estimates * MonteCarloParams::default().instances() as u64
     );
+    // The instances share one CDF lookup per (payment, worker); only the
+    // draws are paid per instance.
+    let lookups = t.counter("mc.cdf_lookups").unwrap_or(0);
+    let draws = t.counter("mc.draws").unwrap_or(0);
+    assert!(lookups > 0, "mc.cdf_lookups missing");
+    assert!(draws > 0, "mc.draws missing");
 
     // The grid answered every candidate query.
     assert!(t.counter("grid.cells_scanned").unwrap_or(0) > 0);

@@ -7,11 +7,15 @@
 
 use std::time::{Duration, Instant};
 
+use com_core::{try_run_online, DemCom};
 use com_geo::Point;
 use com_serve::{
-    serve, Client, ClientMsg, Hello, ServerConfig, ServerHandle, ServerMsg, WorkerMsg,
+    event_msg, serve, Client, ClientMsg, Hello, ServerConfig, ServerHandle, ServerMsg, WorkerMsg,
 };
-use com_sim::{PlatformId, RequestId, RequestSpec, Timestamp, WorkerId, WorkerSpec, WorldConfig};
+use com_sim::{
+    ArrivalEvent, EventStream, Instance, PlatformId, RequestId, RequestSpec, Timestamp, WorkerId,
+    WorkerSpec, WorldConfig,
+};
 
 fn start_server() -> ServerHandle {
     serve(ServerConfig::default()).expect("bind ephemeral port")
@@ -270,4 +274,141 @@ fn mid_stream_disconnect_drains_and_audits_the_session() {
     assert!(matches!(response, ServerMsg::bye(_)));
     assert_eq!(handle.counters().sessions_finished(), 2);
     handle.shutdown();
+}
+
+/// Six events a decoder accepts but no `RequestSpec::new` /
+/// `WorkerSpec::new` would — built as struct literals, the way the wire
+/// builds them — and a `tick` to no time at all.
+fn hostile_events() -> Vec<ClientMsg> {
+    let request = RequestSpec {
+        id: RequestId(66),
+        platform: PlatformId(1),
+        arrival: Timestamp::from_secs(2.0),
+        location: Point::new(5.0, 5.0),
+        value: 5.0,
+    };
+    let spec = worker(66, 2.0);
+    vec![
+        ClientMsg::request(RequestSpec {
+            value: -1.0,
+            ..request
+        }),
+        ClientMsg::request(RequestSpec {
+            value: 0.0,
+            ..request
+        }),
+        ClientMsg::request(RequestSpec {
+            value: f64::NAN,
+            ..request
+        }),
+        ClientMsg::request(RequestSpec {
+            platform: PlatformId(9),
+            ..request
+        }),
+        ClientMsg::worker(WorkerMsg {
+            spec: WorkerSpec {
+                radius: -1.0,
+                ..spec
+            },
+            history: None,
+        }),
+        ClientMsg::worker(WorkerMsg {
+            spec: WorkerSpec {
+                location: Point::new(f64::NAN, 5.0),
+                ..spec
+            },
+            history: None,
+        }),
+        ClientMsg::tick { to: f64::NAN },
+    ]
+}
+
+/// Two connections whose sessions share the one shard thread: the
+/// attacker's hostile events are each refused with `constraint`, the
+/// victim's session never notices, and both end byte-identical to batch
+/// runs of the events they had accepted.
+fn hostile_events_spare_the_shard(frame: Option<&str>) {
+    let handle = serve(ServerConfig {
+        shards: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let addr = handle.addr().to_string();
+    let ClientMsg::hello(mut hello) = hello_msg() else {
+        unreachable!("hello_msg builds a hello");
+    };
+    hello.frame = frame.map(str::to_string);
+    let open = || {
+        let mut client = Client::connect(&addr).expect("connect");
+        client.open(None, hello.clone()).expect("hello");
+        client
+    };
+    let (mut attacker, mut victim) = (open(), open());
+
+    // An outer worker in range of (5, 5): platform 1's requests there
+    // reach Algorithm 2, whose asserts a non-positive value used to trip.
+    let lender = ArrivalEvent::Worker(worker(1, 1.0));
+    let request = ArrivalEvent::Request(RequestSpec::new(
+        RequestId(1),
+        PlatformId(1),
+        Timestamp::from_secs(3.0),
+        Point::new(5.0, 5.0),
+        20.0,
+    ));
+    let instance = Instance {
+        config: hello.world.clone(),
+        platform_names: hello.platforms.clone(),
+        histories: Default::default(),
+        stream: EventStream::from_ordered(vec![lender, request]),
+    };
+    for client in [&mut attacker, &mut victim] {
+        let response = client.rpc(&event_msg(&instance, &lender)).expect("worker");
+        assert!(matches!(response, ServerMsg::ok));
+    }
+
+    for hostile in hostile_events() {
+        if frame.is_some() {
+            // Binary frames carry NaN natively.
+            attacker.send(&hostile).expect("send");
+        } else {
+            // JSON has no NaN literal (it serialises as `null`); the
+            // decoder takes the string form.
+            let line = serde_json::to_string(&hostile)
+                .expect("serialise")
+                .replace("\"value\":null", "\"value\":\"nan\"")
+                .replace("\"x\":null", "\"x\":\"nan\"")
+                .replace("\"to\":null", "\"to\":\"nan\"");
+            attacker.send_raw(&line).expect("send");
+        }
+        let ServerMsg::error(e) = attacker.recv().expect("response") else {
+            panic!("{hostile:?} was not refused");
+        };
+        assert_eq!(e.code, "constraint", "{hostile:?}: {}", e.detail);
+        assert!(e.detail.contains("malformed"), "{}", e.detail);
+    }
+
+    let batch = try_run_online(&instance, &mut DemCom::default(), hello.seed);
+    for client in [&mut victim, &mut attacker] {
+        let response = client
+            .rpc(&event_msg(&instance, &request))
+            .expect("request");
+        assert!(matches!(response, ServerMsg::assign(_)), "{response:?}");
+        let response = client.rpc(&ClientMsg::shutdown).expect("shutdown");
+        let ServerMsg::bye(bye) = response else {
+            panic!("expected bye, got {response:?}");
+        };
+        assert_eq!(bye.events, 2);
+        assert_eq!(bye.disagreements(&batch), Vec::<String>::new());
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn hostile_events_are_constraint_errors_and_spare_the_shard() {
+    hostile_events_spare_the_shard(None);
+}
+
+#[test]
+fn hostile_events_in_binary_frames_are_constraint_errors_too() {
+    hostile_events_spare_the_shard(Some("binary"));
 }
