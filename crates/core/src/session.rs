@@ -304,7 +304,9 @@ impl<'m> MatchSession<'m> {
         let output = match event {
             ArrivalEvent::Worker(spec) => {
                 if self.world.find_worker(spec.id).is_none() {
-                    let history = self.histories.get(&spec.id).cloned().unwrap_or_default();
+                    // Moved, not copied: from here on the world holds the
+                    // worker's only history.
+                    let history = self.histories.remove(&spec.id).unwrap_or_default();
                     self.world.try_register_worker(*spec, history)?;
                 }
                 self.world.try_worker_arrives(spec.id)?;
@@ -424,10 +426,19 @@ impl<'m> MatchSession<'m> {
     }
 
     /// Supply (or replace) a worker's acceptance history before its
-    /// arrival event is ingested. Histories attach at registration time;
-    /// adding one for an already-registered worker has no effect.
+    /// arrival event is ingested. Histories attach at registration time,
+    /// which takes the staged entry; adding one for an already-registered
+    /// worker has no effect.
     pub fn add_history(&mut self, id: WorkerId, history: WorkerHistory) {
         self.histories.insert(id, history);
+    }
+
+    /// Drop whatever history is still staged for `id`. A caller that stages
+    /// one per arrival line (the serving layer) calls this once the line is
+    /// answered, so a refused line's history cannot attach to a later line
+    /// for the same worker.
+    pub fn discard_history(&mut self, id: WorkerId) {
+        self.histories.remove(&id);
     }
 
     /// Close the run: sample the final world state and assemble the same

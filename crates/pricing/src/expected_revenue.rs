@@ -15,6 +15,15 @@
 //! and cites an `O(max v_r)` cost — our [`PriceCandidates::IntegerGrid`]
 //! strategy matches that complexity; [`PriceCandidates::Breakpoints`] is
 //! the exact maximiser.
+//!
+//! Every strategy is exact over its candidates *and* bounded: candidates
+//! ascend, `pr ≤ 1`, so once the margin `v_r − v'` alone falls below the
+//! best expected revenue found, no later candidate can win and the scan
+//! stops (`BestTracker::spent` carries the argument). `Breakpoints` thus
+//! costs `O(B'·|W|)` with `B'` the breakpoints below `v_r − E_max`, not all
+//! `B` of them: against many outer workers the group acceptance is ≈ 1 at
+//! the first breakpoint and `B'` is 1 or 2, which is how the paper's
+//! `O(max v_r)` budget is met in the dense regime where `B·|W|` is largest.
 
 use serde::{Deserialize, Serialize};
 
@@ -26,7 +35,8 @@ use crate::{Value, WorkerHistory};
 pub enum PriceCandidates {
     /// Exact (the acceptance CDFs are step functions): evaluate at every
     /// distinct history value `≤ v_r` across the worker set, plus `v_r`
-    /// itself. Cost `O(B·|W|)` where `B` is the number of breakpoints.
+    /// itself. Cost `O(B'·|W|)` where `B'` counts the breakpoints below
+    /// `v_r − E_max` (see the module docs).
     #[default]
     Breakpoints,
     /// The paper's `O(max v_r)` strategy: evaluate at integer payments
@@ -83,68 +93,75 @@ pub fn max_expected_revenue(
         evaluated: 0,
     };
 
-    match strategy {
+    // Every arm enumerates its candidates ascending and stops at the first
+    // one whose margin is spent (see `BestTracker::spent`). `walked_all`
+    // says the cut came no earlier than the last candidate — `v_r` itself,
+    // whose margin is 0, is cut in every call that found a price.
+    let walked_all = match strategy {
         PriceCandidates::Breakpoints => {
-            // Streaming k-way merge over the cached per-worker breakpoint
-            // slices (plus a virtual `[v_r]` lane): candidates come out
-            // ascending and deduplicated without building, sorting, or
-            // deduplicating a pooled Vec, and each worker's CDF is walked
-            // with a monotone cursor instead of a binary search per
-            // candidate. Float operations and evaluation order are those
-            // of the pooled collect-sort-dedup enumeration (kept as a test
-            // reference), so decisions are bit-identical to it.
+            // Streaming k-way merge over the workers' sorted histories and
+            // `v_r`: candidates come out ascending and deduplicated without
+            // building, sorting, or deduplicating a pooled Vec, and each
+            // worker's CDF is walked with a monotone cursor instead of a
+            // binary search per candidate. Float operations and evaluation
+            // order are those of the pooled collect-sort-dedup enumeration
+            // (kept as a test reference), so decisions are bit-identical to
+            // it.
+            com_obs::counter_add("pricing.breakpoint_merges", 1);
             let mut lanes: Vec<Lane> = workers.iter().map(|w| Lane::new(w)).collect();
-            let mut vr_emitted = false;
             loop {
-                let mut next = if vr_emitted {
-                    None
-                } else {
-                    Some(request_value)
-                };
+                // The smallest pending breakpoint below `v_r`, else `v_r`
+                // itself — always the last candidate.
+                let mut cand = request_value;
                 for lane in &lanes {
-                    if let Some(&b) = lane.breaks.get(lane.bpos) {
-                        if b <= request_value && next.is_none_or(|n| b < n) {
-                            next = Some(b);
+                    if let Some(&b) = lane.vals.get(lane.vpos) {
+                        if b < cand {
+                            cand = b;
                         }
                     }
                 }
-                let Some(cand) = next else { break };
-                if cand == request_value {
-                    vr_emitted = true;
+                if tracker.spent(cand) {
+                    break cand == request_value;
                 }
                 let mut none_accept = 1.0f64;
                 for lane in &mut lanes {
-                    while lane.breaks.get(lane.bpos).is_some_and(|&b| b == cand) {
-                        lane.bpos += 1;
-                    }
                     none_accept *= 1.0 - lane.prob_at(cand);
                 }
                 tracker.consider_with_pr(cand, 1.0 - none_accept);
+                if cand == request_value {
+                    break true;
+                }
             }
-            com_obs::counter_add("pricing.breakpoint_merges", 1);
         }
         PriceCandidates::IntegerGrid => {
             let mut p = 1.0;
-            while p < request_value {
-                tracker.consider(workers, p);
+            loop {
+                let cand = request_value.min(p);
+                if !tracker.offer(workers, cand) {
+                    break cand == request_value;
+                }
+                if cand == request_value {
+                    break true;
+                }
                 p += 1.0;
             }
-            tracker.consider(workers, request_value);
         }
         PriceCandidates::UniformGrid(k) => {
             let k = k.max(1);
-            for i in 1..=k {
-                tracker.consider(workers, request_value * i as f64 / k as f64);
-            }
+            (1..=k).all(|i| tracker.offer(workers, request_value * i as f64 / k as f64) || i == k)
         }
-    }
+    };
 
     com_obs::counter_add("pricing.candidates_evaluated", tracker.evaluated);
+    if !walked_all {
+        com_obs::counter_add("pricing.margin_exits", 1);
+    }
     tracker.best
 }
 
 /// Best-candidate accumulator shared by every candidate-enumeration
-/// strategy, so the tie-break policy lives in one place.
+/// strategy, so the tie-break policy and the margin bound live in one
+/// place.
 struct BestTracker {
     request_value: Value,
     best: Option<PricingOutcome>,
@@ -152,6 +169,21 @@ struct BestTracker {
 }
 
 impl BestTracker {
+    /// Whether `payment`, and with it every higher one, can no longer
+    /// become the best: its margin alone is below the best expected
+    /// revenue by more than the tie band. Exact, not a heuristic:
+    ///
+    /// 1. every factor `1 − p_w` lies in [0, 1], so the computed `pr` does,
+    ///    and rounding is monotone: `fl((v_r − c)·pr) ≤ v_r − c`;
+    /// 2. hence `fl(expected − b) ≤ fl((v_r − c) − b) < −1e-12`, which fails
+    ///    both clauses of `consider_with_pr`'s `better` test;
+    /// 3. candidates ascend, so later margins are smaller still while
+    ///    `best` stays put — nothing after the cut could have been taken.
+    fn spent(&self, payment: Value) -> bool {
+        self.best
+            .is_some_and(|b| (self.request_value - payment) - b.expected_revenue < -1e-12)
+    }
+
     /// Consider a candidate whose group acceptance probability the caller
     /// already knows (the streaming merge computes it incrementally).
     fn consider_with_pr(&mut self, payment: Value, pr: f64) {
@@ -184,29 +216,36 @@ impl BestTracker {
         }
         self.consider_with_pr(payment, group_acceptance_prob(workers, payment));
     }
+
+    /// The grids' step: consider the next ascending candidate unless the
+    /// margin is spent, in which case report `false` (stop enumerating).
+    fn offer(&mut self, workers: &[&WorkerHistory], payment: Value) -> bool {
+        let live = !self.spent(payment);
+        if live {
+            self.consider(workers, payment);
+        }
+        live
+    }
 }
 
-/// One worker's cached CDF state in the streaming breakpoint merge.
+/// One worker's CDF in the streaming breakpoint merge: the sorted raw
+/// history and a monotone cursor into it (valid because candidates
+/// ascend). `vpos` counts the values `<=` the last candidate, so
+/// `vals[vpos]` *is* the worker's next distinct breakpoint.
 struct Lane<'a> {
-    /// Cached sorted distinct history values; `bpos` indexes the first
-    /// not-yet-merged breakpoint (initially past the non-positive ones).
-    breaks: &'a [Value],
-    bpos: usize,
-    /// Sorted raw history values; `vpos` counts values `<= `the last
-    /// candidate — a monotone cursor, valid because candidates ascend.
     vals: &'a [Value],
     vpos: usize,
 }
 
 impl<'a> Lane<'a> {
     fn new(worker: &'a WorkerHistory) -> Self {
-        let breaks = worker.breakpoints_sorted();
-        Lane {
-            breaks,
-            bpos: breaks.partition_point(|&b| b <= 0.0),
-            vals: worker.values(),
-            vpos: 0,
-        }
+        let vals = worker.values();
+        // Candidates are positive and histories non-negative, so only
+        // leading zeros sit at or below "no candidate yet". A linear scan:
+        // it touches the cache line the merge reads next anyway, where a
+        // binary search would drag in cold ones.
+        let vpos = vals.iter().take_while(|&&v| v <= 0.0).count();
+        Lane { vals, vpos }
     }
 
     /// `pr(cand, w)`: replicates `WorkerHistory::acceptance_prob` exactly
@@ -254,32 +293,79 @@ mod tests {
         assert!((out.expected_revenue - 1.6).abs() < 1e-12);
     }
 
-    /// The pre-cache enumeration the streaming merge replaced: pool every
-    /// worker's breakpoints in `(0, v_r]` plus `v_r`, sort, dedup, and
-    /// evaluate each candidate from scratch. Test-only reference the merge
-    /// is bit-compared against.
-    fn rebuild_reference(
+    /// Every payment of `payments`, each evaluated from scratch, no margin
+    /// bound: the reference the bounded arms are bit-compared against.
+    fn exhaustive(
         request_value: Value,
         workers: &[&WorkerHistory],
+        payments: impl IntoIterator<Item = Value>,
     ) -> Option<PricingOutcome> {
         let mut tracker = BestTracker {
             request_value,
             best: None,
             evaluated: 0,
         };
+        for p in payments {
+            tracker.consider(workers, p);
+        }
+        tracker.best
+    }
+
+    /// The enumeration the streaming merge replaced: pool every worker's
+    /// history values in `(0, v_r]` plus `v_r`, sort, dedup, and evaluate
+    /// each candidate from scratch. Test-only reference the merge is
+    /// bit-compared against.
+    fn rebuild_reference(
+        request_value: Value,
+        workers: &[&WorkerHistory],
+    ) -> Option<PricingOutcome> {
         let mut cands: Vec<Value> = workers
             .iter()
-            .flat_map(|w| w.breakpoints_sorted())
+            .flat_map(|w| w.values())
             .copied()
             .filter(|&b| b > 0.0 && b <= request_value)
             .collect();
         cands.push(request_value);
         cands.sort_by(|a, b| a.total_cmp(b));
         cands.dedup();
-        for c in cands {
-            tracker.consider(workers, c);
+        exhaustive(request_value, workers, cands)
+    }
+
+    /// `IntegerGrid`'s payments: `1, 2, …` below `v_r`, then `v_r`.
+    fn integer_payments(request_value: Value) -> Vec<Value> {
+        let mut out = Vec::new();
+        let mut p = 1.0;
+        while p < request_value {
+            out.push(p);
+            p += 1.0;
         }
-        tracker.best
+        out.push(request_value);
+        out
+    }
+
+    /// `UniformGrid(k)`'s payments.
+    fn uniform_payments(request_value: Value, k: usize) -> impl Iterator<Item = Value> {
+        (1..=k).map(move |i| request_value * i as f64 / k as f64)
+    }
+
+    /// All three bounded arms against their exhaustive references.
+    fn assert_arms_match_exhaustive(value: Value, workers: &[&WorkerHistory]) {
+        let arm = |strategy| outcome_bits(&max_expected_revenue(value, workers, strategy));
+        assert_eq!(
+            arm(PriceCandidates::Breakpoints),
+            outcome_bits(&rebuild_reference(value, workers)),
+            "breakpoints, v_r = {value}"
+        );
+        assert_eq!(
+            arm(PriceCandidates::IntegerGrid),
+            outcome_bits(&exhaustive(value, workers, integer_payments(value))),
+            "integer grid, v_r = {value}"
+        );
+        assert_eq!(
+            arm(PriceCandidates::UniformGrid(16)),
+            outcome_bits(&exhaustive(value, workers, uniform_payments(value, 16))),
+            "uniform grid, v_r = {value}"
+        );
     }
 
     fn outcome_bits(o: &Option<PricingOutcome>) -> Option<(u64, u64, u64)> {
@@ -304,14 +390,62 @@ mod tests {
         ];
         let workers: Vec<&WorkerHistory> = hs.iter().collect();
         for value in [1.0, 5.0, 8.0, 8.5, 30.0] {
-            let merged = max_expected_revenue(value, &workers, PriceCandidates::Breakpoints);
-            let rebuilt = rebuild_reference(value, &workers);
-            assert_eq!(
-                outcome_bits(&merged),
-                outcome_bits(&rebuilt),
-                "v_r = {value}"
-            );
+            assert_arms_match_exhaustive(value, &workers);
         }
+    }
+
+    #[test]
+    fn margin_bound_keeps_an_exact_tie() {
+        // E(4) = 8·½ = 4 = 4·1 = E(8): the margin at 8 equals the best, so
+        // the bound must let it through and the tie rule pick it.
+        let w = WorkerHistory::from_values(vec![4.0, 8.0]);
+        let out = max_expected_revenue(12.0, &[&w], PriceCandidates::Breakpoints).unwrap();
+        assert_eq!(out.payment, 8.0);
+        assert_eq!(out.expected_revenue, 4.0);
+    }
+
+    #[test]
+    fn margin_bound_respects_the_tie_band() {
+        // E(2) = 4 and E(6.0000000000005) ≈ 4 − 5e-13: the second margin is
+        // already *below* the best, but inside the 1e-12 band where the tie
+        // rule prefers the higher payment. A bound written `< 0.0` instead
+        // of `< -1e-12` would stop early and return 2.0.
+        let w = WorkerHistory::from_values(vec![2.0, 6.000_000_000_000_5]);
+        let workers = [&w];
+        let out = max_expected_revenue(10.0, &workers, PriceCandidates::Breakpoints).unwrap();
+        assert_eq!(out.payment, 6.000_000_000_000_5);
+        assert!(out.expected_revenue < 4.0);
+        assert_arms_match_exhaustive(10.0, &workers);
+    }
+
+    #[test]
+    fn dense_worker_set_stops_at_the_first_breakpoint() {
+        // 40 workers: group acceptance at the first breakpoint is
+        // 1 − 0.75⁴⁰ ≈ 1, so E(5) ≈ 25 and no later margin (≤ 20) can
+        // compete. The unbounded loop evaluates all 5 candidates.
+        let h = WorkerHistory::from_values(vec![5.0, 10.0, 15.0, 20.0]);
+        let workers = vec![&h; 40];
+        com_obs::install();
+        com_obs::begin_run("test");
+        let out = max_expected_revenue(30.0, &workers, PriceCandidates::Breakpoints);
+        let telemetry = com_obs::end_run().expect("collector installed");
+        // The exact-tie case walks both breakpoints below `v_r`; only `v_r`
+        // itself (margin 0) is cut, which is not a margin exit.
+        com_obs::begin_run("test");
+        let tie = WorkerHistory::from_values(vec![4.0, 8.0]);
+        max_expected_revenue(12.0, &[&tie], PriceCandidates::Breakpoints);
+        let sparse = com_obs::end_run().expect("collector installed");
+        com_obs::uninstall();
+        assert_eq!(sparse.counter("pricing.candidates_evaluated"), Some(2));
+        assert_eq!(sparse.counter("pricing.margin_exits"), None);
+        assert_eq!(out.unwrap().payment, 5.0);
+        assert_eq!(
+            outcome_bits(&out),
+            outcome_bits(&rebuild_reference(30.0, &workers))
+        );
+        let evaluated = telemetry.counter("pricing.candidates_evaluated").unwrap();
+        assert!(evaluated <= 2, "evaluated {evaluated} candidates");
+        assert_eq!(telemetry.counter("pricing.margin_exits"), Some(1));
     }
 
     #[test]
@@ -415,18 +549,23 @@ mod tests {
 
         #[test]
         fn prop_merge_bit_identical_to_rebuild(
-            h1 in proptest::collection::vec(0.0f64..20.0, 0..12),
-            h2 in proptest::collection::vec(0.0f64..20.0, 0..12),
-            value in 0.5f64..25.0,
+            // 1–20 workers × 0–30 values on a 0.1 lattice: zeros,
+            // duplicates within and across workers, empty histories, and
+            // values above v_r all occur.
+            lattice in proptest::collection::vec(
+                proptest::collection::vec(0u32..=250, 0..31), 1..21),
+            value_step in 1u32..=300,
+            off_lattice in proptest::bool::ANY,
         ) {
-            let a = WorkerHistory::from_values(h1);
-            let b = WorkerHistory::from_values(h2);
-            let workers = [&a, &b];
-            prop_assert_eq!(
-                outcome_bits(&max_expected_revenue(
-                    value, &workers, PriceCandidates::Breakpoints)),
-                outcome_bits(&rebuild_reference(value, &workers)),
-            );
+            let hs: Vec<WorkerHistory> = lattice
+                .into_iter()
+                .map(|h| {
+                    WorkerHistory::from_values(h.into_iter().map(|k| f64::from(k) * 0.1).collect())
+                })
+                .collect();
+            let workers: Vec<&WorkerHistory> = hs.iter().collect();
+            let value = f64::from(value_step) * 0.1 + if off_lattice { 0.037 } else { 0.0 };
+            assert_arms_match_exhaustive(value, &workers);
         }
 
         #[test]

@@ -14,10 +14,12 @@ use crate::Value;
 /// pr(v', w) = N(v ≤ v') / N
 /// ```
 ///
-/// The history is kept sorted so the empirical CDF is an `O(log N)` binary
-/// search, and completed cooperative requests can be appended as the
-/// simulation runs (the paper's model keeps histories per worker and they
-/// grow over the worker's lifetime).
+/// The history is kept sorted — one `Vec`, nothing derived from it is
+/// stored — so the empirical CDF is an `O(log N)` binary search, the
+/// expected-revenue maximiser can walk it with a forward-only cursor, and
+/// completed cooperative requests can be appended as the simulation runs
+/// (the paper's model keeps histories per worker and they grow over the
+/// worker's lifetime).
 ///
 /// ```
 /// use com_pricing::WorkerHistory;
@@ -33,21 +35,6 @@ use crate::Value;
 pub struct WorkerHistory {
     /// Sorted ascending.
     values: Vec<Value>,
-    /// The distinct values of `values` (the CDF breakpoints), sorted
-    /// ascending. Maintained incrementally so pricing never re-deduplicates
-    /// a history per decision; always consistent with `values`.
-    breaks: Vec<Value>,
-}
-
-/// Distinct values of a sorted slice, in order.
-fn dedup_sorted(values: &[Value]) -> Vec<Value> {
-    let mut out: Vec<Value> = Vec::with_capacity(values.len());
-    for &v in values {
-        if out.last().is_none_or(|&l| v > l) {
-            out.push(v);
-        }
-    }
-    out
 }
 
 impl WorkerHistory {
@@ -68,8 +55,7 @@ impl WorkerHistory {
             );
         }
         values.sort_by(|a, b| a.total_cmp(b));
-        let breaks = dedup_sorted(&values);
-        WorkerHistory { values, breaks }
+        WorkerHistory { values }
     }
 
     /// Number of completed history requests (`N`).
@@ -124,8 +110,7 @@ impl WorkerHistory {
     }
 
     /// Record a newly completed request value, keeping the history sorted
-    /// and the breakpoint cache up to date (both are `O(log N)` searches
-    /// plus one insertion).
+    /// (an `O(log N)` search plus one insertion).
     pub fn record(&mut self, value: Value) {
         assert!(
             value.is_finite() && value >= 0.0,
@@ -133,39 +118,25 @@ impl WorkerHistory {
         );
         let pos = self.values.partition_point(|&v| v <= value);
         self.values.insert(pos, value);
-        let bpos = self.breaks.partition_point(|&b| b < value);
-        if self.breaks.get(bpos).copied() != Some(value) {
-            self.breaks.insert(bpos, value);
-        }
     }
 
-    /// The distinct values of the history — the breakpoints of the
-    /// empirical CDF (candidate prices for expected-revenue
-    /// maximisation) — as a cached sorted slice. Pricing's streaming
-    /// maximiser merges these per worker instead of rebuilding and
-    /// re-sorting a candidate pool per decision.
-    #[inline]
-    pub fn breakpoints_sorted(&self) -> &[Value] {
-        &self.breaks
-    }
-
-    /// Raw sorted values.
+    /// Raw sorted values. Their distinct members are the breakpoints of
+    /// the empirical CDF; pricing's streaming maximiser walks this slice
+    /// with one cursor per worker, so no deduplicated copy is kept.
     pub fn values(&self) -> &[Value] {
         &self.values
     }
 
     /// Approximate heap footprint in bytes (for the memory metric).
     pub fn approx_bytes(&self) -> usize {
-        (self.values.capacity() + self.breaks.capacity()) * std::mem::size_of::<Value>()
+        self.values.capacity() * std::mem::size_of::<Value>()
     }
 }
 
-/// Wire format is unchanged by the breakpoint cache: a history serialises
-/// as `{"values": [...]}` exactly as the former derived impl did, and the
-/// cache is rebuilt on deserialisation. Incoming values are *validated*
-/// (finite, non-negative) and re-sorted, so a hostile or stale peer cannot
-/// plant an unsorted or NaN history that would silently corrupt the
-/// empirical CDF.
+/// A history serialises as `{"values": [...]}`. Incoming values are
+/// *validated* (finite, non-negative) and re-sorted, so a hostile or stale
+/// peer cannot plant an unsorted or NaN history that would silently corrupt
+/// the empirical CDF.
 impl Serialize for WorkerHistory {
     fn to_content(&self) -> Content {
         Content::Map(vec![(
@@ -191,8 +162,7 @@ impl Deserialize for WorkerHistory {
             }
         }
         values.sort_by(|a, b| a.total_cmp(b));
-        let breaks = dedup_sorted(&values);
-        Ok(WorkerHistory { values, breaks })
+        Ok(WorkerHistory { values })
     }
 }
 
@@ -247,19 +217,23 @@ mod tests {
     }
 
     #[test]
-    fn breakpoints_deduplicate() {
-        let h = WorkerHistory::from_values(vec![5.0, 5.0, 7.0, 7.0, 9.0]);
-        assert_eq!(h.breakpoints_sorted(), &[5.0, 7.0, 9.0]);
-    }
-
-    #[test]
-    fn record_maintains_breakpoint_cache() {
-        let mut h = WorkerHistory::from_values(vec![5.0, 5.0, 9.0]);
-        h.record(5.0); // duplicate: values grow, breaks unchanged
-        assert_eq!(h.breakpoints_sorted(), &[5.0, 9.0]);
-        h.record(7.0); // new distinct value lands mid-cache
-        assert_eq!(h.breakpoints_sorted(), &[5.0, 7.0, 9.0]);
-        assert_eq!(h.values(), &[5.0, 5.0, 5.0, 7.0, 9.0]);
+    fn record_keeps_sorted_through_a_thousand_random_inserts() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(20);
+        let mut h = WorkerHistory::new();
+        let mut inserted: Vec<Value> = Vec::new();
+        for _ in 0..1000 {
+            // A 0.5 lattice over [0, 50]: plenty of duplicates and zeros.
+            let v = f64::from(rng.random_range(0u32..=100)) * 0.5;
+            h.record(v);
+            inserted.push(v);
+        }
+        assert_eq!(h.len(), 1000);
+        assert!(h.values().windows(2).all(|w| w[0] <= w[1]));
+        for payment in [0.0, 0.25, 7.5, 24.99, 25.0, 50.0, 60.0] {
+            let at_most = inserted.iter().filter(|&&v| v <= payment).count();
+            assert_eq!(h.acceptance_prob(payment), at_most as f64 / 1000.0);
+        }
     }
 
     #[test]
@@ -269,7 +243,6 @@ mod tests {
         assert_eq!(json, "{\"values\":[5.0,5.0,9.0]}");
         let back: WorkerHistory = serde_json::from_str(&json).unwrap();
         assert_eq!(back, h);
-        assert_eq!(back.breakpoints_sorted(), &[5.0, 9.0]);
     }
 
     #[test]
@@ -277,7 +250,6 @@ mod tests {
         // Unsorted input from a peer is repaired, not trusted.
         let h: WorkerHistory = serde_json::from_str("{\"values\":[9.0,2.0,2.0]}").unwrap();
         assert_eq!(h.values(), &[2.0, 2.0, 9.0]);
-        assert_eq!(h.breakpoints_sorted(), &[2.0, 9.0]);
         // Negative and non-finite values are typed errors, not panics.
         assert!(serde_json::from_str::<WorkerHistory>("{\"values\":[-1.0]}").is_err());
         assert!(serde_json::from_str::<WorkerHistory>("{\"values\":[\"nan\"]}").is_err());

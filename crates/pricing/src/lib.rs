@@ -24,7 +24,9 @@
 //!   offer.
 //! * [`max_expected_revenue`] — the maximum-expected-revenue pricing of
 //!   Definition 4.1 (the role played by "\[14\]" in RamCOM):
-//!   `argmax_{v'} (v_r − v')·pr(v', W)`.
+//!   `argmax_{v'} (v_r − v')·pr(v', W)`. Exact and bounded: the ascending
+//!   scan stops where the margin `v_r − v'` runs out, so its cost is the
+//!   winning prefix of the breakpoints, not all of them.
 
 pub mod acceptance;
 pub mod expected_revenue;

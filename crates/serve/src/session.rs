@@ -55,7 +55,6 @@ pub struct ServeSession {
     core: MatchSession<'static>,
     world_config: com_sim::WorldConfig,
     platform_names: Vec<String>,
-    histories: HashMap<WorkerId, WorkerHistory>,
     events: Vec<ArrivalEvent>,
     assigned: u64,
     rejected: u64,
@@ -134,7 +133,6 @@ impl ServeSession {
             core,
             world_config: hello.world.clone(),
             platform_names: hello.platforms.clone(),
-            histories: HashMap::new(),
             events: Vec::new(),
             assigned: 0,
             rejected: 0,
@@ -197,17 +195,21 @@ impl ServeSession {
         rec.write(&line);
     }
 
-    /// Ingest a worker arrival. No output on success.
+    /// Ingest a worker arrival. No output on success. The line's history
+    /// is staged for this one ingest only: registration moves it into the
+    /// world, and a line that is refused — or names a worker already
+    /// registered — leaves nothing behind for a later line to pick up.
     pub fn worker(&mut self, msg: &WorkerMsg) -> Result<(), ConstraintViolation> {
+        let event = ArrivalEvent::Worker(msg.spec);
         if let Some(history) = &msg.history {
-            self.histories.insert(msg.spec.id, history.clone());
             self.core.add_history(msg.spec.id, history.clone());
         }
-        let event = ArrivalEvent::Worker(msg.spec);
-        {
+        let ingested = {
             let _span = com_obs::span(com_obs::PHASE_SERVE_INGEST);
-            self.core.ingest(&event)?;
-        }
+            self.core.ingest(&event)
+        };
+        self.core.discard_history(msg.spec.id);
+        ingested?;
         self.record_event(&event, msg.history.as_ref());
         self.events.push(event);
         Ok(())
@@ -423,13 +425,15 @@ impl ServeSession {
     /// Close the run, rebuild the [`Instance`] the session actually
     /// played (the ingested event log is time-ordered by construction —
     /// out-of-order lines were refused at ingest), and audit it with
-    /// `com_core::validate_run`. Writes the trace's `finish` line (run
-    /// digest included) when a recorder is attached.
+    /// `com_core::validate_run`. The audit reads the configuration and
+    /// the stream only, so the histories — held once, by the world — are
+    /// not copied into it. Writes the trace's `finish` line (run digest
+    /// included) when a recorder is attached.
     pub fn finish(self) -> FinishedSession {
         let instance = Instance {
             config: self.world_config,
             platform_names: self.platform_names,
-            histories: self.histories,
+            histories: HashMap::new(),
             stream: EventStream::from_ordered(self.events),
         };
         let fed = self
@@ -497,5 +501,83 @@ impl FinishedSession {
                 }
             }),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use com_datagen::{generate, profiles};
+    use com_sim::WorkerSpec;
+
+    /// `quick` through a RamCOM session with every history withheld. Each
+    /// worker line may be preceded by a malformed twin and followed by a
+    /// second copy of itself; both carry a history the run must never see.
+    fn play(poisoned: bool, duplicated: bool) -> FinishedSession {
+        let instance = generate(&profiles::quick());
+        let mut session = ServeSession::open(&Hello {
+            matcher: "ramcom".into(),
+            seed: 42,
+            world: instance.config.clone(),
+            platforms: instance.platform_names.clone(),
+            max_value: instance.max_value(),
+            origin: None,
+            frame: None,
+            fed: None,
+        })
+        .expect("ramcom is builtin");
+        let planted = Some(WorkerHistory::from_values(vec![0.1]));
+        for event in instance.stream.iter() {
+            let spec = match event {
+                ArrivalEvent::Request(request) => {
+                    session.request(request).expect("in-order request");
+                    continue;
+                }
+                ArrivalEvent::Worker(spec) => *spec,
+            };
+            if poisoned {
+                let twin = WorkerSpec {
+                    radius: -1.0,
+                    ..spec
+                };
+                let refusal = session.worker(&WorkerMsg {
+                    spec: twin,
+                    history: planted.clone(),
+                });
+                assert!(matches!(
+                    refusal,
+                    Err(ConstraintViolation::MalformedEvent { .. })
+                ));
+            }
+            session
+                .worker(&WorkerMsg {
+                    spec,
+                    history: None,
+                })
+                .expect("in-order worker");
+            if duplicated {
+                let refusal = session.worker(&WorkerMsg {
+                    spec,
+                    history: planted.clone(),
+                });
+                assert!(matches!(
+                    refusal,
+                    Err(ConstraintViolation::WorkerArrivedTwice { .. })
+                ));
+            }
+        }
+        session.finish()
+    }
+
+    #[test]
+    fn refused_worker_lines_stage_no_history() {
+        let clean = play(false, false);
+        // A newcomer's only candidate is `v_r` itself (margin 0), so the
+        // clean run lends nothing; a planted ¥0.1 floor that reached the
+        // world would be lent against at once.
+        assert_eq!(clean.run.cooperative_count(), 0);
+        assert!(clean.findings.is_empty());
+        assert_eq!(play(true, false).digest, clean.digest);
+        assert_eq!(play(false, true).digest, clean.digest);
     }
 }

@@ -4,6 +4,7 @@
 # tree, alternating which side runs first, one `perfladder compare` table.
 #
 #   scripts/bench-pair.sh [--parent REF] [--pairs N] [--workload NAME|all]
+#                         [--claim METRIC@WORKLOAD]
 #                         [-- extra benchmark/run.sh flags]
 #
 # REF defaults to HEAD~1, N to 10, the workload to all. The parent is a
@@ -15,20 +16,27 @@
 # worktree is removed on exit, and benchmark/Cargo.lock is restored if it
 # was clean and a build rewrote it. Exits with compare's status (1 on any
 # `worse`), or 1 as soon as a run fails its own correctness gate.
+#
+# A gain is accepted on pairs won, which compare's medians and quartiles do
+# not show: `--claim engine_events_per_s@city_ramcom` adds, after the table,
+# one `seed parent change ratio` line per pair for that row (read back from
+# the kept logs; ratio = change / parent) and a closing
+# `pairs won k/n, ratio min–median–max`. A pair is won on the side
+# BENCHMARK.json calls better for the metric; ties count for neither.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
-parent="HEAD~1" pairs=10 workload=all
+parent="HEAD~1" pairs=10 workload=all claim=""
 while [ "$#" -gt 0 ]; do
     case "$1" in
-        --parent | --pairs | --workload)
+        --parent | --pairs | --workload | --claim)
             [ "$#" -ge 2 ] || { echo "$0: $1 needs a value" >&2; exit 2; }
             declare "${1#--}=$2"
             shift 2
             ;;
         --) shift; break ;;
         *)
-            echo "usage: $0 [--parent REF] [--pairs N] [--workload NAME|all] [-- run.sh flags]" >&2
+            echo "usage: $0 [--parent REF] [--pairs N] [--workload NAME|all] [--claim METRIC@WORKLOAD] [-- run.sh flags]" >&2
             exit 2
             ;;
     esac
@@ -78,4 +86,31 @@ for i in $(seq 1 "$pairs"); do
     done
 done
 
-"$change_target/release/perfladder" compare "$out"/parent*.json -- "$out"/change*.json
+status=0
+"$change_target/release/perfladder" compare "$out"/parent*.json -- "$out"/change*.json || status=$?
+
+if [ -n "$claim" ]; then
+    metric="${claim%@*}" on="${claim#*@}"
+    better="$(awk -v name="\"$metric\"," '
+        $1 == "\"name\":" { hit = ($2 == name) }
+        hit && $1 == "\"better\":" { gsub(/[",]/, "", $2); print $2; exit }' "$root/BENCHMARK.json")"
+    # METRIC's value in WORKLOAD's section of one run log.
+    value() {
+        awk -v metric="$metric" -v on="$on" '
+            $1 == "==" { here = ($2 == on) }
+            here && $1 == metric { print $2; exit }' "$1"
+    }
+    rows="$(for i in $(seq 1 "$pairs"); do
+        echo "$((1500 + i)) $(value "$out/parent$i.log") $(value "$out/change$i.log")"
+    done | awk 'NF == 3 { printf "%s %s %s %.3f\n", $1, $2, $3, $3 / $2 }')"
+    echo
+    echo "claim $claim (better: ${better:-higher}) — seed parent change ratio"
+    echo "$rows"
+    echo "$rows" | sort -n -k4 | awk -v better="${better:-higher}" '
+        { ratio[NR] = $4; if (better == "lower" ? $3 < $2 : $3 > $2) won++ }
+        END {
+            median = NR % 2 ? ratio[(NR + 1) / 2] : (ratio[NR / 2] + ratio[NR / 2 + 1]) / 2
+            printf "pairs won %d/%d, ratio %.2f–%.2f–%.2f\n", won, NR, ratio[1], median, ratio[NR]
+        }'
+fi
+exit "$status"

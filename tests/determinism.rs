@@ -153,3 +153,21 @@ fn batched_run_bytes_are_pinned() {
         "fnv1a64:f63b225d586f44a3"
     );
 }
+
+#[test]
+fn ramcom_dense_digests_are_pinned() {
+    // The committed `traces/ramcom-*` are 520 events and never price
+    // against more than a few outer workers; `chengdu_oct` (19,810 events)
+    // reaches the dense regime where the maximiser's margin bound does its
+    // cutting, so these digests (recorded before the bound existed) pin
+    // that it moves no payment.
+    for (seed, digest) in [
+        (42, "fnv1a64:3ba8d3de4fff596a"),
+        (7, "fnv1a64:5c9c74209d536f81"),
+    ] {
+        let mut cfg = com::datagen::profiles::chengdu_oct();
+        cfg.seed = seed;
+        let run = run_online(&generate(&cfg), &mut RamCom::default(), seed);
+        assert_eq!(com::core::canonical_run_digest(&run), digest, "seed {seed}");
+    }
+}

@@ -89,6 +89,18 @@ fn telemetry_counters_track_the_pricing_work() {
     assert!(t.counter("grid.cells_scanned").unwrap_or(0) > 0);
     // Occupancy gauges were sampled.
     assert!(t.gauge("world.idle_workers").is_some());
+
+    // RamCOM's maximiser reports how often the margin bound ended a call
+    // before its candidates ran out: useful work ÷ attempts, no profiler.
+    obs::install();
+    let run = run_online(&inst, &mut RamCom::default(), 3);
+    obs::uninstall();
+    let t = run.telemetry.expect("collector installed");
+    let merges = t.counter("pricing.breakpoint_merges").unwrap_or(0);
+    let exits = t.counter("pricing.margin_exits").unwrap_or(0);
+    assert!(exits > 0, "pricing.margin_exits missing");
+    assert!(exits <= merges, "{exits} margin exits in {merges} merges");
+    assert!(t.counter("pricing.candidates_evaluated").unwrap_or(0) >= merges);
 }
 
 #[test]

@@ -7,8 +7,10 @@
 
 use std::time::{Duration, Instant};
 
-use com_core::{try_run_online, DemCom};
+use com_core::{try_run_online, DemCom, RamCom};
+use com_datagen::{generate, profiles};
 use com_geo::Point;
+use com_pricing::WorkerHistory;
 use com_serve::{
     event_msg, serve, Client, ClientMsg, Hello, ServerConfig, ServerHandle, ServerMsg, WorkerMsg,
 };
@@ -411,4 +413,83 @@ fn hostile_events_are_constraint_errors_and_spare_the_shard() {
 #[test]
 fn hostile_events_in_binary_frames_are_constraint_errors_too() {
     hostile_events_spare_the_shard(Some("binary"));
+}
+
+/// `quick` with every history withheld, RamCOM, through a loopback daemon
+/// three times: clean; each worker line preceded by a malformed twin; each
+/// worker line sent twice. The refused lines all carry a ¥0.1 history, and
+/// none of it may reach the run: every stream ends as the batch run does.
+fn refused_worker_lines_stage_no_history(frame: Option<&str>) {
+    let handle = start_server();
+    let addr = handle.addr().to_string();
+    let instance = Instance {
+        histories: Default::default(),
+        ..generate(&profiles::quick())
+    };
+    let hello = Hello {
+        matcher: "ramcom".into(),
+        seed: 42,
+        world: instance.config.clone(),
+        platforms: instance.platform_names.clone(),
+        max_value: instance.max_value(),
+        origin: None,
+        frame: frame.map(str::to_string),
+        fed: None,
+    };
+    let batch = try_run_online(&instance, &mut RamCom::default(), hello.seed);
+    // Newcomers are never lent against (their only candidate is `v_r`,
+    // margin 0); a planted floor that reached the world would be.
+    assert_eq!(batch.cooperative_count(), 0);
+    let planted = Some(WorkerHistory::from_values(vec![0.1]));
+    let refused = |client: &mut Client, spec: WorkerSpec, why: &str| {
+        let msg = ClientMsg::worker(WorkerMsg {
+            spec,
+            history: planted.clone(),
+        });
+        let ServerMsg::error(e) = client.rpc(&msg).expect("worker") else {
+            panic!("worker line was not refused ({why})");
+        };
+        assert_eq!(e.code, "constraint");
+        assert!(e.detail.contains(why), "detail: {}", e.detail);
+    };
+
+    for (poisoned, duplicated) in [(false, false), (true, false), (false, true)] {
+        let mut client = Client::connect(&addr).expect("connect");
+        client.open(None, hello.clone()).expect("hello");
+        for event in instance.stream.iter() {
+            if let (true, ArrivalEvent::Worker(spec)) = (poisoned, event) {
+                let twin = WorkerSpec {
+                    radius: -1.0,
+                    ..*spec
+                };
+                refused(&mut client, twin, "malformed");
+            }
+            let response = client.rpc(&event_msg(&instance, event)).expect("event");
+            assert!(!matches!(response, ServerMsg::error(_)), "{response:?}");
+            if let (true, ArrivalEvent::Worker(spec)) = (duplicated, event) {
+                refused(&mut client, *spec, "arrived twice");
+            }
+        }
+        let response = client.rpc(&ClientMsg::shutdown).expect("shutdown");
+        let ServerMsg::bye(bye) = response else {
+            panic!("expected bye, got {response:?}");
+        };
+        assert_eq!(bye.events as usize, instance.stream.len());
+        assert_eq!(
+            bye.disagreements(&batch),
+            Vec::<String>::new(),
+            "poisoned {poisoned}, duplicated {duplicated}"
+        );
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn refused_worker_lines_stage_no_history_over_ndjson() {
+    refused_worker_lines_stage_no_history(None);
+}
+
+#[test]
+fn refused_worker_lines_stage_no_history_in_binary_frames() {
+    refused_worker_lines_stage_no_history(Some("binary"));
 }
