@@ -89,7 +89,7 @@ pub mod prelude {
         chengdu_nov, chengdu_oct, generate, synthetic, xian_nov, DailyProfile, Hotspot,
         PlatformSpec, ScenarioConfig, SpatialMixture, SyntheticParams, ValueDistribution,
     };
-    pub use com_geo::{BoundingBox, GridIndex, Point};
+    pub use com_geo::{BoundingBox, Point};
     pub use com_metrics::{SweepSeries, Table};
     pub use com_pricing::{
         max_expected_revenue, MinPaymentEstimator, MonteCarloParams, PriceCandidates, WorkerHistory,

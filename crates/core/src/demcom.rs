@@ -20,7 +20,6 @@
 
 use rand::rngs::StdRng;
 
-use com_geo::GridEntry;
 use com_sim::{IdleWorker, PlatformId, RequestSpec, World};
 
 use crate::config::DemComConfig;
@@ -29,14 +28,13 @@ use crate::matcher::{Decision, OnlineMatcher, StreamInfo};
 
 /// Deterministic cross online matching (Algorithm 1).
 ///
-/// Holds reusable candidate scratch buffers so steady-state decisions do
-/// not allocate for the outer-worker query (the buffers are observer-only
+/// Holds a reusable candidate buffer so steady-state decisions do not
+/// allocate for the outer-worker query (the buffer is observer-only
 /// state: decisions are a pure function of `(world, request, rng)`).
 #[derive(Debug, Clone, Default)]
 pub struct DemCom {
     config: DemComConfig,
     outer: Vec<(PlatformId, IdleWorker)>,
-    grid_buf: Vec<GridEntry>,
 }
 
 impl DemCom {
@@ -44,7 +42,6 @@ impl DemCom {
         DemCom {
             config,
             outer: Vec::new(),
-            grid_buf: Vec::new(),
         }
     }
 
@@ -72,7 +69,7 @@ impl OnlineMatcher for DemCom {
                     request.platform,
                     request.location,
                     &mut self.outer,
-                    &mut self.grid_buf,
+                    &mut Vec::new(),
                 );
             } else {
                 self.outer.clear();

@@ -20,8 +20,8 @@
 //!   `e^k` routes big requests to inner workers and small ones to outer
 //!   workers priced by maximum expected revenue (Definition 4.1).
 //! * [`offline`] — the OFF baseline: exact maximum-weight bipartite
-//!   matching for one-shot instances, a full-knowledge scheduler for
-//!   re-entry workloads, and the trivial upper bound.
+//!   matching for one-shot instances and a full-knowledge scheduler for
+//!   re-entry workloads.
 //! * [`engine`] — replays an [`Instance`]'s arrival stream against any
 //!   [`OnlineMatcher`], enforcing every constraint of Definition 2.6 and
 //!   timing each decision.

@@ -8,7 +8,7 @@
 //! for an outer worker (with full knowledge, the outer payment is the
 //! worker's acceptance floor — the smallest value in its history).
 //!
-//! Three solvers cover the instance-size spectrum, plus a relaxation:
+//! Three solvers cover the instance-size spectrum:
 //!
 //! * [`OfflineMode::ExactBipartite`] — dense Hungarian; the reference for
 //!   competitive-ratio experiments (one-shot instances).
@@ -18,15 +18,13 @@
 //!   scheduler that honours worker re-entry (the paper's day-long tables
 //!   implicitly reuse workers); not provably optimal, documented as such
 //!   in EXPERIMENTS.md.
-//! * [`OfflineMode::UpperBound`] — per-request best-edge relaxation; an
-//!   upper bound on any feasible COM outcome without re-entry, and a
-//!   quick sanity bound elsewhere.
 
 use serde::{Deserialize, Serialize};
 
-use com_geo::GridIndex;
 use com_matching::{hungarian, ssp_max_weight, BipartiteGraph};
-use com_sim::{Instance, PlatformId, RequestSpec, Value, WorkerSpec};
+use com_sim::{
+    IdleWorker, Instance, PlatformId, RequestSpec, Value, WaitingList, WorkerId, WorkerSpec,
+};
 
 /// Which offline solver to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -38,8 +36,6 @@ pub enum OfflineMode {
     /// Full-knowledge value-descending scheduler honouring worker
     /// re-entry (the day-long tables' OFF row).
     GreedySchedule,
-    /// Per-request best-edge relaxation — an upper bound.
-    UpperBound,
 }
 
 /// The outcome of an offline solve.
@@ -66,16 +62,11 @@ fn acceptance_floor(instance: &Instance, w: &WorkerSpec) -> Value {
         .unwrap_or(0.0)
 }
 
-/// The offline edge weight for worker `w` serving request `r`, or `None`
-/// when infeasible (range/time violated, or the outer floor eats the whole
-/// value).
+/// The offline edge weight for worker `w`, whose range covers request
+/// `r`, serving `r`; `None` when infeasible (time violated, or the outer
+/// floor eats the whole value).
 fn edge_weight(instance: &Instance, w: &WorkerSpec, r: &RequestSpec) -> Option<Value> {
-    if w.arrival > r.arrival
-        || !instance
-            .config
-            .metric
-            .covers(w.location, r.location, w.radius)
-    {
+    if w.arrival > r.arrival {
         return None;
     }
     let weight = if w.platform == r.platform {
@@ -86,41 +77,38 @@ fn edge_weight(instance: &Instance, w: &WorkerSpec, r: &RequestSpec) -> Option<V
     (weight > 0.0).then_some(weight)
 }
 
-struct OfflineGraph {
-    graph: BipartiteGraph,
-    workers: Vec<WorkerSpec>,
-    requests: Vec<RequestSpec>,
+/// Every worker of the instance in one waiting list, so edge discovery
+/// probes only the workers whose range can cover a request. A worker's id
+/// is its index in `workers`, and it entered at its arrival.
+fn index_workers(instance: &Instance, workers: &[WorkerSpec]) -> WaitingList {
+    let config = &instance.config;
+    let mut list = WaitingList::with_metric(config.extent, config.expected_radius, config.metric);
+    for (i, w) in workers.iter().enumerate() {
+        list.add(IdleWorker {
+            id: WorkerId(i as u64),
+            location: w.location,
+            radius: w.radius,
+            entered_at: w.arrival,
+        });
+    }
+    list
 }
 
-/// Build the Fig. 4 bipartite graph with a spatial index doing the edge
-/// discovery (each request only probes the workers whose circle can cover
-/// it).
-fn build_graph(instance: &Instance) -> OfflineGraph {
+/// Build the Fig. 4 bipartite graph; `requests` is the instance's requests
+/// in stream order, indexed like the graph's right side.
+fn build_graph(instance: &Instance, requests: &[RequestSpec]) -> BipartiteGraph {
     let workers: Vec<WorkerSpec> = instance.stream.workers().copied().collect();
-    let requests: Vec<RequestSpec> = instance.stream.requests().copied().collect();
-
-    let mut index =
-        GridIndex::with_expected_radius(instance.config.extent, instance.config.expected_radius);
-    for (i, w) in workers.iter().enumerate() {
-        index.insert(i as u64, w.location, w.radius);
-    }
-
+    let index = index_workers(instance, &workers);
     let mut graph = BipartiteGraph::new(workers.len(), requests.len());
-    let mut buf = Vec::new();
     for (j, r) in requests.iter().enumerate() {
-        index.coverers_into(r.location, &mut buf);
-        for entry in &buf {
-            let i = entry.id as usize;
+        index.coverers_each(r.location, |c| {
+            let i = c.id.as_u64() as usize;
             if let Some(w) = edge_weight(instance, &workers[i], r) {
                 graph.add_edge(i, j, w);
             }
-        }
+        });
     }
-    OfflineGraph {
-        graph,
-        workers,
-        requests,
-    }
+    graph
 }
 
 /// Solve the offline COM instance.
@@ -136,25 +124,15 @@ pub fn offline_solve(instance: &Instance, mode: OfflineMode) -> OfflineResult {
 
     match mode {
         OfflineMode::ExactBipartite | OfflineMode::SparseExact => {
-            let og = build_graph(instance);
+            let requests: Vec<RequestSpec> = instance.stream.requests().copied().collect();
+            let graph = build_graph(instance, &requests);
             let matching = if mode == OfflineMode::ExactBipartite {
-                hungarian(&og.graph)
+                hungarian(&graph)
             } else {
-                ssp_max_weight(&og.graph)
+                ssp_max_weight(&graph)
             };
             for &(_, j, w) in &matching.pairs {
-                credit(og.requests[j].platform, w);
-            }
-        }
-        OfflineMode::UpperBound => {
-            let og = build_graph(instance);
-            for j in 0..og.requests.len() {
-                let best = (0..og.workers.len())
-                    .filter_map(|i| og.graph.weight(i, j))
-                    .fold(f64::NEG_INFINITY, f64::max);
-                if best > 0.0 {
-                    credit(og.requests[j].platform, best);
-                }
+                credit(requests[j].platform, w);
             }
         }
         OfflineMode::GreedySchedule => {
@@ -181,11 +159,7 @@ fn greedy_schedule<F: FnMut(PlatformId, Value)>(instance: &Instance, credit: &mu
     let requests: Vec<RequestSpec> = instance.stream.requests().copied().collect();
     let service = instance.config.service;
 
-    let mut index =
-        GridIndex::with_expected_radius(instance.config.extent, instance.config.expected_radius);
-    for (i, w) in workers.iter().enumerate() {
-        index.insert(i as u64, w.location, w.radius);
-    }
+    let index = index_workers(instance, &workers);
 
     // Busy intervals per worker, kept sorted by start.
     let mut busy: Vec<Vec<(f64, f64)>> = vec![Vec::new(); workers.len()];
@@ -198,28 +172,26 @@ fn greedy_schedule<F: FnMut(PlatformId, Value)>(instance: &Instance, credit: &mu
             .then_with(|| requests[a].id.cmp(&requests[b].id))
     });
 
-    let mut buf = Vec::new();
     for j in order {
         let r = &requests[j];
         let start = r.arrival.as_secs();
-        index.coverers_into(r.location, &mut buf);
 
         // Best candidate: highest edge weight, then nearest, then id.
         let mut best: Option<(f64, f64, usize)> = None;
-        for entry in &buf {
-            let i = entry.id as usize;
+        index.coverers_each(r.location, |c| {
+            let i = c.id.as_u64() as usize;
             let w = &workers[i];
             let Some(weight) = edge_weight(instance, w, r) else {
-                continue;
+                return;
             };
             let end =
                 start + service.busy_secs_metric(instance.config.metric, w.location, r.location);
             if !service.reentry && !busy[i].is_empty() {
-                continue; // one-shot: a single service per worker
+                return; // one-shot: a single service per worker
             }
             let overlaps = busy[i].iter().any(|&(s, e)| s < end && start < e);
             if overlaps {
-                continue;
+                return;
             }
             let dist = instance.config.metric.distance(w.location, r.location);
             let better = match best {
@@ -232,7 +204,7 @@ fn greedy_schedule<F: FnMut(PlatformId, Value)>(instance: &Instance, credit: &mu
             if better {
                 best = Some((weight, dist, i));
             }
-        }
+        });
 
         if let Some((weight, _, i)) = best {
             let end = start
@@ -305,14 +277,6 @@ mod tests {
         assert_eq!(a.total_revenue, b.total_revenue);
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.revenue_by_platform, b.revenue_by_platform);
-    }
-
-    #[test]
-    fn upper_bound_dominates_exact() {
-        let inst = small_instance(true);
-        let exact = offline_solve(&inst, OfflineMode::ExactBipartite);
-        let ub = offline_solve(&inst, OfflineMode::UpperBound);
-        assert!(ub.total_revenue >= exact.total_revenue);
     }
 
     #[test]
@@ -411,7 +375,6 @@ mod tests {
             OfflineMode::ExactBipartite,
             OfflineMode::SparseExact,
             OfflineMode::GreedySchedule,
-            OfflineMode::UpperBound,
         ] {
             let off = offline_solve(&inst, mode);
             assert_eq!(off.completed, 0, "mode {mode:?}");

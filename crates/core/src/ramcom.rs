@@ -17,7 +17,6 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use com_geo::GridEntry;
 use com_pricing::max_expected_revenue;
 use com_sim::{IdleWorker, PlatformId, RequestSpec, World};
 
@@ -38,7 +37,6 @@ pub struct RamCom {
     threshold: f64,
     inner: Vec<IdleWorker>,
     outer: Vec<(PlatformId, IdleWorker)>,
-    grid_buf: Vec<GridEntry>,
 }
 
 impl Default for RamCom {
@@ -55,7 +53,6 @@ impl RamCom {
             threshold: 0.0,
             inner: Vec::new(),
             outer: Vec::new(),
-            grid_buf: Vec::new(),
         }
     }
 
@@ -77,7 +74,7 @@ impl RamCom {
                 request.platform,
                 request.location,
                 &mut self.outer,
-                &mut self.grid_buf,
+                &mut Vec::new(),
             );
         }
         // No payment in (0, v_r] with positive expected revenue ⇒ `None`.
@@ -117,12 +114,7 @@ impl OnlineMatcher for RamCom {
             // candidate order is part of the deterministic replay contract.
             {
                 let _span = com_obs::span(com_obs::PHASE_CANDIDATES);
-                world.inner_coverers_into(
-                    request.platform,
-                    request.location,
-                    &mut self.inner,
-                    &mut self.grid_buf,
-                );
+                world.inner_coverers_into(request.platform, request.location, &mut self.inner);
             }
             if !self.inner.is_empty() {
                 let pick = rng.random_range(0..self.inner.len());

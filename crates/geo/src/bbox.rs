@@ -1,4 +1,4 @@
-//! Axis-aligned bounding boxes (city regions, index extents).
+//! Axis-aligned bounding boxes (city regions, waiting-list extents).
 
 use serde::{Deserialize, Serialize};
 
@@ -7,7 +7,7 @@ use crate::{Km, Point};
 /// An axis-aligned rectangle in the planar kilometre space.
 ///
 /// Used for the city region a scenario is generated over and as the extent
-/// of a [`crate::GridIndex`]. A box is *valid* when `min.x <= max.x` and
+/// of a waiting list's grid. A box is *valid* when `min.x <= max.x` and
 /// `min.y <= max.y`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BoundingBox {
@@ -90,8 +90,7 @@ impl BoundingBox {
         }
     }
 
-    /// Whether the circle `(center, radius)` intersects the box. Used by
-    /// the grid index to prune cells during circular range queries.
+    /// Whether the circle `(center, radius)` intersects the box.
     pub fn intersects_circle(&self, center: Point, radius: Km) -> bool {
         let closest = self.clamp(center);
         closest.distance_sq(center) <= radius * radius

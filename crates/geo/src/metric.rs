@@ -6,9 +6,9 @@
 //! irregular shapes". [`DistanceMetric`] makes the range constraint
 //! pluggable: `Manhattan` is the standard grid-road surrogate (the
 //! service range becomes a diamond), and every matcher works unchanged
-//! because candidate discovery still uses the Euclidean grid index — an
-//! L1 ball is contained in the L2 ball of the same radius, so the grid's
-//! candidates are a superset that the metric then filters exactly.
+//! because candidate discovery scans the square around the request — it
+//! holds the L1 ball, which lies inside the L2 ball of the same radius —
+//! and the metric then tests each worker there exactly.
 
 use serde::{Deserialize, Serialize};
 
@@ -92,8 +92,8 @@ mod tests {
             let a = Point::new(ax, ay);
             let b = Point::new(bx, by);
             // Anything the Manhattan range covers, the Euclidean range of
-            // the same radius also covers — the containment the grid
-            // index's candidate generation relies on.
+            // the same radius also covers, so both fit the square a
+            // waiting-list query scans.
             if DistanceMetric::Manhattan.covers(a, b, rad) {
                 prop_assert!(DistanceMetric::Euclidean.covers(a, b, rad + 1e-12));
             }

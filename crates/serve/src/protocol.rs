@@ -177,10 +177,11 @@ pub enum ClientMsg {
 
 /// A structured protocol error. `code` is machine-matchable:
 /// `bad-json`, `bad-frame`, `bad-envelope`, `unknown-message`,
-/// `no-session`, `unknown-sid`, `duplicate-hello`, `unknown-matcher`,
-/// `constraint`, `oversized-line`, `oversized-frame`, and the federation
-/// rejection codes carried by `outsource_reject` (`not-my-worker`,
-/// `bad-payment`, `expired`, `desync`, `unknown-fed-session`).
+/// `no-session`, `unknown-sid`, `duplicate-hello`, `bad-hello`,
+/// `unknown-matcher`, `constraint`, `oversized-line`, `oversized-frame`,
+/// and the federation rejection codes carried by `outsource_reject`
+/// (`not-my-worker`, `bad-payment`, `expired`, `desync`,
+/// `unknown-fed-session`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ErrorMsg {
     pub code: String,

@@ -180,7 +180,8 @@ pub fn replay_trace(path: &Path) -> Result<TraceReplayReport, String> {
         origin: None,
         fed: None,
     };
-    let mut session = ServeSession::open(&hello)?;
+    let mut session =
+        ServeSession::open(&hello).map_err(|(code, detail)| format!("{code}: {detail}"))?;
     let mut divergences = Vec::new();
     let recorded: std::collections::HashMap<u64, &TraceDecision> = lines
         .iter()
@@ -306,7 +307,8 @@ pub fn record_session(
         origin: None,
         fed: None,
     };
-    let mut session = ServeSession::open(&hello)?;
+    let mut session =
+        ServeSession::open(&hello).map_err(|(code, detail)| format!("{code}: {detail}"))?;
     let recorder = TraceRecorder::create(path)
         .map_err(|e| format!("cannot create trace {}: {e}", path.display()))?;
     session.attach_recorder(recorder, &hello, "matchreplay", None, None);

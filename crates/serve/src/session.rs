@@ -80,11 +80,63 @@ pub struct FinishedSession {
     fed: Option<(PlatformId, u64)>,
 }
 
+/// The most grid cells a session's world may allocate across its waiting
+/// lists (`platforms × cols × rows`). Every generated scenario stays far
+/// below it: ≤ 30 km extents at ≥ 0.5 km radii give ≤ 60 × 60 cells per
+/// list. It also keeps the roster inside `PlatformId`'s `u16` range.
+const MAX_GRID_CELLS: f64 = 65_536.0;
+
+/// Why `hello` cannot open a session: an empty roster, a non-finite
+/// extent corner or radius, a grid over [`MAX_GRID_CELLS`], or a
+/// `fed.platform` outside the roster.
+fn check_hello(hello: &Hello) -> Result<(), String> {
+    let world = &hello.world;
+    if hello.platforms.is_empty() {
+        return Err("hello names no platforms".into());
+    }
+    if let Some(f) = hello
+        .fed
+        .as_ref()
+        .filter(|f| usize::from(f.platform) >= hello.platforms.len())
+    {
+        return Err(format!(
+            "fed.platform {} out of range: hello names {} platform(s)",
+            f.platform,
+            hello.platforms.len()
+        ));
+    }
+    if !(world.extent.min.is_finite()
+        && world.extent.max.is_finite()
+        && world.expected_radius.is_finite())
+    {
+        return Err(format!(
+            "world extent {:?} and expected_radius {} must be finite",
+            world.extent, world.expected_radius
+        ));
+    }
+    let (cols, rows) = com_sim::grid_shape(world.extent, world.expected_radius);
+    let cells = hello.platforms.len() as f64 * cols * rows;
+    if cells > MAX_GRID_CELLS {
+        return Err(format!(
+            "{} platform(s) × {cols} × {rows} grid cells = {cells} exceeds {MAX_GRID_CELLS}",
+            hello.platforms.len()
+        ));
+    }
+    Ok(())
+}
+
 impl ServeSession {
-    /// Open a session from a `hello`. Fails with the spec parser's own
-    /// message (listing valid specs) when the matcher is unknown.
-    pub fn open(hello: &Hello) -> Result<Self, String> {
-        let spec = MatcherSpec::parse(&hello.matcher).map_err(|e| e.to_string())?;
+    /// Open a session from a `hello`, or refuse it with an error code and
+    /// detail. `bad-hello`, before anything is built: an empty roster, a
+    /// non-finite extent corner or `expected_radius`, waiting-list grids
+    /// over 65,536 cells in all (`platforms × cols × rows`, counted with
+    /// [`com_sim::grid_shape`]), or a `fed.platform` outside the roster.
+    /// `unknown-matcher`: the spec parser's own message (listing valid
+    /// specs).
+    pub fn open(hello: &Hello) -> Result<Self, (&'static str, String)> {
+        check_hello(hello).map_err(|detail| ("bad-hello", detail))?;
+        let spec =
+            MatcherSpec::parse(&hello.matcher).map_err(|e| ("unknown-matcher", e.to_string()))?;
         let config = SessionConfig {
             world: hello.world.clone(),
             platform_names: hello.platforms.clone(),
@@ -95,13 +147,6 @@ impl ServeSession {
         let core = match &hello.fed {
             None => MatchSession::new(config, spec.build(), hello.seed),
             Some(f) => {
-                if usize::from(f.platform) >= hello.platforms.len() {
-                    return Err(format!(
-                        "fed.platform {} out of range: hello names {} platform(s)",
-                        f.platform,
-                        hello.platforms.len()
-                    ));
-                }
                 let platform = PlatformId(f.platform);
                 let shared = Arc::new(FedShared::default());
                 // Offers go out in the session's negotiated framing; the
@@ -579,5 +624,69 @@ mod tests {
         assert!(clean.findings.is_empty());
         assert_eq!(play(true, false).digest, clean.digest);
         assert_eq!(play(false, true).digest, clean.digest);
+    }
+
+    #[test]
+    fn hostile_hellos_are_refused_before_the_world_is_built() {
+        let base = Hello {
+            matcher: "tota".into(),
+            seed: 1,
+            world: com_sim::WorldConfig::city(30.0),
+            platforms: vec!["A".into(), "B".into()],
+            max_value: None,
+            origin: None,
+            frame: None,
+            fed: None,
+        };
+        let mut infinite = base.clone();
+        infinite.world.expected_radius = f64::INFINITY;
+        let mut nan_corner = base.clone();
+        nan_corner.world.extent.max.x = f64::NAN;
+        let mut wide = base.clone();
+        wide.world.extent = com_geo::BoundingBox::square(100_000.0);
+        let mut fine_grid = base.clone();
+        fine_grid.world.extent = com_geo::BoundingBox::square(2_000.0);
+        fine_grid.world.expected_radius = 0.05;
+        let mut crowded = base.clone();
+        crowded.platforms = (0..60_000).map(|i| format!("p{i}")).collect();
+        let mut fed = base.clone();
+        fed.fed = Some(crate::protocol::FedHello {
+            platform: 2,
+            fed_sid: 1,
+            peer: None,
+            deadline_ms: None,
+        });
+        let empty = Hello {
+            platforms: Vec::new(),
+            ..base.clone()
+        };
+        for (what, hello) in [
+            ("no platforms", empty),
+            ("infinite radius", infinite),
+            ("NaN corner", nan_corner),
+            ("100,000 km extent", wide),
+            ("2,000 km extent at 50 m", fine_grid),
+            ("60,000 platforms", crowded),
+            ("fed.platform 2 of 2", fed),
+        ] {
+            let Err((code, detail)) = ServeSession::open(&hello) else {
+                panic!("{what} was welcomed");
+            };
+            assert_eq!(code, "bad-hello", "{what}: {detail}");
+        }
+        // 30 km at 1 km is 900 cells per list: 72 platforms fit, 73 do not.
+        let mut edge = base.clone();
+        edge.platforms = (0..72).map(|i| format!("p{i}")).collect();
+        assert!(ServeSession::open(&edge).is_ok());
+        edge.platforms.push("p72".into());
+        assert!(ServeSession::open(&edge).is_err());
+        let unknown = Hello {
+            matcher: "nope".into(),
+            ..base
+        };
+        assert!(matches!(
+            ServeSession::open(&unknown),
+            Err(("unknown-matcher", _))
+        ));
     }
 }

@@ -432,9 +432,9 @@ impl Shard {
                         }
                         self.sessions.insert(key, s);
                     }
-                    Err(detail) => {
+                    Err((code, detail)) => {
                         counters.protocol_error();
-                        conn.queue_for(sid, &error("unknown-matcher", detail));
+                        conn.queue_for(sid, &error(code, detail));
                     }
                 }
             }

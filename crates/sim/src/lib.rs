@@ -12,8 +12,11 @@
 //!
 //! * [`Worker`] — a worker entity: arrival spec, acceptance history,
 //!   occupancy state, lifetime earnings.
-//! * [`WaitingList`] — arrival-ordered idle workers of one platform with a
-//!   spatial index for the range constraint.
+//! * [`WaitingList`] — the idle workers of one platform. The list *is* a
+//!   uniform spatial grid over the city, holding each idle worker once, so
+//!   the range constraint is answered without a linear scan. A served
+//!   world's lists may hold at most 65,536 cells in all (`com-serve`
+//!   refuses a larger `hello`, counting with [`grid_shape`]).
 //! * [`World`] — all platforms plus the service model; supports worker
 //!   arrivals, assignment (inner or outer), service completion and worker
 //!   re-entry, and the cross-platform visibility rules.
@@ -23,6 +26,8 @@
 //! * [`Assignment`] / [`MatchKind`] — the immutable record of one matching
 //!   decision, consumed by the metrics layer.
 
+#[cfg(test)]
+mod grid;
 pub mod instance;
 pub mod ledger;
 pub mod outcome;
@@ -37,7 +42,7 @@ pub use ledger::PlatformLedger;
 pub use outcome::{Assignment, MatchKind};
 pub use service::ServiceModel;
 pub use violation::ConstraintViolation;
-pub use waiting_list::{IdleWorker, WaitingList};
+pub use waiting_list::{grid_shape, IdleWorker, WaitingList};
 pub use worker::{Worker, WorkerState};
 pub use world::{World, WorldConfig};
 

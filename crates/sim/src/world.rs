@@ -16,7 +16,7 @@ use crate::{ConstraintViolation, ServiceModel, WaitingList, Worker, WorkerState}
 /// [`ServiceModel::shift_secs`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorldConfig {
-    /// City extent (waiting-list spatial indexes are built over it).
+    /// City extent (every waiting list's grid is laid over it).
     pub extent: BoundingBox,
     /// Expected service radius — grid cell-size hint.
     pub expected_radius: Km,
@@ -257,17 +257,10 @@ impl World {
     }
 
     /// Allocation-free [`World::inner_coverers`]: candidates land in `out`
-    /// (cleared first, same nearest-first order); `grid_buf` is grid-query
-    /// scratch. Matchers that keep both buffers across decisions stop
-    /// paying two allocations per request.
-    pub fn inner_coverers_into(
-        &self,
-        p: PlatformId,
-        point: Point,
-        out: &mut Vec<IdleWorker>,
-        grid_buf: &mut Vec<com_geo::GridEntry>,
-    ) {
-        self.waiting[p.index()].coverers_into(point, out, grid_buf);
+    /// (cleared first, same nearest-first order). Matchers that keep the
+    /// buffer across decisions stop allocating per request.
+    pub fn inner_coverers_into(&self, p: PlatformId, point: Point, out: &mut Vec<IdleWorker>) {
+        self.waiting[p.index()].coverers_into(point, out);
     }
 
     /// The nearest idle inner worker covering `point`.
@@ -279,8 +272,7 @@ impl World {
     /// *outer* workers, Definition 2.3), merged nearest-first.
     pub fn outer_coverers(&self, p: PlatformId, point: Point) -> Vec<(PlatformId, IdleWorker)> {
         let mut out = Vec::new();
-        let mut grid_buf = Vec::new();
-        self.outer_coverers_into(p, point, &mut out, &mut grid_buf);
+        self.outer_coverers_into(p, point, &mut out, &mut Vec::new());
         out
     }
 
@@ -289,12 +281,16 @@ impl World {
     /// are appended unsorted and sorted once globally — the (distance, id)
     /// key is total because worker ids are globally unique, so the order
     /// is identical to sorting each list first.
+    ///
+    /// `_unused` is never touched: it is kept only so existing four-argument
+    /// callers still compile. Pass `&mut Vec::new()`, which does not
+    /// allocate.
     pub fn outer_coverers_into(
         &self,
         p: PlatformId,
         point: Point,
         out: &mut Vec<(PlatformId, IdleWorker)>,
-        grid_buf: &mut Vec<com_geo::GridEntry>,
+        _unused: &mut Vec<IdleWorker>,
     ) {
         out.clear();
         for (idx, wl) in self.waiting.iter().enumerate() {
@@ -302,7 +298,7 @@ impl World {
                 continue;
             }
             let pid = PlatformId(idx as u16);
-            wl.coverers_each(point, grid_buf, |w| out.push((pid, w)));
+            wl.coverers_each(point, |w| out.push((pid, w)));
         }
         let metric = self.config.metric;
         out.sort_by(|a, b| {

@@ -1,7 +1,7 @@
 //! Typed identifiers.
 //!
 //! Newtypes keep worker/request/platform ids from being mixed up across the
-//! crate boundary and give the spatial index a stable `u64` key space.
+//! crate boundary and give every id map a stable `u64` key space.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -101,6 +101,16 @@ fn telemetry_counters_track_the_pricing_work() {
     assert!(exits > 0, "pricing.margin_exits missing");
     assert!(exits <= merges, "{exits} margin exits in {merges} merges");
     assert!(t.counter("pricing.candidates_evaluated").unwrap_or(0) >= merges);
+
+    // Candidate search splits into the workers its ring scanned and the
+    // ones whose range covered the request: the gap is what the coverage
+    // test discarded.
+    let candidates = t.counter("grid.candidates").unwrap_or(0);
+    let scanned = t.counter("grid.entries_scanned").unwrap_or(0);
+    assert!(
+        0 < candidates && candidates <= scanned,
+        "{candidates} candidates of {scanned} entries scanned"
+    );
 }
 
 #[test]

@@ -56,15 +56,12 @@ fn sparse_and_dense_exact_solvers_agree_on_synthetic_instances() {
 }
 
 #[test]
-fn upper_bound_caps_everything() {
+fn exact_off_caps_the_greedy_schedule_without_reentry() {
+    // No re-entry, so both solve the same combinatorial problem and the
+    // exact matching is at least the schedule heuristic.
     let inst = one_shot_instance(77, 100, 50);
-    let ub = offline_solve(&inst, OfflineMode::UpperBound).total_revenue;
     let exact = offline_solve(&inst, OfflineMode::ExactBipartite).total_revenue;
     let greedy = offline_solve(&inst, OfflineMode::GreedySchedule).total_revenue;
-    assert!(ub >= exact);
-    assert!(ub >= greedy);
-    // And the exact matching is at least the schedule heuristic here
-    // (no re-entry, so both solve the same combinatorial problem).
     assert!(exact >= greedy - 1e-6);
 }
 

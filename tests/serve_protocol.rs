@@ -484,6 +484,105 @@ fn refused_worker_lines_stage_no_history(frame: Option<&str>) {
     handle.shutdown();
 }
 
+/// Four `hello` lines that must never reach `World::new`: no platforms, a
+/// radius serde_json reads as +∞, a city too wide for its grid, and a
+/// roster too long for it. Built as wire text, since +∞ has no JSON form.
+fn hostile_hello_lines() -> Vec<(&'static str, String)> {
+    let base = Hello {
+        matcher: "tota".into(),
+        seed: 1,
+        world: WorldConfig::city(30.0),
+        platforms: vec!["A".into(), "B".into()],
+        max_value: None,
+        origin: None,
+        frame: None,
+        fed: None,
+    };
+    let line = |hello: Hello| serde_json::to_string(&ClientMsg::hello(hello)).expect("serialise");
+    let mut infinite = base.clone();
+    infinite.world.expected_radius = 12345.5;
+    let mut wide = base.clone();
+    wide.world.extent = com_geo::BoundingBox::square(100_000.0);
+    vec![
+        (
+            "no platforms",
+            line(Hello {
+                platforms: Vec::new(),
+                ..base.clone()
+            }),
+        ),
+        (
+            "infinite radius",
+            line(infinite).replace("12345.5", "1e400"),
+        ),
+        ("100,000 km extent", line(wide)),
+        (
+            "60,000 platforms",
+            line(Hello {
+                platforms: (0..60_000).map(|i| format!("p{i}")).collect(),
+                ..base
+            }),
+        ),
+    ]
+}
+
+#[test]
+fn hostile_hellos_are_refused_and_the_daemon_keeps_serving() {
+    use std::io::{BufReader, Write};
+    let handle = serve(ServerConfig {
+        shards: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let addr = handle.addr().to_string();
+
+    // A refused hello opens no session, so all four share one connection.
+    // The read timeout turns a silent (dead) shard into a failure, not a
+    // hang.
+    let stream = std::net::TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    for (what, line) in hostile_hello_lines() {
+        (&stream)
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+        let frame = com_serve::read_server_frame(&mut reader, com_serve::MAX_FRAME_PAYLOAD)
+            .unwrap_or_else(|e| panic!("{what}: no reply ({e})"));
+        let ServerMsg::error(e) = frame.msg else {
+            panic!("{what}: expected bad-hello, got {:?}", frame.msg);
+        };
+        assert_eq!(e.code, "bad-hello", "{what}: {}", e.detail);
+    }
+    assert_eq!(handle.counters().protocol_errors(), 4);
+
+    // The same shard then serves a clean session to its batch digest.
+    let instance = generate(&profiles::quick());
+    let hello = Hello {
+        matcher: "ramcom".into(),
+        seed: 42,
+        world: instance.config.clone(),
+        platforms: instance.platform_names.clone(),
+        max_value: instance.max_value(),
+        origin: None,
+        frame: None,
+        fed: None,
+    };
+    let batch = try_run_online(&instance, &mut RamCom::default(), hello.seed);
+    let mut client = Client::connect(&addr).expect("connect");
+    client.open(None, hello).expect("hello");
+    for event in instance.stream.iter() {
+        let response = client.rpc(&event_msg(&instance, event)).expect("event");
+        assert!(!matches!(response, ServerMsg::error(_)), "{response:?}");
+    }
+    let ServerMsg::bye(bye) = client.rpc(&ClientMsg::shutdown).expect("shutdown") else {
+        panic!("expected bye");
+    };
+    assert_eq!(bye.disagreements(&batch), Vec::<String>::new());
+    handle.shutdown();
+}
+
 #[test]
 fn refused_worker_lines_stage_no_history_over_ndjson() {
     refused_worker_lines_stage_no_history(None);
