@@ -40,7 +40,9 @@
 //! * `--json` — write the report. One schema whatever K and M: run
 //!   parameters (`scenario`, `matcher`, `seed`, `connections`,
 //!   `sessions`, `requests`, `workers`, `events`, `frame`, `window`),
-//!   results (`wall_secs`, `events_per_sec`, `queue_high_water`),
+//!   results (`wall_secs`, `events_per_sec`, `queue_high_water`,
+//!   `general_frames` — binary frames the server decoded through `Content`
+//!   rather than a typed hot layout; a binary run's cold messages only),
 //!   `per_session[]` (`sid` — null when bare —
 //!   `connection`, `seed`, `assigned`, `rejected`, `refused`, `revenue`,
 //!   `completed`, `audit_findings`, `digest`), the server's
@@ -159,8 +161,8 @@ fn us(ns: u64) -> f64 {
 /// microsecond of a request's server time goes.
 fn print_phase_table(deep: &DeepStatsMsg) {
     println!(
-        "server phases ({}, queue depth {} / high-water {}):",
-        deep.algorithm, deep.queue_depth, deep.queue_high_water,
+        "server phases ({}, queue depth {} / high-water {}, general frames {}):",
+        deep.algorithm, deep.queue_depth, deep.queue_high_water, deep.general_frames,
     );
     println!(
         "  {:<18} {:>8} {:>10} {:>10} {:>10} {:>10}",
@@ -312,6 +314,7 @@ fn main() {
             "wall_secs": report.wall_secs,
             "events_per_sec": report.events_per_sec(),
             "queue_high_water": deep.map_or(0, |d| d.queue_high_water),
+            "general_frames": deep.map_or(0, |d| d.general_frames),
             "per_session": per_session,
             "server_shards": shards,
             "server_phases": phases,

@@ -15,8 +15,8 @@ use std::net::TcpStream;
 
 use crate::framing::{self, WireFormat, FRAME_MAGIC, MAX_FRAME_PAYLOAD};
 use crate::protocol::{
-    decode_server_frame, server_frame_from_content, write_msg, ByeMsg, ClientMsg, DeepStatsMsg,
-    Envelope, Hello, ServerFrame, ServerMsg,
+    decode_server_frame, write_msg, ByeMsg, ClientMsg, DecodeError, DeepStatsMsg, Hello,
+    ServerFrame, ServerMsg,
 };
 
 /// What a [`Client`] lets one server message grow past
@@ -66,8 +66,13 @@ pub fn read_server_frame<R: BufRead>(reader: &mut R, cap: usize) -> io::Result<S
             }
             let mut payload = vec![0u8; len];
             reader.read_exact(&mut payload)?;
-            let content = framing::decode_payload(&payload).map_err(|e| bad_data(e.to_string()))?;
-            return server_frame_from_content(&content).map_err(|e| bad_data(e.to_string()));
+            let (decoded, _general) = framing::read_frame::<ServerMsg>(&payload);
+            return decoded.map_err(|e| match e {
+                // Bytes that are no value at all: the payload decoder's
+                // own message.
+                DecodeError::BadFrame(detail) => bad_data(detail),
+                e => bad_data(e.to_string()),
+            });
         }
         let mut line = String::new();
         let limit = (cap as u64).saturating_add(1);
@@ -124,7 +129,7 @@ impl Client {
     /// without flushing — bare when `None`, in the mux envelope
     /// otherwise. Call [`Client::flush`] before blocking on a response.
     pub fn queue_for(&mut self, sid: Option<u64>, msg: &ClientMsg) {
-        write_msg(self.format, &Envelope { sid, msg }, &mut self.wbuf);
+        write_msg(self.format, sid, msg, &mut self.wbuf);
         self.queued += 1;
     }
 
@@ -228,7 +233,7 @@ impl Client {
 mod tests {
     use super::*;
     use crate::framing::encode_frame;
-    use crate::protocol::{encode, ByeMsg};
+    use crate::protocol::{encode, ByeMsg, Envelope};
     use std::io::ErrorKind;
 
     /// `read_server_frame` under the peer link's constant cap.

@@ -230,7 +230,7 @@ impl OutsourceChannel for WireOutsource {
             deadline_ms: self.deadline.as_millis() as u64,
         });
         let mut bytes = Vec::with_capacity(256);
-        write_msg(link.format, &msg, &mut bytes);
+        write_msg(link.format, None, &msg, &mut bytes);
         let deadline = Instant::now() + self.deadline;
         let mut retried = false;
         let outcome = loop {

@@ -9,9 +9,9 @@
 //! ```
 //!
 //! The payload is a tag-prefixed encoding of the same [`Content`] value
-//! tree the JSON path serializes through, so *every* protocol message —
-//! including the free-form `canonical` JSON inside `bye` — round-trips
-//! without a second schema:
+//! tree the JSON path serializes through, so any protocol message —
+//! including the free-form `canonical` JSON inside `bye` — has exactly one
+//! binary form:
 //!
 //! | tag  | value                                            |
 //! |------|--------------------------------------------------|
@@ -24,6 +24,17 @@
 //! | 0x06 | string: varint byte length + UTF-8 bytes         |
 //! | 0x07 | sequence: varint count + that many values        |
 //! | 0x08 | map: varint count + that many key/value pairs    |
+//!
+//! **Hot layouts.** The five messages every event crosses — client
+//! `request` and `worker`, server `ok`, `assign` and `reject`, bare or in
+//! the `{"sid","msg"}` mux envelope — are written and read straight
+//! between bytes and structs ([`WireMsg`]), with no value tree in
+//! between. Their layout is the canonical `Content` encoding written
+//! directly: the derive's key order, the derive's tags, the same bytes
+//! [`write_frame`] produces. [`read_frame`] takes that layout and nothing
+//! else; any other encoding of any message — keys reordered, an integer
+//! sent as a float, a cold message — still decodes, through `Content`,
+//! to exactly the result it always had.
 //!
 //! The magic byte `0xB1` can never begin an NDJSON line (it is not ASCII
 //! and not a valid UTF-8 leading byte), so both sides detect the framing
@@ -38,7 +49,14 @@
 //! schema-free `Content`, and message evolution happens at the protocol
 //! layer exactly as for JSON.
 
+use com_geo::Point;
+use com_pricing::WorkerHistory;
+use com_sim::{
+    Assignment, MatchKind, PlatformId, RequestId, RequestSpec, Timestamp, WorkerId, WorkerSpec,
+};
 use serde::{Content, Deserialize, Serialize};
+
+use crate::protocol::{frame_from_content, ClientMsg, DecodeError, Frame, ServerMsg, WorkerMsg};
 
 /// First byte of every binary frame. Not ASCII, not a valid UTF-8
 /// leading byte — unambiguous against NDJSON.
@@ -127,29 +145,40 @@ fn put_varint(mut v: u64, out: &mut Vec<u8>) {
     }
 }
 
+fn put_u64(v: u64, out: &mut Vec<u8>) {
+    out.push(0x03);
+    put_varint(v, out);
+}
+
+fn put_f64(v: f64, out: &mut Vec<u8>) {
+    out.push(0x05);
+    out.extend_from_slice(&v.to_bits().to_le_bytes());
+}
+
+fn put_str(s: &str, out: &mut Vec<u8>) {
+    out.push(0x06);
+    put_varint(s.len() as u64, out);
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn put_map(count: usize, out: &mut Vec<u8>) {
+    out.push(0x08);
+    put_varint(count as u64, out);
+}
+
 fn put_content(c: &Content, out: &mut Vec<u8>) {
     match c {
         Content::Null => out.push(0x00),
         Content::Bool(false) => out.push(0x01),
         Content::Bool(true) => out.push(0x02),
-        Content::U64(v) => {
-            out.push(0x03);
-            put_varint(*v, out);
-        }
+        Content::U64(v) => put_u64(*v, out),
         Content::I64(v) => {
             out.push(0x04);
             // Zigzag: small magnitudes stay small regardless of sign.
             put_varint(((v << 1) ^ (v >> 63)) as u64, out);
         }
-        Content::F64(v) => {
-            out.push(0x05);
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        Content::Str(s) => {
-            out.push(0x06);
-            put_varint(s.len() as u64, out);
-            out.extend_from_slice(s.as_bytes());
-        }
+        Content::F64(v) => put_f64(*v, out),
+        Content::Str(s) => put_str(s, out),
         Content::Seq(items) => {
             out.push(0x07);
             put_varint(items.len() as u64, out);
@@ -158,8 +187,7 @@ fn put_content(c: &Content, out: &mut Vec<u8>) {
             }
         }
         Content::Map(entries) => {
-            out.push(0x08);
-            put_varint(entries.len() as u64, out);
+            put_map(entries.len(), out);
             for (k, v) in entries {
                 put_content(k, out);
                 put_content(v, out);
@@ -168,13 +196,20 @@ fn put_content(c: &Content, out: &mut Vec<u8>) {
     }
 }
 
-/// Append one complete frame (header + payload) for `msg` to `out`.
-pub fn write_frame<T: Serialize>(msg: &T, out: &mut Vec<u8>) {
+/// Append one frame to `out`: the header, then the payload `put` writes,
+/// then the header's length patched in.
+fn put_frame(out: &mut Vec<u8>, put: impl FnOnce(&mut Vec<u8>)) {
     let start = out.len();
     out.extend_from_slice(&[FRAME_MAGIC, 0, 0, 0, 0]);
-    put_content(&msg.to_content(), out);
+    put(out);
     let payload = (out.len() - start - FRAME_HEADER_LEN) as u32;
     out[start + 1..start + FRAME_HEADER_LEN].copy_from_slice(&payload.to_le_bytes());
+}
+
+/// Append one complete frame (header + payload) for `msg` to `out`,
+/// through its `Content` tree.
+pub fn write_frame<T: Serialize>(msg: &T, out: &mut Vec<u8>) {
+    put_frame(out, |out| put_content(&msg.to_content(), out));
 }
 
 /// One complete frame for `msg` as a fresh buffer.
@@ -219,6 +254,11 @@ impl<'a> Cursor<'a> {
         Err(malformed("varint longer than 10 bytes"))
     }
 
+    fn f64_bits(&mut self) -> Result<f64, FrameError> {
+        let bits = u64::from_le_bytes(self.take(8)?.try_into().unwrap());
+        Ok(f64::from_bits(bits))
+    }
+
     fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
@@ -236,10 +276,7 @@ impl<'a> Cursor<'a> {
                 let z = self.varint()?;
                 Ok(Content::I64(((z >> 1) as i64) ^ -((z & 1) as i64)))
             }
-            0x05 => {
-                let bits = u64::from_le_bytes(self.take(8)?.try_into().unwrap());
-                Ok(Content::F64(f64::from_bits(bits)))
-            }
+            0x05 => Ok(Content::F64(self.f64_bits()?)),
             0x06 => {
                 let len = self.varint()? as usize;
                 let bytes = self.take(len)?;
@@ -329,6 +366,394 @@ pub fn split_frame(buf: &[u8]) -> FrameSplit {
     }
     FrameSplit::Complete {
         consumed: FRAME_HEADER_LEN + len,
+    }
+}
+
+// ----------------------------------------------------------- hot layouts
+
+/// A protocol message type a binary frame carries — [`ClientMsg`] and
+/// [`ServerMsg`] — with its hot variants written and read directly (see
+/// the module doc). Both directions produce and accept only the bytes
+/// `Content` would.
+pub trait WireMsg: Serialize + Deserialize {
+    /// Append the canonical payload of a hot variant and return `true`;
+    /// write nothing and return `false` for a cold one.
+    fn put_hot(&self, out: &mut Vec<u8>) -> bool;
+
+    /// The hot variant whose canonical payload is exactly `payload`, or
+    /// `None` for any other bytes.
+    fn take_hot(payload: &[u8]) -> Option<Self>;
+}
+
+/// The mux envelope up to the sid's varint: a two-entry map whose first
+/// key is `"sid"` and whose first value is a `u64`.
+const ENVELOPE_HEAD: &[u8] = b"\x08\x02\x06\x03sid\x03";
+
+/// Append one complete frame for `msg` addressed to `sid` (`None` = bare):
+/// the envelope and the hot variants written directly, a cold message
+/// through `Content` — the same bytes [`write_frame`] writes for the
+/// equivalent [`Frame`].
+pub(crate) fn write_frame_for<M: WireMsg>(sid: Option<u64>, msg: &M, out: &mut Vec<u8>) {
+    put_frame(out, |out| {
+        if let Some(sid) = sid {
+            out.extend_from_slice(ENVELOPE_HEAD);
+            put_varint(sid, out);
+            put_str("msg", out);
+        }
+        if !msg.put_hot(out) {
+            put_content(&msg.to_content(), out);
+        }
+    });
+}
+
+/// Decode one frame payload (header stripped) into a typed frame — the one
+/// binary reader, on both sides of the wire. A canonical hot layout is
+/// read straight into its struct; every other payload decodes through
+/// `Content`, which the second value reports, with exactly the result it
+/// always had: [`DecodeError::BadFrame`] for bytes that are no value,
+/// [`DecodeError::BadEnvelope`] / [`DecodeError::UnknownMessage`] for a
+/// value that is no frame.
+pub fn read_frame<M: WireMsg>(payload: &[u8]) -> (Result<Frame<M>, DecodeError>, bool) {
+    if let Some(frame) = hot_frame(payload) {
+        return (Ok(frame), false);
+    }
+    let decoded = match decode_payload(payload) {
+        Ok(content) => frame_from_content(&content),
+        Err(e) => Err(DecodeError::BadFrame(e.to_string())),
+    };
+    (decoded, true)
+}
+
+fn hot_frame<M: WireMsg>(payload: &[u8]) -> Option<Frame<M>> {
+    let Some(rest) = payload.strip_prefix(ENVELOPE_HEAD) else {
+        return M::take_hot(payload).map(|msg| Frame { sid: None, msg });
+    };
+    let mut cur = Cursor {
+        bytes: rest,
+        pos: 0,
+    };
+    let sid = cur.varint().ok()?;
+    cur.key("msg")?;
+    let msg = M::take_hot(&rest[cur.pos..])?;
+    Some(Frame {
+        sid: Some(sid),
+        msg,
+    })
+}
+
+/// `read` over all of `bytes`: `None` unless it succeeds and consumes
+/// every byte.
+fn exact<'a, T>(bytes: &'a [u8], read: impl FnOnce(&mut Cursor<'a>) -> Option<T>) -> Option<T> {
+    let mut cur = Cursor { bytes, pos: 0 };
+    let value = read(&mut cur)?;
+    (cur.pos == bytes.len()).then_some(value)
+}
+
+/// A timestamp exactly as the derived decoder builds one: a NaN goes
+/// through to the session's typed refusal instead of tripping
+/// `Timestamp::from_secs`.
+fn timestamp(secs: f64) -> Timestamp {
+    Timestamp::from_content(&Content::F64(secs)).expect("every float is a timestamp")
+}
+
+/// Readers for the canonical layout: each is `None` unless the next bytes
+/// carry exactly the tag (and, for maps, the entry count) the derive
+/// writes.
+impl<'a> Cursor<'a> {
+    fn tag(&mut self, tag: u8) -> Option<()> {
+        if self.bytes.get(self.pos) != Some(&tag) {
+            return None;
+        }
+        self.pos += 1;
+        Some(())
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.tag(0x03)?;
+        self.varint().ok()
+    }
+
+    fn f64(&mut self) -> Option<f64> {
+        self.tag(0x05)?;
+        self.f64_bits().ok()
+    }
+
+    fn bool(&mut self) -> Option<bool> {
+        match self.byte().ok()? {
+            0x01 => Some(false),
+            0x02 => Some(true),
+            _ => None,
+        }
+    }
+
+    fn str(&mut self) -> Option<&'a [u8]> {
+        self.tag(0x06)?;
+        let len = self.varint().ok()? as usize;
+        self.take(len).ok()
+    }
+
+    fn key(&mut self, key: &str) -> Option<()> {
+        (self.str()? == key.as_bytes()).then_some(())
+    }
+
+    fn map(&mut self, count: u64) -> Option<()> {
+        self.tag(0x08)?;
+        (self.varint().ok()? == count).then_some(())
+    }
+
+    /// The value of the next map entry, whose key must be `key`.
+    fn field<T>(&mut self, key: &str, read: impl FnOnce(&mut Self) -> Option<T>) -> Option<T> {
+        self.key(key)?;
+        read(self)
+    }
+
+    /// `null` as `None`, anything else through `read`.
+    fn opt<T>(&mut self, read: impl FnOnce(&mut Self) -> Option<T>) -> Option<Option<T>> {
+        if self.tag(0x00).is_some() {
+            return Some(None);
+        }
+        read(self).map(Some)
+    }
+
+    fn platform(&mut self) -> Option<PlatformId> {
+        u16::try_from(self.u64()?).ok().map(PlatformId)
+    }
+
+    fn point(&mut self) -> Option<Point> {
+        self.map(2)?;
+        Some(Point {
+            x: self.field("x", Self::f64)?,
+            y: self.field("y", Self::f64)?,
+        })
+    }
+
+    fn request(&mut self) -> Option<RequestSpec> {
+        self.map(5)?;
+        Some(RequestSpec {
+            id: RequestId(self.field("id", Self::u64)?),
+            platform: self.field("platform", Self::platform)?,
+            arrival: timestamp(self.field("arrival", Self::f64)?),
+            location: self.field("location", Self::point)?,
+            value: self.field("value", Self::f64)?,
+        })
+    }
+
+    fn worker_spec(&mut self) -> Option<WorkerSpec> {
+        self.map(5)?;
+        Some(WorkerSpec {
+            id: WorkerId(self.field("id", Self::u64)?),
+            platform: self.field("platform", Self::platform)?,
+            arrival: timestamp(self.field("arrival", Self::f64)?),
+            location: self.field("location", Self::point)?,
+            radius: self.field("radius", Self::f64)?,
+        })
+    }
+
+    /// Only finite, non-negative values: all `WorkerHistory`'s own decoder
+    /// accepts, and all `from_values` (which sorts them the same way)
+    /// asserts on.
+    fn history(&mut self) -> Option<WorkerHistory> {
+        self.map(1)?;
+        self.key("values")?;
+        self.tag(0x07)?;
+        let count = self.varint().ok()?;
+        // A `collect`, like `Vec::<f64>::from_content`: the vector grows
+        // exactly as it does on the `Content` path, so a history costs the
+        // same heap either way.
+        let values: Option<Vec<f64>> = (0..count)
+            .map(|_| self.f64().filter(|v| v.is_finite() && *v >= 0.0))
+            .collect();
+        Some(WorkerHistory::from_values(values?))
+    }
+
+    fn worker(&mut self) -> Option<WorkerMsg> {
+        self.map(2)?;
+        Some(WorkerMsg {
+            spec: self.field("spec", Self::worker_spec)?,
+            history: self.field("history", |c| c.opt(Self::history))?,
+        })
+    }
+
+    fn kind(&mut self) -> Option<MatchKind> {
+        match self.str()? {
+            b"Inner" => Some(MatchKind::Inner),
+            b"Outer" => Some(MatchKind::Outer),
+            b"Rejected" => Some(MatchKind::Rejected),
+            _ => None,
+        }
+    }
+
+    fn assignment(&mut self) -> Option<Assignment> {
+        self.map(9)?;
+        Some(Assignment {
+            request: self.field("request", Self::request)?,
+            kind: self.field("kind", Self::kind)?,
+            worker: self.field("worker", |c| c.opt(|c| c.u64().map(WorkerId)))?,
+            worker_platform: self.field("worker_platform", |c| c.opt(Self::platform))?,
+            outer_payment: self.field("outer_payment", Self::f64)?,
+            was_cooperative_offer: self.field("was_cooperative_offer", Self::bool)?,
+            travel_km: self.field("travel_km", Self::f64)?,
+            decided_at: timestamp(self.field("decided_at", Self::f64)?),
+            decision_nanos: self.field("decision_nanos", Self::u64)?,
+        })
+    }
+}
+
+fn put_point(p: Point, out: &mut Vec<u8>) {
+    put_map(2, out);
+    put_str("x", out);
+    put_f64(p.x, out);
+    put_str("y", out);
+    put_f64(p.y, out);
+}
+
+/// The map head and first four fields `RequestSpec` and `WorkerSpec`
+/// share; each writes its own fifth.
+fn put_spec_head(
+    id: u64,
+    platform: PlatformId,
+    arrival: Timestamp,
+    location: Point,
+    out: &mut Vec<u8>,
+) {
+    put_map(5, out);
+    put_str("id", out);
+    put_u64(id, out);
+    put_str("platform", out);
+    put_u64(platform.0.into(), out);
+    put_str("arrival", out);
+    put_f64(arrival.as_secs(), out);
+    put_str("location", out);
+    put_point(location, out);
+}
+
+fn put_request(r: &RequestSpec, out: &mut Vec<u8>) {
+    put_spec_head(r.id.0, r.platform, r.arrival, r.location, out);
+    put_str("value", out);
+    put_f64(r.value, out);
+}
+
+fn put_worker(msg: &WorkerMsg, out: &mut Vec<u8>) {
+    let w = &msg.spec;
+    put_map(2, out);
+    put_str("spec", out);
+    put_spec_head(w.id.0, w.platform, w.arrival, w.location, out);
+    put_str("radius", out);
+    put_f64(w.radius, out);
+    put_str("history", out);
+    match &msg.history {
+        None => out.push(0x00),
+        Some(history) => {
+            put_map(1, out);
+            put_str("values", out);
+            out.push(0x07);
+            put_varint(history.len() as u64, out);
+            for &v in history.values() {
+                put_f64(v, out);
+            }
+        }
+    }
+}
+
+fn put_opt_u64(v: Option<u64>, out: &mut Vec<u8>) {
+    match v {
+        Some(v) => put_u64(v, out),
+        None => out.push(0x00),
+    }
+}
+
+fn put_assignment(a: &Assignment, out: &mut Vec<u8>) {
+    put_map(9, out);
+    put_str("request", out);
+    put_request(&a.request, out);
+    put_str("kind", out);
+    put_str(
+        match a.kind {
+            MatchKind::Inner => "Inner",
+            MatchKind::Outer => "Outer",
+            MatchKind::Rejected => "Rejected",
+        },
+        out,
+    );
+    put_str("worker", out);
+    put_opt_u64(a.worker.map(|w| w.0), out);
+    put_str("worker_platform", out);
+    put_opt_u64(a.worker_platform.map(|p| p.0.into()), out);
+    put_str("outer_payment", out);
+    put_f64(a.outer_payment, out);
+    put_str("was_cooperative_offer", out);
+    out.push(if a.was_cooperative_offer { 0x02 } else { 0x01 });
+    put_str("travel_km", out);
+    put_f64(a.travel_km, out);
+    put_str("decided_at", out);
+    put_f64(a.decided_at.as_secs(), out);
+    put_str("decision_nanos", out);
+    put_u64(a.decision_nanos, out);
+}
+
+/// An externally tagged variant's head: a one-entry map keyed by its tag.
+fn put_variant(tag: &str, out: &mut Vec<u8>) {
+    put_map(1, out);
+    put_str(tag, out);
+}
+
+impl WireMsg for ClientMsg {
+    fn put_hot(&self, out: &mut Vec<u8>) -> bool {
+        match self {
+            ClientMsg::request(spec) => {
+                put_variant("request", out);
+                put_request(spec, out);
+            }
+            ClientMsg::worker(msg) => {
+                put_variant("worker", out);
+                put_worker(msg, out);
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    fn take_hot(payload: &[u8]) -> Option<Self> {
+        exact(payload, |cur| {
+            cur.map(1)?;
+            match cur.str()? {
+                b"request" => cur.request().map(ClientMsg::request),
+                b"worker" => cur.worker().map(ClientMsg::worker),
+                _ => None,
+            }
+        })
+    }
+}
+
+impl WireMsg for ServerMsg {
+    fn put_hot(&self, out: &mut Vec<u8>) -> bool {
+        match self {
+            ServerMsg::ok => put_str("ok", out),
+            ServerMsg::assign(a) => {
+                put_variant("assign", out);
+                put_assignment(a, out);
+            }
+            ServerMsg::reject(a) => {
+                put_variant("reject", out);
+                put_assignment(a, out);
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    fn take_hot(payload: &[u8]) -> Option<Self> {
+        exact(payload, |cur| {
+            if payload.first() == Some(&0x06) {
+                return cur.key("ok").map(|()| ServerMsg::ok);
+            }
+            cur.map(1)?;
+            match cur.str()? {
+                b"assign" => cur.assignment().map(ServerMsg::assign),
+                b"reject" => cur.assignment().map(ServerMsg::reject),
+                _ => None,
+            }
+        })
     }
 }
 

@@ -13,7 +13,8 @@
 //!   `{"sid":…,"msg":…}` mux envelope that addresses one of many logical
 //!   sessions on a connection.
 //! * [`framing`] — the optional length-prefixed binary framing,
-//!   negotiated per session in `hello` (`"frame": "binary"`); NDJSON
+//!   negotiated per session in `hello` (`"frame": "binary"`), with the
+//!   hot messages written and read straight from their structs; NDJSON
 //!   stays the default and the debug path.
 //! * [`session`] — one logical session: a [`com_core::MatchSession`] plus
 //!   the event log needed to audit the finished run with `validate_run`.
@@ -63,14 +64,15 @@ pub use drive::{
 };
 pub use fed::{FedShared, WireOutsource, DEFAULT_OFFER_DEADLINE_MS};
 pub use framing::{
-    decode_msg, decode_payload, encode_frame, write_frame, FrameError, WireFormat, FRAME_MAGIC,
-    MAX_FRAME_PAYLOAD, MAX_LINE_BYTES,
+    decode_msg, decode_payload, encode_frame, read_frame, write_frame, FrameError, WireFormat,
+    WireMsg, FRAME_MAGIC, MAX_FRAME_PAYLOAD, MAX_LINE_BYTES,
 };
 pub use protocol::{
     client_frame_from_content, decode_client, decode_client_frame, decode_server,
-    decode_server_frame, encode, server_frame_from_content, ByeMsg, ClientFrame, ClientMsg,
-    CounterRow, DecodeError, DeepStatsMsg, ErrorMsg, FedByeMsg, FedHello, FedStatsMsg, Frame,
-    GaugeRow, Hello, OfferMsg, PhaseRow, ServerFrame, ServerMsg, ShardRow, StatsMsg, WorkerMsg,
+    decode_server_frame, encode, server_frame_from_content, write_msg, ByeMsg, ClientFrame,
+    ClientMsg, CounterRow, DecodeError, DeepStatsMsg, ErrorMsg, FedByeMsg, FedHello, FedStatsMsg,
+    Frame, GaugeRow, Hello, OfferMsg, PhaseRow, ServerFrame, ServerMsg, ShardRow, StatsMsg,
+    WorkerMsg,
 };
 pub use replay::{read_trace, record_session, replay_trace, Divergence, TraceReplayReport};
 pub use server::{serve, QueueStats, ServerConfig, ServerCounters, ServerHandle};

@@ -54,7 +54,7 @@ use com_core::RunResult;
 use com_pricing::WorkerHistory;
 use com_sim::{Assignment, RequestSpec, WorkerSpec, WorldConfig};
 
-use crate::framing::{write_frame, WireFormat};
+use crate::framing::{write_frame_for, WireFormat, WireMsg};
 
 /// Session opener: which matcher to run, the RNG seed, and the world the
 /// session plays out in. `max_value` is the stream's expected largest
@@ -302,6 +302,14 @@ pub struct DeepStatsMsg {
     /// so reports from pre-federation servers still parse.
     #[serde(default)]
     pub bad_envelope_rejected: u64,
+    /// Binary frames this connection decoded through the general `Content`
+    /// path instead of a typed hot layout (see [`crate::framing`]): cold
+    /// messages, malformed frames, and hot messages a peer encoded in any
+    /// non-canonical way. A well-behaved binary client sends only a
+    /// handful. `#[serde(default)]` so reports from older servers still
+    /// parse.
+    #[serde(default)]
+    pub general_frames: u64,
     /// Federation link health for this session, present only in `fedd`
     /// mode (the session carries a [`FedHello`]).
     #[serde(default)]
@@ -540,16 +548,17 @@ pub fn encode<T: Serialize>(msg: &T) -> String {
     serde_json::to_string(msg).expect("protocol messages always serialize")
 }
 
-/// Append `msg` to `out` in `format`: an NDJSON line or one binary frame.
-/// Every writer in the crate (client, server, peer link) goes through
-/// here.
-pub(crate) fn write_msg<T: Serialize>(format: WireFormat, msg: &T, out: &mut Vec<u8>) {
+/// Append `msg`, addressed to `sid` (`None` = bare), to `out` in `format`:
+/// an NDJSON line or one binary frame, hot messages written straight from
+/// their structs (see [`crate::framing`]). Every writer in the crate
+/// (client, server, peer link) goes through here.
+pub fn write_msg<M: WireMsg>(format: WireFormat, sid: Option<u64>, msg: &M, out: &mut Vec<u8>) {
     match format {
         WireFormat::Ndjson => {
-            out.extend_from_slice(encode(msg).as_bytes());
+            out.extend_from_slice(encode(&Envelope { sid, msg }).as_bytes());
             out.push(b'\n');
         }
-        WireFormat::Binary => write_frame(msg, out),
+        WireFormat::Binary => write_frame_for(sid, msg, out),
     }
 }
 
@@ -595,8 +604,8 @@ pub type ClientFrame = Frame<ClientMsg>;
 /// A server message with its mux address.
 pub type ServerFrame = Frame<ServerMsg>;
 
-/// A message *borrowed* together with its mux address — what every writer
-/// serializes, so tagging a message with its `sid` never clones it.
+/// A message *borrowed* together with its mux address — what the NDJSON
+/// writer serializes, so tagging a message with its `sid` never clones it.
 /// Serializes exactly like [`Frame`].
 pub(crate) struct Envelope<'a, T> {
     pub(crate) sid: Option<u64>,
@@ -656,9 +665,11 @@ impl<M: Deserialize> Deserialize for Frame<M> {
     }
 }
 
-/// The one body behind [`client_frame_from_content`] and
-/// [`server_frame_from_content`].
-fn frame_from_content<M: Deserialize>(content: &Content) -> Result<Frame<M>, DecodeError> {
+/// The one body behind [`client_frame_from_content`],
+/// [`server_frame_from_content`] and the binary reader's `Content` path.
+pub(crate) fn frame_from_content<M: Deserialize>(
+    content: &Content,
+) -> Result<Frame<M>, DecodeError> {
     let (sid, msg) = split_envelope(content).map_err(DecodeError::BadEnvelope)?;
     let msg = M::from_content(msg).map_err(|e| DecodeError::UnknownMessage(e.to_string()))?;
     Ok(Frame { sid, msg })
@@ -668,8 +679,9 @@ fn frame_from_content<M: Deserialize>(content: &Content) -> Result<Frame<M>, Dec
 /// Envelope failures (`sid` present but malformed, or `sid` without
 /// `msg`) are [`DecodeError::BadEnvelope`]; a well-formed envelope (or
 /// bare value) whose message is not a protocol message is
-/// [`DecodeError::UnknownMessage`]. The binary framing path calls this
-/// directly on the decoded frame payload.
+/// [`DecodeError::UnknownMessage`]. This is the general path the binary
+/// reader ([`crate::framing::read_frame`]) takes for any payload that is
+/// not a canonical hot layout.
 pub fn client_frame_from_content(content: &Content) -> Result<ClientFrame, DecodeError> {
     frame_from_content(content)
 }
@@ -1014,6 +1026,7 @@ mod tests {
             busy_dropped: 0,
             oversized_rejected: 0,
             bad_envelope_rejected: 0,
+            general_frames: 0,
             shard: Some(2),
             shards: vec![ShardRow {
                 shard: 0,

@@ -52,8 +52,7 @@ use std::time::{Duration, Instant};
 
 use crate::framing::{self, split_frame, FrameSplit, WireFormat, FRAME_MAGIC, MAX_LINE_BYTES};
 use crate::protocol::{
-    decode_client_frame, write_msg, ClientFrame, ClientMsg, DecodeError, Envelope, ErrorMsg,
-    ServerMsg,
+    decode_client_frame, write_msg, ClientFrame, ClientMsg, DecodeError, ErrorMsg, ServerMsg,
 };
 use crate::shard::{place, PoolShared, ShardPool, ShardStats};
 
@@ -343,6 +342,9 @@ pub(crate) struct Conn {
     /// `sid` or missing `msg`) — the `stats_deep.bad_envelope_rejected`
     /// figure.
     pub(crate) bad_envelope: AtomicU64,
+    /// Binary frames decoded through `Content` rather than a typed hot
+    /// layout — the `stats_deep.general_frames` figure.
+    pub(crate) general_frames: AtomicU64,
     pub(crate) done: AtomicBool,
 }
 
@@ -359,6 +361,7 @@ impl Conn {
             poison_noted: AtomicBool::new(false),
             oversized: AtomicU64::new(0),
             bad_envelope: AtomicU64::new(0),
+            general_frames: AtomicU64::new(0),
             done: AtomicBool::new(false),
         })
     }
@@ -393,12 +396,12 @@ impl Conn {
 
     /// Queue one response for the logical session `sid` addresses — bare
     /// for `None`, in the `{"sid":…,"msg":…}` envelope otherwise — into
-    /// the pending buffer without flushing. The envelope borrows the
-    /// message, so tagging a response never clones it.
+    /// the pending buffer without flushing. The message is written where
+    /// it lies, so tagging a response never clones it.
     pub(crate) fn queue_for(&self, sid: Option<u64>, msg: &ServerMsg) {
         let mut state = self.lock();
         let _span = com_obs::span(com_obs::PHASE_SERVE_ENCODE);
-        write_msg(state.format, &Envelope { sid, msg }, &mut state.buf);
+        write_msg(state.format, sid, msg, &mut state.buf);
         if state.buf.len() >= FLUSH_THRESHOLD {
             drop(_span);
             Self::flush_locked(&mut state);
@@ -412,7 +415,7 @@ impl Conn {
         let mut state = self.lock();
         {
             let _span = com_obs::span(com_obs::PHASE_SERVE_ENCODE);
-            write_msg(state.format, &Envelope { sid, msg }, &mut state.buf);
+            write_msg(state.format, sid, msg, &mut state.buf);
         }
         Self::flush_locked(&mut state);
     }
@@ -585,11 +588,11 @@ impl IngressSink for Router {
 
     fn on_frame(&mut self, payload: &[u8]) -> bool {
         let started = Instant::now();
-        let decoded: Result<ClientFrame, DecodeError> = match framing::decode_payload(payload) {
-            Err(e) => Err(DecodeError::BadFrame(e.to_string())),
-            Ok(content) => crate::protocol::client_frame_from_content(&content),
-        };
+        let (decoded, general) = framing::read_frame::<ClientMsg>(payload);
         let decode_ns = started.elapsed().as_nanos() as u64;
+        if general {
+            self.conn.general_frames.fetch_add(1, Ordering::Relaxed);
+        }
         // Reply framing follows offer framing on a pure peer-link
         // connection (no sessions of its own): a borrower sending binary
         // offers reads binary verdicts back. Ordinary session connections

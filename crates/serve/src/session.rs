@@ -457,6 +457,7 @@ impl ServeSession {
             busy_dropped: 0,
             oversized_rejected,
             bad_envelope_rejected,
+            general_frames: 0,
             shard: None,
             shards: Vec::new(),
             federation: self.fed.as_ref().map(|f| f.shared.snapshot(f.platform.0)),

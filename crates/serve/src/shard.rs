@@ -482,6 +482,7 @@ impl Shard {
                 let (depth, high_water) = (queue.depth(), queue.high_water());
                 let oversized = conn.oversized.load(Ordering::Relaxed);
                 let bad_envelope = conn.bad_envelope.load(Ordering::Relaxed);
+                let general_frames = conn.general_frames.load(Ordering::Relaxed);
                 let rows: Vec<ShardRow> = self
                     .daemon
                     .shards
@@ -492,6 +493,7 @@ impl Shard {
                 let shard = self.id as u64;
                 self.with_session(conn, sid, |s| {
                     let mut deep = s.deep_stats(depth, high_water, oversized, bad_envelope);
+                    deep.general_frames = general_frames;
                     deep.shard = Some(shard);
                     deep.shards = rows;
                     ServerMsg::stats_deep(Box::new(deep))

@@ -4,20 +4,26 @@
 //! and a pipelined binary loopback run is byte-identical — canonical
 //! JSON and all — to both the NDJSON run and the batch engine.
 
+use std::collections::BTreeSet;
+
 use com_core::canonical_run_json;
 use com_core::{try_run_online, MatcherRegistry};
 use com_datagen::{generate, synthetic, SyntheticParams};
 use com_geo::Point;
 use com_pricing::WorkerHistory;
 use com_serve::{
-    decode_msg, decode_payload, drive, encode, encode_frame, serve, ByeMsg, Client, ClientMsg,
-    CounterRow, DeepStatsMsg, DriveOptions, ErrorMsg, GaugeRow, Hello, PhaseRow, ServerConfig,
-    ServerMsg, ShardRow, StatsMsg, WireFormat, WorkerMsg, FRAME_MAGIC, MAX_FRAME_PAYLOAD,
+    client_frame_from_content, decode_msg, decode_payload, drive, encode, encode_frame, read_frame,
+    serve, server_frame_from_content, write_msg, ByeMsg, Client, ClientMsg, CounterRow,
+    DecodeError, DeepStatsMsg, DriveOptions, ErrorMsg, Frame, GaugeRow, Hello, PhaseRow,
+    ServerConfig, ServerMsg, ShardRow, StatsMsg, WireFormat, WireMsg, WorkerMsg, FRAME_MAGIC,
+    MAX_FRAME_PAYLOAD,
 };
 use com_sim::{
     Assignment, Instance, MatchKind, PlatformId, RequestId, RequestSpec, Timestamp, WorkerId,
     WorkerSpec, WorldConfig,
 };
+use proptest::prelude::*;
+use serde::{Content, Serialize};
 
 const FRAME_HEADER_LEN: usize = 5;
 
@@ -155,6 +161,7 @@ fn every_server_message_round_trips_through_a_binary_frame() {
         busy_dropped: 0,
         oversized_rejected: 2,
         bad_envelope_rejected: 1,
+        general_frames: 4,
         shard: Some(1),
         shards: vec![ShardRow {
             shard: 1,
@@ -329,6 +336,368 @@ fn truncated_frames_and_trailing_bytes_are_rejected() {
     // A structurally valid value that is not a protocol message fails at
     // the message layer, still without panicking.
     assert!(decode_msg::<ClientMsg>(&encode_frame(&ServerMsg::busy)[FRAME_HEADER_LEN..]).is_err());
+}
+
+/// Every hot message `instance` puts on the wire, both directions, bare
+/// and enveloped: the client stream (each event bare, then under sid
+/// `7919·i`) and the server stream (each `ramcom` seed-42 decision with
+/// `decision_nanos` zeroed as `assign`/`reject`, then `ok`, bare and then
+/// under sid 300).
+type Addressed<M> = Vec<(Option<u64>, M)>;
+
+fn hot_messages(instance: &Instance) -> (Addressed<ClientMsg>, Addressed<ServerMsg>) {
+    let mut client = Vec::new();
+    for (i, event) in instance.stream.iter().enumerate() {
+        let msg = com_serve::event_msg(instance, event);
+        client.push((None, msg.clone()));
+        client.push((Some(7919 * i as u64), msg));
+    }
+    let mut matcher = com_core::MatcherSpec::parse("ramcom").unwrap().build();
+    let run = try_run_online(instance, matcher.as_mut(), 42);
+    let mut server = Vec::new();
+    for assignment in &run.assignments {
+        let assignment = Assignment {
+            decision_nanos: 0,
+            ..assignment.clone()
+        };
+        let response = match assignment.kind {
+            MatchKind::Rejected => ServerMsg::reject(assignment),
+            _ => ServerMsg::assign(assignment),
+        };
+        for sid in [None, Some(300)] {
+            server.push((sid, response.clone()));
+            server.push((sid, ServerMsg::ok));
+        }
+    }
+    (client, server)
+}
+
+/// `msg` for `sid` through the `Content` tree, as [`encode_frame`] writes
+/// any [`Frame`].
+fn content_frame<M: WireMsg + Clone>(sid: Option<u64>, msg: &M) -> Vec<u8> {
+    encode_frame(&Frame {
+        sid,
+        msg: msg.clone(),
+    })
+}
+
+/// `msg` for `sid` through the writer every peer uses.
+fn typed_frame<M: WireMsg>(sid: Option<u64>, msg: &M) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_msg(WireFormat::Binary, sid, msg, &mut out);
+    out
+}
+
+/// One wire stream: its frame count, byte count and `fnv1a64` digest.
+#[derive(Debug, PartialEq)]
+struct Stream(usize, usize, String);
+
+fn stream<M>(messages: &Addressed<M>, write: impl Fn(Option<u64>, &M) -> Vec<u8>) -> Stream {
+    let bytes: Vec<u8> = messages
+        .iter()
+        .flat_map(|(sid, msg)| write(*sid, msg))
+        .collect();
+    Stream(
+        messages.len(),
+        bytes.len(),
+        format!("{:016x}", com_core::fnv1a64(&bytes)),
+    )
+}
+
+#[test]
+fn hot_message_wire_bytes_are_pinned() {
+    let pins = [
+        (
+            "quick",
+            com_datagen::profiles::quick(),
+            Stream(1_040, 277_193, "bac2b9e58d413ea9".into()),
+            Stream(1_600, 232_364, "5b2542dc2167d6cf".into()),
+        ),
+        (
+            "chengdu_oct",
+            com_datagen::profiles::chengdu_oct(),
+            Stream(39_620, 6_737_991, "e3d457b8ca1fb289".into()),
+            Stream(72_764, 10_588_704, "d559ac438714ba87".into()),
+        ),
+    ];
+    for (name, config, client, server) in pins {
+        let (to_server, to_client) = hot_messages(&generate(&config));
+        assert_eq!(stream(&to_server, content_frame), client, "{name}: Content");
+        assert_eq!(stream(&to_server, typed_frame), client, "{name}: typed");
+        assert_eq!(stream(&to_client, content_frame), server, "{name}: Content");
+        assert_eq!(stream(&to_client, typed_frame), server, "{name}: typed");
+    }
+}
+
+/// Read one frame through the shared reader and through `Content` alone,
+/// the way every binary frame was read before the hot layouts: both must
+/// give the same `Result` — the same error, text included, or frames that
+/// write back to the same bytes, so even a NaN's bits count. Returns
+/// whether the typed path read it.
+fn read_both<M: WireMsg + std::fmt::Debug>(
+    payload: &[u8],
+    from_content: fn(&Content) -> Result<Frame<M>, DecodeError>,
+) -> bool {
+    let general = decode_payload(payload)
+        .map_err(|e| DecodeError::BadFrame(e.to_string()))
+        .and_then(|c| from_content(&c));
+    let (shared, was_general) = read_frame::<M>(payload);
+    match (&shared, &general) {
+        (Ok(a), Ok(b)) => assert_eq!(
+            typed_frame(a.sid, &a.msg),
+            typed_frame(b.sid, &b.msg),
+            "{a:?} != {b:?}"
+        ),
+        _ => assert_eq!(shared.err(), general.err(), "payload {payload:02x?}"),
+    }
+    !was_general
+}
+
+fn read_client(payload: &[u8]) -> bool {
+    read_both::<ClientMsg>(payload, client_frame_from_content)
+}
+
+fn read_server(payload: &[u8]) -> bool {
+    read_both::<ServerMsg>(payload, server_frame_from_content)
+}
+
+/// One property case's inputs: special values often, arbitrary bits
+/// otherwise.
+struct Draws(Vec<u64>);
+
+impl Draws {
+    fn next(&mut self) -> u64 {
+        self.0.pop().unwrap_or(7)
+    }
+
+    fn u64(&mut self) -> u64 {
+        match self.next() {
+            d if d % 3 == 0 => u64::MAX, // a 10-byte varint
+            d if d % 3 == 1 => d >> 54,
+            d => d,
+        }
+    }
+
+    fn f64(&mut self) -> f64 {
+        const SPECIAL: [f64; 7] = [
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            2.5,
+        ];
+        match self.next() {
+            d if d % 2 == 0 => SPECIAL[(d / 2 % 7) as usize],
+            d => f64::from_bits(d),
+        }
+    }
+
+    fn bool(&mut self) -> bool {
+        self.next().is_multiple_of(2)
+    }
+
+    fn sid(&mut self) -> Option<u64> {
+        self.bool().then(|| self.u64())
+    }
+
+    fn timestamp(&mut self) -> Timestamp {
+        // Any float, NaN included, as a decoder would build it.
+        serde::Deserialize::from_content(&Content::F64(self.f64())).unwrap()
+    }
+
+    fn point(&mut self) -> Point {
+        Point::new(self.f64(), self.f64())
+    }
+
+    fn request(&mut self) -> RequestSpec {
+        RequestSpec {
+            id: RequestId(self.u64()),
+            platform: PlatformId(self.next() as u16),
+            arrival: self.timestamp(),
+            location: self.point(),
+            value: self.f64(),
+        }
+    }
+
+    fn worker(&mut self) -> WorkerSpec {
+        WorkerSpec {
+            id: WorkerId(self.u64()),
+            platform: PlatformId(self.next() as u16),
+            arrival: self.timestamp(),
+            location: self.point(),
+            radius: self.f64(),
+        }
+    }
+
+    /// Empty, or a few values from a small lattice: duplicates, zeros and
+    /// (before sorting) any order.
+    fn history(&mut self) -> Option<WorkerHistory> {
+        let len = (self.next() % 6) as usize;
+        self.bool().then(|| {
+            WorkerHistory::from_values((0..len).map(|_| (self.next() % 4) as f64).collect())
+        })
+    }
+
+    fn client(&mut self) -> ClientMsg {
+        if self.bool() {
+            ClientMsg::request(self.request())
+        } else {
+            ClientMsg::worker(WorkerMsg {
+                spec: self.worker(),
+                history: self.history(),
+            })
+        }
+    }
+
+    fn server(&mut self) -> ServerMsg {
+        let assignment = Assignment {
+            request: self.request(),
+            kind: [MatchKind::Inner, MatchKind::Outer, MatchKind::Rejected]
+                [(self.next() % 3) as usize],
+            worker: self.bool().then(|| WorkerId(self.u64())),
+            worker_platform: self.bool().then(|| PlatformId(self.next() as u16)),
+            outer_payment: self.f64(),
+            was_cooperative_offer: self.bool(),
+            travel_km: self.f64(),
+            decided_at: self.timestamp(),
+            decision_nanos: self.u64(),
+        };
+        match self.next() % 3 {
+            0 => ServerMsg::ok,
+            1 => ServerMsg::assign(assignment),
+            _ => ServerMsg::reject(assignment),
+        }
+    }
+
+    /// A `worker` payload as a hostile peer might write it: any history
+    /// values in any order, NaN and negatives included. Also returns
+    /// whether the history is one `WorkerHistory` accepts.
+    fn raw_worker(&mut self) -> (Vec<u8>, bool) {
+        let len = (self.next() % 6) as usize;
+        let lattice = self.bool();
+        let values: Vec<f64> = (0..len)
+            .map(|_| {
+                if lattice {
+                    (self.next() % 4) as f64
+                } else {
+                    self.f64()
+                }
+            })
+            .collect();
+        let valid = values.iter().all(|v| v.is_finite() && *v >= 0.0);
+        let history = map([(
+            "values",
+            Content::Seq(values.into_iter().map(Content::F64).collect()),
+        )]);
+        let worker = map([("spec", self.worker().to_content()), ("history", history)]);
+        (payload(map([("worker", worker)])), valid)
+    }
+
+    /// A `request` payload whose platform is any `u64`. Also returns
+    /// whether it fits the `u16` a `PlatformId` is.
+    fn raw_request(&mut self) -> (Vec<u8>, bool) {
+        let platform = self.u64();
+        let Content::Map(mut fields) = self.request().to_content() else {
+            unreachable!("a request is a map");
+        };
+        fields[1].1 = Content::U64(platform);
+        let request = map([("request", Content::Map(fields))]);
+        (payload(request), platform <= u64::from(u16::MAX))
+    }
+}
+
+fn map<const N: usize>(entries: [(&str, Content); N]) -> Content {
+    Content::Map(
+        entries
+            .into_iter()
+            .map(|(k, v)| (Content::Str(k.into()), v))
+            .collect(),
+    )
+}
+
+/// A value tree on the wire as it stands: any map order, any value.
+struct Raw(Content);
+
+impl Serialize for Raw {
+    fn to_content(&self) -> Content {
+        self.0.clone()
+    }
+}
+
+fn payload(content: Content) -> Vec<u8> {
+    encode_frame(&Raw(content))[FRAME_HEADER_LEN..].to_vec()
+}
+
+/// `msg` for `sid` both ways: the typed writer's bytes are the `Content`
+/// writer's, the shared reader reads them through the typed path and back
+/// to the same bytes, and one trailing byte sends them through `Content`
+/// and its error instead.
+fn hot_round_trip<M: WireMsg + Clone + std::fmt::Debug>(
+    sid: Option<u64>,
+    msg: &M,
+    read: fn(&[u8]) -> bool,
+) {
+    let frame = typed_frame(sid, msg);
+    assert_eq!(frame, content_frame(sid, msg));
+    let payload = &frame[FRAME_HEADER_LEN..];
+    assert!(read(payload), "{msg:?} missed the typed path");
+    let back = read_frame::<M>(payload).0.expect("a hot frame decodes");
+    assert_eq!(typed_frame(back.sid, &back.msg), frame);
+    let mut padded = payload.to_vec();
+    padded.push(0x00);
+    assert!(!read(&padded), "{msg:?} read with a trailing byte");
+}
+
+proptest! {
+    /// The typed codec agrees with `Content` on arbitrary hot messages,
+    /// bit for bit; hostile histories and out-of-range platforms fall
+    /// through to `Content` and its errors.
+    #[test]
+    fn typed_codec_agrees_with_content(draws in proptest::collection::vec(0u64..u64::MAX, 512)) {
+        let mut d = Draws(draws);
+        for _ in 0..4 {
+            hot_round_trip(d.sid(), &d.client(), read_client);
+            hot_round_trip(d.sid(), &d.server(), read_server);
+            let (raw, valid) = d.raw_worker();
+            prop_assert_eq!(read_client(&raw), valid);
+            let (raw, fits) = d.raw_request();
+            prop_assert_eq!(read_client(&raw), fits);
+        }
+    }
+}
+
+/// Every truncation and every single-byte flip of every hot frame of
+/// `quick` reads through the shared reader exactly as through `Content`
+/// alone, and never panics.
+#[test]
+fn hostile_hot_frames_read_exactly_as_content_does() {
+    fn sweep(payload: &[u8], read: fn(&[u8]) -> bool) {
+        for cut in 0..payload.len() {
+            read(&payload[..cut]);
+        }
+        let mut flipped = payload.to_vec();
+        for i in 0..flipped.len() {
+            flipped[i] ^= 0xFF;
+            read(&flipped);
+            flipped[i] ^= 0xFF;
+        }
+    }
+    /// Each distinct payload once: `ok` alone is 800 of the frames.
+    fn payloads<M: WireMsg>(messages: &Addressed<M>) -> BTreeSet<Vec<u8>> {
+        messages
+            .iter()
+            .map(|(sid, msg)| typed_frame(*sid, msg)[FRAME_HEADER_LEN..].to_vec())
+            .collect()
+    }
+    let (to_server, to_client) = hot_messages(&generate(&com_datagen::profiles::quick()));
+    for payload in payloads(&to_server) {
+        sweep(&payload, read_client);
+    }
+    for payload in payloads(&to_client) {
+        sweep(&payload, read_server);
+    }
 }
 
 fn open_session(addr: &str, frame: Option<&str>) -> Client {
@@ -515,5 +884,82 @@ fn binary_pipelined_run_is_byte_identical_to_ndjson_and_batch() {
     assert_eq!(binary_bye.revenue, batch.total_revenue());
 
     assert_eq!(handle.counters().protocol_errors(), 0);
+    handle.shutdown();
+}
+
+fn general_frames(client: &mut Client) -> u64 {
+    match client.rpc(&ClientMsg::stats_deep).expect("stats_deep") {
+        ServerMsg::stats_deep(deep) => deep.general_frames,
+        other => panic!("expected stats_deep, got {other:?}"),
+    }
+}
+
+#[test]
+fn general_frames_count_what_the_typed_path_did_not_read() {
+    let handle = serve(ServerConfig::default()).expect("bind ephemeral port");
+    let addr = handle.addr().to_string();
+
+    // A pipelined binary run: every event is hot, and the `stats_deep`
+    // that reads the counter is the one cold frame so far.
+    let report = drive(
+        &addr,
+        &generate(&com_datagen::profiles::quick()),
+        &DriveOptions {
+            matcher: "ramcom".into(),
+            frame: WireFormat::Binary,
+            window: 64,
+            ..DriveOptions::default()
+        },
+    )
+    .expect("binary replay");
+    assert_eq!(report.deep_stats.expect("stats_deep").general_frames, 1);
+
+    // The same request twice, on two connections: once canonical, once
+    // with `value` sent first. Both are answered alike; only the second
+    // misses the typed path.
+    let worker = WorkerMsg {
+        spec: worker_spec(),
+        history: None,
+    };
+    let request = RequestSpec {
+        platform: PlatformId(1),
+        location: Point::new(9.0, 4.5),
+        ..request_spec()
+    };
+    let Content::Map(mut reordered) = ClientMsg::request(request).to_content() else {
+        unreachable!("a request is a one-entry map");
+    };
+    let Content::Map(fields) = &mut reordered[0].1 else {
+        unreachable!("a request spec is a map");
+    };
+    fields.rotate_right(1);
+    assert!(matches!(&fields[0].0, Content::Str(k) if k == "value"));
+    let reordered = encode_frame(&Raw(Content::Map(reordered)));
+
+    let mut answers = Vec::new();
+    for hand_built in [false, true] {
+        let mut client = open_session(&addr, Some("binary"));
+        let ack = client
+            .rpc(&ClientMsg::worker(worker.clone()))
+            .expect("worker");
+        assert!(matches!(ack, ServerMsg::ok));
+        let response = if hand_built {
+            client.send_bytes(&reordered).expect("send");
+            client.recv().expect("response")
+        } else {
+            client.rpc(&ClientMsg::request(request)).expect("request")
+        };
+        let ServerMsg::assign(assignment) = response else {
+            panic!("expected assign, got {response:?}");
+        };
+        let assignment = Assignment {
+            decision_nanos: 0,
+            ..assignment
+        };
+        answers.push((encode(&assignment), general_frames(&mut client)));
+        client.rpc(&ClientMsg::shutdown).expect("shutdown");
+    }
+    assert_eq!(answers[0].0, answers[1].0);
+    assert_eq!((answers[0].1, answers[1].1), (1, 2));
     handle.shutdown();
 }

@@ -12,7 +12,8 @@ use com_datagen::{generate, profiles};
 use com_geo::Point;
 use com_pricing::WorkerHistory;
 use com_serve::{
-    event_msg, serve, Client, ClientMsg, Hello, ServerConfig, ServerHandle, ServerMsg, WorkerMsg,
+    decode_client_frame, event_msg, serve, Client, ClientMsg, DecodeError, Hello, ServerConfig,
+    ServerHandle, ServerMsg, WorkerMsg,
 };
 use com_sim::{
     ArrivalEvent, EventStream, Instance, PlatformId, RequestId, RequestSpec, Timestamp, WorkerId,
@@ -94,6 +95,35 @@ fn unknown_message_type_gets_structured_error() {
     client.send_raw("42").expect("send");
     expect_error(&mut client, "unknown-message");
     handle.shutdown();
+}
+
+#[test]
+fn integral_floats_out_of_range_are_unknown_messages_not_saturated() {
+    let line = |id: &str, platform: &str| {
+        format!(
+            "{{\"request\":{{\"id\":{id},\"platform\":{platform},\"arrival\":1.0,\
+             \"location\":{{\"x\":1.0,\"y\":1.0}},\"value\":5.0}}}}"
+        )
+    };
+    // A float that is exactly an in-range integer still decodes.
+    let ok = decode_client_frame(&line("3.0", "1")).expect("integral float id");
+    let ClientMsg::request(spec) = ok.msg else {
+        panic!("wrong variant: {ok:?}");
+    };
+    assert_eq!((spec.id, spec.platform), (RequestId(3), PlatformId(1)));
+    for (id, platform, problem) in [
+        ("-1.0", "1", "-1 out of range for u64"),
+        ("18446744073709551616", "1", "out of range for u64"),
+        ("3", "70000.0", "70000 out of range for u16"),
+        ("3", "70000", "70000 out of range for u16"),
+    ] {
+        match decode_client_frame(&line(id, platform)) {
+            Err(DecodeError::UnknownMessage(detail)) => {
+                assert!(detail.contains(problem), "id {id}: {detail}")
+            }
+            other => panic!("id {id}, platform {platform}: {other:?}"),
+        }
+    }
 }
 
 #[test]
