@@ -42,7 +42,8 @@
 //!   `sessions`, `requests`, `workers`, `events`, `frame`, `window`),
 //!   results (`wall_secs`, `events_per_sec`, `queue_high_water`,
 //!   `general_frames` — binary frames the server decoded through `Content`
-//!   rather than a typed hot layout; a binary run's cold messages only),
+//!   rather than a typed hot layout; a binary run's cold messages only —
+//!   and `general_lines`, the same for NDJSON lines),
 //!   `per_session[]` (`sid` — null when bare —
 //!   `connection`, `seed`, `assigned`, `rejected`, `refused`, `revenue`,
 //!   `completed`, `audit_findings`, `digest`), the server's
@@ -161,8 +162,12 @@ fn us(ns: u64) -> f64 {
 /// microsecond of a request's server time goes.
 fn print_phase_table(deep: &DeepStatsMsg) {
     println!(
-        "server phases ({}, queue depth {} / high-water {}, general frames {}):",
-        deep.algorithm, deep.queue_depth, deep.queue_high_water, deep.general_frames,
+        "server phases ({}, queue depth {} / high-water {}, general frames {} / lines {}):",
+        deep.algorithm,
+        deep.queue_depth,
+        deep.queue_high_water,
+        deep.general_frames,
+        deep.general_lines,
     );
     println!(
         "  {:<18} {:>8} {:>10} {:>10} {:>10} {:>10}",
@@ -315,6 +320,7 @@ fn main() {
             "events_per_sec": report.events_per_sec(),
             "queue_high_water": deep.map_or(0, |d| d.queue_high_water),
             "general_frames": deep.map_or(0, |d| d.general_frames),
+            "general_lines": deep.map_or(0, |d| d.general_lines),
             "per_session": per_session,
             "server_shards": shards,
             "server_phases": phases,

@@ -233,7 +233,7 @@ impl Client {
 mod tests {
     use super::*;
     use crate::framing::encode_frame;
-    use crate::protocol::{encode, ByeMsg, Envelope};
+    use crate::protocol::{encode, ByeMsg};
     use std::io::ErrorKind;
 
     /// `read_server_frame` under the peer link's constant cap.
@@ -241,10 +241,10 @@ mod tests {
         read_server_frame(reader, MAX_FRAME_PAYLOAD)
     }
 
-    fn tagged(sid: u64, msg: &ServerMsg) -> Envelope<'_, ServerMsg> {
-        Envelope {
+    fn tagged(sid: u64, msg: &ServerMsg) -> ServerFrame {
+        ServerFrame {
             sid: Some(sid),
-            msg,
+            msg: msg.clone(),
         }
     }
 

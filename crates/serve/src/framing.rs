@@ -28,13 +28,15 @@
 //! **Hot layouts.** The five messages every event crosses — client
 //! `request` and `worker`, server `ok`, `assign` and `reject`, bare or in
 //! the `{"sid","msg"}` mux envelope — are written and read straight
-//! between bytes and structs ([`WireMsg`]), with no value tree in
-//! between. Their layout is the canonical `Content` encoding written
-//! directly: the derive's key order, the derive's tags, the same bytes
-//! [`write_frame`] produces. [`read_frame`] takes that layout and nothing
-//! else; any other encoding of any message — keys reordered, an integer
-//! sent as a float, a cold message — still decodes, through `Content`,
-//! to exactly the result it always had.
+//! between bytes and structs, with no value tree in between. Each layout
+//! is written once, in [`crate::hot`], and serves both framings; this
+//! module supplies the binary primitives it is written with. A layout is
+//! the canonical `Content` encoding written directly: the derive's key
+//! order, the derive's tags, the same bytes [`write_frame`] produces.
+//! [`read_frame`] takes that layout and nothing else; any other encoding
+//! of any message — keys reordered, an integer sent as a float, a cold
+//! message — still decodes, through `Content`, to exactly the result it
+//! always had.
 //!
 //! The magic byte `0xB1` can never begin an NDJSON line (it is not ASCII
 //! and not a valid UTF-8 leading byte), so both sides detect the framing
@@ -49,14 +51,11 @@
 //! schema-free `Content`, and message evolution happens at the protocol
 //! layer exactly as for JSON.
 
-use com_geo::Point;
-use com_pricing::WorkerHistory;
-use com_sim::{
-    Assignment, MatchKind, PlatformId, RequestId, RequestSpec, Timestamp, WorkerId, WorkerSpec,
-};
 use serde::{Content, Deserialize, Serialize};
+use serde_json::MAX_DEPTH;
 
-use crate::protocol::{frame_from_content, ClientMsg, DecodeError, Frame, ServerMsg, WorkerMsg};
+use crate::hot::{self, HotRead, HotWrite, WireMsg};
+use crate::protocol::{frame_from_content, DecodeError, Frame};
 
 /// First byte of every binary frame. Not ASCII, not a valid UTF-8
 /// leading byte — unambiguous against NDJSON.
@@ -72,9 +71,6 @@ pub const MAX_FRAME_PAYLOAD: usize = 16 << 20;
 /// Hard cap on one NDJSON line (satellite of the same defence: a line
 /// that never ends must not grow the read buffer without bound).
 pub const MAX_LINE_BYTES: usize = 1 << 20;
-
-/// Decoder nesting cap — a hostile frame must not overflow the stack.
-const MAX_DEPTH: u32 = 128;
 
 /// The two wire framings a session can run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -133,6 +129,7 @@ fn malformed(detail: impl Into<String>) -> FrameError {
 
 // ---------------------------------------------------------------- encode
 
+#[inline]
 fn put_varint(mut v: u64, out: &mut Vec<u8>) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -145,22 +142,26 @@ fn put_varint(mut v: u64, out: &mut Vec<u8>) {
     }
 }
 
+#[inline]
 fn put_u64(v: u64, out: &mut Vec<u8>) {
     out.push(0x03);
     put_varint(v, out);
 }
 
+#[inline]
 fn put_f64(v: f64, out: &mut Vec<u8>) {
     out.push(0x05);
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
+#[inline]
 fn put_str(s: &str, out: &mut Vec<u8>) {
     out.push(0x06);
     put_varint(s.len() as u64, out);
     out.extend_from_slice(s.as_bytes());
 }
 
+#[inline]
 fn put_map(count: usize, out: &mut Vec<u8>) {
     out.push(0x08);
     put_varint(count as u64, out);
@@ -221,6 +222,7 @@ pub fn encode_frame<T: Serialize>(msg: &T) -> Vec<u8> {
 
 // ---------------------------------------------------------------- decode
 
+#[derive(Clone)]
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -259,13 +261,24 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_bits(bits))
     }
 
+    /// Consume `tag` if it is the next byte.
+    fn tag(&mut self, tag: u8) -> Option<()> {
+        if self.bytes.get(self.pos) != Some(&tag) {
+            return None;
+        }
+        self.pos += 1;
+        Some(())
+    }
+
     fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
     fn content(&mut self, depth: u32) -> Result<Content, FrameError> {
         if depth > MAX_DEPTH {
-            return Err(malformed("nesting deeper than 128"));
+            // The JSON parser's cap: a hostile frame must not overflow the
+            // stack, and a value one framing accepts the other does too.
+            return Err(malformed(format!("nesting deeper than {MAX_DEPTH}")));
         }
         match self.byte()? {
             0x00 => Ok(Content::Null),
@@ -371,101 +384,87 @@ pub fn split_frame(buf: &[u8]) -> FrameSplit {
 
 // ----------------------------------------------------------- hot layouts
 
-/// A protocol message type a binary frame carries — [`ClientMsg`] and
-/// [`ServerMsg`] — with its hot variants written and read directly (see
-/// the module doc). Both directions produce and accept only the bytes
-/// `Content` would.
-pub trait WireMsg: Serialize + Deserialize {
-    /// Append the canonical payload of a hot variant and return `true`;
-    /// write nothing and return `false` for a cold one.
-    fn put_hot(&self, out: &mut Vec<u8>) -> bool;
+/// The binary framing's [`HotWrite`]: the `Content` encoding above,
+/// written straight from the struct. Its primitives and the `put_*`
+/// helpers they call are `#[inline]`, so they are compiled into the code
+/// generated for each layout: called across codegen units, they cost
+/// the `wire_tota` benchmark workload 3–4 % of its served throughput
+/// (2-vCPU Xeon).
+pub(crate) struct BinaryOut<'o>(pub(crate) &'o mut Vec<u8>);
 
-    /// The hot variant whose canonical payload is exactly `payload`, or
-    /// `None` for any other bytes.
-    fn take_hot(payload: &[u8]) -> Option<Self>;
-}
-
-/// The mux envelope up to the sid's varint: a two-entry map whose first
-/// key is `"sid"` and whose first value is a `u64`.
-const ENVELOPE_HEAD: &[u8] = b"\x08\x02\x06\x03sid\x03";
-
-/// Append one complete frame for `msg` addressed to `sid` (`None` = bare):
-/// the envelope and the hot variants written directly, a cold message
-/// through `Content` — the same bytes [`write_frame`] writes for the
-/// equivalent [`Frame`].
-pub(crate) fn write_frame_for<M: WireMsg>(sid: Option<u64>, msg: &M, out: &mut Vec<u8>) {
-    put_frame(out, |out| {
-        if let Some(sid) = sid {
-            out.extend_from_slice(ENVELOPE_HEAD);
-            put_varint(sid, out);
-            put_str("msg", out);
-        }
-        if !msg.put_hot(out) {
-            put_content(&msg.to_content(), out);
-        }
-    });
-}
-
-/// Decode one frame payload (header stripped) into a typed frame — the one
-/// binary reader, on both sides of the wire. A canonical hot layout is
-/// read straight into its struct; every other payload decodes through
-/// `Content`, which the second value reports, with exactly the result it
-/// always had: [`DecodeError::BadFrame`] for bytes that are no value,
-/// [`DecodeError::BadEnvelope`] / [`DecodeError::UnknownMessage`] for a
-/// value that is no frame.
-pub fn read_frame<M: WireMsg>(payload: &[u8]) -> (Result<Frame<M>, DecodeError>, bool) {
-    if let Some(frame) = hot_frame(payload) {
-        return (Ok(frame), false);
+impl HotWrite for BinaryOut<'_> {
+    #[inline]
+    fn open(&mut self, len: usize) {
+        put_map(len, self.0);
     }
-    let decoded = match decode_payload(payload) {
-        Ok(content) => frame_from_content(&content),
-        Err(e) => Err(DecodeError::BadFrame(e.to_string())),
-    };
-    (decoded, true)
-}
 
-fn hot_frame<M: WireMsg>(payload: &[u8]) -> Option<Frame<M>> {
-    let Some(rest) = payload.strip_prefix(ENVELOPE_HEAD) else {
-        return M::take_hot(payload).map(|msg| Frame { sid: None, msg });
-    };
-    let mut cur = Cursor {
-        bytes: rest,
-        pos: 0,
-    };
-    let sid = cur.varint().ok()?;
-    cur.key("msg")?;
-    let msg = M::take_hot(&rest[cur.pos..])?;
-    Some(Frame {
-        sid: Some(sid),
-        msg,
-    })
-}
+    #[inline]
+    fn close(&mut self) {}
 
-/// `read` over all of `bytes`: `None` unless it succeeds and consumes
-/// every byte.
-fn exact<'a, T>(bytes: &'a [u8], read: impl FnOnce(&mut Cursor<'a>) -> Option<T>) -> Option<T> {
-    let mut cur = Cursor { bytes, pos: 0 };
-    let value = read(&mut cur)?;
-    (cur.pos == bytes.len()).then_some(value)
-}
+    #[inline]
+    fn key(&mut self, key: &str) {
+        put_str(key, self.0);
+    }
 
-/// A timestamp exactly as the derived decoder builds one: a NaN goes
-/// through to the session's typed refusal instead of tripping
-/// `Timestamp::from_secs`.
-fn timestamp(secs: f64) -> Timestamp {
-    Timestamp::from_content(&Content::F64(secs)).expect("every float is a timestamp")
-}
+    #[inline]
+    fn str(&mut self, s: &str) {
+        put_str(s, self.0);
+    }
 
-/// Readers for the canonical layout: each is `None` unless the next bytes
-/// carry exactly the tag (and, for maps, the entry count) the derive
-/// writes.
-impl<'a> Cursor<'a> {
-    fn tag(&mut self, tag: u8) -> Option<()> {
-        if self.bytes.get(self.pos) != Some(&tag) {
-            return None;
+    #[inline]
+    fn u64(&mut self, v: u64) {
+        put_u64(v, self.0);
+    }
+
+    #[inline]
+    fn f64(&mut self, v: f64) {
+        put_f64(v, self.0);
+    }
+
+    #[inline]
+    fn bool(&mut self, v: bool) {
+        self.0.push(if v { 0x02 } else { 0x01 });
+    }
+
+    #[inline]
+    fn null(&mut self) {
+        self.0.push(0x00);
+    }
+
+    #[inline]
+    fn f64s(&mut self, values: &[f64]) {
+        self.0.push(0x07);
+        put_varint(values.len() as u64, self.0);
+        for &v in values {
+            put_f64(v, self.0);
         }
-        self.pos += 1;
+    }
+
+    fn value<T: Serialize>(&mut self, value: &T) {
+        put_content(&value.to_content(), self.0);
+    }
+}
+
+/// The binary framing's [`HotRead`]: each primitive takes exactly the tag
+/// (and, for maps, the entry count) the `Content` encoding writes.
+impl HotRead for Cursor<'_> {
+    fn open(&mut self, len: usize) -> Option<()> {
+        self.tag(0x08)?;
+        (self.varint().ok()? == len as u64).then_some(())
+    }
+
+    fn close(&mut self) -> Option<()> {
         Some(())
+    }
+
+    fn next_key(&mut self) -> Option<&[u8]> {
+        self.str()
+    }
+
+    fn str(&mut self) -> Option<&[u8]> {
+        self.tag(0x06)?;
+        let len = self.varint().ok()? as usize;
+        self.take(len).ok()
     }
 
     fn u64(&mut self) -> Option<u64> {
@@ -486,275 +485,48 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn str(&mut self) -> Option<&'a [u8]> {
-        self.tag(0x06)?;
-        let len = self.varint().ok()? as usize;
-        self.take(len).ok()
+    fn null(&mut self) -> bool {
+        self.tag(0x00).is_some()
     }
 
-    fn key(&mut self, key: &str) -> Option<()> {
-        (self.str()? == key.as_bytes()).then_some(())
-    }
-
-    fn map(&mut self, count: u64) -> Option<()> {
-        self.tag(0x08)?;
-        (self.varint().ok()? == count).then_some(())
-    }
-
-    /// The value of the next map entry, whose key must be `key`.
-    fn field<T>(&mut self, key: &str, read: impl FnOnce(&mut Self) -> Option<T>) -> Option<T> {
-        self.key(key)?;
-        read(self)
-    }
-
-    /// `null` as `None`, anything else through `read`.
-    fn opt<T>(&mut self, read: impl FnOnce(&mut Self) -> Option<T>) -> Option<Option<T>> {
-        if self.tag(0x00).is_some() {
-            return Some(None);
-        }
-        read(self).map(Some)
-    }
-
-    fn platform(&mut self) -> Option<PlatformId> {
-        u16::try_from(self.u64()?).ok().map(PlatformId)
-    }
-
-    fn point(&mut self) -> Option<Point> {
-        self.map(2)?;
-        Some(Point {
-            x: self.field("x", Self::f64)?,
-            y: self.field("y", Self::f64)?,
-        })
-    }
-
-    fn request(&mut self) -> Option<RequestSpec> {
-        self.map(5)?;
-        Some(RequestSpec {
-            id: RequestId(self.field("id", Self::u64)?),
-            platform: self.field("platform", Self::platform)?,
-            arrival: timestamp(self.field("arrival", Self::f64)?),
-            location: self.field("location", Self::point)?,
-            value: self.field("value", Self::f64)?,
-        })
-    }
-
-    fn worker_spec(&mut self) -> Option<WorkerSpec> {
-        self.map(5)?;
-        Some(WorkerSpec {
-            id: WorkerId(self.field("id", Self::u64)?),
-            platform: self.field("platform", Self::platform)?,
-            arrival: timestamp(self.field("arrival", Self::f64)?),
-            location: self.field("location", Self::point)?,
-            radius: self.field("radius", Self::f64)?,
-        })
-    }
-
-    /// Only finite, non-negative values: all `WorkerHistory`'s own decoder
-    /// accepts, and all `from_values` (which sorts them the same way)
-    /// asserts on.
-    fn history(&mut self) -> Option<WorkerHistory> {
-        self.map(1)?;
-        self.key("values")?;
+    fn f64s(&mut self) -> Option<Vec<f64>> {
         self.tag(0x07)?;
         let count = self.varint().ok()?;
-        // A `collect`, like `Vec::<f64>::from_content`: the vector grows
-        // exactly as it does on the `Content` path, so a history costs the
-        // same heap either way.
-        let values: Option<Vec<f64>> = (0..count)
-            .map(|_| self.f64().filter(|v| v.is_finite() && *v >= 0.0))
-            .collect();
-        Some(WorkerHistory::from_values(values?))
+        (0..count).map(|_| self.f64()).collect()
     }
 
-    fn worker(&mut self) -> Option<WorkerMsg> {
-        self.map(2)?;
-        Some(WorkerMsg {
-            spec: self.field("spec", Self::worker_spec)?,
-            history: self.field("history", |c| c.opt(Self::history))?,
-        })
-    }
-
-    fn kind(&mut self) -> Option<MatchKind> {
-        match self.str()? {
-            b"Inner" => Some(MatchKind::Inner),
-            b"Outer" => Some(MatchKind::Outer),
-            b"Rejected" => Some(MatchKind::Rejected),
-            _ => None,
-        }
-    }
-
-    fn assignment(&mut self) -> Option<Assignment> {
-        self.map(9)?;
-        Some(Assignment {
-            request: self.field("request", Self::request)?,
-            kind: self.field("kind", Self::kind)?,
-            worker: self.field("worker", |c| c.opt(|c| c.u64().map(WorkerId)))?,
-            worker_platform: self.field("worker_platform", |c| c.opt(Self::platform))?,
-            outer_payment: self.field("outer_payment", Self::f64)?,
-            was_cooperative_offer: self.field("was_cooperative_offer", Self::bool)?,
-            travel_km: self.field("travel_km", Self::f64)?,
-            decided_at: timestamp(self.field("decided_at", Self::f64)?),
-            decision_nanos: self.field("decision_nanos", Self::u64)?,
-        })
+    fn done(&self) -> bool {
+        self.pos == self.bytes.len()
     }
 }
 
-fn put_point(p: Point, out: &mut Vec<u8>) {
-    put_map(2, out);
-    put_str("x", out);
-    put_f64(p.x, out);
-    put_str("y", out);
-    put_f64(p.y, out);
+/// Append one complete frame for `msg` addressed to `sid` (`None` = bare):
+/// the envelope and the hot variants written directly, a cold message
+/// through `Content` — the same bytes [`write_frame`] writes for the
+/// equivalent [`Frame`].
+pub(crate) fn write_frame_for<M: WireMsg>(sid: Option<u64>, msg: &M, out: &mut Vec<u8>) {
+    put_frame(out, |out| hot::put_frame(&mut BinaryOut(out), sid, msg));
 }
 
-/// The map head and first four fields `RequestSpec` and `WorkerSpec`
-/// share; each writes its own fifth.
-fn put_spec_head(
-    id: u64,
-    platform: PlatformId,
-    arrival: Timestamp,
-    location: Point,
-    out: &mut Vec<u8>,
-) {
-    put_map(5, out);
-    put_str("id", out);
-    put_u64(id, out);
-    put_str("platform", out);
-    put_u64(platform.0.into(), out);
-    put_str("arrival", out);
-    put_f64(arrival.as_secs(), out);
-    put_str("location", out);
-    put_point(location, out);
-}
-
-fn put_request(r: &RequestSpec, out: &mut Vec<u8>) {
-    put_spec_head(r.id.0, r.platform, r.arrival, r.location, out);
-    put_str("value", out);
-    put_f64(r.value, out);
-}
-
-fn put_worker(msg: &WorkerMsg, out: &mut Vec<u8>) {
-    let w = &msg.spec;
-    put_map(2, out);
-    put_str("spec", out);
-    put_spec_head(w.id.0, w.platform, w.arrival, w.location, out);
-    put_str("radius", out);
-    put_f64(w.radius, out);
-    put_str("history", out);
-    match &msg.history {
-        None => out.push(0x00),
-        Some(history) => {
-            put_map(1, out);
-            put_str("values", out);
-            out.push(0x07);
-            put_varint(history.len() as u64, out);
-            for &v in history.values() {
-                put_f64(v, out);
-            }
-        }
+/// Decode one frame payload (header stripped) into a typed frame — the one
+/// binary reader, on both sides of the wire. A hot layout is read straight
+/// into its struct; every other payload decodes through `Content`, which
+/// the second value reports, with exactly the result it always had:
+/// [`DecodeError::BadFrame`] for bytes that are no value,
+/// [`DecodeError::BadEnvelope`] / [`DecodeError::UnknownMessage`] for a
+/// value that is no frame.
+pub fn read_frame<M: WireMsg>(payload: &[u8]) -> (Result<Frame<M>, DecodeError>, bool) {
+    if let Some(frame) = hot::take_frame(Cursor {
+        bytes: payload,
+        pos: 0,
+    }) {
+        return (Ok(frame), false);
     }
-}
-
-fn put_opt_u64(v: Option<u64>, out: &mut Vec<u8>) {
-    match v {
-        Some(v) => put_u64(v, out),
-        None => out.push(0x00),
-    }
-}
-
-fn put_assignment(a: &Assignment, out: &mut Vec<u8>) {
-    put_map(9, out);
-    put_str("request", out);
-    put_request(&a.request, out);
-    put_str("kind", out);
-    put_str(
-        match a.kind {
-            MatchKind::Inner => "Inner",
-            MatchKind::Outer => "Outer",
-            MatchKind::Rejected => "Rejected",
-        },
-        out,
-    );
-    put_str("worker", out);
-    put_opt_u64(a.worker.map(|w| w.0), out);
-    put_str("worker_platform", out);
-    put_opt_u64(a.worker_platform.map(|p| p.0.into()), out);
-    put_str("outer_payment", out);
-    put_f64(a.outer_payment, out);
-    put_str("was_cooperative_offer", out);
-    out.push(if a.was_cooperative_offer { 0x02 } else { 0x01 });
-    put_str("travel_km", out);
-    put_f64(a.travel_km, out);
-    put_str("decided_at", out);
-    put_f64(a.decided_at.as_secs(), out);
-    put_str("decision_nanos", out);
-    put_u64(a.decision_nanos, out);
-}
-
-/// An externally tagged variant's head: a one-entry map keyed by its tag.
-fn put_variant(tag: &str, out: &mut Vec<u8>) {
-    put_map(1, out);
-    put_str(tag, out);
-}
-
-impl WireMsg for ClientMsg {
-    fn put_hot(&self, out: &mut Vec<u8>) -> bool {
-        match self {
-            ClientMsg::request(spec) => {
-                put_variant("request", out);
-                put_request(spec, out);
-            }
-            ClientMsg::worker(msg) => {
-                put_variant("worker", out);
-                put_worker(msg, out);
-            }
-            _ => return false,
-        }
-        true
-    }
-
-    fn take_hot(payload: &[u8]) -> Option<Self> {
-        exact(payload, |cur| {
-            cur.map(1)?;
-            match cur.str()? {
-                b"request" => cur.request().map(ClientMsg::request),
-                b"worker" => cur.worker().map(ClientMsg::worker),
-                _ => None,
-            }
-        })
-    }
-}
-
-impl WireMsg for ServerMsg {
-    fn put_hot(&self, out: &mut Vec<u8>) -> bool {
-        match self {
-            ServerMsg::ok => put_str("ok", out),
-            ServerMsg::assign(a) => {
-                put_variant("assign", out);
-                put_assignment(a, out);
-            }
-            ServerMsg::reject(a) => {
-                put_variant("reject", out);
-                put_assignment(a, out);
-            }
-            _ => return false,
-        }
-        true
-    }
-
-    fn take_hot(payload: &[u8]) -> Option<Self> {
-        exact(payload, |cur| {
-            if payload.first() == Some(&0x06) {
-                return cur.key("ok").map(|()| ServerMsg::ok);
-            }
-            cur.map(1)?;
-            match cur.str()? {
-                b"assign" => cur.assignment().map(ServerMsg::assign),
-                b"reject" => cur.assignment().map(ServerMsg::reject),
-                _ => None,
-            }
-        })
-    }
+    let decoded = match decode_payload(payload) {
+        Ok(content) => frame_from_content(&content),
+        Err(e) => Err(DecodeError::BadFrame(e.to_string())),
+    };
+    (decoded, true)
 }
 
 #[cfg(test)]

@@ -13,9 +13,12 @@
 //!   `{"sid":…,"msg":…}` mux envelope that addresses one of many logical
 //!   sessions on a connection.
 //! * [`framing`] — the optional length-prefixed binary framing,
-//!   negotiated per session in `hello` (`"frame": "binary"`), with the
-//!   hot messages written and read straight from their structs; NDJSON
+//!   negotiated per session in `hello` (`"frame": "binary"`); NDJSON
 //!   stays the default and the debug path.
+//! * [`hot`] — the hot layouts (`request`, `worker`, `ok`, `assign`,
+//!   `reject`, bare or enveloped), each written once over a framing's
+//!   primitives and read straight between struct and bytes in both
+//!   framings, with the same bytes the `Content` tree would give.
 //! * [`session`] — one logical session: a [`com_core::MatchSession`] plus
 //!   the event log needed to audit the finished run with `validate_run`.
 //! * [`server`] — the threaded TCP server behind the `matchd` binary:
@@ -51,6 +54,7 @@ pub mod client;
 pub mod drive;
 pub mod fed;
 pub mod framing;
+pub mod hot;
 pub mod protocol;
 pub mod replay;
 pub mod server;
@@ -65,14 +69,15 @@ pub use drive::{
 pub use fed::{FedShared, WireOutsource, DEFAULT_OFFER_DEADLINE_MS};
 pub use framing::{
     decode_msg, decode_payload, encode_frame, read_frame, write_frame, FrameError, WireFormat,
-    WireMsg, FRAME_MAGIC, MAX_FRAME_PAYLOAD, MAX_LINE_BYTES,
+    FRAME_MAGIC, MAX_FRAME_PAYLOAD, MAX_LINE_BYTES,
 };
+pub use hot::WireMsg;
 pub use protocol::{
     client_frame_from_content, decode_client, decode_client_frame, decode_server,
-    decode_server_frame, encode, server_frame_from_content, write_msg, ByeMsg, ClientFrame,
-    ClientMsg, CounterRow, DecodeError, DeepStatsMsg, ErrorMsg, FedByeMsg, FedHello, FedStatsMsg,
-    Frame, GaugeRow, Hello, OfferMsg, PhaseRow, ServerFrame, ServerMsg, ShardRow, StatsMsg,
-    WorkerMsg,
+    decode_server_frame, encode, read_line, server_frame_from_content, write_msg, ByeMsg,
+    ClientFrame, ClientMsg, CounterRow, DecodeError, DeepStatsMsg, ErrorMsg, FedByeMsg, FedHello,
+    FedStatsMsg, Frame, GaugeRow, Hello, OfferMsg, PhaseRow, ServerFrame, ServerMsg, ShardRow,
+    StatsMsg, WorkerMsg,
 };
 pub use replay::{read_trace, record_session, replay_trace, Divergence, TraceReplayReport};
 pub use server::{serve, QueueStats, ServerConfig, ServerCounters, ServerHandle};

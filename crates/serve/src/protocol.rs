@@ -46,6 +46,20 @@
 //! breached a COM constraint (worker busy/out of range/bad payment), so
 //! the platform lets the request time out unserved. The request is logged
 //! as rejected — exactly `try_run_online`'s lenient semantics.
+//!
+//! ## Codec
+//!
+//! Every line is the compact JSON `serde_json` renders from a message's
+//! `Content` tree. The five messages every event crosses (`request`,
+//! `worker`, `ok`, `assign`, `reject`, bare or enveloped) skip the tree:
+//! their layouts are written once, in [`crate::hot`], and serve both
+//! framings — this module supplies the JSON text primitives they are
+//! written with. [`write_msg`] writes those bytes directly and
+//! [`read_line`] reads exactly that text (no whitespace, the derive's key
+//! order, no escapes in keys, nothing trailing); any other line decodes
+//! through `Content`, to exactly the result it always had.
+
+use std::io::Write as _;
 
 use serde::content::Content;
 use serde::{Deserialize, Serialize};
@@ -54,7 +68,8 @@ use com_core::RunResult;
 use com_pricing::WorkerHistory;
 use com_sim::{Assignment, RequestSpec, WorkerSpec, WorldConfig};
 
-use crate::framing::{write_frame_for, WireFormat, WireMsg};
+use crate::framing::{write_frame_for, WireFormat};
+use crate::hot::{self, HotRead, HotWrite, WireMsg};
 
 /// Session opener: which matcher to run, the RNG seed, and the world the
 /// session plays out in. `max_value` is the stream's expected largest
@@ -310,6 +325,13 @@ pub struct DeepStatsMsg {
     /// parse.
     #[serde(default)]
     pub general_frames: u64,
+    /// NDJSON lines this connection decoded through the general `Content`
+    /// path instead of a typed hot layout (see [`read_line`]): `hello` and
+    /// the other cold messages, malformed lines, and hot messages a peer
+    /// wrote in any other way. `#[serde(default)]` so reports from older
+    /// servers still parse.
+    #[serde(default)]
+    pub general_lines: u64,
     /// Federation link health for this session, present only in `fedd`
     /// mode (the session carries a [`FedHello`]).
     #[serde(default)]
@@ -550,15 +572,179 @@ pub fn encode<T: Serialize>(msg: &T) -> String {
 
 /// Append `msg`, addressed to `sid` (`None` = bare), to `out` in `format`:
 /// an NDJSON line or one binary frame, hot messages written straight from
-/// their structs (see [`crate::framing`]). Every writer in the crate
-/// (client, server, peer link) goes through here.
+/// their structs (see [`crate::hot`]), cold ones through [`encode`] or its
+/// binary twin. Every writer in the crate (client, server, peer link) goes
+/// through here.
 pub fn write_msg<M: WireMsg>(format: WireFormat, sid: Option<u64>, msg: &M, out: &mut Vec<u8>) {
     match format {
         WireFormat::Ndjson => {
-            out.extend_from_slice(encode(&Envelope { sid, msg }).as_bytes());
+            hot::put_frame(&mut TextOut(out), sid, msg);
             out.push(b'\n');
         }
         WireFormat::Binary => write_frame_for(sid, msg, out),
+    }
+}
+
+/// NDJSON's [`HotWrite`]: compact JSON text, byte for byte as `serde_json`
+/// renders the `Content` tree.
+struct TextOut<'o>(&'o mut Vec<u8>);
+
+impl HotWrite for TextOut<'_> {
+    fn open(&mut self, _len: usize) {
+        self.0.push(b'{');
+    }
+
+    fn close(&mut self) {
+        self.0.push(b'}');
+    }
+
+    fn key(&mut self, key: &str) {
+        // A key follows its map's `{` or the previous entry's value.
+        if self.0.last() != Some(&b'{') {
+            self.0.push(b',');
+        }
+        self.str(key);
+        self.0.push(b':');
+    }
+
+    fn str(&mut self, s: &str) {
+        self.0.push(b'"');
+        self.0.extend_from_slice(s.as_bytes());
+        self.0.push(b'"');
+    }
+
+    fn u64(&mut self, v: u64) {
+        write!(self.0, "{v}").expect("writing to a Vec never fails");
+    }
+
+    fn f64(&mut self, v: f64) {
+        // serde_json's float: shortest round trip, non-finite as `null`.
+        if v.is_finite() {
+            write!(self.0, "{v:?}").expect("writing to a Vec never fails");
+        } else {
+            self.null();
+        }
+    }
+
+    fn bool(&mut self, v: bool) {
+        self.0
+            .extend_from_slice(if v { b"true".as_slice() } else { b"false" });
+    }
+
+    fn null(&mut self) {
+        self.0.extend_from_slice(b"null");
+    }
+
+    fn f64s(&mut self, values: &[f64]) {
+        self.0.push(b'[');
+        for (i, &v) in values.iter().enumerate() {
+            if i > 0 {
+                self.0.push(b',');
+            }
+            self.f64(v);
+        }
+        self.0.push(b']');
+    }
+
+    fn value<T: Serialize>(&mut self, value: &T) {
+        self.0.extend_from_slice(encode(value).as_bytes());
+    }
+}
+
+/// NDJSON's [`HotRead`] over one line: exactly the text [`TextOut`]
+/// writes, numbers scanned and classified by `serde_json`'s own reader.
+#[derive(Clone)]
+struct TextIn<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> TextIn<'a> {
+    fn eat(&mut self, literal: &[u8]) -> Option<()> {
+        self.bytes[self.pos..].starts_with(literal).then(|| {
+            self.pos += literal.len();
+        })
+    }
+
+    /// A string's raw bytes, up to the next quote. Escapes are never
+    /// undone, so a string with one matches no identifier a layout expects
+    /// and the line falls through to `Content`.
+    fn string(&mut self) -> Option<&'a [u8]> {
+        self.eat(b"\"")?;
+        let rest = &self.bytes[self.pos..];
+        let s = &rest[..rest.iter().position(|&b| b == b'"')?];
+        self.pos += s.len() + 1;
+        Some(s)
+    }
+
+    fn number(&mut self) -> Option<Content> {
+        let (value, len) = serde_json::scan_number(&self.bytes[self.pos..]);
+        self.pos += len;
+        value
+    }
+}
+
+impl HotRead for TextIn<'_> {
+    fn open(&mut self, _len: usize) -> Option<()> {
+        self.eat(b"{")
+    }
+
+    fn close(&mut self) -> Option<()> {
+        self.eat(b"}")
+    }
+
+    fn next_key(&mut self) -> Option<&[u8]> {
+        if self.bytes[..self.pos].last() != Some(&b'{') {
+            self.eat(b",")?;
+        }
+        let key = self.string()?;
+        self.eat(b":")?;
+        Some(key)
+    }
+
+    fn str(&mut self) -> Option<&[u8]> {
+        self.string()
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        match self.number()? {
+            Content::U64(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    fn f64(&mut self) -> Option<f64> {
+        f64::from_content(&self.number()?).ok()
+    }
+
+    fn bool(&mut self) -> Option<bool> {
+        if self.eat(b"true").is_some() {
+            return Some(true);
+        }
+        self.eat(b"false").map(|()| false)
+    }
+
+    fn null(&mut self) -> bool {
+        self.eat(b"null").is_some()
+    }
+
+    fn f64s(&mut self) -> Option<Vec<f64>> {
+        self.eat(b"[")?;
+        let mut values = Vec::new();
+        if self.eat(b"]").is_some() {
+            return Some(values);
+        }
+        loop {
+            values.push(self.f64()?);
+            if self.eat(b"]").is_some() {
+                return Some(values);
+            }
+            self.eat(b",")?;
+        }
+    }
+
+    fn done(&self) -> bool {
+        self.pos == self.bytes.len()
     }
 }
 
@@ -604,27 +790,15 @@ pub type ClientFrame = Frame<ClientMsg>;
 /// A server message with its mux address.
 pub type ServerFrame = Frame<ServerMsg>;
 
-/// A message *borrowed* together with its mux address — what the NDJSON
-/// writer serializes, so tagging a message with its `sid` never clones it.
-/// Serializes exactly like [`Frame`].
-pub(crate) struct Envelope<'a, T> {
-    pub(crate) sid: Option<u64>,
-    pub(crate) msg: &'a T,
-}
-
-impl<T: Serialize> Serialize for Envelope<'_, T> {
+impl<M: Serialize> Serialize for Frame<M> {
     fn to_content(&self) -> Content {
-        frame_to_content(self.sid, self.msg)
-    }
-}
-
-fn frame_to_content<T: Serialize>(sid: Option<u64>, msg: &T) -> Content {
-    match sid {
-        None => msg.to_content(),
-        Some(sid) => Content::Map(vec![
-            (Content::Str("sid".to_string()), Content::U64(sid)),
-            (Content::Str("msg".to_string()), msg.to_content()),
-        ]),
+        match self.sid {
+            None => self.msg.to_content(),
+            Some(sid) => Content::Map(vec![
+                (Content::Str("sid".to_string()), Content::U64(sid)),
+                (Content::Str("msg".to_string()), self.msg.to_content()),
+            ]),
+        }
     }
 }
 
@@ -649,12 +823,6 @@ fn split_envelope(value: &Content) -> Result<(Option<u64>, &Content), String> {
     Ok((Some(*sid), msg))
 }
 
-impl<M: Serialize> Serialize for Frame<M> {
-    fn to_content(&self) -> Content {
-        frame_to_content(self.sid, &self.msg)
-    }
-}
-
 impl<M: Deserialize> Deserialize for Frame<M> {
     fn from_content(c: &Content) -> Result<Self, serde::de::Error> {
         let (sid, msg) = split_envelope(c).map_err(serde::de::Error::custom)?;
@@ -666,7 +834,7 @@ impl<M: Deserialize> Deserialize for Frame<M> {
 }
 
 /// The one body behind [`client_frame_from_content`],
-/// [`server_frame_from_content`] and the binary reader's `Content` path.
+/// [`server_frame_from_content`] and both readers' `Content` paths.
 pub(crate) fn frame_from_content<M: Deserialize>(
     content: &Content,
 ) -> Result<Frame<M>, DecodeError> {
@@ -692,14 +860,33 @@ pub fn server_frame_from_content(content: &Content) -> Result<ServerFrame, Decod
     frame_from_content(content)
 }
 
-/// Parse one client line, mux envelope or bare.
-pub fn decode_client_frame(line: &str) -> Result<ClientFrame, DecodeError> {
-    client_frame_from_content(&parse_line(line)?)
+/// Decode one NDJSON line (trimmed, newline stripped) into a typed frame
+/// — the one NDJSON reader, on both sides of the wire, the twin of
+/// [`crate::framing::read_frame`]. A hot layout is read straight into its
+/// struct; every other line decodes through `Content`, which the second
+/// value reports, with exactly the result it always had:
+/// [`DecodeError::BadJson`] for text that is no JSON,
+/// [`DecodeError::BadEnvelope`] / [`DecodeError::UnknownMessage`] for a
+/// value that is no frame.
+pub fn read_line<M: WireMsg>(line: &str) -> (Result<Frame<M>, DecodeError>, bool) {
+    let text = TextIn {
+        bytes: line.as_bytes(),
+        pos: 0,
+    };
+    match hot::take_frame(text) {
+        Some(frame) => (Ok(frame), false),
+        None => (parse_line(line).and_then(|c| frame_from_content(&c)), true),
+    }
 }
 
-/// Parse one server line, mux envelope or bare.
+/// Parse one client line, mux envelope or bare ([`read_line`]).
+pub fn decode_client_frame(line: &str) -> Result<ClientFrame, DecodeError> {
+    read_line(line).0
+}
+
+/// Parse one server line, mux envelope or bare ([`read_line`]).
 pub fn decode_server_frame(line: &str) -> Result<ServerFrame, DecodeError> {
-    server_frame_from_content(&parse_line(line)?)
+    read_line(line).0
 }
 
 #[cfg(test)]
@@ -1027,6 +1214,7 @@ mod tests {
             oversized_rejected: 0,
             bad_envelope_rejected: 0,
             general_frames: 0,
+            general_lines: 0,
             shard: Some(2),
             shards: vec![ShardRow {
                 shard: 0,

@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 
 use crate::framing::{self, split_frame, FrameSplit, WireFormat, FRAME_MAGIC, MAX_LINE_BYTES};
 use crate::protocol::{
-    decode_client_frame, write_msg, ClientFrame, ClientMsg, DecodeError, ErrorMsg, ServerMsg,
+    read_line, write_msg, ClientFrame, ClientMsg, DecodeError, ErrorMsg, ServerMsg,
 };
 use crate::shard::{place, PoolShared, ShardPool, ShardStats};
 
@@ -345,6 +345,8 @@ pub(crate) struct Conn {
     /// Binary frames decoded through `Content` rather than a typed hot
     /// layout — the `stats_deep.general_frames` figure.
     pub(crate) general_frames: AtomicU64,
+    /// NDJSON lines decoded through `Content` — `stats_deep.general_lines`.
+    pub(crate) general_lines: AtomicU64,
     pub(crate) done: AtomicBool,
 }
 
@@ -362,6 +364,7 @@ impl Conn {
             oversized: AtomicU64::new(0),
             bad_envelope: AtomicU64::new(0),
             general_frames: AtomicU64::new(0),
+            general_lines: AtomicU64::new(0),
             done: AtomicBool::new(false),
         })
     }
@@ -582,8 +585,12 @@ impl Router {
 impl IngressSink for Router {
     fn on_line(&mut self, line: &str) -> bool {
         let started = Instant::now();
-        let decoded = decode_client_frame(line);
-        self.dispatch(decoded, started.elapsed().as_nanos() as u64)
+        let (decoded, general) = read_line::<ClientMsg>(line);
+        let decode_ns = started.elapsed().as_nanos() as u64;
+        if general {
+            self.conn.general_lines.fetch_add(1, Ordering::Relaxed);
+        }
+        self.dispatch(decoded, decode_ns)
     }
 
     fn on_frame(&mut self, payload: &[u8]) -> bool {

@@ -458,6 +458,7 @@ impl ServeSession {
             oversized_rejected,
             bad_envelope_rejected,
             general_frames: 0,
+            general_lines: 0,
             shard: None,
             shards: Vec::new(),
             federation: self.fed.as_ref().map(|f| f.shared.snapshot(f.platform.0)),

@@ -483,6 +483,7 @@ impl Shard {
                 let oversized = conn.oversized.load(Ordering::Relaxed);
                 let bad_envelope = conn.bad_envelope.load(Ordering::Relaxed);
                 let general_frames = conn.general_frames.load(Ordering::Relaxed);
+                let general_lines = conn.general_lines.load(Ordering::Relaxed);
                 let rows: Vec<ShardRow> = self
                     .daemon
                     .shards
@@ -494,6 +495,7 @@ impl Shard {
                 self.with_session(conn, sid, |s| {
                     let mut deep = s.deep_stats(depth, high_water, oversized, bad_envelope);
                     deep.general_frames = general_frames;
+                    deep.general_lines = general_lines;
                     deep.shard = Some(shard);
                     deep.shards = rows;
                     ServerMsg::stats_deep(Box::new(deep))

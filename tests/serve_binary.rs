@@ -2,9 +2,11 @@
 //! length-prefixed codec unchanged, hostile bytes (truncated, oversized,
 //! garbage) produce typed errors instead of panics or wedged sessions,
 //! and a pipelined binary loopback run is byte-identical — canonical
-//! JSON and all — to both the NDJSON run and the batch engine.
+//! JSON and all — to both the NDJSON run and the batch engine. The typed
+//! hot layouts are held to `Content` here in both framings: the same
+//! bytes out, the same `Result` in.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use com_core::canonical_run_json;
 use com_core::{try_run_online, MatcherRegistry};
@@ -13,10 +15,10 @@ use com_geo::Point;
 use com_pricing::WorkerHistory;
 use com_serve::{
     client_frame_from_content, decode_msg, decode_payload, drive, encode, encode_frame, read_frame,
-    serve, server_frame_from_content, write_msg, ByeMsg, Client, ClientMsg, CounterRow,
-    DecodeError, DeepStatsMsg, DriveOptions, ErrorMsg, Frame, GaugeRow, Hello, PhaseRow,
-    ServerConfig, ServerMsg, ShardRow, StatsMsg, WireFormat, WireMsg, WorkerMsg, FRAME_MAGIC,
-    MAX_FRAME_PAYLOAD,
+    read_line, serve, server_frame_from_content, write_msg, ByeMsg, Client, ClientFrame, ClientMsg,
+    CounterRow, DecodeError, DeepStatsMsg, DriveOptions, ErrorMsg, Frame, GaugeRow, Hello,
+    PhaseRow, ServerConfig, ServerMsg, ShardRow, StatsMsg, WireFormat, WireMsg, WorkerMsg,
+    FRAME_MAGIC, MAX_FRAME_PAYLOAD,
 };
 use com_sim::{
     Assignment, Instance, MatchKind, PlatformId, RequestId, RequestSpec, Timestamp, WorkerId,
@@ -162,6 +164,7 @@ fn every_server_message_round_trips_through_a_binary_frame() {
         oversized_rejected: 2,
         bad_envelope_rejected: 1,
         general_frames: 4,
+        general_lines: 3,
         shard: Some(1),
         shards: vec![ShardRow {
             shard: 1,
@@ -404,29 +407,86 @@ fn stream<M>(messages: &Addressed<M>, write: impl Fn(Option<u64>, &M) -> Vec<u8>
     )
 }
 
+/// `msg` for `sid` as an NDJSON line through the `Content` tree, as
+/// [`encode`] writes any [`Frame`], newline included.
+fn content_line<M: WireMsg + Clone>(sid: Option<u64>, msg: &M) -> Vec<u8> {
+    let mut line = encode(&Frame {
+        sid,
+        msg: msg.clone(),
+    })
+    .into_bytes();
+    line.push(b'\n');
+    line
+}
+
+/// `msg` for `sid` as an NDJSON line through the writer every peer uses.
+fn typed_line<M: WireMsg>(sid: Option<u64>, msg: &M) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_msg(WireFormat::Ndjson, sid, msg, &mut out);
+    out
+}
+
+/// One way to write a message for a sid.
+type Writer<M> = fn(Option<u64>, &M) -> Vec<u8>;
+
+/// Both directions' hot streams of `quick` and `chengdu_oct` in one
+/// framing, each written through `Content` and through the typed writer:
+/// all four must hash to the pinned (client, server) streams.
+fn assert_pinned(
+    pins: [(Stream, Stream); 2],
+    writers: [(&str, Writer<ClientMsg>, Writer<ServerMsg>); 2],
+) {
+    let configs = [
+        ("quick", com_datagen::profiles::quick()),
+        ("chengdu_oct", com_datagen::profiles::chengdu_oct()),
+    ];
+    for ((name, config), (client, server)) in configs.into_iter().zip(pins) {
+        let (to_server, to_client) = hot_messages(&generate(&config));
+        for (how, write_client, write_server) in writers {
+            assert_eq!(stream(&to_server, write_client), client, "{name}: {how}");
+            assert_eq!(stream(&to_client, write_server), server, "{name}: {how}");
+        }
+    }
+}
+
 #[test]
 fn hot_message_wire_bytes_are_pinned() {
-    let pins = [
-        (
-            "quick",
-            com_datagen::profiles::quick(),
-            Stream(1_040, 277_193, "bac2b9e58d413ea9".into()),
-            Stream(1_600, 232_364, "5b2542dc2167d6cf".into()),
-        ),
-        (
-            "chengdu_oct",
-            com_datagen::profiles::chengdu_oct(),
-            Stream(39_620, 6_737_991, "e3d457b8ca1fb289".into()),
-            Stream(72_764, 10_588_704, "d559ac438714ba87".into()),
-        ),
-    ];
-    for (name, config, client, server) in pins {
-        let (to_server, to_client) = hot_messages(&generate(&config));
-        assert_eq!(stream(&to_server, content_frame), client, "{name}: Content");
-        assert_eq!(stream(&to_server, typed_frame), client, "{name}: typed");
-        assert_eq!(stream(&to_client, content_frame), server, "{name}: Content");
-        assert_eq!(stream(&to_client, typed_frame), server, "{name}: typed");
-    }
+    assert_pinned(
+        [
+            (
+                Stream(1_040, 277_193, "bac2b9e58d413ea9".into()),
+                Stream(1_600, 232_364, "5b2542dc2167d6cf".into()),
+            ),
+            (
+                Stream(39_620, 6_737_991, "e3d457b8ca1fb289".into()),
+                Stream(72_764, 10_588_704, "d559ac438714ba87".into()),
+            ),
+        ],
+        [
+            ("Content", content_frame, content_frame),
+            ("typed", typed_frame, typed_frame),
+        ],
+    );
+}
+
+#[test]
+fn hot_message_ndjson_bytes_are_pinned() {
+    assert_pinned(
+        [
+            (
+                Stream(1_040, 232_397, "e02cf452211e8e27".into()),
+                Stream(1_600, 272_900, "25b72f1deb3ba9d3".into()),
+            ),
+            (
+                Stream(39_620, 6_963_630, "fdf9a2d433979933".into()),
+                Stream(72_764, 12_606_978, "8e6a2b59a0a83a09".into()),
+            ),
+        ],
+        [
+            ("Content", content_line, content_line),
+            ("typed", typed_line, typed_line),
+        ],
+    );
 }
 
 /// Read one frame through the shared reader and through `Content` alone,
@@ -459,6 +519,32 @@ fn read_client(payload: &[u8]) -> bool {
 
 fn read_server(payload: &[u8]) -> bool {
     read_both::<ServerMsg>(payload, server_frame_from_content)
+}
+
+/// [`read_both`] for one NDJSON line: `read_line` and `Content` alone give
+/// the same `Result` — the same error, text included, or frames with the
+/// same `Debug` form. Returns whether the typed path read it.
+fn read_line_both<M: WireMsg + std::fmt::Debug>(
+    line: &str,
+    from_content: fn(&Content) -> Result<Frame<M>, DecodeError>,
+) -> bool {
+    let general = serde_json::parse_content(line)
+        .map_err(|e| DecodeError::BadJson(e.to_string()))
+        .and_then(|c| from_content(&c));
+    let (shared, was_general) = read_line::<M>(line);
+    match (&shared, &general) {
+        (Ok(a), Ok(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}"), "line {line}"),
+        _ => assert_eq!(shared.err(), general.err(), "line {line}"),
+    }
+    !was_general
+}
+
+fn read_client_line(line: &str) -> bool {
+    read_line_both::<ClientMsg>(line, client_frame_from_content)
+}
+
+fn read_server_line(line: &str) -> bool {
+    read_line_both::<ServerMsg>(line, server_frame_from_content)
 }
 
 /// One property case's inputs: special values often, arbitrary bits
@@ -571,10 +657,10 @@ impl Draws {
         }
     }
 
-    /// A `worker` payload as a hostile peer might write it: any history
+    /// A `worker` message as a hostile peer might write it: any history
     /// values in any order, NaN and negatives included. Also returns
     /// whether the history is one `WorkerHistory` accepts.
-    fn raw_worker(&mut self) -> (Vec<u8>, bool) {
+    fn raw_worker(&mut self) -> (Content, bool) {
         let len = (self.next() % 6) as usize;
         let lattice = self.bool();
         let values: Vec<f64> = (0..len)
@@ -592,19 +678,19 @@ impl Draws {
             Content::Seq(values.into_iter().map(Content::F64).collect()),
         )]);
         let worker = map([("spec", self.worker().to_content()), ("history", history)]);
-        (payload(map([("worker", worker)])), valid)
+        (map([("worker", worker)]), valid)
     }
 
-    /// A `request` payload whose platform is any `u64`. Also returns
+    /// A `request` message whose platform is any `u64`. Also returns
     /// whether it fits the `u16` a `PlatformId` is.
-    fn raw_request(&mut self) -> (Vec<u8>, bool) {
+    fn raw_request(&mut self) -> (Content, bool) {
         let platform = self.u64();
         let Content::Map(mut fields) = self.request().to_content() else {
             unreachable!("a request is a map");
         };
         fields[1].1 = Content::U64(platform);
         let request = map([("request", Content::Map(fields))]);
-        (payload(request), platform <= u64::from(u16::MAX))
+        (request, platform <= u64::from(u16::MAX))
     }
 }
 
@@ -661,11 +747,58 @@ proptest! {
             hot_round_trip(d.sid(), &d.client(), read_client);
             hot_round_trip(d.sid(), &d.server(), read_server);
             let (raw, valid) = d.raw_worker();
-            prop_assert_eq!(read_client(&raw), valid);
+            prop_assert_eq!(read_client(&payload(raw)), valid);
             let (raw, fits) = d.raw_request();
-            prop_assert_eq!(read_client(&raw), fits);
+            prop_assert_eq!(read_client(&payload(raw)), fits);
         }
     }
+
+    /// The same for NDJSON: typed lines are `encode`'s, `read_line` reads
+    /// exactly what `Content` reads, and hostile histories and platforms
+    /// fall through to `Content` and its errors — as does any non-finite
+    /// float, which JSON writes as `null` and no hot float reads.
+    #[test]
+    fn typed_ndjson_codec_agrees_with_content(draws in proptest::collection::vec(0u64..u64::MAX, 512)) {
+        let mut d = Draws(draws);
+        for _ in 0..4 {
+            hot_line_round_trip(d.sid(), &d.client(), read_client_line);
+            hot_line_round_trip(d.sid(), &d.server(), read_server_line);
+            let (raw, valid) = d.raw_worker();
+            let text = line(raw);
+            prop_assert_eq!(read_client_line(&text), valid && !text.contains("null"));
+            let (raw, fits) = d.raw_request();
+            let text = line(raw);
+            prop_assert_eq!(read_client_line(&text), fits && !text.contains("null"));
+        }
+    }
+}
+
+/// A value tree as one JSON line, newline stripped.
+fn line(content: Content) -> String {
+    encode(&Raw(content))
+}
+
+/// [`hot_round_trip`] for NDJSON: the typed line is `encode`'s; whenever
+/// `Content` reads it at all, it reads through the typed path back to the
+/// same line; a trailing space, which `Content` skips, sends it through
+/// `Content` instead.
+fn hot_line_round_trip<M: WireMsg + Clone + std::fmt::Debug>(
+    sid: Option<u64>,
+    msg: &M,
+    read: fn(&str) -> bool,
+) {
+    let written = typed_line(sid, msg);
+    assert_eq!(written, content_line(sid, msg));
+    let text = std::str::from_utf8(&written[..written.len() - 1]).expect("JSON is UTF-8");
+    let typed = read(text);
+    if let Ok(back) = read_line::<M>(text).0 {
+        assert!(typed, "{msg:?} missed the typed path");
+        assert_eq!(typed_line(back.sid, &back.msg), written);
+    }
+    assert!(
+        !read(&format!("{text} ")),
+        "{msg:?} read with a trailing space"
+    );
 }
 
 /// Every truncation and every single-byte flip of every hot frame of
@@ -698,6 +831,130 @@ fn hostile_hot_frames_read_exactly_as_content_does() {
     for payload in payloads(&to_client) {
         sweep(&payload, read_server);
     }
+}
+
+/// Every truncation of the first hot lines of `quick` of each shape, and
+/// every substitution of one of their bytes by a character that means
+/// something to JSON, reads through `read_line` exactly as through
+/// `Content` alone, and never panics. Lines of one shape differ only in
+/// their digits and in how many values a history holds; every line of
+/// `quick` would be 8M variants, minutes in a debug build.
+#[test]
+fn hostile_hot_lines_read_exactly_as_content_does() {
+    fn text(bytes: &[u8]) -> &str {
+        std::str::from_utf8(bytes).expect("hot lines are ASCII")
+    }
+    fn sweep(line: &[u8], read: fn(&str) -> bool) {
+        for cut in 0..line.len() {
+            read(text(&line[..cut]));
+        }
+        let mut variant = line.to_vec();
+        for i in 0..line.len() {
+            for &b in b"\",:{}[] 09-+.en" {
+                if b != line[i] {
+                    variant[i] = b;
+                    read(text(&variant));
+                }
+            }
+            variant[i] = line[i];
+        }
+    }
+    /// The first four lines of each shape: digit runs read as `1`, a run
+    /// of floats as one.
+    fn lines<M: WireMsg>(messages: &Addressed<M>) -> Vec<Vec<u8>> {
+        let mut by_shape = BTreeMap::<String, Vec<Vec<u8>>>::new();
+        for (sid, msg) in messages {
+            let mut line = typed_line(*sid, msg);
+            line.pop();
+            let mut shape = String::new();
+            for c in text(&line).chars() {
+                if !c.is_ascii_digit() {
+                    shape.push(c);
+                } else if !shape.ends_with('1') {
+                    shape.push('1');
+                }
+            }
+            while shape.contains("1.1,1.1") {
+                shape = shape.replace("1.1,1.1", "1.1");
+            }
+            let same = by_shape.entry(shape).or_default();
+            if same.len() < 4 && !same.contains(&line) {
+                same.push(line);
+            }
+        }
+        by_shape.into_values().flatten().collect()
+    }
+    let (to_server, to_client) = hot_messages(&generate(&com_datagen::profiles::quick()));
+    for line in lines(&to_server) {
+        sweep(&line, read_client_line);
+    }
+    for line in lines(&to_client) {
+        sweep(&line, read_server_line);
+    }
+}
+
+/// Hot messages written any other way than the typed writer's fall
+/// through to `Content` and read exactly as they always did: the same
+/// message where `Content` reads one, the same error where it does not.
+#[test]
+fn non_canonical_hot_lines_fall_through_to_content() {
+    let request = line(ClientMsg::request(request_spec()).to_content());
+    assert_eq!(
+        request,
+        "{\"request\":{\"id\":7,\"platform\":0,\"arrival\":3.25,\
+         \"location\":{\"x\":1.5,\"y\":-2.75},\"value\":12.5}}"
+    );
+    assert!(read_client_line(&request));
+    let same = |variant: &str| {
+        assert!(!read_client_line(variant), "{variant} took the typed path");
+        let read = |l: &str| format!("{:?}", read_line::<ClientMsg>(l).0);
+        assert_eq!(read(variant), read(&request), "{variant}");
+    };
+    let refused = |variant: &str, why: &str| {
+        assert!(!read_client_line(variant), "{variant} took the typed path");
+        match read_line::<ClientMsg>(variant).0 {
+            Err(DecodeError::UnknownMessage(detail)) => assert!(detail.contains(why), "{detail}"),
+            other => panic!("{variant}: {other:?}"),
+        }
+    };
+    same(
+        &request
+            .replace(",\"value\":12.5", "")
+            .replace("{\"id\"", "{\"value\":12.5,\"id\""),
+    );
+    same(&request.replace("\"value\"", "\"valu\\u0065\""));
+    same(&request.replace("\"id\":7", "\"id\": 7"));
+    same(&request.replace("\"value\":12.5", "\"value\":12.5,\"extra\":1"));
+    let three = request.replace("\"id\":7", "\"id\":3.0");
+    assert!(!read_client_line(&three));
+    let Ok(ClientFrame {
+        msg: ClientMsg::request(spec),
+        ..
+    }) = read_line(&three).0
+    else {
+        panic!("an integral float id decodes");
+    };
+    assert_eq!(spec.id, RequestId(3));
+    refused(
+        &request.replace("\"id\":7", "\"id\":-1"),
+        "-1 out of range for u64",
+    );
+    refused(
+        &request.replace("\"platform\":0", "\"platform\":70000"),
+        "70000 out of range for u16",
+    );
+    let worker = line(
+        ClientMsg::worker(WorkerMsg {
+            spec: worker_spec(),
+            history: Some(WorkerHistory::from_values(vec![1.0])),
+        })
+        .to_content(),
+    );
+    assert!(read_client_line(&worker));
+    refused(
+        &worker.replace("[1.0]", "[1.0,-1.0]"),
+        "history values must be finite and non-negative",
+    );
 }
 
 fn open_session(addr: &str, frame: Option<&str>) -> Client {
@@ -887,32 +1144,36 @@ fn binary_pipelined_run_is_byte_identical_to_ndjson_and_batch() {
     handle.shutdown();
 }
 
-fn general_frames(client: &mut Client) -> u64 {
-    match client.rpc(&ClientMsg::stats_deep).expect("stats_deep") {
-        ServerMsg::stats_deep(deep) => deep.general_frames,
-        other => panic!("expected stats_deep, got {other:?}"),
+/// What the daemon decoded through `Content` so far on this connection, in
+/// `frame`'s framing.
+fn general_count(deep: &DeepStatsMsg, frame: WireFormat) -> u64 {
+    match frame {
+        WireFormat::Binary => deep.general_frames,
+        WireFormat::Ndjson => deep.general_lines,
     }
 }
 
-#[test]
-fn general_frames_count_what_the_typed_path_did_not_read() {
+/// A `quick` run in `frame` at `window` counts only its cold messages as
+/// read through `Content` — `cold` of them by the time its `stats_deep` is
+/// answered — and a `request` with `value` sent first, answered exactly
+/// like the canonical one, adds one.
+fn typed_path_misses_are_counted(frame: WireFormat, window: usize, cold: u64) {
     let handle = serve(ServerConfig::default()).expect("bind ephemeral port");
     let addr = handle.addr().to_string();
 
-    // A pipelined binary run: every event is hot, and the `stats_deep`
-    // that reads the counter is the one cold frame so far.
     let report = drive(
         &addr,
         &generate(&com_datagen::profiles::quick()),
         &DriveOptions {
             matcher: "ramcom".into(),
-            frame: WireFormat::Binary,
-            window: 64,
+            frame,
+            window,
             ..DriveOptions::default()
         },
     )
-    .expect("binary replay");
-    assert_eq!(report.deep_stats.expect("stats_deep").general_frames, 1);
+    .expect("replay");
+    let deep = report.deep_stats.expect("stats_deep");
+    assert_eq!(general_count(&deep, frame), cold);
 
     // The same request twice, on two connections: once canonical, once
     // with `value` sent first. Both are answered alike; only the second
@@ -934,17 +1195,21 @@ fn general_frames_count_what_the_typed_path_did_not_read() {
     };
     fields.rotate_right(1);
     assert!(matches!(&fields[0].0, Content::Str(k) if k == "value"));
-    let reordered = encode_frame(&Raw(Content::Map(reordered)));
+    let reordered = Content::Map(reordered);
 
     let mut answers = Vec::new();
     for hand_built in [false, true] {
-        let mut client = open_session(&addr, Some("binary"));
+        let mut client = open_session(&addr, Some(frame.as_str()));
         let ack = client
             .rpc(&ClientMsg::worker(worker.clone()))
             .expect("worker");
         assert!(matches!(ack, ServerMsg::ok));
         let response = if hand_built {
-            client.send_bytes(&reordered).expect("send");
+            match frame {
+                WireFormat::Binary => client.send_bytes(&encode_frame(&Raw(reordered.clone()))),
+                WireFormat::Ndjson => client.send_raw(&line(reordered.clone())),
+            }
+            .expect("send");
             client.recv().expect("response")
         } else {
             client.rpc(&ClientMsg::request(request)).expect("request")
@@ -956,10 +1221,28 @@ fn general_frames_count_what_the_typed_path_did_not_read() {
             decision_nanos: 0,
             ..assignment
         };
-        answers.push((encode(&assignment), general_frames(&mut client)));
+        let ServerMsg::stats_deep(deep) = client.rpc(&ClientMsg::stats_deep).expect("stats_deep")
+        else {
+            panic!("expected stats_deep");
+        };
+        answers.push((encode(&assignment), general_count(&deep, frame)));
         client.rpc(&ClientMsg::shutdown).expect("shutdown");
     }
     assert_eq!(answers[0].0, answers[1].0);
-    assert_eq!((answers[0].1, answers[1].1), (1, 2));
+    assert_eq!((answers[0].1, answers[1].1), (cold, cold + 1));
     handle.shutdown();
+}
+
+/// Binary, pipelined: the `stats_deep` that reads the counter is the one
+/// cold frame (`hello` is always NDJSON).
+#[test]
+fn general_frames_count_what_the_typed_path_did_not_read() {
+    typed_path_misses_are_counted(WireFormat::Binary, 64, 1);
+}
+
+/// NDJSON, lockstep: `hello` and the `stats_deep` that reads the counter
+/// are the cold lines.
+#[test]
+fn general_lines_count_what_the_typed_path_did_not_read() {
+    typed_path_misses_are_counted(WireFormat::Ndjson, 1, 2);
 }

@@ -126,6 +126,30 @@ fn integral_floats_out_of_range_are_unknown_messages_not_saturated() {
     }
 }
 
+/// One line of 10,000 nested arrays used to overflow the JSON parser's
+/// stack and abort the whole daemon. It is answered `bad-json` now, and
+/// the daemon keeps serving.
+#[test]
+fn a_deeply_nested_line_is_bad_json_not_a_crash() {
+    let handle = start_server();
+    let addr = handle.addr().to_string();
+    let mut client = Client::connect(&addr).expect("connect");
+    client
+        .send_raw(&format!("{}{}", "[".repeat(10_000), "]".repeat(10_000)))
+        .expect("send");
+    match client.recv().expect("response") {
+        ServerMsg::error(e) => {
+            assert_eq!(e.code, "bad-json");
+            assert_eq!(e.detail, "recursion limit exceeded at byte 129");
+        }
+        other => panic!("expected bad-json, got {other:?}"),
+    }
+    let mut fresh = open_session(&addr);
+    let response = fresh.rpc(&ClientMsg::shutdown).expect("shutdown");
+    assert!(matches!(response, ServerMsg::bye(_)));
+    handle.shutdown();
+}
+
 #[test]
 fn malformed_envelopes_get_typed_error_and_are_counted() {
     let handle = start_server();
