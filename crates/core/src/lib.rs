@@ -76,10 +76,7 @@ pub use demcom::DemCom;
 pub use engine::{run_online, try_run_online, DecisionFailure, RunResult};
 pub use matcher::{Decision, OnlineMatcher, StreamInfo};
 pub use offline::{offline_solve, OfflineMode, OfflineResult};
-pub use outsource::{
-    merge_platform_runs, project_platform_instance, project_platform_run, validate_platform_slice,
-    LocalOutsource, OutsourceChannel, OutsourceOutcome, OutsourceReject, ScriptedOutsource,
-};
+pub use outsource::{project_platform_run, OutsourceChannel, OutsourceOutcome};
 pub use ramcom::RamCom;
 pub use ratio::{competitive_ratio_random_order, CrReport};
 pub use registry::{MatcherFactory, MatcherRegistry, MatcherSpec, SpecError};

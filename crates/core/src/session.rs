@@ -42,7 +42,7 @@ use com_stream::WorkerId;
 
 use crate::engine::{DecisionFailure, RunResult};
 use crate::matcher::{Decision, OnlineMatcher, StreamInfo};
-use crate::outsource::{LocalOutsource, OutsourceChannel, OutsourceOutcome};
+use crate::outsource::{OutsourceChannel, OutsourceOutcome};
 
 /// How often (in processed stream events — worker arrivals count too) the
 /// session samples `World::approx_bytes` for the peak-memory metric once
@@ -152,16 +152,12 @@ pub struct MatchSession<'m> {
     /// `run_online` wrapper panics on those, preserving the historic
     /// behaviour).
     lenient: bool,
-    /// The negotiation seam for `Decision::Outer` on owned requests.
-    /// [`LocalOutsource`] (the default) accepts every offer, preserving
-    /// the pre-federation behaviour byte for byte.
-    outsource: Box<dyn OutsourceChannel + 'm>,
-    /// `Some(p)` in federated mode: this session is accountable for
-    /// platform `p`'s requests only — outer decisions on owned requests
-    /// go through the channel, decisions on the peer's requests are
-    /// applied directly (the deterministic replica stays in lockstep).
-    /// `None` (the default) owns every platform.
-    owned_platform: Option<PlatformId>,
+    /// `Some((p, channel))` in federated mode: an outer decision on a
+    /// request platform `p` owns is an offer `channel` must accept first;
+    /// decisions on the peer's requests apply directly (the deterministic
+    /// replica stays in lockstep). `None` (the default) applies every
+    /// decision directly and never negotiates.
+    federation: Option<(PlatformId, Box<dyn OutsourceChannel + 'm>)>,
     degraded_offers: u64,
     assignments: Vec<Assignment>,
     failures: Vec<DecisionFailure>,
@@ -193,14 +189,10 @@ impl<'m> MatchSession<'m> {
         matcher: Box<dyn OnlineMatcher + 'm>,
         seed: u64,
     ) -> Self {
+        // `build_world` registered every worker with its history already;
+        // nothing is left to stage.
         let world = instance.build_world();
-        let mut session = Self::start(
-            world,
-            instance.histories.clone(),
-            instance.max_value(),
-            matcher,
-            seed,
-        );
+        let mut session = Self::start(world, HashMap::new(), instance.max_value(), matcher, seed);
         session.assignments = Vec::with_capacity(instance.request_count());
         session.log_capacity = session.assignments.capacity();
         session.peak = session.world.approx_bytes() + log_bytes(&session.assignments);
@@ -231,8 +223,7 @@ impl<'m> MatchSession<'m> {
             algorithm,
             histories,
             lenient: true,
-            outsource: Box::new(LocalOutsource),
-            owned_platform: None,
+            federation: None,
             degraded_offers: 0,
             assignments,
             failures: Vec::new(),
@@ -251,31 +242,17 @@ impl<'m> MatchSession<'m> {
         self
     }
 
-    /// Substitute the outsourcing channel consulted before any
-    /// `Decision::Outer` on an owned request is applied. The default
-    /// [`LocalOutsource`] accepts everything.
-    pub fn with_outsource_channel(mut self, channel: Box<dyn OutsourceChannel + 'm>) -> Self {
-        self.outsource = channel;
+    /// Federate the session as `platform`'s daemon: an outer decision on
+    /// a request `platform` owns is offered through `channel` and applied
+    /// only if the peer accepts; decisions on other platforms' requests
+    /// apply directly, keeping this replica in lockstep with its peers.
+    pub fn with_federation(
+        mut self,
+        platform: PlatformId,
+        channel: Box<dyn OutsourceChannel + 'm>,
+    ) -> Self {
+        self.federation = Some((platform, channel));
         self
-    }
-
-    /// Restrict accountability to one platform (federated mode): outer
-    /// decisions for `platform`'s requests go through the outsourcing
-    /// channel; decisions for other platforms' requests are applied
-    /// directly, keeping this replica in lockstep with its peers.
-    pub fn with_owned_platform(mut self, platform: Option<PlatformId>) -> Self {
-        self.owned_platform = platform;
-        self
-    }
-
-    /// The platform this session is accountable for (`None` = all).
-    pub fn owned_platform(&self) -> Option<PlatformId> {
-        self.owned_platform
-    }
-
-    /// Whether this session is accountable for `platform`'s requests.
-    pub fn owns(&self, platform: PlatformId) -> bool {
-        self.owned_platform.is_none_or(|p| p == platform)
     }
 
     /// Outer decisions degraded to rejects because the peer declined or
@@ -315,7 +292,7 @@ impl<'m> MatchSession<'m> {
             ArrivalEvent::Request(request) => {
                 let span = com_obs::span(com_obs::PHASE_DECISION);
                 let started = Instant::now();
-                let decision = self.matcher.decide(&self.world, request, &mut self.rng);
+                let mut decision = self.matcher.decide(&self.world, request, &mut self.rng);
                 let nanos = started.elapsed().as_nanos() as u64;
                 drop(span);
                 self.total_nanos += nanos;
@@ -324,46 +301,25 @@ impl<'m> MatchSession<'m> {
                 // can be applied. Negotiation time is deliberately kept
                 // out of `decision_nanos` (the paper's response-time
                 // metric measures the algorithm, not the peer's RTT).
-                let decision = match decision {
+                if let (
                     Decision::Outer {
                         worker,
                         platform,
                         payment,
-                    } if self.owns(request.platform) => {
-                        match self.outsource.offer(request, worker, platform, payment) {
-                            OutsourceOutcome::Accepted => Decision::Outer {
-                                worker,
-                                platform,
-                                payment,
-                            },
-                            OutsourceOutcome::Rejected(reject) => {
-                                self.degraded_offers += 1;
-                                com_obs::counter_add("fed.offers_degraded", 1);
-                                com_obs::counter_add(
-                                    match reject {
-                                        crate::outsource::OutsourceReject::Expired => {
-                                            "fed.offers_degraded.expired"
-                                        }
-                                        _ => "fed.offers_degraded.rejected",
-                                    },
-                                    1,
-                                );
-                                Decision::Reject {
-                                    was_cooperative_offer: true,
-                                }
-                            }
-                            OutsourceOutcome::TimedOut => {
-                                self.degraded_offers += 1;
-                                com_obs::counter_add("fed.offers_degraded", 1);
-                                com_obs::counter_add("fed.offers_degraded.timeout", 1);
-                                Decision::Reject {
-                                    was_cooperative_offer: true,
-                                }
-                            }
-                        }
+                    },
+                    Some((owned, channel)),
+                ) = (decision, &mut self.federation)
+                {
+                    if *owned == request.platform
+                        && channel.offer(request, worker, platform, payment)
+                            != OutsourceOutcome::Accepted
+                    {
+                        self.degraded_offers += 1;
+                        decision = Decision::Reject {
+                            was_cooperative_offer: true,
+                        };
                     }
-                    other => other,
-                };
+                }
                 match try_apply_decision(&mut self.world, request, decision, nanos) {
                     Ok(assignment) => {
                         self.assignments.push(assignment.clone());
@@ -808,7 +764,7 @@ mod tests {
 
     #[test]
     fn declined_offer_degrades_to_cooperative_reject() {
-        use crate::outsource::{OutsourceOutcome, OutsourceReject, ScriptedOutsource};
+        use crate::outsource::{OutsourceOutcome, ScriptedOutsource};
         let instance = tiny_instance();
         // DemCom on tiny_instance: r1 goes inner to w1, r2 finds only the
         // outer worker w2 — the one offer in the run.
@@ -820,10 +776,13 @@ mod tests {
 
         for script in [
             OutsourceOutcome::TimedOut,
-            OutsourceOutcome::Rejected(OutsourceReject::Desync),
+            OutsourceOutcome::Rejected("desync".into()),
         ] {
             let mut session = MatchSession::for_instance(&instance, Box::new(DemCom::default()), 7)
-                .with_outsource_channel(Box::new(ScriptedOutsource::new(vec![script])));
+                .with_federation(
+                    PlatformId(0),
+                    Box::new(ScriptedOutsource::new(vec![script])),
+                );
             for event in instance.stream.iter() {
                 session.ingest(event).unwrap();
             }
@@ -851,12 +810,10 @@ mod tests {
         // never consulted, and the run matches the unfederated baseline.
         let baseline = crate::try_run_online(&instance, &mut DemCom::default(), 7);
         let mut session = MatchSession::for_instance(&instance, Box::new(DemCom::default()), 7)
-            .with_owned_platform(Some(PlatformId(1)))
-            .with_outsource_channel(Box::new(ScriptedOutsource::new(vec![
-                OutsourceOutcome::TimedOut,
-            ])));
-        assert!(!session.owns(PlatformId(0)));
-        assert!(session.owns(PlatformId(1)));
+            .with_federation(
+                PlatformId(1),
+                Box::new(ScriptedOutsource::new(vec![OutsourceOutcome::TimedOut])),
+            );
         for event in instance.stream.iter() {
             session.ingest(event).unwrap();
         }

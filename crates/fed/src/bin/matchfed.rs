@@ -5,8 +5,8 @@
 //! daemons — each owning one platform, joined by the inter-daemon
 //! outsourcing protocol — and verifies the federated outcome against a
 //! local single-process batch run of the same instance and seed:
-//! canonical runs, digests, per-platform projections, merged slices,
-//! ledgers, audits, and zero degraded offers.
+//! canonical runs, digests, per-platform projections, ledgers, audits,
+//! and zero degraded offers.
 //!
 //! ```text
 //! matchfed --quick --strict                      # in-process pair

@@ -54,7 +54,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use com_core::{OutsourceChannel, OutsourceOutcome, OutsourceReject};
+use com_core::{OutsourceChannel, OutsourceOutcome};
 use com_sim::{PlatformId, RequestSpec, Value};
 use com_stream::WorkerId;
 
@@ -148,10 +148,9 @@ impl PeerLink {
             }
             let (id, outcome) = match read_server_frame(conn, MAX_FRAME_PAYLOAD)?.msg {
                 ServerMsg::outsource_accept { offer, .. } => (offer, OutsourceOutcome::Accepted),
-                ServerMsg::outsource_reject { offer, code, .. } => (
-                    offer,
-                    OutsourceOutcome::Rejected(OutsourceReject::from_code(&code)),
-                ),
+                ServerMsg::outsource_reject { offer, code, .. } => {
+                    (offer, OutsourceOutcome::Rejected(code))
+                }
                 // Anything else is not a verdict: read on, and let the offer
                 // run into its deadline if none comes.
                 _ => continue,
@@ -216,7 +215,7 @@ impl OutsourceChannel for WireOutsource {
         self.stats.offers_sent.fetch_add(1, Ordering::Relaxed);
         let Some(link) = self.link.as_mut() else {
             self.stats.offers_rejected.fetch_add(1, Ordering::Relaxed);
-            return OutsourceOutcome::Rejected(OutsourceReject::Other("no-peer-link".into()));
+            return OutsourceOutcome::Rejected("no-peer-link".into());
         };
         let offer = self.next_offer;
         self.next_offer += 1;
@@ -347,7 +346,7 @@ mod tests {
         ));
         assert!(matches!(
             ch.offer(&r, WorkerId(3), PlatformId(1), 2.0),
-            OutsourceOutcome::Rejected(OutsourceReject::Desync)
+            OutsourceOutcome::Rejected(code) if code == "desync"
         ));
         let started = Instant::now();
         assert!(matches!(

@@ -405,7 +405,7 @@ pub struct FedStatsMsg {
 /// Federation half of `bye` (`fedd` mode only): this daemon's
 /// per-platform view of the finished run — the canonical projection of
 /// *owned* requests, its digest, and the platform's books. `matchfed`
-/// merges the two daemons' halves and verifies the merge against a local
+/// verifies each half against the same projection of a local
 /// single-process replay, byte for byte.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FedByeMsg {
@@ -419,7 +419,8 @@ pub struct FedByeMsg {
     /// on owned requests plus outsourcing payments earned by lending.
     pub ledger: com_sim::PlatformLedger,
     /// Offers degraded to cooperative rejects because the peer refused,
-    /// timed out, or was unreachable. Zero for a byte-identical merge.
+    /// timed out, or was unreachable: `stats_deep.federation`'s
+    /// `offers_rejected + offers_timed_out`. Zero for a byte-identical run.
     pub degraded_offers: u64,
 }
 

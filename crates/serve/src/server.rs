@@ -54,7 +54,7 @@ use crate::framing::{self, split_frame, FrameSplit, WireFormat, FRAME_MAGIC, MAX
 use crate::protocol::{
     read_line, write_msg, ClientFrame, ClientMsg, DecodeError, ErrorMsg, ServerMsg,
 };
-use crate::shard::{place, PoolShared, ShardPool, ShardStats};
+use crate::shard::{place, Key, PoolShared, ShardPool, ShardStats};
 
 /// How long blocking points (socket reads, queue receives) wait before
 /// re-checking the stop flag. Bounds shutdown latency.
@@ -175,14 +175,15 @@ pub(crate) struct Daemon {
     pub(crate) shards: Vec<ShardStats>,
     /// Dense logical session ids, in `hello` order across all shards.
     pub(crate) next_lsid: AtomicU64,
-    /// Federation routing: `fed_sid` → owning shard. Offers arrive on the
-    /// *peer's* connection, which has no `(conn, sid)` route to the
-    /// session that must answer them — they route by the shared
-    /// federation session id instead. The owning shard inserts once the
-    /// session is open (refusing a `fed_sid` that is already routed) and
-    /// removes when it finishes; routers only read. Off the per-event hot
-    /// path (touched only on fed `hello`s and inbound offers).
-    fed_routes: Mutex<HashMap<u64, usize>>,
+    /// Federation routing: `fed_sid` → (owning shard, session key).
+    /// Offers arrive on the *peer's* connection, which has no
+    /// `(conn, sid)` route to the session that must answer them — they
+    /// route by the shared federation session id instead: the router
+    /// picks the shard, the shard the session. The owning shard inserts
+    /// once the session is open (refusing a `fed_sid` that is already
+    /// routed) and removes when it finishes. Off the per-event hot path
+    /// (touched only on fed `hello`s and inbound offers).
+    fed_routes: Mutex<HashMap<u64, (usize, Key)>>,
 }
 
 impl Daemon {
@@ -199,7 +200,7 @@ impl Daemon {
         }
     }
 
-    pub(crate) fn fed_routes(&self) -> std::sync::MutexGuard<'_, HashMap<u64, usize>> {
+    pub(crate) fn fed_routes(&self) -> std::sync::MutexGuard<'_, HashMap<u64, (usize, Key)>> {
         self.fed_routes
             .lock()
             .expect("no code path panics while holding the fed route table")
@@ -508,7 +509,7 @@ impl Router {
         // it came in on.
         if let ClientMsg::outsource_offer(o) = &msg {
             let (fed_sid, offer) = (o.fed_sid, o.offer);
-            let shard = daemon.fed_routes().get(&fed_sid).copied();
+            let shard = daemon.fed_routes().get(&fed_sid).map(|&(shard, _)| shard);
             return match shard {
                 Some(shard) => self.pool.ingress(shard, &self.conn, sid, msg, decode_ns),
                 None => {

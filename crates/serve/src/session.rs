@@ -170,8 +170,7 @@ impl ServeSession {
                     lendable: HashMap::new(),
                 });
                 MatchSession::new(config, spec.build(), hello.seed)
-                    .with_owned_platform(Some(platform))
-                    .with_outsource_channel(Box::new(channel))
+                    .with_federation(platform, Box::new(channel))
             }
         };
         Ok(ServeSession {
@@ -403,12 +402,14 @@ impl ServeSession {
     }
 
     /// Advance the session clock without an event. `to_secs` is wire
-    /// input: NaN (which `Timestamp::from_secs` asserts against) is
-    /// refused like any other malformed event.
+    /// input: a non-finite time — NaN, which `Timestamp::from_secs`
+    /// asserts against, or ±∞, which would pin the clock past every later
+    /// event and record as `null` — is refused like any other malformed
+    /// event, before the clock moves.
     pub fn tick(&mut self, to_secs: f64) -> Result<(), ConstraintViolation> {
-        if to_secs.is_nan() {
+        if !to_secs.is_finite() {
             return Err(ConstraintViolation::MalformedEvent {
-                problem: "tick time is NaN",
+                problem: "tick time must be finite",
             });
         }
         self.core.drain_timers(Timestamp::from_secs(to_secs))?;
@@ -521,10 +522,10 @@ impl FinishedSession {
     /// The `bye` payload for this finished session. For a federated
     /// session the `fed` block carries the *owned-platform projection* —
     /// canonical JSON, digest, and per-platform revenue ledger of just
-    /// the requests this daemon owns — which is what `matchfed` merges
-    /// and byte-compares across the two daemons. The top-level fields
-    /// stay the full replica's, so the usual single-process identity
-    /// checks keep working unchanged.
+    /// the requests this daemon owns — which `matchfed` byte-compares
+    /// against the same projection of its local batch run. The top-level
+    /// fields stay the full replica's, so the usual single-process
+    /// identity checks keep working unchanged.
     pub fn bye(self) -> ByeMsg {
         ByeMsg {
             algorithm: self.run.algorithm.clone(),

@@ -241,7 +241,7 @@ impl ShardPool {
 }
 
 /// A session's address on its shard: `(connection id, wire sid)`.
-type Key = (u64, Option<u64>);
+pub(crate) type Key = (u64, Option<u64>);
 
 fn constraint(violation: ConstraintViolation) -> ServerMsg {
     error("constraint", violation.to_string())
@@ -253,10 +253,6 @@ struct Shard {
     id: usize,
     daemon: Arc<Daemon>,
     sessions: HashMap<Key, ServeSession>,
-    /// This shard's federated sessions: fed_sid → session key. Inbound
-    /// offers carry only the fed_sid; this resolves them to the session
-    /// that must answer.
-    fed_index: HashMap<u64, Key>,
     /// Every connection with traffic here, for the flush-when-empty cycle.
     conns: HashMap<u64, Arc<Conn>>,
 }
@@ -267,7 +263,6 @@ impl Shard {
             id,
             daemon,
             sessions: HashMap::new(),
-            fed_index: HashMap::new(),
             conns: HashMap::new(),
         }
     }
@@ -347,21 +342,13 @@ impl Shard {
         }
     }
 
-    /// Drop a closing session's federation registrations (shard-local
-    /// index and daemon-global route). Harmless for non-federated
-    /// sessions.
-    fn unregister_fed(&mut self, session: &ServeSession) {
+    /// Finish one session: drop its federation route (if any), close the
+    /// run, audit it and send the `bye` (flushed immediately — it may be
+    /// the last thing the connection says).
+    fn finish_session(&mut self, conn: &Conn, sid: Option<u64>, session: ServeSession) {
         if let Some(fed_sid) = session.fed_sid() {
-            self.fed_index.remove(&fed_sid);
             self.daemon.fed_routes().remove(&fed_sid);
         }
-    }
-
-    /// Finish one session: close the run, audit it and send the `bye`
-    /// (flushed immediately — it may be the last thing the connection
-    /// says).
-    fn finish_session(&mut self, conn: &Conn, sid: Option<u64>, session: ServeSession) {
-        self.unregister_fed(&session);
         self.stats().sessions_open.fetch_sub(1, Ordering::Relaxed);
         let done = session.finish();
         self.daemon
@@ -398,8 +385,7 @@ impl Shard {
                                 conn.queue_for(sid, &error("duplicate-hello", detail));
                                 return;
                             }
-                            routes.insert(fed_sid, self.id);
-                            self.fed_index.insert(fed_sid, key);
+                            routes.insert(fed_sid, (self.id, key));
                         }
                         let lsid = self.daemon.next_lsid.fetch_add(1, Ordering::Relaxed);
                         let stats = self.stats();
@@ -452,15 +438,17 @@ impl Shard {
             }
             ClientMsg::outsource_offer(offer) => {
                 // Offers arrive on the *peer daemon's* connection and routed
-                // here by fed_sid (see `Daemon::fed_routes`); answer on that
-                // same connection. The borrower's shard thread is blocked
-                // on this verdict, so it flushes immediately instead of
-                // joining the batched writer cycle.
-                let response = match self
-                    .fed_index
+                // here by fed_sid (see `Daemon::fed_routes`, which also names
+                // the session); answer on that same connection. The
+                // borrower's shard thread is blocked on this verdict, so it
+                // flushes immediately instead of joining the batched writer
+                // cycle.
+                let key = self
+                    .daemon
+                    .fed_routes()
                     .get(&offer.fed_sid)
-                    .and_then(|k| self.sessions.get_mut(k))
-                {
+                    .map(|&(_, key)| key);
+                let response = match key.and_then(|k| self.sessions.get_mut(&k)) {
                     Some(session) => session.handle_offer(&offer),
                     None => {
                         // A reject from `handle_offer` is a valid protocol

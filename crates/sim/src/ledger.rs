@@ -7,7 +7,7 @@
 //! lender's ledger shows the same payment as money in. A
 //! [`PlatformLedger`] folds an assignment log into exactly that split,
 //! and two federated daemons' ledgers must agree on every cross-platform
-//! payment line for the run to be considered merged-identical.
+//! payment line for the run to be considered identical.
 
 use serde::{Deserialize, Serialize};
 

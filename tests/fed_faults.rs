@@ -67,6 +67,11 @@ fn assert_degraded_but_audit_silent(
         .clone();
     assert_eq!(stats.offers_accepted, 0);
     assert_eq!(fed.degraded_offers, stats.offers_sent);
+    // Every degraded offer was refused or ran out of time, nothing else.
+    assert_eq!(
+        fed.degraded_offers,
+        stats.offers_rejected + stats.offers_timed_out
+    );
     stats
 }
 

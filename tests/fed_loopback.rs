@@ -6,8 +6,8 @@
 use com_core::canonical_run_json;
 use com_core::{try_run_online, MatcherRegistry};
 use com_datagen::{generate, synthetic, SyntheticParams};
-use com_fed::{drive_federated, run_loopback, verify, FedOptions, LoopbackPair};
-use com_serve::{ServerConfig, WireFormat};
+use com_fed::{drive_federated, run_loopback, verify, FedOptions, FedReport, LoopbackPair};
+use com_serve::{ByeMsg, FedByeMsg, ServerConfig, WireFormat};
 use com_sim::{Instance, MatchKind};
 
 fn quick_instance() -> Instance {
@@ -57,6 +57,10 @@ fn federated_pair_is_byte_identical_to_batch_run_ndjson() {
         assert_eq!(stats.offers_sent, stats.offers_accepted);
         assert_eq!(stats.offers_timed_out, 0);
         assert_eq!(stats.offers_rejected, 0);
+        assert_eq!(
+            fed.degraded_offers,
+            stats.offers_rejected + stats.offers_timed_out
+        );
     }
     assert!(sent > 0, "no offer ever crossed the wire");
 }
@@ -138,4 +142,59 @@ fn verify_catches_a_wrong_seed_reference() {
     }
     assert_eq!(verify(&instance, &report, &options), Vec::<String>::new());
     pair.shutdown();
+}
+
+/// Every check `verify` runs reads something a daemon sent: tamper with
+/// one reported fact at a time and `verify` names it (and nothing else);
+/// restore it and the report verifies clean again.
+#[test]
+fn verify_names_each_tampered_daemon_fact() {
+    let instance = quick_instance();
+    let options = FedOptions {
+        seed: 9,
+        ..FedOptions::default()
+    };
+    let pair = LoopbackPair::start(&ServerConfig::default()).expect("bind");
+    let mut report =
+        drive_federated(&pair.addr_a(), &pair.addr_b(), &instance, &options).expect("drive");
+    pair.shutdown();
+    assert_eq!(verify(&instance, &report, &options), Vec::<String>::new());
+
+    fn fed_half(report: &mut FedReport) -> &mut FedByeMsg {
+        report.daemons[0]
+            .bye
+            .fed
+            .as_mut()
+            .expect("fed half present")
+    }
+    type Tamper = fn(&mut FedReport);
+    let tamperings: [(&str, Tamper); 7] = [
+        ("live divergence", |r| {
+            r.divergent_responses.push("request 0: tampered".into())
+        }),
+        ("full replica", |r| {
+            r.daemons[0].bye.canonical = serde_json::json!({ "tampered": true })
+        }),
+        ("full replica", |r| r.daemons[0].bye.digest.push('0')),
+        ("full replica", |r| {
+            r.daemons[0].bye.audit_findings.push("tampered".into())
+        }),
+        ("owned projection", |r| fed_half(r).digest.push('0')),
+        ("ledger", |r| fed_half(r).ledger.revenue += 1.0),
+        ("degraded", |r| fed_half(r).degraded_offers = 1),
+    ];
+    let byes: Vec<ByeMsg> = report.daemons.iter().map(|d| d.bye.clone()).collect();
+    for (fact, tamper) in tamperings {
+        tamper(&mut report);
+        let failures = verify(&instance, &report, &options);
+        assert!(
+            !failures.is_empty() && failures.iter().all(|f| f.contains(fact)),
+            "{fact}: {failures:?}"
+        );
+        report.divergent_responses.clear();
+        for (daemon, bye) in report.daemons.iter_mut().zip(&byes) {
+            daemon.bye = bye.clone();
+        }
+        assert_eq!(verify(&instance, &report, &options), Vec::<String>::new());
+    }
 }

@@ -12,8 +12,8 @@ use com_datagen::{generate, profiles};
 use com_geo::Point;
 use com_pricing::WorkerHistory;
 use com_serve::{
-    decode_client_frame, event_msg, serve, Client, ClientMsg, DecodeError, Hello, ServerConfig,
-    ServerHandle, ServerMsg, WorkerMsg,
+    decode_client_frame, event_msg, replay_trace, serve, Client, ClientMsg, DecodeError, Hello,
+    ServerConfig, ServerHandle, ServerMsg, WorkerMsg,
 };
 use com_sim::{
     ArrivalEvent, EventStream, Instance, PlatformId, RequestId, RequestSpec, Timestamp, WorkerId,
@@ -635,6 +635,91 @@ fn hostile_hellos_are_refused_and_the_daemon_keeps_serving() {
     };
     assert_eq!(bye.disagreements(&batch), Vec::<String>::new());
     handle.shutdown();
+}
+
+/// Answer to a `tick` to no finite time: a `malformed` constraint error.
+fn expect_tick_refused(client: &mut Client, what: &str) {
+    let ServerMsg::error(e) = client.recv().expect("response") else {
+        panic!("tick to {what} was not refused");
+    };
+    assert_eq!(e.code, "constraint", "{what}: {}", e.detail);
+    assert!(
+        e.detail.contains("tick time must be finite"),
+        "{what}: {}",
+        e.detail
+    );
+}
+
+/// A `tick` to a non-finite time is refused before the clock moves, in
+/// both framings: NDJSON `1e999` (the parser reads the overflow as +∞)
+/// and binary ±∞ (sent as raw bits). None of them reaches the session or
+/// its recorded trace: `quick` still finishes at its batch digest, and
+/// both traces replay clean.
+#[test]
+fn non_finite_ticks_are_refused_and_the_trace_replays() {
+    let dir = std::env::temp_dir().join(format!("com-serve-protocol-{}-ticks", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create record dir");
+    let handle = serve(ServerConfig {
+        record_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let addr = handle.addr().to_string();
+    let instance = generate(&profiles::quick());
+    let batch = try_run_online(&instance, &mut RamCom::default(), 42);
+
+    for frame in [None, Some("binary")] {
+        let mut client = Client::connect(&addr).expect("connect");
+        let hello = Hello {
+            matcher: "ramcom".into(),
+            seed: 42,
+            world: instance.config.clone(),
+            platforms: instance.platform_names.clone(),
+            max_value: instance.max_value(),
+            origin: None,
+            frame: frame.map(str::to_string),
+            fed: None,
+        };
+        client.open(None, hello).expect("hello");
+        for (i, event) in instance.stream.iter().enumerate() {
+            if i == 1 {
+                if frame.is_some() {
+                    for to in [f64::INFINITY, f64::NEG_INFINITY] {
+                        client.send(&ClientMsg::tick { to }).expect("send");
+                        expect_tick_refused(&mut client, &to.to_string());
+                    }
+                } else {
+                    client.send_raw(r#"{"tick":{"to":1e999}}"#).expect("send");
+                    expect_tick_refused(&mut client, "1e999");
+                }
+            }
+            let response = client.rpc(&event_msg(&instance, event)).expect("event");
+            assert!(!matches!(response, ServerMsg::error(_)), "{response:?}");
+        }
+        let ServerMsg::bye(bye) = client.rpc(&ClientMsg::shutdown).expect("shutdown") else {
+            panic!("expected bye");
+        };
+        assert_eq!(bye.disagreements(&batch), Vec::<String>::new(), "{frame:?}");
+    }
+    handle.shutdown();
+
+    let traces: Vec<_> = std::fs::read_dir(&dir)
+        .expect("read record dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    assert_eq!(traces.len(), 2, "traces: {traces:?}");
+    for path in &traces {
+        let report = replay_trace(path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+        assert!(
+            report.is_clean(),
+            "{path:?}: divergences {:?}, findings {:?}",
+            report.divergences,
+            report.audit_findings
+        );
+        assert_eq!(report.events, instance.stream.len() as u64);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
