@@ -172,6 +172,7 @@ fn report_json(
                 "offers_sent": stats.map(|s| s.offers_sent),
                 "offers_accepted": stats.map(|s| s.offers_accepted),
                 "lends_granted": stats.map(|s| s.lends_granted),
+                "lends_parked": stats.map(|s| s.lends_parked),
                 "offer_rtt_p50_us": offer_phase.map(|p| p.p50_ns as f64 / 1e3),
                 "offer_rtt_p99_us": offer_phase.map(|p| p.p99_ns as f64 / 1e3),
             })
@@ -258,7 +259,7 @@ fn main() {
         let fed = d.bye.fed.as_ref();
         let stats = d.deep_stats.as_ref().and_then(|s| s.federation.as_ref());
         println!(
-            "  platform {}: revenue {:.2}  paid {:.2}  earned {:.2}  offers {}→{} accepted  lent {}  degraded {}  digest {}",
+            "  platform {}: revenue {:.2}  paid {:.2}  earned {:.2}  offers {}→{} accepted  lent {} ({} parked)  degraded {}  digest {}",
             d.platform,
             fed.map(|f| f.ledger.revenue).unwrap_or(f64::NAN),
             fed.map(|f| f.ledger.outsource_paid).unwrap_or(f64::NAN),
@@ -266,6 +267,7 @@ fn main() {
             stats.map(|s| s.offers_sent).unwrap_or(0),
             stats.map(|s| s.offers_accepted).unwrap_or(0),
             stats.map(|s| s.lends_granted).unwrap_or(0),
+            stats.map(|s| s.lends_parked).unwrap_or(0),
             fed.map(|f| f.degraded_offers).unwrap_or(0),
             fed.map(|f| f.digest.as_str()).unwrap_or("-"),
         );

@@ -19,17 +19,26 @@
 //! recorded so the inbound offer can be validated against the local
 //! replica (the lender re-proves `v' ∈ (0, v_r]`, Definition 2.3).
 //!
-//! ## The non-owner-first driving rule
+//! ## Driving: one pump per daemon, and the parking rule
 //!
-//! For every request the driver sends the event **first to the daemon
-//! that does not own it**, then to the owner. By the time the owner's
-//! replica decides to outsource and its offer crosses the wire, the
-//! lender has already processed the same event and holds the matching
-//! lendable entry — an offer can never arrive ahead of the event that
-//! justifies it (offer-before-event is a `desync` reject by design).
-//! Lockstep driving (one outstanding event per daemon) also makes the
-//! offer round-trip deadlock-free: while the owner blocks inside its
-//! decision, the lender's shard is idle and answers immediately.
+//! Each daemon gets its own connection and its own thread, and streams
+//! the whole instance through `com_serve`'s one windowed [`pump`] — the
+//! two streams run concurrently, neither waits for the other. So the
+//! owner's offer for request *k* may reach the lender before the lender's
+//! replica has ingested *k*. The protocol absorbs that: the offer carries
+//! the borrower's event index, and the lender **parks** it until its own
+//! replica has got past that index (the offer's deadline bounds the
+//! wait). The lender answers from its session's lend book on a router
+//! thread, never on the shard, which is what makes the pair
+//! deadlock-free: when both daemons block in offers, the one blocked on
+//! the lower index is answered at once — its rival's replica is already
+//! past it — and the other is answered once the first catches up.
+//!
+//! Both sessions open before either stream starts, and a barrier holds
+//! both `close`s until both streams are answered: a session that finished
+//! while its rival could still offer to it would answer
+//! `unknown-fed-session`. The two daemons' decisions on every request are
+//! compared after streaming, from one compact record per request.
 //!
 //! ## What "verified" means
 //!
@@ -38,7 +47,7 @@
 //! sent against it, and nothing else:
 //!
 //! * no live divergence — the two daemons' answers to every request,
-//!   compared while driving, before the byes;
+//!   compared after streaming, before the byes;
 //! * per daemon, the full replica against the reference
 //!   ([`ByeMsg::disagreements`]: canonical run, digest, silent
 //!   server-side audit);
@@ -54,16 +63,19 @@
 //! reference could never fail, so `verify` runs none.
 
 use std::io;
+use std::sync::Barrier;
 use std::time::Instant;
 
-use com_core::{
-    canonical_assignment_json, project_platform_run, try_run_online, MatcherSpec, RunResult,
-};
+use com_core::{project_platform_run, try_run_online, MatcherSpec, RunResult};
 use com_serve::{
-    bad_data, event_msg, expect_ok, hello_msg, serve, ByeMsg, Client, DeepStatsMsg, FedHello,
-    ServerConfig, ServerHandle, ServerMsg, WireFormat, DEFAULT_OFFER_DEADLINE_MS,
+    bad_data, hello_msg, pump, serve, ByeMsg, Client, DeepStatsMsg, FedHello, ServerConfig,
+    ServerHandle, WireFormat, DEFAULT_OFFER_DEADLINE_MS,
 };
-use com_sim::{ArrivalEvent, Assignment, Instance, PlatformId, PlatformLedger};
+use com_sim::{Assignment, Instance, PlatformId, PlatformLedger};
+
+/// Messages in flight per daemon: deep enough that neither daemon idles
+/// while its client reads, shallow enough for any socket buffer.
+const WINDOW: usize = 256;
 
 /// How to drive the federated pair.
 #[derive(Debug, Clone)]
@@ -100,7 +112,7 @@ pub struct DaemonReport {
     /// Final session report (`bye`), `fed` half included.
     pub bye: ByeMsg,
     /// Deep telemetry snapshot taken just before shutdown. Carries the
-    /// `fed-offer`/`fed-lend` phase rows and the federation counters.
+    /// `fed-offer` phase row and the federation counters.
     pub deep_stats: Option<DeepStatsMsg>,
 }
 
@@ -109,11 +121,12 @@ pub struct DaemonReport {
 pub struct FedReport {
     /// Events streamed (each goes to both daemons).
     pub events: usize,
-    /// Event-streaming wall time, teardown excluded (both daemons
-    /// answered every event).
+    /// Event-streaming wall time, teardown excluded: until both daemons
+    /// answered every event.
     pub wall_secs: f64,
     /// Requests whose two answers (owner vs non-owner daemon) diverged
     /// in their canonical projection — live desync, fatal for identity.
+    /// Compared after streaming, one record per request and daemon.
     pub divergent_responses: Vec<String>,
     /// Daemon halves, index = owned platform.
     pub daemons: Vec<DaemonReport>,
@@ -130,14 +143,13 @@ impl FedReport {
     }
 }
 
-/// The canonical (wall-clock-free) projection of one response, or `None`
-/// for non-decision responses; used to byte-compare the two daemons'
-/// answers to the same request while driving.
-fn response_assignment(msg: &ServerMsg) -> Option<&Assignment> {
-    match msg {
-        ServerMsg::assign(a) | ServerMsg::reject(a) => Some(a),
-        ServerMsg::timeout { assignment, .. } => Some(assignment),
-        _ => None,
+/// One request's decision as both daemons must agree on it: the
+/// assignment without its wall-clock `decision_nanos`, i.e. exactly what
+/// its canonical projection keeps.
+fn record(a: &Assignment) -> Assignment {
+    Assignment {
+        decision_nanos: 0,
+        ..a.clone()
     }
 }
 
@@ -162,12 +174,42 @@ fn open_session(
     Ok(client)
 }
 
-/// Drive `instance` through ONE federated daemon in lockstep — the
-/// fault-path harness. `peer` is whatever the daemon should dial for
-/// outsourcing confirmation: a rival daemon, an unresponsive socket, or
-/// `None` for lend-only mode. Every outer decision the daemon cannot
-/// confirm degrades to a cooperative reject (which `validate_run` must
-/// stay silent on — the degraded run is still a valid run).
+/// One daemon's share of a drive: the whole instance through the one
+/// pump, then — once `barrier` reports every daemon's stream answered —
+/// its `close`. Returns the daemon's report, its per-request records and
+/// when its stream was answered.
+fn stream(
+    mut client: Client,
+    platform: u16,
+    instance: &Instance,
+    barrier: &Barrier,
+) -> io::Result<(DaemonReport, Vec<Assignment>, Instant)> {
+    let mut records = Vec::with_capacity(instance.request_count());
+    let events = instance.stream.iter();
+    let streamed = pump(&mut client, &[None], instance, events, WINDOW, |a| {
+        records.push(record(a))
+    })
+    // A failed stream drops its connection here, before the barrier: its
+    // session finishes, so the rival's offers to it are refused at once
+    // instead of parking until their deadlines.
+    .map(|_| (client, Instant::now()));
+    barrier.wait();
+    let (mut client, answered) = streamed?;
+    let (deep_stats, bye) = client.close(None)?;
+    let report = DaemonReport {
+        platform,
+        bye,
+        deep_stats,
+    };
+    Ok((report, records, answered))
+}
+
+/// Drive `instance` through ONE federated daemon — the fault-path
+/// harness. `peer` is whatever the daemon should dial for outsourcing
+/// confirmation: a rival daemon, an unresponsive socket, or `None` for
+/// lend-only mode. Every outer decision the daemon cannot confirm
+/// degrades to a cooperative reject (which `validate_run` must stay
+/// silent on — the degraded run is still a valid run).
 pub fn drive_single(
     addr: &str,
     peer: Option<String>,
@@ -175,30 +217,12 @@ pub fn drive_single(
     instance: &Instance,
     options: &FedOptions,
 ) -> io::Result<DaemonReport> {
-    let mut client = open_session(addr, peer, platform, instance, options)?;
-    for event in instance.stream.iter() {
-        let response = client.rpc(&event_msg(instance, event))?;
-        match event {
-            ArrivalEvent::Worker(_) => expect_ok(response, "worker")?,
-            ArrivalEvent::Request(spec) => {
-                if response_assignment(&response).is_none() {
-                    return Err(bad_data(format!(
-                        "request {}: non-decision response {response:?}",
-                        spec.id.0
-                    )));
-                }
-            }
-        }
-    }
-    let (deep_stats, bye) = client.close(None)?;
-    Ok(DaemonReport {
-        platform,
-        bye,
-        deep_stats,
-    })
+    let client = open_session(addr, peer, platform, instance, options)?;
+    Ok(stream(client, platform, instance, &Barrier::new(1))?.0)
 }
 
-/// Drive `instance` through a federated daemon pair in lockstep.
+/// Drive `instance` through a federated daemon pair, both daemons at
+/// once (see the module docs).
 ///
 /// `addr_a` owns platform 0 and `addr_b` platform 1; the two addresses
 /// are also handed to the rival daemon as its peer link, so the pair
@@ -216,72 +240,46 @@ pub fn drive_federated(
             instance.platform_names.len()
         )));
     }
-    let mut a = open_session(addr_a, Some(addr_b.to_string()), 0, instance, options)?;
-    let mut b = open_session(addr_b, Some(addr_a.to_string()), 1, instance, options)?;
-
+    // Both sessions exist before either streams: an offer reaching a
+    // daemon ahead of its session would be refused `unknown-fed-session`.
+    let a = open_session(addr_a, Some(addr_b.to_string()), 0, instance, options)?;
+    let b = open_session(addr_b, Some(addr_a.to_string()), 1, instance, options)?;
+    let barrier = Barrier::new(2);
     let started = Instant::now();
-    let mut divergent = Vec::new();
-    for event in instance.stream.iter() {
-        let msg = event_msg(instance, event);
-        match event {
-            ArrivalEvent::Worker(_) => {
-                expect_ok(a.rpc(&msg)?, "worker")?;
-                expect_ok(b.rpc(&msg)?, "worker")?;
-            }
-            ArrivalEvent::Request(spec) => {
-                // Non-owner first: the lender's replica must have seen
-                // the request (and recorded the lendable entry) before
-                // the owner's offer can cross the wire.
-                let owner_is_a = spec.platform == PlatformId(0);
-                let (non_owner, owner) = if owner_is_a {
-                    (&mut b, &mut a)
-                } else {
-                    (&mut a, &mut b)
-                };
-                let lend_side = non_owner.rpc(&msg)?;
-                let own_side = owner.rpc(&msg)?;
-                match (
-                    response_assignment(&lend_side),
-                    response_assignment(&own_side),
-                ) {
-                    (Some(x), Some(y)) => {
-                        if canonical_assignment_json(x) != canonical_assignment_json(y) {
-                            divergent.push(format!(
-                                "request {}: owner decided {:?} but non-owner decided {:?}",
-                                spec.id.0, y.kind, x.kind
-                            ));
-                        }
-                    }
-                    _ => {
-                        return Err(bad_data(format!(
-                            "request {}: non-decision response(s): {lend_side:?} / {own_side:?}",
-                            spec.id.0
-                        )))
-                    }
-                }
-            }
-        }
-    }
-    let wall_secs = started.elapsed().as_secs_f64();
-
-    let (deep_a, bye_a) = a.close(None)?;
-    let (deep_b, bye_b) = b.close(None)?;
+    let (a, b) = std::thread::scope(|scope| {
+        let b = scope.spawn(|| stream(b, 1, instance, &barrier));
+        let a = stream(a, 0, instance, &barrier);
+        let b = b
+            .join()
+            .unwrap_or_else(|_| Err(bad_data("daemon driver panicked")));
+        (a, b)
+    });
+    let ((a, records_a, answered_a), (b, records_b, answered_b)) = (a?, b?);
+    let divergent = instance
+        .stream
+        .requests()
+        .zip(records_a.iter().zip(&records_b))
+        .filter(|(_, (x, y))| x != y)
+        .map(|(spec, (x, y))| {
+            let (own, other) = if spec.platform == PlatformId(0) {
+                (x, y)
+            } else {
+                (y, x)
+            };
+            format!(
+                "request {}: owner decided {:?} but non-owner decided {:?}",
+                spec.id.0, own.kind, other.kind
+            )
+        })
+        .collect();
     Ok(FedReport {
         events: instance.stream.len(),
-        wall_secs,
+        wall_secs: answered_a
+            .max(answered_b)
+            .duration_since(started)
+            .as_secs_f64(),
         divergent_responses: divergent,
-        daemons: vec![
-            DaemonReport {
-                platform: 0,
-                bye: bye_a,
-                deep_stats: deep_a,
-            },
-            DaemonReport {
-                platform: 1,
-                bye: bye_b,
-                deep_stats: deep_b,
-            },
-        ],
+        daemons: vec![a, b],
     })
 }
 

@@ -70,14 +70,14 @@ pub const PHASE_SERVE_ENCODE: &str = "encode";
 /// span's total divided by events, not its mean.
 pub const PHASE_SERVE_FLUSH: &str = "flush";
 
-// Federation phases (the inter-daemon outsourcing path; see com-serve's
-// peer link and com-fed's `matchfed` driver).
+// Federation phase (the inter-daemon outsourcing path; see com-serve's
+// peer link and com-fed's `matchfed` driver). The lender answers offers
+// on a router thread, which has no collector; its waits are counted in
+// `stats_deep.federation.lends_parked` instead.
 
 /// One outsourcing offer round-trip to the rival platform's daemon:
 /// encode + send + block for `outsource_accept`/`outsource_reject` (or
 /// local deadline). Deliberately *outside* [`PHASE_DECISION`] — the
 /// peer's RTT is a property of the federation link, not the algorithm.
+/// It includes any time the offer spent parked at the lender.
 pub const PHASE_FED_OFFER: &str = "fed-offer";
-/// Validating one inbound offer against the local replica on the lender
-/// side (lookup + accept/reject encode).
-pub const PHASE_FED_LEND: &str = "fed-lend";

@@ -1,10 +1,10 @@
 //! The one session driver: [`drive`] streams an [`Instance`]'s arrival
 //! events through live `matchd` sessions and collects what the server
-//! decided. `matchload`, the loopback tests and (for its open / event /
-//! close steps) `com_fed` all push their workload through this module. It
-//! is a correctness driver: closed-loop, as fast as the window allows,
-//! reporting only `wall_secs` / `events_per_sec`. Paced open-loop load and
-//! latency from the intended send time are `benchmark/run.sh`'s job.
+//! decided. `matchload`, the loopback tests and `com_fed` all push their
+//! workload through this module's one [`pump`]. It is a correctness
+//! driver: closed-loop, as fast as the window allows, reporting only
+//! `wall_secs` / `events_per_sec`. Paced open-loop load and latency from
+//! the intended send time are `benchmark/run.sh`'s job.
 //!
 //! **Sessions and connections.** `sessions` logical sessions replay the
 //! *same* instance, session `k` with seed `seed + k`, so every session's
@@ -16,7 +16,9 @@
 //! envelope. Which addressing goes on the wire is read off `sessions`,
 //! not set by a flag.
 //!
-//! **The pump.** Each connection interleaves its sessions event by event
+//! **The pump.** [`pump`] drives one connection (`drive` runs one per
+//! connection, each on its own thread, and `com_fed` one per daemon). It
+//! interleaves the connection's sessions event by event
 //! — event *i* of every session before event *i+1* of any — which is the
 //! adversarial pattern for the server's routing: consecutive wire
 //! messages nearly always address different sids and, sharded, different
@@ -39,7 +41,7 @@ use std::collections::VecDeque;
 use std::io;
 use std::time::Instant;
 
-use com_sim::{ArrivalEvent, Instance};
+use com_sim::{ArrivalEvent, Assignment, Instance};
 
 use crate::client::{bad_data, unexpected, Client};
 use crate::framing::WireFormat;
@@ -162,7 +164,17 @@ pub fn expect_ok(response: ServerMsg, what: &str) -> io::Result<()> {
     }
 }
 
+/// One session's decisions, by kind, once its stream is answered.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Tally {
+    pub assigned: usize,
+    pub rejected: usize,
+    /// Engine-refused decisions (`timeout` responses).
+    pub refused: usize,
+}
+
 /// One in-flight message awaiting its session's next response.
+#[derive(Clone, Copy)]
 enum Pending {
     Worker,
     Request,
@@ -172,40 +184,23 @@ enum Pending {
 struct SessionState {
     sid: Option<u64>,
     pending: VecDeque<Pending>,
-    assigned: usize,
-    rejected: usize,
-    refused: usize,
+    tally: Tally,
 }
 
 /// One connection mid-stream.
-struct Pump<'a> {
-    client: Client,
-    instance: &'a Instance,
-    /// This connection's sessions: sids `conn, conn + M, …` of `M`
-    /// connections, so sid `s` sits at index `s / M`.
+struct Pump<'c, F> {
+    client: &'c mut Client,
     states: Vec<SessionState>,
-    connections: u64,
     in_flight: usize,
+    on_decision: F,
 }
 
-impl Pump<'_> {
-    fn queue(&mut self, index: usize, event: &ArrivalEvent) {
-        let state = &mut self.states[index];
-        self.client
-            .queue_for(state.sid, &event_msg(self.instance, event));
-        state.pending.push_back(match event {
-            ArrivalEvent::Worker(_) => Pending::Worker,
-            ArrivalEvent::Request(_) => Pending::Request,
-        });
-        self.in_flight += 1;
-    }
-
+impl<F: FnMut(&Assignment)> Pump<'_, F> {
     /// Receive one response and settle it against the oldest in-flight
     /// message of the session it addresses.
     fn drain_one(&mut self) -> io::Result<()> {
         let frame = self.client.recv_frame()?;
-        let index = frame.sid.map_or(0, |s| s / self.connections) as usize;
-        let Some(state) = self.states.get_mut(index).filter(|s| s.sid == frame.sid) else {
+        let Some(state) = self.states.iter_mut().find(|s| s.sid == frame.sid) else {
             return Err(bad_data(format!("response for unknown session: {frame:?}")));
         };
         let slot = state.pending.pop_front().ok_or_else(|| {
@@ -215,18 +210,19 @@ impl Pump<'_> {
             ))
         })?;
         self.in_flight -= 1;
-        match slot {
-            Pending::Worker => expect_ok(frame.msg, "worker"),
-            Pending::Request => {
-                match frame.msg {
-                    ServerMsg::assign(_) => state.assigned += 1,
-                    ServerMsg::reject(_) => state.rejected += 1,
-                    ServerMsg::timeout { .. } => state.refused += 1,
-                    other => return Err(unexpected("request", other)),
-                }
-                Ok(())
-            }
+        if let Pending::Worker = slot {
+            return expect_ok(frame.msg, "worker");
         }
+        let tally = &mut state.tally;
+        let (count, decided) = match frame.msg {
+            ServerMsg::assign(a) => (&mut tally.assigned, a),
+            ServerMsg::reject(a) => (&mut tally.rejected, a),
+            ServerMsg::timeout { assignment, .. } => (&mut tally.refused, assignment),
+            other => return Err(unexpected("request", other)),
+        };
+        *count += 1;
+        (self.on_decision)(&decided);
+        Ok(())
     }
 
     fn drain_to(&mut self, target: usize) -> io::Result<()> {
@@ -238,12 +234,60 @@ impl Pump<'_> {
     }
 }
 
-/// Drive connection `conn` of `connections`, carrying sessions `sids`,
-/// through the whole instance; the report covers this connection alone.
+/// The one pump: stream `events` (of `instance`, which supplies the
+/// workers' histories) to every open session `sids` names on `client`,
+/// and return each session's [`Tally`] once every message is answered.
+/// Sessions interleave event by event and at most `window` messages are
+/// in flight (see the module docs). `on_decision` sees every request's
+/// decision, in stream order per session; a response of any other kind
+/// to a request is an error.
+pub fn pump<'e>(
+    client: &mut Client,
+    sids: &[Option<u64>],
+    instance: &Instance,
+    events: impl IntoIterator<Item = &'e ArrivalEvent>,
+    window: usize,
+    on_decision: impl FnMut(&Assignment),
+) -> io::Result<Vec<Tally>> {
+    let mut pump = Pump {
+        client,
+        states: sids
+            .iter()
+            .map(|&sid| SessionState {
+                sid,
+                pending: VecDeque::new(),
+                tally: Tally::default(),
+            })
+            .collect(),
+        in_flight: 0,
+        on_decision,
+    };
+    let window = window.max(1);
+    for event in events {
+        let msg = event_msg(instance, event);
+        let slot = match event {
+            ArrivalEvent::Worker(_) => Pending::Worker,
+            ArrivalEvent::Request(_) => Pending::Request,
+        };
+        for index in 0..pump.states.len() {
+            let state = &mut pump.states[index];
+            pump.client.queue_for(state.sid, &msg);
+            state.pending.push_back(slot);
+            pump.in_flight += 1;
+            if pump.in_flight >= window {
+                pump.drain_to(window / 2)?;
+            }
+        }
+    }
+    pump.drain_to(0)?;
+    Ok(pump.states.into_iter().map(|s| s.tally).collect())
+}
+
+/// Drive connection `conn`, carrying sessions `sids`, through the whole
+/// instance; the report covers this connection alone.
 fn drive_connection(
     mut client: Client,
     conn: usize,
-    connections: usize,
     sids: Vec<Option<u64>>,
     instance: &Instance,
     options: &DriveOptions,
@@ -253,56 +297,29 @@ fn drive_connection(
         let hello = hello_msg(instance, &options.matcher, seed_of(sid), options.frame);
         client.open(sid, hello)?;
     }
-    let mut pump = Pump {
-        client,
-        instance,
-        states: sids
-            .iter()
-            .map(|&sid| SessionState {
-                sid,
-                pending: VecDeque::new(),
-                assigned: 0,
-                rejected: 0,
-                refused: 0,
-            })
-            .collect(),
-        connections: connections as u64,
-        in_flight: 0,
-    };
-    let window = options.window.max(1);
     let started = Instant::now();
-    for event in instance.stream.iter() {
-        for index in 0..pump.states.len() {
-            pump.queue(index, event);
-            if pump.in_flight >= window {
-                pump.drain_to(window / 2)?;
-            }
-        }
-    }
-    pump.drain_to(0)?;
+    let events = instance.stream.iter();
+    let tallies = pump(&mut client, &sids, instance, events, options.window, |_| {})?;
     // Stop the throughput clock here: every event has been sent *and*
     // answered.
     let wall_secs = started.elapsed().as_secs_f64();
 
-    let Pump {
-        mut client, states, ..
-    } = pump;
     // The first session's snapshot, taken while all of the connection's
     // sessions are still open.
     let mut deep_stats = None;
-    let mut sessions = Vec::with_capacity(states.len());
-    for state in states {
-        let (deep, bye) = client.close(state.sid)?;
+    let mut sessions = Vec::with_capacity(sids.len());
+    for (sid, tally) in sids.into_iter().zip(tallies) {
+        let (deep, bye) = client.close(sid)?;
         if sessions.is_empty() {
             deep_stats = deep;
         }
         sessions.push(SessionOutcome {
-            sid: state.sid,
-            seed: seed_of(state.sid),
+            sid,
+            seed: seed_of(sid),
             connection: conn,
-            assigned: state.assigned,
-            rejected: state.rejected,
-            refused: state.refused,
+            assigned: tally.assigned,
+            rejected: tally.rejected,
+            refused: tally.refused,
             bye,
         });
     }
@@ -338,9 +355,7 @@ pub fn drive(addr: &str, instance: &Instance, options: &DriveOptions) -> io::Res
                     .step_by(connections)
                     .map(|k| (sessions > 1).then_some(k as u64))
                     .collect();
-                scope.spawn(move || {
-                    drive_connection(client, conn, connections, sids, instance, options)
-                })
+                scope.spawn(move || drive_connection(client, conn, sids, instance, options))
             })
             .collect();
         handles

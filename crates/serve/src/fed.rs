@@ -41,29 +41,44 @@
 //! spanned as [`com_obs::PHASE_FED_OFFER`], deliberately *outside* the
 //! matcher's `decision` phase.
 //!
-//! Deadlock note: two daemons blocking on offers to each other would
-//! deadlock until both deadlines fire. The `matchfed` driver prevents
-//! the situation structurally — it sends every request to the
-//! non-owning daemon first and waits for its answer before the owner
-//! sees the event, so at most one offer is ever in flight — and the
-//! per-offer deadline bounds the damage for any other driver.
+//! The lender answers from the session's [`LendBook`], on the router
+//! thread of the connection the offer arrived on — never on a shard.
+//! An offer carries the borrower's index of its request in the event
+//! stream ([`OfferMsg::event`]); both replicas ingest the same accepted
+//! lines, so a lender whose replica has not got that far yet **parks**
+//! the offer until it has, bounded by the offer's deadline
+//! ([`MAX_PARK`] at most), the session's end or the daemon's stop.
+//!
+//! Deadlock note: the daemons may stream far apart, each shard blocked
+//! in its own offer. Answering on the shard would deadlock then: A's
+//! offer for request *k* would queue on B's shard behind B's own offer
+//! for a later request *j*, which waits on A. Answered off the shard
+//! there is no cycle: the daemon blocked on the lower index always gets
+//! its verdict, because its rival's replica is already past that index,
+//! and the other one gets its verdict once the first unblocks and
+//! catches up.
 
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use com_core::{OutsourceChannel, OutsourceOutcome};
-use com_sim::{PlatformId, RequestSpec, Value};
+use com_sim::{Assignment, MatchKind, PlatformId, RequestSpec, Value};
 use com_stream::WorkerId;
 
 use crate::client::read_server_frame;
 use crate::framing::{WireFormat, MAX_FRAME_PAYLOAD};
 use crate::protocol::{write_msg, ClientMsg, FedStatsMsg, OfferMsg, ServerMsg};
+use crate::server::POLL_INTERVAL;
 
 /// Default per-offer deadline when the `hello` does not set one.
 pub const DEFAULT_OFFER_DEADLINE_MS: u64 = 1_000;
+
+/// The longest a lender parks an offer, whatever its `deadline_ms` says.
+pub const MAX_PARK: Duration = Duration::from_secs(30);
 
 /// Federation counters shared between the session's outsourcing channel
 /// (offers out, stale replies), its lender side (lends answered), and
@@ -79,6 +94,7 @@ pub struct FedShared {
     pub offers_received: AtomicU64,
     pub lends_granted: AtomicU64,
     pub lends_rejected: AtomicU64,
+    pub lends_parked: AtomicU64,
 }
 
 impl FedShared {
@@ -95,7 +111,190 @@ impl FedShared {
             offers_received: self.offers_received.load(Ordering::Relaxed),
             lends_granted: self.lends_granted.load(Ordering::Relaxed),
             lends_rejected: self.lends_rejected.load(Ordering::Relaxed),
+            lends_parked: self.lends_parked.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// A federated replica's record of lends: written by the session on its
+/// shard after every accepted event, read by whichever router an offer
+/// arrives on. O(lends): it holds the replica's progress marker (events
+/// ingested) and the lends made so far, nothing per non-owned request.
+pub struct LendBook {
+    /// The platform this daemon owns (whose workers it lends).
+    pub platform: PlatformId,
+    pub stats: FedShared,
+    state: Mutex<BookState>,
+    progressed: Condvar,
+}
+
+struct BookState {
+    /// Events the replica has ingested: offers for a lower event index
+    /// are decided, the rest park.
+    ingested: u64,
+    /// request id → (worker, payment) for every non-owned request whose
+    /// replica decision lends one of *our* workers. The rival's offer for
+    /// that request must name exactly this worker and payment.
+    lends: HashMap<u64, (WorkerId, f64)>,
+    /// Offers parked on this book right now.
+    parked: usize,
+    /// False once the session has finished.
+    open: bool,
+}
+
+impl LendBook {
+    pub fn new(platform: PlatformId) -> LendBook {
+        LendBook {
+            platform,
+            stats: FedShared::default(),
+            state: Mutex::new(BookState {
+                ingested: 0,
+                lends: HashMap::new(),
+                parked: 0,
+                open: true,
+            }),
+            progressed: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, BookState> {
+        self.state
+            .lock()
+            .expect("no code path panics while holding a lend book")
+    }
+
+    /// Events the replica has ingested so far: while a request is being
+    /// decided, that request's index in the stream.
+    pub fn ingested(&self) -> u64 {
+        self.lock().ingested
+    }
+
+    /// Count one accepted event, with the decision it yielded (`None`
+    /// for a worker or a refused request), and wake the offers it decides.
+    pub fn record(&self, decided: Option<&Assignment>) {
+        let mut state = self.lock();
+        state.ingested += 1;
+        if let Some(a) = decided.filter(|a| {
+            a.request.platform != self.platform
+                && a.kind == MatchKind::Outer
+                && a.worker_platform == Some(self.platform)
+        }) {
+            if let Some(worker) = a.worker {
+                let lend = (worker, a.outer_payment);
+                state.lends.insert(a.request.id.as_u64(), lend);
+            }
+        }
+        if state.parked > 0 {
+            self.progressed.notify_all();
+        }
+    }
+
+    /// The session has finished: parked offers are answered
+    /// `unknown-fed-session`.
+    pub fn close(&self) {
+        self.lock().open = false;
+        self.progressed.notify_all();
+    }
+
+    /// Answer the rival daemon's offer from the lender side: validate it
+    /// against this replica's decision for the request and grant or
+    /// refuse with a typed code (`not-my-worker`, `expired`,
+    /// `bad-payment`, `desync`). An offer for a request the replica has
+    /// not reached parks first. `None` when the session finished, or the
+    /// daemon stopped, before it could answer.
+    pub fn answer(&self, o: &OfferMsg, stop: &AtomicBool) -> Option<ServerMsg> {
+        self.stats.offers_received.fetch_add(1, Ordering::Relaxed);
+        let verdict = self.verdict(o, stop)?;
+        Some(match verdict {
+            Ok(()) => {
+                self.stats.lends_granted.fetch_add(1, Ordering::Relaxed);
+                ServerMsg::outsource_accept {
+                    fed_sid: o.fed_sid,
+                    offer: o.offer,
+                }
+            }
+            Err((code, detail)) => {
+                self.stats.lends_rejected.fetch_add(1, Ordering::Relaxed);
+                ServerMsg::outsource_reject {
+                    fed_sid: o.fed_sid,
+                    offer: o.offer,
+                    code: code.into(),
+                    detail,
+                }
+            }
+        })
+    }
+
+    fn verdict(&self, o: &OfferMsg, stop: &AtomicBool) -> Option<Result<(), (&str, String)>> {
+        if o.worker_platform != self.platform {
+            return Some(Err((
+                "not-my-worker",
+                format!(
+                    "worker {} belongs to {}, this daemon owns {}",
+                    o.worker.as_u64(),
+                    o.worker_platform,
+                    self.platform
+                ),
+            )));
+        }
+        if o.deadline_ms == 0 {
+            return Some(Err(("expired", "offer deadline already passed".into())));
+        }
+        if !(o.payment > 0.0 && o.payment <= o.request.value + 1e-9) {
+            // Definition 2.3: the outsourcing payment must lie in (0, v_r].
+            return Some(Err((
+                "bad-payment",
+                format!("payment {} outside (0, {}]", o.payment, o.request.value),
+            )));
+        }
+        let deadline = Instant::now() + Duration::from_millis(o.deadline_ms).min(MAX_PARK);
+        let mut state = self.lock();
+        if state.ingested <= o.event {
+            self.stats.lends_parked.fetch_add(1, Ordering::Relaxed);
+        }
+        while state.open && state.ingested <= o.event {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if stop.load(Ordering::SeqCst) {
+                return None;
+            }
+            if remaining.is_zero() {
+                let detail = format!("replica had not reached event {} by the deadline", o.event);
+                return Some(Err(("expired", detail)));
+            }
+            state.parked += 1;
+            state = self
+                .progressed
+                .wait_timeout(state, remaining.min(POLL_INTERVAL))
+                .expect("no code path panics while holding a lend book")
+                .0;
+            state.parked -= 1;
+        }
+        if !state.open {
+            return None;
+        }
+        Some(match state.lends.get(&o.request.id.as_u64()) {
+            Some((worker, payment))
+                if *worker == o.worker && (payment - o.payment).abs() < 1e-9 =>
+            {
+                Ok(())
+            }
+            Some((worker, payment)) => Err((
+                "desync",
+                format!(
+                    "replica lends worker {} at {payment}, offer names worker {} at {}",
+                    worker.as_u64(),
+                    o.worker.as_u64(),
+                    o.payment
+                ),
+            )),
+            None => Err((
+                "desync",
+                format!(
+                    "replica has no lendable decision for request {}",
+                    o.request.id.as_u64()
+                ),
+            )),
+        })
     }
 }
 
@@ -175,7 +374,9 @@ pub struct WireOutsource {
     fed_sid: u64,
     deadline: Duration,
     next_offer: u64,
-    stats: Arc<FedShared>,
+    /// The session's own book: its progress marker stamps each offer's
+    /// event index, and its counters count the offers.
+    book: Arc<LendBook>,
 }
 
 impl WireOutsource {
@@ -187,7 +388,7 @@ impl WireOutsource {
         format: WireFormat,
         fed_sid: u64,
         deadline_ms: u64,
-        stats: Arc<FedShared>,
+        book: Arc<LendBook>,
     ) -> WireOutsource {
         WireOutsource {
             link: peer.map(|addr| PeerLink {
@@ -198,7 +399,7 @@ impl WireOutsource {
             fed_sid,
             deadline: Duration::from_millis(deadline_ms.max(1)),
             next_offer: 0,
-            stats,
+            book,
         }
     }
 }
@@ -212,9 +413,10 @@ impl OutsourceChannel for WireOutsource {
         payment: Value,
     ) -> OutsourceOutcome {
         let _span = com_obs::span(com_obs::PHASE_FED_OFFER);
-        self.stats.offers_sent.fetch_add(1, Ordering::Relaxed);
+        let stats = &self.book.stats;
+        stats.offers_sent.fetch_add(1, Ordering::Relaxed);
         let Some(link) = self.link.as_mut() else {
-            self.stats.offers_rejected.fetch_add(1, Ordering::Relaxed);
+            stats.offers_rejected.fetch_add(1, Ordering::Relaxed);
             return OutsourceOutcome::Rejected("no-peer-link".into());
         };
         let offer = self.next_offer;
@@ -227,13 +429,14 @@ impl OutsourceChannel for WireOutsource {
             worker_platform,
             payment,
             deadline_ms: self.deadline.as_millis() as u64,
+            event: self.book.ingested(),
         });
         let mut bytes = Vec::with_capacity(256);
         write_msg(link.format, None, &msg, &mut bytes);
         let deadline = Instant::now() + self.deadline;
         let mut retried = false;
         let outcome = loop {
-            match link.exchange(&bytes, offer, deadline, &self.stats) {
+            match link.exchange(&bytes, offer, deadline, stats) {
                 Ok(outcome) => break outcome,
                 Err(_) => {
                     link.conn = None;
@@ -244,21 +447,16 @@ impl OutsourceChannel for WireOutsource {
                     // peer may have restarted, and the offer id makes
                     // asking twice safe.
                     retried = true;
-                    self.stats.offers_retried.fetch_add(1, Ordering::Relaxed);
+                    stats.offers_retried.fetch_add(1, Ordering::Relaxed);
                 }
             }
         };
         match &outcome {
-            OutsourceOutcome::Accepted => {
-                self.stats.offers_accepted.fetch_add(1, Ordering::Relaxed);
-            }
-            OutsourceOutcome::Rejected(_) => {
-                self.stats.offers_rejected.fetch_add(1, Ordering::Relaxed);
-            }
-            OutsourceOutcome::TimedOut => {
-                self.stats.offers_timed_out.fetch_add(1, Ordering::Relaxed);
-            }
+            OutsourceOutcome::Accepted => &stats.offers_accepted,
+            OutsourceOutcome::Rejected(_) => &stats.offers_rejected,
+            OutsourceOutcome::TimedOut => &stats.offers_timed_out,
         }
+        .fetch_add(1, Ordering::Relaxed);
         outcome
     }
 }
@@ -283,12 +481,12 @@ mod tests {
 
     #[test]
     fn no_peer_link_degrades_immediately() {
-        let stats = Arc::new(FedShared::default());
-        let mut ch = WireOutsource::new(None, WireFormat::Ndjson, 1, 100, Arc::clone(&stats));
+        let book = Arc::new(LendBook::new(PlatformId(0)));
+        let mut ch = WireOutsource::new(None, WireFormat::Ndjson, 1, 100, Arc::clone(&book));
         let got = ch.offer(&request(), WorkerId(3), PlatformId(1), 2.0);
         assert!(matches!(got, OutsourceOutcome::Rejected(_)));
-        assert_eq!(stats.offers_sent.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.offers_rejected.load(Ordering::Relaxed), 1);
+        assert_eq!(book.stats.offers_sent.load(Ordering::Relaxed), 1);
+        assert_eq!(book.stats.offers_rejected.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -299,14 +497,14 @@ mod tests {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap().to_string()
         };
-        let stats = Arc::new(FedShared::default());
-        let mut ch = WireOutsource::new(Some(addr), WireFormat::Ndjson, 1, 200, Arc::clone(&stats));
+        let book = Arc::new(LendBook::new(PlatformId(0)));
+        let mut ch = WireOutsource::new(Some(addr), WireFormat::Ndjson, 1, 200, Arc::clone(&book));
         let started = Instant::now();
         let got = ch.offer(&request(), WorkerId(3), PlatformId(1), 2.0);
         assert!(matches!(got, OutsourceOutcome::TimedOut));
         assert!(started.elapsed() < Duration::from_secs(5));
-        assert_eq!(stats.offers_timed_out.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.offers_retried.load(Ordering::Relaxed), 1);
+        assert_eq!(book.stats.offers_timed_out.load(Ordering::Relaxed), 1);
+        assert_eq!(book.stats.offers_retried.load(Ordering::Relaxed), 1);
     }
 
     /// A hand-rolled lender: accepts the first offer, rejects the second
@@ -337,8 +535,8 @@ mod tests {
             }
         });
 
-        let stats = Arc::new(FedShared::default());
-        let mut ch = WireOutsource::new(Some(addr), WireFormat::Ndjson, 9, 300, Arc::clone(&stats));
+        let book = Arc::new(LendBook::new(PlatformId(0)));
+        let mut ch = WireOutsource::new(Some(addr), WireFormat::Ndjson, 9, 300, Arc::clone(&book));
         let r = request();
         assert!(matches!(
             ch.offer(&r, WorkerId(3), PlatformId(1), 2.0),
@@ -356,10 +554,10 @@ mod tests {
         assert!(started.elapsed() >= Duration::from_millis(250));
         drop(ch);
         peer.join().unwrap();
-        assert_eq!(stats.offers_sent.load(Ordering::Relaxed), 3);
-        assert_eq!(stats.offers_accepted.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.offers_rejected.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.offers_timed_out.load(Ordering::Relaxed), 1);
+        assert_eq!(book.stats.offers_sent.load(Ordering::Relaxed), 3);
+        assert_eq!(book.stats.offers_accepted.load(Ordering::Relaxed), 1);
+        assert_eq!(book.stats.offers_rejected.load(Ordering::Relaxed), 1);
+        assert_eq!(book.stats.offers_timed_out.load(Ordering::Relaxed), 1);
     }
 
     /// The next offer a scripted lender receives; `None` once the borrower
@@ -409,8 +607,8 @@ mod tests {
             assert!(listener.accept().is_err(), "the link was re-dialled");
         });
 
-        let stats = Arc::new(FedShared::default());
-        let mut ch = WireOutsource::new(Some(addr), WireFormat::Ndjson, 9, 100, Arc::clone(&stats));
+        let book = Arc::new(LendBook::new(PlatformId(0)));
+        let mut ch = WireOutsource::new(Some(addr), WireFormat::Ndjson, 9, 100, Arc::clone(&book));
         let r = request();
         assert!(matches!(
             ch.offer(&r, WorkerId(3), PlatformId(1), 2.0),
@@ -422,10 +620,10 @@ mod tests {
         ));
         drop(ch);
         peer.join().unwrap();
-        assert_eq!(stats.stale_replies.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.offers_timed_out.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.offers_accepted.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.offers_retried.load(Ordering::Relaxed), 0);
+        assert_eq!(book.stats.stale_replies.load(Ordering::Relaxed), 1);
+        assert_eq!(book.stats.offers_timed_out.load(Ordering::Relaxed), 1);
+        assert_eq!(book.stats.offers_accepted.load(Ordering::Relaxed), 1);
+        assert_eq!(book.stats.offers_retried.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -460,8 +658,8 @@ mod tests {
             assert!(next_offer(&mut reader).is_none());
         });
 
-        let stats = Arc::new(FedShared::default());
-        let mut ch = WireOutsource::new(Some(addr), WireFormat::Ndjson, 9, 150, Arc::clone(&stats));
+        let book = Arc::new(LendBook::new(PlatformId(0)));
+        let mut ch = WireOutsource::new(Some(addr), WireFormat::Ndjson, 9, 150, Arc::clone(&book));
         let r = request();
         assert!(matches!(
             ch.offer(&r, WorkerId(3), PlatformId(1), 2.0),
@@ -473,9 +671,9 @@ mod tests {
         ));
         drop(ch);
         peer.join().unwrap();
-        assert_eq!(stats.offers_retried.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.offers_timed_out.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.offers_accepted.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.stale_replies.load(Ordering::Relaxed), 0);
+        assert_eq!(book.stats.offers_retried.load(Ordering::Relaxed), 1);
+        assert_eq!(book.stats.offers_timed_out.load(Ordering::Relaxed), 1);
+        assert_eq!(book.stats.offers_accepted.load(Ordering::Relaxed), 1);
+        assert_eq!(book.stats.stale_replies.load(Ordering::Relaxed), 0);
     }
 }

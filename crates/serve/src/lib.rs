@@ -34,13 +34,16 @@
 //!   stable hash of the session key).
 //! * [`fed`] — the federation peer link: a daemon's outsourcing
 //!   decisions as blocking `outsource_offer` exchanges with its rival
-//!   daemon, on the shard thread, under the offer deadline.
+//!   daemon, on the shard thread, under the offer deadline; and the lend
+//!   book the rival's offers are answered from, on the router thread,
+//!   parked until the replica has decided their request.
 //! * [`client`] — the one wire client: one reader
 //!   ([`read_server_frame`]), one writer ([`Client::queue_for`]),
 //!   session [`Client::open`] / [`Client::close`].
 //! * [`drive()`] — the one session driver over that client: K sessions ×
-//!   M connections, windowed or lockstep, always closed-loop; behind the
-//!   `matchload` binary, the loopback tests, and `com_fed`.
+//!   M connections, windowed or lockstep, always closed-loop, each
+//!   connection driven by the one [`pump`]; behind the `matchload`
+//!   binary, the loopback tests, and `com_fed`.
 //! * [`trace`] — the flight-recorder session trace (schema v1): one JSONL
 //!   file per recorded session, written by `matchd --record`.
 //! * [`replay`] — deterministic trace re-execution behind the
@@ -64,7 +67,7 @@ pub mod trace;
 
 pub use client::{bad_data, read_server_frame, Client};
 pub use drive::{
-    drive, event_msg, expect_ok, hello_msg, DriveOptions, DriveReport, SessionOutcome,
+    drive, event_msg, expect_ok, hello_msg, pump, DriveOptions, DriveReport, SessionOutcome, Tally,
 };
 pub use fed::{FedShared, WireOutsource, DEFAULT_OFFER_DEADLINE_MS};
 pub use framing::{

@@ -165,6 +165,11 @@ pub struct OfferMsg {
     /// reply after the deadline is stale; the borrower has already
     /// degraded the decision to a cooperative reject.
     pub deadline_ms: u64,
+    /// The borrower's index of `request` in its accepted event stream.
+    /// The lender parks the offer until its own replica — which ingests
+    /// the same lines — has ingested past it. Absent reads as 0.
+    #[serde(default)]
+    pub event: u64,
 }
 
 /// Client → server messages. Lowercase variant names are the wire tags
@@ -400,6 +405,11 @@ pub struct FedStatsMsg {
     pub lends_granted: u64,
     /// Inbound offers refused (`outsource_reject`), any code.
     pub lends_rejected: u64,
+    /// Inbound offers that arrived before this replica had decided their
+    /// request and waited for it (any verdict). `#[serde(default)]` so
+    /// reports from older servers still parse.
+    #[serde(default)]
+    pub lends_parked: u64,
 }
 
 /// Federation half of `bye` (`fedd` mode only): this daemon's
@@ -1028,6 +1038,7 @@ mod tests {
             worker_platform: PlatformId(1),
             payment: 3.5,
             deadline_ms: 200,
+            event: 40,
         });
         let back = decode_client(&encode(&offer)).unwrap();
         let ClientMsg::outsource_offer(o) = back else {
@@ -1039,6 +1050,7 @@ mod tests {
         assert_eq!(o.worker_platform, PlatformId(1));
         assert!((o.payment - 3.5).abs() < 1e-12);
         assert_eq!(o.deadline_ms, 200);
+        assert_eq!(o.event, 40);
 
         let accept = ServerMsg::outsource_accept {
             fed_sid: 7,

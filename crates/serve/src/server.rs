@@ -50,15 +50,16 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::fed::LendBook;
 use crate::framing::{self, split_frame, FrameSplit, WireFormat, FRAME_MAGIC, MAX_LINE_BYTES};
 use crate::protocol::{
     read_line, write_msg, ClientFrame, ClientMsg, DecodeError, ErrorMsg, ServerMsg,
 };
-use crate::shard::{place, Key, PoolShared, ShardPool, ShardStats};
+use crate::shard::{place, PoolShared, ShardPool, ShardStats};
 
-/// How long blocking points (socket reads, queue receives) wait before
-/// re-checking the stop flag. Bounds shutdown latency.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
+/// How long blocking points (socket reads, queue receives, parked
+/// offers) wait before re-checking the stop flag. Bounds shutdown latency.
+pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -175,15 +176,15 @@ pub(crate) struct Daemon {
     pub(crate) shards: Vec<ShardStats>,
     /// Dense logical session ids, in `hello` order across all shards.
     pub(crate) next_lsid: AtomicU64,
-    /// Federation routing: `fed_sid` → (owning shard, session key).
-    /// Offers arrive on the *peer's* connection, which has no
-    /// `(conn, sid)` route to the session that must answer them — they
-    /// route by the shared federation session id instead: the router
-    /// picks the shard, the shard the session. The owning shard inserts
-    /// once the session is open (refusing a `fed_sid` that is already
-    /// routed) and removes when it finishes. Off the per-event hot path
-    /// (touched only on fed `hello`s and inbound offers).
-    fed_routes: Mutex<HashMap<u64, (usize, Key)>>,
+    /// Federation routing: `fed_sid` → the session's lend book. Offers
+    /// arrive on the *peer's* connection, which has no `(conn, sid)` route
+    /// to the session that must answer them — they route by the shared
+    /// federation session id instead, and the router answers from the
+    /// book without entering a shard queue. The owning shard inserts once
+    /// the session is open (refusing a `fed_sid` that is already routed)
+    /// and removes when it finishes. Off the per-event hot path (touched
+    /// only on fed `hello`s and inbound offers).
+    fed_routes: Mutex<HashMap<u64, Arc<LendBook>>>,
 }
 
 impl Daemon {
@@ -200,7 +201,7 @@ impl Daemon {
         }
     }
 
-    pub(crate) fn fed_routes(&self) -> std::sync::MutexGuard<'_, HashMap<u64, (usize, Key)>> {
+    pub(crate) fn fed_routes(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Arc<LendBook>>> {
         self.fed_routes
             .lock()
             .expect("no code path panics while holding the fed route table")
@@ -506,25 +507,25 @@ impl Router {
         // which has no (conn, sid) route to the federated session that
         // must answer it — it routes by the shared fed_sid through the
         // daemon-global federation registry instead, whatever connection
-        // it came in on.
+        // it came in on, and is answered here, from the session's lend
+        // book: parking on a shard could deadlock the pair (see
+        // `crate::fed`). The borrower's shard is blocked on the verdict, so
+        // it is flushed at once.
         if let ClientMsg::outsource_offer(o) = &msg {
-            let (fed_sid, offer) = (o.fed_sid, o.offer);
-            let shard = daemon.fed_routes().get(&fed_sid).map(|&(shard, _)| shard);
-            return match shard {
-                Some(shard) => self.pool.ingress(shard, &self.conn, sid, msg, decode_ns),
-                None => {
-                    self.refuse(
-                        sid,
-                        &ServerMsg::outsource_reject {
-                            fed_sid,
-                            offer,
-                            code: "unknown-fed-session".into(),
-                            detail: format!("no federated session with fed_sid {fed_sid}"),
-                        },
-                    );
-                    true
-                }
-            };
+            let book = daemon.fed_routes().get(&o.fed_sid).cloned();
+            match book.and_then(|book| book.answer(o, &daemon.stop)) {
+                Some(verdict) => self.conn.send_for(sid, &verdict),
+                None => self.refuse(
+                    sid,
+                    &ServerMsg::outsource_reject {
+                        fed_sid: o.fed_sid,
+                        offer: o.offer,
+                        code: "unknown-fed-session".into(),
+                        detail: format!("no federated session with fed_sid {}", o.fed_sid),
+                    },
+                ),
+            }
+            return true;
         }
         let shard = match self.routes.get(&sid) {
             // Sticky for the connection's lifetime: a duplicate `hello`

@@ -16,37 +16,27 @@ use std::sync::Arc;
 use com_core::{validate_run, MatchSession, MatcherSpec, RunResult, SessionConfig, SessionOutput};
 use com_pricing::WorkerHistory;
 use com_sim::{
-    ArrivalEvent, ConstraintViolation, EventStream, Instance, MatchKind, PlatformId, RequestSpec,
+    ArrivalEvent, Assignment, ConstraintViolation, EventStream, Instance, PlatformId, RequestSpec,
     Timestamp,
 };
-use com_stream::WorkerId;
 
-use crate::fed::{FedShared, WireOutsource, DEFAULT_OFFER_DEADLINE_MS};
+use crate::fed::{LendBook, WireOutsource, DEFAULT_OFFER_DEADLINE_MS};
 use crate::framing::WireFormat;
-use crate::protocol::{
-    ByeMsg, DeepStatsMsg, FedByeMsg, Hello, OfferMsg, ServerMsg, StatsMsg, WorkerMsg,
-};
+use crate::protocol::{ByeMsg, DeepStatsMsg, FedByeMsg, Hello, ServerMsg, StatsMsg, WorkerMsg};
 use crate::trace::{
     decision_from_response, TraceEvent, TraceFinish, TraceLine, TraceMeta, TraceRecorder,
     TraceTick, TRACE_VERSION,
 };
 
-/// The federated-mode state of a session: which platform this daemon
-/// owns, the shared fed counters, and the replica's record of lendable
-/// decisions (what inbound offers are validated against).
+/// The federated-mode state of a session: the federation session id both
+/// daemons share (the `hello.fed` one; stamped on outgoing offers, the
+/// route inbound ones take) and the replica's lend book, which names the
+/// owned platform (outer decisions on *owned* requests negotiate over the
+/// wire; everything else applies locally — the session is a full
+/// deterministic replica).
 struct FedState {
-    /// The platform this daemon owns (outer decisions on *owned*
-    /// requests negotiate over the wire; everything else applies
-    /// locally — the session is a full deterministic replica).
-    platform: PlatformId,
-    /// The federation session id both daemons share (the `hello.fed`
-    /// one); stamped on outgoing offers, matched on inbound ones.
     fed_sid: u64,
-    shared: Arc<FedShared>,
-    /// request id → (worker, payment) for every non-owned request whose
-    /// replica decision lends one of *our* workers. The rival's offer
-    /// for that request must name exactly this worker and payment.
-    lendable: HashMap<u64, (WorkerId, f64)>,
+    book: Arc<LendBook>,
 }
 
 /// One live matching session and everything needed to audit it at the
@@ -148,7 +138,7 @@ impl ServeSession {
             None => MatchSession::new(config, spec.build(), hello.seed),
             Some(f) => {
                 let platform = PlatformId(f.platform);
-                let shared = Arc::new(FedShared::default());
+                let book = Arc::new(LendBook::new(platform));
                 // Offers go out in the session's negotiated framing; the
                 // lender auto-detects per message and answers in kind.
                 let format = hello
@@ -161,13 +151,11 @@ impl ServeSession {
                     format,
                     f.fed_sid,
                     f.deadline_ms.unwrap_or(DEFAULT_OFFER_DEADLINE_MS),
-                    Arc::clone(&shared),
+                    Arc::clone(&book),
                 );
                 fed = Some(FedState {
-                    platform,
                     fed_sid: f.fed_sid,
-                    shared,
-                    lendable: HashMap::new(),
+                    book,
                 });
                 MatchSession::new(config, spec.build(), hello.seed)
                     .with_federation(platform, Box::new(channel))
@@ -186,9 +174,17 @@ impl ServeSession {
         })
     }
 
-    /// The shared federation session id, when this session is federated.
-    pub fn fed_sid(&self) -> Option<u64> {
-        self.fed.as_ref().map(|f| f.fed_sid)
+    /// The daemon-wide federation route this session answers offers on —
+    /// its shared federation session id and lend book — when federated.
+    pub fn fed_route(&self) -> Option<(u64, &Arc<LendBook>)> {
+        self.fed.as_ref().map(|f| (f.fed_sid, &f.book))
+    }
+
+    /// Count one accepted event in the lend book, when federated.
+    fn record_lend(&self, decided: Option<&Assignment>) {
+        if let Some(f) = &self.fed {
+            f.book.record(decided);
+        }
     }
 
     /// Attach a flight recorder and write the trace's meta line. `source`
@@ -254,6 +250,7 @@ impl ServeSession {
         };
         self.core.discard_history(msg.spec.id);
         ingested?;
+        self.record_lend(None);
         self.record_event(&event, msg.history.as_ref());
         self.events.push(event);
         Ok(())
@@ -273,20 +270,6 @@ impl ServeSession {
         let response = match output {
             SessionOutput::Decided(a) if a.is_completed() => {
                 self.assigned += 1;
-                // Federated replica: a non-owned request served by one of
-                // our workers is a *lend* — remember it so the rival's
-                // offer for this request can be validated byte-for-byte.
-                if let Some(fed) = &mut self.fed {
-                    if spec.platform != fed.platform
-                        && a.kind == MatchKind::Outer
-                        && a.worker_platform == Some(fed.platform)
-                    {
-                        if let Some(worker) = a.worker {
-                            fed.lendable
-                                .insert(spec.id.as_u64(), (worker, a.outer_payment));
-                        }
-                    }
-                }
                 ServerMsg::assign(a)
             }
             SessionOutput::Decided(a) => {
@@ -304,101 +287,18 @@ impl ServeSession {
                 }
             }
         };
+        // Federated replica: a non-owned request served by one of our
+        // workers is a *lend*, which the rival's offer must match.
+        self.record_lend(match &response {
+            ServerMsg::assign(a) => Some(a),
+            _ => None,
+        });
         if let Some(rec) = self.recorder.as_mut() {
             if let Some(decision) = decision_from_response(event_index, &response) {
                 rec.write(&TraceLine::Decision(decision));
             }
         }
         Ok(response)
-    }
-
-    /// Answer the rival daemon's `outsource_offer` from the lender side:
-    /// validate it against this replica's own decision for the request
-    /// and grant or refuse with a typed code (`not-my-worker`,
-    /// `expired`, `bad-payment`, `desync`).
-    ///
-    /// The replica must have *already decided* the offered request (the
-    /// driving contract sends each request to the non-owning daemon
-    /// first); an offer for an undecided or differently-decided request
-    /// is a desync, never a crash.
-    pub fn handle_offer(&mut self, o: &OfferMsg) -> ServerMsg {
-        let _span = com_obs::span(com_obs::PHASE_FED_LEND);
-        let Some(fed) = &mut self.fed else {
-            return ServerMsg::outsource_reject {
-                fed_sid: o.fed_sid,
-                offer: o.offer,
-                code: "unknown-fed-session".into(),
-                detail: "session is not federated".into(),
-            };
-        };
-        fed.shared
-            .offers_received
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let verdict: Result<(), (&str, String)> = if o.worker_platform != fed.platform {
-            Err((
-                "not-my-worker",
-                format!(
-                    "worker {} belongs to {}, this daemon owns {}",
-                    o.worker.as_u64(),
-                    o.worker_platform,
-                    fed.platform
-                ),
-            ))
-        } else if o.deadline_ms == 0 {
-            Err(("expired", "offer deadline already passed".into()))
-        } else if !(o.payment > 0.0 && o.payment <= o.request.value + 1e-9) {
-            // Definition 2.3: the outsourcing payment must lie in (0, v_r].
-            Err((
-                "bad-payment",
-                format!("payment {} outside (0, {}]", o.payment, o.request.value),
-            ))
-        } else {
-            match fed.lendable.get(&o.request.id.as_u64()) {
-                Some((worker, payment))
-                    if *worker == o.worker && (payment - o.payment).abs() < 1e-9 =>
-                {
-                    Ok(())
-                }
-                Some((worker, payment)) => Err((
-                    "desync",
-                    format!(
-                        "replica lends worker {} at {payment}, offer names worker {} at {}",
-                        worker.as_u64(),
-                        o.worker.as_u64(),
-                        o.payment
-                    ),
-                )),
-                None => Err((
-                    "desync",
-                    format!(
-                        "replica has no lendable decision for request {}",
-                        o.request.id.as_u64()
-                    ),
-                )),
-            }
-        };
-        match verdict {
-            Ok(()) => {
-                fed.shared
-                    .lends_granted
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                ServerMsg::outsource_accept {
-                    fed_sid: o.fed_sid,
-                    offer: o.offer,
-                }
-            }
-            Err((code, detail)) => {
-                fed.shared
-                    .lends_rejected
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                ServerMsg::outsource_reject {
-                    fed_sid: o.fed_sid,
-                    offer: o.offer,
-                    code: code.into(),
-                    detail,
-                }
-            }
-        }
     }
 
     /// Advance the session clock without an event. `to_secs` is wire
@@ -462,7 +362,10 @@ impl ServeSession {
             general_lines: 0,
             shard: None,
             shards: Vec::new(),
-            federation: self.fed.as_ref().map(|f| f.shared.snapshot(f.platform.0)),
+            federation: self
+                .fed
+                .as_ref()
+                .map(|f| f.book.stats.snapshot(f.book.platform.0)),
         };
         if let Some(telemetry) = com_obs::snapshot_run() {
             deep.set_telemetry(&telemetry);
@@ -484,10 +387,12 @@ impl ServeSession {
             histories: HashMap::new(),
             stream: EventStream::from_ordered(self.events),
         };
-        let fed = self
-            .fed
-            .as_ref()
-            .map(|f| (f.platform, self.core.degraded_offers()));
+        // Offers still parked on the book are answered
+        // `unknown-fed-session` from here on.
+        let fed = self.fed.as_ref().map(|f| {
+            f.book.close();
+            (f.book.platform, self.core.degraded_offers())
+        });
         let run = self.core.finish();
         let findings: Vec<String> = validate_run(&instance, &run)
             .iter()

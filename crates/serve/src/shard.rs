@@ -3,17 +3,18 @@
 //! `matchd --shards N` starts N **shard worker threads**, each running one
 //! `Shard`: a struct that owns its logical sessions outright — session
 //! state is plain mutable data on the shard thread, never behind a lock —
-//! together with the index of its federated sessions and the connections
-//! with traffic on it (to flush). Every handler is a method on it. A
-//! shard receives decoded protocol messages over one
-//! bounded MPSC channel (its *ingress queue*) fed by the per-connection
-//! router threads (see [`crate::server`]). Because one session lives on
-//! exactly one shard and the channel is FIFO, responses stay strictly
-//! ordered per session with zero hot-path synchronisation; the only
-//! shared state is each connection's `Conn` (one `Arc`; a mutex around
-//! the outgoing byte buffer) and the daemon-wide `Daemon` (config,
-//! monotonic counters, the per-shard stats table and the federation route
-//! table), built once before any thread starts.
+//! together with the connections with traffic on it (to flush). Every
+//! handler is a method on it. A shard receives decoded protocol messages
+//! over one bounded MPSC channel (its *ingress queue*) fed by the
+//! per-connection router threads (see [`crate::server`]). Because one
+//! session lives on exactly one shard and the channel is FIFO, responses
+//! stay strictly ordered per session with zero hot-path synchronisation;
+//! the only shared state is each connection's `Conn` (one `Arc`; a mutex
+//! around the outgoing byte buffer), each federated session's lend book
+//! ([`crate::fed::LendBook`], which routers answer offers from) and the
+//! daemon-wide `Daemon` (config, monotonic counters, the per-shard stats
+//! table and the federation route table), built once before any thread
+//! starts.
 //!
 //! ## Placement
 //!
@@ -346,7 +347,7 @@ impl Shard {
     /// run, audit it and send the `bye` (flushed immediately — it may be
     /// the last thing the connection says).
     fn finish_session(&mut self, conn: &Conn, sid: Option<u64>, session: ServeSession) {
-        if let Some(fed_sid) = session.fed_sid() {
+        if let Some((fed_sid, _)) = session.fed_route() {
             self.daemon.fed_routes().remove(&fed_sid);
         }
         self.stats().sessions_open.fetch_sub(1, Ordering::Relaxed);
@@ -371,12 +372,12 @@ impl Shard {
                 }
                 match ServeSession::open(&hello) {
                     Ok(mut s) => {
-                        if let Some(fed_sid) = s.fed_sid() {
-                            // The rival daemon's offers reach this session
-                            // by fed_sid alone, whatever connection they
-                            // arrive on, so a fed_sid names at most one live
-                            // session per daemon: claim its route now that
-                            // the session exists, or refuse the `hello`.
+                        if let Some((fed_sid, book)) = s.fed_route() {
+                            // The rival daemon's offers reach this session's
+                            // lend book by fed_sid alone, whatever connection
+                            // they arrive on, so a fed_sid names at most one
+                            // live session per daemon: claim its route now
+                            // that the session exists, or refuse the `hello`.
                             let mut routes = self.daemon.fed_routes();
                             if routes.contains_key(&fed_sid) {
                                 counters.protocol_error();
@@ -385,7 +386,7 @@ impl Shard {
                                 conn.queue_for(sid, &error("duplicate-hello", detail));
                                 return;
                             }
-                            routes.insert(fed_sid, (self.id, key));
+                            routes.insert(fed_sid, Arc::clone(book));
                         }
                         let lsid = self.daemon.next_lsid.fetch_add(1, Ordering::Relaxed);
                         let stats = self.stats();
@@ -436,35 +437,6 @@ impl Shard {
             ClientMsg::stats => {
                 self.with_session(conn, sid, |s| ServerMsg::stats(s.stats()));
             }
-            ClientMsg::outsource_offer(offer) => {
-                // Offers arrive on the *peer daemon's* connection and routed
-                // here by fed_sid (see `Daemon::fed_routes`, which also names
-                // the session); answer on that same connection. The
-                // borrower's shard thread is blocked on this verdict, so it
-                // flushes immediately instead of joining the batched writer
-                // cycle.
-                let key = self
-                    .daemon
-                    .fed_routes()
-                    .get(&offer.fed_sid)
-                    .map(|&(_, key)| key);
-                let response = match key.and_then(|k| self.sessions.get_mut(&k)) {
-                    Some(session) => session.handle_offer(&offer),
-                    None => {
-                        // A reject from `handle_offer` is a valid protocol
-                        // outcome; an offer for a session this shard does not
-                        // hold is a routing failure and counts as one.
-                        counters.protocol_error();
-                        ServerMsg::outsource_reject {
-                            fed_sid: offer.fed_sid,
-                            offer: offer.offer,
-                            code: "unknown-fed-session".into(),
-                            detail: format!("no federated session with fed_sid {}", offer.fed_sid),
-                        }
-                    }
-                };
-                conn.send_for(sid, &response);
-            }
             ClientMsg::stats_deep => {
                 let queue = &self.stats().queue;
                 let (depth, high_water) = (queue.depth(), queue.high_water());
@@ -500,6 +472,9 @@ impl Shard {
                 }
                 None => self.no_session(conn, sid, "shutdown before hello"),
             },
+            // Offers never reach a shard: the router answers them from the
+            // session's lend book.
+            other => unreachable!("routers never queue {other:?}"),
         }
     }
 

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use com_core::{try_run_online, MatcherRegistry};
+use com_core::{try_run_online, MatcherSpec};
 use com_datagen::{generate, synthetic, SyntheticParams};
 use com_fed::{drive_single, FedOptions};
 use com_serve::{
@@ -32,8 +32,7 @@ fn small_instance() -> Instance {
 /// outer count: after the first degraded decision the replica's worker
 /// availability diverges, so later decisions differ too.)
 fn assert_fixture_outsources(instance: &Instance, options: &FedOptions) {
-    let registry = MatcherRegistry::builtin();
-    let mut matcher = registry.resolve(&options.matcher).unwrap()();
+    let mut matcher = MatcherSpec::parse(&options.matcher).unwrap().build();
     let run = try_run_online(instance, matcher.as_mut(), options.seed);
     assert!(
         run.assignments
@@ -234,37 +233,13 @@ fn lender_rejects_expired_and_unknown_session_offers() {
 
     // A second connection plays the rival daemon's peer link.
     let mut peer = Client::connect(&handle.addr().to_string()).expect("connect peer");
-    let offer = |fed_sid: u64, deadline_ms: u64| {
-        ClientMsg::outsource_offer(OfferMsg {
-            fed_sid,
-            offer: 1,
-            request: RequestSpec::new(
-                RequestId(999),
-                PlatformId(1),
-                Timestamp::from_secs(1.0),
-                com_geo::Point::new(0.0, 0.0),
-                5.0,
-            ),
-            worker: WorkerId(1),
-            worker_platform: PlatformId(0),
-            payment: 2.5,
-            deadline_ms,
-        })
-    };
-
     let response = peer.rpc(&offer(options.fed_sid, 0)).expect("expired offer");
-    match response {
-        ServerMsg::outsource_reject { code, .. } => assert_eq!(code, "expired"),
-        other => panic!("expected outsource_reject, got {other:?}"),
-    }
+    assert_eq!(reject_code(response), "expired");
 
     let response = peer
         .rpc(&offer(options.fed_sid + 999, 1_000))
         .expect("unknown-session offer");
-    match response {
-        ServerMsg::outsource_reject { code, .. } => assert_eq!(code, "unknown-fed-session"),
-        other => panic!("expected outsource_reject, got {other:?}"),
-    }
+    assert_eq!(reject_code(response), "unknown-fed-session");
 
     drop(peer);
     drop(lender);
@@ -290,11 +265,10 @@ fn lend_only_hello(instance: &Instance, matcher: &str, options: &FedOptions) -> 
     })
 }
 
-/// The verdict code a fresh peer connection gets for a well-formed offer
-/// on `fed_sid` that the (empty) replica cannot have decided.
-fn offer_verdict(addr: &str, fed_sid: u64) -> String {
-    let mut peer = Client::connect(addr).expect("connect peer");
-    let offer = ClientMsg::outsource_offer(OfferMsg {
+/// A well-formed offer on `fed_sid` for a request no replica here will
+/// ever decide: a lender holds it parked until `deadline_ms` runs out.
+fn offer(fed_sid: u64, deadline_ms: u64) -> ClientMsg {
+    ClientMsg::outsource_offer(OfferMsg {
         fed_sid,
         offer: 1,
         request: RequestSpec::new(
@@ -307,11 +281,28 @@ fn offer_verdict(addr: &str, fed_sid: u64) -> String {
         worker: WorkerId(1),
         worker_platform: PlatformId(0),
         payment: 2.5,
-        deadline_ms: 1_000,
-    });
-    match peer.rpc(&offer).expect("offer") {
+        deadline_ms,
+        event: 0,
+    })
+}
+
+fn reject_code(response: ServerMsg) -> String {
+    match response {
         ServerMsg::outsource_reject { code, .. } => code,
         other => panic!("expected outsource_reject, got {other:?}"),
+    }
+}
+
+/// The verdict code `peer` gets for [`offer`].
+fn offer_verdict(peer: &mut Client, fed_sid: u64, deadline_ms: u64) -> String {
+    reject_code(peer.rpc(&offer(fed_sid, deadline_ms)).expect("offer"))
+}
+
+/// How many offers the lend-only session on `lender` has parked so far.
+fn lends_parked(lender: &mut Client) -> u64 {
+    match lender.rpc(&ClientMsg::stats_deep).expect("stats_deep") {
+        ServerMsg::stats_deep(deep) => deep.federation.expect("federated").lends_parked,
+        other => panic!("expected stats_deep, got {other:?}"),
     }
 }
 
@@ -341,7 +332,9 @@ fn refused_fed_hello_does_not_hijack_a_live_route() {
     assert!(matches!(response, ServerMsg::welcome { .. }));
 
     // Fresh connections hash to either shard, so the strangers' refused
-    // hellos land on both the lender's shard and the other one.
+    // hellos land on both the lender's shard and the other one. Offers
+    // route by fed_sid alone, so one peer connection serves them all.
+    let mut peer = Client::connect(&addr).expect("connect peer");
     for attempt in 0..8 {
         let mut stranger = Client::connect(&addr).expect("connect stranger");
         let refused = stranger
@@ -351,11 +344,11 @@ fn refused_fed_hello_does_not_hijack_a_live_route() {
             ServerMsg::error(e) => assert_eq!(e.code, "unknown-matcher"),
             other => panic!("expected a refusal, got {other:?}"),
         }
-        // The replica has decided nothing, so it lends nothing: `desync`
-        // is the live session validating the offer.
+        // The replica never reaches the offered request, so the offer
+        // parks and expires: `expired` is the live session answering it.
         assert_eq!(
-            offer_verdict(&addr, options.fed_sid),
-            "desync",
+            offer_verdict(&mut peer, options.fed_sid, 5),
+            "expired",
             "attempt {attempt}"
         );
     }
@@ -374,7 +367,7 @@ fn refused_fed_hello_does_not_hijack_a_live_route() {
         lender.rpc(&ClientMsg::stats).expect("stats"),
         ServerMsg::stats(_)
     ));
-    assert_eq!(offer_verdict(&addr, options.fed_sid), "desync");
+    assert_eq!(offer_verdict(&mut peer, options.fed_sid, 5), "expired");
 
     // Closing it frees the fed_sid for a successor.
     assert!(matches!(
@@ -385,5 +378,58 @@ fn refused_fed_hello_does_not_hijack_a_live_route() {
         .rpc(&lend_only_hello(&instance, &options.matcher, &options))
         .expect("successor hello");
     assert!(matches!(response, ServerMsg::welcome { .. }));
+    handle.shutdown();
+}
+
+/// A parked offer whose request the lender never reaches is answered
+/// `expired` once its own deadline runs out — not earlier, not much later.
+#[test]
+fn a_parked_offer_the_replica_never_reaches_expires_at_its_deadline() {
+    let instance = small_instance();
+    let options = FedOptions::default();
+    let handle = serve(ServerConfig::default()).expect("bind");
+    let addr = handle.addr().to_string();
+    let mut lender = Client::connect(&addr).expect("connect");
+    let response = lender
+        .rpc(&lend_only_hello(&instance, &options.matcher, &options))
+        .expect("hello");
+    assert!(matches!(response, ServerMsg::welcome { .. }));
+
+    let mut peer = Client::connect(&addr).expect("connect peer");
+    let started = Instant::now();
+    assert_eq!(offer_verdict(&mut peer, options.fed_sid, 50), "expired");
+    let waited = started.elapsed();
+    assert!(waited >= Duration::from_millis(50), "{waited:?}");
+    assert!(waited < Duration::from_secs(5), "{waited:?}");
+    assert_eq!(lends_parked(&mut lender), 1);
+    handle.shutdown();
+}
+
+/// An offer parked with no deadline to speak of is answered
+/// `unknown-fed-session` the moment the lender's session finishes, and
+/// the daemon still shuts down: no router outlives it.
+#[test]
+fn a_parked_offer_is_refused_when_the_lenders_session_finishes() {
+    let instance = small_instance();
+    let options = FedOptions::default();
+    let handle = serve(ServerConfig::default()).expect("bind");
+    let addr = handle.addr().to_string();
+    let mut lender = Client::connect(&addr).expect("connect");
+    let response = lender
+        .rpc(&lend_only_hello(&instance, &options.matcher, &options))
+        .expect("hello");
+    assert!(matches!(response, ServerMsg::welcome { .. }));
+
+    let mut peer = Client::connect(&addr).expect("connect peer");
+    peer.send(&offer(options.fed_sid, u64::MAX)).expect("offer");
+    while lends_parked(&mut lender) == 0 {}
+    assert!(matches!(
+        lender.rpc(&ClientMsg::shutdown).expect("shutdown"),
+        ServerMsg::bye(_)
+    ));
+    assert_eq!(
+        reject_code(peer.recv().expect("verdict")),
+        "unknown-fed-session"
+    );
     handle.shutdown();
 }

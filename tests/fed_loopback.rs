@@ -3,12 +3,14 @@
 //! byte-identical — canonical run, digest, ledgers — to a single-process
 //! batch run over the same instance and seed, in both wire framings.
 
-use com_core::canonical_run_json;
-use com_core::{try_run_online, MatcherRegistry};
+use com_core::{canonical_digest, canonical_run_json, try_run_online, MatcherSpec, RunResult};
 use com_datagen::{generate, synthetic, SyntheticParams};
 use com_fed::{drive_federated, run_loopback, verify, FedOptions, FedReport, LoopbackPair};
-use com_serve::{ByeMsg, FedByeMsg, ServerConfig, WireFormat};
-use com_sim::{Instance, MatchKind};
+use com_serve::{
+    hello_msg, pump, ByeMsg, Client, ClientMsg, FedByeMsg, FedHello, ServerConfig, ServerMsg,
+    WireFormat,
+};
+use com_sim::{ArrivalEvent, Instance, MatchKind};
 
 fn quick_instance() -> Instance {
     generate(&synthetic(SyntheticParams {
@@ -18,12 +20,16 @@ fn quick_instance() -> Instance {
     }))
 }
 
+/// The batch run every federated run must reproduce.
+fn reference(instance: &Instance, matcher: &str, seed: u64) -> RunResult {
+    let mut matcher = MatcherSpec::parse(matcher).unwrap().build();
+    try_run_online(instance, matcher.as_mut(), seed)
+}
+
 /// The fixture must actually exercise the wire: a scenario with no outer
 /// assignments would pass identity vacuously.
 fn assert_fixture_outsources(instance: &Instance, options: &FedOptions) {
-    let registry = MatcherRegistry::builtin();
-    let mut matcher = registry.resolve(&options.matcher).unwrap()();
-    let run = try_run_online(instance, matcher.as_mut(), options.seed);
+    let run = reference(instance, &options.matcher, options.seed);
     assert!(
         run.assignments.iter().any(|a| a.kind == MatchKind::Outer),
         "fixture never outsources — no offer would cross the wire"
@@ -94,9 +100,7 @@ fn ledgers_split_the_reference_revenue() {
     let (report, failures) = run_loopback(&instance, &options).expect("federated drive");
     assert_eq!(failures, Vec::<String>::new());
 
-    let registry = MatcherRegistry::builtin();
-    let mut matcher = registry.resolve(&options.matcher).unwrap()();
-    let reference = try_run_online(&instance, matcher.as_mut(), options.seed);
+    let reference = reference(&instance, &options.matcher, options.seed);
     let split: f64 = report
         .daemons
         .iter()
@@ -129,11 +133,8 @@ fn verify_catches_a_wrong_seed_reference() {
         ..options.clone()
     };
     let skewed_reference_differs = {
-        let registry = MatcherRegistry::builtin();
-        let mut m9 = registry.resolve("demcom").unwrap()();
-        let mut m10 = registry.resolve("demcom").unwrap()();
-        let r9 = try_run_online(&instance, m9.as_mut(), 9);
-        let r10 = try_run_online(&instance, m10.as_mut(), 10);
+        let r9 = reference(&instance, "demcom", 9);
+        let r10 = reference(&instance, "demcom", 10);
         serde_json::to_string(&canonical_run_json(&r9)).unwrap()
             != serde_json::to_string(&canonical_run_json(&r10)).unwrap()
     };
@@ -197,4 +198,93 @@ fn verify_names_each_tampered_daemon_fact() {
         }
         assert_eq!(verify(&instance, &report, &options), Vec::<String>::new());
     }
+}
+
+/// The parking rule, deterministically: the owner streams up to and
+/// including the first request it outsources before the lender has seen
+/// a single event, so its offer reaches a replica that has not decided
+/// the request. The lender parks it (as its `stats_deep` shows), then
+/// streams, and the offer is accepted once the replica gets there: both
+/// replicas are the batch run and nothing degrades. Without parking the
+/// offer would be refused `desync`.
+#[test]
+fn an_offer_ahead_of_the_lenders_replica_parks_until_it_is_decided() {
+    let instance = quick_instance();
+    let (matcher, seed) = ("demcom", 9);
+    let batch = reference(&instance, matcher, seed);
+    let first = batch
+        .assignments
+        .iter()
+        .find(|a| a.kind == MatchKind::Outer)
+        .expect("fixture outsources");
+    let owner = first.request.platform.0;
+    let k = instance
+        .stream
+        .iter()
+        .position(|e| matches!(e, ArrivalEvent::Request(r) if r.id == first.request.id))
+        .expect("the request is in the stream");
+
+    let pair = LoopbackPair::start(&ServerConfig::default()).expect("bind");
+    let addrs = [pair.addr_a(), pair.addr_b()];
+    let open = |platform: u16| {
+        let mut client = Client::connect(&addrs[platform as usize]).expect("connect");
+        let mut hello = hello_msg(&instance, matcher, seed, WireFormat::Binary);
+        hello.fed = Some(FedHello {
+            platform,
+            fed_sid: 1,
+            peer: Some(addrs[1 - platform as usize].clone()),
+            // Far past anything the test waits: a late verdict would
+            // degrade the offer and fail the digests below.
+            deadline_ms: Some(30_000),
+        });
+        client.open(None, hello).expect("hello");
+        client
+    };
+    let mut lender = open(1 - owner);
+    let mut owning = open(owner);
+    let mut events = instance.stream.iter();
+    std::thread::scope(|scope| {
+        let owner_stream = scope.spawn(|| {
+            // Sends all k + 1 events at once, then waits for their answers.
+            pump(
+                &mut owning,
+                &[None],
+                &instance,
+                events.by_ref().take(k + 1),
+                k + 2,
+                |_| {},
+            )?;
+            pump(&mut owning, &[None], &instance, events, 64, |_| {})
+        });
+        let mut parked = || match lender.rpc(&ClientMsg::stats_deep) {
+            Ok(ServerMsg::stats_deep(deep)) => deep.federation.expect("federated").lends_parked,
+            other => panic!("stats_deep: {other:?}"),
+        };
+        while parked() == 0 {}
+        pump(
+            &mut lender,
+            &[None],
+            &instance,
+            instance.stream.iter(),
+            64,
+            |_| {},
+        )
+        .expect("lender streams");
+        owner_stream.join().unwrap().expect("owner streams");
+    });
+
+    let digest = canonical_digest(&canonical_run_json(&batch));
+    for (platform, mut client) in [(1 - owner, lender), (owner, owning)] {
+        let (deep, bye) = client.close(None).expect("close");
+        let stats = deep
+            .and_then(|d| d.federation)
+            .expect("federation counters");
+        assert_eq!(bye.digest, digest, "platform {platform}");
+        assert_eq!(bye.fed.expect("fed half").degraded_offers, 0);
+        assert_eq!(stats.offers_rejected + stats.offers_timed_out, 0);
+        if platform != owner {
+            assert!(stats.lends_parked >= 1, "{stats:?}");
+        }
+    }
+    pair.shutdown();
 }

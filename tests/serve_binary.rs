@@ -186,6 +186,7 @@ fn every_server_message_round_trips_through_a_binary_frame() {
             offers_received: 8,
             lends_granted: 8,
             lends_rejected: 0,
+            lends_parked: 3,
         }),
     };
     // An empty-table variant too: Seq(vec![]) must round-trip.
