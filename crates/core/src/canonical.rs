@@ -53,33 +53,47 @@ pub fn canonical_assignment_json(a: &Assignment) -> serde_json::Value {
 /// platforms (unlike `std`'s randomized hasher). The one hash behind the
 /// canonical run digest and `matchd`'s session→shard placement.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_from(FNV_OFFSET, bytes)
+    let mut hash = Fnv1a64::default();
+    hash.update(bytes);
+    hash.0
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// [`fnv1a64`] fed in pieces: hashes text as it is written instead of
+/// keeping it.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a64(u64);
 
-/// [`fnv1a64`] continued from a running `hash`.
-fn fnv1a64_from(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    hash
 }
 
-/// Hashes text as it is written instead of keeping it.
-struct Fnv1a64(u64);
+impl Fnv1a64 {
+    /// Hash `bytes` after everything hashed so far.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The digest of everything hashed so far, as every run digest is
+    /// rendered: `"fnv1a64:<16 hex digits>"`.
+    pub fn digest(&self) -> String {
+        format!("fnv1a64:{:016x}", self.0)
+    }
+}
 
 impl std::fmt::Write for Fnv1a64 {
     fn write_str(&mut self, text: &str) -> std::fmt::Result {
-        self.0 = fnv1a64_from(self.0, text.as_bytes());
+        self.update(text.as_bytes());
         Ok(())
     }
 }
 
 /// [`fnv1a64`] digest of an already-built [`canonical_run_json`] tree,
-/// rendered as `"fnv1a64:<16 hex digits>"` — for callers that also ship
-/// the tree (a session's `bye`) and should not build it twice.
+/// rendered as `"fnv1a64:<16 hex digits>"`.
 pub fn canonical_digest(canonical: &serde_json::Value) -> String {
     // `Display` renders `serde_json::to_string`'s bytes from a borrow
     // (`to_string` deep-clones the tree first), hashed as they are
@@ -87,14 +101,16 @@ pub fn canonical_digest(canonical: &serde_json::Value) -> String {
     // copy of it (`canonical.to_string()`) is not harmless — CHANGES.md,
     // PR 17.
     use std::fmt::Write as _;
-    let mut hash = Fnv1a64(FNV_OFFSET);
+    let mut hash = Fnv1a64::default();
     write!(hash, "{canonical}").expect("hashing never fails");
-    format!("fnv1a64:{:016x}", hash.0)
+    hash.digest()
 }
 
 /// [`canonical_digest`] of `run`'s canonical JSON; used by session traces
 /// to fingerprint the final [`RunResult`] so a replay can assert it
-/// reproduced the whole run, not just each individual decision.
+/// reproduced the whole run, not just each individual decision. The
+/// reference definition: `com_serve` hashes the same text as it renders
+/// it, without the tree.
 pub fn canonical_run_digest(run: &RunResult) -> String {
     canonical_digest(&canonical_run_json(run))
 }

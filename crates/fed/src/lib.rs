@@ -51,7 +51,7 @@
 //! * per daemon, the full replica against the reference
 //!   ([`ByeMsg::disagreements`]: canonical run, digest, silent
 //!   server-side audit);
-//! * per daemon, the owned `bye.fed` half against
+//! * per daemon, the owned `bye.fed` half's digest against that of
 //!   [`com_core::project_platform_run`] of the reference
 //!   ([`com_serve::FedByeMsg::disagreements`]);
 //! * per daemon, the reported [`com_sim::PlatformLedger`] against books
@@ -59,8 +59,9 @@
 //! * per daemon, zero degraded offers.
 //!
 //! Each daemon audits its full replica server-side, and its owned half
-//! is a projection of that replica; a check that reads only the local
-//! reference could never fail, so `verify` runs none.
+//! is a projection of that replica, so the half ships only its digest: the
+//! full canonical run it projects is compared whole. A check that reads
+//! only the local reference could never fail, so `verify` runs none.
 
 use std::io;
 use std::sync::Barrier;
@@ -314,7 +315,7 @@ pub fn verify(instance: &Instance, report: &FedReport, options: &FedOptions) -> 
         for d in daemon.bye.disagreements(&reference) {
             failures.push(format!("{tag}: full replica: {d}"));
         }
-        // Owned half: canonical, digest, ledger, degradation.
+        // Owned half: digest, ledger, degradation.
         match &daemon.bye.fed {
             None => failures.push(format!("{tag}: bye carries no fed half")),
             Some(fed) => {

@@ -69,6 +69,11 @@ pub const PHASE_SERVE_ENCODE: &str = "encode";
 /// (or the buffer crosses its threshold), so per-event cost is this
 /// span's total divided by events, not its mean.
 pub const PHASE_SERVE_FLUSH: &str = "flush";
+/// Writing one session's final `bye` into the connection's write buffer
+/// and flushing it, as one sample: its size grows with the session, so it
+/// stays out of the per-event [`PHASE_SERVE_ENCODE`] and
+/// [`PHASE_SERVE_FLUSH`] that every session on the shard shares.
+pub const PHASE_SERVE_BYE: &str = "serve-bye";
 
 // Federation phase (the inter-daemon outsourcing path; see com-serve's
 // peer link and com-fed's `matchfed` driver). The lender answers offers

@@ -23,7 +23,7 @@ use crate::protocol::{
 /// [`MAX_FRAME_PAYLOAD`] for every message it has queued on the
 /// connection: a `bye` carries the session's whole canonical run, so it
 /// is linear in what the session streamed (160–190 bytes per request by
-/// framing, twice that with a `fed` half).
+/// framing; a `fed` half adds a fixed few hundred bytes, no more).
 const BYE_BYTES_PER_QUEUED_MSG: usize = 1024;
 
 /// An `InvalidData` I/O error: the peer answered, but not with what the

@@ -51,10 +51,10 @@
 //!
 //! Every line is the compact JSON `serde_json` renders from a message's
 //! `Content` tree. The five messages every event crosses (`request`,
-//! `worker`, `ok`, `assign`, `reject`, bare or enveloped) skip the tree:
-//! their layouts are written once, in [`crate::hot`], and serve both
-//! framings — this module supplies the JSON text primitives they are
-//! written with. [`write_msg`] writes those bytes directly and
+//! `worker`, `ok`, `assign`, `reject`, bare or enveloped) and the `bye`
+//! skip the tree: their layouts are written once, in [`crate::hot`], and
+//! serve both framings — this module supplies the JSON text primitives
+//! they are written with. [`write_msg`] writes those bytes directly and
 //! [`read_line`] reads exactly that text (no whitespace, the derive's key
 //! order, no escapes in keys, nothing trailing); any other line decodes
 //! through `Content`, to exactly the result it always had.
@@ -64,12 +64,12 @@ use std::io::Write as _;
 use serde::content::Content;
 use serde::{Deserialize, Serialize};
 
-use com_core::RunResult;
+use com_core::{Fnv1a64, RunResult};
 use com_pricing::WorkerHistory;
 use com_sim::{Assignment, RequestSpec, WorkerSpec, WorldConfig};
 
 use crate::framing::{write_frame_for, WireFormat};
-use crate::hot::{self, HotRead, HotWrite, WireMsg};
+use crate::hot::{self, HotRead, HotWrite, Layout, WireMsg, HOT_VALUE_DEPTH};
 
 /// Session opener: which matcher to run, the RNG seed, and the world the
 /// session plays out in. `max_value` is the stream's expected largest
@@ -413,17 +413,17 @@ pub struct FedStatsMsg {
 }
 
 /// Federation half of `bye` (`fedd` mode only): this daemon's
-/// per-platform view of the finished run — the canonical projection of
-/// *owned* requests, its digest, and the platform's books. `matchfed`
-/// verifies each half against the same projection of a local
-/// single-process replay, byte for byte.
+/// per-platform view of the finished run — the digest of the projection
+/// onto *owned* requests, the platform's books and its degraded offers.
+/// `matchfed` verifies each against the same projection of a local
+/// single-process replay. The projection itself is not sent: it is a
+/// subset of the `bye`'s full `canonical`, which is compared whole.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FedByeMsg {
     /// The platform this session owned.
     pub platform: u16,
-    /// `canonical_run_json` of the owned-requests projection.
-    pub canonical: serde_json::Value,
-    /// `canonical_run_digest` over `canonical`.
+    /// `com_core::canonical_run_digest` of
+    /// `com_core::project_platform_run(run, platform)`.
     pub digest: String,
     /// This platform's revenue books over the full replica log: revenue
     /// on owned requests plus outsourcing payments earned by lending.
@@ -437,7 +437,10 @@ pub struct FedByeMsg {
 /// Final session report (`bye` response): the run summary, every audit
 /// finding `com_core::validate_run` produced on the reconstructed
 /// instance, and the deterministic `canonical_run_json` projection so a
-/// client can verify the served run against a local batch replay.
+/// client can verify the served run against a local batch replay. On the
+/// wire it is the derived encoding of these fields; the server writes it
+/// straight from the finished run and a client reads it straight back
+/// ([`crate::hot`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ByeMsg {
     pub algorithm: String,
@@ -459,27 +462,17 @@ pub struct ByeMsg {
     pub fed: Option<FedByeMsg>,
 }
 
-/// Where a served canonical run and its digest differ from the local
-/// batch run they must equal. Text is compared as `Value`'s `Display`,
-/// the byte form the digest is defined over.
-fn run_diff(canonical: &serde_json::Value, digest: &str, batch: &RunResult) -> Vec<String> {
-    let local = com_core::canonical_run_json(batch);
-    let local_digest = com_core::canonical_digest(&local);
-    let mut found = Vec::new();
-    if canonical.to_string() != local.to_string() {
-        found.push("canonical run differs from the local batch run".to_string());
-    }
-    if digest != local_digest {
-        found.push(format!("digest {digest} != local {local_digest}"));
-    }
-    found
+/// `digest` unless it is `local`'s.
+fn digest_diff(digest: &str, local: &str) -> Option<String> {
+    (digest != local).then(|| format!("digest {digest} != local {local}"))
 }
 
 impl FedByeMsg {
-    /// [`ByeMsg::disagreements`] for the owned-platform half, against
-    /// `com_core::project_platform_run` of the batch run.
+    /// Where the owned-platform half's digest differs from that of
+    /// `projection` — `com_core::project_platform_run` of the batch run.
     pub fn disagreements(&self, projection: &RunResult) -> Vec<String> {
-        run_diff(&self.canonical, &self.digest, projection)
+        let local = com_core::canonical_run_digest(projection);
+        digest_diff(&self.digest, &local).into_iter().collect()
     }
 }
 
@@ -489,7 +482,16 @@ impl ByeMsg {
     /// seed through `com_core::try_run_online`) — canonical text, digest,
     /// a non-silent server-side audit. Empty means byte-identical.
     pub fn disagreements(&self, batch: &RunResult) -> Vec<String> {
-        let mut found = run_diff(&self.canonical, &self.digest, batch);
+        // The local run rendered once, as `Value`'s `Display` — the byte
+        // form the digest is defined over — for both checks.
+        let local = com_core::canonical_run_json(batch).to_string();
+        let mut hash = Fnv1a64::default();
+        hash.update(local.as_bytes());
+        let mut found = Vec::new();
+        if self.canonical.to_string() != local {
+            found.push("canonical run differs from the local batch run".to_string());
+        }
+        found.extend(digest_diff(&self.digest, &hash.digest()));
         if !self.audit_findings.is_empty() {
             found.push(format!("server-side audit found {:?}", self.audit_findings));
         }
@@ -584,9 +586,9 @@ pub fn encode<T: Serialize>(msg: &T) -> String {
 /// Append `msg`, addressed to `sid` (`None` = bare), to `out` in `format`:
 /// an NDJSON line or one binary frame, hot messages written straight from
 /// their structs (see [`crate::hot`]), cold ones through [`encode`] or its
-/// binary twin. Every writer in the crate (client, server, peer link) goes
-/// through here.
-pub fn write_msg<M: WireMsg>(format: WireFormat, sid: Option<u64>, msg: &M, out: &mut Vec<u8>) {
+/// binary twin, and a [`crate::FinishedSession`] as its `bye`. Every
+/// writer in the crate (client, server, peer link) goes through here.
+pub fn write_msg<M: Layout>(format: WireFormat, sid: Option<u64>, msg: &M, out: &mut Vec<u8>) {
     match format {
         WireFormat::Ndjson => {
             hot::put_frame(&mut TextOut(out), sid, msg);
@@ -646,13 +648,13 @@ impl HotWrite for TextOut<'_> {
         self.0.extend_from_slice(b"null");
     }
 
-    fn f64s(&mut self, values: &[f64]) {
+    fn seq<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
         self.0.push(b'[');
-        for (i, &v) in values.iter().enumerate() {
+        for (i, x) in items.iter().enumerate() {
             if i > 0 {
                 self.0.push(b',');
             }
-            self.f64(v);
+            item(self, x);
         }
         self.0.push(b']');
     }
@@ -660,6 +662,23 @@ impl HotWrite for TextOut<'_> {
     fn value<T: Serialize>(&mut self, value: &T) {
         self.0.extend_from_slice(encode(value).as_bytes());
     }
+}
+
+/// `com_core::canonical_run_digest(run)` without the tree: the canonical
+/// text as NDJSON writes it, hashed as it is rendered through a scratch
+/// buffer drained after each assignment once it holds 64 KiB.
+pub(crate) fn run_digest(run: &RunResult) -> String {
+    const SCRATCH: usize = 64 * 1024;
+    let mut text = Vec::with_capacity(2 * SCRATCH);
+    let mut hash = Fnv1a64::default();
+    hot::put_canonical(&mut TextOut(&mut text), run, |w| {
+        if w.0.len() >= SCRATCH {
+            hash.update(w.0);
+            w.0.clear();
+        }
+    });
+    hash.update(&text);
+    hash.digest()
 }
 
 /// NDJSON's [`HotRead`] over one line: exactly the text [`TextOut`]
@@ -693,6 +712,36 @@ impl<'a> TextIn<'a> {
         self.pos += len;
         value
     }
+}
+
+/// How many bytes the JSON value at the front of `bytes` spans — strings
+/// skipped whole, brackets counted; a scalar ends where the enclosing map
+/// or sequence goes on — or `None` for an unterminated string or nesting
+/// deeper than [`HOT_VALUE_DEPTH`] leaves room for.
+fn value_len(bytes: &[u8]) -> Option<usize> {
+    let (mut depth, mut i) = (0, 0);
+    while let Some(&b) = bytes.get(i) {
+        match b {
+            b',' | b'}' | b']' if depth == 0 => return Some(i),
+            b'"' => loop {
+                i += 1;
+                match *bytes.get(i)? {
+                    b'\\' => i += 1,
+                    b'"' => break,
+                    _ => {}
+                }
+            },
+            b'{' | b'[' if depth + HOT_VALUE_DEPTH < serde_json::MAX_DEPTH => depth += 1,
+            b'{' | b'[' => return None,
+            b'}' | b']' => depth -= 1,
+            _ => {}
+        }
+        i += 1;
+        if depth == 0 && matches!(b, b'"' | b'}' | b']') {
+            return Some(i);
+        }
+    }
+    Some(i)
 }
 
 impl HotRead for TextIn<'_> {
@@ -752,6 +801,14 @@ impl HotRead for TextIn<'_> {
             }
             self.eat(b",")?;
         }
+    }
+
+    fn value(&mut self) -> Option<Content> {
+        let len = value_len(&self.bytes[self.pos..])?;
+        let text = std::str::from_utf8(&self.bytes[self.pos..self.pos + len]).ok()?;
+        let value = serde_json::parse_content(text).ok()?;
+        self.pos += len;
+        Some(value)
     }
 
     fn done(&self) -> bool {
@@ -1083,7 +1140,6 @@ mod tests {
     fn fed_bye_and_stats_round_trip() {
         let fed = FedByeMsg {
             platform: 0,
-            canonical: serde_json::Value::null(),
             digest: "fnv1a64:00000000deadbeef".into(),
             ledger: com_sim::PlatformLedger {
                 revenue: 10.5,
@@ -1178,14 +1234,15 @@ mod tests {
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found[0].contains("worker 3 double-booked"), "{found:?}");
 
-        // The federated half goes through the same comparison.
-        let half = FedByeMsg {
+        // The federated half is checked on its digest.
+        let mut half = FedByeMsg {
             platform: 0,
-            canonical: own.canonical.clone(),
-            digest: "fnv1a64:00000000deadbeef".into(),
+            digest: own.digest.clone(),
             ledger: Default::default(),
             degraded_offers: 0,
         };
+        assert_eq!(half.disagreements(&batch), Vec::<String>::new());
+        half.digest = "fnv1a64:00000000deadbeef".into();
         assert_eq!(half.disagreements(&batch).len(), 1);
     }
 

@@ -281,7 +281,7 @@ pub fn replay_trace(path: &Path) -> Result<TraceReplayReport, String> {
         divergences,
         digest_expected,
         digest_got,
-        canonical: finished.canonical,
+        canonical: com_core::canonical_run_json(&finished.run),
         audit_findings: finished.findings,
     })
 }

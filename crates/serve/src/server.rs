@@ -55,6 +55,7 @@ use crate::framing::{self, split_frame, FrameSplit, WireFormat, FRAME_MAGIC, MAX
 use crate::protocol::{
     read_line, write_msg, ClientFrame, ClientMsg, DecodeError, ErrorMsg, ServerMsg,
 };
+use crate::session::FinishedSession;
 use crate::shard::{place, PoolShared, ShardPool, ShardStats};
 
 /// How long blocking points (socket reads, queue receives, parked
@@ -320,7 +321,9 @@ struct WriterState {
 
 /// Flush eagerly once the pending buffer passes this size, even when the
 /// shard queue is still busy — bounds writer memory under a client that
-/// streams without ever pausing.
+/// streams without ever pausing. A flush that leaves the buffer holding
+/// more than twice this (a `bye`; a threshold flush never gets there)
+/// shrinks it back to this.
 const FLUSH_THRESHOLD: usize = 256 * 1024;
 
 /// One accepted connection: everything its router thread and the shards
@@ -415,7 +418,7 @@ impl Conn {
 
     /// Queue-and-flush counterpart of [`Conn::queue_for`], in one lock
     /// acquisition — the path for immediate messages (rejections, offer
-    /// verdicts, the final `bye`).
+    /// verdicts).
     pub(crate) fn send_for(&self, sid: Option<u64>, msg: &ServerMsg) {
         let mut state = self.lock();
         {
@@ -435,17 +438,34 @@ impl Conn {
         Self::flush_locked(&mut self.lock());
     }
 
+    /// A session's final `bye`, written straight from the finished run
+    /// and flushed at once — timed as one `serve-bye` sample, not as
+    /// `encode` and `flush`.
+    pub(crate) fn send_bye(&self, sid: Option<u64>, done: &FinishedSession) {
+        let mut state = self.lock();
+        let _span = com_obs::span(com_obs::PHASE_SERVE_BYE);
+        write_msg(state.format, sid, done, &mut state.buf);
+        Self::write_out(&mut state);
+    }
+
     fn flush_locked(state: &mut WriterState) {
         if state.buf.is_empty() {
             return;
         }
         let _span = com_obs::span(com_obs::PHASE_SERVE_FLUSH);
+        Self::write_out(state);
+    }
+
+    fn write_out(state: &mut WriterState) {
         if let Some(stream) = state.stream.as_mut() {
             if stream.write_all(&state.buf).is_err() {
                 state.stream = None;
             }
         }
         state.buf.clear();
+        if state.buf.capacity() > 2 * FLUSH_THRESHOLD {
+            state.buf.shrink_to(FLUSH_THRESHOLD);
+        }
     }
 }
 
@@ -879,6 +899,43 @@ mod tests {
         assert!(drain_ingress(&mut buf, &mut discard, &mut sink));
         assert_eq!(sink.rejects.len(), 1, "one rejection per oversized line");
         assert_eq!(sink.lines, vec!["{\"stats\":null}".to_string()]);
+    }
+
+    /// Closing one session of a two-session connection with a `bye` far
+    /// past the flush threshold leaves the writer no larger than the
+    /// threshold for the rest of the connection's life.
+    #[test]
+    fn a_bye_leaves_no_capacity_behind_in_the_writer() {
+        use com_datagen::{generate, synthetic, SyntheticParams};
+        let instance = generate(&synthetic(SyntheticParams {
+            n_requests: 4_000,
+            n_workers: 400,
+            ..SyntheticParams::default()
+        }));
+        let mut matcher = com_core::MatcherSpec::parse("tota").unwrap().build();
+        let batch = com_core::try_run_online(&instance, matcher.as_mut(), 0);
+        let bye_text = com_core::canonical_run_json(&batch).to_string();
+        assert!(bye_text.len() > 2 * FLUSH_THRESHOLD, "{}", bye_text.len());
+
+        let daemon = Arc::new(Daemon::new(ServerConfig::default()));
+        let pool = ShardPool::start(&daemon);
+        let conn = Conn::new(7, None);
+        let send = |sid, msg| assert!(pool.shared.ingress(0, &conn, Some(sid), msg, 0));
+        for sid in 0..2 {
+            let hello = crate::hello_msg(&instance, "tota", sid, WireFormat::Ndjson);
+            send(sid, ClientMsg::hello(hello));
+        }
+        for event in instance.stream.iter() {
+            send(0, crate::event_msg(&instance, event));
+        }
+        send(0, ClientMsg::shutdown);
+        // A barrier for a connection the shard never saw: it returns once
+        // everything queued before it, the `bye` included, is handled.
+        pool.shared.close_conn(99);
+        assert_eq!(daemon.counters.sessions_finished(), 1);
+        let capacity = conn.lock().buf.capacity();
+        assert!(capacity <= FLUSH_THRESHOLD, "{capacity}");
+        pool.stop();
     }
 
     #[test]

@@ -22,7 +22,7 @@ use com_sim::{
 
 use crate::fed::{LendBook, WireOutsource, DEFAULT_OFFER_DEADLINE_MS};
 use crate::framing::WireFormat;
-use crate::protocol::{ByeMsg, DeepStatsMsg, FedByeMsg, Hello, ServerMsg, StatsMsg, WorkerMsg};
+use crate::protocol::{run_digest, DeepStatsMsg, FedByeMsg, Hello, ServerMsg, StatsMsg, WorkerMsg};
 use crate::trace::{
     decision_from_response, TraceEvent, TraceFinish, TraceLine, TraceMeta, TraceRecorder,
     TraceTick, TRACE_VERSION,
@@ -53,21 +53,22 @@ pub struct ServeSession {
     fed: Option<FedState>,
 }
 
-/// Everything a finished session reports: the run, its canonical
-/// projection and digest (built once, here), the audit verdict, and the
-/// instance it was audited against.
+/// Everything a finished session reports: the run and its digest, the
+/// audit verdict, and the instance it was audited against. Its `bye` is
+/// written straight from it (`write_msg`; see [`crate::hot`]), the
+/// canonical run included, with no value tree in between.
 pub struct FinishedSession {
     pub run: RunResult,
-    /// `com_core::canonical_run_json` of `run`.
-    pub canonical: serde_json::Value,
-    /// `com_core::canonical_digest` of `canonical`.
+    /// `com_core::canonical_run_digest` of `run`, hashed as the canonical
+    /// text is rendered.
     pub digest: String,
     pub findings: Vec<String>,
     pub instance: Instance,
     /// Where the session trace landed, when one was recorded and survived.
     pub trace_path: Option<std::path::PathBuf>,
-    /// `(owned platform, degraded offer count)` for a federated session.
-    fed: Option<(PlatformId, u64)>,
+    /// The `bye`'s federation half, for a federated session: the owned
+    /// platform's projection digest, ledger and degraded offers.
+    pub fed: Option<FedByeMsg>,
 }
 
 /// The most grid cells a session's world may allocate across its waiting
@@ -398,8 +399,13 @@ impl ServeSession {
             .iter()
             .map(|f| f.to_string())
             .collect();
-        let canonical = com_core::canonical_run_json(&run);
-        let digest = com_core::canonical_digest(&canonical);
+        let digest = run_digest(&run);
+        let fed = fed.map(|(platform, degraded_offers)| FedByeMsg {
+            platform: platform.0,
+            digest: run_digest(&com_core::project_platform_run(&run, platform)),
+            ledger: com_sim::PlatformLedger::for_platform(platform, &run.assignments),
+            degraded_offers,
+        });
         let trace_path = self.recorder.and_then(|mut rec| {
             rec.write(&TraceLine::Finish(TraceFinish {
                 events: instance.stream.len() as u64,
@@ -413,46 +419,11 @@ impl ServeSession {
         });
         FinishedSession {
             run,
-            canonical,
             digest,
             findings,
             instance,
             trace_path,
             fed,
-        }
-    }
-}
-
-impl FinishedSession {
-    /// The `bye` payload for this finished session. For a federated
-    /// session the `fed` block carries the *owned-platform projection* —
-    /// canonical JSON, digest, and per-platform revenue ledger of just
-    /// the requests this daemon owns — which `matchfed` byte-compares
-    /// against the same projection of its local batch run. The top-level
-    /// fields stay the full replica's, so the usual single-process
-    /// identity checks keep working unchanged.
-    pub fn bye(self) -> ByeMsg {
-        ByeMsg {
-            algorithm: self.run.algorithm.clone(),
-            revenue: self.run.total_revenue(),
-            completed: self.run.completed() as u64,
-            cooperative: self.run.cooperative_count() as u64,
-            events: self.instance.stream.len() as u64,
-            refused: self.run.failures.len() as u64,
-            audit_findings: self.findings,
-            canonical: self.canonical,
-            digest: self.digest,
-            fed: self.fed.map(|(platform, degraded_offers)| {
-                let projected = com_core::project_platform_run(&self.run, platform);
-                let canonical = com_core::canonical_run_json(&projected);
-                FedByeMsg {
-                    platform: platform.0,
-                    digest: com_core::canonical_digest(&canonical),
-                    canonical,
-                    ledger: com_sim::PlatformLedger::for_platform(platform, &self.run.assignments),
-                    degraded_offers,
-                }
-            }),
         }
     }
 }

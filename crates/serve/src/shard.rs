@@ -356,7 +356,7 @@ impl Shard {
             .counters
             .sessions_finished
             .fetch_add(1, Ordering::Relaxed);
-        conn.send_for(sid, &ServerMsg::bye(done.bye()));
+        conn.send_bye(sid, &done);
     }
 
     /// Dispatch one decoded client message for session `(conn.id, sid)`.

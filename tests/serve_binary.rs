@@ -8,17 +8,17 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use com_core::canonical_run_json;
-use com_core::{try_run_online, MatcherRegistry};
+use com_core::{canonical_run_digest, canonical_run_json, project_platform_run};
+use com_core::{try_run_online, MatcherRegistry, MatcherSpec};
 use com_datagen::{generate, synthetic, SyntheticParams};
 use com_geo::Point;
 use com_pricing::WorkerHistory;
 use com_serve::{
-    client_frame_from_content, decode_msg, decode_payload, drive, encode, encode_frame, read_frame,
-    read_line, serve, server_frame_from_content, write_msg, ByeMsg, Client, ClientFrame, ClientMsg,
-    CounterRow, DecodeError, DeepStatsMsg, DriveOptions, ErrorMsg, Frame, GaugeRow, Hello,
-    PhaseRow, ServerConfig, ServerMsg, ShardRow, StatsMsg, WireFormat, WireMsg, WorkerMsg,
-    FRAME_MAGIC, MAX_FRAME_PAYLOAD,
+    client_frame_from_content, decode_msg, decode_payload, drive, encode, encode_frame, event_msg,
+    hello_msg, read_frame, read_line, serve, server_frame_from_content, write_msg, ByeMsg, Client,
+    ClientFrame, ClientMsg, CounterRow, DecodeError, DeepStatsMsg, DriveOptions, ErrorMsg,
+    FedHello, FinishedSession, Frame, GaugeRow, Hello, PhaseRow, ServeSession, ServerConfig,
+    ServerMsg, ShardRow, StatsMsg, WireFormat, WireMsg, WorkerMsg, FRAME_MAGIC, MAX_FRAME_PAYLOAD,
 };
 use com_sim::{
     Assignment, Instance, MatchKind, PlatformId, RequestId, RequestSpec, Timestamp, WorkerId,
@@ -238,8 +238,6 @@ fn every_server_message_round_trips_through_a_binary_frame() {
             digest: "fnv1a64:deadbeefdeadbeef".into(),
             fed: Some(com_serve::FedByeMsg {
                 platform: 0,
-                canonical: serde_json::from_str(r#"{"assignments":[],"total_revenue":0.0}"#)
-                    .unwrap(),
                 digest: "fnv1a64:0000000000000000".into(),
                 ledger: com_sim::PlatformLedger::default(),
                 degraded_offers: 0,
@@ -320,6 +318,150 @@ fn random_json_trees_round_trip_through_binary_frames() {
         text.push_str("}}");
         let msg: ServerMsg = serde_json::from_str(&text).expect("generated JSON parses");
         assert_frame_round_trip(&msg);
+        // Written in full, as a server writes one, it reads back through
+        // the typed `bye` path in both framings, exactly as `Content` does.
+        for sid in [None, Some(5)] {
+            assert!(read_server(&typed_frame(sid, &msg)[FRAME_HEADER_LEN..]));
+            assert!(read_server_line(unterminated(&typed_line(sid, &msg))));
+        }
+    }
+}
+
+/// A finished session of `matcher` over `quick` (seed 42), played straight
+/// through a [`ServeSession`]; a federated one owns `fed` and has no peer,
+/// so its owned outer decisions degrade.
+fn finished_quick(matcher: &str, fed: Option<u16>) -> FinishedSession {
+    let instance = generate(&com_datagen::profiles::quick());
+    let mut hello = hello_msg(&instance, matcher, 42, WireFormat::Ndjson);
+    hello.fed = fed.map(|platform| FedHello {
+        platform,
+        fed_sid: 1,
+        peer: None,
+        deadline_ms: None,
+    });
+    let mut session = ServeSession::open(&hello).expect("a builtin matcher");
+    for event in instance.stream.iter() {
+        let accepted = match event_msg(&instance, event) {
+            ClientMsg::worker(msg) => session.worker(&msg).is_ok(),
+            ClientMsg::request(spec) => session.request(&spec).is_ok(),
+            other => unreachable!("{other:?} is no event"),
+        };
+        assert!(accepted, "generated streams are in order");
+    }
+    session.finish()
+}
+
+/// The reference the straight `bye` writer is held to: a `ByeMsg` around
+/// `canonical_run_json`, written through `Content`.
+fn oracle_bye(done: &FinishedSession) -> ServerMsg {
+    let run = &done.run;
+    ServerMsg::bye(ByeMsg {
+        algorithm: run.algorithm.clone(),
+        revenue: run.total_revenue(),
+        completed: run.completed() as u64,
+        cooperative: run.cooperative_count() as u64,
+        events: done.instance.stream.len() as u64,
+        refused: run.failures.len() as u64,
+        audit_findings: done.findings.clone(),
+        canonical: canonical_run_json(run),
+        digest: done.digest.clone(),
+        fed: done.fed.clone(),
+    })
+}
+
+/// The `bye` a finished session writes is the oracle's, byte for byte, in
+/// both framings, bare and enveloped: for every builtin matcher, for a
+/// federated half, and with free text that needs escaping. The digests
+/// are the reference ones, and both readers take the typed path back to
+/// exactly what `Content` reads.
+#[test]
+fn bye_bytes_are_pinned() {
+    let mut sessions: Vec<FinishedSession> = MatcherSpec::all_builtin()
+        .iter()
+        .map(|spec| finished_quick(&spec.canonical(), None))
+        .collect();
+    sessions.push(finished_quick("ramcom", Some(1)));
+    for done in &sessions {
+        assert_eq!(done.digest, canonical_run_digest(&done.run));
+    }
+    let fed = sessions.last().unwrap().fed.clone().expect("a fed half");
+    let owned = project_platform_run(&sessions.last().unwrap().run, com_sim::PlatformId(1));
+    assert_eq!(fed.digest, canonical_run_digest(&owned));
+    assert!(fed.degraded_offers > 0, "the fixture lends without a peer");
+
+    let mut odd = finished_quick("demcom", None);
+    odd.run.algorithm = "Dem\"COM\\ naïve".into();
+    odd.findings.push("worker \"7\" at C:\\ — 1 km".into());
+    sessions.push(odd);
+    for done in &sessions {
+        let oracle = oracle_bye(done);
+        for sid in [None, Some(300)] {
+            for format in [WireFormat::Binary, WireFormat::Ndjson] {
+                let (mut written, mut expected) = (Vec::new(), Vec::new());
+                write_msg(format, sid, done, &mut written);
+                write_msg(format, sid, &oracle, &mut expected);
+                assert!(
+                    written == expected,
+                    "{} {format} {sid:?}",
+                    done.run.algorithm
+                );
+                let typed = match format {
+                    WireFormat::Binary => read_server(&written[FRAME_HEADER_LEN..]),
+                    WireFormat::Ndjson => read_server_line(unterminated(&written)),
+                };
+                assert!(
+                    typed,
+                    "{} {format} {sid:?} missed the typed path",
+                    done.run.algorithm
+                );
+            }
+        }
+    }
+}
+
+/// A `bye` written any other way — keys reordered, or an older server's
+/// `fed` half that still carries its own `canonical` — reads through
+/// `Content`, to exactly what `Content` alone reads.
+#[test]
+fn other_bye_encodings_read_through_content() {
+    let done = finished_quick("tota", Some(0));
+    let Content::Map(mut bye) = oracle_bye(&done).to_content() else {
+        unreachable!("a bye is a one-entry map");
+    };
+    let Content::Map(fields) = &mut bye[0].1 else {
+        unreachable!("a bye body is a map");
+    };
+    let mut reordered = fields.clone();
+    reordered.rotate_left(1);
+    let Some((_, Content::Map(fed))) = fields.last_mut() else {
+        unreachable!("the fixture is federated");
+    };
+    let owned = project_platform_run(&done.run, com_sim::PlatformId(0));
+    fed.insert(
+        1,
+        (
+            Content::Str("canonical".into()),
+            canonical_run_json(&owned).to_content(),
+        ),
+    );
+    let old = Content::Map(bye.clone());
+    bye[0].1 = Content::Map(reordered);
+    for content in [old, Content::Map(bye)] {
+        let frame = payload(content.clone());
+        assert!(!read_server(&frame));
+        assert!(!read_server_line(&line(content)));
+        let Ok(Frame {
+            msg: ServerMsg::bye(back),
+            ..
+        }) = read_frame::<ServerMsg>(&frame).0
+        else {
+            panic!("a bye decodes");
+        };
+        assert_eq!(back.digest, done.digest);
+        assert_eq!(
+            back.fed.map(|f| f.digest),
+            done.fed.as_ref().map(|f| f.digest.clone())
+        );
     }
 }
 
@@ -425,6 +567,11 @@ fn typed_line<M: WireMsg>(sid: Option<u64>, msg: &M) -> Vec<u8> {
     let mut out = Vec::new();
     write_msg(WireFormat::Ndjson, sid, msg, &mut out);
     out
+}
+
+/// A written NDJSON line's text, newline stripped.
+fn unterminated(line: &[u8]) -> &str {
+    std::str::from_utf8(&line[..line.len() - 1]).expect("JSON is UTF-8")
 }
 
 /// One way to write a message for a sid.
@@ -790,7 +937,7 @@ fn hot_line_round_trip<M: WireMsg + Clone + std::fmt::Debug>(
 ) {
     let written = typed_line(sid, msg);
     assert_eq!(written, content_line(sid, msg));
-    let text = std::str::from_utf8(&written[..written.len() - 1]).expect("JSON is UTF-8");
+    let text = unterminated(&written);
     let typed = read(text);
     if let Ok(back) = read_line::<M>(text).0 {
         assert!(typed, "{msg:?} missed the typed path");

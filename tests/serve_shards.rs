@@ -449,3 +449,45 @@ fn one_session_is_bare_on_the_wire_and_k_sessions_tag_every_message() {
     }
     server.shutdown();
 }
+
+/// A `bye` is one `serve-bye` sample, not an `encode`: its size grows with
+/// the session, and the `encode` and `flush` histograms are shared by
+/// every session on the shard. A sibling's `finish` ends the shard
+/// collector's run (`com_obs::end_run`), so the table the other session
+/// reads after the close starts there: one `serve-bye` sample and no
+/// `encode` at all; the next `stats_deep` adds exactly the previous
+/// answer's `encode`.
+#[test]
+fn a_siblings_bye_is_timed_as_serve_bye_not_encode() {
+    let instance = quick_instance();
+    let server = shard_server(1);
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    for sid in 0..2 {
+        let hello = hello_msg(&instance, "tota", sid, WireFormat::Binary);
+        client.open(Some(sid), hello).expect("hello");
+    }
+    for event in instance.stream.iter().take(60) {
+        mux_rpc(&mut client, 0, event_msg(&instance, event));
+    }
+    let phases = |client: &mut Client| match mux_rpc(client, 1, ClientMsg::stats_deep) {
+        ServerMsg::stats_deep(deep) => {
+            let count = |phase| deep.phase(phase).map_or(0, |p| p.count);
+            (
+                count(com_obs::PHASE_SERVE_ENCODE),
+                count(com_obs::PHASE_SERVE_BYE),
+            )
+        }
+        other => panic!("expected stats_deep, got {other:?}"),
+    };
+    let (encoded, byes) = phases(&mut client);
+    assert!(encoded >= 60, "{encoded}");
+    assert_eq!(byes, 0);
+    assert!(matches!(
+        mux_rpc(&mut client, 0, ClientMsg::shutdown),
+        ServerMsg::bye(_)
+    ));
+    assert_eq!(phases(&mut client), (0, 1));
+    assert_eq!(phases(&mut client), (1, 1));
+    mux_rpc(&mut client, 1, ClientMsg::shutdown);
+    server.shutdown();
+}
