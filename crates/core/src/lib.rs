@@ -70,7 +70,6 @@ pub use audit::{
 pub use batched::{run_batched, BatchedCom};
 pub use canonical::{
     canonical_assignment_json, canonical_digest, canonical_run_digest, canonical_run_json, fnv1a64,
-    Fnv1a64,
 };
 pub use config::{DemComConfig, RamComConfig, ThresholdMode};
 pub use demcom::DemCom;

@@ -49,8 +49,7 @@
 //! * no live divergence — the two daemons' answers to every request,
 //!   compared after streaming, before the byes;
 //! * per daemon, the full replica against the reference
-//!   ([`ByeMsg::disagreements`]: canonical run, digest, silent
-//!   server-side audit);
+//!   ([`ByeMsg::disagreements`]: digest, silent server-side audit);
 //! * per daemon, the owned `bye.fed` half's digest against that of
 //!   [`com_core::project_platform_run`] of the reference
 //!   ([`com_serve::FedByeMsg::disagreements`]);
@@ -58,10 +57,10 @@
 //!   derived from the reference;
 //! * per daemon, zero degraded offers.
 //!
-//! Each daemon audits its full replica server-side, and its owned half
-//! is a projection of that replica, so the half ships only its digest: the
-//! full canonical run it projects is compared whole. A check that reads
-//! only the local reference could never fail, so `verify` runs none.
+//! Each daemon audits its full replica server-side, and every decision
+//! was already compared live, so a `bye` is a receipt: digests, not
+//! canonical runs. A check that reads only the local reference could
+//! never fail, so `verify` runs none.
 
 use std::io;
 use std::sync::Barrier;

@@ -70,9 +70,9 @@ pub const PHASE_SERVE_ENCODE: &str = "encode";
 /// span's total divided by events, not its mean.
 pub const PHASE_SERVE_FLUSH: &str = "flush";
 /// Writing one session's final `bye` into the connection's write buffer
-/// and flushing it, as one sample: its size grows with the session, so it
-/// stays out of the per-event [`PHASE_SERVE_ENCODE`] and
-/// [`PHASE_SERVE_FLUSH`] that every session on the shard shares.
+/// and flushing it, as one sample: once per session, so it stays out of
+/// the per-event [`PHASE_SERVE_ENCODE`] and [`PHASE_SERVE_FLUSH`] that
+/// every session on the shard shares.
 pub const PHASE_SERVE_BYE: &str = "serve-bye";
 
 // Federation phase (the inter-daemon outsourcing path; see com-serve's

@@ -33,8 +33,9 @@
 //! * `--once` — exit once at least one connection was accepted and all
 //!   accepted connections have finished (CI smoke runs).
 //! * `--record` — flight recorder: write one trace per logical session
-//!   (`session-<sid>-<matcher>-<seed>.jsonl`, schema in
-//!   `com_serve::trace`) into DIR; replay later with `matchreplay`.
+//!   (`session-<id>-<matcher>-<seed>.jsonl`, `<id>` unique across the
+//!   daemon's sessions, whatever their connection or wire `sid`; schema
+//!   in `com_serve::trace`) into DIR; replay later with `matchreplay`.
 //! * `--no-telemetry` — do not install the per-shard `com-obs`
 //!   collector; `stats_deep` then answers with empty phase tables.
 //!   Decisions are identical either way (telemetry is observer-only).

@@ -52,7 +52,7 @@
 //! * `--strict` — verify every served session end to end: replay the
 //!   same instance through the local batch engine (`try_run_online`,
 //!   per-session seed) and require `ByeMsg::disagreements` to be empty —
-//!   canonical run JSON and finish digest byte for byte, zero audit
+//!   the served run's digest equal to the batch run's, zero audit
 //!   findings; exit 1 otherwise.
 
 use std::fs;
@@ -354,7 +354,7 @@ fn main() {
         }
         println!(
             "strict: all {} served sessions match their local batch runs exactly \
-             (canonical JSON and digest); audit clean",
+             (canonical run digest); audit clean",
             report.sessions.len()
         );
     }

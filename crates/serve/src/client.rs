@@ -21,9 +21,9 @@ use crate::protocol::{
 
 /// What a [`Client`] lets one server message grow past
 /// [`MAX_FRAME_PAYLOAD`] for every message it has queued on the
-/// connection: a `bye` carries the session's whole canonical run, so it
-/// is linear in what the session streamed (160–190 bytes per request by
-/// framing; a `fed` half adds a fixed few hundred bytes, no more).
+/// connection. A sound session's `bye` is a few hundred bytes, but it
+/// lists every audit finding, and a broken session can have one per
+/// event it streamed.
 const BYE_BYTES_PER_QUEUED_MSG: usize = 1024;
 
 /// An `InvalidData` I/O error: the peer answered, but not with what the
@@ -290,9 +290,9 @@ mod tests {
         assert!(err.to_string().contains("exceeds"), "{err}");
     }
 
-    /// A `bye` past the constant cap — what a Table III session ends with
-    /// — is readable under the cap a client that streamed the session
-    /// has, and refused under the constant one, in both framings.
+    /// A `bye` past the constant cap — a broken session's findings — is
+    /// readable under the cap a client that streamed the session has, and
+    /// refused under the constant one, in both framings.
     #[test]
     fn a_bye_past_the_constant_cap_is_read_under_the_scaled_one() {
         let bye = ServerMsg::bye(ByeMsg {

@@ -93,9 +93,9 @@ pub struct SessionOutcome {
     pub rejected: usize,
     /// Engine-refused decisions (`timeout` responses).
     pub refused: usize,
-    /// The server's final report for this session (canonical run JSON and
-    /// digest included) — compare against
-    /// `com_core::canonical_run_json` of a local batch run.
+    /// The server's final report for this session — compare its digest
+    /// against `com_core::canonical_run_digest` of a local batch run
+    /// ([`ByeMsg::disagreements`]).
     pub bye: ByeMsg,
 }
 
@@ -110,8 +110,8 @@ pub struct DriveReport {
     pub events: usize,
     /// Slowest connection's event-streaming wall time: sessions open →
     /// last event response drained. Teardown (deep stats, shutdown,
-    /// audit, the canonical run in `bye`) is excluded — a fixed
-    /// per-session cost, not per-event serving work.
+    /// audit, digest, `bye`) is excluded — a per-session cost, not
+    /// per-event serving work.
     pub wall_secs: f64,
     /// Session 0's deep server telemetry, fetched once streaming ended
     /// and before any session on its connection shut down — carries the

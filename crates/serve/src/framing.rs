@@ -9,9 +9,8 @@
 //! ```
 //!
 //! The payload is a tag-prefixed encoding of the same [`Content`] value
-//! tree the JSON path serializes through, so any protocol message —
-//! including the free-form `canonical` JSON inside `bye` — has exactly one
-//! binary form:
+//! tree the JSON path serializes through, so any protocol message has
+//! exactly one binary form:
 //!
 //! | tag  | value                                            |
 //! |------|--------------------------------------------------|
@@ -27,11 +26,10 @@
 //!
 //! **Hot layouts.** The five messages every event crosses — client
 //! `request` and `worker`, server `ok`, `assign` and `reject`, bare or in
-//! the `{"sid","msg"}` mux envelope — and the `bye` each session ends with
-//! are written and read straight between bytes and structs, with no value
-//! tree in between. Each layout is written once, in [`crate::hot`], and
-//! serves both framings; this module supplies the binary primitives it is
-//! written with. A layout is
+//! the `{"sid","msg"}` mux envelope — are written and read straight
+//! between bytes and structs, with no value tree in between. Each layout
+//! is written once, in [`crate::hot`], and serves both framings; this
+//! module supplies the binary primitives it is written with. A layout is
 //! the canonical `Content` encoding written directly: the derive's key
 //! order, the derive's tags, the same bytes [`write_frame`] produces.
 //! [`read_frame`] takes that layout and nothing else; any other encoding
@@ -55,7 +53,7 @@
 use serde::{Content, Deserialize, Serialize};
 use serde_json::MAX_DEPTH;
 
-use crate::hot::{self, HotRead, HotWrite, Layout, WireMsg, HOT_VALUE_DEPTH};
+use crate::hot::{self, HotRead, HotWrite, WireMsg};
 use crate::protocol::{frame_from_content, DecodeError, Frame};
 
 /// First byte of every binary frame. Not ASCII, not a valid UTF-8
@@ -496,19 +494,14 @@ impl HotRead for Cursor<'_> {
         (0..count).map(|_| self.f64()).collect()
     }
 
-    fn value(&mut self) -> Option<Content> {
-        self.content(HOT_VALUE_DEPTH).ok()
-    }
-
     fn done(&self) -> bool {
         self.pos == self.bytes.len()
     }
 }
 
 /// Append one complete frame for `msg` addressed to `sid` (`None` = bare):
-/// the envelope and the message's [`Layout`] — the same bytes
-/// [`write_frame`] writes for the equivalent [`Frame`].
-pub(crate) fn write_frame_for<M: Layout>(sid: Option<u64>, msg: &M, out: &mut Vec<u8>) {
+/// the same bytes [`write_frame`] writes for the equivalent [`Frame`].
+pub(crate) fn write_frame_for<M: WireMsg>(sid: Option<u64>, msg: &M, out: &mut Vec<u8>) {
     put_frame(out, |out| hot::put_frame(&mut BinaryOut(out), sid, msg));
 }
 

@@ -2,22 +2,12 @@
 //!
 //! Five messages cross the wire once per event: client `request` and
 //! `worker`, server `ok`, `assign` and `reject` — bare, or inside the
-//! `{"sid":N,"msg":…}` mux envelope. One more ends every session: the
-//! `bye`, whose `canonical` run grows with the session (≈ 29 MB at `city`
-//! scale). Each is written and read here straight between struct and
-//! bytes, with no `Content` value tree in between, as one function generic
-//! over the framing's primitives: [`HotWrite`] and [`HotRead`], implemented
-//! by the binary framing ([`crate::framing`]) and by NDJSON
-//! ([`crate::protocol`]). One function per layout means one field order for
-//! both framings.
-//!
-//! The `bye` is written from a [`FinishedSession`] — its `canonical` field
-//! straight from the `RunResult`, in `com_core::canonical_run_json`'s key
-//! order — and read back with `canonical` parsed once, straight into its
-//! `serde_json::Value`. Its strings (`algorithm`, `audit_findings`,
-//! `digest`) and its small `fed` half go through `Content` ([`HotWrite::value`],
-//! [`HotRead::value`]), so they are escaped and unescaped exactly as
-//! always.
+//! `{"sid":N,"msg":…}` mux envelope. Each is written and read here
+//! straight between struct and bytes, with no `Content` value tree in
+//! between, as one function generic over the framing's primitives:
+//! [`HotWrite`] and [`HotRead`], implemented by the binary framing
+//! ([`crate::framing`]) and by NDJSON ([`crate::protocol`]). One function
+//! per layout means one field order for both framings.
 //!
 //! A layout is the one the derive produces through `Content` — its key
 //! order, its tags — so the writers emit exactly the bytes the framing's
@@ -26,7 +16,6 @@
 //! extra, an integer sent as a float, whitespace, a cold message — is left
 //! to `Content`, which decodes it to exactly the result it always had.
 
-use com_core::RunResult;
 use com_geo::Point;
 use com_pricing::WorkerHistory;
 use com_sim::{
@@ -34,14 +23,7 @@ use com_sim::{
 };
 use serde::{Content, Deserialize, Serialize};
 
-use crate::protocol::{ByeMsg, ClientMsg, FedByeMsg, Frame, ServerMsg, WorkerMsg};
-use crate::session::FinishedSession;
-
-/// The deepest a value read whole ([`HotRead::value`]) sits in any hot
-/// layout: the `ledger` of an enveloped `bye`'s `fed` half. The readers
-/// count a value's nesting from here, so they refuse — and leave to
-/// `Content` — every value the `Content` path might refuse as too deep.
-pub(crate) const HOT_VALUE_DEPTH: u32 = 4;
+use crate::protocol::{ClientMsg, Frame, ServerMsg, WorkerMsg};
 
 /// The primitives a hot layout is written with, one implementation per
 /// framing.
@@ -67,8 +49,7 @@ pub trait HotWrite {
     fn seq<T>(&mut self, items: &[T], item: impl FnMut(&mut Self, &T))
     where
         Self: Sized;
-    /// Any value, through its `Content` tree: a cold message, or free
-    /// text that needs escaping.
+    /// A cold message, through its `Content` tree.
     fn value<T: Serialize>(&mut self, value: &T);
 
     /// A map of `len` entries, written by `body`.
@@ -106,9 +87,6 @@ pub trait HotRead: Clone {
     /// A sequence of floats, grown one push at a time as the `Content`
     /// path grows it.
     fn f64s(&mut self) -> Option<Vec<f64>>;
-    /// Any one value, whole, as its `Content` tree — refused when it nests
-    /// so deep that the `Content` path might refuse the message.
-    fn value(&mut self) -> Option<Content>;
     /// Whether every byte has been read.
     fn done(&self) -> bool;
 
@@ -157,66 +135,24 @@ pub trait WireMsg: Serialize + Deserialize {
     fn take_hot<R: HotRead>(r: &mut R) -> Option<Self>;
 }
 
-/// What `write_msg` writes: a protocol message — its hot variants
-/// directly, a cold one through `Content` — or a finished session, as its
-/// `bye`. Either way the bytes the framing's `Content` writer produces for
-/// the equivalent message.
-pub trait Layout {
-    /// Write the message.
-    fn put<W: HotWrite>(&self, w: &mut W);
-}
-
-impl<M: WireMsg> Layout for M {
-    fn put<W: HotWrite>(&self, w: &mut W) {
-        if !self.put_hot(w) {
-            w.value(self);
-        }
-    }
-}
-
-/// The `ServerMsg::bye` the session ends with, written from the finished
-/// run: no `ByeMsg`, no canonical tree.
-impl Layout for FinishedSession {
-    fn put<W: HotWrite>(&self, w: &mut W) {
-        let run = &self.run;
-        put_variant(w, "bye", |w| {
-            w.map(10, |w| {
-                w.key("algorithm");
-                w.value(&run.algorithm);
-                w.key("revenue");
-                w.f64(run.total_revenue());
-                w.key("completed");
-                w.u64(run.completed() as u64);
-                w.key("cooperative");
-                w.u64(run.cooperative_count() as u64);
-                w.key("events");
-                w.u64(self.instance.stream.len() as u64);
-                w.key("refused");
-                w.u64(run.failures.len() as u64);
-                w.key("audit_findings");
-                w.value(&self.findings);
-                w.key("canonical");
-                put_canonical(w, run, |_| {});
-                w.key("digest");
-                w.value(&self.digest);
-                w.key("fed");
-                w.value(&self.fed);
-            });
-        });
-    }
-}
-
 /// Write `msg` addressed to `sid` (`None` = bare): the envelope, then the
-/// message's [`Layout`].
-pub(crate) fn put_frame<W: HotWrite, M: Layout>(w: &mut W, sid: Option<u64>, msg: &M) {
+/// message.
+pub(crate) fn put_frame<W: HotWrite, M: WireMsg>(w: &mut W, sid: Option<u64>, msg: &M) {
     match sid {
-        None => msg.put(w),
+        None => put_msg(w, msg),
         Some(sid) => w.map(2, |w| {
             w.key("sid");
             w.u64(sid);
             w.key("msg");
-            msg.put(w);
+            put_msg(w, msg);
         }),
+    }
+}
+
+/// A hot variant's layout, or a cold one through `Content`.
+fn put_msg<W: HotWrite, M: WireMsg>(w: &mut W, msg: &M) {
+    if !msg.put_hot(w) {
+        w.value(msg);
     }
 }
 
@@ -306,35 +242,28 @@ fn put_opt_u64<W: HotWrite>(w: &mut W, v: Option<u64>) {
     }
 }
 
-/// The seven fields from `kind` to `decided_at`, which an `assign` or
-/// `reject` and a canonical assignment write alike.
-#[inline]
-fn put_decision<W: HotWrite>(w: &mut W, a: &Assignment) {
-    w.key("kind");
-    w.str(match a.kind {
-        MatchKind::Inner => "Inner",
-        MatchKind::Outer => "Outer",
-        MatchKind::Rejected => "Rejected",
-    });
-    w.key("worker");
-    put_opt_u64(w, a.worker.map(|id| id.0));
-    w.key("worker_platform");
-    put_opt_u64(w, a.worker_platform.map(|p| p.0.into()));
-    w.key("outer_payment");
-    w.f64(a.outer_payment);
-    w.key("was_cooperative_offer");
-    w.bool(a.was_cooperative_offer);
-    w.key("travel_km");
-    w.f64(a.travel_km);
-    w.key("decided_at");
-    w.f64(a.decided_at.as_secs());
-}
-
 fn put_assignment<W: HotWrite>(w: &mut W, a: &Assignment) {
     w.map(9, |w| {
         w.key("request");
         put_request(w, &a.request);
-        put_decision(w, a);
+        w.key("kind");
+        w.str(match a.kind {
+            MatchKind::Inner => "Inner",
+            MatchKind::Outer => "Outer",
+            MatchKind::Rejected => "Rejected",
+        });
+        w.key("worker");
+        put_opt_u64(w, a.worker.map(|id| id.0));
+        w.key("worker_platform");
+        put_opt_u64(w, a.worker_platform.map(|p| p.0.into()));
+        w.key("outer_payment");
+        w.f64(a.outer_payment);
+        w.key("was_cooperative_offer");
+        w.bool(a.was_cooperative_offer);
+        w.key("travel_km");
+        w.f64(a.travel_km);
+        w.key("decided_at");
+        w.f64(a.decided_at.as_secs());
         w.key("decision_nanos");
         w.u64(a.decision_nanos);
     });
@@ -345,48 +274,6 @@ fn put_variant<W: HotWrite>(w: &mut W, tag: &str, body: impl FnOnce(&mut W)) {
     w.map(1, |w| {
         w.key(tag);
         body(w);
-    });
-}
-
-/// `com_core::canonical_run_json(run)`, written straight from the run:
-/// the same keys in the same order, so the same bytes in both framings.
-/// `after_each` runs after every assignment (the digest drains its scratch
-/// buffer there).
-pub(crate) fn put_canonical<W: HotWrite>(
-    w: &mut W,
-    run: &RunResult,
-    mut after_each: impl FnMut(&mut W),
-) {
-    w.map(6, |w| {
-        w.key("algorithm");
-        w.value(&run.algorithm);
-        w.key("assignments");
-        w.seq(&run.assignments, |w, a| {
-            put_canonical_assignment(w, a);
-            after_each(w);
-        });
-        w.key("total_revenue");
-        w.f64(run.total_revenue());
-        w.key("completed");
-        w.u64(run.completed() as u64);
-        w.key("cooperative");
-        w.u64(run.cooperative_count() as u64);
-        w.key("acceptance_ratio");
-        match run.acceptance_ratio() {
-            Some(ratio) => w.f64(ratio),
-            None => w.null(),
-        }
-    });
-}
-
-/// `com_core::canonical_assignment_json(a)`, written straight.
-fn put_canonical_assignment<W: HotWrite>(w: &mut W, a: &Assignment) {
-    w.map(9, |w| {
-        w.key("request");
-        w.u64(a.request.id.0);
-        w.key("platform");
-        w.u64(a.request.platform.0.into());
-        put_decision(w, a);
     });
 }
 
@@ -479,39 +366,6 @@ fn assignment<R: HotRead>(r: &mut R) -> Option<Assignment> {
     })
 }
 
-/// A value read whole, as the derived decoder reads it.
-fn decoded<R: HotRead, T: Deserialize>(r: &mut R) -> Option<T> {
-    T::from_content(&r.value()?).ok()
-}
-
-fn fed_bye<R: HotRead>(r: &mut R) -> Option<FedByeMsg> {
-    r.map(4, |r| {
-        Some(FedByeMsg {
-            platform: r.field("platform", decoded)?,
-            digest: r.field("digest", decoded)?,
-            ledger: r.field("ledger", decoded)?,
-            degraded_offers: r.field("degraded_offers", R::u64)?,
-        })
-    })
-}
-
-fn bye<R: HotRead>(r: &mut R) -> Option<ByeMsg> {
-    r.map(10, |r| {
-        Some(ByeMsg {
-            algorithm: r.field("algorithm", decoded)?,
-            revenue: r.field("revenue", R::f64)?,
-            completed: r.field("completed", R::u64)?,
-            cooperative: r.field("cooperative", R::u64)?,
-            events: r.field("events", R::u64)?,
-            refused: r.field("refused", R::u64)?,
-            audit_findings: r.field("audit_findings", decoded)?,
-            canonical: serde_json::Value::from_tree(r.field("canonical", R::value)?),
-            digest: r.field("digest", decoded)?,
-            fed: r.field("fed", |r| r.opt(fed_bye))?,
-        })
-    })
-}
-
 impl WireMsg for ClientMsg {
     fn put_hot<W: HotWrite>(&self, w: &mut W) -> bool {
         match self {
@@ -553,7 +407,6 @@ impl WireMsg for ServerMsg {
         r.map(1, |r| match r.next_key()? {
             b"assign" => assignment(r).map(ServerMsg::assign),
             b"reject" => assignment(r).map(ServerMsg::reject),
-            b"bye" => bye(r).map(ServerMsg::bye),
             _ => None,
         })
     }

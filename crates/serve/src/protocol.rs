@@ -51,8 +51,8 @@
 //!
 //! Every line is the compact JSON `serde_json` renders from a message's
 //! `Content` tree. The five messages every event crosses (`request`,
-//! `worker`, `ok`, `assign`, `reject`, bare or enveloped) and the `bye`
-//! skip the tree: their layouts are written once, in [`crate::hot`], and
+//! `worker`, `ok`, `assign`, `reject`, bare or enveloped) skip the tree:
+//! their layouts are written once, in [`crate::hot`], and
 //! serve both framings — this module supplies the JSON text primitives
 //! they are written with. [`write_msg`] writes those bytes directly and
 //! [`read_line`] reads exactly that text (no whitespace, the derive's key
@@ -64,12 +64,12 @@ use std::io::Write as _;
 use serde::content::Content;
 use serde::{Deserialize, Serialize};
 
-use com_core::{Fnv1a64, RunResult};
+use com_core::RunResult;
 use com_pricing::WorkerHistory;
 use com_sim::{Assignment, RequestSpec, WorkerSpec, WorldConfig};
 
 use crate::framing::{write_frame_for, WireFormat};
-use crate::hot::{self, HotRead, HotWrite, Layout, WireMsg, HOT_VALUE_DEPTH};
+use crate::hot::{self, HotRead, HotWrite, WireMsg};
 
 /// Session opener: which matcher to run, the RNG seed, and the world the
 /// session plays out in. `max_value` is the stream's expected largest
@@ -416,8 +416,7 @@ pub struct FedStatsMsg {
 /// per-platform view of the finished run — the digest of the projection
 /// onto *owned* requests, the platform's books and its degraded offers.
 /// `matchfed` verifies each against the same projection of a local
-/// single-process replay. The projection itself is not sent: it is a
-/// subset of the `bye`'s full `canonical`, which is compared whole.
+/// single-process replay.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FedByeMsg {
     /// The platform this session owned.
@@ -434,13 +433,13 @@ pub struct FedByeMsg {
     pub degraded_offers: u64,
 }
 
-/// Final session report (`bye` response): the run summary, every audit
-/// finding `com_core::validate_run` produced on the reconstructed
-/// instance, and the deterministic `canonical_run_json` projection so a
-/// client can verify the served run against a local batch replay. On the
-/// wire it is the derived encoding of these fields; the server writes it
-/// straight from the finished run and a client reads it straight back
-/// ([`crate::hot`]).
+/// Final session report (`bye` response): a receipt for decisions the
+/// client already holds — every `assign`/`reject`/`timeout` answered them
+/// as they were made. It carries the run summary, every audit finding
+/// `com_core::validate_run` produced on the reconstructed instance, and
+/// the run's digest, so a client verifies the served run against a local
+/// batch replay by digest alone. A cold message: a few hundred bytes
+/// whatever the session's length.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ByeMsg {
     pub algorithm: String,
@@ -450,11 +449,13 @@ pub struct ByeMsg {
     pub events: u64,
     pub refused: u64,
     pub audit_findings: Vec<String>,
+    /// Always `null`: the canonical run is no longer sent, only its
+    /// `digest`. The field stays for peers built against the frozen wire
+    /// schema.
     pub canonical: serde_json::Value,
-    /// `com_core::canonical_run_digest` over `canonical`: a
-    /// compact fingerprint matching the trace `finish` line, so a client
-    /// can check run identity without re-serializing the projection.
-    /// `#[serde(default)]` (empty) when talking to a pre-shard server.
+    /// `com_core::canonical_run_digest` of the served run, matching the
+    /// trace `finish` line. `#[serde(default)]` (empty) when talking to a
+    /// pre-shard server.
     #[serde(default)]
     pub digest: String,
     /// Federation half of the report, present only in `fedd` mode.
@@ -479,19 +480,11 @@ impl FedByeMsg {
 impl ByeMsg {
     /// "The served run is the batch run", checked in one place: every way
     /// this report disagrees with `batch` (the same instance, matcher and
-    /// seed through `com_core::try_run_online`) — canonical text, digest,
-    /// a non-silent server-side audit. Empty means byte-identical.
+    /// seed through `com_core::try_run_online`) — its digest, a non-silent
+    /// server-side audit. Empty means byte-identical.
     pub fn disagreements(&self, batch: &RunResult) -> Vec<String> {
-        // The local run rendered once, as `Value`'s `Display` — the byte
-        // form the digest is defined over — for both checks.
-        let local = com_core::canonical_run_json(batch).to_string();
-        let mut hash = Fnv1a64::default();
-        hash.update(local.as_bytes());
-        let mut found = Vec::new();
-        if self.canonical.to_string() != local {
-            found.push("canonical run differs from the local batch run".to_string());
-        }
-        found.extend(digest_diff(&self.digest, &hash.digest()));
+        let local = com_core::canonical_run_digest(batch);
+        let mut found: Vec<String> = digest_diff(&self.digest, &local).into_iter().collect();
         if !self.audit_findings.is_empty() {
             found.push(format!("server-side audit found {:?}", self.audit_findings));
         }
@@ -586,9 +579,9 @@ pub fn encode<T: Serialize>(msg: &T) -> String {
 /// Append `msg`, addressed to `sid` (`None` = bare), to `out` in `format`:
 /// an NDJSON line or one binary frame, hot messages written straight from
 /// their structs (see [`crate::hot`]), cold ones through [`encode`] or its
-/// binary twin, and a [`crate::FinishedSession`] as its `bye`. Every
-/// writer in the crate (client, server, peer link) goes through here.
-pub fn write_msg<M: Layout>(format: WireFormat, sid: Option<u64>, msg: &M, out: &mut Vec<u8>) {
+/// binary twin. Every writer in the crate (client, server, peer link) goes
+/// through here.
+pub fn write_msg<M: WireMsg>(format: WireFormat, sid: Option<u64>, msg: &M, out: &mut Vec<u8>) {
     match format {
         WireFormat::Ndjson => {
             hot::put_frame(&mut TextOut(out), sid, msg);
@@ -664,23 +657,6 @@ impl HotWrite for TextOut<'_> {
     }
 }
 
-/// `com_core::canonical_run_digest(run)` without the tree: the canonical
-/// text as NDJSON writes it, hashed as it is rendered through a scratch
-/// buffer drained after each assignment once it holds 64 KiB.
-pub(crate) fn run_digest(run: &RunResult) -> String {
-    const SCRATCH: usize = 64 * 1024;
-    let mut text = Vec::with_capacity(2 * SCRATCH);
-    let mut hash = Fnv1a64::default();
-    hot::put_canonical(&mut TextOut(&mut text), run, |w| {
-        if w.0.len() >= SCRATCH {
-            hash.update(w.0);
-            w.0.clear();
-        }
-    });
-    hash.update(&text);
-    hash.digest()
-}
-
 /// NDJSON's [`HotRead`] over one line: exactly the text [`TextOut`]
 /// writes, numbers scanned and classified by `serde_json`'s own reader.
 #[derive(Clone)]
@@ -712,36 +688,6 @@ impl<'a> TextIn<'a> {
         self.pos += len;
         value
     }
-}
-
-/// How many bytes the JSON value at the front of `bytes` spans — strings
-/// skipped whole, brackets counted; a scalar ends where the enclosing map
-/// or sequence goes on — or `None` for an unterminated string or nesting
-/// deeper than [`HOT_VALUE_DEPTH`] leaves room for.
-fn value_len(bytes: &[u8]) -> Option<usize> {
-    let (mut depth, mut i) = (0, 0);
-    while let Some(&b) = bytes.get(i) {
-        match b {
-            b',' | b'}' | b']' if depth == 0 => return Some(i),
-            b'"' => loop {
-                i += 1;
-                match *bytes.get(i)? {
-                    b'\\' => i += 1,
-                    b'"' => break,
-                    _ => {}
-                }
-            },
-            b'{' | b'[' if depth + HOT_VALUE_DEPTH < serde_json::MAX_DEPTH => depth += 1,
-            b'{' | b'[' => return None,
-            b'}' | b']' => depth -= 1,
-            _ => {}
-        }
-        i += 1;
-        if depth == 0 && matches!(b, b'"' | b'}' | b']') {
-            return Some(i);
-        }
-    }
-    Some(i)
 }
 
 impl HotRead for TextIn<'_> {
@@ -801,14 +747,6 @@ impl HotRead for TextIn<'_> {
             }
             self.eat(b",")?;
         }
-    }
-
-    fn value(&mut self) -> Option<Content> {
-        let len = value_len(&self.bytes[self.pos..])?;
-        let text = std::str::from_utf8(&self.bytes[self.pos..self.pos + len]).ok()?;
-        let value = serde_json::parse_content(text).ok()?;
-        self.pos += len;
-        Some(value)
     }
 
     fn done(&self) -> bool {
@@ -1188,7 +1126,6 @@ mod tests {
         let instance = com_datagen::generate(&com_datagen::profiles::quick());
         let mut matcher = com_core::MatcherSpec::parse("tota").unwrap().build();
         let batch = com_core::try_run_online(&instance, matcher.as_mut(), 3);
-        let canonical = com_core::canonical_run_json(&batch);
         let own = ByeMsg {
             algorithm: batch.algorithm.clone(),
             revenue: batch.total_revenue(),
@@ -1197,8 +1134,8 @@ mod tests {
             events: instance.stream.len() as u64,
             refused: 0,
             audit_findings: vec![],
-            digest: com_core::canonical_digest(&canonical),
-            canonical,
+            canonical: serde_json::Value::null(),
+            digest: com_core::canonical_run_digest(&batch),
             fed: None,
         };
         // As a client holds it: parsed off the wire, not built locally.
@@ -1206,17 +1143,6 @@ mod tests {
             panic!("wrong variant")
         };
         assert_eq!(own.disagreements(&batch), Vec::<String>::new());
-
-        let text = own.canonical.to_string();
-        let flipped = text.replacen("\"completed\":", "\"completed\":1", 1);
-        assert_ne!(flipped, text, "fixture has a completed cell");
-        let tampered = ByeMsg {
-            canonical: serde_json::from_str(&flipped).unwrap(),
-            ..own.clone()
-        };
-        let found = tampered.disagreements(&batch);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].starts_with("canonical run differs"), "{found:?}");
 
         let tampered = ByeMsg {
             digest: "fnv1a64:00000000deadbeef".into(),

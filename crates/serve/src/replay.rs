@@ -10,8 +10,10 @@
 //! was tampered with, or determinism broke — exactly the three things a
 //! flight recorder exists to catch.
 //!
-//! The comparison is total: per-decision bytes, the final run digest, and
-//! the decision/event counts of the `finish` line. Divergences are
+//! The comparison is total: per-decision bytes (each request event
+//! answered by exactly one decision line, each decision line answering a
+//! request event), the final run digest, and the decision/event counts of
+//! the `finish` line. Divergences are
 //! collected (not thrown) so lenient callers can report the first
 //! mismatching event index with both decisions side by side; `--strict`
 //! is a caller policy (exit nonzero on any divergence or audit finding).
@@ -20,6 +22,7 @@
 //! recorded `ServeSession` without a server, which is how the committed
 //! `traces/` corpus is (re)generated deterministically.
 
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::time::Instant;
 
@@ -82,12 +85,9 @@ pub struct TraceReplayReport {
     pub divergences: Vec<Divergence>,
     /// The recorded run digest (`finish` line), if the trace has one.
     pub digest_expected: Option<String>,
-    /// The digest this replay's run produced.
+    /// The digest this replay's run produced, to compare against a live
+    /// `bye.digest` or a batch run's.
     pub digest_got: String,
-    /// The replayed run's full canonical projection
-    /// (`canonical_run_json`), for byte-level comparison against a live
-    /// `bye.canonical` or a batch run.
-    pub canonical: serde_json::Value,
     /// `validate_run` findings on the replayed run (0 = silent auditor).
     pub audit_findings: Vec<String>,
 }
@@ -183,13 +183,32 @@ pub fn replay_trace(path: &Path) -> Result<TraceReplayReport, String> {
     let mut session =
         ServeSession::open(&hello).map_err(|(code, detail)| format!("{code}: {detail}"))?;
     let mut divergences = Vec::new();
-    let recorded: std::collections::HashMap<u64, &TraceDecision> = lines
+    // Each request event's recorded decision: the first line naming its
+    // index. Any other decision line — a worker's index, an index past the
+    // stream, a repeat — answers no request.
+    let mut unanswered: HashSet<u64> = lines
         .iter()
         .filter_map(|l| match l {
-            TraceLine::Decision(d) => Some((d.i, d)),
+            TraceLine::Event(ev) if matches!(ev.event, ArrivalEvent::Request(_)) => Some(ev.i),
             _ => None,
         })
         .collect();
+    let mut recorded: HashMap<u64, &TraceDecision> = HashMap::new();
+    for line in &lines {
+        let TraceLine::Decision(d) = line else {
+            continue;
+        };
+        if unanswered.remove(&d.i) {
+            recorded.insert(d.i, d);
+        } else {
+            divergences.push(Divergence {
+                index: d.i,
+                field: "extra-decision".into(),
+                expected: decision_text(d),
+                got: "no request event left to answer".into(),
+            });
+        }
+    }
 
     let started = Instant::now();
     let (mut events, mut decisions) = (0u64, 0u64);
@@ -248,6 +267,7 @@ pub fn replay_trace(path: &Path) -> Result<TraceReplayReport, String> {
         }
     }
     let wall_secs = started.elapsed().as_secs_f64();
+    divergences.sort_by_key(|d| d.index);
 
     let finished = session.finish();
     let digest_got = finished.digest;
@@ -281,7 +301,6 @@ pub fn replay_trace(path: &Path) -> Result<TraceReplayReport, String> {
         divergences,
         digest_expected,
         digest_got,
-        canonical: com_core::canonical_run_json(&finished.run),
         audit_findings: finished.findings,
     })
 }

@@ -321,9 +321,7 @@ struct WriterState {
 
 /// Flush eagerly once the pending buffer passes this size, even when the
 /// shard queue is still busy — bounds writer memory under a client that
-/// streams without ever pausing. A flush that leaves the buffer holding
-/// more than twice this (a `bye`; a threshold flush never gets there)
-/// shrinks it back to this.
+/// streams without ever pausing.
 const FLUSH_THRESHOLD: usize = 256 * 1024;
 
 /// One accepted connection: everything its router thread and the shards
@@ -438,13 +436,13 @@ impl Conn {
         Self::flush_locked(&mut self.lock());
     }
 
-    /// A session's final `bye`, written straight from the finished run
-    /// and flushed at once — timed as one `serve-bye` sample, not as
-    /// `encode` and `flush`.
+    /// A session's final `bye`, flushed at once — timed as one `serve-bye`
+    /// sample, not as `encode` and `flush`.
     pub(crate) fn send_bye(&self, sid: Option<u64>, done: &FinishedSession) {
+        let bye = ServerMsg::bye(done.bye());
         let mut state = self.lock();
         let _span = com_obs::span(com_obs::PHASE_SERVE_BYE);
-        write_msg(state.format, sid, done, &mut state.buf);
+        write_msg(state.format, sid, &bye, &mut state.buf);
         Self::write_out(&mut state);
     }
 
@@ -463,9 +461,6 @@ impl Conn {
             }
         }
         state.buf.clear();
-        if state.buf.capacity() > 2 * FLUSH_THRESHOLD {
-            state.buf.shrink_to(FLUSH_THRESHOLD);
-        }
     }
 }
 
@@ -899,43 +894,6 @@ mod tests {
         assert!(drain_ingress(&mut buf, &mut discard, &mut sink));
         assert_eq!(sink.rejects.len(), 1, "one rejection per oversized line");
         assert_eq!(sink.lines, vec!["{\"stats\":null}".to_string()]);
-    }
-
-    /// Closing one session of a two-session connection with a `bye` far
-    /// past the flush threshold leaves the writer no larger than the
-    /// threshold for the rest of the connection's life.
-    #[test]
-    fn a_bye_leaves_no_capacity_behind_in_the_writer() {
-        use com_datagen::{generate, synthetic, SyntheticParams};
-        let instance = generate(&synthetic(SyntheticParams {
-            n_requests: 4_000,
-            n_workers: 400,
-            ..SyntheticParams::default()
-        }));
-        let mut matcher = com_core::MatcherSpec::parse("tota").unwrap().build();
-        let batch = com_core::try_run_online(&instance, matcher.as_mut(), 0);
-        let bye_text = com_core::canonical_run_json(&batch).to_string();
-        assert!(bye_text.len() > 2 * FLUSH_THRESHOLD, "{}", bye_text.len());
-
-        let daemon = Arc::new(Daemon::new(ServerConfig::default()));
-        let pool = ShardPool::start(&daemon);
-        let conn = Conn::new(7, None);
-        let send = |sid, msg| assert!(pool.shared.ingress(0, &conn, Some(sid), msg, 0));
-        for sid in 0..2 {
-            let hello = crate::hello_msg(&instance, "tota", sid, WireFormat::Ndjson);
-            send(sid, ClientMsg::hello(hello));
-        }
-        for event in instance.stream.iter() {
-            send(0, crate::event_msg(&instance, event));
-        }
-        send(0, ClientMsg::shutdown);
-        // A barrier for a connection the shard never saw: it returns once
-        // everything queued before it, the `bye` included, is handled.
-        pool.shared.close_conn(99);
-        assert_eq!(daemon.counters.sessions_finished(), 1);
-        let capacity = conn.lock().buf.capacity();
-        assert!(capacity <= FLUSH_THRESHOLD, "{capacity}");
-        pool.stop();
     }
 
     #[test]

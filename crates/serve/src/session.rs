@@ -13,7 +13,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use com_core::{validate_run, MatchSession, MatcherSpec, RunResult, SessionConfig, SessionOutput};
+use com_core::{
+    canonical_run_digest, validate_run, MatchSession, MatcherSpec, RunResult, SessionConfig,
+    SessionOutput,
+};
 use com_pricing::WorkerHistory;
 use com_sim::{
     ArrivalEvent, Assignment, ConstraintViolation, EventStream, Instance, PlatformId, RequestSpec,
@@ -22,7 +25,7 @@ use com_sim::{
 
 use crate::fed::{LendBook, WireOutsource, DEFAULT_OFFER_DEADLINE_MS};
 use crate::framing::WireFormat;
-use crate::protocol::{run_digest, DeepStatsMsg, FedByeMsg, Hello, ServerMsg, StatsMsg, WorkerMsg};
+use crate::protocol::{ByeMsg, DeepStatsMsg, FedByeMsg, Hello, ServerMsg, StatsMsg, WorkerMsg};
 use crate::trace::{
     decision_from_response, TraceEvent, TraceFinish, TraceLine, TraceMeta, TraceRecorder,
     TraceTick, TRACE_VERSION,
@@ -54,13 +57,10 @@ pub struct ServeSession {
 }
 
 /// Everything a finished session reports: the run and its digest, the
-/// audit verdict, and the instance it was audited against. Its `bye` is
-/// written straight from it (`write_msg`; see [`crate::hot`]), the
-/// canonical run included, with no value tree in between.
+/// audit verdict, and the instance it was audited against.
 pub struct FinishedSession {
     pub run: RunResult,
-    /// `com_core::canonical_run_digest` of `run`, hashed as the canonical
-    /// text is rendered.
+    /// `com_core::canonical_run_digest` of `run`.
     pub digest: String,
     pub findings: Vec<String>,
     pub instance: Instance,
@@ -399,10 +399,10 @@ impl ServeSession {
             .iter()
             .map(|f| f.to_string())
             .collect();
-        let digest = run_digest(&run);
+        let digest = canonical_run_digest(&run);
         let fed = fed.map(|(platform, degraded_offers)| FedByeMsg {
             platform: platform.0,
-            digest: run_digest(&com_core::project_platform_run(&run, platform)),
+            digest: canonical_run_digest(&com_core::project_platform_run(&run, platform)),
             ledger: com_sim::PlatformLedger::for_platform(platform, &run.assignments),
             degraded_offers,
         });
@@ -424,6 +424,26 @@ impl ServeSession {
             instance,
             trace_path,
             fed,
+        }
+    }
+}
+
+impl FinishedSession {
+    /// The session's `bye`: the receipt for its run — counts, audit
+    /// findings and digest, no canonical body.
+    pub fn bye(&self) -> ByeMsg {
+        let run = &self.run;
+        ByeMsg {
+            algorithm: run.algorithm.clone(),
+            revenue: run.total_revenue(),
+            completed: run.completed() as u64,
+            cooperative: run.cooperative_count() as u64,
+            events: self.instance.stream.len() as u64,
+            refused: run.failures.len() as u64,
+            audit_findings: self.findings.clone(),
+            canonical: serde_json::Value::null(),
+            digest: self.digest.clone(),
+            fed: self.fed.clone(),
         }
     }
 }

@@ -510,10 +510,10 @@ impl Shard {
     }
 }
 
-/// Open the flight recorder for a fresh session, named by its logical
-/// session id (the wire `sid` when the session is multiplexed, else the
-/// server-assigned dense id). Recording failures are never fatal to
-/// serving: log once and carry on unrecorded.
+/// Open the flight recorder for a fresh session, named by its
+/// daemon-unique logical session id `lsid` — never by the wire `sid`,
+/// which only one connection scopes (the meta line records it). Recording
+/// failures are never fatal to serving: log once and carry on unrecorded.
 fn attach_recorder(
     session: &mut ServeSession,
     dir: &std::path::Path,
@@ -527,8 +527,7 @@ fn attach_recorder(
         return;
     }
     let path = dir.join(format!(
-        "session-{}-{}-{}.jsonl",
-        sid.unwrap_or(lsid),
+        "session-{lsid}-{}-{}.jsonl",
         sanitize_spec(&hello.matcher),
         hello.seed
     ));

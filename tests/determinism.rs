@@ -145,7 +145,7 @@ fn batched_run_bytes_are_pinned() {
         com::core::canonical_run_digest(&run),
         "fnv1a64:f63b225d586f44a3"
     );
-    // The tree a `bye` ships digests to the same bytes.
+    // The reference tree digests to the same bytes.
     let tree = com::core::canonical_run_json(&run);
     assert_eq!(
         com::core::canonical_digest(&tree),
@@ -168,6 +168,8 @@ fn ramcom_dense_digests_are_pinned() {
         cfg.seed = seed;
         let run = run_online(&generate(&cfg), &mut RamCom::default(), seed);
         assert_eq!(com::core::canonical_run_digest(&run), digest, "seed {seed}");
+        let tree = com::core::canonical_run_json(&run);
+        assert_eq!(com::core::canonical_digest(&tree), digest, "seed {seed}");
     }
 }
 

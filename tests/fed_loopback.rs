@@ -169,23 +169,12 @@ fn verify_names_each_tampered_daemon_fact() {
             .expect("fed half present")
     }
     type Tamper = fn(&mut FedReport);
-    let tamperings: [(&str, Tamper); 8] = [
+    let tamperings: [(&str, Tamper); 7] = [
         ("live divergence", |r| {
             r.divergent_responses.push("request 0: tampered".into())
         }),
-        ("full replica", |r| {
-            r.daemons[0].bye.canonical = serde_json::json!({ "tampered": true })
-        }),
-        // One decision flipped inside the full canonical, digest left as
-        // sent: the owned half ships no canonical of its own, and the full
-        // one is still compared whole.
-        ("full replica", |r| {
-            let text = r.daemons[1].bye.canonical.to_string();
-            let flipped = text.replacen("\"kind\":\"Inner\"", "\"kind\":\"Rejected\"", 1);
-            assert_ne!(flipped, text, "the fixture serves a request");
-            r.daemons[1].bye.canonical = serde_json::from_str(&flipped).unwrap();
-        }),
         ("full replica", |r| r.daemons[0].bye.digest.push('0')),
+        ("full replica", |r| r.daemons[1].bye.digest.push('0')),
         ("full replica", |r| {
             r.daemons[0].bye.audit_findings.push("tampered".into())
         }),

@@ -1,24 +1,24 @@
 //! Binary wire framing, end to end: every protocol message survives the
 //! length-prefixed codec unchanged, hostile bytes (truncated, oversized,
 //! garbage) produce typed errors instead of panics or wedged sessions,
-//! and a pipelined binary loopback run is byte-identical — canonical
-//! JSON and all — to both the NDJSON run and the batch engine. The typed
+//! and a pipelined binary loopback run is byte-identical — run digest and
+//! all — to both the NDJSON run and the batch engine. The typed
 //! hot layouts are held to `Content` here in both framings: the same
 //! bytes out, the same `Result` in.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use com_core::{canonical_run_digest, canonical_run_json, project_platform_run};
+use com_core::canonical_run_digest;
 use com_core::{try_run_online, MatcherRegistry, MatcherSpec};
 use com_datagen::{generate, synthetic, SyntheticParams};
 use com_geo::Point;
 use com_pricing::WorkerHistory;
 use com_serve::{
-    client_frame_from_content, decode_msg, decode_payload, drive, encode, encode_frame, event_msg,
-    hello_msg, read_frame, read_line, serve, server_frame_from_content, write_msg, ByeMsg, Client,
-    ClientFrame, ClientMsg, CounterRow, DecodeError, DeepStatsMsg, DriveOptions, ErrorMsg,
-    FedHello, FinishedSession, Frame, GaugeRow, Hello, PhaseRow, ServeSession, ServerConfig,
-    ServerMsg, ShardRow, StatsMsg, WireFormat, WireMsg, WorkerMsg, FRAME_MAGIC, MAX_FRAME_PAYLOAD,
+    client_frame_from_content, decode_msg, decode_payload, drive, encode, encode_frame, read_frame,
+    read_line, serve, server_frame_from_content, write_msg, ByeMsg, Client, ClientFrame, ClientMsg,
+    CounterRow, DecodeError, DeepStatsMsg, DriveOptions, ErrorMsg, Frame, GaugeRow, Hello,
+    PhaseRow, ServerConfig, ServerMsg, ShardRow, StatsMsg, WireFormat, WireMsg, WorkerMsg,
+    FRAME_MAGIC, MAX_FRAME_PAYLOAD,
 };
 use com_sim::{
     Assignment, Instance, MatchKind, PlatformId, RequestId, RequestSpec, Timestamp, WorkerId,
@@ -35,14 +35,6 @@ fn quick_instance() -> Instance {
         n_workers: 60,
         ..SyntheticParams::default()
     }))
-}
-
-/// Round-trip a canonical value through text so both comparison sides use
-/// the parsed representation.
-fn canonical_text(value: &serde_json::Value) -> String {
-    let text = serde_json::to_string(value).expect("serialise");
-    let parsed: serde_json::Value = serde_json::from_str(&text).expect("round-trip");
-    serde_json::to_string(&parsed).expect("serialise")
 }
 
 fn request_spec() -> RequestSpec {
@@ -318,151 +310,58 @@ fn random_json_trees_round_trip_through_binary_frames() {
         text.push_str("}}");
         let msg: ServerMsg = serde_json::from_str(&text).expect("generated JSON parses");
         assert_frame_round_trip(&msg);
-        // Written in full, as a server writes one, it reads back through
-        // the typed `bye` path in both framings, exactly as `Content` does.
+        // A cold message: the one writer writes `Content`'s bytes, and both
+        // readers take them back through `Content`.
         for sid in [None, Some(5)] {
-            assert!(read_server(&typed_frame(sid, &msg)[FRAME_HEADER_LEN..]));
-            assert!(read_server_line(unterminated(&typed_line(sid, &msg))));
+            assert_eq!(typed_frame(sid, &msg), content_frame(sid, &msg));
+            assert_eq!(typed_line(sid, &msg), content_line(sid, &msg));
+            assert!(!read_server(&typed_frame(sid, &msg)[FRAME_HEADER_LEN..]));
+            assert!(!read_server_line(unterminated(&typed_line(sid, &msg))));
         }
     }
 }
 
-/// A finished session of `matcher` over `quick` (seed 42), played straight
-/// through a [`ServeSession`]; a federated one owns `fed` and has no peer,
-/// so its owned outer decisions degrade.
-fn finished_quick(matcher: &str, fed: Option<u16>) -> FinishedSession {
-    let instance = generate(&com_datagen::profiles::quick());
-    let mut hello = hello_msg(&instance, matcher, 42, WireFormat::Ndjson);
-    hello.fed = fed.map(|platform| FedHello {
-        platform,
-        fed_sid: 1,
-        peer: None,
-        deadline_ms: None,
-    });
-    let mut session = ServeSession::open(&hello).expect("a builtin matcher");
-    for event in instance.stream.iter() {
-        let accepted = match event_msg(&instance, event) {
-            ClientMsg::worker(msg) => session.worker(&msg).is_ok(),
-            ClientMsg::request(spec) => session.request(&spec).is_ok(),
-            other => unreachable!("{other:?} is no event"),
-        };
-        assert!(accepted, "generated streams are in order");
-    }
-    session.finish()
-}
-
-/// The reference the straight `bye` writer is held to: a `ByeMsg` around
-/// `canonical_run_json`, written through `Content`.
-fn oracle_bye(done: &FinishedSession) -> ServerMsg {
-    let run = &done.run;
-    ServerMsg::bye(ByeMsg {
-        algorithm: run.algorithm.clone(),
-        revenue: run.total_revenue(),
-        completed: run.completed() as u64,
-        cooperative: run.cooperative_count() as u64,
-        events: done.instance.stream.len() as u64,
-        refused: run.failures.len() as u64,
-        audit_findings: done.findings.clone(),
-        canonical: canonical_run_json(run),
-        digest: done.digest.clone(),
-        fed: done.fed.clone(),
-    })
-}
-
-/// The `bye` a finished session writes is the oracle's, byte for byte, in
-/// both framings, bare and enveloped: for every builtin matcher, for a
-/// federated half, and with free text that needs escaping. The digests
-/// are the reference ones, and both readers take the typed path back to
-/// exactly what `Content` reads.
+/// A served session ends with a receipt, not a second copy of its run: a
+/// `quick` and a `full_scale` session's `bye`, bare and enveloped, in both
+/// framings, is under 1 KiB whatever the session's length, carries
+/// `"canonical":null`, and names the batch run's digest.
 #[test]
-fn bye_bytes_are_pinned() {
-    let mut sessions: Vec<FinishedSession> = MatcherSpec::all_builtin()
-        .iter()
-        .map(|spec| finished_quick(&spec.canonical(), None))
-        .collect();
-    sessions.push(finished_quick("ramcom", Some(1)));
-    for done in &sessions {
-        assert_eq!(done.digest, canonical_run_digest(&done.run));
-    }
-    let fed = sessions.last().unwrap().fed.clone().expect("a fed half");
-    let owned = project_platform_run(&sessions.last().unwrap().run, com_sim::PlatformId(1));
-    assert_eq!(fed.digest, canonical_run_digest(&owned));
-    assert!(fed.degraded_offers > 0, "the fixture lends without a peer");
-
-    let mut odd = finished_quick("demcom", None);
-    odd.run.algorithm = "Dem\"COM\\ naïve".into();
-    odd.findings.push("worker \"7\" at C:\\ — 1 km".into());
-    sessions.push(odd);
-    for done in &sessions {
-        let oracle = oracle_bye(done);
-        for sid in [None, Some(300)] {
-            for format in [WireFormat::Binary, WireFormat::Ndjson] {
-                let (mut written, mut expected) = (Vec::new(), Vec::new());
-                write_msg(format, sid, done, &mut written);
-                write_msg(format, sid, &oracle, &mut expected);
-                assert!(
-                    written == expected,
-                    "{} {format} {sid:?}",
-                    done.run.algorithm
-                );
-                let typed = match format {
-                    WireFormat::Binary => read_server(&written[FRAME_HEADER_LEN..]),
-                    WireFormat::Ndjson => read_server_line(unterminated(&written)),
+fn the_bye_is_a_small_receipt() {
+    let handle = serve(ServerConfig::default()).expect("bind ephemeral port");
+    let addr = handle.addr().to_string();
+    for config in [
+        com_datagen::profiles::quick(),
+        com_datagen::profiles::full_scale(),
+    ] {
+        let instance = generate(&config);
+        let mut matcher = MatcherSpec::parse("tota").unwrap().build();
+        let batch = try_run_online(&instance, matcher.as_mut(), 42);
+        for frame in [WireFormat::Binary, WireFormat::Ndjson] {
+            for sessions in [1, 2] {
+                let options = DriveOptions {
+                    matcher: "tota".into(),
+                    seed: 42,
+                    sessions,
+                    frame,
+                    window: 64,
+                    ..DriveOptions::default()
                 };
-                assert!(
-                    typed,
-                    "{} {format} {sid:?} missed the typed path",
-                    done.run.algorithm
-                );
+                let report = drive(&addr, &instance, &options).expect("drive");
+                for s in &report.sessions {
+                    // A cold message: the bytes the daemon wrote for it.
+                    let mut wire = Vec::new();
+                    write_msg(frame, s.sid, &ServerMsg::bye(s.bye.clone()), &mut wire);
+                    let label = format!("{} events, {frame}, sid {:?}", report.events, s.sid);
+                    assert!(wire.len() < 1024, "{label}: {} B", wire.len());
+                    assert_eq!(s.bye.canonical, serde_json::Value::null(), "{label}");
+                }
+                let bye = &report.sessions[0].bye;
+                assert_eq!(bye.disagreements(&batch), Vec::<String>::new());
             }
         }
     }
-}
-
-/// A `bye` written any other way — keys reordered, or an older server's
-/// `fed` half that still carries its own `canonical` — reads through
-/// `Content`, to exactly what `Content` alone reads.
-#[test]
-fn other_bye_encodings_read_through_content() {
-    let done = finished_quick("tota", Some(0));
-    let Content::Map(mut bye) = oracle_bye(&done).to_content() else {
-        unreachable!("a bye is a one-entry map");
-    };
-    let Content::Map(fields) = &mut bye[0].1 else {
-        unreachable!("a bye body is a map");
-    };
-    let mut reordered = fields.clone();
-    reordered.rotate_left(1);
-    let Some((_, Content::Map(fed))) = fields.last_mut() else {
-        unreachable!("the fixture is federated");
-    };
-    let owned = project_platform_run(&done.run, com_sim::PlatformId(0));
-    fed.insert(
-        1,
-        (
-            Content::Str("canonical".into()),
-            canonical_run_json(&owned).to_content(),
-        ),
-    );
-    let old = Content::Map(bye.clone());
-    bye[0].1 = Content::Map(reordered);
-    for content in [old, Content::Map(bye)] {
-        let frame = payload(content.clone());
-        assert!(!read_server(&frame));
-        assert!(!read_server_line(&line(content)));
-        let Ok(Frame {
-            msg: ServerMsg::bye(back),
-            ..
-        }) = read_frame::<ServerMsg>(&frame).0
-        else {
-            panic!("a bye decodes");
-        };
-        assert_eq!(back.digest, done.digest);
-        assert_eq!(
-            back.fed.map(|f| f.digest),
-            done.fed.as_ref().map(|f| f.digest.clone())
-        );
-    }
+    assert_eq!(handle.counters().protocol_errors(), 0);
+    handle.shutdown();
 }
 
 #[test]
@@ -1282,9 +1181,8 @@ fn binary_pipelined_run_is_byte_identical_to_ndjson_and_batch() {
     let registry = MatcherRegistry::builtin();
     let mut matcher = registry.resolve("ramcom").unwrap()();
     let batch = try_run_online(&instance, matcher.as_mut(), 13);
-    let batch_text = canonical_text(&canonical_run_json(&batch));
-    assert_eq!(canonical_text(&ndjson_bye.canonical), batch_text);
-    assert_eq!(canonical_text(&binary_bye.canonical), batch_text);
+    assert_eq!(ndjson_bye.digest, canonical_run_digest(&batch));
+    assert_eq!(binary_bye.digest, canonical_run_digest(&batch));
     assert_eq!(ndjson_bye.revenue, batch.total_revenue());
     assert_eq!(binary_bye.revenue, batch.total_revenue());
 

@@ -2,9 +2,9 @@
 //! ephemeral port serves a real datagen scenario streamed by the
 //! `matchload` client library, and the served run is *exactly* the batch
 //! `try_run_online` run — same decisions, same payments, same canonical
-//! JSON — with a silent auditor and zero backpressure drops.
+//! run digest — with a silent auditor and zero backpressure drops.
 
-use com_core::canonical_run_json;
+use com_core::canonical_run_digest;
 use com_core::{try_run_online, MatcherRegistry};
 use com_datagen::{generate, synthetic, SyntheticParams};
 use com_serve::{drive, event_msg, hello_msg, serve, DriveOptions, ServerConfig, ServerMsg};
@@ -16,14 +16,6 @@ fn quick_instance() -> Instance {
         n_workers: 60,
         ..SyntheticParams::default()
     }))
-}
-
-/// Round-trip a canonical value through text so both comparison sides use
-/// the parsed representation.
-fn canonical_text(value: &serde_json::Value) -> String {
-    let text = serde_json::to_string(value).expect("serialise");
-    let parsed: serde_json::Value = serde_json::from_str(&text).expect("round-trip");
-    serde_json::to_string(&parsed).expect("serialise")
 }
 
 #[test]
@@ -59,10 +51,7 @@ fn served_run_equals_batch_run_and_audits_clean() {
     let registry = MatcherRegistry::builtin();
     let mut matcher = registry.resolve("demcom").unwrap()();
     let batch = try_run_online(&instance, matcher.as_mut(), 9);
-    assert_eq!(
-        canonical_text(&canonical_run_json(&batch)),
-        canonical_text(&session.bye.canonical),
-    );
+    assert_eq!(session.bye.digest, canonical_run_digest(&batch));
     assert_eq!(session.bye.revenue, batch.total_revenue());
 
     assert_eq!(handle.counters().connections(), 1);
@@ -78,7 +67,7 @@ fn sequential_sessions_on_one_server_are_independent() {
     let handle = serve(ServerConfig::default()).expect("bind ephemeral port");
     let addr = handle.addr().to_string();
 
-    let mut canonicals = Vec::new();
+    let mut digests = Vec::new();
     for _ in 0..2 {
         let options = DriveOptions {
             matcher: "ramcom".into(),
@@ -89,10 +78,10 @@ fn sequential_sessions_on_one_server_are_independent() {
         let report = drive(&addr, &instance, &options).expect("loopback replay");
         let bye = &report.sessions[0].bye;
         assert_eq!(bye.audit_findings, Vec::<String>::new());
-        canonicals.push(canonical_text(&bye.canonical));
+        digests.push(bye.digest.clone());
     }
     // Same seed, fresh session: deterministic across connections.
-    assert_eq!(canonicals[0], canonicals[1]);
+    assert_eq!(digests[0], digests[1]);
     assert_eq!(handle.counters().sessions_finished(), 2);
     handle.shutdown();
 }

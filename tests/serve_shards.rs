@@ -1,16 +1,15 @@
 //! Shard-pool serving, end to end: logical sessions multiplexed over one
 //! connection land on shared-nothing shard threads, and the shard count
 //! is *unobservable* in the results — every builtin spec's per-session
-//! canonical run JSON and finish digest are byte-identical across
-//! `--shards 1`, `--shards 4`, and the bare one-session path, with a
-//! silent auditor throughout.
+//! canonical run digest is identical across `--shards 1`, `--shards 4`,
+//! and the bare one-session path, with a silent auditor throughout.
 //! Mux edge cases (unknown sid, duplicate hello, interleaved sids,
 //! mid-stream disconnect with sessions open on several shards) get typed
 //! errors and clean drains, never wedged connections.
 
 use std::time::{Duration, Instant};
 
-use com_core::{canonical_run_digest, canonical_run_json};
+use com_core::canonical_run_digest;
 use com_core::{try_run_online, validate_run, MatcherRegistry, MatcherSpec};
 use com_datagen::{generate, synthetic, SyntheticParams};
 use com_geo::Point;
@@ -36,14 +35,6 @@ fn shard_server(shards: usize) -> ServerHandle {
     .expect("bind ephemeral port")
 }
 
-/// Round-trip a canonical value through text so both comparison sides use
-/// the parsed representation.
-fn canonical_text(value: &serde_json::Value) -> String {
-    let text = serde_json::to_string(value).expect("serialise");
-    let parsed: serde_json::Value = serde_json::from_str(&text).expect("round-trip");
-    serde_json::to_string(&parsed).expect("serialise")
-}
-
 fn hello_for(instance: &Instance, matcher: &str, seed: u64) -> ClientMsg {
     ClientMsg::hello(hello_msg(instance, matcher, seed, WireFormat::Ndjson))
 }
@@ -55,10 +46,10 @@ fn mux_rpc(client: &mut Client, sid: u64, msg: ClientMsg) -> ServerMsg {
 }
 
 /// The acceptance gate for the shard refactor: for every builtin matcher
-/// spec, the per-session canonical run JSON and finish digest are
-/// byte-identical across a 1-shard server, a 4-shard server, and the
-/// bare one-session path — all equal to the local batch engine, whose
-/// run the auditor (`validate_run`) also finds sound.
+/// spec, the per-session canonical run digest is identical across a
+/// 1-shard server, a 4-shard server, and the bare one-session path — all
+/// equal to the local batch engine's, whose run the auditor
+/// (`validate_run`) also finds sound.
 #[test]
 fn every_builtin_is_shard_count_invariant() {
     let instance = quick_instance();
@@ -81,10 +72,7 @@ fn every_builtin_is_shard_count_invariant() {
                 validate_run(&instance, &batch).is_empty(),
                 "{matcher}: local batch run must audit clean"
             );
-            truth.push((
-                canonical_text(&canonical_run_json(&batch)),
-                canonical_run_digest(&batch),
-            ));
+            truth.push(canonical_run_digest(&batch));
         }
 
         // The bare path: a one-session run puts no envelope on the wire.
@@ -104,12 +92,7 @@ fn every_builtin_is_shard_count_invariant() {
         };
         assert_eq!(bare.sid, None, "{matcher}: one session is addressed bare");
         assert_eq!(bare.bye.audit_findings, Vec::<String>::new());
-        assert_eq!(
-            canonical_text(&bare.bye.canonical),
-            truth[0].0,
-            "{matcher}: bare"
-        );
-        assert_eq!(bare.bye.digest, truth[0].1, "{matcher}: bare digest");
+        assert_eq!(bare.bye.digest, truth[0], "{matcher}: bare digest");
 
         // The mux path, 3 sessions over 2 connections, on both servers.
         for (label, handle, shards) in [("1 shard", &one, 1), ("4 shards", &four, 4)] {
@@ -127,18 +110,13 @@ fn every_builtin_is_shard_count_invariant() {
             )
             .expect("mux replay");
             assert_eq!(report.sessions.len(), sessions);
-            for (outcome, (canonical, digest)) in report.sessions.iter().zip(&truth) {
+            for (outcome, digest) in report.sessions.iter().zip(&truth) {
                 let sid = outcome.sid.expect("several sessions are addressed by sid");
                 assert_eq!(outcome.seed, base_seed + sid, "{matcher} on {label}");
                 assert_eq!(
                     outcome.bye.audit_findings,
                     Vec::<String>::new(),
                     "{matcher} on {label}: sid {sid} audit",
-                );
-                assert_eq!(
-                    &canonical_text(&outcome.bye.canonical),
-                    canonical,
-                    "{matcher} on {label}: sid {sid} canonical run",
                 );
                 assert_eq!(
                     &outcome.bye.digest, digest,
@@ -450,8 +428,8 @@ fn one_session_is_bare_on_the_wire_and_k_sessions_tag_every_message() {
     server.shutdown();
 }
 
-/// A `bye` is one `serve-bye` sample, not an `encode`: its size grows with
-/// the session, and the `encode` and `flush` histograms are shared by
+/// A `bye` is one `serve-bye` sample, not an `encode`: it is written once
+/// per session, and the `encode` and `flush` histograms are shared by
 /// every session on the shard. A sibling's `finish` ends the shard
 /// collector's run (`com_obs::end_run`), so the table the other session
 /// reads after the close starts there: one `serve-bye` sample and no

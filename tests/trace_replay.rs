@@ -1,22 +1,27 @@
 //! The flight-recorder contract, end to end:
 //!
 //! * a trace recorded by playing an instance through a `ServeSession`
-//!   replays **byte-identically** (decisions, digest, canonical run) for
-//!   every builtin matcher spec, with a silent auditor;
+//!   replays **byte-identically** (decisions, run digest) for every
+//!   builtin matcher spec, with a silent auditor;
 //! * a trace recorded by a *live* `matchd --record` session over loopback
-//!   TCP replays byte-identically to what the live client observed;
+//!   TCP replays byte-identically to what the live client observed, and
+//!   two connections that each open sid 0 get one trace each;
 //! * a tampered trace is caught: lenient replay reports the divergence at
 //!   the right event index with both decisions, and `matchreplay
-//!   --strict` exits nonzero;
+//!   --strict` exits nonzero; so is a decision line that answers no
+//!   request;
 //! * `stats_deep` over loopback returns the populated serving phase
 //!   table.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use com_core::MatcherSpec;
 use com_datagen::{generate, synthetic, SyntheticParams};
-use com_serve::{drive, record_session, replay_trace, serve, DriveOptions, ServerConfig};
+use com_serve::{
+    drive, event_msg, hello_msg, record_session, replay_trace, serve, Client, DriveOptions,
+    ServerConfig, WireFormat,
+};
 use com_sim::Instance;
 
 fn quick_instance() -> Instance {
@@ -35,10 +40,14 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn canonical_text(value: &serde_json::Value) -> String {
-    let text = serde_json::to_string(value).expect("serialise");
-    let parsed: serde_json::Value = serde_json::from_str(&text).expect("round-trip");
-    serde_json::to_string(&parsed).expect("serialise")
+/// Every file in `dir`, sorted by name.
+fn files_in(dir: &Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("read record dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    files.sort();
+    files
 }
 
 #[test]
@@ -63,16 +72,9 @@ fn every_builtin_spec_replays_byte_identically() {
             report.audit_findings,
         );
         assert_eq!(report.digest_expected.as_deref(), Some(&*report.digest_got));
+        assert_eq!(report.digest_got, recorded.digest, "{spec_str}");
         assert_eq!(report.events, instance.stream.len() as u64);
         assert_eq!(report.decisions, instance.request_count() as u64);
-        // Full canonical byte-identity with the recording-time run, not
-        // just the digest.
-        let recorded_canonical = com_core::canonical_run_json(&recorded.run);
-        assert_eq!(
-            canonical_text(&recorded_canonical),
-            canonical_text(&report.canonical),
-            "{spec_str}: canonical run changed across replay",
-        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -100,10 +102,7 @@ fn live_recorded_session_replays_byte_identically() {
     handle.shutdown();
 
     // Exactly one session trace was recorded, named after the session.
-    let traces: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .expect("read record dir")
-        .map(|e| e.expect("dir entry").path())
-        .collect();
+    let traces = files_in(&dir);
     assert_eq!(traces.len(), 1, "traces: {traces:?}");
     let name = traces[0].file_name().unwrap().to_string_lossy().to_string();
     assert!(
@@ -111,8 +110,8 @@ fn live_recorded_session_replays_byte_identically() {
         "unexpected trace name {name}"
     );
 
-    // The recording replays byte-identically, and the replayed canonical
-    // run is the very value the live client received in its `bye`.
+    // The recording replays byte-identically, to the very digest the
+    // live client received in its `bye`.
     let replayed = replay_trace(&traces[0]).expect("replay live trace");
     assert!(
         replayed.is_clean(),
@@ -122,10 +121,106 @@ fn live_recorded_session_replays_byte_identically() {
     );
     assert_eq!(replayed.events, instance.stream.len() as u64);
     assert_eq!(
-        canonical_text(&replayed.canonical),
-        canonical_text(&bye.canonical),
+        replayed.digest_got, bye.digest,
         "replay of the live recording diverged from what the client saw",
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A wire `sid` names a session within one connection only: two
+/// connections that each open sid 0 with the same matcher and seed on a
+/// recording daemon get a trace each, and both replay clean. Their events
+/// interleave on the daemon, so two writers sharing one file would corrupt
+/// it.
+#[test]
+fn mux_sessions_on_two_connections_record_one_trace_each() {
+    let instance = quick_instance();
+    let dir = scratch("mux-sid0");
+    let handle = serve(ServerConfig {
+        record_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let addr = handle.addr().to_string();
+
+    let mut clients: Vec<Client> = (0..2)
+        .map(|_| {
+            let mut client = Client::connect(&addr).expect("connect");
+            let hello = hello_msg(&instance, "tota", 3, WireFormat::Ndjson);
+            client.open(Some(0), hello).expect("hello");
+            client
+        })
+        .collect();
+    for event in instance.stream.iter() {
+        for client in &mut clients {
+            client
+                .rpc_for(Some(0), &event_msg(&instance, event))
+                .expect("event");
+        }
+    }
+    let digests: Vec<String> = clients
+        .iter_mut()
+        .map(|client| client.close(Some(0)).expect("close").1.digest)
+        .collect();
+    handle.shutdown();
+    assert_eq!(digests[0], digests[1]);
+
+    let traces = files_in(&dir);
+    assert_eq!(traces.len(), 2, "traces: {traces:?}");
+    for trace in &traces {
+        let replayed = replay_trace(trace).expect("replay");
+        assert!(
+            replayed.is_clean(),
+            "{}: divergences {:?}, findings {:?}",
+            trace.display(),
+            replayed.divergences,
+            replayed.audit_findings,
+        );
+        assert_eq!(replayed.events, instance.stream.len() as u64);
+        assert_eq!(replayed.digest_got, digests[0]);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A decision line that answers no request — a repeat of a recorded one,
+/// one at a worker's index, one past the stream — is an `extra-decision`
+/// divergence at its index: appended to a committed trace, it fails a
+/// replay that was clean.
+#[test]
+fn a_decision_line_that_answers_no_request_is_an_extra_decision() {
+    // This file builds as a `com-serve` test, two levels below the root.
+    let original = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../traces/tota-seed42.jsonl");
+    assert!(replay_trace(&original).expect("replay").is_clean());
+    let text = std::fs::read_to_string(&original).expect("read trace");
+    let last_decision = text
+        .lines()
+        .rfind(|l| l.starts_with("{\"type\":\"decision\""))
+        .expect("the trace has decisions");
+    let worker_index = text
+        .lines()
+        .find(|l| l.contains("\"event\":{\"Worker\""))
+        .and_then(|l| l.split("\"i\":").nth(1))
+        .and_then(|rest| rest.split(',').next())
+        .expect("the trace has a worker event");
+    let index_of = |line: &str| {
+        let rest = line.split("\"i\":").nth(1).unwrap();
+        rest.split(',').next().unwrap().to_string()
+    };
+    let recorded = index_of(last_decision);
+    let dir = scratch("extra");
+    for index in [recorded.as_str(), worker_index, "100000"] {
+        let extra =
+            last_decision.replacen(&format!("\"i\":{recorded},"), &format!("\"i\":{index},"), 1);
+        let path = dir.join(format!("extra-{index}.jsonl"));
+        std::fs::write(&path, format!("{text}{extra}\n")).expect("write trace");
+        let report = replay_trace(&path).expect("replay");
+        assert!(!report.is_clean(), "index {index}");
+        let [d] = &report.divergences[..] else {
+            panic!("index {index}: {:?}", report.divergences);
+        };
+        assert_eq!(d.field, "extra-decision");
+        assert_eq!(d.index.to_string(), index);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
