@@ -147,7 +147,9 @@ impl RunResult {
     }
 }
 
-/// Replay `instance` against `matcher` with the given RNG seed.
+/// Replay `instance` against `matcher` with the given RNG seed: the run
+/// [`try_run_online`] makes, but panicking with the first constraint a
+/// decision breached.
 ///
 /// Every algorithm-visible random draw flows through the single seeded
 /// RNG, so runs are exactly reproducible.
@@ -179,7 +181,11 @@ impl RunResult {
 /// assert!(run.total_revenue() > 0.0);
 /// ```
 pub fn run_online(instance: &Instance, matcher: &mut dyn OnlineMatcher, seed: u64) -> RunResult {
-    run_online_inner(instance, matcher, seed, false)
+    let run = try_run_online(instance, matcher, seed);
+    if let Some(failure) = run.failures.first() {
+        panic!("{}", failure.violation);
+    }
+    run
 }
 
 /// Fallible replay: identical to [`run_online`] for a well-behaved
@@ -194,7 +200,14 @@ pub fn try_run_online(
     matcher: &mut dyn OnlineMatcher,
     seed: u64,
 ) -> RunResult {
-    run_online_inner(instance, matcher, seed, true)
+    let mut session =
+        MatchSession::for_instance(instance, Box::new(BorrowedMatcher(matcher)), seed);
+    for event in instance.stream.iter() {
+        if let Err(violation) = session.ingest(event) {
+            panic!("{violation}");
+        }
+    }
+    session.finish()
 }
 
 /// Adapts the wrappers' historical `&mut dyn OnlineMatcher` signature to
@@ -211,23 +224,6 @@ impl OnlineMatcher for BorrowedMatcher<'_> {
     fn decide(&mut self, world: &World, request: &RequestSpec, rng: &mut StdRng) -> Decision {
         self.0.decide(world, request, rng)
     }
-}
-
-fn run_online_inner(
-    instance: &Instance,
-    matcher: &mut dyn OnlineMatcher,
-    seed: u64,
-    fallible: bool,
-) -> RunResult {
-    let mut session =
-        MatchSession::for_instance(instance, Box::new(BorrowedMatcher(matcher)), seed)
-            .with_strict_decisions(!fallible);
-    for event in instance.stream.iter() {
-        if let Err(violation) = session.ingest(event) {
-            panic!("{violation}");
-        }
-    }
-    session.finish()
 }
 
 #[cfg(test)]

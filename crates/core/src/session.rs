@@ -118,9 +118,9 @@ pub enum SessionOutput {
     /// The matcher's decision was valid and applied (served or the
     /// matcher's own reject).
     Decided(Assignment),
-    /// The matcher's decision breached a COM constraint and was refused
-    /// (lenient mode only): the request is logged as rejected, the world
-    /// is untouched, and the session keeps going.
+    /// The matcher's decision breached a COM constraint and was refused:
+    /// the request is logged as rejected, the world is untouched, and the
+    /// session keeps going.
     Refused {
         assignment: Assignment,
         violation: ConstraintViolation,
@@ -146,12 +146,6 @@ pub struct MatchSession<'m> {
     matcher: Box<dyn OnlineMatcher + 'm>,
     algorithm: String,
     histories: HashMap<WorkerId, WorkerHistory>,
-    /// Lenient mode (the default, and what `try_run_online` uses):
-    /// constraint-breaching decisions become [`SessionOutput::Refused`]
-    /// records. Strict mode surfaces them as `Err` instead (the
-    /// `run_online` wrapper panics on those, preserving the historic
-    /// behaviour).
-    lenient: bool,
     /// `Some((p, channel))` in federated mode: an outer decision on a
     /// request platform `p` owns is an offer `channel` must accept first;
     /// decisions on the peer's requests apply directly (the deterministic
@@ -169,7 +163,7 @@ pub struct MatchSession<'m> {
 
 impl<'m> MatchSession<'m> {
     /// A live session over an initially empty world: workers register as
-    /// their arrival events are ingested. Lenient by default.
+    /// their arrival events are ingested.
     pub fn new(config: SessionConfig, matcher: Box<dyn OnlineMatcher + 'm>, seed: u64) -> Self {
         let world = World::new(config.world, config.platform_names);
         Self::start(
@@ -222,7 +216,6 @@ impl<'m> MatchSession<'m> {
             matcher,
             algorithm,
             histories,
-            lenient: true,
             federation: None,
             degraded_offers: 0,
             assignments,
@@ -232,14 +225,6 @@ impl<'m> MatchSession<'m> {
             total_nanos: 0,
             events: 0,
         }
-    }
-
-    /// Toggle strict decision enforcement: when `true`, a
-    /// constraint-breaching matcher decision is returned as `Err` from
-    /// [`MatchSession::ingest`] instead of being recorded as a refusal.
-    pub fn with_strict_decisions(mut self, strict: bool) -> Self {
-        self.lenient = !strict;
-        self
     }
 
     /// Federate the session as `platform`'s daemon: an outer decision on
@@ -265,8 +250,7 @@ impl<'m> MatchSession<'m> {
     /// enqueue the worker; request arrivals invoke the matcher and apply
     /// its decision. On `Err` the session state is untouched — a live
     /// feed can reject the one bad event (malformed, time rewind,
-    /// duplicate arrival, or, in strict mode, an invalid decision) and
-    /// keep going.
+    /// duplicate arrival) and keep going.
     ///
     /// A request event always yields `Some` decision and a worker arrival
     /// always `None` — callers that classify request outcomes rely on it.
@@ -325,7 +309,7 @@ impl<'m> MatchSession<'m> {
                         self.assignments.push(assignment.clone());
                         Some(SessionOutput::Decided(assignment))
                     }
-                    Err(violation) if self.lenient => {
+                    Err(violation) => {
                         com_obs::counter_add("engine.constraint_violations", 1);
                         let assignment = Assignment {
                             request: *request,
@@ -348,7 +332,6 @@ impl<'m> MatchSession<'m> {
                             violation,
                         })
                     }
-                    Err(violation) => return Err(violation),
                 }
             }
         };
@@ -439,7 +422,7 @@ impl<'m> MatchSession<'m> {
         &self.assignments
     }
 
-    /// Decisions refused so far (lenient mode).
+    /// Decisions refused so far.
     pub fn failures(&self) -> &[DecisionFailure] {
         &self.failures
     }

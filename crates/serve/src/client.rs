@@ -1,6 +1,7 @@
-//! The one wire client: a connection to `matchd` with exactly one read
-//! path ([`read_server_frame`]) and one write path
-//! ([`Client::queue_for`]).
+//! The one wire client: a connection to `matchd` — or, as the federation
+//! peer link, to the rival daemon — with exactly one read path
+//! ([`Client::recv_frame`], through the crate's one `WireReader`) and
+//! one write path ([`Client::queue_for`]).
 //!
 //! Outgoing framing starts as NDJSON and switches to binary only when a
 //! `welcome` echoes the request ([`Client::open`]); incoming framing is
@@ -10,13 +11,14 @@
 //! `Some(n)` wraps it in the `{"sid":n,"msg":…}` mux envelope. The
 //! scenario driver over this client is [`crate::drive()`].
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
-use crate::framing::{self, WireFormat, FRAME_MAGIC, MAX_FRAME_PAYLOAD};
+use crate::framing::{self, Piece, WireFormat, WireReader, MAX_FRAME_PAYLOAD};
 use crate::protocol::{
-    decode_server_frame, write_msg, ByeMsg, ClientMsg, DecodeError, DeepStatsMsg, Hello,
-    ServerFrame, ServerMsg,
+    read_line, write_msg, ByeMsg, ClientMsg, DecodeError, DeepStatsMsg, Hello, ServerFrame,
+    ServerMsg,
 };
 
 /// What a [`Client`] lets one server message grow past
@@ -41,59 +43,50 @@ pub(crate) fn unexpected(what: &str, response: ServerMsg) -> io::Error {
     }
 }
 
-/// Read the next server message with its mux address, whatever its
-/// framing: a first byte of [`FRAME_MAGIC`] is a binary frame, anything
-/// else an NDJSON line (blank lines are skipped). EOF before or inside a
-/// message is `UnexpectedEof`. A message longer than `cap` bytes is
-/// `InvalidData` in either framing: a frame on its declared length,
-/// before any payload byte is buffered; a line once `cap` bytes arrived
-/// without a newline. Every reader of server messages — [`Client`] and
-/// the federation peer link — is this function.
-pub fn read_server_frame<R: BufRead>(reader: &mut R, cap: usize) -> io::Result<ServerFrame> {
-    let eof = || io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection");
-    let oversized = |len: usize| bad_data(format!("message of {len} bytes exceeds {cap}"));
-    loop {
-        let first = match reader.fill_buf()? {
-            [] => return Err(eof()),
-            buf => buf[0],
-        };
-        if first == FRAME_MAGIC {
-            let mut header = [0u8; framing::FRAME_HEADER_LEN];
-            reader.read_exact(&mut header)?;
-            let len = u32::from_le_bytes(header[1..].try_into().expect("4 length bytes")) as usize;
-            if len > cap {
-                return Err(oversized(len));
+/// The client's policy over the one reader: the next server message with
+/// its mux address, read through `reader` from `src`, whatever its
+/// framing. EOF before or inside a message is `UnexpectedEof`; a message
+/// longer than `cap` bytes is `InvalidData` in either framing: a frame on
+/// its declared length, before any payload byte is buffered; a line once
+/// `cap` bytes arrived without a newline. Any other error of `src` — a
+/// read timeout included — is returned as it is, and the bytes already
+/// read stay in `reader` for the next call.
+fn read_server_frame(
+    reader: &mut WireReader,
+    src: &mut impl Read,
+    cap: usize,
+) -> io::Result<ServerFrame> {
+    (reader.line_cap, reader.frame_cap) = (cap, cap);
+    let decoded = loop {
+        match reader.next_piece() {
+            Some(Piece::Line(text)) => break read_line::<ServerMsg>(text).0,
+            Some(Piece::Frame(payload)) => break framing::read_frame::<ServerMsg>(payload).0,
+            Some(Piece::OversizedFrame(len)) => {
+                return Err(bad_data(format!("message of {len} bytes exceeds {cap}")))
             }
-            let mut payload = vec![0u8; len];
-            reader.read_exact(&mut payload)?;
-            let (decoded, _general) = framing::read_frame::<ServerMsg>(&payload);
-            return decoded.map_err(|e| match e {
-                // Bytes that are no value at all: the payload decoder's
-                // own message.
-                DecodeError::BadFrame(detail) => bad_data(detail),
-                e => bad_data(e.to_string()),
-            });
+            Some(Piece::OversizedLine) => {
+                return Err(bad_data(format!("line exceeds {cap} bytes")))
+            }
+            Some(Piece::NotUtf8(e)) => return Err(bad_data(format!("line is not UTF-8: {e}"))),
+            None => {
+                if reader.fill(src)? == 0 {
+                    let eof = "server closed the connection";
+                    return Err(io::Error::new(io::ErrorKind::UnexpectedEof, eof));
+                }
+            }
         }
-        let mut line = String::new();
-        let limit = (cap as u64).saturating_add(1);
-        reader.by_ref().take(limit).read_line(&mut line)?;
-        if !line.ends_with('\n') {
-            return Err(if line.len() > cap {
-                oversized(line.len())
-            } else {
-                eof()
-            });
-        }
-        let text = line.trim();
-        if !text.is_empty() {
-            return decode_server_frame(text).map_err(|e| bad_data(e.to_string()));
-        }
-    }
+    };
+    decoded.map_err(|e| match e {
+        // Bytes that are no value at all: the payload decoder's own
+        // message.
+        DecodeError::BadFrame(detail) => bad_data(detail),
+        e => bad_data(e.to_string()),
+    })
 }
 
 /// A connected protocol client.
 pub struct Client {
-    reader: BufReader<TcpStream>,
+    reader: WireReader,
     stream: TcpStream,
     /// Pending outgoing bytes ([`Client::queue_for`] / [`Client::flush`]).
     wbuf: Vec<u8>,
@@ -109,9 +102,8 @@ impl Client {
         // Sends are already batched into one write per burst; Nagle
         // would only delay the burst behind an unacked response.
         stream.set_nodelay(true).ok();
-        let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {
-            reader,
+            reader: WireReader::new(MAX_FRAME_PAYLOAD, MAX_FRAME_PAYLOAD),
             stream,
             wbuf: Vec::with_capacity(4 * 1024),
             format: WireFormat::Ndjson,
@@ -156,19 +148,30 @@ impl Client {
         self.stream.write_all(b"\n")
     }
 
-    /// Send raw bytes verbatim, no newline (framing-robustness tests).
+    /// Send raw bytes verbatim, no newline: an offer the federation peer
+    /// link encoded, or framing-robustness tests.
     pub fn send_bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.flush()?;
         self.stream.write_all(bytes)
     }
 
-    /// Read the next server message with its mux address
-    /// ([`read_server_frame`]), capped at [`MAX_FRAME_PAYLOAD`] plus a
-    /// fixed allowance per message queued so far, so a `bye` of any
-    /// session this client could have streamed is readable.
+    /// Bound each later socket read by `timeout` (`None`: no bound). A
+    /// read that times out is an error of kind `WouldBlock` or `TimedOut`
+    /// that loses no stream position: the next read goes on from it.
+    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        self.stream.set_read_timeout(timeout)
+    }
+
+    /// Read the next server message with its mux address, whatever its
+    /// framing, capped at [`MAX_FRAME_PAYLOAD`] plus a fixed allowance per
+    /// message queued so far, so a `bye` of any session this client could
+    /// have streamed is readable. EOF before or inside a message is
+    /// `UnexpectedEof`; a message over the cap, or one that does not
+    /// decode, is `InvalidData`.
     pub fn recv_frame(&mut self) -> io::Result<ServerFrame> {
         let cap = self.queued.saturating_mul(BYE_BYTES_PER_QUEUED_MSG);
-        read_server_frame(&mut self.reader, cap.saturating_add(MAX_FRAME_PAYLOAD))
+        let cap = cap.saturating_add(MAX_FRAME_PAYLOAD);
+        read_server_frame(&mut self.reader, &mut self.stream, cap)
     }
 
     /// Read the next server message, whichever session it addresses.
@@ -232,13 +235,18 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framing::encode_frame;
+    use crate::framing::{encode_frame, FRAME_MAGIC};
     use crate::protocol::{encode, ByeMsg};
     use std::io::ErrorKind;
 
     /// `read_server_frame` under the peer link's constant cap.
-    fn read(reader: &mut &[u8]) -> io::Result<ServerFrame> {
-        read_server_frame(reader, MAX_FRAME_PAYLOAD)
+    fn read(reader: &mut WireReader, wire: &mut &[u8]) -> io::Result<ServerFrame> {
+        read_server_frame(reader, wire, MAX_FRAME_PAYLOAD)
+    }
+
+    /// The first message of `wire`, read by a fresh reader.
+    fn read_first(mut wire: &[u8]) -> io::Result<ServerFrame> {
+        read(&mut WireReader::new(0, 0), &mut wire)
     }
 
     fn tagged(sid: u64, msg: &ServerMsg) -> ServerFrame {
@@ -260,10 +268,10 @@ mod tests {
         wire.extend_from_slice(&encode_frame(&tagged(9, &ack)));
         wire.extend_from_slice(format!("{}\n", encode(&ack)).as_bytes());
 
-        let mut reader = &wire[..];
+        let (mut reader, mut wire) = (WireReader::new(0, 0), &wire[..]);
         let mut got = Vec::new();
         for _ in 0..5 {
-            let frame = read(&mut reader).expect("frame");
+            let frame = read(&mut reader, &mut wire).expect("frame");
             got.push((frame.sid, format!("{:?}", frame.msg)));
         }
         assert_eq!(
@@ -276,7 +284,10 @@ mod tests {
                 (None, "ok".to_string()),
             ]
         );
-        assert!(reader.is_empty(), "every byte consumed");
+        assert!(
+            wire.is_empty() && reader.next_piece().is_none(),
+            "every byte consumed"
+        );
     }
 
     #[test]
@@ -285,7 +296,7 @@ mod tests {
         // the declared payload it would fail with UnexpectedEof instead.
         let mut wire = vec![FRAME_MAGIC];
         wire.extend_from_slice(&(MAX_FRAME_PAYLOAD as u32 + 1).to_le_bytes());
-        let err = read(&mut &wire[..]).unwrap_err();
+        let err = read_first(&wire).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidData);
         assert!(err.to_string().contains("exceeds"), "{err}");
     }
@@ -312,13 +323,15 @@ mod tests {
         let line = format!("{}\n", encode(&bye)).into_bytes();
         for mut wire in [&frame[..], &line[..]] {
             assert!(wire.len() > 17 << 20 && wire.len() < scaled);
-            let got = read_server_frame(&mut wire, scaled).expect("under the scaled cap");
+            let mut reader = WireReader::new(0, 0);
+            let got =
+                read_server_frame(&mut reader, &mut wire, scaled).expect("under the scaled cap");
             assert!(matches!(got.msg, ServerMsg::bye(_)));
         }
         // The frame is refused on its header alone: with no payload on the
         // wire, buffering it would be UnexpectedEof instead.
-        for mut wire in [&frame[..framing::FRAME_HEADER_LEN], &line[..]] {
-            let err = read(&mut wire).unwrap_err();
+        for wire in [&frame[..framing::FRAME_HEADER_LEN], &line[..]] {
+            let err = read_first(wire).unwrap_err();
             assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
             assert!(err.to_string().contains("exceeds"), "{err}");
         }
@@ -326,7 +339,7 @@ mod tests {
 
     #[test]
     fn eof_before_or_inside_a_message_is_unexpected_eof() {
-        let kind = |mut wire: &[u8]| read(&mut wire).unwrap_err().kind();
+        let kind = |wire: &[u8]| read_first(wire).unwrap_err().kind();
         assert_eq!(kind(b""), ErrorKind::UnexpectedEof);
         assert_eq!(kind(b"\n\n"), ErrorKind::UnexpectedEof);
         // A line the peer never terminated.
@@ -339,7 +352,7 @@ mod tests {
 
     #[test]
     fn undecodable_messages_are_invalid_data_in_each_framing() {
-        let kind = |mut wire: &[u8]| read(&mut wire).unwrap_err().kind();
+        let kind = |wire: &[u8]| read_first(wire).unwrap_err().kind();
         assert_eq!(kind(b"{not json\n"), ErrorKind::InvalidData);
         assert_eq!(kind(b"{\"sid\":3}\n"), ErrorKind::InvalidData);
         assert_eq!(

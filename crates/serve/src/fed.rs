@@ -20,19 +20,14 @@
 //! The exchange is blocking and runs on the shard thread itself: the
 //! shard is stalled inside `offer` until the verdict anyway, so at most
 //! one offer is ever in flight per link and the link needs no reader
-//! thread, reply registry or channel. [`WireOutsource`] writes the offer,
-//! then reads verdicts through the crate's one reader
-//! ([`read_server_frame`]) under a read timeout of whatever is left of the
-//! deadline. The two ways a deadline can fire are kept apart:
-//!
-//! * **between frames** (nothing of a reply has arrived): the offer
-//!   degrades and the link is *kept*. If the verdict does turn up later,
-//!   the next offer's read meets it first, recognises it by its older
-//!   offer id, counts it in `stale_replies` and reads on.
-//! * **inside a frame** (some bytes of a reply were consumed), like any
-//!   I/O or decode error: the offer degrades and the link is *dropped*,
-//!   because the stream position is no longer a message boundary and a
-//!   kept link could desync every later exchange.
+//! thread, reply registry or channel. The link is a [`Client`]:
+//! [`WireOutsource`] writes the offer, then reads verdicts under a read
+//! timeout of whatever is left of the deadline. A deadline that fires
+//! degrades the offer and *keeps* the link, wherever in a reply it fires:
+//! bytes of a verdict already read wait in the client's reader. If the
+//! verdict does turn up later, the next offer's read meets it first,
+//! recognises it by its older offer id, counts it in `stale_replies` and
+//! reads on. An I/O or decode error drops the link.
 //!
 //! The link is lazy (no connection until the first offer) and retries an
 //! offer exactly once over a fresh connection when the link failed
@@ -59,8 +54,7 @@
 //! catches up.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, ErrorKind, Write};
-use std::net::TcpStream;
+use std::io::{self, ErrorKind};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -69,8 +63,8 @@ use com_core::{OutsourceChannel, OutsourceOutcome};
 use com_sim::{Assignment, MatchKind, PlatformId, RequestSpec, Value};
 use com_stream::WorkerId;
 
-use crate::client::read_server_frame;
-use crate::framing::{WireFormat, MAX_FRAME_PAYLOAD};
+use crate::client::Client;
+use crate::framing::WireFormat;
 use crate::protocol::{write_msg, ClientMsg, FedStatsMsg, OfferMsg, ServerMsg};
 use crate::server::POLL_INTERVAL;
 
@@ -304,15 +298,15 @@ impl LendBook {
 struct PeerLink {
     addr: String,
     format: WireFormat,
-    conn: Option<BufReader<TcpStream>>,
+    conn: Option<Client>,
 }
 
 impl PeerLink {
     /// One blocking exchange: write the encoded offer, then read until
-    /// offer `offer`'s verdict arrives or `deadline` passes between two
-    /// frames (`TimedOut`, link intact). Any `Err` — connect, write, EOF,
-    /// an undecodable reply, or the deadline firing *inside* a frame —
-    /// leaves the stream position unknown; the caller drops the link.
+    /// offer `offer`'s verdict arrives or `deadline` passes (`TimedOut`,
+    /// link intact: bytes of a verdict already read wait in the reader).
+    /// Any `Err` — connect, write, EOF, an undecodable reply — leaves the
+    /// stream position unknown; the caller drops the link.
     fn exchange(
         &mut self,
         bytes: &[u8],
@@ -320,32 +314,24 @@ impl PeerLink {
         deadline: Instant,
         stats: &FedShared,
     ) -> io::Result<OutsourceOutcome> {
-        let conn = match &mut self.conn {
-            Some(conn) => conn,
-            None => {
-                let stream = TcpStream::connect(&self.addr)?;
-                stream.set_nodelay(true).ok();
-                self.conn.insert(BufReader::new(stream))
-            }
+        let client = match &mut self.conn {
+            Some(client) => client,
+            None => self.conn.insert(Client::connect(&self.addr)?),
         };
-        conn.get_mut().write_all(bytes)?;
+        client.send_bytes(bytes)?;
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 return Ok(OutsourceOutcome::TimedOut);
             }
-            conn.get_ref().set_read_timeout(Some(remaining))?;
-            // Wait for the first byte of the next frame separately: a
-            // timeout here consumed nothing, one inside
-            // `read_server_frame` did.
-            match conn.fill_buf() {
+            client.set_read_timeout(Some(remaining))?;
+            let frame = match client.recv_frame() {
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                     return Ok(OutsourceOutcome::TimedOut);
                 }
-                Err(e) => return Err(e),
-                Ok(_) => {}
-            }
-            let (id, outcome) = match read_server_frame(conn, MAX_FRAME_PAYLOAD)?.msg {
+                frame => frame?,
+            };
+            let (id, outcome) = match frame.msg {
                 ServerMsg::outsource_accept { offer, .. } => (offer, OutsourceOutcome::Accepted),
                 ServerMsg::outsource_reject { offer, code, .. } => {
                     (offer, OutsourceOutcome::Rejected(code))
@@ -464,10 +450,11 @@ impl OutsourceChannel for WireOutsource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{decode_client, encode};
+    use crate::protocol::{encode, read_line, Frame};
     use com_geo::Point;
     use com_sim::{RequestId, Timestamp};
-    use std::net::TcpListener;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{TcpListener, TcpStream};
 
     fn request() -> RequestSpec {
         RequestSpec::new(
@@ -568,7 +555,14 @@ mod tests {
             if reader.read_line(&mut line).unwrap_or(0) == 0 {
                 return None;
             }
-            if let Ok(ClientMsg::outsource_offer(o)) = decode_client(line.trim()) {
+            if let (
+                Ok(Frame {
+                    msg: ClientMsg::outsource_offer(o),
+                    ..
+                }),
+                _,
+            ) = read_line(line.trim())
+            {
                 return Some(o);
             }
         }
@@ -627,35 +621,40 @@ mod tests {
     }
 
     #[test]
-    fn stall_inside_a_frame_drops_the_link() {
+    fn stall_inside_a_frame_keeps_the_link() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let peer = std::thread::spawn(move || {
-            let half_verdict = |o: &OfferMsg| {
+            let halves = |o: &OfferMsg| {
                 let line = accept_line(o);
-                line[..line.len() / 2].to_string()
+                let (head, tail) = line.split_at(line.len() / 2);
+                (head.to_string(), tail.to_string())
             };
             // Link 1: half a verdict, then hang up — an error inside a
             // frame, which earns the one retry.
             let (mut stream, mut reader) = scripted_link(&listener);
             let o = next_offer(&mut reader).unwrap();
             assert_eq!(o.offer, 0);
-            stream.write_all(half_verdict(&o).as_bytes()).unwrap();
+            stream.write_all(halves(&o).0.as_bytes()).unwrap();
             drop((stream, reader));
             // Link 2: the retry. Half a verdict again, then stall with the
             // socket open — the deadline fires inside a frame, and the
-            // borrower must hang up rather than reuse the desynced link.
+            // half stays in the borrower's reader.
             let (mut stream, mut reader) = scripted_link(&listener);
             let o = next_offer(&mut reader).unwrap();
             assert_eq!(o.offer, 0, "the retry reuses the offer id");
-            stream.write_all(half_verdict(&o).as_bytes()).unwrap();
-            assert!(next_offer(&mut reader).is_none(), "desynced link reused");
-            // Link 3: the next offer dials afresh and resolves.
-            let (mut stream, mut reader) = scripted_link(&listener);
+            let (head, tail) = halves(&o);
+            stream.write_all(head.as_bytes()).unwrap();
+            // The next offer comes over the same link: the rest of the
+            // stale verdict, then the fresh one, resolve it.
             let o = next_offer(&mut reader).unwrap();
             assert_eq!(o.offer, 1);
-            stream.write_all(accept_line(&o).as_bytes()).unwrap();
+            stream
+                .write_all((tail + &accept_line(&o)).as_bytes())
+                .unwrap();
             assert!(next_offer(&mut reader).is_none());
+            listener.set_nonblocking(true).unwrap();
+            assert!(listener.accept().is_err(), "the link was re-dialled");
         });
 
         let book = Arc::new(LendBook::new(PlatformId(0)));
@@ -674,6 +673,6 @@ mod tests {
         assert_eq!(book.stats.offers_retried.load(Ordering::Relaxed), 1);
         assert_eq!(book.stats.offers_timed_out.load(Ordering::Relaxed), 1);
         assert_eq!(book.stats.offers_accepted.load(Ordering::Relaxed), 1);
-        assert_eq!(book.stats.stale_replies.load(Ordering::Relaxed), 0);
+        assert_eq!(book.stats.stale_replies.load(Ordering::Relaxed), 1);
     }
 }

@@ -41,7 +41,7 @@
 //! and not a valid UTF-8 leading byte), so both sides detect the framing
 //! of each incoming message from its first byte — the switchover after
 //! negotiation is race-free and a binary server still accepts NDJSON
-//! lines at any time.
+//! lines at any time. Both sides do it in the one reader, `WireReader`.
 //!
 //! Compatibility policy: `hello`/`welcome` are **always** NDJSON. A
 //! server that does not understand `frame` ignores the unknown field and
@@ -50,7 +50,9 @@
 //! schema-free `Content`, and message evolution happens at the protocol
 //! layer exactly as for JSON.
 
-use serde::{Content, Deserialize, Serialize};
+use std::io::{self, Read};
+
+use serde::{Content, Serialize};
 use serde_json::MAX_DEPTH;
 
 use crate::hot::{self, HotRead, HotWrite, WireMsg};
@@ -341,43 +343,151 @@ pub fn decode_payload(bytes: &[u8]) -> Result<Content, FrameError> {
     Ok(content)
 }
 
-/// Decode one frame payload straight into a protocol message.
-pub fn decode_msg<T: Deserialize>(bytes: &[u8]) -> Result<T, FrameError> {
-    let content = decode_payload(bytes)?;
-    T::from_content(&content).map_err(|e| malformed(e.to_string()))
+/// The size of a [`WireReader`]'s buffer until a message larger than
+/// that arrives.
+const READ_CHUNK: usize = 8 * 1024;
+
+/// One message, or one refusal, cut off the front of a [`WireReader`]'s
+/// buffer. The same bytes yield the same pieces however they are split
+/// across reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Piece<'a> {
+    /// An NDJSON line: newline stripped, trimmed, never blank.
+    Line(&'a str),
+    /// A binary frame's payload, header stripped.
+    Frame(&'a [u8]),
+    /// A frame header declaring this many payload bytes, over the frame
+    /// cap; the reader skips them as they arrive, never buffering them.
+    OversizedFrame(usize),
+    /// A line longer than the line cap; the reader skips it up to its
+    /// newline.
+    OversizedLine,
+    /// A line that is not UTF-8, so no JSON either.
+    NotUtf8(std::str::Utf8Error),
 }
 
-/// What [`split_frame`] found at the front of a read buffer.
-#[derive(Debug, PartialEq)]
-pub enum FrameSplit {
-    /// Not enough bytes yet; keep reading.
-    Incomplete,
-    /// A complete frame: `consumed` bytes total, payload at
-    /// `[FRAME_HEADER_LEN..consumed]`.
-    Complete { consumed: usize },
-    /// The header declares an oversized payload: report it, then discard
-    /// `skip` bytes (header included) without buffering them.
-    Oversized { len: usize, skip: usize },
+/// Where the reader is in the bytes of a refused message.
+#[derive(Debug)]
+enum Skip {
+    None,
+    /// This many more bytes of an oversized frame.
+    Bytes(usize),
+    /// Up to and including the next newline.
+    Line,
 }
 
-/// Inspect a read buffer whose first byte is [`FRAME_MAGIC`].
-pub fn split_frame(buf: &[u8]) -> FrameSplit {
-    debug_assert_eq!(buf.first(), Some(&FRAME_MAGIC));
-    if buf.len() < FRAME_HEADER_LEN {
-        return FrameSplit::Incomplete;
+/// The one reader of both framings, on every side of the wire: the
+/// `matchd` router, [`crate::Client`] and the federation peer link. It
+/// tells the framing of each message from its first byte, caps lines and
+/// frames, skips blank lines and skips refused messages to the next
+/// boundary; what to do with each [`Piece`] is the caller's policy.
+///
+/// Bytes that do not yet make a message stay buffered between calls to
+/// [`WireReader::fill`], so a read that fails — a timeout included —
+/// loses no stream position. The buffer holds at most one message up to
+/// its cap plus one read.
+#[derive(Debug)]
+pub(crate) struct WireReader {
+    buf: Vec<u8>,
+    /// Unread bytes are `buf[start..end]`.
+    start: usize,
+    end: usize,
+    skip: Skip,
+    /// Lines longer than this many bytes are refused, from the next
+    /// message on.
+    pub(crate) line_cap: usize,
+    /// Frame payloads longer than this many bytes are refused, from the
+    /// next message on.
+    pub(crate) frame_cap: usize,
+}
+
+impl WireReader {
+    /// A reader refusing lines over `line_cap` bytes and frame payloads
+    /// over `frame_cap`.
+    pub(crate) fn new(line_cap: usize, frame_cap: usize) -> WireReader {
+        WireReader {
+            buf: vec![0; READ_CHUNK],
+            start: 0,
+            end: 0,
+            skip: Skip::None,
+            line_cap,
+            frame_cap,
+        }
     }
-    let len = u32::from_le_bytes(buf[1..FRAME_HEADER_LEN].try_into().unwrap()) as usize;
-    if len > MAX_FRAME_PAYLOAD {
-        return FrameSplit::Oversized {
-            len,
-            skip: FRAME_HEADER_LEN + len,
-        };
+
+    /// Read once from `src`: the byte count, 0 at end of stream. On `Err`
+    /// nothing was read and everything buffered stays.
+    pub(crate) fn fill(&mut self, src: &mut impl Read) -> io::Result<usize> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+        }
+        if self.end == self.buf.len() {
+            // A full buffer holds one message under its cap (`next_piece`
+            // refuses anything longer), so doubling stays under cap + one read.
+            let cap = self
+                .line_cap
+                .max(self.frame_cap.saturating_add(FRAME_HEADER_LEN));
+            let limit = cap.saturating_add(READ_CHUNK);
+            let len = self.buf.len();
+            self.buf.resize((2 * len).min(limit).max(len + 1), 0);
+        }
+        let n = src.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
     }
-    if buf.len() < FRAME_HEADER_LEN + len {
-        return FrameSplit::Incomplete;
-    }
-    FrameSplit::Complete {
-        consumed: FRAME_HEADER_LEN + len,
+
+    /// The next piece already buffered, or `None` until more is read.
+    pub(crate) fn next_piece(&mut self) -> Option<Piece<'_>> {
+        loop {
+            let data = &self.buf[self.start..self.end];
+            match std::mem::replace(&mut self.skip, Skip::None) {
+                Skip::None => {}
+                Skip::Bytes(n) if n > data.len() => {
+                    self.skip = Skip::Bytes(n - data.len());
+                    self.start = self.end;
+                    return None;
+                }
+                Skip::Bytes(n) => self.start += n,
+                Skip::Line => {
+                    let Some(nl) = data.iter().position(|&b| b == b'\n') else {
+                        self.skip = Skip::Line;
+                        self.start = self.end;
+                        return None;
+                    };
+                    self.start += nl + 1;
+                }
+            }
+            let (at, data) = (self.start, &self.buf[self.start..self.end]);
+            if *data.first()? == FRAME_MAGIC {
+                let header = data.get(1..FRAME_HEADER_LEN)?;
+                let len = u32::from_le_bytes(header.try_into().expect("4 bytes")) as usize;
+                if len > self.frame_cap {
+                    self.skip = Skip::Bytes(FRAME_HEADER_LEN + len);
+                    return Some(Piece::OversizedFrame(len));
+                }
+                if data.len() < FRAME_HEADER_LEN + len {
+                    return None;
+                }
+                self.start += FRAME_HEADER_LEN + len;
+                return Some(Piece::Frame(&self.buf[at + FRAME_HEADER_LEN..self.start]));
+            }
+            // A line within the cap has its newline within cap + 1 bytes.
+            let window = &data[..data.len().min(self.line_cap.saturating_add(1))];
+            let Some(nl) = window.iter().position(|&b| b == b'\n') else {
+                if window.len() <= self.line_cap {
+                    return None;
+                }
+                self.skip = Skip::Line;
+                return Some(Piece::OversizedLine);
+            };
+            self.start += nl + 1;
+            match std::str::from_utf8(&self.buf[at..at + nl]) {
+                Ok(text) if text.trim().is_empty() => {}
+                Ok(text) => return Some(Piece::Line(text.trim())),
+                Err(e) => return Some(Piece::NotUtf8(e)),
+            }
+        }
     }
 }
 
@@ -601,20 +711,163 @@ mod tests {
     fn split_frame_states() {
         let frame = encode_frame(&crate::protocol::ServerMsg::ok);
         assert_eq!(frame[0], FRAME_MAGIC);
-        assert_eq!(
-            split_frame(&frame),
-            FrameSplit::Complete {
-                consumed: frame.len()
-            }
-        );
-        assert_eq!(split_frame(&frame[..3]), FrameSplit::Incomplete);
+        let mut reader = WireReader::new(MAX_LINE_BYTES, MAX_FRAME_PAYLOAD);
+        reader.fill(&mut &frame[..3]).unwrap();
+        assert_eq!(reader.next_piece(), None, "incomplete");
+        reader.fill(&mut &frame[3..]).unwrap();
+        let payload = &frame[FRAME_HEADER_LEN..];
+        assert_eq!(reader.next_piece(), Some(Piece::Frame(payload)));
 
         let mut oversized = vec![FRAME_MAGIC];
         oversized.extend_from_slice(&(MAX_FRAME_PAYLOAD as u32 + 1).to_le_bytes());
-        assert!(matches!(
-            split_frame(&oversized),
-            FrameSplit::Oversized { .. }
-        ));
+        reader.fill(&mut &oversized[..]).unwrap();
+        let declared = MAX_FRAME_PAYLOAD + 1;
+        assert_eq!(reader.next_piece(), Some(Piece::OversizedFrame(declared)));
+    }
+
+    /// A source returning at most `sizes[i]` bytes on its i-th read (the
+    /// last size repeats), the way a socket splits a stream.
+    struct Chunked<'a> {
+        bytes: &'a [u8],
+        sizes: Vec<usize>,
+        reads: usize,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let size = self.sizes[self.reads.min(self.sizes.len() - 1)];
+            self.reads += 1;
+            let n = size.min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Every piece a reader with both caps at `cap` cuts off `src`, as
+    /// `{:?}` text. After each read the reader must hold at most one
+    /// message under the cap plus that read, in a buffer no larger than
+    /// that plus one chunk.
+    fn pieces(cap: usize, mut src: impl Read) -> Vec<String> {
+        let mut reader = WireReader::new(cap, cap);
+        let mut got = Vec::new();
+        loop {
+            while let Some(piece) = reader.next_piece() {
+                got.push(format!("{piece:?}"));
+            }
+            let n = reader.fill(&mut src).unwrap();
+            assert!(reader.end - reader.start <= FRAME_HEADER_LEN + cap + n);
+            assert!(reader.buf.len() <= FRAME_HEADER_LEN + cap + READ_CHUNK);
+            if n == 0 {
+                return got;
+            }
+        }
+    }
+
+    /// `n` bytes of xorshift noise.
+    fn noise(seed: u64, n: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
+    fn frame_of(len: usize, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = vec![FRAME_MAGIC];
+        bytes.extend_from_slice(&(len as u32).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    /// One generated message of kind `kind` for a reader capped at `cap`:
+    /// its bytes, and the piece it must yield (`None` for a blank line and
+    /// for garbage, whose lines may yield anything but a frame).
+    fn message(kind: u8, seed: u64, cap: usize) -> (Vec<u8>, Option<String>) {
+        let n = (seed % 64) as usize;
+        // Up to the cap, the cap itself included.
+        let upto = (seed as usize) % (cap + 1);
+        let show = |piece: Piece| Some(format!("{piece:?}"));
+        match kind {
+            0 => {
+                let text = format!("{{\"m\":{seed}}}");
+                let cr = if n.is_multiple_of(2) { "\r" } else { "" };
+                let line = format!("{}{text}{cr}\n", " ".repeat(n % 3));
+                (line.into_bytes(), show(Piece::Line(&text)))
+            }
+            1 => {
+                let payload = noise(seed, upto);
+                let piece = show(Piece::Frame(&payload));
+                (frame_of(payload.len(), &payload), piece)
+            }
+            2 => {
+                let len = cap + 1 + n;
+                let piece = show(Piece::OversizedFrame(len));
+                (frame_of(len, &noise(seed, len)), piece)
+            }
+            3 => {
+                let line = [&[0xFF][..], &noise(seed, upto.min(cap - 1))].concat();
+                let line: Vec<u8> = line.into_iter().filter(|&b| b != b'\n').collect();
+                let e = std::str::from_utf8(&line).unwrap_err();
+                let piece = show(Piece::NotUtf8(e));
+                ([line, b"\n".to_vec()].concat(), piece)
+            }
+            4 => {
+                let line = [vec![b'x'; cap + 1 + n], b"\n".to_vec()].concat();
+                (line, show(Piece::OversizedLine))
+            }
+            5 => (b" \r\n".to_vec(), None),
+            _ => {
+                // Lines of anything but a frame's magic byte.
+                let mut line = noise(seed, n * 2);
+                line.retain(|&b| b != FRAME_MAGIC);
+                line.push(b'\n');
+                (line, None)
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Valid lines and frames mixed with garbage, non-UTF-8, oversized
+        /// lines and frames, cut by an unterminated message: every chunking
+        /// yields the pieces the whole stream does, and every valid message
+        /// after a newline or a skipped frame comes back. Caps are small, so
+        /// that refusals are common, or past one buffer, so that it grows.
+        #[test]
+        fn the_reader_yields_the_same_pieces_however_the_stream_is_cut(
+            items in proptest::collection::vec((0u8..7, 0u64..u64::MAX), 0..24),
+            sizes in proptest::collection::vec(1usize..80, 1..6),
+            tail in (0u8..2, 0u64..u64::MAX),
+            large in proptest::bool::ANY,
+        ) {
+            let (cap, scale) = if large { (3 * READ_CHUNK, 512) } else { (48, 1) };
+            let mut wire = Vec::new();
+            let mut expected = Vec::new();
+            for &(kind, seed) in &items {
+                let (bytes, piece) = message(kind, seed, cap);
+                wire.extend_from_slice(&bytes);
+                expected.extend(piece);
+            }
+            let (cut, _) = message(tail.0, tail.1, cap);
+            wire.extend_from_slice(&cut[..(tail.1 as usize) % cut.len()]);
+
+            let whole = pieces(cap, &wire[..]);
+            let sizes = sizes.iter().map(|s| s * scale).collect();
+            let chunked = pieces(cap, Chunked { bytes: &wire, sizes, reads: 0 });
+            proptest::prop_assert_eq!(&chunked, &whole);
+            if items.iter().all(|&(kind, _)| kind < 6) {
+                proptest::prop_assert_eq!(&whole, &expected);
+            } else {
+                let mut rest = whole.iter();
+                for piece in &expected {
+                    proptest::prop_assert!(rest.any(|p| p == piece), "lost {}", piece);
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //!   sessions on a connection.
 //! * [`framing`] — the optional length-prefixed binary framing,
 //!   negotiated per session in `hello` (`"frame": "binary"`); NDJSON
-//!   stays the default and the debug path.
+//!   stays the default and the debug path. Also the one reader of both
+//!   framings, `WireReader`, behind the router, [`Client`] and the peer
+//!   link alike: it cuts the byte stream into pieces, and each caller
+//!   applies its own policy to them.
 //! * [`hot`] — the hot layouts (`request`, `worker`, `ok`, `assign`,
 //!   `reject`, bare or enveloped), each written once over a framing's
 //!   primitives and read straight between struct and bytes in both
@@ -34,11 +37,12 @@
 //!   stable hash of the session key).
 //! * [`fed`] — the federation peer link: a daemon's outsourcing
 //!   decisions as blocking `outsource_offer` exchanges with its rival
-//!   daemon, on the shard thread, under the offer deadline; and the lend
-//!   book the rival's offers are answered from, on the router thread,
-//!   parked until the replica has decided their request.
-//! * [`client`] — the one wire client: one reader
-//!   ([`read_server_frame`]), one writer ([`Client::queue_for`]),
+//!   daemon over a [`Client`], on the shard thread, under the offer
+//!   deadline; and the lend book the rival's offers are answered from, on
+//!   the router thread, parked until the replica has decided their
+//!   request.
+//! * [`client`] — the one wire client: one read path
+//!   ([`Client::recv_frame`]), one writer ([`Client::queue_for`]),
 //!   session [`Client::open`] / [`Client::close`].
 //! * [`drive()`] — the one session driver over that client: K sessions ×
 //!   M connections, windowed or lockstep, always closed-loop, each
@@ -65,22 +69,21 @@ pub mod session;
 pub mod shard;
 pub mod trace;
 
-pub use client::{bad_data, read_server_frame, Client};
+pub use client::{bad_data, Client};
 pub use drive::{
     drive, event_msg, expect_ok, hello_msg, pump, DriveOptions, DriveReport, SessionOutcome, Tally,
 };
 pub use fed::{FedShared, WireOutsource, DEFAULT_OFFER_DEADLINE_MS};
 pub use framing::{
-    decode_msg, decode_payload, encode_frame, read_frame, write_frame, FrameError, WireFormat,
-    FRAME_MAGIC, MAX_FRAME_PAYLOAD, MAX_LINE_BYTES,
+    decode_payload, encode_frame, read_frame, write_frame, FrameError, WireFormat, FRAME_MAGIC,
+    MAX_FRAME_PAYLOAD, MAX_LINE_BYTES,
 };
 pub use hot::WireMsg;
 pub use protocol::{
-    client_frame_from_content, decode_client, decode_client_frame, decode_server,
-    decode_server_frame, encode, read_line, server_frame_from_content, write_msg, ByeMsg,
-    ClientFrame, ClientMsg, CounterRow, DecodeError, DeepStatsMsg, ErrorMsg, FedByeMsg, FedHello,
-    FedStatsMsg, Frame, GaugeRow, Hello, OfferMsg, PhaseRow, ServerFrame, ServerMsg, ShardRow,
-    StatsMsg, WorkerMsg,
+    client_frame_from_content, decode_client_frame, decode_server_frame, encode, read_line,
+    server_frame_from_content, write_msg, ByeMsg, ClientFrame, ClientMsg, CounterRow, DecodeError,
+    DeepStatsMsg, ErrorMsg, FedByeMsg, FedHello, FedStatsMsg, Frame, GaugeRow, Hello, OfferMsg,
+    PhaseRow, ServerFrame, ServerMsg, ShardRow, StatsMsg, WorkerMsg,
 };
 pub use replay::{read_trace, record_session, replay_trace, Divergence, TraceReplayReport};
 pub use server::{serve, QueueStats, ServerConfig, ServerCounters, ServerHandle};

@@ -761,20 +761,6 @@ fn parse_line(line: &str) -> Result<Content, DecodeError> {
     serde_json::parse_content(line).map_err(|e| DecodeError::BadJson(e.to_string()))
 }
 
-fn decode<T: serde::de::Deserialize>(line: &str) -> Result<T, DecodeError> {
-    T::from_content(&parse_line(line)?).map_err(|e| DecodeError::UnknownMessage(e.to_string()))
-}
-
-/// Parse one client line.
-pub fn decode_client(line: &str) -> Result<ClientMsg, DecodeError> {
-    decode(line)
-}
-
-/// Parse one server line.
-pub fn decode_server(line: &str) -> Result<ServerMsg, DecodeError> {
-    decode(line)
-}
-
 /// A message with its mux address: `sid: None` is a bare message,
 /// `sid: Some(n)` the envelope `{"sid":n,"msg":<message>}`.
 ///
@@ -901,6 +887,16 @@ mod tests {
     use com_geo::Point;
     use com_sim::{PlatformId, RequestId, Timestamp};
 
+    /// One bare client message through the NDJSON reader.
+    fn client_line(line: &str) -> Result<ClientMsg, DecodeError> {
+        read_line(line).0.map(|frame| frame.msg)
+    }
+
+    /// One bare server message through the NDJSON reader.
+    fn server_line(line: &str) -> Result<ServerMsg, DecodeError> {
+        read_line(line).0.map(|frame| frame.msg)
+    }
+
     #[test]
     fn client_messages_round_trip() {
         let request = RequestSpec::new(
@@ -919,7 +915,7 @@ mod tests {
         for msg in msgs {
             let line = encode(&msg);
             assert!(!line.contains('\n'), "wire form must be one line: {line}");
-            let back = decode_client(&line).unwrap();
+            let back = client_line(&line).unwrap();
             assert_eq!(format!("{msg:?}"), format!("{back:?}"));
         }
     }
@@ -934,15 +930,15 @@ mod tests {
     #[test]
     fn decode_distinguishes_bad_json_from_unknown_message() {
         assert!(matches!(
-            decode_client("{not json"),
+            client_line("{not json"),
             Err(DecodeError::BadJson(_))
         ));
         assert!(matches!(
-            decode_client("{\"frobnicate\": 1}"),
+            client_line("{\"frobnicate\": 1}"),
             Err(DecodeError::UnknownMessage(_))
         ));
         assert!(matches!(
-            decode_client("42"),
+            client_line("42"),
             Err(DecodeError::UnknownMessage(_))
         ));
     }
@@ -959,7 +955,7 @@ mod tests {
             origin: None,
             fed: None,
         });
-        let back = decode_client(&encode(&hello)).unwrap();
+        let back = client_line(&encode(&hello)).unwrap();
         let ClientMsg::hello(h) = back else {
             panic!("wrong variant")
         };
@@ -986,7 +982,7 @@ mod tests {
                 deadline_ms: Some(250),
             }),
         });
-        let back = decode_client(&encode(&hello)).unwrap();
+        let back = client_line(&encode(&hello)).unwrap();
         let ClientMsg::hello(h) = back else {
             panic!("wrong variant")
         };
@@ -1008,7 +1004,7 @@ mod tests {
         }));
         let legacy = modern.replace(",\"fed\":null", "");
         assert_ne!(legacy, modern, "fed key should have been stripped");
-        let back = decode_client(&legacy);
+        let back = client_line(&legacy);
         if let Ok(ClientMsg::hello(h)) = back {
             assert!(h.fed.is_none());
         } else {
@@ -1035,7 +1031,7 @@ mod tests {
             deadline_ms: 200,
             event: 40,
         });
-        let back = decode_client(&encode(&offer)).unwrap();
+        let back = client_line(&encode(&offer)).unwrap();
         let ClientMsg::outsource_offer(o) = back else {
             panic!("wrong variant")
         };
@@ -1051,7 +1047,7 @@ mod tests {
             fed_sid: 7,
             offer: 12,
         };
-        let back = decode_server(&encode(&accept)).unwrap();
+        let back = server_line(&encode(&accept)).unwrap();
         assert!(matches!(
             back,
             ServerMsg::outsource_accept {
@@ -1066,7 +1062,7 @@ mod tests {
             code: "not-my-worker".into(),
             detail: "worker 5 is not idle on platform B".into(),
         };
-        let back = decode_server(&encode(&reject)).unwrap();
+        let back = server_line(&encode(&reject)).unwrap();
         let ServerMsg::outsource_reject { code, detail, .. } = back else {
             panic!("wrong variant")
         };
@@ -1099,7 +1095,7 @@ mod tests {
             digest: "fnv1a64:00000000deadbeef".into(),
             fed: Some(fed),
         };
-        let back = decode_server(&encode(&ServerMsg::bye(bye))).unwrap();
+        let back = server_line(&encode(&ServerMsg::bye(bye))).unwrap();
         let ServerMsg::bye(b) = back else {
             panic!("wrong variant")
         };
@@ -1139,7 +1135,7 @@ mod tests {
             fed: None,
         };
         // As a client holds it: parsed off the wire, not built locally.
-        let ServerMsg::bye(own) = decode_server(&encode(&ServerMsg::bye(own))).unwrap() else {
+        let ServerMsg::bye(own) = server_line(&encode(&ServerMsg::bye(own))).unwrap() else {
             panic!("wrong variant")
         };
         assert_eq!(own.disagreements(&batch), Vec::<String>::new());
@@ -1226,7 +1222,7 @@ mod tests {
         deep.set_telemetry(&telemetry);
         assert_eq!(deep.algorithm, "DemCOM");
         let line = encode(&ServerMsg::stats_deep(Box::new(deep)));
-        let back = decode_server(&line).unwrap();
+        let back = server_line(&line).unwrap();
         let ServerMsg::stats_deep(d) = back else {
             panic!("wrong variant: {line}");
         };
@@ -1310,7 +1306,7 @@ mod tests {
         let line = "{\"bye\":{\"algorithm\":\"DemCOM\",\"revenue\":1.5,\"completed\":1,\
                     \"cooperative\":0,\"events\":2,\"refused\":0,\"audit_findings\":[],\
                     \"canonical\":null}}";
-        let back = decode_server(line).unwrap();
+        let back = server_line(line).unwrap();
         let ServerMsg::bye(b) = back else {
             panic!("wrong variant");
         };

@@ -23,11 +23,13 @@
 //! the router's last flush. Router threads poll a stop flag on a read
 //! timeout, so every thread joins; nothing is detached.
 //!
-//! Input caps are enforced before decoding: a line longer than
+//! The router reads through the crate's one reader,
+//! `framing::WireReader`, which enforces the input caps before
+//! decoding; the router's policy is to answer a line longer than
 //! [`framing::MAX_LINE_BYTES`] or a frame payload larger than
-//! [`framing::MAX_FRAME_PAYLOAD`] is answered with a typed error, counted
-//! per connection, and discarded without ever buffering the oversized
-//! bytes. Responses are batched: shards queue encoded replies into each
+//! [`framing::MAX_FRAME_PAYLOAD`] with a typed error, count it per
+//! connection and carry on, the reader discarding the oversized bytes
+//! without ever buffering them. Responses are batched: shards queue encoded replies into each
 //! connection's writer and flush only when their ingress queue
 //! runs dry (or the buffer crosses its threshold), so a burst of
 //! pipelined client messages costs one write syscall, not one per
@@ -42,7 +44,7 @@
 //! message costs one refcount bump.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -51,7 +53,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::fed::LendBook;
-use crate::framing::{self, split_frame, FrameSplit, WireFormat, FRAME_MAGIC, MAX_LINE_BYTES};
+use crate::framing::{self, Piece, WireFormat, WireReader, MAX_FRAME_PAYLOAD, MAX_LINE_BYTES};
 use crate::protocol::{
     read_line, write_msg, ClientFrame, ClientMsg, DecodeError, ErrorMsg, ServerMsg,
 };
@@ -464,14 +466,14 @@ impl Conn {
     }
 }
 
-fn handle_connection(stream: TcpStream, conn_id: u64, pool: Arc<PoolShared>) {
+fn handle_connection(mut stream: TcpStream, conn_id: u64, pool: Arc<PoolShared>) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let mut router = Router {
         conn: Conn::new(conn_id, stream.try_clone().ok()),
         routes: HashMap::new(),
         pool,
     };
-    reader_loop(stream, &mut router);
+    router.read_from(&mut stream);
     // The socket is done (EOF, error, stop, or a bare-session shutdown):
     // finish and audit every logical session this connection opened,
     // wherever it lives.
@@ -479,22 +481,6 @@ fn handle_connection(stream: TcpStream, conn_id: u64, pool: Arc<PoolShared>) {
     // Anything a shard queued after its last flush leaves with the
     // connection.
     router.conn.flush();
-}
-
-/// Where decoded ingress goes — implemented by [`Router`] in production
-/// and by recording sinks in tests, so the byte-level splitting in
-/// [`drain_ingress`] stays deterministically unit-testable without
-/// sockets.
-pub(crate) trait IngressSink {
-    /// One NDJSON line (trimmed, non-empty). Returns `false` when the
-    /// server side is gone.
-    fn on_line(&mut self, line: &str) -> bool;
-    /// One binary frame payload (header stripped, length already capped).
-    fn on_frame(&mut self, payload: &[u8]) -> bool;
-    /// An oversized line/frame was rejected and is being discarded.
-    fn reject_oversized(&mut self, code: &str, detail: String);
-    /// A line that can never decode (not UTF-8).
-    fn reject_bad_line(&mut self, detail: String);
 }
 
 /// Per-connection routing state: which shard owns each logical session
@@ -599,29 +585,65 @@ impl Router {
     }
 }
 
-impl IngressSink for Router {
-    fn on_line(&mut self, line: &str) -> bool {
-        let started = Instant::now();
-        let (decoded, general) = read_line::<ClientMsg>(line);
-        let decode_ns = started.elapsed().as_nanos() as u64;
-        if general {
-            self.conn.general_lines.fetch_add(1, Ordering::Relaxed);
+impl Router {
+    /// Read the connection until EOF, a socket error, the stop flag, a
+    /// bare-session `shutdown` or the shard pool's end.
+    fn read_from(&mut self, stream: &mut TcpStream) {
+        let mut reader = WireReader::new(MAX_LINE_BYTES, MAX_FRAME_PAYLOAD);
+        loop {
+            while let Some(piece) = reader.next_piece() {
+                if !self.on_piece(piece) {
+                    return; // shard pool gone (server stopping)
+                }
+            }
+            if self.pool.daemon.stop.load(Ordering::SeqCst) || self.conn.done.load(Ordering::SeqCst)
+            {
+                return;
+            }
+            match reader.fill(stream) {
+                Ok(n) if n > 0 => {}
+                // Read timeout: loop to re-check the stop flags.
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                _ => return, // EOF or a socket error
+            }
         }
-        self.dispatch(decoded, decode_ns)
     }
 
-    fn on_frame(&mut self, payload: &[u8]) -> bool {
+    /// The router's policy for one piece: a message is decoded and routed;
+    /// refused input is answered with its typed error, and the connection
+    /// carries on. Returns `false` when the shard pool is gone.
+    fn on_piece(&mut self, piece: Piece<'_>) -> bool {
         let started = Instant::now();
-        let (decoded, general) = framing::read_frame::<ClientMsg>(payload);
+        let ((decoded, general), general_count) = match piece {
+            Piece::Line(line) => (read_line::<ClientMsg>(line), &self.conn.general_lines),
+            Piece::Frame(payload) => (
+                framing::read_frame::<ClientMsg>(payload),
+                &self.conn.general_frames,
+            ),
+            Piece::OversizedFrame(len) => {
+                let detail = format!("frame payload of {len} bytes exceeds {MAX_FRAME_PAYLOAD}");
+                return self.refuse_oversized("oversized-frame", detail);
+            }
+            Piece::OversizedLine => {
+                let detail = format!("line exceeds {MAX_LINE_BYTES} bytes");
+                return self.refuse_oversized("oversized-line", detail);
+            }
+            // Not UTF-8, so not JSON either.
+            Piece::NotUtf8(e) => {
+                self.refuse(None, &error("bad-json", format!("line is not UTF-8: {e}")));
+                return true;
+            }
+        };
         let decode_ns = started.elapsed().as_nanos() as u64;
         if general {
-            self.conn.general_frames.fetch_add(1, Ordering::Relaxed);
+            general_count.fetch_add(1, Ordering::Relaxed);
         }
         // Reply framing follows offer framing on a pure peer-link
         // connection (no sessions of its own): a borrower sending binary
         // offers reads binary verdicts back. Ordinary session connections
         // negotiate framing in `hello` and are left alone.
-        if self.routes.is_empty()
+        if matches!(piece, Piece::Frame(_))
+            && self.routes.is_empty()
             && matches!(&decoded, Ok(frame) if matches!(frame.msg, ClientMsg::outsource_offer(_)))
         {
             self.conn.set_format(WireFormat::Binary);
@@ -629,160 +651,11 @@ impl IngressSink for Router {
         self.dispatch(decoded, decode_ns)
     }
 
-    fn reject_oversized(&mut self, code: &str, detail: String) {
+    fn refuse_oversized(&self, code: &str, detail: String) -> bool {
         self.conn.oversized.fetch_add(1, Ordering::Relaxed);
         self.refuse(None, &error(code, detail));
+        true
     }
-
-    fn reject_bad_line(&mut self, detail: String) {
-        self.refuse(None, &error("bad-json", detail));
-    }
-}
-
-/// Reader-side discard state for oversized input: how to get back to the
-/// next message boundary without buffering the offending bytes.
-enum Discard {
-    None,
-    /// Drop exactly this many more bytes (an oversized frame's declared
-    /// length).
-    Bytes(usize),
-    /// Drop up to and including the next `\n` (an endless line).
-    ToNewline,
-}
-
-fn reader_loop(mut stream: TcpStream, router: &mut Router) {
-    let mut buf: Vec<u8> = Vec::with_capacity(8 * 1024);
-    let mut chunk = [0u8; 16 * 1024];
-    let mut discard = Discard::None;
-    loop {
-        if router.pool.daemon.stop.load(Ordering::SeqCst) || router.conn.done.load(Ordering::SeqCst)
-        {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                if !drain_ingress(&mut buf, &mut discard, router) {
-                    return; // shard pool gone (server stopping)
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // Read timeout: partial bytes stay buffered; loop to
-                // re-check the stop flags.
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-/// Carve complete messages off the front of the read buffer, detecting
-/// the framing of each from its first byte. Returns `false` when the
-/// sink reports the server side gone. Incomplete trailing input stays
-/// buffered — except oversized input, which is rejected and then
-/// *discarded* via `discard` so the buffer never grows past the caps.
-fn drain_ingress(buf: &mut Vec<u8>, discard: &mut Discard, sink: &mut impl IngressSink) -> bool {
-    let mut pos = 0usize;
-    let alive = loop {
-        match discard {
-            Discard::None => {}
-            Discard::Bytes(n) => {
-                let eat = (*n).min(buf.len() - pos);
-                pos += eat;
-                *n -= eat;
-                if *n > 0 {
-                    break true; // buffer exhausted mid-discard
-                }
-                *discard = Discard::None;
-            }
-            Discard::ToNewline => match buf[pos..].iter().position(|&b| b == b'\n') {
-                Some(nl) => {
-                    pos += nl + 1;
-                    *discard = Discard::None;
-                }
-                None => {
-                    pos = buf.len();
-                    break true;
-                }
-            },
-        }
-        if pos >= buf.len() {
-            break true;
-        }
-        if buf[pos] == FRAME_MAGIC {
-            match split_frame(&buf[pos..]) {
-                FrameSplit::Incomplete => break true,
-                FrameSplit::Complete { consumed } => {
-                    let payload = &buf[pos + framing::FRAME_HEADER_LEN..pos + consumed];
-                    if !sink.on_frame(payload) {
-                        pos += consumed;
-                        break false;
-                    }
-                    pos += consumed;
-                }
-                FrameSplit::Oversized { len, skip } => {
-                    sink.reject_oversized(
-                        "oversized-frame",
-                        format!(
-                            "frame payload of {len} bytes exceeds {}",
-                            framing::MAX_FRAME_PAYLOAD
-                        ),
-                    );
-                    *discard = Discard::Bytes(skip);
-                }
-            }
-        } else {
-            match buf[pos..].iter().position(|&b| b == b'\n') {
-                Some(nl) => {
-                    let line = &buf[pos..pos + nl];
-                    let advance = nl + 1;
-                    if line.len() > MAX_LINE_BYTES {
-                        sink.reject_oversized(
-                            "oversized-line",
-                            format!("line of {} bytes exceeds {MAX_LINE_BYTES}", line.len()),
-                        );
-                        pos += advance;
-                    } else {
-                        match std::str::from_utf8(line) {
-                            Ok(text) => {
-                                let text = text.trim();
-                                let alive = text.is_empty() || sink.on_line(text);
-                                pos += advance;
-                                if !alive {
-                                    break false;
-                                }
-                            }
-                            Err(e) => {
-                                // Not UTF-8, so not JSON either: reject
-                                // the line but keep the connection.
-                                sink.reject_bad_line(format!("line is not UTF-8: {e}"));
-                                pos += advance;
-                            }
-                        }
-                    }
-                }
-                None => {
-                    if buf.len() - pos > MAX_LINE_BYTES {
-                        sink.reject_oversized(
-                            "oversized-line",
-                            format!(
-                                "unterminated line past {MAX_LINE_BYTES} bytes ({} so far)",
-                                buf.len() - pos
-                            ),
-                        );
-                        *discard = Discard::ToNewline;
-                        pos = buf.len();
-                    }
-                    break true;
-                }
-            }
-        }
-    };
-    buf.drain(..pos);
-    alive
 }
 
 pub(crate) fn error(code: &str, detail: impl Into<String>) -> ServerMsg {
@@ -812,97 +685,64 @@ mod tests {
         assert_eq!(stats.on_drain(), 0);
     }
 
-    /// Recording sink: what [`drain_ingress`] carved off the wire, in
-    /// order.
-    #[derive(Default)]
-    struct RecSink {
-        lines: Vec<String>,
-        frames: Vec<Vec<u8>>,
-        rejects: Vec<String>,
-        alive: bool,
-    }
-
-    impl RecSink {
-        fn new() -> Self {
-            RecSink {
-                alive: true,
-                ..Default::default()
+    /// What the router's reader cuts off `chunks`, fed one read each, as
+    /// `{:?}` text.
+    fn ingress(chunks: &[&[u8]]) -> Vec<String> {
+        let mut reader = WireReader::new(MAX_LINE_BYTES, MAX_FRAME_PAYLOAD);
+        let mut got = Vec::new();
+        for mut chunk in chunks.iter().copied() {
+            while reader.fill(&mut chunk).unwrap() > 0 {
+                while let Some(piece) = reader.next_piece() {
+                    got.push(format!("{piece:?}"));
+                }
             }
         }
+        got
     }
 
-    impl IngressSink for RecSink {
-        fn on_line(&mut self, line: &str) -> bool {
-            self.lines.push(line.to_string());
-            self.alive
-        }
-        fn on_frame(&mut self, payload: &[u8]) -> bool {
-            self.frames.push(payload.to_vec());
-            self.alive
-        }
-        fn reject_oversized(&mut self, code: &str, _detail: String) {
-            self.rejects.push(code.to_string());
-        }
-        fn reject_bad_line(&mut self, _detail: String) {
-            self.rejects.push("bad-json".to_string());
-        }
+    fn line(text: &str) -> String {
+        format!("{:?}", Piece::Line(text))
     }
 
     #[test]
     fn drain_ingress_splits_mixed_framings() {
-        let mut sink = RecSink::new();
         let mut buf = Vec::new();
         buf.extend_from_slice(b"{\"stats\":null}\n");
         framing::write_frame(&ServerMsg::ok, &mut buf);
         buf.extend_from_slice(b"  \n{\"shutdown\":null}\n");
-        let mut discard = Discard::None;
-        assert!(drain_ingress(&mut buf, &mut discard, &mut sink));
+        let frame = framing::encode_frame(&ServerMsg::ok);
+        let payload = format!("{:?}", Piece::Frame(&frame[framing::FRAME_HEADER_LEN..]));
         assert_eq!(
-            sink.lines,
+            ingress(&[&buf]),
             vec![
-                "{\"stats\":null}".to_string(),
-                "{\"shutdown\":null}".to_string()
+                line("{\"stats\":null}"),
+                payload,
+                line("{\"shutdown\":null}")
             ]
         );
-        assert_eq!(sink.frames.len(), 1);
-        assert!(sink.rejects.is_empty());
-        assert!(buf.is_empty(), "complete input fully consumed");
     }
 
     #[test]
     fn drain_ingress_buffers_incomplete_input() {
-        let mut sink = RecSink::new();
-        let mut buf = b"{\"stats\":nul".to_vec();
-        let mut discard = Discard::None;
-        assert!(drain_ingress(&mut buf, &mut discard, &mut sink));
-        assert!(sink.lines.is_empty(), "no newline yet, nothing delivered");
-        assert_eq!(buf, b"{\"stats\":nul".to_vec());
+        assert!(ingress(&[b"{\"stats\":nul"]).is_empty(), "no newline yet");
+        assert_eq!(
+            ingress(&[b"{\"stats\":nul", b"l}\n"]),
+            vec![line("{\"stats\":null}")],
+            "the partial line waits for its end"
+        );
     }
 
     #[test]
     fn drain_ingress_rejects_and_discards_oversized_lines() {
-        let mut sink = RecSink::new();
         // An unterminated line past the cap is rejected once, then its
-        // remaining bytes drain to the newline without buffering.
-        let mut buf = vec![b'x'; MAX_LINE_BYTES + 10];
-        let mut discard = Discard::None;
-        assert!(drain_ingress(&mut buf, &mut discard, &mut sink));
-        assert_eq!(sink.rejects, vec!["oversized-line".to_string()]);
-        assert!(buf.is_empty(), "oversized bytes are not buffered");
-        // The tail of the line arrives, then a newline, then a good line.
-        let mut buf = b"yyy\n{\"stats\":null}\n".to_vec();
-        assert!(drain_ingress(&mut buf, &mut discard, &mut sink));
-        assert_eq!(sink.rejects.len(), 1, "one rejection per oversized line");
-        assert_eq!(sink.lines, vec!["{\"stats\":null}".to_string()]);
-    }
-
-    #[test]
-    fn drain_ingress_stops_when_sink_reports_dead() {
-        let mut sink = RecSink::new();
-        sink.alive = false;
-        let mut buf = b"{\"stats\":null}\n{\"shutdown\":null}\n".to_vec();
-        let mut discard = Discard::None;
-        assert!(!drain_ingress(&mut buf, &mut discard, &mut sink));
-        assert_eq!(sink.lines.len(), 1, "stops at the first dead delivery");
+        // remaining bytes drain to the newline, then a good line.
+        let endless = vec![b'x'; MAX_LINE_BYTES + 10];
+        assert_eq!(
+            ingress(&[&endless, b"yyy\n{\"stats\":null}\n"]),
+            vec![
+                format!("{:?}", Piece::OversizedLine),
+                line("{\"stats\":null}")
+            ]
+        );
     }
 }

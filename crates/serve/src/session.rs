@@ -105,6 +105,11 @@ fn check_hello(hello: &Hello) -> Result<(), String> {
             world.extent, world.expected_radius
         ));
     }
+    if let Some(v) = hello.max_value.filter(|v| !v.is_finite()) {
+        // Every threshold built from it would be ∞, and the trace could
+        // not replay it: JSON renders it `null`.
+        return Err(format!("max_value {v} must be finite"));
+    }
     let (cols, rows) = com_sim::grid_shape(world.extent, world.expected_radius);
     let cells = hello.platforms.len() as f64 * cols * rows;
     if cells > MAX_GRID_CELLS {
@@ -119,9 +124,10 @@ fn check_hello(hello: &Hello) -> Result<(), String> {
 impl ServeSession {
     /// Open a session from a `hello`, or refuse it with an error code and
     /// detail. `bad-hello`, before anything is built: an empty roster, a
-    /// non-finite extent corner or `expected_radius`, waiting-list grids
-    /// over 65,536 cells in all (`platforms × cols × rows`, counted with
-    /// [`com_sim::grid_shape`]), or a `fed.platform` outside the roster.
+    /// non-finite extent corner, `expected_radius` or `max_value`,
+    /// waiting-list grids over 65,536 cells in all (`platforms × cols ×
+    /// rows`, counted with [`com_sim::grid_shape`]), or a `fed.platform`
+    /// outside the roster.
     /// `unknown-matcher`: the spec parser's own message (listing valid
     /// specs).
     pub fn open(hello: &Hello) -> Result<Self, (&'static str, String)> {

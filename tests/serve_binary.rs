@@ -14,8 +14,8 @@ use com_datagen::{generate, synthetic, SyntheticParams};
 use com_geo::Point;
 use com_pricing::WorkerHistory;
 use com_serve::{
-    client_frame_from_content, decode_msg, decode_payload, drive, encode, encode_frame, read_frame,
-    read_line, serve, server_frame_from_content, write_msg, ByeMsg, Client, ClientFrame, ClientMsg,
+    client_frame_from_content, decode_payload, drive, encode, encode_frame, read_frame, read_line,
+    serve, server_frame_from_content, write_msg, ByeMsg, Client, ClientFrame, ClientMsg,
     CounterRow, DecodeError, DeepStatsMsg, DriveOptions, ErrorMsg, Frame, GaugeRow, Hello,
     PhaseRow, ServerConfig, ServerMsg, ShardRow, StatsMsg, WireFormat, WireMsg, WorkerMsg,
     FRAME_MAGIC, MAX_FRAME_PAYLOAD,
@@ -84,12 +84,15 @@ fn stats_msg() -> StatsMsg {
 
 /// Frame `msg`, check the header, decode it back, and require the JSON
 /// encodings (the protocol's canonical representation) to be identical.
-fn assert_frame_round_trip<T: serde::Serialize + serde::Deserialize + std::fmt::Debug>(msg: &T) {
+fn assert_frame_round_trip<T: WireMsg + std::fmt::Debug>(msg: &T) {
     let frame = encode_frame(msg);
     assert_eq!(frame[0], FRAME_MAGIC);
     let declared = u32::from_le_bytes(frame[1..FRAME_HEADER_LEN].try_into().unwrap()) as usize;
     assert_eq!(declared, frame.len() - FRAME_HEADER_LEN);
-    let back: T = decode_msg(&frame[FRAME_HEADER_LEN..]).expect("decode");
+    let back = read_frame::<T>(&frame[FRAME_HEADER_LEN..])
+        .0
+        .expect("decode")
+        .msg;
     assert_eq!(encode(&back), encode(msg), "round trip changed {msg:?}");
 }
 
@@ -380,7 +383,11 @@ fn truncated_frames_and_trailing_bytes_are_rejected() {
     assert!(decode_payload(&[0xFF]).is_err());
     // A structurally valid value that is not a protocol message fails at
     // the message layer, still without panicking.
-    assert!(decode_msg::<ClientMsg>(&encode_frame(&ServerMsg::busy)[FRAME_HEADER_LEN..]).is_err());
+    assert!(
+        read_frame::<ClientMsg>(&encode_frame(&ServerMsg::busy)[FRAME_HEADER_LEN..])
+            .0
+            .is_err()
+    );
 }
 
 /// Every hot message `instance` puts on the wire, both directions, bare

@@ -538,9 +538,10 @@ fn refused_worker_lines_stage_no_history(frame: Option<&str>) {
     handle.shutdown();
 }
 
-/// Four `hello` lines that must never reach `World::new`: no platforms, a
-/// radius serde_json reads as +∞, a city too wide for its grid, and a
-/// roster too long for it. Built as wire text, since +∞ has no JSON form.
+/// Five `hello` lines that must never reach a session: no platforms, a
+/// radius or a `max_value` serde_json reads as +∞, a city too wide for its
+/// grid, and a roster too long for it. Built as wire text, since +∞ has no
+/// JSON form.
 fn hostile_hello_lines() -> Vec<(&'static str, String)> {
     let base = Hello {
         matcher: "tota".into(),
@@ -569,6 +570,14 @@ fn hostile_hello_lines() -> Vec<(&'static str, String)> {
             "infinite radius",
             line(infinite).replace("12345.5", "1e400"),
         ),
+        (
+            "infinite max_value",
+            line(Hello {
+                max_value: Some(12345.5),
+                ..base.clone()
+            })
+            .replace("12345.5", "1e400"),
+        ),
         ("100,000 km extent", line(wide)),
         (
             "60,000 platforms",
@@ -582,7 +591,6 @@ fn hostile_hello_lines() -> Vec<(&'static str, String)> {
 
 #[test]
 fn hostile_hellos_are_refused_and_the_daemon_keeps_serving() {
-    use std::io::{BufReader, Write};
     let handle = serve(ServerConfig {
         shards: 1,
         ..ServerConfig::default()
@@ -590,26 +598,23 @@ fn hostile_hellos_are_refused_and_the_daemon_keeps_serving() {
     .expect("bind ephemeral port");
     let addr = handle.addr().to_string();
 
-    // A refused hello opens no session, so all four share one connection.
+    // A refused hello opens no session, so all five share one connection.
     // The read timeout turns a silent (dead) shard into a failure, not a
     // hang.
-    let stream = std::net::TcpStream::connect(&addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
+    let mut raw = Client::connect(&addr).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
         .expect("timeout");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     for (what, line) in hostile_hello_lines() {
-        (&stream)
-            .write_all(format!("{line}\n").as_bytes())
-            .expect("send");
-        let frame = com_serve::read_server_frame(&mut reader, com_serve::MAX_FRAME_PAYLOAD)
+        raw.send_raw(&line).expect("send");
+        let frame = raw
+            .recv_frame()
             .unwrap_or_else(|e| panic!("{what}: no reply ({e})"));
         let ServerMsg::error(e) = frame.msg else {
             panic!("{what}: expected bad-hello, got {:?}", frame.msg);
         };
         assert_eq!(e.code, "bad-hello", "{what}: {}", e.detail);
     }
-    assert_eq!(handle.counters().protocol_errors(), 4);
+    assert_eq!(handle.counters().protocol_errors(), 5);
 
     // The same shard then serves a clean session to its batch digest.
     let instance = generate(&profiles::quick());
