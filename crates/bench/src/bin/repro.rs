@@ -24,12 +24,14 @@
 //!                               panicking sweep cells).
 //! ```
 //!
-//! Every grid cell already runs through the fallible engine and the
-//! post-run auditor (`run_grid_audited` inside the experiment modules);
-//! findings land in `com_core`'s global audit recorder. This binary
-//! drains that recorder after each experiment and prints a summary —
-//! with `--strict` any finding fails the process, which is how CI keeps
-//! the paper invariants honest in release builds.
+//! The Tables V–VII grids run through the fallible engine and the
+//! post-run auditor (`run_grid_audited`), whose findings land in
+//! `com_core`'s global audit recorder. Every other run — `table5x30`,
+//! the Fig. 5 sweeps, the ablations and `cr`'s trials — goes through
+//! `run_online`, which aborts on a refused decision and is not audited.
+//! This binary drains the recorder after each experiment and prints a
+//! summary — with `--strict` any finding fails the process, which is how
+//! CI keeps the paper invariants honest in release builds.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -244,8 +246,7 @@ fn main() {
                 std::process::exit(2);
             }
         }
-        // Every grid cell in the experiment above went through the
-        // fallible engine + post-run auditor; drain what they recorded.
+        // Drain what the experiment's audited grids recorded.
         let (total, sample) = com_core::take_findings();
         audit_total += total;
         if total > 0 {

@@ -75,11 +75,6 @@ pub enum AuditFinding {
     /// The one-shot matching cross-check
     /// ([`com_matching::is_valid_matching`]) rejected the run's matching.
     MatchingInvalid { detail: String },
-    /// A serving-layer defect observed by `matchd` (e.g. a poisoned
-    /// writer lock recovered after a connection-thread panic). Never
-    /// produced by `validate_run`; recorded through the global recorder
-    /// so sweeps and tests can surface it.
-    Serving { detail: String },
 }
 
 impl fmt::Display for AuditFinding {
@@ -102,7 +97,6 @@ impl fmt::Display for AuditFinding {
             AuditFinding::MatchingInvalid { detail } => {
                 write!(f, "matching cross-check failed: {detail}")
             }
-            AuditFinding::Serving { detail } => write!(f, "serving: {detail}"),
         }
     }
 }
@@ -415,10 +409,11 @@ pub fn validate_run(instance: &Instance, run: &RunResult) -> Vec<AuditFinding> {
 }
 
 // ---------------------------------------------------------------------
-// Always-on global recorder. Sweep infrastructure audits every run it
-// executes and records findings here; `--strict` consumers drain the
-// recorder and turn a non-zero total into a failing exit code. Recording
-// is cheap (one atomic add when clean) and never panics.
+// Always-on global recorder. Its one writer is the sweep runner's
+// `run_grid_audited` (com-bench), which records every grid cell's
+// findings here; `repro --strict` drains the recorder and turns a
+// non-zero total into a failing exit code. Recording is cheap (one atomic
+// add when clean) and never panics.
 
 /// How many findings the recorder keeps verbatim; beyond this only the
 /// total is counted.

@@ -392,6 +392,10 @@ pub(crate) struct WireReader {
     /// Unread bytes are `buf[start..end]`.
     start: usize,
     end: usize,
+    /// How many bytes after `start` are known to hold no newline, so a
+    /// long line is searched once, not once per read. Zeroed whenever a
+    /// line search moves `start`.
+    scanned: usize,
     skip: Skip,
     /// Lines longer than this many bytes are refused, from the next
     /// message on.
@@ -409,6 +413,7 @@ impl WireReader {
             buf: vec![0; READ_CHUNK],
             start: 0,
             end: 0,
+            scanned: 0,
             skip: Skip::None,
             line_cap,
             frame_cap,
@@ -450,12 +455,12 @@ impl WireReader {
                 }
                 Skip::Bytes(n) => self.start += n,
                 Skip::Line => {
-                    let Some(nl) = data.iter().position(|&b| b == b'\n') else {
+                    let Some(nl) = newline(data, &mut self.scanned) else {
                         self.skip = Skip::Line;
-                        self.start = self.end;
+                        (self.start, self.scanned) = (self.end, 0);
                         return None;
                     };
-                    self.start += nl + 1;
+                    (self.start, self.scanned) = (self.start + nl + 1, 0);
                 }
             }
             let (at, data) = (self.start, &self.buf[self.start..self.end]);
@@ -474,14 +479,14 @@ impl WireReader {
             }
             // A line within the cap has its newline within cap + 1 bytes.
             let window = &data[..data.len().min(self.line_cap.saturating_add(1))];
-            let Some(nl) = window.iter().position(|&b| b == b'\n') else {
+            let Some(nl) = newline(window, &mut self.scanned) else {
                 if window.len() <= self.line_cap {
                     return None;
                 }
                 self.skip = Skip::Line;
                 return Some(Piece::OversizedLine);
             };
-            self.start += nl + 1;
+            (self.start, self.scanned) = (at + nl + 1, 0);
             match std::str::from_utf8(&self.buf[at..at + nl]) {
                 Ok(text) if text.trim().is_empty() => {}
                 Ok(text) => return Some(Piece::Line(text.trim())),
@@ -489,6 +494,18 @@ impl WireReader {
             }
         }
     }
+}
+
+/// The first newline in `data`, searched for only past the `scanned`
+/// bytes already known to hold none; when there is none, all of `data`
+/// is known.
+fn newline(data: &[u8], scanned: &mut usize) -> Option<usize> {
+    let from = (*scanned).min(data.len());
+    let found = data[from..].iter().position(|&b| b == b'\n');
+    if found.is_none() {
+        *scanned = data.len();
+    }
+    found.map(|i| from + i)
 }
 
 // ----------------------------------------------------------- hot layouts
@@ -868,6 +885,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A line arriving a byte at a time is searched for its newline once,
+    /// not once per read: after each read the cursor covers every pending
+    /// byte, so the work stays linear in the line's length.
+    #[test]
+    fn a_long_line_read_a_byte_at_a_time_is_searched_once() {
+        const LEN: usize = 64 * 1024;
+        let line = [vec![b'x'; LEN], b"\n".to_vec()].concat();
+        let mut reader = WireReader::new(MAX_LINE_BYTES, MAX_FRAME_PAYLOAD);
+        for byte in line.chunks(1) {
+            assert_eq!(reader.next_piece(), None);
+            assert_eq!(reader.scanned, reader.end - reader.start);
+            assert_eq!(reader.fill(&mut &byte[..]).unwrap(), 1);
+        }
+        let text = std::str::from_utf8(&line[..LEN]).unwrap();
+        assert_eq!(reader.next_piece(), Some(Piece::Line(text)));
+        assert_eq!(reader.scanned, 0);
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! * [`session`] — one logical session: a [`com_core::MatchSession`] plus
 //!   the event log needed to audit the finished run with `validate_run`.
 //! * [`server`] — the threaded TCP server behind the `matchd` binary:
-//!   per-connection router threads decoding and dispatching to the shard
-//!   pool, bounded per-shard ingress queues whose backpressure is the
+//!   stateless per-connection router threads handing every message,
+//!   refusals included, to the shard placement names, bounded per-shard ingress queues whose backpressure is the
 //!   transport's (a full queue stops the connection's reader), graceful
 //!   drain-and-audit teardown behind a per-connection barrier. Owns
 //!   the two shared shapes: one `Conn` per connection (writer, counters,
@@ -34,7 +34,7 @@
 //! * [`shard`] — the shared-nothing shard executors: one `Shard` struct
 //!   per thread owning its logical sessions, with every handler a method
 //!   on it, plus the deterministic session→shard placement rule (a
-//!   stable hash of the session key).
+//!   stable hash of the session key), which is also the route.
 //! * [`fed`] — the federation peer link: a daemon's outsourcing
 //!   decisions as blocking `outsource_offer` exchanges with its rival
 //!   daemon over a [`Client`], on the shard thread, under the offer

@@ -1,17 +1,26 @@
 //! The threaded TCP server behind `matchd`.
 //!
-//! Since the shard rework the server is **shared-nothing**: one accept
-//! thread polls a non-blocking listener; each connection gets a **router
-//! thread** (socket → decode → shard dispatch) and sessions execute on a
-//! fixed pool of **shard worker threads** ([`crate::shard`]) that own
-//! their sessions outright. The router decodes each wire message (both
-//! framings, detected per message from the first byte), resolves the
-//! logical session it addresses — the `sid` of a mux envelope, or the
-//! connection's bare session — and hands the decoded message to that
-//! session's shard over a bounded `sync_channel`. When a shard's ingress
-//! queue is full the router *waits*: its socket goes unread and TCP pushes
-//! back on the client, so ingress never grows unboundedly no matter how
-//! fast clients flood, and nothing the router accepted is ever dropped.
+//! The server is **shared-nothing**: one accept thread polls a
+//! non-blocking listener; each connection gets a **router thread**
+//! (socket → decode → shard dispatch) and sessions execute on a fixed
+//! pool of **shard worker threads** ([`crate::shard`]) that own their
+//! sessions outright. The router keeps no state: it decodes each wire
+//! message (both framings, detected per message from the first byte) and
+//! hands it to the shard that `shard::place` names for its address — the
+//! `sid` of a mux envelope, or the connection's bare session — over a
+//! bounded `sync_channel`; the shard answers a message for a session it
+//! does not hold. When a shard's ingress queue is full the router *waits*: its
+//! socket goes unread and TCP pushes back on the client, so ingress never
+//! grows unboundedly no matter how fast clients flood, and nothing the
+//! router accepted is ever dropped.
+//!
+//! Every message gets exactly one answer, in order. Input the router
+//! refuses — undecodable, over a cap ([`framing::MAX_LINE_BYTES`],
+//! [`framing::MAX_FRAME_PAYLOAD`]; the reader skips the oversized bytes
+//! without buffering them), not UTF-8 — is counted and its typed error
+//! queued through the bare session's shard, behind the answers to
+//! everything read before it. The one answer the router writes itself is
+//! an offer verdict ([`crate::fed`]), in the offer's own framing.
 //!
 //! Teardown is always graceful: a protocol `shutdown`, a client
 //! disconnect, or [`ServerHandle::shutdown`] all drain each logical
@@ -23,22 +32,15 @@
 //! the router's last flush. Router threads poll a stop flag on a read
 //! timeout, so every thread joins; nothing is detached.
 //!
-//! The router reads through the crate's one reader,
-//! `framing::WireReader`, which enforces the input caps before
-//! decoding; the router's policy is to answer a line longer than
-//! [`framing::MAX_LINE_BYTES`] or a frame payload larger than
-//! [`framing::MAX_FRAME_PAYLOAD`] with a typed error, count it per
-//! connection and carry on, the reader discarding the oversized bytes
-//! without ever buffering them. Responses are batched: shards queue encoded replies into each
-//! connection's writer and flush only when their ingress queue
-//! runs dry (or the buffer crosses its threshold), so a burst of
-//! pipelined client messages costs one write syscall, not one per
-//! decision.
+//! Responses are batched: shards queue encoded replies into each
+//! connection's writer and flush only when their ingress queue runs dry
+//! (or the buffer crosses its threshold), so a burst of pipelined client
+//! messages costs one write syscall, not one per decision.
 //!
 //! Two owned shapes carry all cross-thread state. `Daemon` — config, stop
-//! flag, counters, per-shard stats, the federation route table — is built
-//! by [`serve`] before any thread starts and shared as one `Arc`. `Conn`
-//! is one accepted connection — id, writer behind its mutex, rejection
+//! flag, counters, per-shard stats, the federation table — is built by
+//! [`serve`] before any thread starts and shared as one `Arc`. `Conn` is
+//! one accepted connection — id, writer behind its mutex, rejection
 //! counters, `done` flag — allocated once at accept; its router and every
 //! shard owning one of its sessions hold the same `Arc`, and a routed
 //! message costs one refcount bump.
@@ -170,7 +172,8 @@ impl ServerCounters {
 /// Everything the daemon's threads share, built once by [`serve`] before
 /// any of them starts and reached through one `Arc`: the configuration,
 /// the stop flag, the server-wide counters, the per-shard health table,
-/// the logical-session id allocator and the federation route table.
+/// the logical-session id allocator and the federation table (`fed_sid`
+/// → lend book).
 pub(crate) struct Daemon {
     pub(crate) config: ServerConfig,
     stop: AtomicBool,
@@ -180,12 +183,11 @@ pub(crate) struct Daemon {
     /// Dense logical session ids, in `hello` order across all shards.
     pub(crate) next_lsid: AtomicU64,
     /// Federation routing: `fed_sid` → the session's lend book. Offers
-    /// arrive on the *peer's* connection, which has no `(conn, sid)` route
-    /// to the session that must answer them — they route by the shared
-    /// federation session id instead, and the router answers from the
-    /// book without entering a shard queue. The owning shard inserts once
-    /// the session is open (refusing a `fed_sid` that is already routed)
-    /// and removes when it finishes. Off the per-event hot path (touched
+    /// arrive on the *peer's* connection, whose addresses name no session
+    /// here — they route by the shared federation session id instead, and
+    /// the router answers from the book without entering a shard queue.
+    /// The owning shard inserts once the session is open (refusing a
+    /// `fed_sid` that is already routed) and removes when it finishes. Off the per-event hot path (touched
     /// only on fed `hello`s and inbound offers).
     fed_routes: Mutex<HashMap<u64, Arc<LendBook>>>,
 }
@@ -332,15 +334,14 @@ const FLUSH_THRESHOLD: usize = 256 * 1024;
 /// `shutdown` uses to end the connection.
 ///
 /// The writer mutex guards the pending output buffer, the socket's write
-/// half and the negotiated framing, so queued responses and the router's
-/// out-of-band refusals interleave in a well-defined order. Responses are
-/// *queued* and flushed in batches (see [`Conn::flush`]). It is contended
-/// only when the router writes out of band (typed rejections) or when
-/// the connection's sessions live on more than one shard.
+/// half and the negotiated framing. Responses are *queued* and flushed in
+/// batches (see [`Conn::flush`]). It is contended only when the
+/// connection's sessions live on more than one shard or its router writes
+/// an offer verdict.
 pub(crate) struct Conn {
     pub(crate) id: u64,
     writer: Mutex<WriterState>,
-    /// One audit finding per connection when the lock is found poisoned.
+    /// Set once the writer lock was found poisoned (logged once).
     poison_noted: AtomicBool,
     pub(crate) oversized: AtomicU64,
     /// Mux frames rejected for a malformed envelope (missing/ill-typed
@@ -377,19 +378,10 @@ impl Conn {
     /// Lock the writer, recovering a poisoned guard instead of cascading
     /// the panic into every other thread. The state a writer protects (a
     /// byte buffer and a stream) stays usable whatever the panicking
-    /// thread was doing; recovery is logged once per connection as an
-    /// audit finding.
+    /// thread was doing; recovery is logged once per connection.
     fn lock(&self) -> std::sync::MutexGuard<'_, WriterState> {
         self.writer.lock().unwrap_or_else(|poisoned| {
             if !self.poison_noted.swap(true, Ordering::Relaxed) {
-                com_core::record_findings(
-                    "matchd shared writer",
-                    &[com_core::AuditFinding::Serving {
-                        detail: "writer lock poisoned by a panicking connection thread; \
-                                 recovered and kept serving"
-                            .into(),
-                    }],
-                );
                 eprintln!("matchd: recovered poisoned writer lock");
             }
             poisoned.into_inner()
@@ -416,14 +408,14 @@ impl Conn {
         }
     }
 
-    /// Queue-and-flush counterpart of [`Conn::queue_for`], in one lock
-    /// acquisition — the path for immediate messages (rejections, offer
-    /// verdicts).
-    pub(crate) fn send_for(&self, sid: Option<u64>, msg: &ServerMsg) {
+    /// Write one offer verdict in the offer's own framing and flush it at
+    /// once, with whatever the shards had queued before it — the router's
+    /// only direct write.
+    pub(crate) fn send_verdict(&self, format: WireFormat, sid: Option<u64>, verdict: &ServerMsg) {
         let mut state = self.lock();
         {
             let _span = com_obs::span(com_obs::PHASE_SERVE_ENCODE);
-            write_msg(state.format, sid, msg, &mut state.buf);
+            write_msg(format, sid, verdict, &mut state.buf);
         }
         Self::flush_locked(&mut state);
     }
@@ -468,9 +460,8 @@ impl Conn {
 
 fn handle_connection(mut stream: TcpStream, conn_id: u64, pool: Arc<PoolShared>) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let mut router = Router {
+    let router = Router {
         conn: Conn::new(conn_id, stream.try_clone().ok()),
-        routes: HashMap::new(),
         pool,
     };
     router.read_from(&mut stream);
@@ -483,112 +474,18 @@ fn handle_connection(mut stream: TcpStream, conn_id: u64, pool: Arc<PoolShared>)
     router.conn.flush();
 }
 
-/// Per-connection routing state: which shard owns each logical session
-/// this connection has said `hello` for.
+/// One connection's router. It keeps no state of its own: every message
+/// goes to the shard [`place`] names for its address, and every refusal
+/// to the bare session's shard, so each answer leaves in read order.
 struct Router {
     pool: Arc<PoolShared>,
-    /// `None` = the connection's bare session (the one-session
-    /// addressing).
-    routes: HashMap<Option<u64>, usize>,
     conn: Arc<Conn>,
-}
-
-impl Router {
-    /// Count one protocol error and answer it out of band.
-    fn refuse(&self, sid: Option<u64>, response: &ServerMsg) {
-        self.pool.daemon.counters.protocol_error();
-        self.conn.send_for(sid, response);
-    }
-
-    /// Dispatch one decoded message to the shard owning its session.
-    /// Returns `false` when the pool is gone (server stopping).
-    fn route(&mut self, sid: Option<u64>, msg: ClientMsg, decode_ns: u64) -> bool {
-        let daemon = &self.pool.daemon;
-        // An outsource offer arrives on the *peer daemon's* connection,
-        // which has no (conn, sid) route to the federated session that
-        // must answer it — it routes by the shared fed_sid through the
-        // daemon-global federation registry instead, whatever connection
-        // it came in on, and is answered here, from the session's lend
-        // book: parking on a shard could deadlock the pair (see
-        // `crate::fed`). The borrower's shard is blocked on the verdict, so
-        // it is flushed at once.
-        if let ClientMsg::outsource_offer(o) = &msg {
-            let book = daemon.fed_routes().get(&o.fed_sid).cloned();
-            match book.and_then(|book| book.answer(o, &daemon.stop)) {
-                Some(verdict) => self.conn.send_for(sid, &verdict),
-                None => self.refuse(
-                    sid,
-                    &ServerMsg::outsource_reject {
-                        fed_sid: o.fed_sid,
-                        offer: o.offer,
-                        code: "unknown-fed-session".into(),
-                        detail: format!("no federated session with fed_sid {}", o.fed_sid),
-                    },
-                ),
-            }
-            return true;
-        }
-        let shard = match self.routes.get(&sid) {
-            // Sticky for the connection's lifetime: a duplicate `hello`
-            // must reach the shard that owns the live session.
-            Some(&shard) => shard,
-            None => match &msg {
-                ClientMsg::hello(_) => {
-                    let shard = place(self.conn.id, sid, daemon.shards.len());
-                    self.routes.insert(sid, shard);
-                    shard
-                }
-                other => {
-                    // Not a hello and no session to address: refuse at
-                    // the router — there is no shard to order against.
-                    let response = match sid {
-                        Some(s) => error("unknown-sid", format!("no open session with sid {s}")),
-                        None if matches!(other, ClientMsg::shutdown) => {
-                            error("no-session", "shutdown before hello")
-                        }
-                        None => error("no-session", "say hello first"),
-                    };
-                    self.refuse(sid, &response);
-                    return true;
-                }
-            },
-        };
-        self.pool.ingress(shard, &self.conn, sid, msg, decode_ns)
-    }
-
-    /// Route a decoded frame, or answer its decode failure. When the
-    /// connection has a bare session the error is routed through its
-    /// shard so it lands in FIFO order with pipelined responses;
-    /// otherwise it is written immediately.
-    fn dispatch(&mut self, decoded: Result<ClientFrame, DecodeError>, decode_ns: u64) -> bool {
-        let err = match decoded {
-            Ok(ClientFrame { sid, msg }) => return self.route(sid, msg, decode_ns),
-            Err(err) => err,
-        };
-        self.pool.daemon.counters.protocol_error();
-        let response = match err {
-            DecodeError::BadJson(d) => error("bad-json", d),
-            DecodeError::BadFrame(d) => error("bad-frame", d),
-            DecodeError::BadEnvelope(d) => {
-                self.conn.bad_envelope.fetch_add(1, Ordering::Relaxed);
-                error("bad-envelope", d)
-            }
-            DecodeError::UnknownMessage(d) => error("unknown-message", d),
-        };
-        match self.routes.get(&None) {
-            Some(&shard) => self.pool.reply_via(shard, &self.conn, None, response),
-            None => {
-                self.conn.send_for(None, &response);
-                true
-            }
-        }
-    }
 }
 
 impl Router {
     /// Read the connection until EOF, a socket error, the stop flag, a
     /// bare-session `shutdown` or the shard pool's end.
-    fn read_from(&mut self, stream: &mut TcpStream) {
+    fn read_from(&self, stream: &mut TcpStream) {
         let mut reader = WireReader::new(MAX_LINE_BYTES, MAX_FRAME_PAYLOAD);
         loop {
             while let Some(piece) = reader.next_piece() {
@@ -612,49 +509,89 @@ impl Router {
     /// The router's policy for one piece: a message is decoded and routed;
     /// refused input is answered with its typed error, and the connection
     /// carries on. Returns `false` when the shard pool is gone.
-    fn on_piece(&mut self, piece: Piece<'_>) -> bool {
+    fn on_piece(&self, piece: Piece<'_>) -> bool {
         let started = Instant::now();
-        let ((decoded, general), general_count) = match piece {
-            Piece::Line(line) => (read_line::<ClientMsg>(line), &self.conn.general_lines),
+        let conn = &self.conn;
+        let (format, (decoded, general), general_count) = match piece {
+            Piece::Line(line) => (
+                WireFormat::Ndjson,
+                read_line::<ClientMsg>(line),
+                &conn.general_lines,
+            ),
             Piece::Frame(payload) => (
+                WireFormat::Binary,
                 framing::read_frame::<ClientMsg>(payload),
-                &self.conn.general_frames,
+                &conn.general_frames,
             ),
             Piece::OversizedFrame(len) => {
+                conn.oversized.fetch_add(1, Ordering::Relaxed);
                 let detail = format!("frame payload of {len} bytes exceeds {MAX_FRAME_PAYLOAD}");
-                return self.refuse_oversized("oversized-frame", detail);
+                return self.refuse(error("oversized-frame", detail));
             }
             Piece::OversizedLine => {
+                conn.oversized.fetch_add(1, Ordering::Relaxed);
                 let detail = format!("line exceeds {MAX_LINE_BYTES} bytes");
-                return self.refuse_oversized("oversized-line", detail);
+                return self.refuse(error("oversized-line", detail));
             }
             // Not UTF-8, so not JSON either.
             Piece::NotUtf8(e) => {
-                self.refuse(None, &error("bad-json", format!("line is not UTF-8: {e}")));
-                return true;
+                return self.refuse(error("bad-json", format!("line is not UTF-8: {e}")))
             }
         };
         let decode_ns = started.elapsed().as_nanos() as u64;
         if general {
             general_count.fetch_add(1, Ordering::Relaxed);
         }
-        // Reply framing follows offer framing on a pure peer-link
-        // connection (no sessions of its own): a borrower sending binary
-        // offers reads binary verdicts back. Ordinary session connections
-        // negotiate framing in `hello` and are left alone.
-        if matches!(piece, Piece::Frame(_))
-            && self.routes.is_empty()
-            && matches!(&decoded, Ok(frame) if matches!(frame.msg, ClientMsg::outsource_offer(_)))
-        {
-            self.conn.set_format(WireFormat::Binary);
-        }
-        self.dispatch(decoded, decode_ns)
+        let refusal = match decoded {
+            Ok(ClientFrame { sid, msg }) => return self.route(format, sid, msg, decode_ns),
+            Err(DecodeError::BadJson(d)) => error("bad-json", d),
+            Err(DecodeError::BadFrame(d)) => error("bad-frame", d),
+            Err(DecodeError::BadEnvelope(d)) => {
+                conn.bad_envelope.fetch_add(1, Ordering::Relaxed);
+                error("bad-envelope", d)
+            }
+            Err(DecodeError::UnknownMessage(d)) => error("unknown-message", d),
+        };
+        self.refuse(refusal)
     }
 
-    fn refuse_oversized(&self, code: &str, detail: String) -> bool {
-        self.conn.oversized.fetch_add(1, Ordering::Relaxed);
-        self.refuse(None, &error(code, detail));
-        true
+    /// Hand one decoded message to the shard owning its session; a
+    /// message for no session is answered there too. Returns `false` when
+    /// the pool is gone (server stopping).
+    fn route(&self, format: WireFormat, sid: Option<u64>, msg: ClientMsg, decode_ns: u64) -> bool {
+        let daemon = &self.pool.daemon;
+        // An outsource offer is the one exception, answered here from the
+        // session's lend book, which its shared fed_sid names whatever
+        // connection the offer came in on: parking on a shard could
+        // deadlock the pair (see `crate::fed`). The borrower's shard is
+        // blocked on the verdict, so it is flushed at once.
+        if let ClientMsg::outsource_offer(o) = &msg {
+            let book = daemon.fed_routes().get(&o.fed_sid).cloned();
+            let verdict = book
+                .and_then(|book| book.answer(o, &daemon.stop))
+                .unwrap_or_else(|| {
+                    daemon.counters.protocol_error();
+                    ServerMsg::outsource_reject {
+                        fed_sid: o.fed_sid,
+                        offer: o.offer,
+                        code: "unknown-fed-session".into(),
+                        detail: format!("no federated session with fed_sid {}", o.fed_sid),
+                    }
+                });
+            self.conn.send_verdict(format, sid, &verdict);
+            return true;
+        }
+        let shard = place(self.conn.id, sid, daemon.shards.len());
+        self.pool.ingress(shard, &self.conn, sid, msg, decode_ns)
+    }
+
+    /// Count one protocol error and queue its answer through the bare
+    /// session's shard, behind everything read before it.
+    fn refuse(&self, response: ServerMsg) -> bool {
+        let daemon = &self.pool.daemon;
+        daemon.counters.protocol_error();
+        let shard = place(self.conn.id, None, daemon.shards.len());
+        self.pool.reply_via(shard, &self.conn, None, response)
     }
 }
 
@@ -683,6 +620,82 @@ mod tests {
         assert_eq!(stats.high_water(), 5);
         // Draining a control-only queue never underflows.
         assert_eq!(stats.on_drain(), 0);
+    }
+
+    /// The ordering contract, without sockets or threads: each message the
+    /// router reads enters a shard queue, refusals included, in read
+    /// order, so no answer overtakes one queued before it.
+    #[test]
+    fn the_router_queues_every_answer_in_read_order() {
+        use crate::protocol::{encode, Hello};
+        use crate::shard::ShardMsg;
+        use com_geo::Point;
+        use com_sim::{PlatformId, RequestId, RequestSpec, Timestamp};
+
+        let (tx, rx) = std::sync::mpsc::sync_channel(8);
+        let router = Router {
+            pool: Arc::new(PoolShared {
+                txs: vec![tx],
+                daemon: Arc::new(Daemon::new(ServerConfig::default())),
+            }),
+            conn: Conn::new(0, None),
+        };
+        let hello = encode(&ClientMsg::hello(Hello {
+            matcher: "tota".into(),
+            seed: 1,
+            world: com_sim::WorldConfig::city(10.0),
+            platforms: vec!["A".into(), "B".into()],
+            max_value: None,
+            frame: None,
+            origin: None,
+            fed: None,
+        }));
+        let request = encode(&ClientMsg::request(RequestSpec::new(
+            RequestId(1),
+            PlatformId(0),
+            Timestamp::from_secs(1.0),
+            Point::new(1.0, 1.0),
+            5.0,
+        )));
+        let not_utf8 = std::str::from_utf8(&"é".as_bytes()[..1]).unwrap_err();
+        for piece in [
+            Piece::Line(&hello),
+            Piece::Line(&request),
+            Piece::OversizedLine,
+            Piece::NotUtf8(not_utf8),
+            Piece::Line(&request),
+            Piece::Line("{\"request\":"),
+        ] {
+            assert!(router.on_piece(piece));
+        }
+        let queued: Vec<String> = rx
+            .try_iter()
+            .map(|msg| match msg {
+                ShardMsg::Ingress {
+                    msg: ClientMsg::hello(_),
+                    ..
+                } => "hello".into(),
+                ShardMsg::Ingress {
+                    msg: ClientMsg::request(_),
+                    ..
+                } => "request".into(),
+                ShardMsg::Reply {
+                    msg: ServerMsg::error(e),
+                    ..
+                } => e.code,
+                _ => panic!("neither a routed message nor a refusal"),
+            })
+            .collect();
+        let expected = [
+            "hello",
+            "request",
+            "oversized-line",
+            "bad-json",
+            "request",
+            "bad-json",
+        ];
+        assert_eq!(queued, expected);
+        assert_eq!(router.pool.daemon.counters.protocol_errors(), 3);
     }
 
     /// What the router's reader cuts off `chunks`, fed one read each, as

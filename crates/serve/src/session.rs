@@ -343,28 +343,23 @@ impl ServeSession {
         }
     }
 
-    /// Deep telemetry snapshot (`stats_deep` response). The phase tables
-    /// come from the live collector without draining it ([`com_obs::snapshot_run`]);
-    /// queue figures are supplied by the server, which owns the queues.
-    /// With telemetry off the tables are simply empty.
-    pub fn deep_stats(
-        &self,
-        queue_depth: u64,
-        queue_high_water: u64,
-        oversized_rejected: u64,
-        bad_envelope_rejected: u64,
-    ) -> DeepStatsMsg {
+    /// The session's half of a `stats_deep` response: its counters, the
+    /// live phase tables ([`com_obs::snapshot_run`], not drained; empty
+    /// with telemetry off) and its federation figures. The server's
+    /// figures (queues, rejections, shards) read zero; the shard fills
+    /// them in.
+    pub fn deep_stats(&self) -> DeepStatsMsg {
         let mut deep = DeepStatsMsg {
             stats: self.stats(),
             algorithm: self.algorithm(),
             phases: Vec::new(),
             counters: Vec::new(),
             gauges: Vec::new(),
-            queue_depth,
-            queue_high_water,
+            queue_depth: 0,
+            queue_high_water: 0,
             busy_dropped: 0,
-            oversized_rejected,
-            bad_envelope_rejected,
+            oversized_rejected: 0,
+            bad_envelope_rejected: 0,
             general_frames: 0,
             general_lines: 0,
             shard: None,

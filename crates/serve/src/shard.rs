@@ -1,28 +1,31 @@
-//! Shard executors: the shared-nothing core of the refactored server.
+//! Shard executors: the shared-nothing core of the server.
 //!
 //! `matchd --shards N` starts N **shard worker threads**, each running one
 //! `Shard`: a struct that owns its logical sessions outright — session
 //! state is plain mutable data on the shard thread, never behind a lock —
 //! together with the connections with traffic on it (to flush). Every
 //! handler is a method on it. A shard receives decoded protocol messages
-//! over one bounded MPSC channel (its *ingress queue*) fed by the
-//! per-connection router threads (see [`crate::server`]). Because one
-//! session lives on exactly one shard and the channel is FIFO, responses
-//! stay strictly ordered per session with zero hot-path synchronisation;
-//! the only shared state is each connection's `Conn` (one `Arc`; a mutex
-//! around the outgoing byte buffer), each federated session's lend book
+//! and router-built refusals over one bounded MPSC channel (its *ingress
+//! queue*) fed by the per-connection router threads (see
+//! [`crate::server`]), and answers each one, a message for a session it
+//! does not hold included. Because one session lives on exactly one shard
+//! and the channel is FIFO, responses stay strictly ordered per session
+//! with zero hot-path synchronisation; the only shared state is each
+//! connection's `Conn` (one `Arc`; a mutex around the outgoing byte
+//! buffer), each federated session's lend book
 //! ([`crate::fed::LendBook`], which routers answer offers from) and the
 //! daemon-wide `Daemon` (config, monotonic counters, the per-shard stats
-//! table and the federation route table), built once before any thread
-//! starts.
+//! table and the federation table), built once before any thread starts.
 //!
 //! ## Placement
 //!
-//! Session→shard placement is **deterministic**: `place` is an FNV-1a
-//! hash of the session's own key (its `sid`, or the connection id for a
-//! bare session) — never load, arrival order, or wall clock — so the same
-//! workload lands on the same shards run after run, and a recorded
-//! session replays against the same executor layout.
+//! Placement is the route: `place` is an FNV-1a hash of a message's
+//! session key (its `sid`, or the connection id for a bare session) —
+//! never load, arrival order, or wall clock — so every message for a
+//! session, a duplicate `hello` included, reaches the shard that owns it
+//! without a table, the same workload lands on the same shards run after
+//! run, and a recorded session replays against the same executor layout.
+//! A connection's refusals go to its bare session's shard.
 //!
 //! ## Flow control
 //!
@@ -54,14 +57,15 @@ use com_core::fnv1a64;
 use com_sim::ConstraintViolation;
 
 use crate::framing::WireFormat;
-use crate::protocol::{ClientMsg, Hello, ServerMsg, ShardRow};
+use crate::protocol::{ClientMsg, DeepStatsMsg, Hello, ServerMsg, ShardRow};
 use crate::server::{error, Conn, Daemon, QueueStats};
 use crate::session::ServeSession;
 use crate::trace::{sanitize_spec, TraceRecorder};
 
-/// The shard a fresh session keys to: FNV-1a of the session key — the
-/// `sid` alone for a multiplexed session, so placement is independent of
-/// connection accept order, else the connection id — modulo shard count.
+/// The shard owning session `(conn_id, sid)`: FNV-1a of the session key
+/// — the `sid` alone for a multiplexed session, so placement is
+/// independent of connection accept order, else the connection id —
+/// modulo shard count.
 pub(crate) fn place(conn_id: u64, sid: Option<u64>, shards: usize) -> usize {
     let mut key = [0u8; 9];
     key[0] = u8::from(sid.is_some());
@@ -107,9 +111,9 @@ pub(crate) enum ShardMsg {
         msg: ClientMsg,
         decode_ns: u64,
     },
-    /// A pre-built response the router wants written in FIFO order with
-    /// the shard's own responses (protocol errors on a connection whose
-    /// bare session this shard owns).
+    /// A refusal the router built, written in FIFO order with the
+    /// shard's own responses (this shard owns the connection's bare
+    /// session address).
     Reply {
         conn: Arc<Conn>,
         sid: Option<u64>,
@@ -124,7 +128,7 @@ pub(crate) enum ShardMsg {
 
 /// The shared face of the shard pool: what router threads need to route.
 pub(crate) struct PoolShared {
-    txs: Vec<SyncSender<ShardMsg>>,
+    pub(crate) txs: Vec<SyncSender<ShardMsg>>,
     pub(crate) daemon: Arc<Daemon>,
 }
 
@@ -438,27 +442,25 @@ impl Shard {
                 self.with_session(conn, sid, |s| ServerMsg::stats(s.stats()));
             }
             ClientMsg::stats_deep => {
-                let queue = &self.stats().queue;
-                let (depth, high_water) = (queue.depth(), queue.high_water());
-                let oversized = conn.oversized.load(Ordering::Relaxed);
-                let bad_envelope = conn.bad_envelope.load(Ordering::Relaxed);
-                let general_frames = conn.general_frames.load(Ordering::Relaxed);
-                let general_lines = conn.general_lines.load(Ordering::Relaxed);
-                let rows: Vec<ShardRow> = self
-                    .daemon
-                    .shards
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| s.row(i))
-                    .collect();
-                let shard = self.id as u64;
+                let (daemon, shard) = (Arc::clone(&self.daemon), self.id);
                 self.with_session(conn, sid, |s| {
-                    let mut deep = s.deep_stats(depth, high_water, oversized, bad_envelope);
-                    deep.general_frames = general_frames;
-                    deep.general_lines = general_lines;
-                    deep.shard = Some(shard);
-                    deep.shards = rows;
-                    ServerMsg::stats_deep(Box::new(deep))
+                    let queue = &daemon.shards[shard].queue;
+                    ServerMsg::stats_deep(Box::new(DeepStatsMsg {
+                        queue_depth: queue.depth(),
+                        queue_high_water: queue.high_water(),
+                        oversized_rejected: conn.oversized.load(Ordering::Relaxed),
+                        bad_envelope_rejected: conn.bad_envelope.load(Ordering::Relaxed),
+                        general_frames: conn.general_frames.load(Ordering::Relaxed),
+                        general_lines: conn.general_lines.load(Ordering::Relaxed),
+                        shard: Some(shard as u64),
+                        shards: daemon
+                            .shards
+                            .iter()
+                            .enumerate()
+                            .map(|(i, s)| s.row(i))
+                            .collect(),
+                        ..s.deep_stats()
+                    }))
                 });
             }
             ClientMsg::shutdown => match self.sessions.remove(&key) {

@@ -9,8 +9,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use com_pricing::WorkerHistory;
 use com_stream::{EventStream, WorkerId};
 
@@ -64,79 +62,6 @@ impl Instance {
             platform_names: self.platform_names.clone(),
             histories: self.histories.clone(),
             stream: self.stream.permuted(permutation),
-        }
-    }
-}
-
-/// Serializable form of an instance (histories keyed by raw id so JSON
-/// round-trips cleanly).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct InstanceData {
-    pub platform_names: Vec<String>,
-    pub histories: Vec<(u64, Vec<f64>)>,
-    pub stream: EventStream,
-    pub extent_side_km: f64,
-    pub expected_radius: f64,
-    pub speed_kmh: f64,
-    pub service_secs: f64,
-    pub reentry: bool,
-    /// `None` = unbounded shifts (JSON has no representation for the
-    /// in-memory `f64::INFINITY`).
-    #[serde(default)]
-    pub shift_secs: Option<f64>,
-    pub update_histories: bool,
-    #[serde(default)]
-    pub metric: com_geo::DistanceMetric,
-}
-
-impl From<&Instance> for InstanceData {
-    fn from(inst: &Instance) -> Self {
-        let mut histories: Vec<(u64, Vec<f64>)> = inst
-            .histories
-            .iter()
-            .map(|(id, h)| (id.as_u64(), h.values().to_vec()))
-            .collect();
-        histories.sort_by_key(|(id, _)| *id);
-        InstanceData {
-            platform_names: inst.platform_names.clone(),
-            histories,
-            stream: inst.stream.clone(),
-            extent_side_km: inst.config.extent.width(),
-            expected_radius: inst.config.expected_radius,
-            speed_kmh: inst.config.service.speed_kmh,
-            service_secs: inst.config.service.service_secs,
-            reentry: inst.config.service.reentry,
-            shift_secs: inst
-                .config
-                .service
-                .shift_secs
-                .is_finite()
-                .then_some(inst.config.service.shift_secs),
-            update_histories: inst.config.update_histories,
-            metric: inst.config.metric,
-        }
-    }
-}
-
-impl From<InstanceData> for Instance {
-    fn from(d: InstanceData) -> Self {
-        let mut config = WorldConfig::city(d.extent_side_km);
-        config.expected_radius = d.expected_radius;
-        config.service.speed_kmh = d.speed_kmh;
-        config.service.service_secs = d.service_secs;
-        config.service.reentry = d.reentry;
-        config.service.shift_secs = d.shift_secs.unwrap_or(f64::INFINITY);
-        config.update_histories = d.update_histories;
-        config.metric = d.metric;
-        Instance {
-            config,
-            platform_names: d.platform_names,
-            histories: d
-                .histories
-                .into_iter()
-                .map(|(id, v)| (WorkerId(id), WorkerHistory::from_values(v)))
-                .collect(),
-            stream: d.stream,
         }
     }
 }
@@ -195,21 +120,5 @@ mod tests {
         let p = inst.permuted(&[1, 0]);
         assert_eq!(inst.stream.len(), p.stream.len());
         assert_ne!(inst.stream, p.stream);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let inst = tiny_instance();
-        let data = InstanceData::from(&inst);
-        let json = serde_json::to_string(&data).unwrap();
-        let back: InstanceData = serde_json::from_str(&json).unwrap();
-        let rebuilt: Instance = back.into();
-        assert_eq!(rebuilt.stream, inst.stream);
-        assert_eq!(rebuilt.platform_names, inst.platform_names);
-        assert_eq!(
-            rebuilt.histories[&WorkerId(1)],
-            inst.histories[&WorkerId(1)]
-        );
-        assert_eq!(rebuilt.config, inst.config);
     }
 }

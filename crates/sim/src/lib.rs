@@ -37,7 +37,7 @@ pub mod waiting_list;
 pub mod worker;
 pub mod world;
 
-pub use instance::{Instance, InstanceData};
+pub use instance::Instance;
 pub use ledger::PlatformLedger;
 pub use outcome::{Assignment, MatchKind};
 pub use service::ServiceModel;

@@ -2,6 +2,8 @@
 # Code-line table for simplicity PRs: per crate, the lines under src/ that
 # are neither blank nor `//` comments, and the same count with each file
 # cut at its first module-level `#[cfg(test)]` (i.e. without unit tests).
+# A `#[cfg(test)]` on a one-line item ending in `;` (`#[cfg(test)] mod
+# grid;`) drops just those two lines instead of cutting the file.
 #
 #   scripts/code-lines.sh                # every crate + workspace total
 #   scripts/code-lines.sh FILE...        # the same two counts per file
@@ -15,12 +17,20 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 count() { grep -vcE '^\s*(//|$)' || true; }
 
+# the file without its tests: cut at the first module-level `#[cfg(test)]`
+# that is not on a one-line item
+non_test() {
+    awk 'held { held = 0; if (/;[[:space:]]*$/) next; exit }
+         /^#\[cfg\(test\)\]/ { held = 1; next }
+         { print }' "$1"
+}
+
 # code / non-test code lines of the given files, summed
 pair() {
     local all=0 prod=0 f
     for f in "$@"; do
         all=$((all + $(count <"$f")))
-        prod=$((prod + $(sed '/^#\[cfg(test)\]/,$d' "$f" | count)))
+        prod=$((prod + $(non_test "$f" | count)))
     done
     echo "$all $prod"
 }

@@ -1,9 +1,8 @@
-//! Serialisation round-trips: everything the harness persists (instances,
-//! assignments, experiment configs) must survive JSON and CSV.
+//! Serialisation round-trips: everything the harness persists must
+//! survive — instances as CSV, assignments and configs as JSON.
 
 use com::datagen::{instance_from_csv, requests_to_csv, workers_to_csv};
 use com::prelude::*;
-use com::sim::InstanceData;
 
 fn instance() -> Instance {
     generate(&synthetic(SyntheticParams {
@@ -12,19 +11,6 @@ fn instance() -> Instance {
         seed: 4242,
         ..Default::default()
     }))
-}
-
-#[test]
-fn instance_json_roundtrip_preserves_runs() {
-    let original = instance();
-    let json = serde_json::to_string(&InstanceData::from(&original)).unwrap();
-    let rebuilt: Instance = serde_json::from_str::<InstanceData>(&json).unwrap().into();
-
-    // Identical replay behaviour, not just structural equality.
-    let a = run_online(&original, &mut DemCom::default(), 9);
-    let b = run_online(&rebuilt, &mut DemCom::default(), 9);
-    assert_eq!(a.total_revenue(), b.total_revenue());
-    assert_eq!(a.completed(), b.completed());
 }
 
 #[test]
@@ -81,12 +67,10 @@ fn finite_shift_survives_both_serialisation_paths() {
     let back: ScenarioConfig = serde_json::from_str(&json).unwrap();
     assert_eq!(back.service.shift_secs, 6.0 * 3600.0);
 
-    let inst = generate(&config);
-    let data_json = serde_json::to_string(&InstanceData::from(&inst)).unwrap();
-    let rebuilt: Instance = serde_json::from_str::<InstanceData>(&data_json)
-        .unwrap()
-        .into();
-    assert_eq!(rebuilt.config.service.shift_secs, 6.0 * 3600.0);
+    // The world config a served `hello` carries.
+    let world = generate(&config).config;
+    let back: WorldConfig = serde_json::from_str(&serde_json::to_string(&world).unwrap()).unwrap();
+    assert_eq!(back.service.shift_secs, 6.0 * 3600.0);
 }
 
 #[test]

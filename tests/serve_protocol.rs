@@ -83,6 +83,44 @@ fn malformed_json_gets_structured_error_and_session_survives() {
     handle.shutdown();
 }
 
+/// A refusal the router builds waits its turn: k pipelined requests, an
+/// over-cap line and k more, in one write, come back as k decisions, then
+/// `oversized-line`, then k decisions.
+#[test]
+fn an_oversized_line_is_answered_in_order_with_pipelined_requests() {
+    const K: u64 = 16;
+    let handle = start_server();
+    let mut client = open_session(&handle.addr().to_string());
+    let request = |id: u64| {
+        let spec = RequestSpec::new(
+            RequestId(id),
+            PlatformId(0),
+            Timestamp::from_secs(id as f64),
+            Point::new(5.0, 5.0),
+            4.0,
+        );
+        format!("{}\n", com_serve::encode(&ClientMsg::request(spec)))
+    };
+    let mut wire: String = (1..=K).map(request).collect();
+    wire.push_str(&"x".repeat(com_serve::MAX_LINE_BYTES + 1));
+    wire.push('\n');
+    wire.extend((K + 1..=2 * K).map(request));
+    client.send_bytes(wire.as_bytes()).expect("send");
+
+    let answers: Vec<String> = (0..2 * K + 1)
+        .map(|_| match client.recv().expect("response") {
+            ServerMsg::assign(_) | ServerMsg::reject(_) => "decision".to_string(),
+            ServerMsg::error(e) => e.code,
+            other => panic!("unexpected {other:?}"),
+        })
+        .collect();
+    let mut expected = vec!["decision"; 2 * K as usize];
+    expected.insert(K as usize, "oversized-line");
+    assert_eq!(answers, expected);
+    assert_eq!(handle.counters().protocol_errors(), 1);
+    handle.shutdown();
+}
+
 #[test]
 fn unknown_message_type_gets_structured_error() {
     let handle = start_server();
