@@ -18,20 +18,11 @@
 //!                               --threads 1 = old serial behaviour).
 //!                               Decided results are bit-identical for
 //!                               every N; only wall-clock fields vary.
-//!   --strict                    exit non-zero if the always-on run
-//!                               auditor recorded any finding (refused
-//!                               decisions, invariant violations, or
-//!                               panicking sweep cells).
 //! ```
 //!
-//! The Tables V–VII grids run through the fallible engine and the
-//! post-run auditor (`run_grid_audited`), whose findings land in
-//! `com_core`'s global audit recorder. Every other run — `table5x30`,
-//! the Fig. 5 sweeps, the ablations and `cr`'s trials — goes through
-//! `run_online`, which aborts on a refused decision and is not audited.
-//! This binary drains the recorder after each experiment and prints a
-//! summary — with `--strict` any finding fails the process, which is how
-//! CI keeps the paper invariants honest in release builds.
+//! Every run audits itself (`com_core::audit` states the contract): a
+//! refused decision or an audit finding in any cell fails the process
+//! through the sweep runner's re-raised `CellPanic`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -49,13 +40,12 @@ struct Args {
     quick: bool,
     out: PathBuf,
     threads: usize,
-    strict: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: repro <table5|table6|table7|fig5r|fig5w|fig5rad|cr|ablation|all> \
-         [--quick] [--out DIR] [--threads N] [--strict]"
+         [--quick] [--out DIR] [--threads N]"
     );
     std::process::exit(2);
 }
@@ -65,12 +55,10 @@ fn parse_args() -> Args {
     let mut quick = false;
     let mut out = PathBuf::from("results");
     let mut threads = 0; // all cores
-    let mut strict = false;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--strict" => strict = true,
             "--out" => {
                 out = PathBuf::from(argv.next().unwrap_or_else(|| {
                     eprintln!("--out needs a directory");
@@ -91,7 +79,7 @@ fn parse_args() -> Args {
                     });
             }
             "--help" | "-h" => {
-                println!("usage: repro <table5|table6|table7|fig5r|fig5w|fig5rad|cr|ablation|all> [--quick] [--out DIR] [--threads N] [--strict]");
+                println!("usage: repro <table5|table6|table7|fig5r|fig5w|fig5rad|cr|ablation|all> [--quick] [--out DIR] [--threads N]");
                 std::process::exit(0);
             }
             other => experiments.push(other.to_string()),
@@ -105,7 +93,6 @@ fn parse_args() -> Args {
         quick,
         out,
         threads,
-        strict,
     }
 }
 
@@ -230,7 +217,6 @@ fn main() {
         args.out.display()
     );
 
-    let mut audit_total: u64 = 0;
     for name in &list {
         let started = Instant::now();
         CountingAllocator::reset_peak();
@@ -246,36 +232,10 @@ fn main() {
                 std::process::exit(2);
             }
         }
-        // Drain what the experiment's audited grids recorded.
-        let (total, sample) = com_core::take_findings();
-        audit_total += total;
-        if total > 0 {
-            eprintln!("[{name}] audit: {total} finding(s)");
-            for f in &sample {
-                eprintln!("  [{}] {}", f.context, f.finding);
-            }
-            if (sample.len() as u64) < total {
-                eprintln!(
-                    "  ... and {} more (sample capped)",
-                    total - sample.len() as u64
-                );
-            }
-        }
         println!(
-            "[{name}] done in {:.1}s (process peak heap {:.1} MiB, audit findings {total})\n",
+            "[{name}] done in {:.1}s (process peak heap {:.1} MiB)\n",
             started.elapsed().as_secs_f64(),
             CountingAllocator::peak_bytes() as f64 / (1024.0 * 1024.0)
-        );
-    }
-
-    if audit_total == 0 {
-        println!("audit: clean across {} experiment(s)", list.len());
-    } else if args.strict {
-        eprintln!("repro: --strict and the auditor recorded {audit_total} finding(s); failing");
-        std::process::exit(1);
-    } else {
-        eprintln!(
-            "repro: auditor recorded {audit_total} finding(s); rerun with --strict to fail on these"
         );
     }
 }

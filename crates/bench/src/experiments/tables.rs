@@ -10,13 +10,13 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use com_core::{offline_solve, run_online, OfflineMode, PlatformId, RunResult};
+use com_core::{offline_solve, Instance, OfflineMode, PlatformId, RunResult};
 use com_datagen::{chengdu_nov, chengdu_oct, generate, xian_nov, ScenarioConfig};
 use com_metrics::{fmt_mega, fmt_mib, Table};
 
 use crate::runner::{run_grid, SweepRunner};
 
-use super::{standard_specs, EXPERIMENT_SEED, STANDARD_NAMES};
+use super::{standard_specs, EXPERIMENT_SEED};
 
 /// One method's measured row (serialisable so EXPERIMENTS.md numbers can
 /// be regenerated from JSON dumps).
@@ -150,15 +150,24 @@ pub fn run_table(
         config.clone()
     };
     let instance = generate(&config);
-    let n_requests = instance.request_count().max(1);
+    let seeds: Vec<u64> = (0..TABLE_REPEATS).map(|i| EXPERIMENT_SEED + i).collect();
+    TableResult {
+        id: id.into(),
+        title: title.into(),
+        rows: method_rows(runner, &instance, &seeds),
+    }
+}
 
-    let mut rows = Vec::new();
+/// One instance's rows: OFF, then each standard method averaged over
+/// `seeds`.
+fn method_rows(runner: &SweepRunner, instance: &Instance, seeds: &[u64]) -> Vec<MethodRow> {
+    let n_requests = instance.request_count().max(1);
 
     // OFF: full-knowledge scheduler (workers re-enter during a day run).
     let started = Instant::now();
-    let off = offline_solve(&instance, OfflineMode::GreedySchedule);
+    let off = offline_solve(instance, OfflineMode::GreedySchedule);
     let off_ms = started.elapsed().as_secs_f64() * 1e3 / n_requests as f64;
-    rows.push(MethodRow {
+    let mut rows = vec![MethodRow {
         method: "OFF".into(),
         revenue_d: off.revenue_by_platform[0],
         revenue_y: off.revenue_by_platform[1],
@@ -169,41 +178,23 @@ pub fn run_table(
         cooperative: None,
         acceptance_ratio: None,
         payment_rate: None,
-    });
+    }];
 
     // The (matcher × seed) grid: every cell builds a fresh matcher from
     // its spec and uses the cell's own seed, so the fan-out is exact.
-    let seeds: Vec<u64> = (0..TABLE_REPEATS).map(|i| EXPERIMENT_SEED + i).collect();
-    let runs = run_grid(runner, &instance, &standard_specs(), &seeds);
-    for per_method in runs.chunks(seeds.len()) {
-        rows.push(averaged_method_row(per_method));
-    }
-
-    TableResult {
-        id: id.into(),
-        title: title.into(),
-        rows,
-    }
-}
-
-/// One day's measurements: OFF plus every standard online method.
-struct DayMeasurements {
-    /// (revenue_d, revenue_y, completed_d, completed_y) for OFF then each
-    /// standard method, in presentation order.
-    per_method: Vec<(f64, f64, usize, usize)>,
-    response_ms: Vec<f64>,
-    coop: Vec<f64>,
-    acc: Vec<Option<f64>>,
-    rate: Vec<Option<f64>>,
+    let runs = run_grid(runner, instance, &standard_specs(), seeds);
+    rows.extend(runs.chunks(seeds.len()).map(averaged_method_row));
+    rows
 }
 
 /// A multi-day study: regenerate the scenario with `days` different
 /// seeds (the paper's tables average a month of days) and report each
-/// method's total-revenue mean ± population std across days, plus the
-/// mean completion count. Quantifies day-to-day variance that the
-/// single-instance tables hide. Fanned across `runner`'s workers, one job
-/// per day (each day regenerates its instance and replays every method,
-/// so the grain is chunky and cross-day aggregation folds in day order).
+/// method's per-day rows averaged across days, with the total revenue's
+/// population std in the method name. Quantifies day-to-day variance
+/// that the single-instance tables hide. Fanned across `runner`'s
+/// workers, one job per day (each day regenerates its instance and
+/// replays every method once, with seed `EXPERIMENT_SEED + day`), and
+/// folded in day order so float accumulation matches serial execution.
 pub fn run_table_multiday(
     runner: &SweepRunner,
     id: &str,
@@ -219,64 +210,11 @@ pub fn run_table_multiday(
         config.clone()
     };
 
-    let day_jobs: Vec<usize> = (0..days).collect();
-    let measured: Vec<DayMeasurements> = runner.map(day_jobs, |_, &day| {
+    let per_day: Vec<Vec<MethodRow>> = runner.map((0..days).collect(), |_, &day| {
         let instance = generate(&base.with_seed(base.seed ^ (day as u64) << 16));
-        let started = Instant::now();
-        let off = offline_solve(&instance, OfflineMode::GreedySchedule);
-        let off_ms = started.elapsed().as_secs_f64() * 1e3 / instance.request_count().max(1) as f64;
-        let mut m = DayMeasurements {
-            per_method: vec![(
-                off.revenue_by_platform[0],
-                off.revenue_by_platform[1],
-                off.completed_by_platform[0],
-                off.completed_by_platform[1],
-            )],
-            response_ms: vec![off_ms],
-            coop: Vec::new(),
-            acc: Vec::new(),
-            rate: Vec::new(),
-        };
-        for spec in standard_specs() {
-            let mut matcher = spec.build();
-            let run = run_online(&instance, matcher.as_mut(), EXPERIMENT_SEED + day as u64);
-            m.per_method.push((
-                run.revenue_for(PlatformId(0)),
-                run.revenue_for(PlatformId(1)),
-                run.completed_for(PlatformId(0)),
-                run.completed_for(PlatformId(1)),
-            ));
-            m.response_ms.push(run.mean_response_ms());
-            m.coop.push(run.cooperative_count() as f64);
-            m.acc.push(run.acceptance_ratio());
-            m.rate.push(run.mean_outer_payment_rate());
-        }
-        m
+        let seed = EXPERIMENT_SEED + day as u64;
+        method_rows(&SweepRunner::serial(), &instance, &[seed])
     });
-
-    // method -> per-day (revenue_d, revenue_y, completed_d, completed_y),
-    // folded in day order so float accumulation matches serial execution.
-    let mut per_day: Vec<Vec<(f64, f64, usize, usize)>> =
-        vec![Vec::new(); STANDARD_NAMES.len() + 1];
-    let mut response: Vec<Vec<f64>> = vec![Vec::new(); STANDARD_NAMES.len() + 1];
-    let mut coop: Vec<Vec<f64>> = vec![Vec::new(); STANDARD_NAMES.len()];
-    let mut acc: Vec<Vec<f64>> = vec![Vec::new(); STANDARD_NAMES.len()];
-    let mut rate: Vec<Vec<f64>> = vec![Vec::new(); STANDARD_NAMES.len()];
-    for m in &measured {
-        for (i, v) in m.per_method.iter().enumerate() {
-            per_day[i].push(*v);
-            response[i].push(m.response_ms[i]);
-        }
-        for i in 0..STANDARD_NAMES.len() {
-            coop[i].push(m.coop[i]);
-            if let Some(a) = m.acc[i] {
-                acc[i].push(a);
-            }
-            if let Some(r) = m.rate[i] {
-                rate[i].push(r);
-            }
-        }
-    }
 
     let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len().max(1) as f64;
     let std = |xs: &[f64]| {
@@ -284,30 +222,35 @@ pub fn run_table_multiday(
         (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len().max(1) as f64).sqrt()
     };
 
-    let mut rows = Vec::new();
-    let names: Vec<&str> = std::iter::once("OFF").chain(STANDARD_NAMES).collect();
-    for (i, name) in names.iter().enumerate() {
-        let rev_d: Vec<f64> = per_day[i].iter().map(|d| d.0).collect();
-        let rev_y: Vec<f64> = per_day[i].iter().map(|d| d.1).collect();
-        let totals: Vec<f64> = per_day[i].iter().map(|d| d.0 + d.1).collect();
-        let completed: Vec<f64> = per_day[i].iter().map(|d| (d.2 + d.3) as f64).collect();
-        let method = format!(
-            "{name} (±{:.1}%)",
-            100.0 * std(&totals) / mean(&totals).max(1e-9)
-        );
-        rows.push(MethodRow {
-            method,
-            revenue_d: mean(&rev_d),
-            revenue_y: mean(&rev_y),
-            response_ms: mean(&response[i]),
-            memory_bytes: 0,
-            completed_d: (mean(&completed) / 2.0).round() as usize,
-            completed_y: (mean(&completed) / 2.0).round() as usize,
-            cooperative: (i > 0).then(|| mean(&coop[i - 1]).round() as usize),
-            acceptance_ratio: (i > 0 && !acc[i - 1].is_empty()).then(|| mean(&acc[i - 1])),
-            payment_rate: (i > 0 && !rate[i - 1].is_empty()).then(|| mean(&rate[i - 1])),
-        });
-    }
+    let rows = (0..per_day[0].len())
+        .map(|i| {
+            let days: Vec<&MethodRow> = per_day.iter().map(|rows| &rows[i]).collect();
+            let over =
+                |f: fn(&MethodRow) -> f64| mean(&days.iter().map(|r| f(r)).collect::<Vec<_>>());
+            let over_present = |f: fn(&MethodRow) -> Option<f64>| {
+                let xs: Vec<f64> = days.iter().filter_map(|r| f(r)).collect();
+                (!xs.is_empty()).then(|| mean(&xs))
+            };
+            let totals: Vec<f64> = days.iter().map(|r| r.revenue_d + r.revenue_y).collect();
+            MethodRow {
+                method: format!(
+                    "{} (±{:.1}%)",
+                    days[0].method,
+                    100.0 * std(&totals) / mean(&totals).max(1e-9)
+                ),
+                revenue_d: over(|r| r.revenue_d),
+                revenue_y: over(|r| r.revenue_y),
+                response_ms: over(|r| r.response_ms),
+                memory_bytes: 0,
+                completed_d: over(|r| r.completed_d as f64).round() as usize,
+                completed_y: over(|r| r.completed_y as f64).round() as usize,
+                cooperative: over_present(|r| r.cooperative.map(|c| c as f64))
+                    .map(|c| c.round() as usize),
+                acceptance_ratio: over_present(|r| r.acceptance_ratio),
+                payment_rate: over_present(|r| r.payment_rate),
+            }
+        })
+        .collect();
     TableResult {
         id: id.into(),
         title: format!("{title} — {days}-day mean (±std of total revenue)"),
@@ -433,6 +376,36 @@ mod tests {
         };
         assert!(total("OFF") >= total("RamCOM"));
         assert!(total("DemCOM") >= total("TOTA"));
+    }
+
+    #[test]
+    fn multiday_reports_each_platforms_completions() {
+        let t = run_table_multiday(
+            &SweepRunner::serial(),
+            "md",
+            "One day",
+            &chengdu_oct(),
+            1,
+            true,
+        );
+        let instance = generate(&chengdu_oct().scaled(10));
+        for spec in standard_specs() {
+            let run = com_core::run_online(&instance, spec.build().as_mut(), EXPERIMENT_SEED);
+            let row = t
+                .rows
+                .iter()
+                .find(|r| r.method.starts_with(&run.algorithm))
+                .unwrap();
+            assert_eq!(
+                (row.completed_d, row.completed_y),
+                (
+                    run.completed_for(PlatformId(0)),
+                    run.completed_for(PlatformId(1))
+                ),
+                "{}",
+                row.method
+            );
+        }
     }
 
     #[test]

@@ -31,7 +31,4 @@ pub use experiments::ablation;
 pub use experiments::cr;
 pub use experiments::figures;
 pub use experiments::tables;
-pub use runner::{
-    canonical_run_json, merged_telemetry, run_grid, run_grid_audited, CellPanic, GridCell,
-    SweepRunner,
-};
+pub use runner::{canonical_run_json, merged_telemetry, run_grid, CellPanic, SweepRunner};

@@ -29,7 +29,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
-use com_core::{try_run_online, AuditFinding, Instance, MatcherSpec, RunResult};
+use com_core::{run_online, Instance, MatcherSpec, RunResult};
 // The canonical projection lives in `com-core` (the serving crates need it
 // without the experiment harness); re-exported here for existing imports.
 pub use com_core::{canonical_assignment_json, canonical_run_digest, canonical_run_json, fnv1a64};
@@ -218,98 +218,26 @@ impl SweepRunner {
     }
 }
 
-/// One audited cell of a (matcher × seed) grid.
-#[derive(Debug)]
-pub struct GridCell {
-    pub spec: MatcherSpec,
-    pub seed: u64,
-    /// The run, or the panic that poisoned this cell (every other cell
-    /// still completes).
-    pub result: Result<RunResult, CellPanic>,
-    /// Post-run audit findings from [`com_core::validate_run`] plus the
-    /// engine's refused decisions, both folded into one list (empty for
-    /// a sound run; empty when the cell panicked — see `result`).
-    pub findings: Vec<AuditFinding>,
-}
-
-impl GridCell {
-    /// Whether the cell ran to completion with a clean audit.
-    pub fn is_clean(&self) -> bool {
-        self.result.is_ok() && self.findings.is_empty()
-    }
-}
-
 /// Replay the full (matcher × seed) grid on one instance, in spec-major
 /// order (`specs[0]` × every seed, then `specs[1]` × every seed, …).
 /// Each cell builds a fresh matcher from its spec and seeds its RNG from
 /// the cell's own seed, so the output is independent of thread count.
 ///
-/// Every cell is audited ([`com_core::validate_run`], release builds
-/// included) with findings pushed to the global recorder
-/// ([`com_core::take_findings`]); a panicking cell aborts the sweep.
-/// For per-cell panic isolation and explicit findings use
-/// [`run_grid_audited`].
+/// Every cell is a strict [`run_online`], so it audits itself; an
+/// unsound cell aborts the sweep through [`SweepRunner::map`].
 pub fn run_grid(
     runner: &SweepRunner,
     instance: &Instance,
     specs: &[MatcherSpec],
     seeds: &[u64],
 ) -> Vec<RunResult> {
-    run_grid_audited(runner, instance, specs, seeds)
-        .into_iter()
-        .map(|cell| match cell.result {
-            Ok(run) => run,
-            Err(p) => panic!("sweep {p}"),
-        })
-        .collect()
-}
-
-/// [`run_grid`] with per-cell panic isolation and explicit audit
-/// results: one poisoned cell yields a failed-cell record while the rest
-/// of the grid completes bit-identically to a serial run. Constraint
-/// violations from a misbehaving matcher never panic at all — the
-/// engine's fallible path converts them into per-request failure records
-/// which surface here (and in the global recorder) as findings.
-pub fn run_grid_audited(
-    runner: &SweepRunner,
-    instance: &Instance,
-    specs: &[MatcherSpec],
-    seeds: &[u64],
-) -> Vec<GridCell> {
     let jobs: Vec<(MatcherSpec, u64)> = specs
         .iter()
         .flat_map(|spec| seeds.iter().map(move |&seed| (*spec, seed)))
         .collect();
-    let results = runner.try_map(jobs.clone(), |_, (spec, seed)| {
-        let mut matcher = spec.build();
-        let run = try_run_online(instance, matcher.as_mut(), *seed);
-        let mut findings: Vec<AuditFinding> = run
-            .failures
-            .iter()
-            .map(|f| AuditFinding::Violation {
-                request: Some(f.request.id),
-                violation: f.violation.clone(),
-            })
-            .collect();
-        findings.extend(com_core::validate_run(instance, &run));
-        (run, findings)
-    });
-    jobs.into_iter()
-        .zip(results)
-        .map(|((spec, seed), result)| {
-            let (result, findings) = match result {
-                Ok((run, findings)) => (Ok(run), findings),
-                Err(p) => (Err(p), Vec::new()),
-            };
-            com_core::record_findings(&format!("{spec} seed={seed}"), &findings);
-            GridCell {
-                spec,
-                seed,
-                result,
-                findings,
-            }
-        })
-        .collect()
+    runner.map(jobs, |_, (spec, seed)| {
+        run_online(instance, spec.build().as_mut(), *seed)
+    })
 }
 
 /// Merge the telemetry reports of a slice of runs (in run order) into

@@ -73,9 +73,7 @@ pub use com_stream as stream;
 
 /// The most common imports, re-exported flat.
 pub mod prelude {
-    pub use com_bench::runner::{
-        merged_telemetry, run_grid, run_grid_audited, CellPanic, GridCell, SweepRunner,
-    };
+    pub use com_bench::runner::{merged_telemetry, run_grid, CellPanic, SweepRunner};
     pub use com_core::{
         canonical_run_json, competitive_ratio_random_order, offline_solve, run_online,
         try_run_online, validate_run, Assignment, AuditFinding, ConstraintViolation, Decision,

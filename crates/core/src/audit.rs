@@ -29,16 +29,23 @@
 //! * **Revenue / travel arithmetic** (Def. 2.5): recorded `travel_km`
 //!   equals the metric distance actually travelled.
 //! * **Log shape**: exactly one record per stream request, each matching
-//!   its spec, reported in arrival order.
+//!   its spec, reported with non-decreasing arrival times (requests that
+//!   arrive at the same instant may appear in any order, as the stream
+//!   holds them).
 //!
 //! For one-shot service models the audit additionally rebuilds the run as
 //! a bipartite matching and cross-checks it with
 //! [`com_matching::is_valid_matching`] — the same validator the offline
 //! solver trusts.
+//!
+//! **Who is audited.** The strict runs audit themselves:
+//! [`crate::run_online`] and [`crate::run_batched`] panic on a refused
+//! decision or on any finding, naming the algorithm, the seed and the
+//! first finding. The lenient [`crate::try_run_online`] is not audited —
+//! its callers (the serving daemon, the federation, the benchmark) call
+//! [`validate_run`] themselves where they need a verdict.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use com_matching::{BipartiteGraph, Matching};
 use com_sim::{ConstraintViolation, Instance, MatchKind, RequestId, WorkerId};
@@ -109,8 +116,8 @@ pub fn validate_run(instance: &Instance, run: &RunResult) -> Vec<AuditFinding> {
     let metric = instance.config.metric;
     let service = instance.config.service;
 
-    // ---- Log shape: one record per stream request, specs intact, in
-    // arrival order.
+    // ---- Log shape: one record per stream request, specs intact,
+    // arrival times never decreasing.
     let stream_requests: std::collections::HashMap<RequestId, &com_sim::RequestSpec> =
         instance.stream.requests().map(|r| (r.id, r)).collect();
     if run.assignments.len() != stream_requests.len() {
@@ -123,7 +130,7 @@ pub fn validate_run(instance: &Instance, run: &RunResult) -> Vec<AuditFinding> {
         });
     }
     let mut seen = std::collections::HashSet::new();
-    let mut prev_key: Option<(com_sim::Timestamp, RequestId)> = None;
+    let mut prev_arrival: Option<com_sim::Timestamp> = None;
     for a in &run.assignments {
         if !seen.insert(a.request.id) {
             findings.push(AuditFinding::LogShape {
@@ -145,15 +152,12 @@ pub fn validate_run(instance: &Instance, run: &RunResult) -> Vec<AuditFinding> {
                 }
             }
         }
-        let key = (a.request.arrival, a.request.id);
-        if let Some(prev) = prev_key {
-            if key < prev {
-                findings.push(AuditFinding::LogShape {
-                    detail: format!("request {} reported out of arrival order", a.request.id),
-                });
-            }
+        if prev_arrival.is_some_and(|prev| a.request.arrival < prev) {
+            findings.push(AuditFinding::LogShape {
+                detail: format!("request {} reported out of arrival order", a.request.id),
+            });
         }
-        prev_key = Some(key);
+        prev_arrival = Some(a.request.arrival);
         if a.decided_at.as_secs() < a.request.arrival.as_secs() - EPS {
             findings.push(AuditFinding::LogShape {
                 detail: format!(
@@ -408,73 +412,32 @@ pub fn validate_run(instance: &Instance, run: &RunResult) -> Vec<AuditFinding> {
     findings
 }
 
-// ---------------------------------------------------------------------
-// Always-on global recorder. Its one writer is the sweep runner's
-// `run_grid_audited` (com-bench), which records every grid cell's
-// findings here; `repro --strict` drains the recorder and turns a
-// non-zero total into a failing exit code. Recording is cheap (one atomic
-// add when clean) and never panics.
-
-/// How many findings the recorder keeps verbatim; beyond this only the
-/// total is counted.
-const SAMPLE_CAP: usize = 64;
-
-static TOTAL_FINDINGS: AtomicU64 = AtomicU64::new(0);
-static SAMPLE: Mutex<Vec<RecordedFinding>> = Mutex::new(Vec::new());
-
-/// A finding retained by the global recorder, tagged with where it came
-/// from (e.g. `"tota seed=3"`).
-#[derive(Debug, Clone)]
-pub struct RecordedFinding {
-    pub context: String,
-    pub finding: AuditFinding,
-}
-
-/// Record `findings` (typically one audited run's) under `context`.
-pub fn record_findings(context: &str, findings: &[AuditFinding]) {
-    if findings.is_empty() {
-        return;
+/// The strict runs' verdict: panic unless `run` refused nothing and
+/// [`validate_run`] finds nothing. The message names the algorithm, the
+/// seed, the finding count and the first finding.
+pub(crate) fn assert_sound(instance: &Instance, run: &RunResult, seed: u64) {
+    if let Some(failure) = run.failures.first() {
+        panic!("{}", failure.violation);
     }
-    TOTAL_FINDINGS.fetch_add(findings.len() as u64, Ordering::Relaxed);
-    let Ok(mut sample) = SAMPLE.lock() else {
-        return;
-    };
-    for finding in findings {
-        if sample.len() >= SAMPLE_CAP {
-            break;
-        }
-        sample.push(RecordedFinding {
-            context: context.to_string(),
-            finding: finding.clone(),
-        });
+    let findings = validate_run(instance, run);
+    if let Some(first) = findings.first() {
+        panic!(
+            "{} seed={seed}: {} audit finding(s), first: {first}",
+            run.algorithm,
+            findings.len()
+        );
     }
-}
-
-/// Total findings recorded since the last [`take_findings`].
-pub fn total_findings() -> u64 {
-    TOTAL_FINDINGS.load(Ordering::Relaxed)
-}
-
-/// Drain the recorder: the total since the last drain plus up to
-/// `SAMPLE_CAP` (64) retained findings.
-pub fn take_findings() -> (u64, Vec<RecordedFinding>) {
-    let total = TOTAL_FINDINGS.swap(0, Ordering::Relaxed);
-    let sample = match SAMPLE.lock() {
-        Ok(mut s) => std::mem::take(&mut *s),
-        Err(_) => Vec::new(),
-    };
-    (total, sample)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_online, DemCom, TotaGreedy};
+    use crate::{run_online, try_run_online, DemCom, TotaGreedy};
     use com_geo::Point;
     use com_pricing::WorkerHistory;
     use com_sim::{
-        EventStream, Instance, MatchKind, PlatformId, RequestSpec, ServiceModel, Timestamp,
-        WorkerSpec, WorldConfig,
+        ArrivalEvent, EventStream, Instance, MatchKind, PlatformId, RequestSpec, ServiceModel,
+        Timestamp, WorkerSpec, WorldConfig,
     };
     use std::collections::HashMap;
 
@@ -648,21 +611,31 @@ mod tests {
     }
 
     #[test]
-    fn recorder_counts_and_drains() {
-        // The recorder is global: drain first so parallel tests that
-        // legitimately record (none today) don't interfere.
-        let _ = take_findings();
-        record_findings("ctx", &[]);
-        assert_eq!(total_findings(), 0);
-        let finding = AuditFinding::LogShape { detail: "x".into() };
-        record_findings("cell-a", std::slice::from_ref(&finding));
-        record_findings("cell-b", &[finding.clone(), finding]);
-        assert_eq!(total_findings(), 3);
-        let (total, sample) = take_findings();
-        assert_eq!(total, 3);
-        assert_eq!(sample.len(), 3);
-        assert_eq!(sample[0].context, "cell-a");
-        assert_eq!(total_findings(), 0);
-        assert!(take_findings().1.is_empty());
+    #[should_panic(expected = "TOTA seed=1: 1 audit finding(s), first: request")]
+    fn assert_sound_panics_on_an_audit_finding() {
+        let inst = instance(ServiceModel::one_shot());
+        let mut run = run_online(&inst, &mut TotaGreedy, 1);
+        run.assignments[0].travel_km += 0.5;
+        assert_sound(&inst, &run, 1);
+    }
+
+    #[test]
+    fn tied_arrivals_in_stream_order_audit_clean() {
+        // Two requests at the same instant, the higher id first: the
+        // engine reports them in stream order, and that is sound.
+        let p0 = PlatformId(0);
+        let worker = WorkerSpec::new(WorkerId(1), p0, ts(0.0), Point::new(5.0, 5.0), 1.0);
+        let r2 = RequestSpec::new(RequestId(2), p0, ts(10.0), Point::new(5.2, 5.0), 6.0);
+        let r1 = RequestSpec::new(RequestId(1), p0, ts(10.0), Point::new(5.8, 5.0), 8.0);
+        let mut inst = instance(ServiceModel::one_shot());
+        inst.stream = EventStream::from_ordered(vec![
+            ArrivalEvent::Worker(worker),
+            ArrivalEvent::Request(r2),
+            ArrivalEvent::Request(r1),
+        ]);
+        let run = try_run_online(&inst, &mut TotaGreedy, 1);
+        assert_eq!(run.assignments[0].request.id, RequestId(2));
+        let findings = validate_run(&inst, &run);
+        assert!(findings.is_empty(), "{findings:?}");
     }
 }

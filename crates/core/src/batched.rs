@@ -52,7 +52,7 @@ impl BatchedCom {
 /// Replay `instance` under batched matching. Returns the same
 /// [`RunResult`] shape as [`crate::run_online`] (assignments are recorded
 /// at their batch-flush time; `decision_nanos` is the batch solve time
-/// split evenly over the batch).
+/// split evenly over the batch), and is audited the same way.
 pub fn run_batched(instance: &Instance, config: BatchedCom, seed: u64) -> RunResult {
     let algorithm = format!("Batched({}s)", config.window_secs);
     com_obs::begin_run(&algorithm);
@@ -104,7 +104,7 @@ pub fn run_batched(instance: &Instance, config: BatchedCom, seed: u64) -> RunRes
     assignments.sort_by_key(|a| (a.request.arrival, a.request.id));
     let final_bytes =
         world.approx_bytes() + assignments.capacity() * std::mem::size_of::<Assignment>();
-    RunResult {
+    let run = RunResult {
         algorithm,
         assignments,
         peak_memory_bytes: peak.max(final_bytes),
@@ -112,7 +112,9 @@ pub fn run_batched(instance: &Instance, config: BatchedCom, seed: u64) -> RunRes
         total_decision_nanos: total_nanos,
         telemetry: com_obs::end_run(),
         failures: Vec::new(),
-    }
+    };
+    crate::audit::assert_sound(instance, &run, seed);
+    run
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -148,8 +148,10 @@ impl RunResult {
 }
 
 /// Replay `instance` against `matcher` with the given RNG seed: the run
-/// [`try_run_online`] makes, but panicking with the first constraint a
-/// decision breached.
+/// [`try_run_online`] makes, audited. The strict run audits itself — it
+/// panics with the first constraint a decision breached, or with the
+/// first [`crate::validate_run`] finding; the lenient [`try_run_online`]
+/// does neither (see [`crate::audit`]).
 ///
 /// Every algorithm-visible random draw flows through the single seeded
 /// RNG, so runs are exactly reproducible.
@@ -182,9 +184,7 @@ impl RunResult {
 /// ```
 pub fn run_online(instance: &Instance, matcher: &mut dyn OnlineMatcher, seed: u64) -> RunResult {
     let run = try_run_online(instance, matcher, seed);
-    if let Some(failure) = run.failures.first() {
-        panic!("{}", failure.violation);
-    }
+    crate::audit::assert_sound(instance, &run, seed);
     run
 }
 

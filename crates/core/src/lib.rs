@@ -64,9 +64,7 @@ pub mod timeline;
 pub mod tota;
 pub mod travel;
 
-pub use audit::{
-    record_findings, take_findings, total_findings, validate_run, AuditFinding, RecordedFinding,
-};
+pub use audit::{validate_run, AuditFinding};
 pub use batched::{run_batched, BatchedCom};
 pub use canonical::{
     canonical_assignment_json, canonical_digest, canonical_run_digest, canonical_run_json, fnv1a64,

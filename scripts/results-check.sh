@@ -7,7 +7,7 @@
 #
 #   scripts/results-check.sh [extra repro flags, e.g. --threads 1]
 #
-# After an intended change: `repro all --threads 0 --strict --out results`
+# After an intended change: `repro all --threads 0 --out results`
 # and update EXPERIMENTS.md from the regenerated tables.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -15,7 +15,7 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 cargo run -q --release -p com-bench --bin repro -- \
-    all --threads 0 --strict --out "$tmp" "$@" >/dev/null
+    all --threads 0 --out "$tmp" "$@" >/dev/null
 
 decided() {
     awk '/^  "response": \{$/ { skip = 1 }

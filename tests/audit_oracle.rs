@@ -48,30 +48,3 @@ fn every_builtin_matcher_passes_the_auditor() {
         }
     }
 }
-
-/// The same oracle through the audited grid API: every cell of the
-/// (all specs × seeds) sweep is clean, and the sweep records nothing to
-/// the global audit recorder.
-#[test]
-fn audited_grid_is_clean_for_builtin_matchers() {
-    // Drain anything a previous test in this binary may have recorded.
-    let _ = com::core::take_findings();
-
-    let instance = oracle_instance(false);
-    let runner = SweepRunner::new(4);
-    let cells = run_grid_audited(&runner, &instance, &MatcherSpec::all_builtin(), &[11, 42]);
-    assert_eq!(cells.len(), MatcherSpec::all_builtin().len() * 2);
-    for cell in &cells {
-        assert!(
-            cell.is_clean(),
-            "{} seed={} not clean: result ok={}, findings={:?}",
-            cell.spec,
-            cell.seed,
-            cell.result.is_ok(),
-            cell.findings,
-        );
-    }
-
-    let (total, sample) = com::core::take_findings();
-    assert_eq!(total, 0, "global recorder captured: {sample:?}");
-}
