@@ -130,8 +130,13 @@ struct BookState {
     /// replica decision lends one of *our* workers. The rival's offer for
     /// that request must name exactly this worker and payment.
     lends: HashMap<u64, (WorkerId, f64)>,
-    /// Offers parked on this book right now.
-    parked: usize,
+    /// The lowest event index a parked offer waits on (`u64::MAX` when
+    /// none): `record` wakes the parked offers only once `ingested`
+    /// passes it, not after every event.
+    wake_at: u64,
+    /// Times `record` has woken the parked offers.
+    #[cfg(test)]
+    wakes: u64,
     /// False once the session has finished.
     open: bool,
 }
@@ -144,7 +149,9 @@ impl LendBook {
             state: Mutex::new(BookState {
                 ingested: 0,
                 lends: HashMap::new(),
-                parked: 0,
+                wake_at: u64::MAX,
+                #[cfg(test)]
+                wakes: 0,
                 open: true,
             }),
             progressed: Condvar::new(),
@@ -178,7 +185,12 @@ impl LendBook {
                 state.lends.insert(a.request.id.as_u64(), lend);
             }
         }
-        if state.parked > 0 {
+        if state.ingested > state.wake_at {
+            state.wake_at = u64::MAX;
+            #[cfg(test)]
+            {
+                state.wakes += 1;
+            }
             self.progressed.notify_all();
         }
     }
@@ -255,13 +267,12 @@ impl LendBook {
                 let detail = format!("replica had not reached event {} by the deadline", o.event);
                 return Some(Err(("expired", detail)));
             }
-            state.parked += 1;
+            state.wake_at = state.wake_at.min(o.event);
             state = self
                 .progressed
                 .wait_timeout(state, remaining.min(POLL_INTERVAL))
                 .expect("no code path panics while holding a lend book")
                 .0;
-            state.parked -= 1;
         }
         if !state.open {
             return None;
@@ -464,6 +475,40 @@ mod tests {
             Point::new(1.0, 1.0),
             5.0,
         )
+    }
+
+    /// A parked offer is woken once, by the event that decides it, not
+    /// by every event before it.
+    #[test]
+    fn parked_offer_wakes_once() {
+        let book = Arc::new(LendBook::new(PlatformId(0)));
+        let offer = OfferMsg {
+            fed_sid: 1,
+            offer: 0,
+            request: request(),
+            worker: WorkerId(3),
+            worker_platform: PlatformId(0),
+            payment: 2.0,
+            deadline_ms: 30_000,
+            // The 50th event of the stream.
+            event: 49,
+        };
+        let lender = {
+            let book = Arc::clone(&book);
+            std::thread::spawn(move || book.answer(&offer, &AtomicBool::new(false)))
+        };
+        while book.stats.lends_parked.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        for _ in 0..50 {
+            book.record(None);
+        }
+        let verdict = lender.join().unwrap();
+        assert!(matches!(
+            verdict,
+            Some(ServerMsg::outsource_reject { code, .. }) if code == "desync"
+        ));
+        assert_eq!(book.lock().wakes, 1);
     }
 
     #[test]

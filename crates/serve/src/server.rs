@@ -1,7 +1,8 @@
 //! The threaded TCP server behind `matchd`.
 //!
-//! The server is **shared-nothing**: one accept thread polls a
-//! non-blocking listener; each connection gets a **router thread**
+//! The server is **shared-nothing**: one accept thread blocks in `accept`
+//! (re-checking the stop flag every `POLL_INTERVAL / 2`); each connection
+//! gets a **router thread**
 //! (socket → decode → shard dispatch) and sessions execute on a fixed
 //! pool of **shard worker threads** ([`crate::shard`]) that own their
 //! sessions outright. The router keeps no state: it decodes each wire
@@ -48,6 +49,7 @@
 use std::collections::HashMap;
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::OwnedFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -265,7 +267,14 @@ impl Drop for ServerHandle {
 pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
+    // A blocking accept that gives up after `POLL_INTERVAL / 2` to re-check
+    // the stop flag: Linux's `accept` honours `SO_RCVTIMEO`, which std sets
+    // only through a `TcpStream`.
+    let listener = {
+        let socket = TcpStream::from(OwnedFd::from(listener));
+        socket.set_read_timeout(Some(POLL_INTERVAL / 2))?;
+        TcpListener::from(OwnedFd::from(socket))
+    };
     let daemon = Arc::new(Daemon::new(config));
     let accept = {
         let daemon = Arc::clone(&daemon);
@@ -296,9 +305,7 @@ fn accept_loop(listener: TcpListener, daemon: Arc<Daemon>) {
                     handle_connection(stream, conn_id, shared)
                 }));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL / 2);
-            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
             Err(_) => break,
         }
         // Reap finished connections so the vec stays bounded. In `once`

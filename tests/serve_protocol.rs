@@ -774,3 +774,22 @@ fn refused_worker_lines_stage_no_history_over_ndjson() {
 fn refused_worker_lines_stage_no_history_in_binary_frames() {
     refused_worker_lines_stage_no_history(Some("binary"));
 }
+
+/// A connection's router starts as soon as the connection arrives: the
+/// accept loop blocks in `accept` instead of napping between polls.
+#[test]
+fn connections_are_served_without_an_accept_nap() {
+    let handle = start_server();
+    let addr = handle.addr().to_string();
+    let started = Instant::now();
+    for _ in 0..100 {
+        let mut client = Client::connect(&addr).expect("connect");
+        client.rpc(&ClientMsg::stats).expect("an answer");
+    }
+    let took = started.elapsed();
+    handle.shutdown();
+    assert!(
+        took < Duration::from_millis(500),
+        "100 round trips took {took:?}"
+    );
+}
