@@ -31,6 +31,7 @@ use std::time::Instant;
 use com_bench::experiments::{ablation, cr, figures, tables};
 use com_bench::runner::SweepRunner;
 use com_metrics::{CountingAllocator, Table};
+use serde::Serialize;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -96,97 +97,57 @@ fn parse_args() -> Args {
     }
 }
 
-fn save(out: &Path, name: &str, markdown: &str, json: &serde_json::Value) {
+/// Print each table, then save them as `name.md` (a lone table as is,
+/// several each followed by a blank line) beside the pretty `name.json`.
+fn emit(out: &Path, name: &str, tables: &[Table], json: &impl Serialize) {
+    let mut markdown = String::new();
+    for t in tables {
+        println!("{}", t.render_ascii());
+        markdown.push_str(&t.render_markdown());
+        if tables.len() > 1 {
+            markdown.push('\n');
+        }
+    }
     fs::create_dir_all(out).expect("create output directory");
     fs::write(out.join(format!("{name}.md")), markdown).expect("write markdown");
-    fs::write(
-        out.join(format!("{name}.json")),
-        serde_json::to_string_pretty(json).expect("serialise"),
-    )
-    .expect("write json");
+    let json = serde_json::to_string_pretty(json).expect("serialise");
+    fs::write(out.join(format!("{name}.json")), json).expect("write json");
 }
 
-fn emit_table(out: &Path, name: &str, table: &Table, json: &serde_json::Value) {
-    println!("{}", table.render_ascii());
-    save(out, name, &table.render_markdown(), json);
-}
-
-fn run_table(runner: &SweepRunner, name: &str, quick: bool, out: &Path) {
-    let result = match name {
-        "table5" => tables::table5(runner, quick),
-        "table6" => tables::table6(runner, quick),
-        "table7" => tables::table7(runner, quick),
-        "table5x30" => tables::run_table_multiday(
-            runner,
-            "table5x30",
-            "Table V: Results on RDC10 and RYC10 (simulated, 1/10 scale)",
-            &com_datagen::chengdu_oct(),
-            if quick { 5 } else { 30 },
-            quick,
-        ),
-        _ => unreachable!(),
+fn run(runner: &SweepRunner, name: &str, quick: bool, out: &Path) {
+    let table = |result: tables::TableResult| emit(out, name, &[result.to_table()], &result);
+    let sweep = |result: figures::SweepResult| {
+        let panels = [
+            &result.revenue,
+            &result.response,
+            &result.memory,
+            &result.acceptance,
+        ];
+        emit(out, name, &panels.map(|p| p.to_table(3)), &result)
     };
-    emit_table(
-        out,
-        name,
-        &result.to_table(),
-        &serde_json::to_value(&result).expect("serialise table"),
-    );
-}
-
-fn run_sweep(runner: &SweepRunner, name: &str, quick: bool, out: &Path) {
-    let result = match name {
-        "fig5r" => figures::sweep_requests(runner, quick),
-        "fig5w" => figures::sweep_workers(runner, quick),
-        "fig5rad" => figures::sweep_radius(runner, quick),
-        _ => unreachable!(),
-    };
-    let mut markdown = String::new();
-    for series in [
-        &result.revenue,
-        &result.response,
-        &result.memory,
-        &result.acceptance,
-    ] {
-        let t = series.to_table(3);
-        println!("{}", t.render_ascii());
-        markdown.push_str(&t.render_markdown());
-        markdown.push('\n');
+    match name {
+        "table5" => table(tables::table5(runner, quick)),
+        "table6" => table(tables::table6(runner, quick)),
+        "table7" => table(tables::table7(runner, quick)),
+        "table5x30" => table(tables::table5x30(runner, quick)),
+        "fig5r" => sweep(figures::sweep_requests(runner, quick)),
+        "fig5w" => sweep(figures::sweep_workers(runner, quick)),
+        "fig5rad" => sweep(figures::sweep_radius(runner, quick)),
+        "cr" => {
+            let (instances, orders) = if quick { (4, 8) } else { (16, 32) };
+            let study = cr::run_cr_study(runner, instances, orders);
+            emit(out, name, &[study.to_table()], &study);
+        }
+        "ablation" => {
+            let results = ablation::run_all(runner, quick);
+            let tables: Vec<Table> = results.iter().map(|a| a.to_table()).collect();
+            emit(out, name, &tables, &results);
+        }
+        other => {
+            eprintln!("unknown experiment `{other}` (see --help)");
+            std::process::exit(2);
+        }
     }
-    save(
-        out,
-        name,
-        &markdown,
-        &serde_json::to_value(&result).expect("serialise sweep"),
-    );
-}
-
-fn run_cr(runner: &SweepRunner, quick: bool, out: &Path) {
-    let (instances, orders) = if quick { (4, 8) } else { (16, 32) };
-    let study = cr::run_cr_study(runner, instances, orders);
-    emit_table(
-        out,
-        "cr",
-        &study.to_table(),
-        &serde_json::to_value(&study).expect("serialise cr"),
-    );
-}
-
-fn run_ablation(runner: &SweepRunner, quick: bool, out: &Path) {
-    let results = ablation::run_all(runner, quick);
-    let mut markdown = String::new();
-    for a in &results {
-        let t = a.to_table();
-        println!("{}", t.render_ascii());
-        markdown.push_str(&t.render_markdown());
-        markdown.push('\n');
-    }
-    save(
-        out,
-        "ablation",
-        &markdown,
-        &serde_json::to_value(&results).expect("serialise ablations"),
-    );
 }
 
 fn main() {
@@ -220,18 +181,7 @@ fn main() {
     for name in &list {
         let started = Instant::now();
         CountingAllocator::reset_peak();
-        match name.as_str() {
-            "table5" | "table6" | "table7" | "table5x30" => {
-                run_table(&runner, name, args.quick, &args.out)
-            }
-            "fig5r" | "fig5w" | "fig5rad" => run_sweep(&runner, name, args.quick, &args.out),
-            "cr" => run_cr(&runner, args.quick, &args.out),
-            "ablation" => run_ablation(&runner, args.quick, &args.out),
-            other => {
-                eprintln!("unknown experiment `{other}` (see --help)");
-                std::process::exit(2);
-            }
-        }
+        run(&runner, name, args.quick, &args.out);
         println!(
             "[{name}] done in {:.1}s (process peak heap {:.1} MiB)\n",
             started.elapsed().as_secs_f64(),

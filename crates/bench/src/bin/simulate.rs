@@ -6,7 +6,7 @@
 //!      | --workers-csv W.csv --requests-csv R.csv [--platforms "A,B"]] \
 //!     [--algo tota|demcom|ramcom|greedy-rt|route-aware:<cap-km>|all] \
 //!     [--seed N] [--metric euclidean|manhattan] [--json out.json] \
-//!     [--stats] [--trace out.jsonl] [--threads N] [--strict]
+//!     [--stats] [--trace out.jsonl] [--threads N]
 //! ```
 //!
 //! Algorithm names parse through `com-core`'s `MatcherSpec` — the
@@ -28,12 +28,9 @@
 //! changes any decision or revenue: identical seeds give identical
 //! results with instrumentation on or off.
 //!
-//! Every run goes through the fallible engine (`try_run_online`) and the
-//! post-run auditor (`com_core::validate_run`), so a matcher that emits
-//! an invalid decision produces a structured per-request failure record
-//! instead of aborting the whole sweep. Findings are printed after the
-//! results table; `--strict` additionally turns any finding into a
-//! non-zero exit, which is what CI wants.
+//! The runs are `com_bench::runner::run_grid`'s, the grid `repro` uses,
+//! so every run audits itself: a refused decision or an audit finding
+//! fails the process with the algorithm, the seed and the first finding.
 //!
 //! The config file is a serialised `com_datagen::ScenarioConfig` — dump a
 //! starting point with `--emit-config`, edit, and re-run. This is the
@@ -44,8 +41,8 @@
 use std::fs;
 use std::path::PathBuf;
 
-use com_bench::runner::{merged_telemetry, SweepRunner};
-use com_core::{try_run_online, validate_run, MatcherSpec, RunResult};
+use com_bench::runner::{merged_telemetry, run_grid, SweepRunner};
+use com_core::{MatcherSpec, RunResult};
 use com_datagen::{generate, instance_from_csv, profiles, ScenarioConfig};
 use com_geo::DistanceMetric;
 use com_metrics::Table;
@@ -65,7 +62,6 @@ struct Args {
     stats: bool,
     trace: Option<PathBuf>,
     threads: usize,
-    strict: bool,
 }
 
 fn usage() -> ! {
@@ -74,7 +70,7 @@ fn usage() -> ! {
          | --workers-csv W.csv --requests-csv R.csv [--platforms NAMES]] \
          [--algo LIST] [--seed N] [--metric euclidean|manhattan] \
          [--json FILE] [--stats] [--trace FILE.jsonl] [--threads N] \
-         [--strict] [--emit-config]"
+         [--emit-config]"
     );
     std::process::exit(2);
 }
@@ -94,7 +90,6 @@ fn parse_args() -> Args {
         stats: false,
         trace: None,
         threads: 1,
-        strict: false,
     };
     let mut argv = std::env::args().skip(1);
     while let Some(a) = argv.next() {
@@ -141,7 +136,6 @@ fn parse_args() -> Args {
                     usage()
                 })
             }
-            "--strict" => args.strict = true,
             "--emit-config" => args.emit_config = true,
             "--help" | "-h" => usage(),
             other => {
@@ -159,9 +153,13 @@ fn fail(message: impl std::fmt::Display) -> ! {
     std::process::exit(2)
 }
 
-/// Parse every requested `--algo` spec, exiting with the parser's own
-/// error message (which lists the valid specs) on the first unknown name.
+/// Parse every requested `--algo` spec (`all` is the standard three),
+/// exiting with the parser's own error message (which lists the valid
+/// specs) on the first unknown name.
 fn parse_algos(names: &[String]) -> Vec<MatcherSpec> {
+    if names.iter().any(|a| a == "all") {
+        return MatcherSpec::standard().to_vec();
+    }
     names
         .iter()
         .map(|name| MatcherSpec::parse(name).unwrap_or_else(|e| fail(e)))
@@ -282,12 +280,7 @@ fn main() {
         return;
     }
 
-    let algo_names: Vec<String> = if args.algos.iter().any(|a| a == "all") {
-        vec!["tota".into(), "demcom".into(), "ramcom".into()]
-    } else {
-        args.algos.clone()
-    };
-    let specs = parse_algos(&algo_names);
+    let specs = parse_algos(&args.algos);
 
     let threads = if args.trace.is_some() && args.threads != 1 {
         eprintln!("--trace streams through a single collector; forcing --threads 1");
@@ -329,32 +322,18 @@ fn main() {
     }
 
     // One run per algorithm, fanned across the sweep runner. Every run
-    // is seeded from `--seed` alone, so results are bit-identical to the
-    // old serial loop for any thread count. With `--trace` the collector
-    // installed above stays active (the runner never clobbers a live
-    // collector); with `--stats` the runner installs one per worker.
+    // is seeded from `--seed` alone, so results are bit-identical for any
+    // thread count. With `--trace` the collector installed above stays
+    // active (the runner never clobbers a live collector); with `--stats`
+    // the runner installs one per worker.
     let runner = SweepRunner::new(threads).with_telemetry(args.stats || args.trace.is_some());
-    let runs: Vec<RunResult> = runner.map(specs, |_, spec| {
-        let mut matcher = spec.build();
-        try_run_online(&instance, matcher.as_mut(), args.seed)
-    });
+    let runs = run_grid(&runner, &instance, &specs, &[args.seed]);
 
     let mut dumps = Vec::new();
     let mut reports = Vec::new();
-    let mut audit_lines = Vec::new();
     for run in &runs {
         table.push_row(report_row(run, instance.platform_names.len()));
         reports.extend(run.telemetry.clone());
-        for f in &run.failures {
-            audit_lines.push(format!(
-                "{}: request {} refused: {}",
-                run.algorithm, f.request.id, f.violation
-            ));
-        }
-        let findings = validate_run(&instance, run);
-        for f in &findings {
-            audit_lines.push(format!("{}: {f}", run.algorithm));
-        }
         dumps.push(serde_json::json!({
             "algorithm": run.algorithm,
             "revenue": run.total_revenue(),
@@ -365,20 +344,9 @@ fn main() {
             "mean_pickup_km": run.mean_pickup_km(),
             "mean_response_ms": run.mean_response_ms(),
             "peak_memory_bytes": run.peak_memory_bytes,
-            "refused_decisions": run.failures.len(),
-            "audit_findings": findings.len(),
         }));
     }
     println!("{}", table.render_ascii());
-
-    if audit_lines.is_empty() {
-        println!("audit: clean ({} run(s))", runs.len());
-    } else {
-        eprintln!("audit: {} finding(s)", audit_lines.len());
-        for line in &audit_lines {
-            eprintln!("  {line}");
-        }
-    }
 
     if args.stats || args.trace.is_some() {
         if reports.len() > 1 {
@@ -404,10 +372,5 @@ fn main() {
         )
         .expect("write json output");
         println!("results written to {}", path.display());
-    }
-
-    if args.strict && !audit_lines.is_empty() {
-        eprintln!("simulate: --strict and the audit found problems; failing");
-        std::process::exit(1);
     }
 }

@@ -14,6 +14,7 @@ use serde::{Deserialize, Serialize};
 
 use com_core::{
     run_batched, run_online, BatchedCom, DemCom, DemComConfig, RamCom, RamComConfig, RouteAwareCom,
+    RunResult,
 };
 use com_datagen::{generate, synthetic, SyntheticParams};
 use com_metrics::Table;
@@ -76,8 +77,10 @@ impl AblationResult {
     }
 }
 
-fn default_instance(quick: bool) -> com_sim::Instance {
-    let params = if quick {
+/// The synthetic city every ablation starts from: Table IV's defaults, or
+/// 600 requests and 150 workers under `--quick`.
+fn base_params(quick: bool) -> SyntheticParams {
+    if quick {
         SyntheticParams {
             n_requests: 600,
             n_workers: 150,
@@ -85,18 +88,17 @@ fn default_instance(quick: bool) -> com_sim::Instance {
         }
     } else {
         SyntheticParams::default()
-    };
-    generate(&synthetic(params))
+    }
 }
 
-fn measure(
-    instance: &com_sim::Instance,
-    variant: &str,
-    matcher: &mut dyn com_core::OnlineMatcher,
-) -> AblationRow {
-    let run = run_online(instance, matcher, EXPERIMENT_SEED);
+fn default_instance(quick: bool) -> com_sim::Instance {
+    generate(&synthetic(base_params(quick)))
+}
+
+/// The one place an ablation row is read off a run.
+fn row(variant: impl Into<String>, run: &RunResult) -> AblationRow {
     AblationRow {
-        variant: variant.to_string(),
+        variant: variant.into(),
         revenue: run.total_revenue(),
         completed: run.completed(),
         cooperative: run.cooperative_count(),
@@ -104,6 +106,14 @@ fn measure(
         payment_rate: run.mean_outer_payment_rate(),
         response_ms: run.mean_response_ms(),
     }
+}
+
+fn measure(
+    instance: &com_sim::Instance,
+    variant: &str,
+    matcher: &mut dyn com_core::OnlineMatcher,
+) -> AblationRow {
+    row(variant, &run_online(instance, matcher, EXPERIMENT_SEED))
 }
 
 /// DemCOM's Monte Carlo accuracy (ξ) sweep.
@@ -205,15 +215,6 @@ pub fn history_updates(quick: bool) -> AblationResult {
 /// algorithms converge.
 pub fn value_distributions(quick: bool) -> AblationResult {
     use com_datagen::ValueDistribution;
-    let base = if quick {
-        SyntheticParams {
-            n_requests: 600,
-            n_workers: 150,
-            ..Default::default()
-        }
-    } else {
-        SyntheticParams::default()
-    };
     let mut rows = Vec::new();
     for (dist_name, dist) in [
         ("real", ValueDistribution::real_like()),
@@ -221,7 +222,7 @@ pub fn value_distributions(quick: bool) -> AblationResult {
     ] {
         let instance = generate(&synthetic(SyntheticParams {
             values: dist,
-            ..base
+            ..base_params(quick)
         }));
         for spec in super::standard_specs() {
             let mut matcher = spec.build();
@@ -274,31 +275,23 @@ pub fn ramcom_threshold_modes(quick: bool) -> AblationResult {
 pub fn route_aware_caps(quick: bool) -> AblationResult {
     let instance = default_instance(quick);
     let caps = [0.3, 0.5, 0.8, 1.0, f64::INFINITY];
-    let mut rows = Vec::new();
-    for &cap in &caps {
-        let mut m = RouteAwareCom::with_cap(cap);
-        let run = run_online(&instance, &mut m, EXPERIMENT_SEED);
-        let label = if cap.is_finite() {
-            format!(
-                "cap={cap}km (pickup {:.2}km)",
-                run.mean_pickup_km().unwrap_or(0.0)
-            )
-        } else {
-            format!(
-                "uncapped (pickup {:.2}km)",
-                run.mean_pickup_km().unwrap_or(0.0)
-            )
-        };
-        rows.push(AblationRow {
-            variant: label,
-            revenue: run.total_revenue(),
-            completed: run.completed(),
-            cooperative: run.cooperative_count(),
-            acceptance_ratio: run.acceptance_ratio(),
-            payment_rate: run.mean_outer_payment_rate(),
-            response_ms: run.mean_response_ms(),
-        });
-    }
+    let rows = caps
+        .iter()
+        .map(|&cap| {
+            let run = run_online(
+                &instance,
+                &mut RouteAwareCom::with_cap(cap),
+                EXPERIMENT_SEED,
+            );
+            let cap = if cap.is_finite() {
+                format!("cap={cap}km")
+            } else {
+                "uncapped".into()
+            };
+            let pickup = run.mean_pickup_km().unwrap_or(0.0);
+            row(format!("{cap} (pickup {pickup:.2}km)"), &run)
+        })
+        .collect();
     AblationResult {
         id: "ablation-route-aware".into(),
         title: "Ablation: route-aware pickup caps (revenue vs deadhead travel)".into(),
@@ -311,19 +304,12 @@ pub fn route_aware_caps(quick: bool) -> AblationResult {
 /// (decision time − arrival time).
 pub fn batched_windows(quick: bool) -> AblationResult {
     let instance = default_instance(quick);
-    let mut rows = Vec::new();
-
     // Reference: per-request DemCOM (zero added waiting).
-    let online = run_online(&instance, &mut DemCom::default(), EXPERIMENT_SEED);
-    rows.push(AblationRow {
-        variant: "online DemCOM (wait 0s)".into(),
-        revenue: online.total_revenue(),
-        completed: online.completed(),
-        cooperative: online.cooperative_count(),
-        acceptance_ratio: online.acceptance_ratio(),
-        payment_rate: online.mean_outer_payment_rate(),
-        response_ms: online.mean_response_ms(),
-    });
+    let mut rows = vec![measure(
+        &instance,
+        "online DemCOM (wait 0s)",
+        &mut DemCom::default(),
+    )];
 
     for window in [30.0, 120.0, 600.0] {
         let run = run_batched(&instance, BatchedCom::new(window), EXPERIMENT_SEED);
@@ -333,15 +319,10 @@ pub fn batched_windows(quick: bool) -> AblationResult {
             .map(|a| a.decided_at - a.request.arrival)
             .sum::<f64>()
             / run.assignments.len().max(1) as f64;
-        rows.push(AblationRow {
-            variant: format!("batched {window}s (wait {mean_wait:.0}s)"),
-            revenue: run.total_revenue(),
-            completed: run.completed(),
-            cooperative: run.cooperative_count(),
-            acceptance_ratio: run.acceptance_ratio(),
-            payment_rate: run.mean_outer_payment_rate(),
-            response_ms: run.mean_response_ms(),
-        });
+        rows.push(row(
+            format!("batched {window}s (wait {mean_wait:.0}s)"),
+            &run,
+        ));
     }
     AblationResult {
         id: "ablation-batched".into(),
@@ -353,15 +334,6 @@ pub fn batched_windows(quick: bool) -> AblationResult {
 /// Worker shifts (realism extension): bounded shifts thin the afternoon
 /// fleet; the paper's model keeps every worker available all day.
 pub fn worker_shifts(quick: bool) -> AblationResult {
-    let base = if quick {
-        SyntheticParams {
-            n_requests: 600,
-            n_workers: 150,
-            ..Default::default()
-        }
-    } else {
-        SyntheticParams::default()
-    };
     let mut rows = Vec::new();
     for (label, shift) in [
         ("4h shifts", 4.0 * 3600.0),
@@ -369,7 +341,7 @@ pub fn worker_shifts(quick: bool) -> AblationResult {
         ("12h shifts", 12.0 * 3600.0),
         ("unbounded (paper)", f64::INFINITY),
     ] {
-        let mut config = synthetic(base);
+        let mut config = synthetic(base_params(quick));
         if shift.is_finite() {
             config.service = config.service.with_shift(shift);
         }

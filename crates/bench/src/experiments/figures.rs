@@ -64,76 +64,49 @@ fn run_sweep(
         run_online(&instances[xi], matcher.as_mut(), EXPERIMENT_SEED)
     });
 
-    let mut points = Vec::new();
-    let mut revenue_cols: Vec<Vec<f64>> = vec![Vec::new(); STANDARD_NAMES.len()];
-    let mut response_cols: Vec<Vec<f64>> = vec![Vec::new(); STANDARD_NAMES.len()];
-    let mut memory_cols: Vec<Vec<f64>> = vec![Vec::new(); STANDARD_NAMES.len()];
-    let mut acceptance_cols: Vec<Vec<f64>> = vec![Vec::new(); 2]; // DemCOM, RamCOM
+    let points: Vec<SweepPoint> = runs
+        .iter()
+        .enumerate()
+        .map(|(cell, run)| SweepPoint {
+            x: xs[cell / specs.len()],
+            algorithm: STANDARD_NAMES[cell % specs.len()].to_string(),
+            revenue: run.total_revenue(),
+            response_ms: run.mean_response_ms(),
+            memory_bytes: run.peak_memory_bytes,
+            acceptance_ratio: run.acceptance_ratio(),
+        })
+        .collect();
 
-    for (cell, run) in runs.iter().enumerate() {
-        let (xi, i) = (cell / specs.len(), cell % specs.len());
-        let (x, name) = (xs[xi], STANDARD_NAMES[i]);
-        let revenue = run.total_revenue();
-        let response = run.mean_response_ms();
-        let memory = run.peak_memory_bytes;
-        let acceptance = run.acceptance_ratio();
-        points.push(SweepPoint {
-            x,
-            algorithm: name.to_string(),
-            revenue,
-            response_ms: response,
-            memory_bytes: memory,
-            acceptance_ratio: acceptance,
-        });
-        revenue_cols[i].push(revenue / 1.0e6);
-        response_cols[i].push(response);
-        memory_cols[i].push(memory as f64 / (1024.0 * 1024.0));
-        if name == "DemCOM" {
-            acceptance_cols[0].push(acceptance.unwrap_or(0.0));
-        } else if name == "RamCOM" {
-            acceptance_cols[1].push(acceptance.unwrap_or(0.0));
-        }
-    }
-
-    let mut revenue = SweepSeries::new(
-        format!("Fig 5({}): total revenue vs {axis}", figure_ids[0]),
-        axis,
-        "Revenue (x10^6)",
-        xs.clone(),
-    );
-    let mut response = SweepSeries::new(
-        format!("Fig 5({}): response time vs {axis}", figure_ids[1]),
-        axis,
-        "Response time (ms)",
-        xs.clone(),
-    );
-    let mut memory = SweepSeries::new(
-        format!("Fig 5({}): memory cost vs {axis}", figure_ids[2]),
-        axis,
-        "Memory (MB)",
-        xs.clone(),
-    );
-    let mut acceptance = SweepSeries::new(
-        format!("Fig 5({}): acceptance ratio vs {axis}", figure_ids[3]),
-        axis,
-        "Acceptance ratio",
-        xs.clone(),
-    );
-    for (i, name) in STANDARD_NAMES.iter().enumerate() {
-        revenue.push_column(*name, revenue_cols[i].clone());
-        response.push_column(*name, response_cols[i].clone());
-        memory.push_column(*name, memory_cols[i].clone());
-    }
-    acceptance.push_column("DemCOM", acceptance_cols[0].clone());
-    acceptance.push_column("RamCOM", acceptance_cols[1].clone());
-
+    // One Fig. 5 panel: `value` of each named algorithm's points, in `xs`
+    // order.
+    let panel =
+        |id: &str, what: &str, y_label: &str, names: &[&str], value: fn(&SweepPoint) -> f64| {
+            let title = format!("Fig 5({id}): {what} vs {axis}");
+            let mut series = SweepSeries::new(title, axis, y_label, xs.clone());
+            for name in names {
+                let ys = points.iter().filter(|p| p.algorithm == *name).map(value);
+                series.push_column(*name, ys.collect());
+            }
+            series
+        };
+    let [a, b, c, d] = figure_ids;
+    let all = &STANDARD_NAMES;
     SweepResult {
         axis: axis.to_string(),
+        revenue: panel(a, "total revenue", "Revenue (x10^6)", all, |p| {
+            p.revenue / 1.0e6
+        }),
+        response: panel(b, "response time", "Response time (ms)", all, |p| {
+            p.response_ms
+        }),
+        memory: panel(c, "memory cost", "Memory (MB)", all, |p| {
+            p.memory_bytes as f64 / (1024.0 * 1024.0)
+        }),
+        // TOTA has no cooperative requests.
+        acceptance: panel(d, "acceptance ratio", "Acceptance ratio", &all[1..], |p| {
+            p.acceptance_ratio.unwrap_or(0.0)
+        }),
         points,
-        revenue,
-        response,
-        memory,
-        acceptance,
     }
 }
 

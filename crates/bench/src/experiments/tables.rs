@@ -258,13 +258,22 @@ pub fn run_table_multiday(
     }
 }
 
+const TABLE5_TITLE: &str = "Table V: Results on RDC10 and RYC10 (simulated, 1/10 scale)";
+
 /// Table V: results on RDC10 and RYC10 (Chengdu, October).
 pub fn table5(runner: &SweepRunner, quick: bool) -> TableResult {
-    run_table(
+    run_table(runner, "table5", TABLE5_TITLE, &chengdu_oct(), quick)
+}
+
+/// Table V as a 30-day mean ± std study (5 days under `--quick`).
+pub fn table5x30(runner: &SweepRunner, quick: bool) -> TableResult {
+    let days = if quick { 5 } else { 30 };
+    run_table_multiday(
         runner,
-        "table5",
-        "Table V: Results on RDC10 and RYC10 (simulated, 1/10 scale)",
+        "table5x30",
+        TABLE5_TITLE,
         &chengdu_oct(),
+        days,
         quick,
     )
 }

@@ -73,12 +73,17 @@ fn worker_profile() -> DailyProfile {
     }
 }
 
-fn city_profile(
-    name_a: &str,
-    name_b: &str,
+/// The two competing platforms of every profile, in platform order.
+const PLATFORM_NAMES: [&str; 2] = ["DiDi", "Yueche"];
+
+/// The one two-platform scenario behind every profile: `counts` holds each
+/// platform's `(requests, workers)`.
+fn two_platforms(
     extent: BoundingBox,
     mixture: SpatialMixture,
     counts: [(usize, usize); 2],
+    radius_km: f64,
+    values: ValueDistribution,
     seed: u64,
 ) -> ScenarioConfig {
     // The Fig. 2 imbalance, *partial*: each platform's workers cover most
@@ -86,34 +91,21 @@ fn city_profile(
     // rival's territory — the worker deserts that make borrowing
     // valuable. (Full complementarity would starve TOTA far below the
     // paper's ≈75% completion.)
-    let m = mixture;
-    let mc = m.complement();
-    let requests_a = SpatialMixture::blend(&m, &mc, 0.65, 0.35);
-    let requests_b = SpatialMixture::blend(&mc, &m, 0.65, 0.35);
-    let platforms = vec![
-        PlatformSpec {
-            name: name_a.into(),
-            n_requests: counts[0].0,
-            n_workers: counts[0].1,
-            radius_km: 1.0,
-            worker_spatial: m.clone(),
-            request_spatial: requests_a,
-            values: ValueDistribution::real_like(),
+    let complement = mixture.complement();
+    let workers = [mixture, complement];
+    let platforms = (0..2)
+        .map(|i| PlatformSpec {
+            name: PLATFORM_NAMES[i].into(),
+            n_requests: counts[i].0,
+            n_workers: counts[i].1,
+            radius_km,
+            worker_spatial: workers[i].clone(),
+            request_spatial: SpatialMixture::blend(&workers[i], &workers[1 - i], 0.65, 0.35),
+            values,
             history_values: ValueDistribution::worker_history(),
             history_len: HISTORY_LEN,
-        },
-        PlatformSpec {
-            name: name_b.into(),
-            n_requests: counts[1].0,
-            n_workers: counts[1].1,
-            radius_km: 1.0,
-            worker_spatial: mc,
-            request_spatial: requests_b,
-            values: ValueDistribution::real_like(),
-            history_values: ValueDistribution::worker_history(),
-            history_len: HISTORY_LEN,
-        },
-    ];
+        })
+        .collect();
     ScenarioConfig {
         extent,
         platforms,
@@ -128,12 +120,12 @@ fn city_profile(
 /// RDC10 + RYC10: Chengdu, October 2016 (paper: 91,321 + 90,589 requests,
 /// 9,145 + 7,038 workers per day) at 1/10 scale.
 pub fn chengdu_oct() -> ScenarioConfig {
-    city_profile(
-        "DiDi",
-        "Yueche",
+    two_platforms(
         chengdu_extent(),
         chengdu_mixture(chengdu_extent()),
         [(9_132, 915), (9_059, 704)],
+        1.0,
+        ValueDistribution::real_like(),
         0xC0DE_0010,
     )
 }
@@ -141,12 +133,12 @@ pub fn chengdu_oct() -> ScenarioConfig {
 /// RDC11 + RYC11: Chengdu, November 2016 (paper: 100,973 + 100,448
 /// requests, 11,199 + 9,333 workers) at 1/10 scale.
 pub fn chengdu_nov() -> ScenarioConfig {
-    city_profile(
-        "DiDi",
-        "Yueche",
+    two_platforms(
         chengdu_extent(),
         chengdu_mixture(chengdu_extent()),
         [(10_097, 1_120), (10_045, 933)],
+        1.0,
+        ValueDistribution::real_like(),
         0xC0DE_0011,
     )
 }
@@ -155,12 +147,12 @@ pub fn chengdu_nov() -> ScenarioConfig {
 /// 2,441 + 2,686 workers — a much scarcer worker pool, ratio ≈ 24) at
 /// 1/10 scale.
 pub fn xian_nov() -> ScenarioConfig {
-    city_profile(
-        "DiDi",
-        "Yueche",
+    two_platforms(
         xian_extent(),
         xian_mixture(xian_extent()),
         [(5_761, 244), (5_764, 269)],
+        1.0,
+        ValueDistribution::real_like(),
         0xC0DE_0021,
     )
 }
@@ -204,47 +196,18 @@ pub fn synthetic(params: SyntheticParams) -> ScenarioConfig {
         params.n_workers >= 2,
         "need at least one worker per platform"
     );
-    let extent = chengdu_extent();
-    let m = chengdu_mixture(extent);
-    let mc = m.complement();
-    let requests_a = SpatialMixture::blend(&m, &mc, 0.65, 0.35);
-    let requests_b = SpatialMixture::blend(&mc, &m, 0.65, 0.35);
-    let half = |n: usize| (n / 2, n - n / 2);
-    let (req_a, req_b) = half(params.n_requests);
-    let (wrk_a, wrk_b) = half(params.n_workers);
-    let platforms = vec![
-        PlatformSpec {
-            name: "DiDi".into(),
-            n_requests: req_a,
-            n_workers: wrk_a,
-            radius_km: params.radius_km,
-            worker_spatial: m,
-            request_spatial: requests_a,
-            values: params.values,
-            history_values: ValueDistribution::worker_history(),
-            history_len: HISTORY_LEN,
-        },
-        PlatformSpec {
-            name: "Yueche".into(),
-            n_requests: req_b,
-            n_workers: wrk_b,
-            radius_km: params.radius_km,
-            worker_spatial: mc,
-            request_spatial: requests_b,
-            values: params.values,
-            history_values: ValueDistribution::worker_history(),
-            history_len: HISTORY_LEN,
-        },
-    ];
-    ScenarioConfig {
-        extent,
-        platforms,
-        service: ServiceModel::default_taxi(),
-        request_profile: DailyProfile::two_peak(),
-        worker_profile: worker_profile(),
-        update_histories: false,
-        seed: params.seed,
-    }
+    let (requests, workers) = (params.n_requests, params.n_workers);
+    two_platforms(
+        chengdu_extent(),
+        chengdu_mixture(chengdu_extent()),
+        [
+            (requests / 2, workers / 2),
+            (requests - requests / 2, workers - workers / 2),
+        ],
+        params.radius_km,
+        params.values,
+        params.seed,
+    )
 }
 
 /// The small synthetic smoke scenario behind every CLI's `--quick` (400

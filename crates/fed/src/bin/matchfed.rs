@@ -6,12 +6,12 @@
 //! outsourcing protocol — and verifies the federated outcome against a
 //! local single-process batch run of the same instance and seed:
 //! canonical runs, digests, per-platform projections, ledgers, audits,
-//! and zero degraded offers.
+//! and zero degraded offers. Any failed invariant exits 1.
 //!
 //! ```text
-//! matchfed --quick --strict                      # in-process pair
+//! matchfed --quick                               # in-process pair
 //! matchfed --quick --addr-file-a a.addr \
-//!          --addr-file-b b.addr --strict         # two external matchd
+//!          --addr-file-b b.addr                  # two external matchd
 //! ```
 //!
 //! Flags:
@@ -27,7 +27,6 @@
 //!   in-process pair; `--addr-file-a` / `--addr-file-b` poll a
 //!   `matchd --addr-file` drop instead (CI orchestration).
 //! * `--deadline-ms <n>` — per-offer deadline.
-//! * `--strict` — exit non-zero if any byte-identity invariant fails.
 //! * `--json <path>` — write the machine-readable report.
 
 use std::fs;
@@ -44,7 +43,6 @@ struct Args {
     seed: u64,
     frame: WireFormat,
     deadline_ms: u64,
-    strict: bool,
     json_out: Option<String>,
     addr_a: Option<String>,
     addr_b: Option<String>,
@@ -55,7 +53,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: matchfed [--quick | --full-scale] [--matcher SPEC] [--seed N]\n\
-         \x20               [--frame ndjson|binary] [--deadline-ms N] [--strict]\n\
+         \x20               [--frame ndjson|binary] [--deadline-ms N]\n\
          \x20               [--json PATH]\n\
          \x20               [--addr-a HOST:PORT --addr-b HOST:PORT]\n\
          \x20               [--addr-file-a PATH --addr-file-b PATH]"
@@ -71,7 +69,6 @@ fn parse_args() -> Args {
         seed: 42,
         frame: WireFormat::Ndjson,
         deadline_ms: com_serve::DEFAULT_OFFER_DEADLINE_MS,
-        strict: false,
         json_out: None,
         addr_a: None,
         addr_b: None,
@@ -111,7 +108,6 @@ fn parse_args() -> Args {
                         usage()
                     })
             }
-            "--strict" => args.strict = true,
             "--json" => args.json_out = Some(next("--json", &mut argv)),
             "--addr-a" => args.addr_a = Some(next("--addr-a", &mut argv)),
             "--addr-b" => args.addr_b = Some(next("--addr-b", &mut argv)),
@@ -289,7 +285,7 @@ fn main() {
             std::process::exit(2)
         });
     }
-    if args.strict && !failures.is_empty() {
+    if !failures.is_empty() {
         std::process::exit(1);
     }
 }

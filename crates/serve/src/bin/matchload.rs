@@ -7,7 +7,7 @@
 //!     [--quick] [--full-scale] [--matcher SPEC] [--seed N] \
 //!     [--frame ndjson|binary] [--window N] \
 //!     [--connections M] [--sessions K] \
-//!     [--json FILE] [--strict]
+//!     [--json FILE]
 //! ```
 //!
 //! Streams a `com-datagen` scenario through a live matchd — one front-end
@@ -49,11 +49,11 @@
 //!   `completed`, `audit_findings`, `digest`), the server's
 //!   `server_shards[]` and `server_phases[]` tables, `host_cores` and
 //!   `note`.
-//! * `--strict` — verify every served session end to end: replay the
-//!   same instance through the local batch engine (`try_run_online`,
-//!   per-session seed) and require `ByeMsg::disagreements` to be empty —
-//!   the served run's digest equal to the batch run's, zero audit
-//!   findings; exit 1 otherwise.
+//!
+//! Every served session is verified end to end: the same instance goes
+//! through the local batch engine (`try_run_online`, per-session seed)
+//! and `ByeMsg::disagreements` must be empty — the served run's digest
+//! equal to the batch run's, zero audit findings; exit 1 otherwise.
 
 use std::fs;
 use std::path::Path;
@@ -67,7 +67,6 @@ struct Args {
     profile: String,
     config: Option<String>,
     json_out: Option<String>,
-    strict: bool,
     drive: DriveOptions,
 }
 
@@ -76,7 +75,7 @@ fn usage() -> ! {
         "usage: matchload --addr HOST:PORT [--profile NAME | --config FILE] \
          [--quick] [--full-scale] [--matcher SPEC] [--seed N] \
          [--frame ndjson|binary] [--window N] [--connections M] \
-         [--sessions K] [--json FILE] [--strict]\n\
+         [--sessions K] [--json FILE]\n\
          \x20 --window N       max messages in flight per connection (1 = lockstep)\n\
          \x20 --sessions K     logical sessions, seed N+k each; one is addressed bare,\n\
          \x20                  more are multiplexed as sids 0..K\n\
@@ -91,7 +90,6 @@ fn parse_args() -> Args {
         profile: "synthetic".into(),
         config: None,
         json_out: None,
-        strict: false,
         drive: DriveOptions::default(),
     };
     let (mut quick, mut full_scale) = (false, false);
@@ -134,7 +132,6 @@ fn parse_args() -> Args {
             "--connections" => args.drive.connections = positive("--connections"),
             "--sessions" => args.drive.sessions = positive("--sessions"),
             "--json" => args.json_out = Some(next("--json")),
-            "--strict" => args.strict = true,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag {other}");
@@ -334,28 +331,26 @@ fn main() {
         write_json(path, &json);
     }
 
-    if args.strict {
-        // The ground truth: the same instance, matcher and seed through
-        // the local batch engine must be the served run, byte for byte.
-        let spec = MatcherSpec::parse(&options.matcher).unwrap_or_else(|e| {
-            eprintln!("matchload: {e}");
-            std::process::exit(2)
-        });
-        let mut failures = Vec::new();
-        for (k, s) in report.sessions.iter().enumerate() {
-            let batch = try_run_online(&instance, spec.build().as_mut(), s.seed);
-            for d in s.bye.disagreements(&batch) {
-                failures.push(format!("session {k}: {d}"));
-            }
+    // The ground truth: the same instance, matcher and seed through the
+    // local batch engine must be the served run, byte for byte.
+    let spec = MatcherSpec::parse(&options.matcher).unwrap_or_else(|e| {
+        eprintln!("matchload: {e}");
+        std::process::exit(2)
+    });
+    let mut failures = Vec::new();
+    for (k, s) in report.sessions.iter().enumerate() {
+        let batch = try_run_online(&instance, spec.build().as_mut(), s.seed);
+        for d in s.bye.disagreements(&batch) {
+            failures.push(format!("session {k}: {d}"));
         }
-        if !failures.is_empty() {
-            eprintln!("matchload: --strict failed: {}", failures.join("; "));
-            std::process::exit(1);
-        }
-        println!(
-            "strict: all {} served sessions match their local batch runs exactly \
-             (canonical run digest); audit clean",
-            report.sessions.len()
-        );
     }
+    if !failures.is_empty() {
+        eprintln!("matchload: verification failed: {}", failures.join("; "));
+        std::process::exit(1);
+    }
+    println!(
+        "verified: all {} served sessions match their local batch runs exactly \
+         (canonical run digest); audit clean",
+        report.sessions.len()
+    );
 }

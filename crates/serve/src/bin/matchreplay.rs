@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! # replay (the default): re-run traces and compare decisions
-//! cargo run -p com-serve --release --bin matchreplay -- \
-//!     [--strict] TRACE.jsonl...
+//! cargo run -p com-serve --release --bin matchreplay -- TRACE.jsonl...
 //!
 //! # record: write a trace by playing a scenario locally (no server)
 //! cargo run -p com-serve --release --bin matchreplay -- \
@@ -13,14 +12,11 @@
 //!
 //! Replay drives each trace's events straight through a `ServeSession` —
 //! no sockets, no protocol framing — and byte-compares every decision
-//! against the recording (canonical projection, wall-clock excluded):
-//!
-//! * default (lenient): divergences are *reported*, first mismatching
-//!   event index and both decisions side by side, and the exit code stays
-//!   0 — the diagnosis mode.
-//! * `--strict`: any divergence, digest mismatch, or `validate_run`
-//!   finding exits 1 — the CI mode, run over the committed `traces/`
-//!   corpus on every push.
+//! against the recording (canonical projection, wall-clock excluded).
+//! Divergences are reported with the first mismatching event index and
+//! both decisions side by side. Any divergence, digest mismatch,
+//! `validate_run` finding, or trace that cannot be read exits 1 — CI runs
+//! it over the committed `traces/` corpus on every push.
 
 use std::path::{Path, PathBuf};
 
@@ -29,7 +25,6 @@ use com_serve::{record_session, replay_trace, TraceReplayReport};
 
 struct Args {
     traces: Vec<PathBuf>,
-    strict: bool,
     record: Option<PathBuf>,
     matcher: String,
     seed: u64,
@@ -39,7 +34,7 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: matchreplay [--strict] TRACE.jsonl...\n\
+        "usage: matchreplay TRACE.jsonl...\n\
          \x20      matchreplay --record TRACE.jsonl --matcher SPEC [--seed N] \
          [--quick | --profile NAME | --config FILE]"
     );
@@ -49,7 +44,6 @@ fn usage() -> ! {
 fn parse_args() -> Args {
     let mut args = Args {
         traces: Vec::new(),
-        strict: false,
         record: None,
         matcher: "demcom".into(),
         seed: 42,
@@ -66,7 +60,6 @@ fn parse_args() -> Args {
             })
         };
         match arg.as_str() {
-            "--strict" => args.strict = true,
             "--record" => args.record = Some(next("--record").into()),
             "--matcher" => args.matcher = next("--matcher"),
             "--seed" => {
@@ -128,7 +121,8 @@ fn record(args: &Args, path: &Path) {
     }
 }
 
-fn report_one(report: &TraceReplayReport, strict: bool) -> bool {
+/// Print one trace's report; true when it failed.
+fn report_one(report: &TraceReplayReport) -> bool {
     let verdict = if report.is_clean() {
         "identical"
     } else {
@@ -155,11 +149,7 @@ fn report_one(report: &TraceReplayReport, strict: bool) -> bool {
             eprintln!("  then: {d}");
         }
     }
-    let failed = !report.is_clean();
-    if failed && strict {
-        eprintln!("  strict: replay must be byte-identical with a silent auditor");
-    }
-    failed
+    !report.is_clean()
 }
 
 fn main() {
@@ -172,7 +162,7 @@ fn main() {
     let mut any_failed = false;
     for path in &args.traces {
         match replay_trace(path) {
-            Ok(report) => any_failed |= report_one(&report, args.strict),
+            Ok(report) => any_failed |= report_one(&report),
             Err(e) => {
                 eprintln!("matchreplay: {e}");
                 any_failed = true;
@@ -180,7 +170,7 @@ fn main() {
         }
     }
 
-    if any_failed && args.strict {
+    if any_failed {
         std::process::exit(1);
     }
 }

@@ -14,9 +14,9 @@
 //! answered by exactly one decision line, each decision line answering a
 //! request event), the final run digest, and the decision/event counts of
 //! the `finish` line. Divergences are
-//! collected (not thrown) so lenient callers can report the first
-//! mismatching event index with both decisions side by side; `--strict`
-//! is a caller policy (exit nonzero on any divergence or audit finding).
+//! collected (not thrown) so a caller can report the first mismatching
+//! event index with both decisions side by side; `matchreplay` then exits
+//! nonzero on any divergence or audit finding.
 //!
 //! [`record_session`] is the inverse: play a local [`Instance`] through a
 //! recorded `ServeSession` without a server, which is how the committed

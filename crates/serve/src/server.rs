@@ -598,7 +598,7 @@ impl Router {
         let daemon = &self.pool.daemon;
         daemon.counters.protocol_error();
         let shard = place(self.conn.id, None, daemon.shards.len());
-        self.pool.reply_via(shard, &self.conn, None, response)
+        self.pool.reply_via(shard, &self.conn, response)
     }
 }
 

@@ -114,11 +114,7 @@ pub(crate) enum ShardMsg {
     /// A refusal the router built, written in FIFO order with the
     /// shard's own responses (this shard owns the connection's bare
     /// session address).
-    Reply {
-        conn: Arc<Conn>,
-        sid: Option<u64>,
-        msg: ServerMsg,
-    },
+    Reply { conn: Arc<Conn>, msg: ServerMsg },
     /// The connection is gone: finish every session it owns here, then
     /// drop `ack` — a barrier, nothing is ever sent on it.
     CloseConn { conn_id: u64, ack: mpsc::Sender<()> },
@@ -173,15 +169,9 @@ impl PoolShared {
 
     /// Queue a router-built response through `shard` so it lands in FIFO
     /// order with that shard's own responses.
-    pub(crate) fn reply_via(
-        &self,
-        shard: usize,
-        conn: &Arc<Conn>,
-        sid: Option<u64>,
-        msg: ServerMsg,
-    ) -> bool {
+    pub(crate) fn reply_via(&self, shard: usize, conn: &Arc<Conn>, msg: ServerMsg) -> bool {
         let conn = Arc::clone(conn);
-        self.send(shard, ShardMsg::Reply { conn, sid, msg })
+        self.send(shard, ShardMsg::Reply { conn, msg })
     }
 
     /// Finish every session `conn_id` owns anywhere in the pool: returns
@@ -307,10 +297,10 @@ impl Shard {
             };
             match msg {
                 ShardMsg::Stop => break,
-                ShardMsg::Reply { conn, sid, msg } => {
+                ShardMsg::Reply { conn, msg } => {
                     self.stats().queue.on_drain();
                     self.remember(&conn);
-                    conn.queue_for(sid, &msg);
+                    conn.queue_for(None, &msg);
                 }
                 ShardMsg::Ingress {
                     conn,
@@ -643,7 +633,7 @@ mod tests {
         drop(rx);
         let conn = Conn::new(0, None);
         assert!(!shared.ingress(0, &conn, None, ClientMsg::stats, 0));
-        assert!(!shared.reply_via(0, &conn, None, ServerMsg::ok));
+        assert!(!shared.reply_via(0, &conn, ServerMsg::ok));
         assert_eq!(queue.depth(), 0);
     }
 }

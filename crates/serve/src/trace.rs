@@ -25,7 +25,7 @@
 //! ([`com_core::canonical_assignment_json`]): every
 //! decision-determined field, excluding the wall-clock `decision_nanos`.
 //! Byte-comparing the serialized projection is exactly the byte-identity
-//! `matchreplay --strict` asserts, and the `finish` line's FNV-1a digest
+//! `matchreplay` asserts, and the `finish` line's FNV-1a digest
 //! over [`com_core::canonical_run_json`] fingerprints the whole
 //! run (assignment order included) as a second, independent check.
 

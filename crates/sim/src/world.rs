@@ -99,11 +99,6 @@ impl World {
         self.platform_names.len()
     }
 
-    /// Platform display name.
-    pub fn platform_name(&self, p: PlatformId) -> &str {
-        &self.platform_names[p.index()]
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> Timestamp {
         self.now

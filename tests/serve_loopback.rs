@@ -114,3 +114,23 @@ fn stats_reports_live_counters_mid_session() {
     assert!(matches!(response, ServerMsg::bye(_)));
     handle.shutdown();
 }
+
+#[test]
+fn matchload_checks_every_served_session_against_its_batch_run() {
+    let handle = serve(ServerConfig::default()).expect("bind ephemeral port");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_matchload"))
+        .args(["--addr", &handle.addr().to_string(), "--quick"])
+        .output()
+        .expect("run matchload");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains("served sessions match their local batch runs exactly"),
+        "{stdout}"
+    );
+    handle.shutdown();
+}

@@ -1,0 +1,101 @@
+//! The `simulate` binary end to end: `--algo all` runs the standard three
+//! matchers and reports exactly what the in-process engine computes,
+//! `--emit-config` round-trips through `--config`, and an unknown
+//! `--algo` is a usage error that lists the valid specs.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+use serde::Deserialize;
+
+use com_core::{run_online, MatcherSpec};
+use com_datagen::{generate, profiles};
+
+/// The part of `simulate --json`'s report these tests read.
+#[derive(Deserialize)]
+struct Report {
+    runs: Vec<Run>,
+}
+
+#[derive(Debug, PartialEq, Deserialize)]
+struct Run {
+    algorithm: String,
+    revenue: f64,
+    completed: usize,
+}
+
+fn simulate(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .args(args)
+        .output()
+        .expect("run simulate")
+}
+
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("com-simulate-cli-{}-{tag}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// Run `simulate ARGS --json FILE` and return the report's `runs`.
+fn runs(args: &[&str], json: &Path) -> Vec<Run> {
+    let mut args = args.to_vec();
+    args.extend(["--json", json.to_str().unwrap()]);
+    let out = simulate(&args);
+    assert!(
+        out.status.success(),
+        "{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(json).expect("read report");
+    let report: Report = serde_json::from_str(&text).expect("parse report");
+    report.runs
+}
+
+#[test]
+fn algo_all_reports_the_standard_runs_and_the_config_round_trips() {
+    let dir = scratch("all");
+    let from_profile = runs(
+        &["--profile", "quick", "--algo", "all"],
+        &dir.join("profile.json"),
+    );
+
+    let instance = generate(&profiles::quick());
+    let expected: Vec<Run> = MatcherSpec::standard()
+        .iter()
+        .map(|spec| {
+            let run = run_online(&instance, spec.build().as_mut(), 42);
+            Run {
+                algorithm: run.algorithm.clone(),
+                revenue: run.total_revenue(),
+                completed: run.completed(),
+            }
+        })
+        .collect();
+    let names: Vec<&str> = from_profile.iter().map(|r| r.algorithm.as_str()).collect();
+    assert_eq!(names, ["TOTA", "DemCOM", "RamCOM"]);
+    assert_eq!(from_profile, expected);
+
+    let emitted = simulate(&["--emit-config", "--profile", "quick"]);
+    assert!(emitted.status.success());
+    let config = dir.join("quick-config.json");
+    std::fs::write(&config, &emitted.stdout).expect("write config");
+    let from_config = runs(
+        &["--config", config.to_str().unwrap(), "--algo", "all"],
+        &dir.join("config.json"),
+    );
+    assert_eq!(from_config, from_profile);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unknown_algo_is_a_usage_error_listing_the_valid_specs() {
+    let out = simulate(&["--profile", "quick", "--algo", "nope"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("nope"), "{stderr}");
+    for spec in ["tota", "demcom", "ramcom"] {
+        assert!(stderr.contains(spec), "{spec} missing from: {stderr}");
+    }
+}

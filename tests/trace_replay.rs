@@ -6,10 +6,10 @@
 //! * a trace recorded by a *live* `matchd --record` session over loopback
 //!   TCP replays byte-identically to what the live client observed, and
 //!   two connections that each open sid 0 get one trace each;
-//! * a tampered trace is caught: lenient replay reports the divergence at
-//!   the right event index with both decisions, and `matchreplay
-//!   --strict` exits nonzero; so is a decision line that answers no
-//!   request;
+//! * a tampered trace is caught: replay reports the divergence at the
+//!   right event index with both decisions, and `matchreplay` exits
+//!   nonzero; so is a decision line that answers no request, a missing
+//!   path and a file that is not a trace;
 //! * `stats_deep` over loopback returns the populated serving phase
 //!   table.
 
@@ -259,7 +259,7 @@ fn tampered_decision_is_reported_at_its_event_index_and_fails_strict() {
     let tampered_path = dir.join("tampered.jsonl");
     std::fs::write(&tampered_path, tampered_text.join("\n") + "\n").expect("write tampered");
 
-    // Lenient replay: the run itself is unchanged (the engine ignores
+    // Replay: the run itself is unchanged (the engine ignores
     // recorded decisions), so exactly one divergence — the flipped
     // decision, at its event index, with both sides reported.
     let report = replay_trace(&tampered_path).expect("replay tampered");
@@ -271,38 +271,45 @@ fn tampered_decision_is_reported_at_its_event_index_and_fails_strict() {
     assert!(d.got.contains("\"outcome\":\"assign\""), "{d:?}");
     assert!(!report.is_clean());
 
-    // The matchreplay binary: strict exits nonzero on the tampered
-    // trace, lenient exits zero while still reporting; the pristine
-    // trace passes strict.
+    // The matchreplay binary exits nonzero on the tampered trace, on a
+    // missing path and on a file that is not a trace, naming each on
+    // stderr; the pristine trace passes.
     let bin = env!("CARGO_BIN_EXE_matchreplay");
-    let strict_bad = Command::new(bin)
-        .args(["--strict", tampered_path.to_str().unwrap()])
-        .output()
-        .expect("run matchreplay");
+    let replay = |path: &Path| {
+        Command::new(bin)
+            .arg(path)
+            .output()
+            .expect("run matchreplay")
+    };
+    let bad = replay(&tampered_path);
     assert!(
-        !strict_bad.status.success(),
-        "strict must fail on a tampered trace: {}",
-        String::from_utf8_lossy(&strict_bad.stdout)
+        !bad.status.success(),
+        "a tampered trace must fail: {}",
+        String::from_utf8_lossy(&bad.stdout)
     );
-    let stderr = String::from_utf8_lossy(&strict_bad.stderr);
+    let stderr = String::from_utf8_lossy(&bad.stderr);
     assert!(
         stderr.contains(&format!("event {tampered_index} decision")),
         "divergence report names the event index: {stderr}"
     );
-    let lenient_bad = Command::new(bin)
-        .arg(tampered_path.to_str().unwrap())
-        .output()
-        .expect("run matchreplay");
-    assert!(lenient_bad.status.success(), "lenient reports but passes");
-    let strict_good = Command::new(bin)
-        .args(["--strict", path.to_str().unwrap()])
-        .output()
-        .expect("run matchreplay");
+    let not_a_trace = dir.join("not-a-trace.jsonl");
+    std::fs::write(&not_a_trace, "not a trace\n").expect("write non-trace");
+    for unreadable in [dir.join("missing.jsonl"), not_a_trace] {
+        let out = replay(&unreadable);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{}: {stderr}", unreadable.display());
+        assert!(
+            stderr.contains(unreadable.to_str().unwrap()),
+            "the error names {}: {stderr}",
+            unreadable.display()
+        );
+    }
+    let good = replay(&path);
     assert!(
-        strict_good.status.success(),
-        "pristine trace must pass strict: {}{}",
-        String::from_utf8_lossy(&strict_good.stdout),
-        String::from_utf8_lossy(&strict_good.stderr)
+        good.status.success(),
+        "pristine trace must pass: {}{}",
+        String::from_utf8_lossy(&good.stdout),
+        String::from_utf8_lossy(&good.stderr)
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
