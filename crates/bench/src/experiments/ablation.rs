@@ -13,7 +13,7 @@
 use serde::{Deserialize, Serialize};
 
 use com_core::{
-    run_batched, run_online, BatchedCom, DemCom, DemComConfig, RamCom, RamComConfig, RouteAwareCom,
+    run_batched, run_online, BatchedCom, DemCom, DemComConfig, MatcherSpec, RamCom, RamComConfig,
     RunResult,
 };
 use com_datagen::{generate, synthetic, SyntheticParams};
@@ -224,7 +224,7 @@ pub fn value_distributions(quick: bool) -> AblationResult {
             values: dist,
             ..base_params(quick)
         }));
-        for spec in super::standard_specs() {
+        for spec in MatcherSpec::standard() {
             let mut matcher = spec.build();
             rows.push(measure(
                 &instance,
@@ -280,7 +280,7 @@ pub fn route_aware_caps(quick: bool) -> AblationResult {
         .map(|&cap| {
             let run = run_online(
                 &instance,
-                &mut RouteAwareCom::with_cap(cap),
+                &mut DemCom::with_pickup_cap(cap),
                 EXPERIMENT_SEED,
             );
             let cap = if cap.is_finite() {

@@ -8,14 +8,14 @@
 
 use serde::{Deserialize, Serialize};
 
-use com_core::competitive_ratio_random_order;
+use com_core::{competitive_ratio_random_order, MatcherSpec};
 use com_datagen::{generate, synthetic, SyntheticParams};
 use com_metrics::Table;
 use com_sim::ServiceModel;
 
 use crate::runner::SweepRunner;
 
-use super::{standard_specs, EXPERIMENT_SEED, STANDARD_NAMES};
+use super::EXPERIMENT_SEED;
 
 /// RamCOM's proven lower bound, `1 / (8e)`.
 pub const RAMCOM_BOUND: f64 = 1.0 / (8.0 * std::f64::consts::E);
@@ -90,7 +90,7 @@ pub fn run_cr_study(runner: &SweepRunner, instances: usize, orders: usize) -> Cr
     });
 
     // Phase 2: one job per (instance, matcher) cell.
-    let specs = standard_specs();
+    let specs = MatcherSpec::standard();
     let cells: Vec<(usize, usize)> = (0..instances)
         .flat_map(|i| (0..specs.len()).map(move |si| (i, si)))
         .collect();
@@ -105,10 +105,10 @@ pub fn run_cr_study(runner: &SweepRunner, instances: usize, orders: usize) -> Cr
 
     // Reduce per matcher, visiting instances in ascending order exactly
     // as the serial loop did (float accumulation order preserved).
-    let mut rows: Vec<CrRow> = STANDARD_NAMES
+    let mut rows: Vec<CrRow> = specs
         .iter()
-        .map(|n| CrRow {
-            algorithm: n.to_string(),
+        .map(|s| CrRow {
+            algorithm: s.display_name().to_string(),
             min_ratio: f64::INFINITY,
             mean_ratio: 0.0,
         })

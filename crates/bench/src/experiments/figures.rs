@@ -7,13 +7,13 @@
 
 use serde::{Deserialize, Serialize};
 
-use com_core::run_online;
+use com_core::{run_online, MatcherSpec};
 use com_datagen::{generate, synthetic, SyntheticParams};
 use com_metrics::SweepSeries;
 
 use crate::runner::SweepRunner;
 
-use super::{standard_specs, EXPERIMENT_SEED, STANDARD_NAMES};
+use super::EXPERIMENT_SEED;
 
 /// The paper's swept values (Table IV; defaults bold: |R| = 2500,
 /// |W| = 500, rad = 1.0).
@@ -55,7 +55,7 @@ fn run_sweep(
 
     // Phase 2: fan the (instance × matcher) grid. Each cell's RNG seed
     // depends only on the cell, so results match serial execution.
-    let specs = standard_specs();
+    let specs = MatcherSpec::standard();
     let cells: Vec<(usize, usize)> = (0..xs.len())
         .flat_map(|xi| (0..specs.len()).map(move |si| (xi, si)))
         .collect();
@@ -69,7 +69,7 @@ fn run_sweep(
         .enumerate()
         .map(|(cell, run)| SweepPoint {
             x: xs[cell / specs.len()],
-            algorithm: STANDARD_NAMES[cell % specs.len()].to_string(),
+            algorithm: specs[cell % specs.len()].display_name().to_string(),
             revenue: run.total_revenue(),
             response_ms: run.mean_response_ms(),
             memory_bytes: run.peak_memory_bytes,
@@ -90,7 +90,7 @@ fn run_sweep(
             series
         };
     let [a, b, c, d] = figure_ids;
-    let all = &STANDARD_NAMES;
+    let all = &specs.map(|s| s.display_name());
     SweepResult {
         axis: axis.to_string(),
         revenue: panel(a, "total revenue", "Revenue (x10^6)", all, |p| {

@@ -10,13 +10,13 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use com_core::{offline_solve, Instance, OfflineMode, PlatformId, RunResult};
+use com_core::{offline_solve, Instance, MatcherSpec, OfflineMode, PlatformId, RunResult};
 use com_datagen::{chengdu_nov, chengdu_oct, generate, xian_nov, ScenarioConfig};
 use com_metrics::{fmt_mega, fmt_mib, Table};
 
 use crate::runner::{run_grid, SweepRunner};
 
-use super::{standard_specs, EXPERIMENT_SEED};
+use super::EXPERIMENT_SEED;
 
 /// One method's measured row (serialisable so EXPERIMENTS.md numbers can
 /// be regenerated from JSON dumps).
@@ -182,7 +182,7 @@ fn method_rows(runner: &SweepRunner, instance: &Instance, seeds: &[u64]) -> Vec<
 
     // The (matcher × seed) grid: every cell builds a fresh matcher from
     // its spec and uses the cell's own seed, so the fan-out is exact.
-    let runs = run_grid(runner, instance, &standard_specs(), seeds);
+    let runs = run_grid(runner, instance, &MatcherSpec::standard(), seeds);
     rows.extend(runs.chunks(seeds.len()).map(averaged_method_row));
     rows
 }
@@ -398,7 +398,7 @@ mod tests {
             true,
         );
         let instance = generate(&chengdu_oct().scaled(10));
-        for spec in standard_specs() {
+        for spec in MatcherSpec::standard() {
             let run = com_core::run_online(&instance, spec.build().as_mut(), EXPERIMENT_SEED);
             let row = t
                 .rows

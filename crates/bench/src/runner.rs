@@ -22,8 +22,8 @@
 //! Wall-clock fields (`decision_nanos`, response-time metrics) are
 //! measured, not simulated, and therefore differ between any two runs —
 //! serial or parallel. [`canonical_run_json`] projects a `RunResult`
-//! onto its deterministic content (assignments, revenue, telemetry
-//! counters) for byte-exact comparison across thread counts.
+//! onto its deterministic content (assignments and revenue; no telemetry)
+//! for byte-exact comparison across thread counts.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -156,13 +156,12 @@ impl SweepRunner {
 
         let n = jobs.len();
         let threads = self.threads.min(n).max(1);
-        // Telemetry policy must not depend on the thread count (the
-        // canonical projection of a run includes its telemetry
-        // counters): when this runner collects, OR an outer collector is
-        // already active on the calling thread, every execution path
-        // attaches telemetry — the serial loop reuses the outer
-        // collector when present, and each parallel worker installs a
-        // fresh thread-local one.
+        // Whether a run's `RunResult::telemetry` is present must not
+        // depend on the thread count: when this runner collects, OR an
+        // outer collector is already active on the calling thread, every
+        // execution path attaches telemetry — the serial loop reuses the
+        // outer collector when present, and each parallel worker installs
+        // a fresh thread-local one.
         let effective_collect = self.collect_telemetry || com_obs::is_active();
         if threads == 1 {
             let install = effective_collect && !com_obs::is_active();

@@ -9,10 +9,11 @@
 //! matched against the currently idle inner workers with an exact
 //! maximum-weight assignment; leftovers get DemCOM-style outer offers.
 //!
-//! A window of `0` degenerates to per-request greedy; growing windows
-//! recover most of greedy's myopia losses (the crossing instances of the
-//! Hungarian tests) at the cost of up to `window_secs` of user-visible
-//! waiting — quantified in the `repro ablation` experiment.
+//! Window `k` holds the requests arriving in `[k·w, (k+1)·w)` and is
+//! flushed at `(k+1)·w`, so no request waits longer than `w`. Growing
+//! windows recover most of greedy's myopia losses (the crossing instances
+//! of the Hungarian tests) at the cost of up to `window_secs` of
+//! user-visible waiting — quantified in the `repro ablation` experiment.
 
 use std::time::Instant;
 
@@ -20,7 +21,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use com_matching::{hungarian, BipartiteGraph};
-use com_sim::{ArrivalEvent, Assignment, Instance, RequestSpec, Timestamp, World};
+use com_sim::{
+    ArrivalEvent, Assignment, ConstraintViolation, Instance, RequestSpec, Timestamp, World,
+};
 
 use crate::config::DemComConfig;
 use crate::cooperative;
@@ -40,8 +43,13 @@ pub struct BatchedCom {
 }
 
 impl BatchedCom {
+    /// # Panics
+    /// Panics unless `window_secs` is positive and finite.
     pub fn new(window_secs: f64) -> Self {
-        assert!(window_secs >= 0.0, "window must be non-negative");
+        assert!(
+            window_secs > 0.0 && window_secs.is_finite(),
+            "window must be positive and finite"
+        );
         BatchedCom {
             window_secs,
             demcom: DemComConfig::default(),
@@ -53,6 +61,11 @@ impl BatchedCom {
 /// [`RunResult`] shape as [`crate::run_online`] (assignments are recorded
 /// at their batch-flush time; `decision_nanos` is the batch solve time
 /// split evenly over the batch), and is audited the same way.
+///
+/// # Panics
+/// Panics with the violation's text on a stream the world refuses (a
+/// duplicate worker, an unknown platform, an out-of-order arrival), and
+/// on an unsound run.
 pub fn run_batched(instance: &Instance, config: BatchedCom, seed: u64) -> RunResult {
     let algorithm = format!("Batched({}s)", config.window_secs);
     com_obs::begin_run(&algorithm);
@@ -63,12 +76,19 @@ pub fn run_batched(instance: &Instance, config: BatchedCom, seed: u64) -> RunRes
     let mut total_nanos = 0u64;
     let mut peak = world.approx_bytes();
 
-    let mut next_flush = Timestamp::from_secs(config.window_secs.max(f64::MIN_POSITIVE));
+    let must = |result: Result<(), ConstraintViolation>| {
+        if let Err(violation) = result {
+            panic!("{violation}");
+        }
+    };
+    let boundary = |k: u64| Timestamp::from_secs(k as f64 * config.window_secs);
+    let mut windows = 1;
+    let mut next_flush = boundary(windows);
 
     for event in instance.stream.iter() {
         // Flush every window boundary up to this event's time.
         while event.time() >= next_flush {
-            world.advance_to(next_flush);
+            must(world.advance_to(next_flush));
             flush(
                 &mut world,
                 &config,
@@ -78,18 +98,19 @@ pub fn run_batched(instance: &Instance, config: BatchedCom, seed: u64) -> RunRes
                 &mut total_nanos,
                 &mut rng,
             );
-            next_flush += config.window_secs.max(1.0);
+            windows += 1;
+            next_flush = boundary(windows);
             peak = peak.max(world.approx_bytes());
         }
-        world.advance_to(event.time());
+        must(world.advance_to(event.time()));
         match event {
-            ArrivalEvent::Worker(spec) => world.worker_arrives(spec.id),
+            ArrivalEvent::Worker(spec) => must(world.worker_arrives(spec.id)),
             ArrivalEvent::Request(request) => buffer.push(*request),
         }
     }
     // Final flush for the tail of the stream.
     let end = world.now().max(next_flush);
-    world.advance_to(end);
+    must(world.advance_to(end));
     flush(
         &mut world,
         &config,
@@ -139,8 +160,10 @@ fn flush(
     let mut worker_ids = Vec::new();
     let mut worker_index = std::collections::HashMap::new();
     let mut graph_edges: Vec<(usize, usize, f64)> = Vec::new();
+    let mut inner = Vec::new();
     for (j, r) in batch.iter().enumerate() {
-        for idle in world.inner_coverers(r.platform, r.location) {
+        world.inner_coverers_into(r.platform, r.location, &mut inner);
+        for idle in &inner {
             // Time constraint: the worker must have been waiting when the
             // request arrived, not merely by flush time.
             if idle.entered_at > r.arrival {
@@ -177,15 +200,13 @@ fn flush(
 
     // Leftovers: DemCOM-style outer offers to the workers that were
     // already waiting when the request arrived.
+    let mut feasible = Vec::new();
     for (j, r) in batch.iter().enumerate() {
         if matched[j] {
             continue;
         }
-        let feasible: Vec<_> = world
-            .outer_coverers(r.platform, r.location)
-            .into_iter()
-            .filter(|(_, w)| w.entered_at <= r.arrival)
-            .collect();
+        world.outer_coverers_into(r.platform, r.location, &mut feasible, &mut Vec::new());
+        feasible.retain(|(_, w)| w.entered_at <= r.arrival);
         let decision = cooperative::offer(
             world,
             &feasible,
@@ -222,6 +243,12 @@ mod tests {
     /// request arrives 10 s before the expensive one. Greedy burns the
     /// worker; a 60 s batch assigns it optimally.
     fn crossing_instance() -> Instance {
+        crossing_instance_at(10.0, 20.0)
+    }
+
+    /// [`crossing_instance`] with its two requests at `cheap` and
+    /// `dear` seconds.
+    fn crossing_instance_at(cheap: f64, dear: f64) -> Instance {
         let p0 = PlatformId(0);
         let workers = vec![WorkerSpec::new(
             WorkerId(1),
@@ -231,8 +258,8 @@ mod tests {
             1.0,
         )];
         let requests = vec![
-            Rq::new(RequestId(1), p0, ts(10.0), Point::new(5.1, 5.0), 1.0),
-            Rq::new(RequestId(2), p0, ts(20.0), Point::new(5.2, 5.0), 100.0),
+            Rq::new(RequestId(1), p0, ts(cheap), Point::new(5.1, 5.0), 1.0),
+            Rq::new(RequestId(2), p0, ts(dear), Point::new(5.2, 5.0), 100.0),
         ];
         let mut config = WorldConfig::city(10.0);
         config.service = ServiceModel::one_shot();
@@ -275,6 +302,29 @@ mod tests {
         for a in &run.assignments {
             assert!(a.decided_at >= a.request.arrival);
         }
+    }
+
+    #[test]
+    fn no_request_waits_longer_than_a_sub_second_window() {
+        // Windows [10.5, 11.0) and [11.0, 11.5): the requests at 10.9 s and
+        // 11.2 s are flushed at 11.0 s and 11.5 s.
+        let inst = crossing_instance_at(10.9, 11.2);
+        let run = run_batched(&inst, BatchedCom::new(0.5), 1);
+        assert_eq!(run.assignments.len(), 2);
+        for a in &run.assignments {
+            let wait = a.decided_at.as_secs() - a.request.arrival.as_secs();
+            assert!(
+                (0.0..=0.5).contains(&wait),
+                "{:?} waited {wait} s",
+                a.request.id
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "window must be positive and finite")]
+    fn a_zero_window_is_refused() {
+        BatchedCom::new(0.0);
     }
 
     #[test]

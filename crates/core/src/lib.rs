@@ -16,6 +16,9 @@
 //!   the randomisation RamCOM borrows).
 //! * [`DemCom`] — Algorithm 1, deterministic COM: inner first, then the
 //!   minimum outer payment from Algorithm 2's Monte Carlo estimator.
+//!   [`DemCom::with_pickup_cap`] is route-aware matching, the paper's
+//!   §VII future-work direction: DemCOM that ignores workers further
+//!   than a pickup cap from the request.
 //! * [`RamCom`] — Algorithm 3, randomized COM: a random value threshold
 //!   `e^k` routes big requests to inner workers and small ones to outer
 //!   workers priced by maximum expected revenue (Definition 4.1).
@@ -33,11 +36,8 @@
 //!   adversarial and random-order models (Definitions 2.7/2.8).
 //! * [`registry`] — the algorithm-construction API: [`MatcherSpec`]
 //!   parses CLI strings like `"ramcom"` or `"route-aware:2.5"` and
-//!   builds fresh matchers (or `Send + Sync` factories minting one per
-//!   run) from them (`Result`-based parsing, no panics).
-//! * [`travel`] — route-aware matching with a pickup-distance cap (the
-//!   paper's §VII future-work direction), plus per-assignment travel
-//!   accounting.
+//!   builds a fresh matcher per run from them (`Result`-based parsing,
+//!   no panics).
 //! * [`canonical`] — the deterministic projection of a run
 //!   ([`canonical_run_json`], [`canonical_run_digest`]): the bytes every
 //!   serving mode is compared against the batch engine on.
@@ -62,7 +62,6 @@ pub mod registry;
 pub mod session;
 pub mod timeline;
 pub mod tota;
-pub mod travel;
 
 pub use audit::{validate_run, AuditFinding};
 pub use batched::{run_batched, BatchedCom};
@@ -77,11 +76,10 @@ pub use offline::{offline_solve, OfflineMode, OfflineResult};
 pub use outsource::{project_platform_run, OutsourceChannel, OutsourceOutcome};
 pub use ramcom::RamCom;
 pub use ratio::{competitive_ratio_random_order, CrReport};
-pub use registry::{MatcherFactory, MatcherRegistry, MatcherSpec, SpecError};
+pub use registry::{MatcherRegistry, MatcherSpec, SpecError};
 pub use session::{MatchSession, SessionConfig, SessionOutput};
 pub use timeline::{hourly_timeline, HourlyBucket};
 pub use tota::{GreedyRt, TotaGreedy};
-pub use travel::RouteAwareCom;
 
 // Re-export the substrate façade so downstream users need only `com_core`.
 pub use com_sim::{

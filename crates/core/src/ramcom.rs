@@ -23,6 +23,7 @@ use com_sim::{IdleWorker, PlatformId, RequestSpec, World};
 use crate::config::RamComConfig;
 use crate::cooperative;
 use crate::matcher::{Decision, OnlineMatcher, StreamInfo};
+use crate::TotaGreedy;
 
 /// Randomized cross online matching (Algorithm 3).
 ///
@@ -37,6 +38,17 @@ pub struct RamCom {
     threshold: f64,
     inner: Vec<IdleWorker>,
     outer: Vec<(PlatformId, IdleWorker)>,
+}
+
+/// Algorithm 3 line 1, which Greedy-RT shares: `θ = ⌈ln(max v_r + 1)⌉`.
+pub(crate) fn theta(info: &StreamInfo) -> u64 {
+    (info.max_value + 1.0).ln().ceil().max(1.0) as u64
+}
+
+/// Algorithm 3 line 2, which Greedy-RT shares: one draw of `k` uniform
+/// in `{1, …, θ}`, returning the value threshold `e^k`.
+pub(crate) fn draw_threshold(theta: u64, rng: &mut StdRng) -> f64 {
+    (rng.random_range(1..=theta) as f64).exp()
 }
 
 impl Default for RamCom {
@@ -97,21 +109,19 @@ impl OnlineMatcher for RamCom {
 
     fn begin(&mut self, info: &StreamInfo, rng: &mut StdRng) {
         // Line 1–2: θ = ⌈ln(max v_r + 1)⌉, k uniform in {1, …, θ}.
-        self.theta = (info.max_value + 1.0).ln().ceil().max(1.0) as u64;
-        let k = rng.random_range(1..=self.theta);
-        self.threshold = (k as f64).exp();
+        self.theta = theta(info);
+        self.threshold = draw_threshold(self.theta, rng);
     }
 
     fn decide(&mut self, world: &World, request: &RequestSpec, rng: &mut StdRng) -> Decision {
         if self.config.threshold == crate::config::ThresholdMode::PerRequest {
-            let k = rng.random_range(1..=self.theta);
-            self.threshold = (k as f64).exp();
+            self.threshold = draw_threshold(self.theta, rng);
         }
         if request.value > self.threshold {
             // Lines 4–8: big request — a random feasible inner worker.
-            // The scratch list is sorted nearest-first, exactly as the
-            // allocating query was: the RNG picks by *index*, so the
-            // candidate order is part of the deterministic replay contract.
+            // The scratch list is sorted nearest-first: the RNG picks by
+            // *index*, so the candidate order is part of the deterministic
+            // replay contract.
             {
                 let _span = com_obs::span(com_obs::PHASE_CANDIDATES);
                 world.inner_coverers_into(request.platform, request.location, &mut self.inner);
@@ -130,10 +140,10 @@ impl OnlineMatcher for RamCom {
         // Line 9–11: small request — leave it to the outer workers.
         let outer_decision = self.try_outer(world, request, rng);
         if !outer_decision.is_served() && self.config.fallback_to_inner {
-            // Extension (off by default): last-resort inner assignment.
-            let _span = com_obs::span(com_obs::PHASE_CANDIDATES);
-            if let Some(w) = world.nearest_inner_coverer(request.platform, request.location) {
-                return Decision::Inner { worker: w.id };
+            // Extension: last-resort inner assignment, TOTA's decision.
+            let inner = TotaGreedy.decide(world, request, rng);
+            if inner.is_served() {
+                return inner;
             }
         }
         outer_decision
@@ -157,17 +167,19 @@ mod tests {
     }
 
     fn add_worker(world: &mut World, id: u64, platform: u16, x: f64, history: Vec<f64>) {
-        world.register_worker(
-            WorkerSpec::new(
-                WorkerId(id),
-                PlatformId(platform),
-                Timestamp::ZERO,
-                Point::new(x, 5.0),
-                1.0,
-            ),
-            WorkerHistory::from_values(history),
-        );
-        world.worker_arrives(WorkerId(id));
+        world
+            .register_worker(
+                WorkerSpec::new(
+                    WorkerId(id),
+                    PlatformId(platform),
+                    Timestamp::ZERO,
+                    Point::new(x, 5.0),
+                    1.0,
+                ),
+                WorkerHistory::from_values(history),
+            )
+            .unwrap();
+        world.worker_arrives(WorkerId(id)).unwrap();
     }
 
     fn request(x: f64, value: f64) -> RequestSpec {

@@ -2,25 +2,24 @@
 //!
 //! Every entry point that turns an algorithm *name* into a runnable
 //! matcher goes through here: [`MatcherSpec`] is the parsed form of CLI
-//! strings like `"ramcom"` or `"route-aware:2.5"`, and it either builds a
-//! fresh `Box<dyn OnlineMatcher>` or hands out a `Send + Sync`
-//! [`MatcherFactory`] that mints one per run. Parsing is `Result`-based —
-//! an unknown name is a [`SpecError`] listing the valid specs, never a
-//! panic — and [`MatcherSpec::standard`] / [`MatcherSpec::all_builtin`]
-//! enumerate what harness code (`simulate`, `repro`, the experiment
-//! modules) can build, from one source of truth.
+//! strings like `"ramcom"` or `"route-aware:2.5"`, and
+//! [`MatcherSpec::build`] makes a fresh `Box<dyn OnlineMatcher>` from it.
+//! Parsing is `Result`-based — an unknown name is a [`SpecError`] listing
+//! the valid specs, never a panic — and [`MatcherSpec::standard`] /
+//! [`MatcherSpec::all_builtin`] enumerate what harness code (`simulate`,
+//! `repro`, the experiment modules) can build, from one source of truth.
 //!
-//! Factories rather than matchers are what sweeps share because a
-//! matcher is stateful across one replay (`begin`/`decide`) and must not
-//! be shared between runs; a factory can be cloned into worker threads
-//! and invoked once per (instance × seed) cell of a sweep.
+//! Specs rather than matchers are what sweeps share: a matcher is
+//! stateful across one replay (`begin`/`decide`) and must not be shared
+//! between runs, while a spec is a `Copy` value that any worker thread
+//! turns into its own matcher, once per (instance × seed) cell.
 //!
 //! ```
 //! use com_core::registry::MatcherSpec;
 //!
 //! // Fixed-name lookup…
-//! let factory = MatcherSpec::parse("ramcom").unwrap().factory();
-//! assert_eq!(factory().name(), "RamCOM");
+//! let ramcom = MatcherSpec::parse("ramcom").unwrap();
+//! assert_eq!(ramcom.build().name(), "RamCOM");
 //! // …and parameterised specs parse through the same call.
 //! let capped = MatcherSpec::parse("route-aware:2.5").unwrap();
 //! assert_eq!(capped.build().name(), "RouteAware");
@@ -33,15 +32,9 @@
 
 use std::fmt;
 use std::str::FromStr;
-use std::sync::Arc;
 
 use crate::matcher::OnlineMatcher;
-use crate::{DemCom, GreedyRt, RamCom, RouteAwareCom, TotaGreedy};
-
-/// A `Send + Sync` factory minting a fresh matcher per run. Clone it into
-/// as many worker threads as the sweep needs; every invocation returns an
-/// independent, state-free-at-`begin` matcher.
-pub type MatcherFactory = Arc<dyn Fn() -> Box<dyn OnlineMatcher> + Send + Sync>;
+use crate::{DemCom, GreedyRt, RamCom, TotaGreedy};
 
 /// A parsed matcher specification: which built-in algorithm to construct,
 /// with its parameters. This is the canonical, copyable description of a
@@ -128,15 +121,9 @@ impl MatcherSpec {
             MatcherSpec::DemCom => Box::new(DemCom::default()),
             MatcherSpec::RamCom => Box::new(RamCom::default()),
             MatcherSpec::RouteAware { pickup_cap_km } => {
-                Box::new(RouteAwareCom::with_cap(pickup_cap_km))
+                Box::new(DemCom::with_pickup_cap(pickup_cap_km))
             }
         }
-    }
-
-    /// A shareable factory for this spec.
-    pub fn factory(&self) -> MatcherFactory {
-        let spec = *self;
-        Arc::new(move || spec.build())
     }
 }
 
@@ -213,21 +200,16 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// [`MatcherSpec::parse`] under its older spelling, kept because
-/// `benchmark/` and the integration tests call
-/// `MatcherRegistry::builtin().resolve(s)` / `.build(s)`. Nothing can be
-/// registered; code in the workspace calls [`MatcherSpec`] directly.
+/// [`MatcherSpec::parse`] plus [`MatcherSpec::build`] in one call,
+/// spelled `MatcherRegistry::builtin().build(s)`, kept because the
+/// benchmark harness calls it. Nothing can be registered; code in the
+/// workspace calls [`MatcherSpec`] directly.
 pub struct MatcherRegistry;
 
 impl MatcherRegistry {
     /// The built-in algorithms — everything [`MatcherSpec::parse`] accepts.
     pub fn builtin() -> Self {
         MatcherRegistry
-    }
-
-    /// Resolve a spec string to a factory.
-    pub fn resolve(&self, spec: &str) -> Result<MatcherFactory, SpecError> {
-        MatcherSpec::parse(spec).map(|parsed| parsed.factory())
     }
 
     /// Build a fresh matcher straight from a spec string.
@@ -309,7 +291,6 @@ mod tests {
             let via_registry = r.build(s).map(|m| m.name());
             let via_spec = MatcherSpec::parse(s).map(|m| m.build().name());
             assert_eq!(via_registry, via_spec, "{s}");
-            assert_eq!(r.resolve(s).map(|f| f().name()), via_spec, "{s}");
             assert_eq!(via_spec.is_err(), bad.contains(&s), "{s}");
         }
     }
@@ -320,30 +301,11 @@ mod tests {
         let specs = MatcherSpec::all_builtin();
         assert_eq!(specs.len(), 5);
         for spec in specs {
-            // Each canonical form resolves through the registry too.
+            // Each canonical form builds through the registry too.
             assert_eq!(
-                r.resolve(&spec.canonical()).unwrap()().name(),
+                r.build(&spec.canonical()).unwrap().name(),
                 spec.display_name()
             );
         }
-    }
-
-    #[test]
-    fn factories_mint_independent_matchers() {
-        let f = MatcherSpec::RamCom.factory();
-        let a = f();
-        let b = f();
-        // Two boxes, not one shared matcher.
-        assert_ne!(
-            a.as_ref() as *const dyn OnlineMatcher as *const () as usize,
-            b.as_ref() as *const dyn OnlineMatcher as *const () as usize
-        );
-    }
-
-    #[test]
-    fn factories_are_send_sync() {
-        fn assert_send_sync<T: Send + Sync>(_: &T) {}
-        let f = MatcherSpec::DemCom.factory();
-        assert_send_sync(&f);
     }
 }

@@ -23,9 +23,9 @@
 //!   batch replays keep byte-identical memory accounting.
 //! * [`MatchSession::new`] starts from an empty world and registers each
 //!   worker when its arrival event is ingested — the honest accounting
-//!   for a live stream where the roster is unknown in advance. Worker
-//!   histories come from [`SessionConfig::histories`] or can be supplied
-//!   just-in-time via [`MatchSession::add_history`].
+//!   for a live stream where the roster is unknown in advance. A
+//!   worker's history is staged before its arrival with
+//!   [`MatchSession::add_history`].
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -52,32 +52,17 @@ use crate::outsource::{OutsourceChannel, OutsourceOutcome};
 const MEMORY_SAMPLE_EVERY: usize = 512;
 
 /// Everything a session needs to know before the first event arrives:
-/// the world configuration, the platform roster, any known worker
-/// histories, and the stream's largest request value when known (RamCOM's
-/// threshold and the pricing grids assume `max v_r`, exactly as the batch
-/// engine takes it from the instance).
+/// the world configuration, the platform roster, and the stream's largest
+/// request value when known (RamCOM's threshold and the pricing grids
+/// assume `max v_r`, exactly as the batch engine takes it from the
+/// instance). Worker histories are staged per worker with
+/// [`MatchSession::add_history`].
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
     pub world: WorldConfig,
     pub platform_names: Vec<String>,
-    /// Acceptance history per worker (drives Definition 3.1). Workers
-    /// without an entry get an empty history.
-    pub histories: HashMap<WorkerId, WorkerHistory>,
     /// `max v_r` of the stream when known in advance; defaults to 1.0.
     pub max_value_hint: Option<Value>,
-}
-
-impl SessionConfig {
-    /// The session-visible facts of an [`Instance`] (everything but the
-    /// stream itself).
-    pub fn from_instance(instance: &Instance) -> Self {
-        SessionConfig {
-            world: instance.config.clone(),
-            platform_names: instance.platform_names.clone(),
-            histories: instance.histories.clone(),
-            max_value_hint: instance.max_value(),
-        }
-    }
 }
 
 /// What is wrong with `event`'s own fields, if anything. Events decoded
@@ -166,13 +151,7 @@ impl<'m> MatchSession<'m> {
     /// their arrival events are ingested.
     pub fn new(config: SessionConfig, matcher: Box<dyn OnlineMatcher + 'm>, seed: u64) -> Self {
         let world = World::new(config.world, config.platform_names);
-        Self::start(
-            world,
-            config.histories,
-            config.max_value_hint,
-            matcher,
-            seed,
-        )
+        Self::start(world, config.max_value_hint, matcher, seed)
     }
 
     /// A batch session with every worker of `instance` pre-registered
@@ -186,7 +165,7 @@ impl<'m> MatchSession<'m> {
         // `build_world` registered every worker with its history already;
         // nothing is left to stage.
         let world = instance.build_world();
-        let mut session = Self::start(world, HashMap::new(), instance.max_value(), matcher, seed);
+        let mut session = Self::start(world, instance.max_value(), matcher, seed);
         session.assignments = Vec::with_capacity(instance.request_count());
         session.log_capacity = session.assignments.capacity();
         session.peak = session.world.approx_bytes() + log_bytes(&session.assignments);
@@ -195,7 +174,6 @@ impl<'m> MatchSession<'m> {
 
     fn start(
         world: World,
-        histories: HashMap<WorkerId, WorkerHistory>,
         max_value_hint: Option<Value>,
         mut matcher: Box<dyn OnlineMatcher + 'm>,
         seed: u64,
@@ -215,7 +193,7 @@ impl<'m> MatchSession<'m> {
             rng,
             matcher,
             algorithm,
-            histories,
+            histories: HashMap::new(),
             federation: None,
             degraded_offers: 0,
             assignments,
@@ -261,16 +239,16 @@ impl<'m> MatchSession<'m> {
         if let Some(problem) = malformed(event, self.world.platform_count()) {
             return Err(ConstraintViolation::MalformedEvent { problem });
         }
-        self.world.try_advance_to(event.time())?;
+        self.world.advance_to(event.time())?;
         let output = match event {
             ArrivalEvent::Worker(spec) => {
                 if self.world.find_worker(spec.id).is_none() {
                     // Moved, not copied: from here on the world holds the
                     // worker's only history.
                     let history = self.histories.remove(&spec.id).unwrap_or_default();
-                    self.world.try_register_worker(*spec, history)?;
+                    self.world.register_worker(*spec, history)?;
                 }
-                self.world.try_worker_arrives(spec.id)?;
+                self.world.worker_arrives(spec.id)?;
                 None
             }
             ArrivalEvent::Request(request) => {
@@ -359,7 +337,7 @@ impl<'m> MatchSession<'m> {
     /// untouched. The batch wrappers never call this — the event loop
     /// advances the clock per event — so batch results are unaffected.
     pub fn drain_timers(&mut self, to: Timestamp) -> Result<(), ConstraintViolation> {
-        self.world.try_advance_to(to)?;
+        self.world.advance_to(to)?;
         self.sample_memory();
         Ok(())
     }
@@ -476,7 +454,7 @@ pub(crate) fn try_apply_decision(
                     request_platform: request.platform,
                 });
             }
-            world.try_assign(worker, request, request.value)?;
+            world.assign(worker, request, request.value)?;
             Ok(Assignment {
                 request: *request,
                 kind: MatchKind::Inner,
@@ -520,7 +498,7 @@ pub(crate) fn try_apply_decision(
                     value: request.value,
                 });
             }
-            world.try_assign(worker, request, payment)?;
+            world.assign(worker, request, payment)?;
             Ok(Assignment {
                 request: *request,
                 kind: MatchKind::Outer,
@@ -600,6 +578,25 @@ mod tests {
         run.assignments.iter().map(decision_key).collect()
     }
 
+    /// A live session over `instance`'s roster and value bound, with every
+    /// worker's history staged before its arrival.
+    fn live_session(
+        instance: &Instance,
+        matcher: Box<dyn OnlineMatcher>,
+        seed: u64,
+    ) -> MatchSession<'static> {
+        let config = SessionConfig {
+            world: instance.config.clone(),
+            platform_names: instance.platform_names.clone(),
+            max_value_hint: instance.max_value(),
+        };
+        let mut session = MatchSession::new(config, matcher, seed);
+        for (&id, history) in &instance.histories {
+            session.add_history(id, history.clone());
+        }
+        session
+    }
+
     #[test]
     fn session_replay_matches_batch_engine() {
         let instance = tiny_instance();
@@ -619,8 +616,7 @@ mod tests {
     #[test]
     fn live_session_registers_workers_on_arrival() {
         let instance = tiny_instance();
-        let config = SessionConfig::from_instance(&instance);
-        let mut session = MatchSession::new(config, Box::new(DemCom::default()), 7);
+        let mut session = live_session(&instance, Box::new(DemCom::default()), 7);
         let mut served = 0;
         for event in instance.stream.iter() {
             if let Some(out) = session.ingest(event).unwrap() {
@@ -640,8 +636,7 @@ mod tests {
     #[test]
     fn ingest_refuses_time_rewinds_without_corrupting_state() {
         let instance = tiny_instance();
-        let config = SessionConfig::from_instance(&instance);
-        let mut session = MatchSession::new(config, Box::new(TotaGreedy), 1);
+        let mut session = live_session(&instance, Box::new(TotaGreedy), 1);
         let events: Vec<_> = instance.stream.iter().cloned().collect();
         session.ingest(&events[2]).unwrap(); // t = 2.0 (worker 2)
         let err = session.ingest(&events[0]).unwrap_err(); // t = 1.0
@@ -709,8 +704,7 @@ mod tests {
             )
         };
         let digest = |hostile: &[ArrivalEvent]| {
-            let config = SessionConfig::from_instance(&instance);
-            let mut session = MatchSession::new(config, Box::new(DemCom::default()), 7);
+            let mut session = live_session(&instance, Box::new(DemCom::default()), 7);
             for event in &events {
                 for bad in hostile {
                     let before = visible_state(&session);
@@ -734,8 +728,7 @@ mod tests {
     #[test]
     fn duplicate_arrival_is_a_typed_error() {
         let instance = tiny_instance();
-        let config = SessionConfig::from_instance(&instance);
-        let mut session = MatchSession::new(config, Box::new(TotaGreedy), 1);
+        let mut session = live_session(&instance, Box::new(TotaGreedy), 1);
         let first = instance.stream.iter().next().unwrap();
         session.ingest(first).unwrap();
         let err = session.ingest(first).unwrap_err();
@@ -809,8 +802,7 @@ mod tests {
     fn drain_timers_processes_reentries() {
         let mut instance = tiny_instance();
         instance.config.service = ServiceModel::taxi(36.0, 60.0);
-        let config = SessionConfig::from_instance(&instance);
-        let mut session = MatchSession::new(config, Box::new(TotaGreedy), 1);
+        let mut session = live_session(&instance, Box::new(TotaGreedy), 1);
         for event in instance.stream.iter() {
             session.ingest(event).unwrap();
         }

@@ -9,11 +9,11 @@
 //! RamCOM's randomisation) provided for the ablation experiments.
 
 use rand::rngs::StdRng;
-use rand::Rng;
 
 use com_sim::{RequestSpec, World};
 
 use crate::matcher::{Decision, OnlineMatcher, StreamInfo};
+use crate::ramcom::{draw_threshold, theta};
 
 /// Greedy single-platform matching: assign the nearest idle inner worker
 /// whose circle covers the request, otherwise reject.
@@ -43,6 +43,7 @@ impl OnlineMatcher for TotaGreedy {
 /// value exceeds `e^k` — a random price threshold that protects the
 /// worker pool for high-value requests, achieving a
 /// `1 / (2e·⌈ln(U_max+1)⌉)` competitive ratio in the adversarial model.
+/// It is [`TotaGreedy`] behind RamCOM's per-run threshold draw.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GreedyRt {
     threshold: f64,
@@ -61,24 +62,16 @@ impl OnlineMatcher for GreedyRt {
     }
 
     fn begin(&mut self, info: &StreamInfo, rng: &mut StdRng) {
-        let theta = (info.max_value + 1.0).ln().ceil().max(1.0) as u64;
-        let k = rng.random_range(1..=theta);
-        self.threshold = (k as f64).exp();
+        self.threshold = draw_threshold(theta(info), rng);
     }
 
-    fn decide(&mut self, world: &World, request: &RequestSpec, _rng: &mut StdRng) -> Decision {
+    fn decide(&mut self, world: &World, request: &RequestSpec, rng: &mut StdRng) -> Decision {
         if request.value <= self.threshold {
             return Decision::Reject {
                 was_cooperative_offer: false,
             };
         }
-        let _span = com_obs::span(com_obs::PHASE_CANDIDATES);
-        match world.nearest_inner_coverer(request.platform, request.location) {
-            Some(w) => Decision::Inner { worker: w.id },
-            None => Decision::Reject {
-                was_cooperative_offer: false,
-            },
-        }
+        TotaGreedy.decide(world, request, rng)
     }
 }
 
@@ -105,8 +98,9 @@ mod tests {
                 1.0,
             ),
             WorkerHistory::new(),
-        );
-        w.worker_arrives(WorkerId(1));
+        )
+        .unwrap();
+        w.worker_arrives(WorkerId(1)).unwrap();
         w
     }
 

@@ -44,7 +44,7 @@ pub use telemetry::{CounterStat, GaugeStat, PhaseStats, RunTelemetry};
 
 /// One full request decision in the engine (outermost span).
 pub const PHASE_DECISION: &str = "decision";
-/// Spatial candidate lookup (grid/k-d range and nearest queries).
+/// Spatial candidate lookup (waiting-list grid range and nearest queries).
 pub const PHASE_CANDIDATES: &str = "candidate-search";
 /// Payment computation: acceptance-probability lookups, expected-revenue
 /// maximisation, Monte Carlo estimation.

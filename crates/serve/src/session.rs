@@ -137,7 +137,6 @@ impl ServeSession {
         let config = SessionConfig {
             world: hello.world.clone(),
             platform_names: hello.platforms.clone(),
-            histories: HashMap::new(),
             max_value_hint: hello.max_value,
         };
         let mut fed = None;

@@ -29,11 +29,17 @@ impl Instance {
     /// Build the initial world: every worker registered (state
     /// `NotArrived`), clock at zero. The engine replays `self.stream`
     /// against it.
+    ///
+    /// # Panics
+    /// Panics with the violation's text on a duplicate worker id or a
+    /// worker of a platform outside the roster.
     pub fn build_world(&self) -> World {
         let mut world = World::new(self.config.clone(), self.platform_names.clone());
         for spec in self.stream.workers() {
             let history = self.histories.get(&spec.id).cloned().unwrap_or_default();
-            world.register_worker(*spec, history);
+            if let Err(violation) = world.register_worker(*spec, history) {
+                panic!("{violation}");
+            }
         }
         world
     }

@@ -17,7 +17,7 @@ use std::fmt;
 use com_stream::{PlatformId, RequestId, Timestamp, Value, WorkerId};
 
 /// A breach of one of COM's matching constraints (§II, Def. 2.2–2.4),
-/// detected either at enforcement time (`World::try_assign`, the
+/// detected either at enforcement time (`World::assign`, the
 /// engine's decision validation) or after the fact by the run auditor
 /// reconstructing the assignment log.
 #[derive(Debug, Clone, PartialEq)]

@@ -68,7 +68,8 @@ pub fn grid_shape(extent: BoundingBox, expected_radius: Km) -> (f64, f64) {
 /// list.add(idle(2, 9.0, 9.0, 0.5));
 ///
 /// // Which workers can serve a request at (5.4, 5.0)?
-/// let coverers = list.coverers(Point::new(5.4, 5.0));
+/// let mut coverers = Vec::new();
+/// list.coverers_into(Point::new(5.4, 5.0), &mut coverers);
 /// assert_eq!(coverers.len(), 1);
 /// assert_eq!(coverers[0].id, WorkerId(1));
 ///
@@ -226,18 +227,9 @@ impl WaitingList {
     }
 
     /// All idle workers whose service range covers `point` under the
-    /// list's metric, sorted by (metric distance, id) — deterministic
-    /// and nearest-first, which is the assignment order DemCOM and TOTA
-    /// use.
-    pub fn coverers(&self, point: Point) -> Vec<IdleWorker> {
-        let mut out = Vec::new();
-        self.coverers_into(point, &mut out);
-        out
-    }
-
-    /// Allocation-free `coverers`: results land in `out` (cleared first,
-    /// same nearest-first order). Matchers call this once per decision
-    /// with a buffer they own.
+    /// list's metric, into `out` (cleared first), sorted by (metric
+    /// distance, id) — deterministic and nearest-first. Matchers call
+    /// this once per decision with a buffer they own.
     pub fn coverers_into(&self, point: Point, out: &mut Vec<IdleWorker>) {
         out.clear();
         self.coverers_each(point, |w| out.push(w));
@@ -335,6 +327,12 @@ impl WaitingList {
 mod tests {
     use super::*;
 
+    fn covering(wl: &WaitingList, point: Point) -> Vec<IdleWorker> {
+        let mut out = Vec::new();
+        wl.coverers_into(point, &mut out);
+        out
+    }
+
     fn list() -> WaitingList {
         WaitingList::new(BoundingBox::square(10.0), 1.0)
     }
@@ -357,7 +355,7 @@ mod tests {
         assert_eq!(wl.len(), 3);
         assert_eq!(wl.get(WorkerId(2)), Some(&idle(2, 5.5, 5.0, 1.0, 1.0)));
 
-        let c = wl.coverers(Point::new(5.2, 5.0));
+        let c = covering(&wl, Point::new(5.2, 5.0));
         assert_eq!(
             c.iter().map(|w| w.id).collect::<Vec<_>>(),
             vec![WorkerId(1), WorkerId(2)]
@@ -366,7 +364,7 @@ mod tests {
         let removed = wl.remove(WorkerId(1)).unwrap();
         assert_eq!(removed.id, WorkerId(1));
         assert!(wl.get(WorkerId(1)).is_none());
-        assert_eq!(wl.coverers(Point::new(5.2, 5.0)).len(), 1);
+        assert_eq!(covering(&wl, Point::new(5.2, 5.0)).len(), 1);
         assert!(wl.remove(WorkerId(1)).is_none());
     }
 
@@ -376,7 +374,7 @@ mod tests {
         wl.add(idle(1, 5.0, 5.0, 3.0, 0.0));
         wl.add(idle(2, 6.0, 5.0, 3.0, 0.0));
         wl.add(idle(3, 4.5, 5.0, 3.0, 0.0));
-        let c = wl.coverers(Point::new(6.1, 5.0));
+        let c = covering(&wl, Point::new(6.1, 5.0));
         let ids: Vec<u64> = c.iter().map(|w| w.id.as_u64()).collect();
         assert_eq!(ids, vec![2, 1, 3]);
     }
@@ -387,14 +385,14 @@ mod tests {
         wl.add(idle(1, 2.0, 2.0, 2.0, 0.0));
         wl.add(idle(2, 3.0, 2.0, 2.0, 0.0));
         let q = Point::new(2.8, 2.0);
-        assert_eq!(wl.nearest_coverer(q).unwrap().id, wl.coverers(q)[0].id);
+        assert_eq!(wl.nearest_coverer(q).unwrap().id, covering(&wl, q)[0].id);
     }
 
     #[test]
     fn empty_queries() {
         let wl = list();
         assert!(wl.is_empty());
-        assert!(wl.coverers(Point::new(1.0, 1.0)).is_empty());
+        assert!(covering(&wl, Point::new(1.0, 1.0)).is_empty());
         assert!(wl.nearest_coverer(Point::new(1.0, 1.0)).is_none());
     }
 

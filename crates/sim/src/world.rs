@@ -57,10 +57,10 @@ impl WorldConfig {
 ///   request.
 /// * **1-by-1 / invariable**: assignment removes the worker from its
 ///   waiting list and marks it busy until service completion; assigning a
-///   non-idle worker panics.
+///   non-idle worker is refused.
 /// * **Range**: the coverer queries only return workers whose service
 ///   circle covers the request location.
-/// * **Cross-platform visibility**: [`World::outer_coverers`] exposes only
+/// * **Cross-platform visibility**: [`World::outer_coverers_into`] exposes only
 ///   *unoccupied* workers of other platforms, which is all the paper
 ///   allows competitors to share.
 #[derive(Debug, Clone)]
@@ -110,20 +110,9 @@ impl World {
     }
 
     /// Register a worker before the simulation starts (state
-    /// `NotArrived`).
-    ///
-    /// # Panics
-    /// Panics on duplicate ids or out-of-range platforms (see
-    /// [`World::try_register_worker`] for the fallible form).
-    pub fn register_worker(&mut self, spec: WorkerSpec, history: WorkerHistory) {
-        if let Err(violation) = self.try_register_worker(spec, history) {
-            panic!("{violation}");
-        }
-    }
-
-    /// Fallible registration: duplicate ids and unknown platforms become
-    /// typed [`ConstraintViolation`]s. On error the world is unchanged.
-    pub fn try_register_worker(
+    /// `NotArrived`). Duplicate ids and unknown platforms are typed
+    /// [`ConstraintViolation`]s; on error the world is unchanged.
+    pub fn register_worker(
         &mut self,
         spec: WorkerSpec,
         history: WorkerHistory,
@@ -141,20 +130,10 @@ impl World {
         Ok(())
     }
 
-    /// Advance simulation time to `t`, processing any due re-entries.
-    ///
-    /// # Panics
-    /// Panics if `t` is earlier than the current time (events must be
-    /// replayed in order); see [`World::try_advance_to`].
-    pub fn advance_to(&mut self, t: Timestamp) {
-        if let Err(violation) = self.try_advance_to(t) {
-            panic!("{violation}");
-        }
-    }
-
-    /// Fallible clock advance: a rewind is a typed
-    /// [`ConstraintViolation::TimeRewind`] and leaves the world unchanged.
-    pub fn try_advance_to(&mut self, t: Timestamp) -> Result<(), ConstraintViolation> {
+    /// Advance simulation time to `t`, processing any due re-entries and
+    /// shift ends. A rewind is a typed [`ConstraintViolation::TimeRewind`]
+    /// and leaves the world unchanged (events must be replayed in order).
+    pub fn advance_to(&mut self, t: Timestamp) -> Result<(), ConstraintViolation> {
         if t < self.now {
             return Err(ConstraintViolation::TimeRewind {
                 now: self.now,
@@ -197,24 +176,12 @@ impl World {
     }
 
     /// Process a worker arrival event: the worker joins its home
-    /// platform's waiting list at its spec location.
-    ///
-    /// # Panics
-    /// Panics on a repeated arrival, an unknown id, or an arrival event
-    /// fed after the clock already passed its time; see
-    /// [`World::try_worker_arrives`] for the fallible form.
-    pub fn worker_arrives(&mut self, id: WorkerId) {
-        if let Err(violation) = self.try_worker_arrives(id) {
-            panic!("{violation}");
-        }
-    }
-
-    /// Fallible arrival processing: unknown ids, repeated arrivals, and
-    /// out-of-order arrival events become typed
+    /// platform's waiting list at its spec location. Unknown ids, repeated
+    /// arrivals, and out-of-order arrival events are typed
     /// [`ConstraintViolation`]s. On error the world is unchanged, so a
     /// live event feed (the serving daemon) can reject the one bad event
     /// and keep going.
-    pub fn try_worker_arrives(&mut self, id: WorkerId) -> Result<(), ConstraintViolation> {
+    pub fn worker_arrives(&mut self, id: WorkerId) -> Result<(), ConstraintViolation> {
         let Some(worker) = self.workers.get_mut(&id) else {
             return Err(ConstraintViolation::UnknownWorker { worker: id });
         };
@@ -246,14 +213,9 @@ impl World {
     }
 
     /// Idle workers of platform `p` covering `point` (the candidate
-    /// *inner* workers for a request of `p`), nearest-first.
-    pub fn inner_coverers(&self, p: PlatformId, point: Point) -> Vec<IdleWorker> {
-        self.waiting[p.index()].coverers(point)
-    }
-
-    /// Allocation-free [`World::inner_coverers`]: candidates land in `out`
-    /// (cleared first, same nearest-first order). Matchers that keep the
-    /// buffer across decisions stop allocating per request.
+    /// *inner* workers for a request of `p`), nearest-first, into `out`
+    /// (cleared first). Matchers that keep the buffer across decisions do
+    /// not allocate per request.
     pub fn inner_coverers_into(&self, p: PlatformId, point: Point, out: &mut Vec<IdleWorker>) {
         self.waiting[p.index()].coverers_into(point, out);
     }
@@ -264,16 +226,9 @@ impl World {
     }
 
     /// Idle workers of *other* platforms covering `point` (the candidate
-    /// *outer* workers, Definition 2.3), merged nearest-first.
-    pub fn outer_coverers(&self, p: PlatformId, point: Point) -> Vec<(PlatformId, IdleWorker)> {
-        let mut out = Vec::new();
-        self.outer_coverers_into(p, point, &mut out, &mut Vec::new());
-        out
-    }
-
-    /// Allocation-free [`World::outer_coverers`]: candidates land in `out`
-    /// (cleared first, same merged nearest-first order). Per-list results
-    /// are appended unsorted and sorted once globally — the (distance, id)
+    /// *outer* workers, Definition 2.3), merged nearest-first into `out`
+    /// (cleared first). Per-list results are appended unsorted and sorted
+    /// once globally — the (distance, id)
     /// key is total because worker ids are globally unique, so the order
     /// is identical to sorting each list first.
     ///
@@ -314,11 +269,6 @@ impl World {
         self.workers.get(&id)
     }
 
-    /// Whether the worker is currently idle (in some waiting list).
-    pub fn is_idle(&self, id: WorkerId) -> bool {
-        self.workers[&id].is_idle()
-    }
-
     /// Number of idle workers on platform `p`.
     pub fn idle_count(&self, p: PlatformId) -> usize {
         self.waiting[p.index()].len()
@@ -341,27 +291,12 @@ impl World {
     /// and schedules re-entry when the service model allows. Returns the
     /// service completion time.
     ///
-    /// # Panics
-    /// Panics if the worker is not idle, its circle does not cover the
-    /// request, or the request arrived before the worker entered the
-    /// list (time constraint). [`World::try_assign`] is the fallible
-    /// form that returns a [`ConstraintViolation`] instead.
+    /// A worker that is not idle, whose circle does not cover the
+    /// request, or who entered the list after the request arrived (time
+    /// constraint) is a [`ConstraintViolation`]. All checks run *before*
+    /// any state mutation, so on `Err` the world is exactly as it was —
+    /// callers can record the violation and keep replaying the stream.
     pub fn assign(
-        &mut self,
-        worker_id: WorkerId,
-        request: &RequestSpec,
-        earned: Value,
-    ) -> Timestamp {
-        match self.try_assign(worker_id, request, earned) {
-            Ok(until) => until,
-            Err(violation) => panic!("{violation}"),
-        }
-    }
-
-    /// Fallible assignment. All constraint checks run *before* any state
-    /// mutation, so on `Err` the world is exactly as it was — callers can
-    /// record the violation and keep replaying the stream.
-    pub fn try_assign(
         &mut self,
         worker_id: WorkerId,
         request: &RequestSpec,
@@ -495,17 +430,26 @@ mod tests {
     #[test]
     fn arrival_and_inner_query() {
         let mut w = world(ServiceModel::one_shot());
-        w.register_worker(wspec(1, 0, 0.0, 5.0, 5.0), WorkerHistory::new());
-        w.register_worker(wspec(2, 1, 0.0, 5.2, 5.0), WorkerHistory::new());
-        w.worker_arrives(WorkerId(1));
-        w.worker_arrives(WorkerId(2));
-        w.advance_to(ts(1.0));
+        w.register_worker(wspec(1, 0, 0.0, 5.0, 5.0), WorkerHistory::new())
+            .unwrap();
+        w.register_worker(wspec(2, 1, 0.0, 5.2, 5.0), WorkerHistory::new())
+            .unwrap();
+        w.worker_arrives(WorkerId(1)).unwrap();
+        w.worker_arrives(WorkerId(2)).unwrap();
+        w.advance_to(ts(1.0)).unwrap();
 
-        let inner = w.inner_coverers(PlatformId(0), Point::new(5.1, 5.0));
+        let mut inner = Vec::new();
+        w.inner_coverers_into(PlatformId(0), Point::new(5.1, 5.0), &mut inner);
         assert_eq!(inner.len(), 1);
         assert_eq!(inner[0].id, WorkerId(1));
 
-        let outer = w.outer_coverers(PlatformId(0), Point::new(5.1, 5.0));
+        let mut outer = Vec::new();
+        w.outer_coverers_into(
+            PlatformId(0),
+            Point::new(5.1, 5.0),
+            &mut outer,
+            &mut Vec::new(),
+        );
         assert_eq!(outer.len(), 1);
         assert_eq!(outer[0].0, PlatformId(1));
         assert_eq!(outer[0].1.id, WorkerId(2));
@@ -514,14 +458,15 @@ mod tests {
     #[test]
     fn assignment_locks_worker() {
         let mut w = world(ServiceModel::one_shot());
-        w.register_worker(wspec(1, 0, 0.0, 5.0, 5.0), WorkerHistory::new());
-        w.worker_arrives(WorkerId(1));
-        w.advance_to(ts(10.0));
+        w.register_worker(wspec(1, 0, 0.0, 5.0, 5.0), WorkerHistory::new())
+            .unwrap();
+        w.worker_arrives(WorkerId(1)).unwrap();
+        w.advance_to(ts(10.0)).unwrap();
 
         let r = rspec(1, 0, 10.0, 5.3, 5.0, 8.0);
-        let until = w.assign(WorkerId(1), &r, 8.0);
+        let until = w.assign(WorkerId(1), &r, 8.0).unwrap();
         assert!(until > ts(10.0));
-        assert!(!w.is_idle(WorkerId(1)));
+        assert!(!w.worker(WorkerId(1)).is_idle());
         assert_eq!(w.idle_count(PlatformId(0)), 0);
         assert_eq!(w.worker(WorkerId(1)).earnings, 8.0);
         assert_eq!(w.worker(WorkerId(1)).completed, 1);
@@ -532,29 +477,30 @@ mod tests {
     #[test]
     fn reentry_returns_worker_at_request_location() {
         let mut w = world(ServiceModel::taxi(36.0, 100.0));
-        w.register_worker(wspec(1, 0, 0.0, 5.0, 5.0), WorkerHistory::new());
-        w.worker_arrives(WorkerId(1));
-        w.advance_to(ts(10.0));
+        w.register_worker(wspec(1, 0, 0.0, 5.0, 5.0), WorkerHistory::new())
+            .unwrap();
+        w.worker_arrives(WorkerId(1)).unwrap();
+        w.advance_to(ts(10.0)).unwrap();
 
         let r = rspec(1, 0, 10.0, 5.5, 5.0, 4.0);
         // 0.5 km at 36 km/h = 50 s travel + 100 s service = busy 150 s.
-        let until = w.assign(WorkerId(1), &r, 4.0);
+        let until = w.assign(WorkerId(1), &r, 4.0).unwrap();
         assert!((until.as_secs() - 160.0).abs() < 1e-9);
         assert_eq!(w.pending_reentries(), 1);
 
         // Not yet back.
-        w.advance_to(ts(100.0));
+        w.advance_to(ts(100.0)).unwrap();
         assert_eq!(w.idle_count(PlatformId(0)), 0);
 
         // Back after completion, at the request location.
-        w.advance_to(ts(200.0));
+        w.advance_to(ts(200.0)).unwrap();
         assert_eq!(w.idle_count(PlatformId(0)), 1);
-        assert!(w.is_idle(WorkerId(1)));
+        assert!(w.worker(WorkerId(1)).is_idle());
         assert_eq!(w.worker(WorkerId(1)).location, Point::new(5.5, 5.0));
 
         // And can be assigned again.
         let r2 = rspec(2, 0, 200.0, 5.6, 5.0, 3.0);
-        w.assign(WorkerId(1), &r2, 3.0);
+        w.assign(WorkerId(1), &r2, 3.0).unwrap();
         assert_eq!(w.worker(WorkerId(1)).completed, 2);
     }
 
@@ -564,13 +510,22 @@ mod tests {
             WorldConfig::city(10.0),
             vec!["A".into(), "B".into(), "C".into()],
         );
-        w.register_worker(wspec(1, 0, 0.0, 5.0, 5.0), WorkerHistory::new());
-        w.register_worker(wspec(2, 1, 0.0, 5.4, 5.0), WorkerHistory::new());
-        w.register_worker(wspec(3, 2, 0.0, 5.2, 5.0), WorkerHistory::new());
+        w.register_worker(wspec(1, 0, 0.0, 5.0, 5.0), WorkerHistory::new())
+            .unwrap();
+        w.register_worker(wspec(2, 1, 0.0, 5.4, 5.0), WorkerHistory::new())
+            .unwrap();
+        w.register_worker(wspec(3, 2, 0.0, 5.2, 5.0), WorkerHistory::new())
+            .unwrap();
         for id in 1..=3 {
-            w.worker_arrives(WorkerId(id));
+            w.worker_arrives(WorkerId(id)).unwrap();
         }
-        let outer = w.outer_coverers(PlatformId(0), Point::new(5.0, 5.0));
+        let mut outer = Vec::new();
+        w.outer_coverers_into(
+            PlatformId(0),
+            Point::new(5.0, 5.0),
+            &mut outer,
+            &mut Vec::new(),
+        );
         let ids: Vec<u64> = outer.iter().map(|(_, w)| w.id.as_u64()).collect();
         assert_eq!(ids, vec![3, 2]);
     }
@@ -584,50 +539,59 @@ mod tests {
         w.register_worker(
             wspec(1, 0, 0.0, 5.0, 5.0),
             WorkerHistory::from_values(vec![10.0]),
-        );
-        w.worker_arrives(WorkerId(1));
-        w.advance_to(ts(5.0));
-        w.assign(WorkerId(1), &rspec(1, 0, 5.0, 5.1, 5.0, 6.0), 6.0);
+        )
+        .unwrap();
+        w.worker_arrives(WorkerId(1)).unwrap();
+        w.advance_to(ts(5.0)).unwrap();
+        w.assign(WorkerId(1), &rspec(1, 0, 5.0, 5.1, 5.0, 6.0), 6.0)
+            .unwrap();
         assert_eq!(w.worker(WorkerId(1)).history.values(), &[6.0, 10.0]);
     }
 
     #[test]
-    #[should_panic(expected = "not idle")]
     fn cannot_assign_busy_worker() {
         let mut w = world(ServiceModel::one_shot());
-        w.register_worker(wspec(1, 0, 0.0, 5.0, 5.0), WorkerHistory::new());
-        w.worker_arrives(WorkerId(1));
-        w.advance_to(ts(5.0));
+        w.register_worker(wspec(1, 0, 0.0, 5.0, 5.0), WorkerHistory::new())
+            .unwrap();
+        w.worker_arrives(WorkerId(1)).unwrap();
+        w.advance_to(ts(5.0)).unwrap();
         let r1 = rspec(1, 0, 5.0, 5.1, 5.0, 2.0);
         let r2 = rspec(2, 0, 5.0, 5.2, 5.0, 2.0);
-        w.assign(WorkerId(1), &r1, 2.0);
-        w.assign(WorkerId(1), &r2, 2.0);
+        w.assign(WorkerId(1), &r1, 2.0).unwrap();
+        let err = w.assign(WorkerId(1), &r2, 2.0).unwrap_err();
+        assert!(err.to_string().contains("not idle"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "range constraint")]
     fn cannot_assign_out_of_range() {
         let mut w = world(ServiceModel::one_shot());
-        w.register_worker(wspec(1, 0, 0.0, 1.0, 1.0), WorkerHistory::new());
-        w.worker_arrives(WorkerId(1));
-        w.advance_to(ts(5.0));
-        w.assign(WorkerId(1), &rspec(1, 0, 5.0, 9.0, 9.0, 2.0), 2.0);
+        w.register_worker(wspec(1, 0, 0.0, 1.0, 1.0), WorkerHistory::new())
+            .unwrap();
+        w.worker_arrives(WorkerId(1)).unwrap();
+        w.advance_to(ts(5.0)).unwrap();
+        let err = w
+            .assign(WorkerId(1), &rspec(1, 0, 5.0, 9.0, 9.0, 2.0), 2.0)
+            .unwrap_err();
+        assert!(err.to_string().contains("range constraint"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "time must be monotone")]
     fn time_cannot_rewind() {
         let mut w = world(ServiceModel::one_shot());
-        w.advance_to(ts(10.0));
-        w.advance_to(ts(5.0));
+        w.advance_to(ts(10.0)).unwrap();
+        let err = w.advance_to(ts(5.0)).unwrap_err();
+        assert!(err.to_string().contains("time must be monotone"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "duplicate worker id")]
     fn duplicate_registration_rejected() {
         let mut w = world(ServiceModel::one_shot());
-        w.register_worker(wspec(1, 0, 0.0, 1.0, 1.0), WorkerHistory::new());
-        w.register_worker(wspec(1, 0, 0.0, 2.0, 2.0), WorkerHistory::new());
+        w.register_worker(wspec(1, 0, 0.0, 1.0, 1.0), WorkerHistory::new())
+            .unwrap();
+        let err = w
+            .register_worker(wspec(1, 0, 0.0, 2.0, 2.0), WorkerHistory::new())
+            .unwrap_err();
+        assert!(err.to_string().contains("duplicate worker id"), "{err}");
     }
 
     #[test]
@@ -635,14 +599,18 @@ mod tests {
         let mut w = world(ServiceModel::taxi(30.0, 100.0));
         // Two workers assigned to zero-distance requests at the same time
         // finish simultaneously; both must come back.
-        w.register_worker(wspec(1, 0, 0.0, 5.0, 5.0), WorkerHistory::new());
-        w.register_worker(wspec(2, 0, 0.0, 6.0, 6.0), WorkerHistory::new());
-        w.worker_arrives(WorkerId(1));
-        w.worker_arrives(WorkerId(2));
-        w.advance_to(ts(1.0));
-        w.assign(WorkerId(1), &rspec(1, 0, 1.0, 5.0, 5.0, 2.0), 2.0);
-        w.assign(WorkerId(2), &rspec(2, 0, 1.0, 6.0, 6.0, 2.0), 2.0);
-        w.advance_to(ts(500.0));
+        w.register_worker(wspec(1, 0, 0.0, 5.0, 5.0), WorkerHistory::new())
+            .unwrap();
+        w.register_worker(wspec(2, 0, 0.0, 6.0, 6.0), WorkerHistory::new())
+            .unwrap();
+        w.worker_arrives(WorkerId(1)).unwrap();
+        w.worker_arrives(WorkerId(2)).unwrap();
+        w.advance_to(ts(1.0)).unwrap();
+        w.assign(WorkerId(1), &rspec(1, 0, 1.0, 5.0, 5.0, 2.0), 2.0)
+            .unwrap();
+        w.assign(WorkerId(2), &rspec(2, 0, 1.0, 6.0, 6.0, 2.0), 2.0)
+            .unwrap();
+        w.advance_to(ts(500.0)).unwrap();
         assert_eq!(w.idle_count(PlatformId(0)), 2);
     }
 
@@ -651,11 +619,12 @@ mod tests {
         let mut config = WorldConfig::city(10.0);
         config.service = ServiceModel::taxi(30.0, 100.0).with_shift(1_000.0);
         let mut w = World::new(config, vec!["A".into()]);
-        w.register_worker(wspec(1, 0, 0.0, 5.0, 5.0), WorkerHistory::new());
-        w.worker_arrives(WorkerId(1));
-        w.advance_to(ts(999.0));
+        w.register_worker(wspec(1, 0, 0.0, 5.0, 5.0), WorkerHistory::new())
+            .unwrap();
+        w.worker_arrives(WorkerId(1)).unwrap();
+        w.advance_to(ts(999.0)).unwrap();
         assert_eq!(w.idle_count(PlatformId(0)), 1);
-        w.advance_to(ts(1_000.0));
+        w.advance_to(ts(1_000.0)).unwrap();
         assert_eq!(w.idle_count(PlatformId(0)), 0);
         assert_eq!(w.worker(WorkerId(1)).state, WorkerState::Departed);
     }
@@ -665,12 +634,14 @@ mod tests {
         let mut config = WorldConfig::city(10.0);
         config.service = ServiceModel::taxi(30.0, 2_000.0).with_shift(1_000.0);
         let mut w = World::new(config, vec!["A".into()]);
-        w.register_worker(wspec(1, 0, 0.0, 5.0, 5.0), WorkerHistory::new());
-        w.worker_arrives(WorkerId(1));
-        w.advance_to(ts(500.0));
+        w.register_worker(wspec(1, 0, 0.0, 5.0, 5.0), WorkerHistory::new())
+            .unwrap();
+        w.worker_arrives(WorkerId(1)).unwrap();
+        w.advance_to(ts(500.0)).unwrap();
         // Assigned before shift end; the job runs past it.
-        w.assign(WorkerId(1), &rspec(1, 0, 500.0, 5.0, 5.0, 4.0), 4.0);
-        w.advance_to(ts(5_000.0));
+        w.assign(WorkerId(1), &rspec(1, 0, 500.0, 5.0, 5.0, 4.0), 4.0)
+            .unwrap();
+        w.advance_to(ts(5_000.0)).unwrap();
         // The worker completed the job (invariable constraint) but did
         // not re-enter the waiting list.
         assert_eq!(w.worker(WorkerId(1)).completed, 1);
@@ -681,22 +652,24 @@ mod tests {
     #[test]
     fn infinite_shifts_never_depart() {
         let mut w = world(ServiceModel::taxi(30.0, 100.0));
-        w.register_worker(wspec(1, 0, 0.0, 5.0, 5.0), WorkerHistory::new());
-        w.worker_arrives(WorkerId(1));
-        w.advance_to(ts(80_000.0));
+        w.register_worker(wspec(1, 0, 0.0, 5.0, 5.0), WorkerHistory::new())
+            .unwrap();
+        w.worker_arrives(WorkerId(1)).unwrap();
+        w.advance_to(ts(80_000.0)).unwrap();
         assert_eq!(w.idle_count(PlatformId(0)), 1);
     }
 
     #[test]
-    fn try_assign_reports_violations_without_mutating() {
+    fn assign_reports_violations_without_mutating() {
         let mut w = world(ServiceModel::one_shot());
-        w.register_worker(wspec(1, 0, 0.0, 5.0, 5.0), WorkerHistory::new());
-        w.worker_arrives(WorkerId(1));
-        w.advance_to(ts(5.0));
+        w.register_worker(wspec(1, 0, 0.0, 5.0, 5.0), WorkerHistory::new())
+            .unwrap();
+        w.worker_arrives(WorkerId(1)).unwrap();
+        w.advance_to(ts(5.0)).unwrap();
 
         // Unknown worker.
         let err = w
-            .try_assign(WorkerId(99), &rspec(1, 0, 5.0, 5.0, 5.0, 2.0), 2.0)
+            .assign(WorkerId(99), &rspec(1, 0, 5.0, 5.0, 5.0, 2.0), 2.0)
             .unwrap_err();
         assert_eq!(
             err,
@@ -707,33 +680,33 @@ mod tests {
 
         // Out of range: worker stays idle and in the waiting list.
         let err = w
-            .try_assign(WorkerId(1), &rspec(2, 0, 5.0, 9.0, 9.0, 2.0), 2.0)
+            .assign(WorkerId(1), &rspec(2, 0, 5.0, 9.0, 9.0, 2.0), 2.0)
             .unwrap_err();
         assert!(matches!(err, ConstraintViolation::OutOfRange { .. }));
-        assert!(w.is_idle(WorkerId(1)));
+        assert!(w.worker(WorkerId(1)).is_idle());
         assert_eq!(w.idle_count(PlatformId(0)), 1);
 
         // Time constraint: request that arrived before the worker entered.
         let err = w
-            .try_assign(WorkerId(1), &rspec(3, 0, -1.0, 5.1, 5.0, 2.0), 2.0)
+            .assign(WorkerId(1), &rspec(3, 0, -1.0, 5.1, 5.0, 2.0), 2.0)
             .unwrap_err();
         assert!(matches!(
             err,
             ConstraintViolation::EnteredAfterRequest { .. }
         ));
-        assert!(w.is_idle(WorkerId(1)));
+        assert!(w.worker(WorkerId(1)).is_idle());
         assert_eq!(w.idle_count(PlatformId(0)), 1);
         assert_eq!(w.worker(WorkerId(1)).completed, 0);
 
         // A valid assignment still goes through afterwards.
         let until = w
-            .try_assign(WorkerId(1), &rspec(4, 0, 5.0, 5.1, 5.0, 2.0), 2.0)
+            .assign(WorkerId(1), &rspec(4, 0, 5.0, 5.1, 5.0, 2.0), 2.0)
             .unwrap();
         assert!(until > ts(5.0));
 
         // Busy worker.
         let err = w
-            .try_assign(WorkerId(1), &rspec(5, 0, 5.0, 5.1, 5.0, 2.0), 2.0)
+            .assign(WorkerId(1), &rspec(5, 0, 5.0, 5.1, 5.0, 2.0), 2.0)
             .unwrap_err();
         assert_eq!(
             err,
@@ -747,10 +720,10 @@ mod tests {
     #[test]
     fn try_register_and_advance_report_violations() {
         let mut w = world(ServiceModel::one_shot());
-        w.try_register_worker(wspec(1, 0, 0.0, 1.0, 1.0), WorkerHistory::new())
+        w.register_worker(wspec(1, 0, 0.0, 1.0, 1.0), WorkerHistory::new())
             .unwrap();
         let err = w
-            .try_register_worker(wspec(1, 0, 0.0, 2.0, 2.0), WorkerHistory::new())
+            .register_worker(wspec(1, 0, 0.0, 2.0, 2.0), WorkerHistory::new())
             .unwrap_err();
         assert_eq!(
             err,
@@ -759,13 +732,13 @@ mod tests {
             }
         );
         let err = w
-            .try_register_worker(wspec(2, 7, 0.0, 2.0, 2.0), WorkerHistory::new())
+            .register_worker(wspec(2, 7, 0.0, 2.0, 2.0), WorkerHistory::new())
             .unwrap_err();
         assert!(matches!(err, ConstraintViolation::UnknownPlatform { .. }));
         assert_eq!(w.worker_count(), 1);
 
-        w.try_advance_to(ts(10.0)).unwrap();
-        let err = w.try_advance_to(ts(5.0)).unwrap_err();
+        w.advance_to(ts(10.0)).unwrap();
+        let err = w.advance_to(ts(5.0)).unwrap_err();
         assert_eq!(
             err,
             ConstraintViolation::TimeRewind {
@@ -784,7 +757,8 @@ mod tests {
             w.register_worker(
                 wspec(id, 0, 0.0, 5.0, 5.0),
                 WorkerHistory::from_values(vec![1.0, 2.0, 3.0]),
-            );
+            )
+            .unwrap();
         }
         assert!(w.approx_bytes() > before);
     }

@@ -8,8 +8,6 @@
 
 use com::prelude::*;
 
-type MatcherFactory = fn() -> Box<dyn OnlineMatcher>;
-
 fn main() {
     // Small instances where Hungarian OFF is exact and fast. One-shot
     // service (no re-entry) is the regime the theory speaks about.
@@ -36,17 +34,15 @@ fn main() {
         &["Algorithm", "min ratio", "mean ratio (≈ CR_RO)"],
     );
 
-    let algorithms: [(&str, MatcherFactory); 4] = [
-        ("TOTA", || Box::new(TotaGreedy)),
-        ("Greedy-RT", || Box::new(GreedyRt::default())),
-        ("DemCOM", || Box::new(DemCom::default())),
-        ("RamCOM", || Box::new(RamCom::default())),
-    ];
-
-    for (name, factory) in algorithms {
-        let report = competitive_ratio_random_order(&instance, &mut || factory(), orders, 2020);
+    for spec in [
+        MatcherSpec::Tota,
+        MatcherSpec::GreedyRt,
+        MatcherSpec::DemCom,
+        MatcherSpec::RamCom,
+    ] {
+        let report = competitive_ratio_random_order(&instance, &mut || spec.build(), orders, 2020);
         table.push_row(vec![
-            name.into(),
+            spec.display_name().into(),
             format!("{:.3}", report.min),
             format!("{:.3}", report.mean),
         ]);

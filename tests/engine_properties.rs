@@ -130,7 +130,7 @@ proptest! {
             Box::new(GreedyRt::default()),
             Box::new(DemCom::default()),
             Box::new(RamCom::default()),
-            Box::new(RouteAwareCom::with_cap(0.8)),
+            Box::new(DemCom::with_pickup_cap(0.8)),
         ] {
             let run = run_online(&inst, matcher.as_mut(), seed);
             check_run(&inst, &run)?;

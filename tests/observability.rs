@@ -29,7 +29,7 @@ fn results_are_bit_identical_with_collector_on_and_off() {
         || Box::new(TotaGreedy) as Box<dyn OnlineMatcher>,
         || Box::new(DemCom::default()) as Box<dyn OnlineMatcher>,
         || Box::new(RamCom::default()) as Box<dyn OnlineMatcher>,
-        || Box::new(RouteAwareCom::with_cap(1.0)) as Box<dyn OnlineMatcher>,
+        || Box::new(DemCom::with_pickup_cap(1.0)) as Box<dyn OnlineMatcher>,
     ] {
         // Collector off (the default for this thread).
         let mut m = make();

@@ -162,16 +162,15 @@ fn route_aware_spec_parses_its_cap() {
     }
 }
 
-/// Factories mint a fresh matcher per call, so parallel workers never
-/// share mutable algorithm state.
+/// Every build mints a fresh matcher, so parallel workers never share
+/// mutable algorithm state.
 #[test]
 fn factories_mint_fresh_matchers() {
     let registry = MatcherRegistry::builtin();
-    let factory = registry.resolve("ramcom").unwrap();
-    let a = factory();
-    let b = factory();
+    let a = registry.build("ramcom").unwrap();
+    let b = registry.build("ramcom").unwrap();
     assert_eq!(a.name(), b.name());
     let pa = &*a as *const dyn OnlineMatcher as *const u8;
     let pb = &*b as *const dyn OnlineMatcher as *const u8;
-    assert_ne!(pa, pb, "factory returned the same allocation twice");
+    assert_ne!(pa, pb, "build returned the same allocation twice");
 }

@@ -1186,7 +1186,7 @@ fn binary_pipelined_run_is_byte_identical_to_ndjson_and_batch() {
 
     // …and byte-identical to each other and to the batch engine.
     let registry = MatcherRegistry::builtin();
-    let mut matcher = registry.resolve("ramcom").unwrap()();
+    let mut matcher = registry.build("ramcom").unwrap();
     let batch = try_run_online(&instance, matcher.as_mut(), 13);
     assert_eq!(ndjson_bye.digest, canonical_run_digest(&batch));
     assert_eq!(binary_bye.digest, canonical_run_digest(&batch));

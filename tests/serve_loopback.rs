@@ -49,7 +49,7 @@ fn served_run_equals_batch_run_and_audits_clean() {
 
     // The served run IS the batch run.
     let registry = MatcherRegistry::builtin();
-    let mut matcher = registry.resolve("demcom").unwrap()();
+    let mut matcher = registry.build("demcom").unwrap();
     let batch = try_run_online(&instance, matcher.as_mut(), 9);
     assert_eq!(session.bye.digest, canonical_run_digest(&batch));
     assert_eq!(session.bye.revenue, batch.total_revenue());

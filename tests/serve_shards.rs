@@ -66,8 +66,8 @@ fn every_builtin_is_shard_count_invariant() {
         // Local ground truth, one batch run per logical session seed.
         let mut truth = Vec::new();
         for sid in 0..sessions as u64 {
-            let factory = registry.resolve(&matcher).expect("builtin resolves");
-            let batch = try_run_online(&instance, factory().as_mut(), base_seed + sid);
+            let mut local = registry.build(&matcher).expect("builtin builds");
+            let batch = try_run_online(&instance, local.as_mut(), base_seed + sid);
             assert!(
                 validate_run(&instance, &batch).is_empty(),
                 "{matcher}: local batch run must audit clean"
@@ -224,8 +224,8 @@ fn interleaved_sids_on_one_connection_stay_isolated() {
     }
 
     let registry = MatcherRegistry::builtin();
-    let factory = registry.resolve("greedy-rt").expect("builtin resolves");
-    let mut session = com_core::MatchSession::for_instance(&instance, factory(), 13);
+    let matcher = registry.build("greedy-rt").expect("builtin builds");
+    let mut session = com_core::MatchSession::for_instance(&instance, matcher, 13);
     for event in instance.stream.iter().take(40) {
         session.ingest(event).expect("in-order stream");
     }
@@ -311,8 +311,8 @@ fn window_is_per_message_so_a_full_window_never_overflows_the_shard_queue() {
         let report = drive(&handle.addr().to_string(), &instance, &options).expect("mux replay");
         assert_eq!(report.sessions.len(), 8);
         for outcome in &report.sessions {
-            let factory = registry.resolve("demcom").expect("builtin resolves");
-            let batch = try_run_online(&instance, factory().as_mut(), outcome.seed);
+            let mut matcher = registry.build("demcom").expect("builtin builds");
+            let batch = try_run_online(&instance, matcher.as_mut(), outcome.seed);
             assert_eq!(outcome.bye.digest, canonical_run_digest(&batch));
             assert_eq!(outcome.bye.audit_findings, Vec::<String>::new());
         }

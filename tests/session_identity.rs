@@ -2,8 +2,8 @@
 //! (`run_online`/`try_run_online`, now thin loops over a session) and a
 //! manually-fed incremental session must produce byte-identical
 //! `canonical_run_json` for every builtin matcher spec — the projection
-//! that captures every decision, payment, and telemetry counter while
-//! excluding wall-clock fields.
+//! that captures every decision and payment while excluding wall-clock
+//! fields and telemetry.
 //!
 //! The wrappers were verified unchanged against the pre-refactor test
 //! suite when the session landed; this test pins wrapper ≡ session from
@@ -11,7 +11,7 @@
 //! replay paths.
 
 use com_core::canonical_run_json;
-use com_core::{run_online, try_run_online, MatchSession, MatcherRegistry, MatcherSpec, RunResult};
+use com_core::{run_online, try_run_online, MatchSession, MatcherSpec, RunResult, SessionConfig};
 use com_datagen::{generate, synthetic, SyntheticParams};
 use com_sim::Instance;
 
@@ -30,20 +30,12 @@ fn instance() -> Instance {
 #[test]
 fn wrappers_and_manual_sessions_are_bit_identical_for_all_builtins() {
     let instance = instance();
-    let registry = MatcherRegistry::builtin();
     for spec in MatcherSpec::all_builtin() {
         for seed in [7u64, 1234] {
-            let factory = registry
-                .resolve(&spec.canonical())
-                .expect("builtin specs resolve");
+            let strict = run_online(&instance, spec.build().as_mut(), seed);
+            let lenient = try_run_online(&instance, spec.build().as_mut(), seed);
 
-            let mut strict_matcher = factory();
-            let strict = run_online(&instance, strict_matcher.as_mut(), seed);
-
-            let mut lenient_matcher = factory();
-            let lenient = try_run_online(&instance, lenient_matcher.as_mut(), seed);
-
-            let mut session = MatchSession::for_instance(&instance, factory(), seed);
+            let mut session = MatchSession::for_instance(&instance, spec.build(), seed);
             for event in instance.stream.iter() {
                 session
                     .ingest(event)
@@ -74,18 +66,21 @@ fn wrappers_and_manual_sessions_are_bit_identical_for_all_builtins() {
 fn live_sessions_decide_identically_without_preregistration() {
     // `MatchSession::new` registers workers at their arrival events
     // instead of up front; decisions (and therefore the canonical run)
-    // must not change — only memory accounting may.
+    // must not change — only memory accounting may. Histories are staged
+    // per worker, as the serving layer stages them.
     let instance = instance();
-    let registry = MatcherRegistry::builtin();
-    let config = com_core::SessionConfig::from_instance(&instance);
+    let config = SessionConfig {
+        world: instance.config.clone(),
+        platform_names: instance.platform_names.clone(),
+        max_value_hint: instance.max_value(),
+    };
     for spec in MatcherSpec::all_builtin() {
-        let factory = registry
-            .resolve(&spec.canonical())
-            .expect("builtin specs resolve");
-        let mut batch_matcher = factory();
-        let batch = try_run_online(&instance, batch_matcher.as_mut(), 99);
+        let batch = try_run_online(&instance, spec.build().as_mut(), 99);
 
-        let mut session = MatchSession::new(config.clone(), factory(), 99);
+        let mut session = MatchSession::new(config.clone(), spec.build(), 99);
+        for (&id, history) in &instance.histories {
+            session.add_history(id, history.clone());
+        }
         for event in instance.stream.iter() {
             session.ingest(event).expect("stream in order");
         }
