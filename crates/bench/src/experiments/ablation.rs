@@ -16,7 +16,8 @@ use com_core::{
     run_batched, run_online, BatchedCom, DemCom, DemComConfig, MatcherSpec, RamCom, RamComConfig,
     RunResult,
 };
-use com_datagen::{generate, synthetic, SyntheticParams};
+use com_datagen::generate;
+use com_datagen::profiles::{synthetic, SyntheticParams};
 use com_metrics::Table;
 use com_pricing::{MonteCarloParams, PriceCandidates};
 
@@ -27,21 +28,21 @@ use super::EXPERIMENT_SEED;
 /// One ablation variant's measurements.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AblationRow {
-    pub variant: String,
-    pub revenue: f64,
-    pub completed: usize,
-    pub cooperative: usize,
-    pub acceptance_ratio: Option<f64>,
-    pub payment_rate: Option<f64>,
-    pub response_ms: f64,
+    pub(crate) variant: String,
+    pub(crate) revenue: f64,
+    pub(crate) completed: usize,
+    pub(crate) cooperative: usize,
+    pub(crate) acceptance_ratio: Option<f64>,
+    pub(crate) payment_rate: Option<f64>,
+    pub(crate) response_ms: f64,
 }
 
 /// A named ablation experiment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AblationResult {
-    pub id: String,
-    pub title: String,
-    pub rows: Vec<AblationRow>,
+    pub(crate) id: String,
+    pub(crate) title: String,
+    pub(crate) rows: Vec<AblationRow>,
 }
 
 impl AblationResult {
@@ -70,10 +71,6 @@ impl AblationResult {
             ]);
         }
         t
-    }
-
-    pub fn row(&self, variant: &str) -> Option<&AblationRow> {
-        self.rows.iter().find(|r| r.variant == variant)
     }
 }
 
@@ -117,7 +114,7 @@ fn measure(
 }
 
 /// DemCOM's Monte Carlo accuracy (ξ) sweep.
-pub fn demcom_xi_sweep(quick: bool) -> AblationResult {
+pub(crate) fn demcom_xi_sweep(quick: bool) -> AblationResult {
     let instance = default_instance(quick);
     let xis = [0.02, 0.05, 0.1, 0.2, 0.4];
     let rows = xis
@@ -137,7 +134,7 @@ pub fn demcom_xi_sweep(quick: bool) -> AblationResult {
 }
 
 /// RamCOM pricing-candidate strategies.
-pub fn ramcom_pricing_strategies(quick: bool) -> AblationResult {
+pub(crate) fn ramcom_pricing_strategies(quick: bool) -> AblationResult {
     let instance = default_instance(quick);
     let variants: [(&str, PriceCandidates); 3] = [
         ("breakpoints", PriceCandidates::Breakpoints),
@@ -162,7 +159,7 @@ pub fn ramcom_pricing_strategies(quick: bool) -> AblationResult {
 }
 
 /// RamCOM with and without the inner-worker fallback for small requests.
-pub fn ramcom_fallback(quick: bool) -> AblationResult {
+pub(crate) fn ramcom_fallback(quick: bool) -> AblationResult {
     let instance = default_instance(quick);
     let rows = [false, true]
         .iter()
@@ -191,7 +188,7 @@ pub fn ramcom_fallback(quick: bool) -> AblationResult {
 }
 
 /// Static vs evolving worker histories (DemCOM).
-pub fn history_updates(quick: bool) -> AblationResult {
+pub(crate) fn history_updates(quick: bool) -> AblationResult {
     let mut static_inst = default_instance(quick);
     static_inst.config.update_histories = false;
     let mut dynamic_inst = static_inst.clone();
@@ -213,7 +210,7 @@ pub fn history_updates(quick: bool) -> AblationResult {
 /// what funds RamCOM's value-threshold routing; under Gaussian fares the
 /// top-30% of requests hold only ≈ 40% of the value and the COM
 /// algorithms converge.
-pub fn value_distributions(quick: bool) -> AblationResult {
+pub(crate) fn value_distributions(quick: bool) -> AblationResult {
     use com_datagen::ValueDistribution;
     let mut rows = Vec::new();
     for (dist_name, dist) in [
@@ -243,7 +240,7 @@ pub fn value_distributions(quick: bool) -> AblationResult {
 /// RamCOM threshold policies: the literal per-run draw (high variance)
 /// vs the default per-request redraw, with and without the inner
 /// fallback.
-pub fn ramcom_threshold_modes(quick: bool) -> AblationResult {
+pub(crate) fn ramcom_threshold_modes(quick: bool) -> AblationResult {
     use com_core::ThresholdMode;
     let instance = default_instance(quick);
     let variants: [(&str, ThresholdMode, bool); 4] = [
@@ -272,7 +269,7 @@ pub fn ramcom_threshold_modes(quick: bool) -> AblationResult {
 
 /// Route-aware matching (§VII future work): sweep the pickup-distance
 /// cap and measure the revenue ↔ deadhead-travel trade-off.
-pub fn route_aware_caps(quick: bool) -> AblationResult {
+pub(crate) fn route_aware_caps(quick: bool) -> AblationResult {
     let instance = default_instance(quick);
     let caps = [0.3, 0.5, 0.8, 1.0, f64::INFINITY];
     let rows = caps
@@ -302,7 +299,7 @@ pub fn route_aware_caps(quick: bool) -> AblationResult {
 /// Batched matching (latency ↔ quality): sweep the window length and
 /// report revenue alongside the mean user-visible waiting time
 /// (decision time − arrival time).
-pub fn batched_windows(quick: bool) -> AblationResult {
+pub(crate) fn batched_windows(quick: bool) -> AblationResult {
     let instance = default_instance(quick);
     // Reference: per-request DemCOM (zero added waiting).
     let mut rows = vec![measure(
@@ -333,7 +330,7 @@ pub fn batched_windows(quick: bool) -> AblationResult {
 
 /// Worker shifts (realism extension): bounded shifts thin the afternoon
 /// fleet; the paper's model keeps every worker available all day.
-pub fn worker_shifts(quick: bool) -> AblationResult {
+pub(crate) fn worker_shifts(quick: bool) -> AblationResult {
     let mut rows = Vec::new();
     for (label, shift) in [
         ("4h shifts", 4.0 * 3600.0),
@@ -371,6 +368,13 @@ pub fn run_all(runner: &SweepRunner, quick: bool) -> Vec<AblationResult> {
         worker_shifts,
     ];
     runner.map(studies, |_, study| study(quick))
+}
+
+#[cfg(test)]
+impl AblationResult {
+    fn row(&self, variant: &str) -> Option<&AblationRow> {
+        self.rows.iter().find(|r| r.variant == variant)
+    }
 }
 
 #[cfg(test)]

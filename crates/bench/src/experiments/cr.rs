@@ -9,7 +9,8 @@
 use serde::{Deserialize, Serialize};
 
 use com_core::{competitive_ratio_random_order, MatcherSpec};
-use com_datagen::{generate, synthetic, SyntheticParams};
+use com_datagen::generate;
+use com_datagen::profiles::{synthetic, SyntheticParams};
 use com_metrics::Table;
 use com_sim::ServiceModel;
 
@@ -18,25 +19,25 @@ use crate::runner::SweepRunner;
 use super::EXPERIMENT_SEED;
 
 /// RamCOM's proven lower bound, `1 / (8e)`.
-pub const RAMCOM_BOUND: f64 = 1.0 / (8.0 * std::f64::consts::E);
+pub(crate) const RAMCOM_BOUND: f64 = 1.0 / (8.0 * std::f64::consts::E);
 
 /// Per-algorithm competitive-ratio measurements.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CrRow {
-    pub algorithm: String,
+    pub(crate) algorithm: String,
     /// Minimum ratio over every sampled (instance, order) pair.
-    pub min_ratio: f64,
+    pub(crate) min_ratio: f64,
     /// Mean ratio (the random-order model's expectation, averaged over
     /// instances).
-    pub mean_ratio: f64,
+    pub(crate) mean_ratio: f64,
 }
 
 /// The full study result.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CrStudy {
-    pub instances: usize,
-    pub orders_per_instance: usize,
-    pub rows: Vec<CrRow>,
+    pub(crate) instances: usize,
+    pub(crate) orders_per_instance: usize,
+    pub(crate) rows: Vec<CrRow>,
 }
 
 impl CrStudy {
@@ -56,10 +57,6 @@ impl CrStudy {
             ]);
         }
         t
-    }
-
-    pub fn row(&self, algorithm: &str) -> Option<&CrRow> {
-        self.rows.iter().find(|r| r.algorithm == algorithm)
     }
 }
 
@@ -123,6 +120,13 @@ pub fn run_cr_study(runner: &SweepRunner, instances: usize, orders: usize) -> Cr
         instances,
         orders_per_instance: orders,
         rows,
+    }
+}
+
+#[cfg(test)]
+impl CrStudy {
+    fn row(&self, algorithm: &str) -> Option<&CrRow> {
+        self.rows.iter().find(|r| r.algorithm == algorithm)
     }
 }
 

@@ -8,7 +8,8 @@
 use serde::{Deserialize, Serialize};
 
 use com_core::{run_online, MatcherSpec};
-use com_datagen::{generate, synthetic, SyntheticParams};
+use com_datagen::generate;
+use com_datagen::profiles::{synthetic, SyntheticParams};
 use com_metrics::SweepSeries;
 
 use crate::runner::SweepRunner;
@@ -17,26 +18,26 @@ use super::EXPERIMENT_SEED;
 
 /// The paper's swept values (Table IV; defaults bold: |R| = 2500,
 /// |W| = 500, rad = 1.0).
-pub const R_VALUES: [usize; 8] = [500, 1_000, 2_500, 5_000, 10_000, 20_000, 50_000, 100_000];
-pub const W_VALUES: [usize; 8] = [100, 200, 500, 1_000, 2_500, 5_000, 10_000, 20_000];
-pub const RAD_VALUES: [f64; 5] = [0.5, 1.0, 1.5, 2.0, 2.5];
+pub(crate) const R_VALUES: [usize; 8] = [500, 1_000, 2_500, 5_000, 10_000, 20_000, 50_000, 100_000];
+pub(crate) const W_VALUES: [usize; 8] = [100, 200, 500, 1_000, 2_500, 5_000, 10_000, 20_000];
+pub(crate) const RAD_VALUES: [f64; 5] = [0.5, 1.0, 1.5, 2.0, 2.5];
 
 /// One measured point of a sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepPoint {
-    pub x: f64,
-    pub algorithm: String,
-    pub revenue: f64,
-    pub response_ms: f64,
-    pub memory_bytes: usize,
-    pub acceptance_ratio: Option<f64>,
+    pub(crate) x: f64,
+    pub(crate) algorithm: String,
+    pub(crate) revenue: f64,
+    pub(crate) response_ms: f64,
+    pub(crate) memory_bytes: usize,
+    pub(crate) acceptance_ratio: Option<f64>,
 }
 
 /// A full sweep: the four Fig. 5 panels for one swept axis.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepResult {
-    pub axis: String,
-    pub points: Vec<SweepPoint>,
+    pub(crate) axis: String,
+    pub(crate) points: Vec<SweepPoint>,
     pub revenue: SweepSeries,
     pub response: SweepSeries,
     pub memory: SweepSeries,

@@ -16,4 +16,4 @@ pub mod tables;
 
 /// The seed every headline experiment uses (results in EXPERIMENTS.md are
 /// regenerated from exactly this value).
-pub const EXPERIMENT_SEED: u64 = 20200420; // ICDE 2020 week
+pub(crate) const EXPERIMENT_SEED: u64 = 20200420; // ICDE 2020 week

@@ -11,7 +11,8 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use com_core::{offline_solve, Instance, MatcherSpec, OfflineMode, PlatformId, RunResult};
-use com_datagen::{chengdu_nov, chengdu_oct, generate, xian_nov, ScenarioConfig};
+use com_datagen::profiles::{chengdu_nov, chengdu_oct, xian_nov};
+use com_datagen::{generate, ScenarioConfig};
 use com_metrics::{fmt_mega, fmt_mib, Table};
 
 use crate::runner::{run_grid, SweepRunner};
@@ -22,24 +23,24 @@ use super::EXPERIMENT_SEED;
 /// be regenerated from JSON dumps).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MethodRow {
-    pub method: String,
-    pub revenue_d: f64,
-    pub revenue_y: f64,
-    pub response_ms: f64,
-    pub memory_bytes: usize,
-    pub completed_d: usize,
-    pub completed_y: usize,
-    pub cooperative: Option<usize>,
-    pub acceptance_ratio: Option<f64>,
-    pub payment_rate: Option<f64>,
+    pub(crate) method: String,
+    pub(crate) revenue_d: f64,
+    pub(crate) revenue_y: f64,
+    pub(crate) response_ms: f64,
+    pub(crate) memory_bytes: usize,
+    pub(crate) completed_d: usize,
+    pub(crate) completed_y: usize,
+    pub(crate) cooperative: Option<usize>,
+    pub(crate) acceptance_ratio: Option<f64>,
+    pub(crate) payment_rate: Option<f64>,
 }
 
 /// A complete table experiment result.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TableResult {
-    pub id: String,
-    pub title: String,
-    pub rows: Vec<MethodRow>,
+    pub(crate) id: String,
+    pub(crate) title: String,
+    pub(crate) rows: Vec<MethodRow>,
 }
 
 impl TableResult {
@@ -76,18 +77,13 @@ impl TableResult {
         }
         t
     }
-
-    /// Row lookup by method name.
-    pub fn row(&self, method: &str) -> Option<&MethodRow> {
-        self.rows.iter().find(|r| r.method == method)
-    }
 }
 
 /// How many seeded replays each online method is averaged over — the
 /// paper's tables average a month of daily runs; five replays keep the
 /// randomized algorithms' variance out of the headline numbers at
 /// tolerable cost.
-pub const TABLE_REPEATS: u64 = 5;
+pub(crate) const TABLE_REPEATS: u64 = 5;
 
 fn averaged_method_row(runs: &[RunResult]) -> MethodRow {
     assert!(!runs.is_empty());
@@ -137,7 +133,7 @@ fn averaged_method_row(runs: &[RunResult]) -> MethodRow {
 /// Run one table experiment, fanning the (matcher × seed) grid across
 /// `runner`'s workers. Online results are bit-identical to serial
 /// execution; only wall-clock fields (response time) vary.
-pub fn run_table(
+pub(crate) fn run_table(
     runner: &SweepRunner,
     id: &str,
     title: &str,
@@ -195,7 +191,7 @@ fn method_rows(runner: &SweepRunner, instance: &Instance, seeds: &[u64]) -> Vec<
 /// workers, one job per day (each day regenerates its instance and
 /// replays every method once, with seed `EXPERIMENT_SEED + day`), and
 /// folded in day order so float accumulation matches serial execution.
-pub fn run_table_multiday(
+pub(crate) fn run_table_multiday(
     runner: &SweepRunner,
     id: &str,
     title: &str,
@@ -298,6 +294,14 @@ pub fn table7(runner: &SweepRunner, quick: bool) -> TableResult {
         &xian_nov(),
         quick,
     )
+}
+
+#[cfg(test)]
+impl TableResult {
+    /// Row lookup by method name.
+    fn row(&self, method: &str) -> Option<&MethodRow> {
+        self.rows.iter().find(|r| r.method == method)
+    }
 }
 
 #[cfg(test)]

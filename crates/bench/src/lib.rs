@@ -26,9 +26,3 @@
 
 pub mod experiments;
 pub mod runner;
-
-pub use experiments::ablation;
-pub use experiments::cr;
-pub use experiments::figures;
-pub use experiments::tables;
-pub use runner::{canonical_run_json, merged_telemetry, run_grid, CellPanic, SweepRunner};

@@ -21,7 +21,7 @@
 //!
 //! Wall-clock fields (`decision_nanos`, response-time metrics) are
 //! measured, not simulated, and therefore differ between any two runs —
-//! serial or parallel. [`canonical_run_json`] projects a `RunResult`
+//! serial or parallel. [`com_core::canonical_run_json`] projects a `RunResult`
 //! onto its deterministic content (assignments and revenue; no telemetry)
 //! for byte-exact comparison across thread counts.
 
@@ -31,8 +31,9 @@ use std::thread;
 
 use com_core::{run_online, Instance, MatcherSpec, RunResult};
 // The canonical projection lives in `com-core` (the serving crates need it
-// without the experiment harness); re-exported here for existing imports.
-pub use com_core::{canonical_assignment_json, canonical_run_digest, canonical_run_json, fnv1a64};
+// without the experiment harness); the digest keeps this second path
+// because `benchmark/` imports it from here.
+pub use com_core::canonical_run_digest;
 use com_obs::RunTelemetry;
 
 /// A job that panicked inside [`SweepRunner::try_map`]: which cell, and
@@ -97,7 +98,7 @@ impl SweepRunner {
     }
 
     /// One worker per available core.
-    pub fn all_cores() -> Self {
+    pub(crate) fn all_cores() -> Self {
         SweepRunner::new(0)
     }
 
@@ -122,7 +123,7 @@ impl SweepRunner {
     /// A panicking job aborts the whole sweep (re-raised on the calling
     /// thread with the cell index attached); use
     /// [`SweepRunner::try_map`] to isolate poisoned cells instead.
-    pub fn map<T, R, F>(&self, jobs: Vec<T>, f: F) -> Vec<R>
+    pub(crate) fn map<T, R, F>(&self, jobs: Vec<T>, f: F) -> Vec<R>
     where
         T: Send + Sync,
         R: Send,
@@ -137,7 +138,7 @@ impl SweepRunner {
             .collect()
     }
 
-    /// Like [`SweepRunner::map`], but each cell runs under
+    /// Like `SweepRunner::map`, but each cell runs under
     /// `catch_unwind`: a panicking job yields `Err(CellPanic)` for its
     /// slot while every other cell completes normally — with results
     /// still bit-identical to a serial execution of the surviving cells.
@@ -223,7 +224,7 @@ impl SweepRunner {
 /// the cell's own seed, so the output is independent of thread count.
 ///
 /// Every cell is a strict [`run_online`], so it audits itself; an
-/// unsound cell aborts the sweep through [`SweepRunner::map`].
+/// unsound cell aborts the sweep through `SweepRunner::map`.
 pub fn run_grid(
     runner: &SweepRunner,
     instance: &Instance,
@@ -315,7 +316,8 @@ mod tests {
 
     #[test]
     fn nested_collector_policy_is_thread_count_invariant() {
-        use com_datagen::{generate, synthetic, SyntheticParams};
+        use com_datagen::generate;
+        use com_datagen::profiles::{synthetic, SyntheticParams};
         let instance = generate(&synthetic(SyntheticParams {
             n_requests: 40,
             n_workers: 15,
@@ -342,7 +344,11 @@ mod tests {
                         "telemetry={telemetry} threads={threads}: report missing"
                     );
                 }
-                canonical.push(runs.iter().map(canonical_run_json).collect::<Vec<_>>());
+                canonical.push(
+                    runs.iter()
+                        .map(com_core::canonical_run_json)
+                        .collect::<Vec<_>>(),
+                );
             }
             assert_eq!(canonical[0], canonical[1], "telemetry={telemetry}");
         }
@@ -359,7 +365,8 @@ mod tests {
 
     #[test]
     fn telemetry_collection_attaches_reports_in_parallel() {
-        use com_datagen::{generate, synthetic, SyntheticParams};
+        use com_datagen::generate;
+        use com_datagen::profiles::{synthetic, SyntheticParams};
         let instance = generate(&synthetic(SyntheticParams {
             n_requests: 60,
             n_workers: 20,

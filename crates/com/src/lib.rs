@@ -82,9 +82,12 @@ pub mod prelude {
         RequestId, RequestSpec, RunResult, ServiceModel, SpecError, StreamInfo, ThresholdMode,
         Timestamp, TotaGreedy, Value, WorkerId, WorkerSpec, World, WorldConfig,
     };
+    pub use com_datagen::profiles::{
+        chengdu_nov, chengdu_oct, synthetic, xian_nov, SyntheticParams,
+    };
     pub use com_datagen::{
-        chengdu_nov, chengdu_oct, generate, synthetic, xian_nov, DailyProfile, Hotspot,
-        PlatformSpec, ScenarioConfig, SpatialMixture, SyntheticParams, ValueDistribution,
+        generate, DailyProfile, Hotspot, PlatformSpec, ScenarioConfig, SpatialMixture,
+        ValueDistribution,
     };
     pub use com_geo::{BoundingBox, Point};
     pub use com_metrics::{SweepSeries, Table};

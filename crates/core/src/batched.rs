@@ -36,10 +36,10 @@ use crate::session::try_apply_decision;
 pub struct BatchedCom {
     /// Window length in seconds. Requests wait at most this long before
     /// a decision.
-    pub window_secs: f64,
+    pub(crate) window_secs: f64,
     /// Monte Carlo parameters for the outer-payment estimation applied to
     /// window leftovers.
-    pub demcom: DemComConfig,
+    pub(crate) demcom: DemComConfig,
 }
 
 impl BatchedCom {
@@ -329,7 +329,8 @@ mod tests {
 
     #[test]
     fn batched_run_on_generated_day_respects_invariants() {
-        use com_datagen::{generate, synthetic, SyntheticParams};
+        use com_datagen::generate;
+        use com_datagen::profiles::{synthetic, SyntheticParams};
         let inst = generate(&synthetic(SyntheticParams {
             n_requests: 400,
             n_workers: 120,
@@ -355,7 +356,8 @@ mod tests {
 
     #[test]
     fn wider_windows_do_not_lose_revenue_on_one_shot_days() {
-        use com_datagen::{generate, synthetic, SyntheticParams};
+        use com_datagen::generate;
+        use com_datagen::profiles::{synthetic, SyntheticParams};
         let mut config = synthetic(SyntheticParams {
             n_requests: 200,
             n_workers: 60,
@@ -377,7 +379,8 @@ mod tests {
 
     #[test]
     fn batched_respects_offline_bound() {
-        use com_datagen::{generate, synthetic, SyntheticParams};
+        use com_datagen::generate;
+        use com_datagen::profiles::{synthetic, SyntheticParams};
         let mut config = synthetic(SyntheticParams {
             n_requests: 150,
             n_workers: 50,

@@ -78,10 +78,6 @@ impl DemCom {
             ..DemCom::default()
         }
     }
-
-    pub fn config(&self) -> &DemComConfig {
-        &self.config
-    }
 }
 
 impl OnlineMatcher for DemCom {

@@ -29,7 +29,7 @@ use crate::session::MatchSession;
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecisionFailure {
     /// The request being decided when the violation occurred.
-    pub request: RequestSpec,
+    pub(crate) request: RequestSpec,
     /// The constraint the decision breached.
     pub violation: ConstraintViolation,
 }
@@ -46,7 +46,7 @@ pub struct RunResult {
     /// World footprint at the end of the run.
     pub final_memory_bytes: usize,
     /// Total wall-clock nanoseconds spent inside `decide`.
-    pub total_decision_nanos: u64,
+    pub(crate) total_decision_nanos: u64,
     /// Per-phase latency/counter/gauge report for this run. `None` unless
     /// a `com-obs` collector was installed (see [`com_obs::install`]);
     /// collection never changes the run's decisions or revenue.
@@ -122,7 +122,7 @@ impl RunResult {
     }
 
     /// Total deadhead (pickup) travel across all served requests, km.
-    pub fn total_travel_km(&self) -> f64 {
+    pub(crate) fn total_travel_km(&self) -> f64 {
         self.assignments.iter().map(|a| a.travel_km).sum()
     }
 
@@ -151,7 +151,7 @@ impl RunResult {
 /// [`try_run_online`] makes, audited. The strict run audits itself — it
 /// panics with the first constraint a decision breached, or with the
 /// first [`crate::validate_run`] finding; the lenient [`try_run_online`]
-/// does neither (see [`crate::audit`]).
+/// does neither (see `audit.rs`).
 ///
 /// Every algorithm-visible random draw flows through the single seeded
 /// RNG, so runs are exactly reproducible.
@@ -195,6 +195,15 @@ pub fn run_online(instance: &Instance, matcher: &mut dyn OnlineMatcher, seed: u6
 /// (`was_cooperative_offer: false` — no valid offer was extended), the
 /// violation is recorded in [`RunResult::failures`], the world state is
 /// untouched, and the replay continues with the next event.
+///
+/// # Panics
+///
+/// On an event the instance itself gets wrong, whatever the matcher:
+/// a malformed event (`ConstraintViolation::MalformedEvent` — a
+/// non-finite or non-positive value or radius, a non-finite location or
+/// arrival time, a platform outside the roster), a time rewind, or a
+/// duplicate arrival. Validate untrusted input before it becomes an
+/// [`Instance`]; `instance_from_csv` in `com-datagen` does.
 pub fn try_run_online(
     instance: &Instance,
     matcher: &mut dyn OnlineMatcher,

@@ -22,46 +22,46 @@
 //! * [`RamCom`] — Algorithm 3, randomized COM: a random value threshold
 //!   `e^k` routes big requests to inner workers and small ones to outer
 //!   workers priced by maximum expected revenue (Definition 4.1).
-//! * [`offline`] — the OFF baseline: exact maximum-weight bipartite
+//! * `offline.rs` — the OFF baseline: exact maximum-weight bipartite
 //!   matching for one-shot instances and a full-knowledge scheduler for
 //!   re-entry workloads.
-//! * [`engine`] — replays an [`Instance`]'s arrival stream against any
+//! * `engine.rs` — replays an [`Instance`]'s arrival stream against any
 //!   [`OnlineMatcher`], enforcing every constraint of Definition 2.6 and
 //!   timing each decision.
-//! * [`session`] — the incremental core under the engine: a resumable
+//! * `session.rs` — the incremental core under the engine: a resumable
 //!   [`MatchSession`] ingests arrival events one at a time (the
 //!   `com-serve` daemon's entry point; the batch engine is a thin
 //!   wrapper over it).
-//! * [`ratio`] — empirical competitive-ratio measurement under the
+//! * `ratio.rs` — empirical competitive-ratio measurement under the
 //!   adversarial and random-order models (Definitions 2.7/2.8).
-//! * [`registry`] — the algorithm-construction API: [`MatcherSpec`]
+//! * `registry.rs` — the algorithm-construction API: [`MatcherSpec`]
 //!   parses CLI strings like `"ramcom"` or `"route-aware:2.5"` and
 //!   builds a fresh matcher per run from them (`Result`-based parsing,
 //!   no panics).
-//! * [`canonical`] — the deterministic projection of a run
+//! * `canonical.rs` — the deterministic projection of a run
 //!   ([`canonical_run_json`], [`canonical_run_digest`]): the bytes every
 //!   serving mode is compared against the batch engine on.
-//! * [`audit`] — the always-on post-run auditor: [`validate_run`]
+//! * `audit.rs` — the always-on post-run auditor: [`validate_run`]
 //!   re-derives every paper invariant from a finished assignment log,
 //!   independently of the engine's own enforcement, in release builds
 //!   too.
 
-pub mod audit;
-pub mod batched;
-pub mod canonical;
-pub mod config;
+mod audit;
+mod batched;
+mod canonical;
+mod config;
 mod cooperative;
-pub mod demcom;
-pub mod engine;
-pub mod matcher;
-pub mod offline;
-pub mod outsource;
-pub mod ramcom;
-pub mod ratio;
-pub mod registry;
-pub mod session;
-pub mod timeline;
-pub mod tota;
+mod demcom;
+mod engine;
+mod matcher;
+mod offline;
+mod outsource;
+mod ramcom;
+mod ratio;
+mod registry;
+mod session;
+mod timeline;
+mod tota;
 
 pub use audit::{validate_run, AuditFinding};
 pub use batched::{run_batched, BatchedCom};
@@ -72,10 +72,10 @@ pub use config::{DemComConfig, RamComConfig, ThresholdMode};
 pub use demcom::DemCom;
 pub use engine::{run_online, try_run_online, DecisionFailure, RunResult};
 pub use matcher::{Decision, OnlineMatcher, StreamInfo};
-pub use offline::{offline_solve, OfflineMode, OfflineResult};
+pub use offline::{offline_solve, OfflineMode};
 pub use outsource::{project_platform_run, OutsourceChannel, OutsourceOutcome};
 pub use ramcom::RamCom;
-pub use ratio::{competitive_ratio_random_order, CrReport};
+pub use ratio::competitive_ratio_random_order;
 pub use registry::{MatcherRegistry, MatcherSpec, SpecError};
 pub use session::{MatchSession, SessionConfig, SessionOutput};
 pub use timeline::{hourly_timeline, HourlyBucket};

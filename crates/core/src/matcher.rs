@@ -10,7 +10,7 @@ use com_sim::{PlatformId, RequestSpec, Value, WorkerId, World};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamInfo {
     /// The largest request value that will appear (`max v_r`).
-    pub max_value: Value,
+    pub(crate) max_value: Value,
 }
 
 /// The decision an algorithm takes for one incoming request (Definition
@@ -37,7 +37,7 @@ pub enum Decision {
 
 impl Decision {
     /// Whether the request is served.
-    pub fn is_served(&self) -> bool {
+    pub(crate) fn is_served(&self) -> bool {
         !matches!(self, Decision::Reject { .. })
     }
 }

@@ -41,7 +41,7 @@ pub enum OfflineMode {
 /// The outcome of an offline solve.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OfflineResult {
-    pub mode: OfflineMode,
+    pub(crate) mode: OfflineMode,
     pub total_revenue: Value,
     pub completed: usize,
     /// Revenue attributed to each platform (by the platform that owns the

@@ -68,15 +68,6 @@ impl RamCom {
         }
     }
 
-    /// The current run's inner-routing threshold `e^k`.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    pub fn config(&self) -> &RamComConfig {
-        &self.config
-    }
-
     /// Lines 10–11: price by maximum expected revenue, then run DemCOM's
     /// offer loop (Algorithm 1, lines 13–26) at that payment.
     fn try_outer(&mut self, world: &World, request: &RequestSpec, rng: &mut StdRng) -> Decision {
@@ -147,6 +138,14 @@ impl OnlineMatcher for RamCom {
             }
         }
         outer_decision
+    }
+}
+
+#[cfg(test)]
+impl RamCom {
+    /// The current run's inner-routing threshold `e^k`.
+    fn threshold(&self) -> f64 {
+        self.threshold
     }
 }
 

@@ -20,7 +20,7 @@ use crate::offline::{offline_solve, OfflineMode};
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrReport {
     /// Offline optimum `MaxSum(OPT)` the ratios are measured against.
-    pub optimum: f64,
+    pub(crate) optimum: f64,
     /// One ratio per sampled arrival order.
     pub ratios: Vec<f64>,
     /// Minimum sampled ratio — an (optimistic) estimate of `CR_A`.
@@ -53,7 +53,7 @@ impl CrReport {
 /// keeps all ratios in `[0, 1]` by the dominance invariant. (A permuted
 /// order with a zero optimum — nothing feasible — contributes ratio 1:
 /// the online algorithm also earns exactly zero there.) The reported
-/// [`CrReport::optimum`] is the natural order's.
+/// `CrReport::optimum` is the natural order's.
 ///
 /// # Panics
 /// Panics if `orders == 0` or the natural-order offline optimum is zero

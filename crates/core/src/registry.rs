@@ -15,7 +15,7 @@
 //! turns into its own matcher, once per (instance × seed) cell.
 //!
 //! ```
-//! use com_core::registry::MatcherSpec;
+//! use com_core::MatcherSpec;
 //!
 //! // Fixed-name lookup…
 //! let ramcom = MatcherSpec::parse("ramcom").unwrap();
@@ -56,7 +56,7 @@ pub enum MatcherSpec {
 
 impl MatcherSpec {
     /// Every accepted spec shape, for error messages and `--help` text.
-    pub const TEMPLATES: [&'static str; 5] = [
+    pub(crate) const TEMPLATES: [&'static str; 5] = [
         "tota",
         "greedy-rt",
         "demcom",

@@ -112,16 +112,6 @@ pub enum SessionOutput {
     },
 }
 
-impl SessionOutput {
-    /// The per-request record, whichever way the decision went.
-    pub fn assignment(&self) -> &Assignment {
-        match self {
-            SessionOutput::Decided(a) => a,
-            SessionOutput::Refused { assignment, .. } => assignment,
-        }
-    }
-}
-
 /// A resumable online matching run. See the module docs for the two
 /// construction modes; in both, every algorithm-visible random draw flows
 /// through the single seeded RNG, so sessions are exactly reproducible.
@@ -395,16 +385,6 @@ impl<'m> MatchSession<'m> {
         &self.world
     }
 
-    /// Per-request records so far, in arrival order.
-    pub fn assignments(&self) -> &[Assignment] {
-        &self.assignments
-    }
-
-    /// Decisions refused so far.
-    pub fn failures(&self) -> &[DecisionFailure] {
-        &self.failures
-    }
-
     /// Stream events ingested so far.
     pub fn events_ingested(&self) -> usize {
         self.events
@@ -524,6 +504,17 @@ pub(crate) fn try_apply_decision(
             decided_at: request.arrival,
             decision_nanos: nanos,
         }),
+    }
+}
+
+#[cfg(test)]
+impl SessionOutput {
+    /// The per-request record, whichever way the decision went.
+    fn assignment(&self) -> &Assignment {
+        match self {
+            SessionOutput::Decided(a) => a,
+            SessionOutput::Refused { assignment, .. } => assignment,
+        }
     }
 }
 

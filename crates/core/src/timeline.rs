@@ -73,7 +73,8 @@ pub fn hourly_timeline(run: &RunResult) -> Vec<HourlyBucket> {
 mod tests {
     use super::*;
     use crate::{run_online, DemCom};
-    use com_datagen::{generate, synthetic, SyntheticParams};
+    use com_datagen::generate;
+    use com_datagen::profiles::{synthetic, SyntheticParams};
 
     fn run() -> RunResult {
         let inst = generate(&synthetic(SyntheticParams {

@@ -49,13 +49,6 @@ pub struct GreedyRt {
     threshold: f64,
 }
 
-impl GreedyRt {
-    /// The current run's value threshold `e^k` (for tests/diagnostics).
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-}
-
 impl OnlineMatcher for GreedyRt {
     fn name(&self) -> &'static str {
         "Greedy-RT"
@@ -72,6 +65,14 @@ impl OnlineMatcher for GreedyRt {
             };
         }
         TotaGreedy.decide(world, request, rng)
+    }
+}
+
+#[cfg(test)]
+impl GreedyRt {
+    /// The current run's value threshold `e^k`.
+    fn threshold(&self) -> f64 {
+        self.threshold
     }
 }
 

@@ -29,8 +29,8 @@ use com_sim::{
 /// Parse error with line context.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsvError {
-    pub line: usize,
-    pub message: String,
+    pub(crate) line: usize,
+    pub(crate) message: String,
 }
 
 impl std::fmt::Display for CsvError {
@@ -55,9 +55,45 @@ fn parse<T: std::str::FromStr>(line: usize, field: &str, what: &str) -> Result<T
         .map_err(|_| err(line, format!("invalid {what}: {field:?}")))
 }
 
-/// Parse a workers CSV (header optional). Returns specs plus histories.
-pub fn parse_workers(
+/// What a float field must hold beyond parsing: the rules a live session
+/// applies to a decoded event (`malformed` in `com-core`'s session), and a
+/// non-negative arrival — the world's clock starts at zero, so an earlier
+/// event would be a time rewind.
+#[derive(Clone, Copy)]
+enum Range {
+    Finite,
+    NonNegative,
+    Positive,
+}
+
+fn number(line: usize, field: &str, what: &str, range: Range) -> Result<f64, CsvError> {
+    let v: f64 = parse(line, field, what)?;
+    let (ok, rule) = match range {
+        Range::Finite => (v.is_finite(), "finite"),
+        Range::NonNegative => (v.is_finite() && v >= 0.0, "finite and non-negative"),
+        Range::Positive => (v.is_finite() && v > 0.0, "finite and positive"),
+    };
+    if ok {
+        Ok(v)
+    } else {
+        Err(err(line, format!("{what} must be {rule}: {field:?}")))
+    }
+}
+
+/// A platform id within the `platforms`-long roster.
+fn platform(line: usize, field: &str, platforms: u16) -> Result<PlatformId, CsvError> {
+    let p: u16 = parse(line, field, "platform")?;
+    if p >= platforms {
+        return Err(err(line, format!("unknown platform {p}")));
+    }
+    Ok(PlatformId(p))
+}
+
+/// Parse a workers CSV (header optional) over `platforms` platforms.
+/// Returns specs plus histories.
+fn parse_workers(
     text: &str,
+    platforms: u16,
 ) -> Result<(Vec<WorkerSpec>, HashMap<WorkerId, WorkerHistory>), CsvError> {
     let mut specs = Vec::new();
     let mut histories = HashMap::new();
@@ -75,18 +111,19 @@ pub fn parse_workers(
             ));
         }
         let id = WorkerId(parse(line_no, fields[0], "worker id")?);
-        let platform = PlatformId(parse(line_no, fields[1], "platform")?);
-        let arrival = Timestamp::from_secs(parse(line_no, fields[2], "arrival")?);
-        let x: f64 = parse(line_no, fields[3], "x")?;
-        let y: f64 = parse(line_no, fields[4], "y")?;
-        let radius: f64 = parse(line_no, fields[5], "radius")?;
+        let platform = platform(line_no, fields[1], platforms)?;
+        let arrival =
+            Timestamp::from_secs(number(line_no, fields[2], "arrival", Range::NonNegative)?);
+        let x = number(line_no, fields[3], "x", Range::Finite)?;
+        let y = number(line_no, fields[4], "y", Range::Finite)?;
+        let radius = number(line_no, fields[5], "radius", Range::Positive)?;
         let history_field = fields[6].trim();
         let values: Vec<f64> = if history_field.is_empty() {
             Vec::new()
         } else {
             history_field
                 .split('|')
-                .map(|v| parse(line_no, v, "history value"))
+                .map(|v| number(line_no, v, "history value", Range::NonNegative))
                 .collect::<Result<_, _>>()?
         };
         if histories
@@ -106,8 +143,8 @@ pub fn parse_workers(
     Ok((specs, histories))
 }
 
-/// Parse a requests CSV (header optional).
-pub fn parse_requests(text: &str) -> Result<Vec<RequestSpec>, CsvError> {
+/// Parse a requests CSV (header optional) over `platforms` platforms.
+fn parse_requests(text: &str, platforms: u16) -> Result<Vec<RequestSpec>, CsvError> {
     let mut specs = Vec::new();
     let mut seen = std::collections::HashSet::new();
     for (i, raw) in text.lines().enumerate() {
@@ -127,11 +164,12 @@ pub fn parse_requests(text: &str) -> Result<Vec<RequestSpec>, CsvError> {
         if !seen.insert(id) {
             return Err(err(line_no, format!("duplicate request id {id}")));
         }
-        let platform = PlatformId(parse(line_no, fields[1], "platform")?);
-        let arrival = Timestamp::from_secs(parse(line_no, fields[2], "arrival")?);
-        let x: f64 = parse(line_no, fields[3], "x")?;
-        let y: f64 = parse(line_no, fields[4], "y")?;
-        let value: f64 = parse(line_no, fields[5], "value")?;
+        let platform = platform(line_no, fields[1], platforms)?;
+        let arrival =
+            Timestamp::from_secs(number(line_no, fields[2], "arrival", Range::NonNegative)?);
+        let x = number(line_no, fields[3], "x", Range::Finite)?;
+        let y = number(line_no, fields[4], "y", Range::Finite)?;
+        let value = number(line_no, fields[5], "value", Range::Positive)?;
         specs.push(RequestSpec::new(
             id,
             platform,
@@ -151,28 +189,9 @@ pub fn instance_from_csv(
     platform_names: Vec<String>,
     config: WorldConfig,
 ) -> Result<Instance, CsvError> {
-    let (workers, histories) = parse_workers(workers_csv)?;
-    let requests = parse_requests(requests_csv)?;
-    let platforms = platform_names.len() as u16;
-    for w in &workers {
-        if w.platform.0 >= platforms {
-            return Err(err(
-                0,
-                format!("worker {} references unknown platform {}", w.id, w.platform),
-            ));
-        }
-    }
-    for r in &requests {
-        if r.platform.0 >= platforms {
-            return Err(err(
-                0,
-                format!(
-                    "request {} references unknown platform {}",
-                    r.id, r.platform
-                ),
-            ));
-        }
-    }
+    let platforms = u16::try_from(platform_names.len()).unwrap_or(u16::MAX);
+    let (workers, histories) = parse_workers(workers_csv, platforms)?;
+    let requests = parse_requests(requests_csv, platforms)?;
     Ok(Instance {
         config,
         platform_names,
@@ -231,7 +250,8 @@ pub fn requests_to_csv(instance: &Instance) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{generate, synthetic, SyntheticParams};
+    use crate::generate;
+    use crate::profiles::{synthetic, SyntheticParams};
 
     #[test]
     fn parses_minimal_files() {
@@ -279,7 +299,7 @@ mod tests {
     #[test]
     fn reports_field_count_errors_with_line_numbers() {
         let bad = "1,0,0,5.0,5.0\n";
-        let e = parse_requests(bad).unwrap_err();
+        let e = parse_requests(bad, 1).unwrap_err();
         assert_eq!(e.line, 1);
         assert!(e.message.contains("expected 6 fields"));
     }
@@ -287,7 +307,7 @@ mod tests {
     #[test]
     fn reports_bad_numbers() {
         let bad = "id,platform,arrival_secs,x_km,y_km,value\n1,0,noon,5.0,5.0,9.0\n";
-        let e = parse_requests(bad).unwrap_err();
+        let e = parse_requests(bad, 1).unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("invalid arrival"));
     }
@@ -295,7 +315,7 @@ mod tests {
     #[test]
     fn rejects_duplicate_ids() {
         let dup = "1,0,0,5.0,5.0,1.0,\n1,0,9,6.0,5.0,1.0,\n";
-        let e = parse_workers(dup).unwrap_err();
+        let e = parse_workers(dup, 1).unwrap_err();
         assert!(e.message.contains("duplicate worker id"));
     }
 
@@ -311,7 +331,7 @@ mod tests {
     fn blank_lines_and_headers_are_skipped() {
         let workers =
             "id,platform,arrival_secs,x_km,y_km,radius_km,history\n\n1,0,0,5.0,5.0,1.0,2.0\n\n";
-        let (specs, _) = parse_workers(workers).unwrap();
+        let (specs, _) = parse_workers(workers, 1).unwrap();
         assert_eq!(specs.len(), 1);
     }
 }

@@ -1,58 +1,31 @@
 //! Scalar distribution samplers.
 //!
-//! Implemented from first principles (Box–Muller for the normal, inverse
-//! CDF for the exponential) so the workspace does not depend on
-//! `rand_distr`; see DESIGN.md §6.
+//! Implemented from first principles (Box–Muller for the normal) so the
+//! workspace does not depend on `rand_distr`; see DESIGN.md §6.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A one-dimensional sampler.
-pub trait Sampler {
+pub(crate) trait Sampler {
     /// Draw one sample.
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64;
-
-    /// Draw one sample clamped into `[lo, hi]`.
-    fn sample_clamped<R: Rng + ?Sized>(&self, rng: &mut R, lo: f64, hi: f64) -> f64 {
-        self.sample(rng).clamp(lo, hi)
-    }
-}
-
-/// Uniform over `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Uniform {
-    pub lo: f64,
-    pub hi: f64,
-}
-
-impl Uniform {
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo < hi, "uniform bounds must satisfy lo < hi");
-        Uniform { lo, hi }
-    }
-}
-
-impl Sampler for Uniform {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        rng.random_range(self.lo..self.hi)
-    }
 }
 
 /// Normal (Gaussian) via the Box–Muller transform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Normal {
-    pub mean: f64,
-    pub std: f64,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Normal {
+    pub(crate) mean: f64,
+    pub(crate) std: f64,
 }
 
 impl Normal {
-    pub fn new(mean: f64, std: f64) -> Self {
+    pub(crate) fn new(mean: f64, std: f64) -> Self {
         assert!(std >= 0.0 && std.is_finite(), "std must be non-negative");
         Normal { mean, std }
     }
 
     /// One standard-normal draw.
-    pub fn standard<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    pub(crate) fn standard<R: Rng + ?Sized>(rng: &mut R) -> f64 {
         // Box–Muller; u1 is kept away from 0 to avoid ln(0).
         let u1: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
         let u2: f64 = rng.random_range(0.0..1.0);
@@ -68,62 +41,29 @@ impl Sampler for Normal {
 
 /// Log-normal: `exp(N(mu, sigma))`. The natural model for taxi fares —
 /// most rides are short, a long tail is expensive.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LogNormal {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct LogNormal {
     /// Mean of the underlying normal.
-    pub mu: f64,
+    pub(crate) mu: f64,
     /// Std of the underlying normal.
-    pub sigma: f64,
+    pub(crate) sigma: f64,
 }
 
 impl LogNormal {
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(
-            sigma >= 0.0 && sigma.is_finite(),
-            "sigma must be non-negative"
-        );
-        LogNormal { mu, sigma }
-    }
-
     /// The log-normal whose *arithmetic* mean is `mean` with log-space
     /// spread `sigma` — convenient for calibrating average fares.
-    pub fn with_mean(mean: f64, sigma: f64) -> Self {
+    pub(crate) fn with_mean(mean: f64, sigma: f64) -> Self {
         assert!(mean > 0.0, "mean must be positive");
         LogNormal {
             mu: mean.ln() - sigma * sigma / 2.0,
             sigma,
         }
     }
-
-    /// Arithmetic mean `exp(mu + sigma²/2)`.
-    pub fn mean(&self) -> f64 {
-        (self.mu + self.sigma * self.sigma / 2.0).exp()
-    }
 }
 
 impl Sampler for LogNormal {
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         (self.mu + self.sigma * Normal::standard(rng)).exp()
-    }
-}
-
-/// Exponential with the given rate, via inverse CDF.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Exponential {
-    pub rate: f64,
-}
-
-impl Exponential {
-    pub fn new(rate: f64) -> Self {
-        assert!(rate > 0.0, "rate must be positive");
-        Exponential { rate }
-    }
-}
-
-impl Sampler for Exponential {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
-        -u.ln() / self.rate
     }
 }
 
@@ -146,15 +86,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_bounds_and_mean() {
-        let u = Uniform::new(2.0, 6.0);
-        let samples = draw(&u, 20_000, 1);
-        assert!(samples.iter().all(|&x| (2.0..6.0).contains(&x)));
-        let (mean, _) = stats(&samples);
-        assert!((mean - 4.0).abs() < 0.05, "uniform mean {mean}");
-    }
-
-    #[test]
     fn normal_moments() {
         let n = Normal::new(10.0, 3.0);
         let samples = draw(&n, 50_000, 2);
@@ -166,7 +97,8 @@ mod tests {
     #[test]
     fn lognormal_mean_calibration() {
         let ln = LogNormal::with_mean(19.0, 0.6);
-        assert!((ln.mean() - 19.0).abs() < 1e-9);
+        // the arithmetic mean exp(mu + sigma²/2) is exactly the requested one
+        assert!(((ln.mu + ln.sigma * ln.sigma / 2.0).exp() - 19.0).abs() < 1e-9);
         let samples = draw(&ln, 100_000, 3);
         let (mean, _) = stats(&samples);
         assert!((mean - 19.0).abs() < 0.5, "lognormal mean {mean}");
@@ -184,33 +116,11 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean() {
-        let e = Exponential::new(0.5);
-        let samples = draw(&e, 50_000, 5);
-        let (mean, _) = stats(&samples);
-        assert!((mean - 2.0).abs() < 0.05, "exponential mean {mean}");
-        assert!(samples.iter().all(|&x| x >= 0.0));
-    }
-
-    #[test]
-    fn clamped_sampling() {
-        let n = Normal::new(0.0, 100.0);
-        let mut rng = StdRng::seed_from_u64(6);
-        for _ in 0..1_000 {
-            let x = n.sample_clamped(&mut rng, -1.0, 1.0);
-            assert!((-1.0..=1.0).contains(&x));
-        }
-    }
-
-    #[test]
     fn deterministic_under_seed() {
-        let ln = LogNormal::new(2.0, 0.5);
+        let ln = LogNormal {
+            mu: 2.0,
+            sigma: 0.5,
+        };
         assert_eq!(draw(&ln, 100, 7), draw(&ln, 100, 7));
-    }
-
-    #[test]
-    #[should_panic(expected = "lo < hi")]
-    fn uniform_rejects_bad_bounds() {
-        Uniform::new(5.0, 5.0);
     }
 }

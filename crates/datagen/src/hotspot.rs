@@ -17,11 +17,11 @@ use crate::dist::Normal;
 /// One Gaussian hotspot.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Hotspot {
-    pub center: Point,
+    pub(crate) center: Point,
     /// Isotropic standard deviation in km.
-    pub std_km: f64,
+    pub(crate) std_km: f64,
     /// Relative weight within the mixture.
-    pub weight: f64,
+    pub(crate) weight: f64,
 }
 
 impl Hotspot {
@@ -41,22 +41,13 @@ impl Hotspot {
 /// city-scale std values).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpatialMixture {
-    pub extent: BoundingBox,
-    pub hotspots: Vec<Hotspot>,
+    pub(crate) extent: BoundingBox,
+    pub(crate) hotspots: Vec<Hotspot>,
     /// Weight of the uniform background (same scale as hotspot weights).
-    pub uniform_weight: f64,
+    pub(crate) uniform_weight: f64,
 }
 
 impl SpatialMixture {
-    /// A pure uniform distribution over the box.
-    pub fn uniform(extent: BoundingBox) -> Self {
-        SpatialMixture {
-            extent,
-            hotspots: Vec::new(),
-            uniform_weight: 1.0,
-        }
-    }
-
     /// Hotspots plus a uniform background.
     pub fn new(extent: BoundingBox, hotspots: Vec<Hotspot>, uniform_weight: f64) -> Self {
         assert!(uniform_weight >= 0.0, "uniform weight must be non-negative");
@@ -98,7 +89,12 @@ impl SpatialMixture {
     /// places 60% of the mass like `m` and 40% like `c` — the partial
     /// supply/demand imbalance of real cities (platforms cover *most* of
     /// their own demand; the paper's Fig. 2 deserts are the minority).
-    pub fn blend(a: &SpatialMixture, b: &SpatialMixture, wa: f64, wb: f64) -> SpatialMixture {
+    pub(crate) fn blend(
+        a: &SpatialMixture,
+        b: &SpatialMixture,
+        wa: f64,
+        wb: f64,
+    ) -> SpatialMixture {
         assert_eq!(a.extent, b.extent, "blend requires a common extent");
         assert!(wa >= 0.0 && wb >= 0.0 && wa + wb > 0.0, "bad blend weights");
         let scale = |m: &SpatialMixture, w: f64| -> (Vec<Hotspot>, f64) {
@@ -126,7 +122,7 @@ impl SpatialMixture {
     /// This mixture geometrically rescaled by `factor` (coordinates and
     /// spreads multiplied), for scenario down-scaling that preserves
     /// spatial *density*.
-    pub fn scaled(&self, factor: f64) -> SpatialMixture {
+    pub(crate) fn scaled(&self, factor: f64) -> SpatialMixture {
         assert!(factor > 0.0, "scale factor must be positive");
         SpatialMixture {
             extent: BoundingBox::from_corners(
@@ -151,7 +147,7 @@ impl SpatialMixture {
     }
 
     /// Draw one location.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Point {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Point {
         let mut pick = rng.random_range(0.0..self.total_weight());
         for h in &self.hotspots {
             if pick < h.weight {
@@ -167,6 +163,18 @@ impl SpatialMixture {
             rng.random_range(self.extent.min.x..self.extent.max.x),
             rng.random_range(self.extent.min.y..self.extent.max.y),
         )
+    }
+}
+
+#[cfg(test)]
+impl SpatialMixture {
+    /// A pure uniform distribution over the box.
+    fn uniform(extent: BoundingBox) -> Self {
+        SpatialMixture {
+            extent,
+            hotspots: Vec::new(),
+            uniform_weight: 1.0,
+        }
     }
 }
 

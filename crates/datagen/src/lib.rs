@@ -8,20 +8,19 @@
 //! equivalent* workloads (see DESIGN.md §2 for the substitution
 //! rationale):
 //!
-//! * [`dist`] — scalar samplers (uniform, normal, log-normal,
-//!   exponential) built on Box–Muller / inverse-CDF so no external
-//!   distribution crate is needed.
-//! * [`hotspot`] — spatial mixtures of Gaussian hotspots over a city box;
+//! * `dist.rs` — scalar samplers (normal, log-normal) built on
+//!   Box–Muller so no external distribution crate is needed.
+//! * `hotspot.rs` — spatial mixtures of Gaussian hotspots over a city box;
 //!   platform-complementary mixtures reproduce the paper's Fig. 2
 //!   supply/demand imbalance that makes borrowing valuable.
-//! * [`temporal`] — daily arrival-time profiles with morning/evening
+//! * `temporal.rs` — daily arrival-time profiles with morning/evening
 //!   peaks.
-//! * [`values`] — request-fare distributions: the heavy-tailed
+//! * `values.rs` — request-fare distributions: the heavy-tailed
 //!   `RealLike` log-normal (calibrated to a ≈¥19 mean fare) and the
 //!   `Normal` alternative from Table IV.
-//! * [`scenario`] — declarative scenario configs and the generator that
+//! * `scenario.rs` — declarative scenario configs and the generator that
 //!   turns one into a replayable [`com_sim::Instance`].
-//! * [`csv`] — minimal CSV import/export so real trace data (an approved
+//! * `csv.rs` — minimal CSV import/export so real trace data (an approved
 //!   GAIA download, a company's own logs) can be replayed through every
 //!   matcher.
 //! * [`profiles`] — the named dataset profiles: `chengdu_oct` (RDC10 +
@@ -29,20 +28,16 @@
 //!   each at 1/10 of the paper's daily volume, plus the Table IV
 //!   synthetic sweep configurations.
 
-pub mod csv;
-pub mod dist;
-pub mod hotspot;
+mod csv;
+mod dist;
+mod hotspot;
 pub mod profiles;
-pub mod scenario;
-pub mod temporal;
-pub mod values;
+mod scenario;
+mod temporal;
+mod values;
 
-pub use csv::{
-    instance_from_csv, parse_requests, parse_workers, requests_to_csv, workers_to_csv, CsvError,
-};
-pub use dist::{Exponential, LogNormal, Normal, Sampler, Uniform};
+pub use csv::{instance_from_csv, requests_to_csv, workers_to_csv};
 pub use hotspot::{Hotspot, SpatialMixture};
-pub use profiles::{chengdu_nov, chengdu_oct, synthetic, xian_nov, SyntheticParams};
 pub use scenario::{generate, PlatformSpec, ScenarioConfig};
 pub use temporal::DailyProfile;
 pub use values::ValueDistribution;

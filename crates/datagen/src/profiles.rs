@@ -234,7 +234,7 @@ pub fn full_scale() -> ScenarioConfig {
 /// Resolve a `--profile` token (`chengdu-oct`, `chengdu-nov`, `xian-nov`,
 /// `synthetic`, and the `quick` / `full-scale` presets behind the flags
 /// of those names) to its scenario; `None` for an unknown name.
-pub fn by_name(name: &str) -> Option<ScenarioConfig> {
+pub(crate) fn by_name(name: &str) -> Option<ScenarioConfig> {
     match name {
         "chengdu-oct" => Some(chengdu_oct()),
         "chengdu-nov" => Some(chengdu_nov()),

@@ -36,7 +36,7 @@ pub struct PlatformSpec {
     /// holds what past jobs paid *the worker* — the same heavy-tailed
     /// shape as fares but centred at ≈ 0.79 of the mean fare (the
     /// worker's side of a ride; see
-    /// [`ValueDistribution::worker_history`]). This calibration is what
+    /// `ValueDistribution::worker_history`). This calibration is what
     /// reproduces the paper's incentive shape: DemCOM's floor-hugging
     /// minimum payments get declined often while RamCOM's
     /// expected-revenue payments clear the histories' mass and get

@@ -26,7 +26,7 @@ pub struct DailyProfile {
 impl DailyProfile {
     /// The default two-peak city profile: 8:30 ± 1.5 h, 18:00 ± 2 h,
     /// 30%/35%/35% split.
-    pub fn two_peak() -> Self {
+    pub(crate) fn two_peak() -> Self {
         DailyProfile {
             morning: (8.5, 1.5),
             evening: (18.0, 2.0),
@@ -34,18 +34,8 @@ impl DailyProfile {
         }
     }
 
-    /// A flat profile (uniform over the day) — used by scenarios that
-    /// should not carry temporal structure.
-    pub fn flat() -> Self {
-        DailyProfile {
-            morning: (8.0, 1.0),
-            evening: (18.0, 1.0),
-            weights: (0.0, 0.0, 1.0),
-        }
-    }
-
     /// Draw one arrival time.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Timestamp {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Timestamp {
         let (wm, we, wu) = self.weights;
         let total = wm + we + wu;
         assert!(total > 0.0, "profile weights must sum to a positive value");
@@ -72,6 +62,19 @@ impl SampleHours for Normal {
     fn sample_hours<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         use crate::dist::Sampler;
         self.sample(rng)
+    }
+}
+
+#[cfg(test)]
+impl DailyProfile {
+    /// A flat profile (uniform over the day) — used by scenarios that
+    /// should not carry temporal structure.
+    pub(crate) fn flat() -> Self {
+        DailyProfile {
+            morning: (8.0, 1.0),
+            evening: (18.0, 1.0),
+            weights: (0.0, 0.0, 1.0),
+        }
     }
 }
 

@@ -11,9 +11,9 @@ use serde::{Deserialize, Serialize};
 use crate::dist::{LogNormal, Normal, Sampler};
 
 /// Minimum fare (¥): the flag-fall of a Chengdu taxi ride.
-pub const MIN_FARE: f64 = 5.0;
+pub(crate) const MIN_FARE: f64 = 5.0;
 /// Maximum fare (¥): caps the log-normal tail at a long intercity run.
-pub const MAX_FARE: f64 = 500.0;
+pub(crate) const MAX_FARE: f64 = 500.0;
 
 /// A request-fare distribution.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -56,7 +56,7 @@ impl ValueDistribution {
     /// expected-revenue payments their high acceptance while DemCOM's
     /// floor-hugging minimum payments stay rarely accepted, the paper's
     /// reported incentive shape.
-    pub fn worker_history() -> Self {
+    pub(crate) fn worker_history() -> Self {
         ValueDistribution::RealLike {
             mean_fare: 10.0,
             sigma: 0.5,
@@ -65,7 +65,7 @@ impl ValueDistribution {
 
     /// Draw one fare, clamped to `[MIN_FARE, MAX_FARE]` and rounded to
     /// 0.1.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let raw = match self {
             ValueDistribution::RealLike { mean_fare, sigma } => {
                 LogNormal::with_mean(*mean_fare, *sigma).sample(rng)

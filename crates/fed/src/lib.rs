@@ -346,8 +346,8 @@ pub fn verify(instance: &Instance, report: &FedReport, options: &FedOptions) -> 
 /// A federated daemon pair running in-process on ephemeral ports — the
 /// loopback harness behind `matchfed` (no `--addr`) and the tests.
 pub struct LoopbackPair {
-    pub a: ServerHandle,
-    pub b: ServerHandle,
+    pub(crate) a: ServerHandle,
+    pub(crate) b: ServerHandle,
 }
 
 impl LoopbackPair {

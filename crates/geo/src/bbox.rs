@@ -47,12 +47,6 @@ impl BoundingBox {
         self.max.y - self.min.y
     }
 
-    /// Area in km².
-    #[inline]
-    pub fn area(&self) -> f64 {
-        self.width() * self.height()
-    }
-
     /// Centre of the box.
     #[inline]
     pub fn center(&self) -> Point {
@@ -73,9 +67,12 @@ impl BoundingBox {
             p.y.clamp(self.min.y, self.max.y),
         )
     }
+}
 
+#[cfg(test)]
+impl BoundingBox {
     /// Grow the box by `margin` km on every side.
-    pub fn expanded(&self, margin: Km) -> BoundingBox {
+    fn expanded(&self, margin: Km) -> BoundingBox {
         BoundingBox {
             min: Point::new(self.min.x - margin, self.min.y - margin),
             max: Point::new(self.max.x + margin, self.max.y + margin),
@@ -83,7 +80,7 @@ impl BoundingBox {
     }
 
     /// Smallest box containing both `self` and `other`.
-    pub fn union(&self, other: &BoundingBox) -> BoundingBox {
+    fn union(&self, other: &BoundingBox) -> BoundingBox {
         BoundingBox {
             min: Point::new(self.min.x.min(other.min.x), self.min.y.min(other.min.y)),
             max: Point::new(self.max.x.max(other.max.x), self.max.y.max(other.max.y)),
@@ -91,14 +88,14 @@ impl BoundingBox {
     }
 
     /// Whether the circle `(center, radius)` intersects the box.
-    pub fn intersects_circle(&self, center: Point, radius: Km) -> bool {
+    fn intersects_circle(&self, center: Point, radius: Km) -> bool {
         let closest = self.clamp(center);
         closest.distance_sq(center) <= radius * radius
     }
 
     /// Smallest box enclosing all points in the iterator, or `None` when
     /// the iterator is empty.
-    pub fn enclosing<I: IntoIterator<Item = Point>>(points: I) -> Option<BoundingBox> {
+    fn enclosing<I: IntoIterator<Item = Point>>(points: I) -> Option<BoundingBox> {
         let mut it = points.into_iter();
         let first = it.next()?;
         let mut bb = BoundingBox {
@@ -125,7 +122,6 @@ mod tests {
         let bb = BoundingBox::square(30.0);
         assert_eq!(bb.width(), 30.0);
         assert_eq!(bb.height(), 30.0);
-        assert_eq!(bb.area(), 900.0);
         assert_eq!(bb.center(), Point::new(15.0, 15.0));
     }
 

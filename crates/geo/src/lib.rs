@@ -15,9 +15,9 @@
 //!
 //! The spatial index the matchers query is `com_sim::WaitingList`.
 
-pub mod bbox;
-pub mod metric;
-pub mod point;
+mod bbox;
+mod metric;
+mod point;
 
 pub use bbox::BoundingBox;
 pub use metric::DistanceMetric;

@@ -60,17 +60,8 @@ impl Point {
 
     /// Midpoint between two points.
     #[inline]
-    pub fn midpoint(&self, other: Point) -> Point {
+    pub(crate) fn midpoint(&self, other: Point) -> Point {
         Point::new((self.x + other.x) * 0.5, (self.y + other.y) * 0.5)
-    }
-
-    /// Linear interpolation: `t = 0` is `self`, `t = 1` is `other`.
-    #[inline]
-    pub fn lerp(&self, other: Point, t: f64) -> Point {
-        Point::new(
-            self.x + (other.x - self.x) * t,
-            self.y + (other.y - self.y) * t,
-        )
     }
 
     /// True when both coordinates are finite (no NaN/∞). Generators assert
@@ -130,6 +121,18 @@ impl From<Point> for (f64, f64) {
     #[inline]
     fn from(p: Point) -> Self {
         (p.x, p.y)
+    }
+}
+
+#[cfg(test)]
+impl Point {
+    /// Linear interpolation: `t = 0` is `self`, `t = 1` is `other`.
+    #[inline]
+    fn lerp(&self, other: Point, t: f64) -> Point {
+        Point::new(
+            self.x + (other.x - self.x) * t,
+            self.y + (other.y - self.y) * t,
+        )
     }
 }
 

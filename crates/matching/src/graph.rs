@@ -4,10 +4,10 @@ use serde::{Deserialize, Serialize};
 
 /// One edge of a bipartite graph.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Edge {
-    pub left: usize,
-    pub right: usize,
-    pub weight: f64,
+pub(crate) struct Edge {
+    pub(crate) left: usize,
+    pub(crate) right: usize,
+    pub(crate) weight: f64,
 }
 
 /// A sparse weighted bipartite graph with `n_left` left vertices (workers
@@ -35,30 +35,21 @@ impl BipartiteGraph {
         }
     }
 
-    /// Build from an edge list.
-    pub fn from_edges(n_left: usize, n_right: usize, edges: &[Edge]) -> Self {
-        let mut g = Self::new(n_left, n_right);
-        for e in edges {
-            g.add_edge(e.left, e.right, e.weight);
-        }
-        g
-    }
-
     /// Number of left vertices.
     #[inline]
-    pub fn n_left(&self) -> usize {
+    pub(crate) fn n_left(&self) -> usize {
         self.n_left
     }
 
     /// Number of right vertices.
     #[inline]
-    pub fn n_right(&self) -> usize {
+    pub(crate) fn n_right(&self) -> usize {
         self.n_right
     }
 
     /// Number of edges.
     #[inline]
-    pub fn n_edges(&self) -> usize {
+    pub(crate) fn n_edges(&self) -> usize {
         self.n_edges
     }
 
@@ -77,12 +68,12 @@ impl BipartiteGraph {
 
     /// Neighbours of a left vertex as `(right, weight)` pairs.
     #[inline]
-    pub fn neighbors(&self, left: usize) -> &[(usize, f64)] {
+    pub(crate) fn neighbors(&self, left: usize) -> &[(usize, f64)] {
         &self.adj[left]
     }
 
     /// Iterate over all edges.
-    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
+    pub(crate) fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
         self.adj.iter().enumerate().flat_map(|(l, nbrs)| {
             nbrs.iter().map(move |&(r, w)| Edge {
                 left: l,
@@ -94,7 +85,7 @@ impl BipartiteGraph {
 
     /// Weight of the edge `(left, right)` if present (the maximum over
     /// parallel edges).
-    pub fn weight(&self, left: usize, right: usize) -> Option<f64> {
+    pub(crate) fn weight(&self, left: usize, right: usize) -> Option<f64> {
         self.adj[left]
             .iter()
             .filter(|&&(r, _)| r == right)
@@ -106,21 +97,23 @@ impl BipartiteGraph {
                 })
             })
     }
+}
 
-    /// Largest edge weight, or `None` for an edgeless graph.
-    pub fn max_weight(&self) -> Option<f64> {
-        self.edges().map(|e| e.weight).fold(None, |acc, w| {
-            Some(match acc {
-                None => w,
-                Some(a) => a.max(w),
-            })
-        })
+#[cfg(test)]
+impl BipartiteGraph {
+    /// Build from an edge list.
+    fn from_edges(n_left: usize, n_right: usize, edges: &[Edge]) -> Self {
+        let mut g = Self::new(n_left, n_right);
+        for e in edges {
+            g.add_edge(e.left, e.right, e.weight);
+        }
+        g
     }
 
     /// A dense `n_left × n_right` weight matrix with `fill` for missing
     /// edges (parallel edges collapse to their max). Used by the Hungarian
     /// solver.
-    pub fn to_dense(&self, fill: f64) -> Vec<Vec<f64>> {
+    fn to_dense(&self, fill: f64) -> Vec<Vec<f64>> {
         let mut m = vec![vec![fill; self.n_right]; self.n_left];
         let mut set = vec![vec![false; self.n_right]; self.n_left];
         for e in self.edges() {
@@ -148,7 +141,6 @@ mod tests {
         assert_eq!(g.neighbors(0), &[(1, 4.0), (2, 2.0)]);
         assert_eq!(g.weight(1, 0), Some(7.0));
         assert_eq!(g.weight(1, 1), None);
-        assert_eq!(g.max_weight(), Some(7.0));
     }
 
     #[test]
@@ -205,7 +197,6 @@ mod tests {
     fn empty_graph() {
         let g = BipartiteGraph::new(0, 0);
         assert_eq!(g.n_edges(), 0);
-        assert_eq!(g.max_weight(), None);
         assert_eq!(g.edges().count(), 0);
     }
 }

@@ -17,7 +17,7 @@ use crate::{BipartiteGraph, Matching};
 
 /// Exact maximum-weight matching. Suitable up to roughly
 /// `min(n,m) ≈ 2–3·10³` with `max(n,m) ≈ 10⁵`; beyond that use
-/// [`crate::ssp_max_weight`] (sparse) or [`crate::greedy_matching`].
+/// [`crate::ssp_max_weight`] (sparse).
 pub fn hungarian(g: &BipartiteGraph) -> Matching {
     let (n, m) = (g.n_left(), g.n_right());
     if n == 0 || m == 0 || g.n_edges() == 0 {
@@ -284,7 +284,7 @@ mod tests {
                 g.add_edge(*l, *r, *w);
             }
             let opt = hungarian(&g).total_weight();
-            let greedy = crate::greedy_matching(&g).total_weight();
+            let greedy = crate::greedy::greedy_matching(&g).total_weight();
             prop_assert!(opt >= greedy - 1e-9);
         }
     }

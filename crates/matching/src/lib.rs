@@ -9,30 +9,29 @@
 //! for outer workers). This crate provides:
 //!
 //! * [`BipartiteGraph`] — a sparse weighted bipartite graph.
-//! * [`greedy_matching`] — sort-by-weight greedy (1/2-approximation); the
-//!   fast fallback for very large instances.
 //! * [`hungarian()`] — exact maximum-weight matching (dense Kuhn–Munkres,
-//!   `O(min(n,m)²·max(n,m))`); the production solver for small/medium
-//!   instances and all competitive-ratio experiments.
+//!   `O(min(n,m)²·max(n,m))`); the solver behind OFF's
+//!   `ExactBipartite` mode, which the competitive-ratio experiments use.
 //! * [`ssp_max_weight`] — exact maximum-weight matching via successive
 //!   shortest augmenting paths with potentials (sparse; `O(K·E·log V)`),
-//!   which handles the city-scale offline instances where a dense matrix
-//!   would not fit, and doubles as the Hungarian solver's test oracle.
+//!   behind OFF's `SparseExact` mode. Only tests select that mode today:
+//!   it is the Hungarian solver's cross-check.
 //!
 //! All solvers return a [`Matching`]; the two exact ones cross-validate
-//! each other and are checked against brute-force enumeration.
+//! each other and are checked against brute-force enumeration and, in
+//! test builds, against a sort-by-weight greedy 1/2-approximation
+//! (`greedy.rs`) as a lower bound.
 
-pub mod graph;
-pub mod greedy;
-pub mod hungarian;
-pub mod ssp;
-pub mod validate;
+mod graph;
+mod greedy;
+mod hungarian;
+mod ssp;
+mod validate;
 
-pub use graph::{BipartiteGraph, Edge};
-pub use greedy::greedy_matching;
+pub use graph::BipartiteGraph;
 pub use hungarian::hungarian;
 pub use ssp::ssp_max_weight;
-pub use validate::{is_valid_matching, matching_weight};
+pub use validate::is_valid_matching;
 
 /// A matching: `pairs[i] = (left, right, weight)` with every left and right
 /// vertex appearing at most once.
@@ -41,35 +40,20 @@ pub struct Matching {
     pub pairs: Vec<(usize, usize, f64)>,
 }
 
+#[cfg(test)]
 impl Matching {
     /// Total weight of the matching.
-    pub fn total_weight(&self) -> f64 {
+    pub(crate) fn total_weight(&self) -> f64 {
         self.pairs.iter().map(|&(_, _, w)| w).sum()
     }
 
     /// Number of matched pairs.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pairs.len()
     }
 
     /// Whether the matching is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.pairs.is_empty()
-    }
-
-    /// The right vertex matched to `left`, if any.
-    pub fn right_of(&self, left: usize) -> Option<usize> {
-        self.pairs
-            .iter()
-            .find(|&&(l, _, _)| l == left)
-            .map(|&(_, r, _)| r)
-    }
-
-    /// The left vertex matched to `right`, if any.
-    pub fn left_of(&self, right: usize) -> Option<usize> {
-        self.pairs
-            .iter()
-            .find(|&&(_, r, _)| r == right)
-            .map(|&(l, _, _)| l)
     }
 }

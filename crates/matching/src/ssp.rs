@@ -224,8 +224,9 @@ pub fn ssp_max_weight(g: &BipartiteGraph) -> Matching {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::greedy::greedy_matching;
+    use crate::hungarian;
     use crate::validate::is_valid_matching;
-    use crate::{greedy_matching, hungarian};
     use proptest::prelude::*;
 
     fn graph(n: usize, m: usize, edges: &[(usize, usize, f64)]) -> BipartiteGraph {

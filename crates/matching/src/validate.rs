@@ -33,16 +33,6 @@ pub fn is_valid_matching(g: &BipartiteGraph, m: &Matching) -> bool {
     true
 }
 
-/// Total weight of a matching, recomputed from the graph (max over
-/// parallel edges); `None` if a pair has no corresponding edge.
-pub fn matching_weight(g: &BipartiteGraph, m: &Matching) -> Option<f64> {
-    let mut total = 0.0;
-    for &(l, r, _) in &m.pairs {
-        total += g.weight(l, r)?;
-    }
-    Some(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,7 +52,6 @@ mod tests {
             pairs: vec![(0, 0, 1.0), (1, 1, 2.0)],
         };
         assert!(is_valid_matching(&g, &m));
-        assert_eq!(matching_weight(&g, &m), Some(3.0));
     }
 
     #[test]
@@ -90,7 +79,6 @@ mod tests {
             pairs: vec![(1, 1, 1.0)],
         };
         assert!(!is_valid_matching(&g, &m));
-        assert_eq!(matching_weight(&g, &m), None);
     }
 
     #[test]
@@ -115,7 +103,6 @@ mod tests {
     fn empty_matching_is_valid() {
         let g = graph(&[]);
         assert!(is_valid_matching(&g, &Matching::default()));
-        assert_eq!(matching_weight(&g, &Matching::default()), Some(0.0));
     }
 
     #[test]
@@ -123,10 +110,6 @@ mod tests {
         let m = Matching {
             pairs: vec![(0, 2, 1.5), (1, 0, 2.5)],
         };
-        assert_eq!(m.right_of(0), Some(2));
-        assert_eq!(m.right_of(2), None);
-        assert_eq!(m.left_of(0), Some(1));
-        assert_eq!(m.left_of(1), None);
         assert_eq!(m.total_weight(), 4.0);
         assert_eq!(m.len(), 2);
         assert!(!m.is_empty());

@@ -9,14 +9,14 @@
 //! formats and aggregates plain numbers, so the experiment harness can
 //! adapt whatever it measures.
 
-pub mod memory;
-pub mod series;
-pub mod spark;
-pub mod table;
+mod memory;
+mod series;
+mod spark;
+mod table;
 
 pub use memory::CountingAllocator;
 pub use series::SweepSeries;
-pub use spark::{sparkline, sparkline_row};
+pub use spark::sparkline_row;
 pub use table::Table;
 
 /// Format a byte count as mebibytes with two decimals (the unit of the

@@ -24,11 +24,6 @@ static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
 pub struct CountingAllocator;
 
 impl CountingAllocator {
-    /// Currently live heap bytes.
-    pub fn live_bytes() -> usize {
-        LIVE_BYTES.load(Ordering::Relaxed)
-    }
-
     /// Peak live heap bytes since process start (or the last
     /// [`CountingAllocator::reset_peak`]).
     pub fn peak_bytes() -> usize {
@@ -77,14 +72,29 @@ unsafe impl GlobalAlloc for CountingAllocator {
 }
 
 #[cfg(test)]
+impl CountingAllocator {
+    /// Currently live heap bytes.
+    fn live_bytes() -> usize {
+        LIVE_BYTES.load(Ordering::Relaxed)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
     // The counting allocator is NOT installed as the global allocator in
     // unit tests (that would affect the whole test binary); we exercise
     // the bookkeeping directly.
+
+    /// The counters are process-wide and tests run on parallel threads:
+    /// each test holds this lock so another's frees cannot land between
+    /// its reads.
+    static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn alloc_dealloc_bookkeeping() {
+        let _serial = COUNTERS.lock().expect("a counter test panicked");
         let a = CountingAllocator;
         let layout = Layout::from_size_align(4096, 8).unwrap();
         let before_live = CountingAllocator::live_bytes();
@@ -98,6 +108,7 @@ mod tests {
 
     #[test]
     fn realloc_adjusts_counts() {
+        let _serial = COUNTERS.lock().expect("a counter test panicked");
         let a = CountingAllocator;
         let layout = Layout::from_size_align(1024, 8).unwrap();
         let ptr = unsafe { a.alloc(layout) };

@@ -9,11 +9,11 @@ use crate::table::Table;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepSeries {
     /// Panel title, e.g. "Fig 5(a): total revenue vs |R|".
-    pub title: String,
+    pub(crate) title: String,
     /// X-axis label, e.g. "|R|".
-    pub x_label: String,
+    pub(crate) x_label: String,
     /// Y-axis label, e.g. "Revenue (×10⁶)".
-    pub y_label: String,
+    pub(crate) y_label: String,
     /// Swept x values.
     pub xs: Vec<f64>,
     /// `(algorithm name, y values)` — each the same length as `xs`.

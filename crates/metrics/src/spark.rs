@@ -6,7 +6,7 @@ const BLOCKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█
 /// Render a numeric series as a unicode sparkline. Values are scaled to
 /// the series' own min/max; a constant series renders mid-height; empty
 /// input renders an empty string. Non-finite values render as spaces.
-pub fn sparkline(values: &[f64]) -> String {
+pub(crate) fn sparkline(values: &[f64]) -> String {
     if values.is_empty() {
         return String::new();
     }

@@ -6,9 +6,9 @@ use serde::{Deserialize, Serialize};
 /// terminal) or Markdown (for EXPERIMENTS.md).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Table {
-    pub title: String,
-    pub headers: Vec<String>,
-    pub rows: Vec<Vec<String>>,
+    pub(crate) title: String,
+    pub(crate) headers: Vec<String>,
+    pub(crate) rows: Vec<Vec<String>>,
 }
 
 impl Table {
@@ -34,11 +34,6 @@ impl Table {
             self.headers.len()
         );
         self.rows.push(row);
-    }
-
-    /// Convenience for string-slice rows.
-    pub fn push(&mut self, row: &[&str]) {
-        self.push_row(row.iter().map(|s| s.to_string()).collect());
     }
 
     fn widths(&self) -> Vec<usize> {
@@ -90,6 +85,14 @@ impl Table {
             out.push_str(&format!("| {} |\n", row.join(" | ")));
         }
         out
+    }
+}
+
+#[cfg(test)]
+impl Table {
+    /// Convenience for string-slice rows.
+    fn push(&mut self, row: &[&str]) {
+        self.push_row(row.iter().map(|s| s.to_string()).collect());
     }
 }
 

@@ -3,17 +3,14 @@
 //! HDR-style layout: values below 16 get exact buckets; above that, each
 //! power-of-two range is split into 16 sub-buckets, bounding the relative
 //! quantile error at 1/16 (~6%) with fixed memory (one `u64` per bucket,
-//! no allocation after construction). Values wider than [`MAX_TRACKABLE`]
-//! clamp into a final overflow bucket; the exact maximum is tracked
+//! no allocation after construction). Values of 2^48 and above clamp
+//! into a final overflow bucket; the exact maximum is tracked
 //! separately so `max()` is always precise.
 
 /// Majors 4..=47 get 16 sub-buckets each; majors 0..4 are the 16 exact
 /// low buckets. 2^48 ns is ~3.3 days — far beyond any phase latency.
 const MAX_MAJOR: u32 = 47;
 const BUCKETS: usize = ((MAX_MAJOR as usize - 3) * 16) + 16;
-
-/// Largest value that lands in a regular bucket (inclusive).
-pub const MAX_TRACKABLE: u64 = (1 << (MAX_MAJOR + 1)) - 1;
 
 /// Fixed-memory streaming histogram over `u64` samples (nanoseconds, by
 /// convention, but any magnitude works).
@@ -73,16 +70,12 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
     /// Exact running mean (not bucket-quantized).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -90,12 +83,12 @@ impl Histogram {
         }
     }
 
-    pub fn total(&self) -> u128 {
+    pub(crate) fn total(&self) -> u128 {
         self.sum
     }
 
     /// Exact minimum, 0 when empty.
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -104,14 +97,14 @@ impl Histogram {
     }
 
     /// Exact maximum (tracked outside the buckets), 0 when empty.
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max
     }
 
     /// Value at quantile `q` in [0, 1], quantized to its bucket's lower
     /// bound — except q=1.0 and single-bucket tails, which report the
     /// exact max. Returns 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -131,20 +124,20 @@ impl Histogram {
         self.max
     }
 
-    pub fn p50(&self) -> u64 {
+    pub(crate) fn p50(&self) -> u64 {
         self.quantile(0.50)
     }
 
-    pub fn p90(&self) -> u64 {
+    pub(crate) fn p90(&self) -> u64 {
         self.quantile(0.90)
     }
 
-    pub fn p99(&self) -> u64 {
+    pub(crate) fn p99(&self) -> u64 {
         self.quantile(0.99)
     }
 
     /// Fold another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += b;
         }
@@ -159,10 +152,12 @@ impl Histogram {
 mod tests {
     use super::*;
 
+    /// Largest value that lands in a regular bucket (inclusive).
+    const MAX_TRACKABLE: u64 = (1 << (MAX_MAJOR + 1)) - 1;
+
     #[test]
     fn empty_histogram_reports_zeros() {
         let h = Histogram::new();
-        assert!(h.is_empty());
         assert_eq!(h.count(), 0);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);

@@ -37,9 +37,9 @@ mod telemetry;
 
 pub use collector::{
     begin_run, counter_add, end_run, gauge_set, install, install_with_trace, is_active,
-    snapshot_run, span, span_record, uninstall, SpanGuard,
+    snapshot_run, span, span_record, uninstall,
 };
-pub use histogram::{Histogram, MAX_TRACKABLE};
+pub use histogram::Histogram;
 pub use telemetry::{CounterStat, GaugeStat, PhaseStats, RunTelemetry};
 
 /// One full request decision in the engine (outermost span).

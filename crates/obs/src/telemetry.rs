@@ -27,7 +27,7 @@ pub struct PhaseStats {
     /// fields. Merging reports folds these bucket-by-bucket, so merged
     /// percentiles carry the same ~6% bucket-quantization error as
     /// per-run ones — no extra approximation.
-    pub hist: Histogram,
+    pub(crate) hist: Histogram,
 }
 
 impl PhaseStats {

@@ -13,7 +13,7 @@ use crate::{Value, WorkerHistory};
 /// ```text
 /// pr(v', W) = 1 − Π_{w ∈ W} (1 − pr(v', w))
 /// ```
-pub fn group_acceptance_prob(workers: &[&WorkerHistory], payment: Value) -> f64 {
+pub(crate) fn group_acceptance_prob(workers: &[&WorkerHistory], payment: Value) -> f64 {
     let none_accept: f64 = workers
         .iter()
         .map(|w| 1.0 - w.acceptance_prob(payment))

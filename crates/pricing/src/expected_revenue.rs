@@ -54,7 +54,7 @@ pub struct PricingOutcome {
     /// The maximising outer payment `v'_re`.
     pub payment: Value,
     /// Group acceptance probability `pr(v'_re, W)` at that payment.
-    pub acceptance_prob: f64,
+    pub(crate) acceptance_prob: f64,
     /// `E(v_r, W)_max = (v_r − v'_re) · pr(v'_re, W)`.
     pub expected_revenue: Value,
 }

@@ -71,7 +71,7 @@ impl WorkerHistory {
     }
 
     /// Number of history requests with value `≤ payment` (`N(v ≤ v')`).
-    pub fn count_at_most(&self, payment: Value) -> usize {
+    pub(crate) fn count_at_most(&self, payment: Value) -> usize {
         self.values.partition_point(|&v| v <= payment)
     }
 
@@ -95,18 +95,6 @@ impl WorkerHistory {
     /// for an empty history.
     pub fn min_accepted_payment(&self) -> Option<Value> {
         self.values.first().copied()
-    }
-
-    /// The `q`-quantile of history values (`q ∈ [0, 1]`, nearest-rank).
-    pub fn quantile(&self, q: f64) -> Option<Value> {
-        if self.values.is_empty() {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((self.values.len() as f64 * q).ceil() as usize)
-            .saturating_sub(1)
-            .min(self.values.len() - 1);
-        Some(self.values[idx])
     }
 
     /// Record a newly completed request value, keeping the history sorted
@@ -163,6 +151,21 @@ impl Deserialize for WorkerHistory {
         }
         values.sort_by(|a, b| a.total_cmp(b));
         Ok(WorkerHistory { values })
+    }
+}
+
+#[cfg(test)]
+impl WorkerHistory {
+    /// The `q`-quantile of history values (`q ∈ [0, 1]`, nearest-rank).
+    fn quantile(&self, q: f64) -> Option<Value> {
+        if self.values.is_empty() {
+            return None;
+        }
+        let q = q.clamp(0.0, 1.0);
+        let idx = ((self.values.len() as f64 * q).ceil() as usize)
+            .saturating_sub(1)
+            .min(self.values.len() - 1);
+        Some(self.values[idx])
     }
 }
 

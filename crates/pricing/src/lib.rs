@@ -13,7 +13,7 @@
 //!   empirical-CDF acceptance probability `pr(v', w) = N(v ≤ v') / N`.
 //!   It is the paper's only acceptance model, so every kernel below takes
 //!   `&[&WorkerHistory]` — there is no acceptance trait to implement.
-//! * [`group_acceptance_prob`] — `pr(v', W) = 1 − Π_w (1 − pr(v', w))`,
+//! * `group_acceptance_prob.rs` — `pr(v', W) = 1 − Π_w (1 − pr(v', w))`,
 //!   the group acceptance probability of Definition 4.1.
 //! * [`MinPaymentEstimator`] — the paper's Algorithm 2: a Monte Carlo +
 //!   dichotomy estimator of the minimum outer payment, with the
@@ -28,18 +28,17 @@
 //!   scan stops where the margin `v_r − v'` runs out, so its cost is the
 //!   winning prefix of the breakpoints, not all of them.
 
-pub mod acceptance;
-pub mod expected_revenue;
-pub mod history;
-pub mod monte_carlo;
-pub mod sampling;
+mod acceptance;
+mod expected_revenue;
+mod history;
+mod monte_carlo;
+mod sampling;
 
-pub use acceptance::group_acceptance_prob;
-pub use expected_revenue::{max_expected_revenue, PriceCandidates, PricingOutcome};
+pub use expected_revenue::{max_expected_revenue, PriceCandidates};
 pub use history::WorkerHistory;
 pub use monte_carlo::{MinPaymentEstimator, MonteCarloParams};
 pub use sampling::bernoulli;
 
 /// Monetary value type (kept structurally identical to `com_stream::Value`
 /// without introducing a dependency edge).
-pub type Value = f64;
+pub(crate) type Value = f64;

@@ -29,12 +29,12 @@ use crate::{Value, WorkerHistory};
 pub struct MonteCarloParams {
     /// Relative-error target `ξ ∈ (0, 1)`. Also bounds the dichotomy
     /// resolution: the inner loop stops once `v_m − v_l ≤ ξ·v_r`.
-    pub xi: f64,
+    pub(crate) xi: f64,
     /// Failure-probability target `η ∈ (0, 1)`.
-    pub eta: f64,
+    pub(crate) eta: f64,
     /// The `ε` added to a fully rejected instance (`v_r + ε` means "no
     /// outer worker accepts even at full value").
-    pub epsilon: f64,
+    pub(crate) epsilon: f64,
 }
 
 impl Default for MonteCarloParams {
@@ -69,7 +69,7 @@ impl MonteCarloParams {
 /// The Algorithm 2 estimator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct MinPaymentEstimator {
-    pub params: MonteCarloParams,
+    pub(crate) params: MonteCarloParams,
 }
 
 /// What a sampling instance needs of the workers at one payment

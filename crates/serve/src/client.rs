@@ -120,13 +120,13 @@ impl Client {
     /// Queue one message for logical session `sid` into the write buffer
     /// without flushing — bare when `None`, in the mux envelope
     /// otherwise. Call [`Client::flush`] before blocking on a response.
-    pub fn queue_for(&mut self, sid: Option<u64>, msg: &ClientMsg) {
+    pub(crate) fn queue_for(&mut self, sid: Option<u64>, msg: &ClientMsg) {
         write_msg(self.format, sid, msg, &mut self.wbuf);
         self.queued += 1;
     }
 
     /// Write every queued byte to the socket.
-    pub fn flush(&mut self) -> io::Result<()> {
+    pub(crate) fn flush(&mut self) -> io::Result<()> {
         if self.wbuf.is_empty() {
             return Ok(());
         }

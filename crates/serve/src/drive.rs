@@ -157,7 +157,7 @@ pub fn event_msg(instance: &Instance, event: &ArrivalEvent) -> ClientMsg {
 
 /// Require the plain acknowledgement a `worker` (or `tick`) is answered
 /// with.
-pub fn expect_ok(response: ServerMsg, what: &str) -> io::Result<()> {
+pub(crate) fn expect_ok(response: ServerMsg, what: &str) -> io::Result<()> {
     match response {
         ServerMsg::ok => Ok(()),
         other => Err(unexpected(what, other)),
@@ -167,10 +167,10 @@ pub fn expect_ok(response: ServerMsg, what: &str) -> io::Result<()> {
 /// One session's decisions, by kind, once its stream is answered.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Tally {
-    pub assigned: usize,
-    pub rejected: usize,
+    pub(crate) assigned: usize,
+    pub(crate) rejected: usize,
     /// Engine-refused decisions (`timeout` responses).
-    pub refused: usize,
+    pub(crate) refused: usize,
 }
 
 /// One in-flight message awaiting its session's next response.
@@ -236,7 +236,7 @@ impl<F: FnMut(&Assignment)> Pump<'_, F> {
 
 /// The one pump: stream `events` (of `instance`, which supplies the
 /// workers' histories) to every open session `sids` names on `client`,
-/// and return each session's [`Tally`] once every message is answered.
+/// and return each session's `Tally` once every message is answered.
 /// Sessions interleave event by event and at most `window` messages are
 /// in flight (see the module docs). `on_decision` sees every request's
 /// decision, in stream order per session; a response of any other kind

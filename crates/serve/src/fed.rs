@@ -72,28 +72,28 @@ use crate::server::POLL_INTERVAL;
 pub const DEFAULT_OFFER_DEADLINE_MS: u64 = 1_000;
 
 /// The longest a lender parks an offer, whatever its `deadline_ms` says.
-pub const MAX_PARK: Duration = Duration::from_secs(30);
+pub(crate) const MAX_PARK: Duration = Duration::from_secs(30);
 
 /// Federation counters shared between the session's outsourcing channel
 /// (offers out, stale replies), its lender side (lends answered), and
 /// `stats_deep` snapshots.
 #[derive(Debug, Default)]
-pub struct FedShared {
+pub(crate) struct FedShared {
     pub offers_sent: AtomicU64,
     pub offers_accepted: AtomicU64,
     pub offers_rejected: AtomicU64,
-    pub offers_timed_out: AtomicU64,
-    pub offers_retried: AtomicU64,
-    pub stale_replies: AtomicU64,
-    pub offers_received: AtomicU64,
+    pub(crate) offers_timed_out: AtomicU64,
+    pub(crate) offers_retried: AtomicU64,
+    pub(crate) stale_replies: AtomicU64,
+    pub(crate) offers_received: AtomicU64,
     pub lends_granted: AtomicU64,
-    pub lends_rejected: AtomicU64,
-    pub lends_parked: AtomicU64,
+    pub(crate) lends_rejected: AtomicU64,
+    pub(crate) lends_parked: AtomicU64,
 }
 
 impl FedShared {
     /// The `stats_deep.federation` row.
-    pub fn snapshot(&self, platform: u16) -> FedStatsMsg {
+    pub(crate) fn snapshot(&self, platform: u16) -> FedStatsMsg {
         FedStatsMsg {
             platform,
             offers_sent: self.offers_sent.load(Ordering::Relaxed),
@@ -114,10 +114,10 @@ impl FedShared {
 /// shard after every accepted event, read by whichever router an offer
 /// arrives on. O(lends): it holds the replica's progress marker (events
 /// ingested) and the lends made so far, nothing per non-owned request.
-pub struct LendBook {
+pub(crate) struct LendBook {
     /// The platform this daemon owns (whose workers it lends).
-    pub platform: PlatformId,
-    pub stats: FedShared,
+    pub(crate) platform: PlatformId,
+    pub(crate) stats: FedShared,
     state: Mutex<BookState>,
     progressed: Condvar,
 }
@@ -142,7 +142,7 @@ struct BookState {
 }
 
 impl LendBook {
-    pub fn new(platform: PlatformId) -> LendBook {
+    pub(crate) fn new(platform: PlatformId) -> LendBook {
         LendBook {
             platform,
             stats: FedShared::default(),
@@ -166,13 +166,13 @@ impl LendBook {
 
     /// Events the replica has ingested so far: while a request is being
     /// decided, that request's index in the stream.
-    pub fn ingested(&self) -> u64 {
+    pub(crate) fn ingested(&self) -> u64 {
         self.lock().ingested
     }
 
     /// Count one accepted event, with the decision it yielded (`None`
     /// for a worker or a refused request), and wake the offers it decides.
-    pub fn record(&self, decided: Option<&Assignment>) {
+    pub(crate) fn record(&self, decided: Option<&Assignment>) {
         let mut state = self.lock();
         state.ingested += 1;
         if let Some(a) = decided.filter(|a| {
@@ -197,7 +197,7 @@ impl LendBook {
 
     /// The session has finished: parked offers are answered
     /// `unknown-fed-session`.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.lock().open = false;
         self.progressed.notify_all();
     }
@@ -208,7 +208,7 @@ impl LendBook {
     /// `bad-payment`, `desync`). An offer for a request the replica has
     /// not reached parks first. `None` when the session finished, or the
     /// daemon stopped, before it could answer.
-    pub fn answer(&self, o: &OfferMsg, stop: &AtomicBool) -> Option<ServerMsg> {
+    pub(crate) fn answer(&self, o: &OfferMsg, stop: &AtomicBool) -> Option<ServerMsg> {
         self.stats.offers_received.fetch_add(1, Ordering::Relaxed);
         let verdict = self.verdict(o, stop)?;
         Some(match verdict {
@@ -364,7 +364,7 @@ impl PeerLink {
 /// The wire implementation of the core outsourcing seam: offers become
 /// `outsource_offer` messages to the rival daemon, verdicts come back
 /// typed, and no verdict by the deadline degrades the decision.
-pub struct WireOutsource {
+pub(crate) struct WireOutsource {
     /// `None` = lend-only session (no peer address in the `hello`):
     /// every own outer decision degrades without touching the network.
     link: Option<PeerLink>,
@@ -380,7 +380,7 @@ impl WireOutsource {
     /// `format` is the session's negotiated framing; offers go out the
     /// same way (the lender auto-detects per message and answers in
     /// kind).
-    pub fn new(
+    pub(crate) fn new(
         peer: Option<String>,
         format: WireFormat,
         fed_sid: u64,

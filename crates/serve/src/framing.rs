@@ -63,7 +63,7 @@ use crate::protocol::{frame_from_content, DecodeError, Frame};
 pub const FRAME_MAGIC: u8 = 0xB1;
 
 /// Magic byte + u32 LE payload length.
-pub const FRAME_HEADER_LEN: usize = 5;
+pub(crate) const FRAME_HEADER_LEN: usize = 5;
 
 /// Hard cap on one frame's payload. Larger declared lengths are rejected
 /// with a typed error and the bytes are discarded without buffering.

@@ -323,7 +323,7 @@ pub struct DeepStatsMsg {
     #[serde(default)]
     pub bad_envelope_rejected: u64,
     /// Binary frames this connection decoded through the general `Content`
-    /// path instead of a typed hot layout (see [`crate::framing`]): cold
+    /// path instead of a typed hot layout (see `framing.rs`): cold
     /// messages, malformed frames, and hot messages a peer encoded in any
     /// non-canonical way. A well-behaved binary client sends only a
     /// handful. `#[serde(default)]` so reports from older servers still
@@ -353,7 +353,7 @@ pub struct DeepStatsMsg {
 
 impl DeepStatsMsg {
     /// Fill the telemetry tables from a collector snapshot.
-    pub fn set_telemetry(&mut self, t: &com_obs::RunTelemetry) {
+    pub(crate) fn set_telemetry(&mut self, t: &com_obs::RunTelemetry) {
         self.algorithm = t.algorithm.clone();
         self.phases = t.phases.iter().map(PhaseRow::from).collect();
         self.counters = t
@@ -578,7 +578,7 @@ pub fn encode<T: Serialize>(msg: &T) -> String {
 
 /// Append `msg`, addressed to `sid` (`None` = bare), to `out` in `format`:
 /// an NDJSON line or one binary frame, hot messages written straight from
-/// their structs (see [`crate::hot`]), cold ones through [`encode`] or its
+/// their structs (see `hot.rs`), cold ones through [`encode`] or its
 /// binary twin. Every writer in the crate (client, server, peer link) goes
 /// through here.
 pub fn write_msg<M: WireMsg>(format: WireFormat, sid: Option<u64>, msg: &M, out: &mut Vec<u8>) {

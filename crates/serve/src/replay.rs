@@ -116,7 +116,7 @@ impl TraceReplayReport {
 /// subsequent line (unknown types preserved as [`TraceLine::Unknown`]).
 /// Fails on unparseable lines, a missing/late meta line, or a meta `v`
 /// newer than this reader ([`TRACE_VERSION`]).
-pub fn read_trace(path: &Path) -> Result<(TraceMeta, Vec<TraceLine>), String> {
+pub(crate) fn read_trace(path: &Path) -> Result<(TraceMeta, Vec<TraceLine>), String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read trace {}: {e}", path.display()))?;
     let mut meta: Option<TraceMeta> = None;

@@ -112,19 +112,19 @@ impl Default for ServerConfig {
 /// on drain). `sync_channel` exposes no length, so the queue keeps its
 /// own; it includes messages a router is parked on.
 #[derive(Debug, Default)]
-pub struct QueueStats {
+pub(crate) struct QueueStats {
     depth: AtomicU64,
     high_water: AtomicU64,
 }
 
 impl QueueStats {
     /// Messages queued right now.
-    pub fn depth(&self) -> u64 {
+    pub(crate) fn depth(&self) -> u64 {
         self.depth.load(Ordering::Relaxed)
     }
 
     /// Deepest the queue has ever been.
-    pub fn high_water(&self) -> u64 {
+    pub(crate) fn high_water(&self) -> u64 {
         self.high_water.load(Ordering::Relaxed)
     }
 
@@ -150,10 +150,10 @@ impl QueueStats {
 #[derive(Debug, Default)]
 pub struct ServerCounters {
     pub connections: AtomicU64,
-    pub sessions_finished: AtomicU64,
+    pub(crate) sessions_finished: AtomicU64,
     /// Protocol errors answered (bad JSON, unknown message, unknown sid,
     /// …).
-    pub protocol_errors: AtomicU64,
+    pub(crate) protocol_errors: AtomicU64,
 }
 
 impl ServerCounters {

@@ -63,12 +63,12 @@ pub struct FinishedSession {
     /// `com_core::canonical_run_digest` of `run`.
     pub digest: String,
     pub findings: Vec<String>,
-    pub instance: Instance,
+    pub(crate) instance: Instance,
     /// Where the session trace landed, when one was recorded and survived.
-    pub trace_path: Option<std::path::PathBuf>,
+    pub(crate) trace_path: Option<std::path::PathBuf>,
     /// The `bye`'s federation half, for a federated session: the owned
     /// platform's projection digest, ledger and degraded offers.
-    pub fed: Option<FedByeMsg>,
+    pub(crate) fed: Option<FedByeMsg>,
 }
 
 /// The most grid cells a session's world may allocate across its waiting
@@ -182,7 +182,7 @@ impl ServeSession {
 
     /// The daemon-wide federation route this session answers offers on —
     /// its shared federation session id and lend book — when federated.
-    pub fn fed_route(&self) -> Option<(u64, &Arc<LendBook>)> {
+    pub(crate) fn fed_route(&self) -> Option<(u64, &Arc<LendBook>)> {
         self.fed.as_ref().map(|f| (f.fed_sid, &f.book))
     }
 
@@ -197,7 +197,7 @@ impl ServeSession {
     /// names the recording program (`"matchd"` / `"matchreplay"`); `sid`
     /// and `shard` record where a multiplexed session lived (both `None`
     /// for a bare session recorded outside the shard pool).
-    pub fn attach_recorder(
+    pub(crate) fn attach_recorder(
         &mut self,
         mut recorder: TraceRecorder,
         hello: &Hello,
@@ -222,7 +222,7 @@ impl ServeSession {
     }
 
     /// The matcher's display name (for `welcome`).
-    pub fn algorithm(&self) -> String {
+    pub(crate) fn algorithm(&self) -> String {
         self.core.algorithm().to_string()
     }
 
@@ -312,7 +312,7 @@ impl ServeSession {
     /// asserts against, or ±∞, which would pin the clock past every later
     /// event and record as `null` — is refused like any other malformed
     /// event, before the clock moves.
-    pub fn tick(&mut self, to_secs: f64) -> Result<(), ConstraintViolation> {
+    pub(crate) fn tick(&mut self, to_secs: f64) -> Result<(), ConstraintViolation> {
         if !to_secs.is_finite() {
             return Err(ConstraintViolation::MalformedEvent {
                 problem: "tick time must be finite",
@@ -330,7 +330,7 @@ impl ServeSession {
     }
 
     /// Current counters (`stats` response).
-    pub fn stats(&self) -> StatsMsg {
+    pub(crate) fn stats(&self) -> StatsMsg {
         StatsMsg {
             events: self.core.events_ingested() as u64,
             assigned: self.assigned,
@@ -347,7 +347,7 @@ impl ServeSession {
     /// with telemetry off) and its federation figures. The server's
     /// figures (queues, rejections, shards) read zero; the shard fills
     /// them in.
-    pub fn deep_stats(&self) -> DeepStatsMsg {
+    pub(crate) fn deep_stats(&self) -> DeepStatsMsg {
         let mut deep = DeepStatsMsg {
             stats: self.stats(),
             algorithm: self.algorithm(),
@@ -381,7 +381,7 @@ impl ServeSession {
     /// the stream only, so the histories — held once, by the world — are
     /// not copied into it. Writes the trace's `finish` line (run digest
     /// included) when a recorder is attached.
-    pub fn finish(self) -> FinishedSession {
+    pub(crate) fn finish(self) -> FinishedSession {
         let instance = Instance {
             config: self.world_config,
             platform_names: self.platform_names,
@@ -431,7 +431,7 @@ impl ServeSession {
 impl FinishedSession {
     /// The session's `bye`: the receipt for its run — counts, audit
     /// findings and digest, no canonical body.
-    pub fn bye(&self) -> ByeMsg {
+    pub(crate) fn bye(&self) -> ByeMsg {
         let run = &self.run;
         ByeMsg {
             algorithm: run.algorithm.clone(),

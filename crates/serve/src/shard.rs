@@ -77,7 +77,7 @@ pub(crate) fn place(conn_id: u64, sid: Option<u64>, shards: usize) -> usize {
 /// `queue` tracks the shard's bounded ingress channel (the channel itself
 /// exposes no length).
 #[derive(Debug, Default)]
-pub struct ShardStats {
+pub(crate) struct ShardStats {
     pub(crate) queue: QueueStats,
     sessions_open: AtomicU64,
     sessions_total: AtomicU64,
@@ -86,7 +86,7 @@ pub struct ShardStats {
 
 impl ShardStats {
     /// Snapshot this shard's `stats_deep` row.
-    pub fn row(&self, shard: usize) -> ShardRow {
+    pub(crate) fn row(&self, shard: usize) -> ShardRow {
         ShardRow {
             shard: shard as u64,
             sessions: self.sessions_open.load(Ordering::Relaxed),

@@ -43,93 +43,93 @@ use com_sim::{ArrivalEvent, WorldConfig};
 use crate::protocol::ServerMsg;
 
 /// Current trace schema major version (the `v` field of the meta line).
-pub const TRACE_VERSION: u32 = 1;
+pub(crate) const TRACE_VERSION: u32 = 1;
 
 /// First line of every trace: everything a replay needs to reconstruct
 /// the session — the `hello` facts plus the resolved algorithm name.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TraceMeta {
+pub(crate) struct TraceMeta {
     /// Schema major version ([`TRACE_VERSION`]).
-    pub v: u32,
+    pub(crate) v: u32,
     /// Which recorder wrote this trace: `"matchd"` or `"matchreplay"`.
-    pub source: String,
+    pub(crate) source: String,
     /// Matcher spec string from the `hello` (registry syntax).
-    pub matcher: String,
+    pub(crate) matcher: String,
     /// Resolved display name (e.g. `"DemCOM"`).
-    pub algorithm: String,
-    pub seed: u64,
-    pub max_value: Option<f64>,
-    pub platforms: Vec<String>,
-    pub world: WorldConfig,
+    pub(crate) algorithm: String,
+    pub(crate) seed: u64,
+    pub(crate) max_value: Option<f64>,
+    pub(crate) platforms: Vec<String>,
+    pub(crate) world: WorldConfig,
     /// Wire framing the session asked for in `hello` (`"binary"` or
     /// `"ndjson"`/absent). Informational: traces are always JSONL and
     /// replay identically whatever the session's framing was.
-    pub frame: Option<String>,
+    pub(crate) frame: Option<String>,
     /// The mux envelope sid this logical session was driven under, when
     /// it was multiplexed (`None` = bare session). Informational,
     /// like `frame`: replay never depends on it.
     #[serde(default)]
-    pub sid: Option<u64>,
+    pub(crate) sid: Option<u64>,
     /// Which shard executor owned the session in the recording server.
     /// Placement is deterministic, so re-serving the same workload lands
     /// the session on the same shard — but replay itself is single
     /// threaded and ignores this.
     #[serde(default)]
-    pub shard: Option<u64>,
+    pub(crate) shard: Option<u64>,
 }
 
 /// One successfully ingested arrival event.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TraceEvent {
+pub(crate) struct TraceEvent {
     /// Ingest index (0-based, counts every accepted event).
-    pub i: u64,
+    pub(crate) i: u64,
     /// Wall-clock arrival, nanoseconds since the session opened. Replay
     /// pacing metadata only — decisions never depend on it.
-    pub at_ns: u64,
-    pub event: ArrivalEvent,
+    pub(crate) at_ns: u64,
+    pub(crate) event: ArrivalEvent,
     /// The acceptance history that rode on a `worker` message, if any.
-    pub history: Option<WorkerHistory>,
+    pub(crate) history: Option<WorkerHistory>,
 }
 
 /// A `tick` protocol message: the clock advanced without an event.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TraceTick {
-    pub at_ns: u64,
+pub(crate) struct TraceTick {
+    pub(crate) at_ns: u64,
     /// Target simulation time, seconds.
-    pub to_secs: f64,
+    pub(crate) to_secs: f64,
 }
 
 /// The decision a request event produced, in canonical projection.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TraceDecision {
+pub(crate) struct TraceDecision {
     /// The `i` of the request's event line.
-    pub i: u64,
+    pub(crate) i: u64,
     /// `"assign"`, `"reject"`, or `"timeout"` (engine-refused).
-    pub outcome: String,
+    pub(crate) outcome: String,
     /// The constraint violation text on `"timeout"` outcomes.
-    pub violation: Option<String>,
+    pub(crate) violation: Option<String>,
     /// [`com_core::canonical_assignment_json`] of the record.
-    pub assignment: serde_json::Value,
+    pub(crate) assignment: serde_json::Value,
 }
 
 /// Last line: the closed run's fingerprint.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TraceFinish {
+pub(crate) struct TraceFinish {
     /// Events ingested over the whole session.
     pub events: u64,
     /// Decision lines written (request events).
-    pub decisions: u64,
+    pub(crate) decisions: u64,
     /// [`com_core::canonical_run_digest`] of the final run.
-    pub digest: String,
-    pub revenue: f64,
-    pub completed: u64,
+    pub(crate) digest: String,
+    pub(crate) revenue: f64,
+    pub(crate) completed: u64,
     /// `validate_run` findings at close (0 for a sound session).
-    pub audit_findings: u64,
+    pub(crate) audit_findings: u64,
 }
 
 /// One line of a session trace.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TraceLine {
+pub(crate) enum TraceLine {
     Meta(TraceMeta),
     Event(TraceEvent),
     Tick(TraceTick),
@@ -201,20 +201,20 @@ impl Deserialize for TraceLine {
 }
 
 /// Serialize one trace line to its wire form (no trailing newline).
-pub fn encode_line(line: &TraceLine) -> String {
+pub(crate) fn encode_line(line: &TraceLine) -> String {
     serde_json::to_string(line).expect("trace lines always serialize")
 }
 
 /// Parse one trace line. Unknown line types come back as
 /// [`TraceLine::Unknown`] (forward compatibility); malformed JSON or a
 /// known type with missing fields is an error.
-pub fn parse_line(text: &str) -> Result<TraceLine, String> {
+pub(crate) fn parse_line(text: &str) -> Result<TraceLine, String> {
     serde_json::from_str(text).map_err(|e| format!("bad trace line: {e}: {text}"))
 }
 
 /// Project a request's protocol response onto its trace decision record.
 /// Returns `None` for responses that are not decisions (errors).
-pub fn decision_from_response(i: u64, response: &ServerMsg) -> Option<TraceDecision> {
+pub(crate) fn decision_from_response(i: u64, response: &ServerMsg) -> Option<TraceDecision> {
     let (outcome, violation, assignment) = match response {
         ServerMsg::assign(a) => ("assign", None, a),
         ServerMsg::reject(a) => ("reject", None, a),
@@ -236,43 +236,31 @@ pub fn decision_from_response(i: u64, response: &ServerMsg) -> Option<TraceDecis
 /// never propagate into the serving path: the recorder marks itself
 /// damaged, reports once on stderr, and drops subsequent lines —
 /// recording must not take the daemon down with a full disk.
-pub struct TraceRecorder {
+pub(crate) struct TraceRecorder {
     out: BufWriter<File>,
     path: PathBuf,
     epoch: Instant,
     damaged: bool,
-    lines: u64,
 }
 
 impl TraceRecorder {
     /// Create (truncate) `path` and open a recorder over it.
-    pub fn create(path: &Path) -> std::io::Result<TraceRecorder> {
+    pub(crate) fn create(path: &Path) -> std::io::Result<TraceRecorder> {
         Ok(TraceRecorder {
             out: BufWriter::new(File::create(path)?),
             path: path.to_path_buf(),
             epoch: Instant::now(),
             damaged: false,
-            lines: 0,
         })
     }
 
     /// Nanoseconds since the recorder (≈ the session) opened.
-    pub fn at_ns(&self) -> u64 {
+    pub(crate) fn at_ns(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// The file being written.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Lines written so far.
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-
     /// Append one line.
-    pub fn write(&mut self, line: &TraceLine) {
+    pub(crate) fn write(&mut self, line: &TraceLine) {
         if self.damaged {
             return;
         }
@@ -284,14 +272,12 @@ impl TraceRecorder {
                 self.path.display()
             );
             self.damaged = true;
-            return;
         }
-        self.lines += 1;
     }
 
     /// Flush and close. Returns the path for reporting, or `None` when
     /// the recorder went damaged along the way.
-    pub fn finish(mut self) -> Option<PathBuf> {
+    pub(crate) fn finish(mut self) -> Option<PathBuf> {
         if self.damaged {
             return None;
         }
@@ -430,7 +416,6 @@ mod tests {
             at_ns: rec.at_ns(),
             to_secs: 1.0,
         }));
-        assert_eq!(rec.lines(), 2);
         assert_eq!(rec.finish(), Some(path.clone()));
         let text = std::fs::read_to_string(&path).unwrap();
         let parsed: Vec<TraceLine> = text.lines().map(|l| parse_line(l).unwrap()).collect();

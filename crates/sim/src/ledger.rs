@@ -47,7 +47,7 @@ impl PlatformLedger {
     /// Fold one assignment record into platform `platform`'s books. Both
     /// sides of an outer assignment are booked: the owner's ledger takes
     /// the revenue/payment split, the lender's ledger takes the earning.
-    pub fn record(&mut self, platform: PlatformId, a: &Assignment) {
+    pub(crate) fn record(&mut self, platform: PlatformId, a: &Assignment) {
         if a.request.platform == platform {
             self.revenue += a.platform_revenue();
             if a.was_cooperative_offer {
@@ -82,11 +82,6 @@ impl PlatformLedger {
             ledger.record(platform, a);
         }
         ledger
-    }
-
-    /// Owned requests that reached a decision.
-    pub fn owned_requests(&self) -> u64 {
-        self.inner_served + self.outer_served + self.rejected
     }
 
     /// Net cash flow of the outsourcing side-channel: earnings from
@@ -158,7 +153,10 @@ mod tests {
         assert_eq!(lender.outsource_earned, 4.0);
         assert_eq!(lender.workers_lent, 1);
         assert_eq!(lender.revenue, 0.0);
-        assert_eq!(lender.owned_requests(), 0);
+        assert_eq!(
+            lender.inner_served + lender.outer_served + lender.rejected,
+            0
+        );
         assert!((owner.outsource_net() + lender.outsource_net()).abs() < 1e-12);
     }
 

@@ -28,14 +28,14 @@
 
 #[cfg(test)]
 mod grid;
-pub mod instance;
-pub mod ledger;
-pub mod outcome;
-pub mod service;
-pub mod violation;
-pub mod waiting_list;
-pub mod worker;
-pub mod world;
+mod instance;
+mod ledger;
+mod outcome;
+mod service;
+mod violation;
+mod waiting_list;
+mod worker;
+mod world;
 
 pub use instance::Instance;
 pub use ledger::PlatformLedger;
@@ -43,7 +43,7 @@ pub use outcome::{Assignment, MatchKind};
 pub use service::ServiceModel;
 pub use violation::ConstraintViolation;
 pub use waiting_list::{grid_shape, IdleWorker, WaitingList};
-pub use worker::{Worker, WorkerState};
+pub use worker::Worker;
 pub use world::{World, WorldConfig};
 
 // Re-export the identifier and spec types: the simulator is the natural

@@ -21,9 +21,9 @@ use com_geo::{DistanceMetric, Point};
 pub struct ServiceModel {
     /// Travel speed in km/h used to convert worker→request distance into
     /// travel time.
-    pub speed_kmh: f64,
+    pub(crate) speed_kmh: f64,
     /// Fixed service duration in seconds added on top of travel.
-    pub service_secs: f64,
+    pub(crate) service_secs: f64,
     /// Whether workers re-enter the waiting list after completing.
     pub reentry: bool,
     /// Shift length in seconds: a worker stops taking new assignments

@@ -147,13 +147,8 @@ impl WaitingList {
     }
 
     /// Number of idle workers.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cell_of.len()
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.cell_of.is_empty()
     }
 
     #[inline]
@@ -221,7 +216,7 @@ impl WaitingList {
     }
 
     /// Look up one idle worker.
-    pub fn get(&self, id: WorkerId) -> Option<&IdleWorker> {
+    pub(crate) fn get(&self, id: WorkerId) -> Option<&IdleWorker> {
         let cell = *self.cell_of.get(&id)?;
         self.cells[cell].iter().find(|w| w.id == id)
     }
@@ -309,7 +304,7 @@ impl WaitingList {
     /// churn grows the table depends on the per-map random hash seed, and
     /// the metric must be a function of the operation sequence alone so
     /// two runs of one instance and seed report the same bytes.
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let cells: usize = self
             .cells
@@ -391,7 +386,7 @@ mod tests {
     #[test]
     fn empty_queries() {
         let wl = list();
-        assert!(wl.is_empty());
+        assert_eq!(wl.len(), 0);
         assert!(covering(&wl, Point::new(1.0, 1.0)).is_empty());
         assert!(wl.nearest_coverer(Point::new(1.0, 1.0)).is_none());
     }

@@ -10,7 +10,7 @@ use com_stream::{Timestamp, Value, WorkerSpec};
 /// constraints: a busy worker is locked to its request until the service
 /// completes).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum WorkerState {
+pub(crate) enum WorkerState {
     /// Registered in the scenario but its arrival event has not been
     /// processed yet ("workers can only serve requests arriving after
     /// them").
@@ -31,19 +31,19 @@ pub struct Worker {
     pub spec: WorkerSpec,
     /// Current location (equals `spec.location` until the first service).
     pub location: Point,
-    pub state: WorkerState,
+    pub(crate) state: WorkerState,
     /// Completed-request value history driving `pr(v', w)`.
     pub history: WorkerHistory,
     /// Number of requests this worker completed during the simulation.
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Total money earned during the simulation (full value for inner
     /// assignments, the outer payment for borrowed ones).
-    pub earnings: Value,
+    pub(crate) earnings: Value,
 }
 
 impl Worker {
     /// A fresh worker that has not yet arrived.
-    pub fn new(spec: WorkerSpec, history: WorkerHistory) -> Self {
+    pub(crate) fn new(spec: WorkerSpec, history: WorkerHistory) -> Self {
         Worker {
             location: spec.location,
             spec,
@@ -56,15 +56,8 @@ impl Worker {
 
     /// Whether the worker is currently assignable.
     #[inline]
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         matches!(self.state, WorkerState::Idle)
-    }
-
-    /// Whether the worker's service circle covers `p` from its *current*
-    /// location.
-    #[inline]
-    pub fn covers(&self, p: Point) -> bool {
-        self.location.covers(p, self.spec.radius)
     }
 
     /// Transition: arrival (or re-entry) at `location`.
@@ -83,8 +76,18 @@ impl Worker {
     }
 
     /// Approximate heap footprint in bytes (memory metric).
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.history.approx_bytes()
+    }
+}
+
+#[cfg(test)]
+impl Worker {
+    /// Whether the worker's service circle covers `p` from its *current*
+    /// location.
+    #[inline]
+    fn covers(&self, p: Point) -> bool {
+        self.location.covers(p, self.spec.radius)
     }
 }
 

@@ -8,7 +8,8 @@ use com_stream::{PlatformId, RequestSpec, TimerQueue, Timestamp, Value, WorkerId
 use serde::{Deserialize, Serialize};
 
 use crate::waiting_list::IdleWorker;
-use crate::{ConstraintViolation, ServiceModel, WaitingList, Worker, WorkerState};
+use crate::worker::WorkerState;
+use crate::{ConstraintViolation, ServiceModel, WaitingList, Worker};
 
 /// Static configuration of a world. Serializes as plain JSON (the
 /// `com-serve` wire protocol ships one in its `hello` message); the
@@ -269,11 +270,6 @@ impl World {
         self.workers.get(&id)
     }
 
-    /// Number of idle workers on platform `p`.
-    pub fn idle_count(&self, p: PlatformId) -> usize {
-        self.waiting[p.index()].len()
-    }
-
     /// Total registered workers.
     pub fn worker_count(&self) -> usize {
         self.workers.len()
@@ -384,6 +380,14 @@ impl World {
             .sum();
         let waiting: usize = self.waiting.iter().map(|w| w.approx_bytes()).sum();
         workers + waiting + self.reentries.len() * (size_of::<(Timestamp, WorkerId)>() + 8)
+    }
+}
+
+#[cfg(test)]
+impl World {
+    /// Number of idle workers on platform `p`.
+    fn idle_count(&self, p: PlatformId) -> usize {
+        self.waiting[p.index()].len()
     }
 }
 

@@ -97,15 +97,6 @@ impl ArrivalEvent {
         }
     }
 
-    /// The platform the event belongs to.
-    #[inline]
-    pub fn platform(&self) -> PlatformId {
-        match self {
-            ArrivalEvent::Worker(w) => w.platform,
-            ArrivalEvent::Request(r) => r.platform,
-        }
-    }
-
     /// Sort key: by time; at equal times workers come before requests (a
     /// worker arriving "at the same instant" can serve the request, which
     /// matches the paper's examples where `w_i` precedes `r_j` whenever it
@@ -198,15 +189,6 @@ impl EventStream {
         })
     }
 
-    /// Merge two streams (e.g. the two platforms of a city) into one global
-    /// arrival order.
-    pub fn merge(self, other: EventStream) -> EventStream {
-        let mut events = self.events;
-        events.extend(other.events);
-        events.sort_by_key(|a| a.sort_key());
-        EventStream { events }
-    }
-
     /// A new stream with the same events re-ordered by `permutation` over
     /// event indices — used by the random-order competitive-ratio model.
     /// Times are reassigned to preserve monotonicity (event `i` of the
@@ -236,11 +218,6 @@ impl EventStream {
             })
         })
     }
-
-    /// Total value of all requests (the trivial revenue upper bound).
-    pub fn total_value(&self) -> Value {
-        self.requests().map(|r| r.value).sum()
-    }
 }
 
 impl<'a> IntoIterator for &'a EventStream {
@@ -248,6 +225,23 @@ impl<'a> IntoIterator for &'a EventStream {
     type IntoIter = std::slice::Iter<'a, ArrivalEvent>;
     fn into_iter(self) -> Self::IntoIter {
         self.events.iter()
+    }
+}
+
+#[cfg(test)]
+impl EventStream {
+    /// Merge two streams (e.g. the two platforms of a city) into one global
+    /// arrival order.
+    fn merge(self, other: EventStream) -> EventStream {
+        let mut events = self.events;
+        events.extend(other.events);
+        events.sort_by_key(|a| a.sort_key());
+        EventStream { events }
+    }
+
+    /// Total value of all requests (the trivial revenue upper bound).
+    fn total_value(&self) -> Value {
+        self.requests().map(|r| r.value).sum()
     }
 }
 

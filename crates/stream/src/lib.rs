@@ -18,10 +18,10 @@
 //! * [`TimerQueue`] — a min-heap of future timers, used by the simulator
 //!   for worker re-entry after service completion.
 
-pub mod event;
-pub mod ids;
-pub mod time;
-pub mod timer;
+mod event;
+mod ids;
+mod time;
+mod timer;
 
 pub use event::{ArrivalEvent, EventStream, RequestSpec, WorkerSpec};
 pub use ids::{PlatformId, RequestId, WorkerId};

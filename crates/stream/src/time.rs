@@ -31,12 +31,6 @@ impl Timestamp {
         Timestamp(secs)
     }
 
-    /// Construct from hours.
-    #[inline]
-    pub fn from_hours(hours: f64) -> Self {
-        Self::from_secs(hours * SECONDS_PER_HOUR)
-    }
-
     /// Seconds since scenario start.
     #[inline]
     pub fn as_secs(&self) -> f64 {
@@ -54,26 +48,6 @@ impl Timestamp {
     #[inline]
     pub fn since(&self, earlier: Timestamp) -> f64 {
         (self.0 - earlier.0).max(0.0)
-    }
-
-    /// The later of two timestamps.
-    #[inline]
-    pub fn max(self, other: Timestamp) -> Timestamp {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The earlier of two timestamps.
-    #[inline]
-    pub fn min(self, other: Timestamp) -> Timestamp {
-        if self <= other {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -123,6 +97,15 @@ impl fmt::Display for Timestamp {
         let m = ((total - h * 3600.0) / 60.0).floor();
         let s = total - h * 3600.0 - m * 60.0;
         write!(f, "{:02}:{:02}:{:05.2}", h as i64, m as i64, s)
+    }
+}
+
+#[cfg(test)]
+impl Timestamp {
+    /// Construct from hours.
+    #[inline]
+    fn from_hours(hours: f64) -> Self {
+        Self::from_secs(hours * SECONDS_PER_HOUR)
     }
 }
 

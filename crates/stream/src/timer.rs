@@ -69,11 +69,6 @@ impl<T> TimerQueue<T> {
         self.heap.push(Entry { at, seq, payload });
     }
 
-    /// The time of the next timer, if any.
-    pub fn next_time(&self) -> Option<Timestamp> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Pop the next timer if it fires at or before `now`.
     pub fn pop_due(&mut self, now: Timestamp) -> Option<(Timestamp, T)> {
         if self.heap.peek().is_some_and(|e| e.at <= now) {
@@ -81,11 +76,6 @@ impl<T> TimerQueue<T> {
         } else {
             None
         }
-    }
-
-    /// Pop the next timer unconditionally.
-    pub fn pop(&mut self) -> Option<(Timestamp, T)> {
-        self.heap.pop().map(|e| (e.at, e.payload))
     }
 
     /// Number of pending timers.
@@ -97,9 +87,17 @@ impl<T> TimerQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
+}
+
+#[cfg(test)]
+impl<T> TimerQueue<T> {
+    /// Pop the next timer unconditionally.
+    fn pop(&mut self) -> Option<(Timestamp, T)> {
+        self.heap.pop().map(|e| (e.at, e.payload))
+    }
 
     /// Drop all pending timers.
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.heap.clear();
     }
 }
@@ -118,7 +116,6 @@ mod tests {
         q.schedule(ts(5.0), "b");
         q.schedule(ts(1.0), "a");
         q.schedule(ts(9.0), "c");
-        assert_eq!(q.next_time(), Some(ts(1.0)));
         assert_eq!(q.pop(), Some((ts(1.0), "a")));
         assert_eq!(q.pop(), Some((ts(5.0), "b")));
         assert_eq!(q.pop(), Some((ts(9.0), "c")));

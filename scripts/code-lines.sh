@@ -3,12 +3,18 @@
 # are neither blank nor `//` comments, and the same count with each file
 # cut at its first module-level `#[cfg(test)]` (i.e. without unit tests).
 # A `#[cfg(test)]` on a one-line item ending in `;` (`#[cfg(test)] mod
-# grid;`) drops just those two lines instead of cutting the file.
+# grid;`) drops just those two lines instead of cutting the file; a
+# file-level `#![cfg(test)]` (a test-only module) cuts it there. The third
+# count, `pub`, is the public surface: the non-test lines that declare a
+# `pub` (not `pub(crate)`) fn, struct, enum, const, trait, type, static,
+# mod or use.
 #
 #   scripts/code-lines.sh                # every crate + workspace total
-#   scripts/code-lines.sh FILE...        # the same two counts per file
-#   scripts/code-lines.sh --against REV  # non-test lines, REV's crates/ vs
-#                                        # this tree: crate before after delta
+#   scripts/code-lines.sh FILE...        # the same three counts per file
+#   scripts/code-lines.sh --against REV  # non-test and pub lines, REV's
+#                                        # crates/ vs this tree: crate
+#                                        # before after delta, then the
+#                                        # same for pub
 #
 # --against reads REV's crates/ through `git archive` into a temp dir, so
 # the "before" column needs no second checkout.
@@ -16,63 +22,69 @@ set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 count() { grep -vcE '^\s*(//|$)' || true; }
+count_pub() { grep -cE '^\s*pub (fn|struct|enum|const|trait|type|static|mod|use)\b' || true; }
 
 # the file without its tests: cut at the first module-level `#[cfg(test)]`
-# that is not on a one-line item
+# that is not on a one-line item, or at a file-level `#![cfg(test)]`
 non_test() {
     awk 'held { held = 0; if (/;[[:space:]]*$/) next; exit }
+         /^#!\[cfg\(test\)\]/ { exit }
          /^#\[cfg\(test\)\]/ { held = 1; next }
          { print }' "$1"
 }
 
-# code / non-test code lines of the given files, summed
-pair() {
-    local all=0 prod=0 f
+# code / non-test code / pub lines of the given files, summed
+counts() {
+    local all=0 prod=0 pubs=0 f
     for f in "$@"; do
         all=$((all + $(count <"$f")))
         prod=$((prod + $(non_test "$f" | count)))
+        pubs=$((pubs + $(non_test "$f" | count_pub)))
     done
-    echo "$all $prod"
+    echo "$all $prod $pubs"
 }
 
-# code / non-test code lines of one crate directory (0 0 when absent)
-crate_pair() {
+# code / non-test code / pub lines of one crate directory (0 0 0 when
+# absent)
+crate_counts() {
     local files=()
     [ -d "$1/src" ] && mapfile -t files < <(find "$1/src" -name '*.rs' | sort)
-    pair "${files[@]}"
+    counts "${files[@]}"
 }
 
-row() { printf '%-12s %8s %10s\n' "$@"; }
+row() { printf '%-12s %8s %10s %6s\n' "$@"; }
 
 if [ "${1:-}" = --against ]; then
     [ "$#" -eq 2 ] || { echo "usage: $0 --against REV" >&2; exit 2; }
     base="$(mktemp -d)"
     trap 'rm -rf "$base"' EXIT
     git archive "$2" crates | tar -x -C "$base"
-    printf '%-12s %8s %8s %8s\n' crate before after delta
-    total_before=0 total_after=0
+    printf '%-12s %8s %8s %8s %8s %8s %8s\n' crate before after delta \
+        pub-bef pub-aft pub-del
+    tb=0 ta=0 pb=0 pa=0
     for name in $(find "$base/crates" crates -mindepth 1 -maxdepth 1 -type d -printf '%f\n' | sort -u); do
-        read -r _ before < <(crate_pair "$base/crates/$name")
-        read -r _ after < <(crate_pair "crates/$name")
-        printf '%-12s %8s %8s %+8d\n' "$name" "$before" "$after" $((after - before))
-        total_before=$((total_before + before)) total_after=$((total_after + after))
+        read -r _ before pub_before < <(crate_counts "$base/crates/$name")
+        read -r _ after pub_after < <(crate_counts "crates/$name")
+        printf '%-12s %8s %8s %+8d %8s %8s %+8d\n' "$name" "$before" "$after" \
+            $((after - before)) "$pub_before" "$pub_after" $((pub_after - pub_before))
+        tb=$((tb + before)) ta=$((ta + after)) pb=$((pb + pub_before)) pa=$((pa + pub_after))
     done
-    printf '%-12s %8s %8s %+8d\n' workspace "$total_before" "$total_after" \
-        $((total_after - total_before))
+    printf '%-12s %8s %8s %+8d %8s %8s %+8d\n' workspace "$tb" "$ta" $((ta - tb)) \
+        "$pb" "$pa" $((pa - pb))
     exit
 fi
 if [ "$#" -gt 0 ]; then
-    row file code non-test
+    row file code non-test pub
     for f in "$@"; do
-        row "$(basename "$f")" $(pair "$f")
+        row "$(basename "$f")" $(counts "$f")
     done
     exit
 fi
-row crate code non-test
-total_all=0 total_prod=0
+row crate code non-test pub
+total_all=0 total_prod=0 total_pub=0
 for dir in crates/*/; do
-    read -r all prod < <(crate_pair "$dir")
-    row "$(basename "$dir")" "$all" "$prod"
-    total_all=$((total_all + all)) total_prod=$((total_prod + prod))
+    read -r all prod pubs < <(crate_counts "$dir")
+    row "$(basename "$dir")" "$all" "$prod" "$pubs"
+    total_all=$((total_all + all)) total_prod=$((total_prod + prod)) total_pub=$((total_pub + pubs))
 done
-row workspace "$total_all" "$total_prod"
+row workspace "$total_all" "$total_prod" "$total_pub"

@@ -11,7 +11,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use com_core::{try_run_online, MatcherSpec};
-use com_datagen::{generate, synthetic, SyntheticParams};
+use com_datagen::generate;
+use com_datagen::profiles::{synthetic, SyntheticParams};
 use com_fed::{drive_single, FedOptions};
 use com_serve::{
     serve, Client, ClientMsg, FedHello, Hello, OfferMsg, ServerConfig, ServerMsg, WireFormat,

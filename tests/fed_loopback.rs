@@ -4,7 +4,8 @@
 //! batch run over the same instance and seed, in both wire framings.
 
 use com_core::{canonical_digest, canonical_run_json, try_run_online, MatcherSpec, RunResult};
-use com_datagen::{generate, synthetic, SyntheticParams};
+use com_datagen::generate;
+use com_datagen::profiles::{synthetic, SyntheticParams};
 use com_fed::{drive_federated, run_loopback, verify, FedOptions, FedReport, LoopbackPair};
 use com_serve::{
     hello_msg, pump, ByeMsg, Client, ClientMsg, FedByeMsg, FedHello, ServerConfig, ServerMsg,

@@ -31,6 +31,54 @@ fn instance_csv_roundtrip_preserves_runs() {
     assert_eq!(kinds_a, kinds_b);
 }
 
+/// Every field the engine would refuse as a live event (or as a time
+/// rewind) is refused by the CSV loader first, naming the row's 1-based
+/// line (the header is line 1).
+#[test]
+fn csv_rows_the_engine_would_refuse_are_errors_with_their_line() {
+    const W: &str = "id,platform,arrival_secs,x_km,y_km,radius_km,history\n1,0,0,5.0,5.0,1.0,2.0\n";
+    const R: &str = "id,platform,arrival_secs,x_km,y_km,value\n1,0,60,5.2,5.0,12.5\n";
+    // (case, extra workers row, extra requests row): one row is bad, the
+    // other empty
+    let cases: &[(&str, &str, &str)] = &[
+        ("request value NaN", "", "2,0,90,5.0,5.0,NaN"),
+        ("request value inf", "", "2,0,90,5.0,5.0,inf"),
+        ("request value zero", "", "2,0,90,5.0,5.0,0"),
+        ("request value negative", "", "2,0,90,5.0,5.0,-3"),
+        ("request arrival NaN", "", "2,0,NaN,5.0,5.0,9.0"),
+        ("request arrival inf", "", "2,0,inf,5.0,5.0,9.0"),
+        ("request arrival negative", "", "2,0,-60,5.0,5.0,9.0"),
+        ("request x inf", "", "2,0,90,inf,5.0,9.0"),
+        ("request y NaN", "", "2,0,90,5.0,NaN,9.0"),
+        ("request platform unknown", "", "2,7,90,5.0,5.0,9.0"),
+        ("worker radius NaN", "2,1,0,5.0,5.0,NaN,", ""),
+        ("worker radius inf", "2,1,0,5.0,5.0,inf,", ""),
+        ("worker radius zero", "2,1,0,5.0,5.0,0,", ""),
+        ("worker radius negative", "2,1,0,5.0,5.0,-1,", ""),
+        ("worker arrival NaN", "2,1,NaN,5.0,5.0,1.0,", ""),
+        ("worker arrival inf", "2,1,inf,5.0,5.0,1.0,", ""),
+        ("worker arrival negative", "2,1,-1,5.0,5.0,1.0,", ""),
+        ("worker x NaN", "2,1,0,NaN,5.0,1.0,", ""),
+        ("worker y inf", "2,1,0,5.0,-inf,1.0,", ""),
+        ("worker history negative", "2,1,0,5.0,5.0,1.0,3.0|-1", ""),
+        ("worker history NaN", "2,1,0,5.0,5.0,1.0,NaN", ""),
+        ("worker history inf", "2,1,0,5.0,5.0,1.0,inf", ""),
+        ("worker platform unknown", "2,7,0,5.0,5.0,1.0,", ""),
+    ];
+    for &(what, worker_row, request_row) in cases {
+        let workers = format!("{W}{worker_row}\n");
+        let requests = format!("{R}{request_row}\n");
+        let result = instance_from_csv(
+            &workers,
+            &requests,
+            vec!["A".into(), "B".into()],
+            WorldConfig::city(10.0),
+        );
+        let e = result.err().unwrap_or_else(|| panic!("{what}: accepted"));
+        assert!(e.to_string().starts_with("line 3: "), "{what}: {e}");
+    }
+}
+
 #[test]
 fn assignments_serialise_to_json() {
     let run = run_online(&instance(), &mut DemCom::default(), 1);

@@ -10,7 +10,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use com_core::canonical_run_digest;
 use com_core::{try_run_online, MatcherRegistry, MatcherSpec};
-use com_datagen::{generate, synthetic, SyntheticParams};
+use com_datagen::generate;
+use com_datagen::profiles::{synthetic, SyntheticParams};
 use com_geo::Point;
 use com_pricing::WorkerHistory;
 use com_serve::{

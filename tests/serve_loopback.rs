@@ -6,7 +6,8 @@
 
 use com_core::canonical_run_digest;
 use com_core::{try_run_online, MatcherRegistry};
-use com_datagen::{generate, synthetic, SyntheticParams};
+use com_datagen::generate;
+use com_datagen::profiles::{synthetic, SyntheticParams};
 use com_serve::{drive, event_msg, hello_msg, serve, DriveOptions, ServerConfig, ServerMsg};
 use com_sim::Instance;
 

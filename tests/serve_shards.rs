@@ -11,7 +11,8 @@ use std::time::{Duration, Instant};
 
 use com_core::canonical_run_digest;
 use com_core::{try_run_online, validate_run, MatcherRegistry, MatcherSpec};
-use com_datagen::{generate, synthetic, SyntheticParams};
+use com_datagen::generate;
+use com_datagen::profiles::{synthetic, SyntheticParams};
 use com_geo::Point;
 use com_serve::{
     drive, event_msg, hello_msg, serve, Client, ClientMsg, DriveOptions, Hello, ServerConfig,

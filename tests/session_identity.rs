@@ -12,7 +12,8 @@
 
 use com_core::canonical_run_json;
 use com_core::{run_online, try_run_online, MatchSession, MatcherSpec, RunResult, SessionConfig};
-use com_datagen::{generate, synthetic, SyntheticParams};
+use com_datagen::generate;
+use com_datagen::profiles::{synthetic, SyntheticParams};
 use com_sim::Instance;
 
 fn canon(run: &RunResult) -> String {

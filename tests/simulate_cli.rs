@@ -1,7 +1,8 @@
 //! The `simulate` binary end to end: `--algo all` runs the standard three
 //! matchers and reports exactly what the in-process engine computes,
-//! `--emit-config` round-trips through `--config`, and an unknown
-//! `--algo` is a usage error that lists the valid specs.
+//! `--emit-config` round-trips through `--config`, an unknown `--algo` is
+//! a usage error that lists the valid specs, and a CSV row the engine
+//! would refuse is an error naming its line.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -98,4 +99,32 @@ fn an_unknown_algo_is_a_usage_error_listing_the_valid_specs() {
     for spec in ["tota", "demcom", "ramcom"] {
         assert!(stderr.contains(spec), "{spec} missing from: {stderr}");
     }
+}
+
+#[test]
+fn a_bad_requests_csv_row_exits_2_naming_its_line() {
+    let dir = scratch("csv");
+    let workers = dir.join("workers.csv");
+    let requests = dir.join("requests.csv");
+    std::fs::write(
+        &workers,
+        "id,platform,arrival_secs,x_km,y_km,radius_km,history\n1,1,0,5.0,5.0,1.0,\n",
+    )
+    .expect("write workers");
+    std::fs::write(
+        &requests,
+        "id,platform,arrival_secs,x_km,y_km,value\n1,0,60,5.2,5.0,inf\n",
+    )
+    .expect("write requests");
+    let out = simulate(&[
+        "--workers-csv",
+        workers.to_str().unwrap(),
+        "--requests-csv",
+        requests.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("line 2"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

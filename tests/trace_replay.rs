@@ -17,7 +17,8 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use com_core::MatcherSpec;
-use com_datagen::{generate, synthetic, SyntheticParams};
+use com_datagen::generate;
+use com_datagen::profiles::{synthetic, SyntheticParams};
 use com_serve::{
     drive, event_msg, hello_msg, record_session, replay_trace, serve, Client, DriveOptions,
     ServerConfig, WireFormat,
