@@ -30,11 +30,24 @@ use std::time::Instant;
 
 use com_bench::experiments::{ablation, cr, figures, tables};
 use com_bench::runner::SweepRunner;
-use com_metrics::{CountingAllocator, Table};
+use com_bench::{CountingAllocator, Table};
 use serde::Serialize;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
+
+/// Every experiment `all` runs, in order.
+const EXPERIMENTS: [&str; 9] = [
+    "table5",
+    "table6",
+    "table7",
+    "table5x30",
+    "fig5r",
+    "fig5w",
+    "fig5rad",
+    "cr",
+    "ablation",
+];
 
 struct Args {
     experiments: Vec<String>,
@@ -83,7 +96,15 @@ fn parse_args() -> Args {
                 println!("usage: repro <table5|table6|table7|fig5r|fig5w|fig5rad|cr|ablation|all> [--quick] [--out DIR] [--threads N]");
                 std::process::exit(0);
             }
-            other => experiments.push(other.to_string()),
+            // Every name is checked here, before anything runs, so a typo
+            // anywhere on the command line writes nothing.
+            name if name == "all" || EXPERIMENTS.contains(&name) => {
+                experiments.push(name.to_string())
+            }
+            other => {
+                eprintln!("unknown experiment `{other}` (see --help)");
+                std::process::exit(2);
+            }
         }
     }
     if experiments.is_empty() {
@@ -143,29 +164,15 @@ fn run(runner: &SweepRunner, name: &str, quick: bool, out: &Path) {
             let tables: Vec<Table> = results.iter().map(|a| a.to_table()).collect();
             emit(out, name, &tables, &results);
         }
-        other => {
-            eprintln!("unknown experiment `{other}` (see --help)");
-            std::process::exit(2);
-        }
+        other => unreachable!("`{other}` is checked against EXPERIMENTS in parse_args"),
     }
 }
 
 fn main() {
     let args = parse_args();
     let runner = SweepRunner::new(args.threads);
-    let all = [
-        "table5",
-        "table6",
-        "table7",
-        "table5x30",
-        "fig5r",
-        "fig5w",
-        "fig5rad",
-        "cr",
-        "ablation",
-    ];
     let list: Vec<String> = if args.experiments.iter().any(|e| e == "all") {
-        all.iter().map(|s| s.to_string()).collect()
+        EXPERIMENTS.iter().map(|s| s.to_string()).collect()
     } else {
         args.experiments.clone()
     };

@@ -42,10 +42,10 @@ use std::fs;
 use std::path::PathBuf;
 
 use com_bench::runner::{merged_telemetry, run_grid, SweepRunner};
+use com_bench::Table;
 use com_core::{MatcherSpec, RunResult};
 use com_datagen::{generate, instance_from_csv, profiles, ScenarioConfig};
 use com_geo::DistanceMetric;
-use com_metrics::Table;
 use com_sim::{Instance, PlatformId, WorldConfig};
 
 struct Args {

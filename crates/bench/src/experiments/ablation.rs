@@ -18,10 +18,10 @@ use com_core::{
 };
 use com_datagen::generate;
 use com_datagen::profiles::{synthetic, SyntheticParams};
-use com_metrics::Table;
 use com_pricing::{MonteCarloParams, PriceCandidates};
 
 use crate::runner::SweepRunner;
+use crate::Table;
 
 use super::EXPERIMENT_SEED;
 

@@ -11,10 +11,10 @@ use serde::{Deserialize, Serialize};
 use com_core::{competitive_ratio_random_order, MatcherSpec};
 use com_datagen::generate;
 use com_datagen::profiles::{synthetic, SyntheticParams};
-use com_metrics::Table;
 use com_sim::ServiceModel;
 
 use crate::runner::SweepRunner;
+use crate::Table;
 
 use super::EXPERIMENT_SEED;
 

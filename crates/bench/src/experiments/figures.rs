@@ -10,9 +10,9 @@ use serde::{Deserialize, Serialize};
 use com_core::{run_online, MatcherSpec};
 use com_datagen::generate;
 use com_datagen::profiles::{synthetic, SyntheticParams};
-use com_metrics::SweepSeries;
 
 use crate::runner::SweepRunner;
+use crate::SweepSeries;
 
 use super::EXPERIMENT_SEED;
 

@@ -13,9 +13,9 @@ use serde::{Deserialize, Serialize};
 use com_core::{offline_solve, Instance, MatcherSpec, OfflineMode, PlatformId, RunResult};
 use com_datagen::profiles::{chengdu_nov, chengdu_oct, xian_nov};
 use com_datagen::{generate, ScenarioConfig};
-use com_metrics::{fmt_mega, fmt_mib, Table};
 
 use crate::runner::{run_grid, SweepRunner};
+use crate::{fmt_mega, fmt_mib, Table};
 
 use super::EXPERIMENT_SEED;
 

@@ -19,7 +19,7 @@ static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
 ///
 /// ```ignore
 /// #[global_allocator]
-/// static ALLOC: com_metrics::CountingAllocator = com_metrics::CountingAllocator;
+/// static ALLOC: com_bench::CountingAllocator = com_bench::CountingAllocator;
 /// ```
 pub struct CountingAllocator;
 

@@ -89,21 +89,13 @@ impl Table {
 }
 
 #[cfg(test)]
-impl Table {
-    /// Convenience for string-slice rows.
-    fn push(&mut self, row: &[&str]) {
-        self.push_row(row.iter().map(|s| s.to_string()).collect());
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
 
     fn sample() -> Table {
         let mut t = Table::new("Results on RDC10 and RYC10", &["Method", "Rev", "CpR"]);
-        t.push(&["OFF", "1.752", "91321"]);
-        t.push(&["TOTA", "1.343", "68689"]);
+        t.push_row(vec!["OFF".into(), "1.752".into(), "91321".into()]);
+        t.push_row(vec!["TOTA".into(), "1.343".into(), "68689".into()]);
         t
     }
 
@@ -132,6 +124,6 @@ mod tests {
     #[should_panic(expected = "row width")]
     fn width_mismatch_rejected() {
         let mut t = Table::new("x", &["a", "b"]);
-        t.push(&["only-one"]);
+        t.push_row(vec!["only-one".into()]);
     }
 }

@@ -64,16 +64,14 @@ pub use com_bench as bench;
 pub use com_core as core;
 pub use com_datagen as datagen;
 pub use com_geo as geo;
-pub use com_matching as matching;
-pub use com_metrics as metrics;
 pub use com_obs as obs;
 pub use com_pricing as pricing;
 pub use com_sim as sim;
-pub use com_stream as stream;
 
 /// The most common imports, re-exported flat.
 pub mod prelude {
     pub use com_bench::runner::{merged_telemetry, run_grid, CellPanic, SweepRunner};
+    pub use com_bench::{SweepSeries, Table};
     pub use com_core::{
         canonical_run_json, competitive_ratio_random_order, offline_solve, run_online,
         try_run_online, validate_run, Assignment, AuditFinding, ConstraintViolation, Decision,
@@ -90,7 +88,6 @@ pub mod prelude {
         ValueDistribution,
     };
     pub use com_geo::{BoundingBox, Point};
-    pub use com_metrics::{SweepSeries, Table};
     pub use com_pricing::{
         max_expected_revenue, MinPaymentEstimator, MonteCarloParams, PriceCandidates, WorkerHistory,
     };

@@ -35,8 +35,8 @@
 //!
 //! For one-shot service models the audit additionally rebuilds the run as
 //! a bipartite matching and cross-checks it with
-//! [`com_matching::is_valid_matching`] — the same validator the offline
-//! solver trusts.
+//! the bipartite-matching validator (`validate.rs`) — the same one the
+//! offline solver's tests trust.
 //!
 //! **Who is audited.** The strict runs audit themselves:
 //! [`crate::run_online`] and [`crate::run_batched`] panic on a refused
@@ -47,10 +47,11 @@
 
 use std::fmt;
 
-use com_matching::{BipartiteGraph, Matching};
 use com_sim::{ConstraintViolation, Instance, MatchKind, RequestId, WorkerId};
 
 use crate::engine::RunResult;
+use crate::graph::{BipartiteGraph, Matching};
+use crate::validate::is_valid_matching;
 
 /// Absolute slack for time comparisons (seconds) and distance/value
 /// comparisons (km / currency). The replay recomputes the exact same
@@ -80,7 +81,7 @@ pub enum AuditFinding {
         expected: f64,
     },
     /// The one-shot matching cross-check
-    /// ([`com_matching::is_valid_matching`]) rejected the run's matching.
+    /// (the bipartite-matching validator) rejected the run's matching.
     MatchingInvalid { detail: String },
 }
 
@@ -361,7 +362,7 @@ pub fn validate_run(instance: &Instance, run: &RunResult) -> Vec<AuditFinding> {
     }
 
     // ---- One-shot cross-check: rebuild the run as a bipartite matching
-    // and let com-matching's validator confirm feasibility and 1-by-1.
+    // and let the matching validator confirm feasibility and 1-by-1.
     if !service.reentry {
         let workers: Vec<&com_sim::WorkerSpec> = instance.stream.workers().collect();
         let requests: Vec<&com_sim::RequestSpec> = instance.stream.requests().collect();
@@ -397,7 +398,7 @@ pub fn validate_run(instance: &Instance, run: &RunResult) -> Vec<AuditFinding> {
         }
         if representable {
             let matching = Matching { pairs };
-            if !com_matching::is_valid_matching(&graph, &matching) {
+            if !is_valid_matching(&graph, &matching) {
                 findings.push(AuditFinding::MatchingInvalid {
                     detail: format!(
                         "{} completed assignments do not form a valid worker-request \

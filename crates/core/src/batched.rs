@@ -20,7 +20,6 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use com_matching::{hungarian, BipartiteGraph};
 use com_sim::{
     ArrivalEvent, Assignment, ConstraintViolation, Instance, RequestSpec, Timestamp, World,
 };
@@ -28,6 +27,8 @@ use com_sim::{
 use crate::config::DemComConfig;
 use crate::cooperative;
 use crate::engine::RunResult;
+use crate::graph::BipartiteGraph;
+use crate::hungarian::hungarian;
 use crate::matcher::Decision;
 use crate::session::try_apply_decision;
 
@@ -229,10 +230,10 @@ fn flush(
 mod tests {
     use super::*;
     use com_geo::Point;
+    use com_sim::RequestSpec as Rq;
     use com_sim::{
         EventStream, PlatformId, RequestId, ServiceModel, WorkerId, WorkerSpec, WorldConfig,
     };
-    use com_stream::RequestSpec as Rq;
     use std::collections::HashMap;
 
     fn ts(s: f64) -> Timestamp {

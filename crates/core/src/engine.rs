@@ -241,11 +241,11 @@ mod tests {
     use crate::{DemCom, RamCom, TotaGreedy};
     use com_geo::Point;
     use com_pricing::WorkerHistory;
+    use com_sim::RequestSpec as Rq;
     use com_sim::{
         EventStream, MatchKind, PlatformId, RequestId, ServiceModel, Timestamp, WorkerId,
         WorkerSpec, WorldConfig,
     };
-    use com_stream::RequestSpec as Rq;
     use std::collections::HashMap;
 
     /// The paper's Example 1 as an instance: 5 workers, 5 requests, the

@@ -1,9 +1,7 @@
 //! Sparse weighted bipartite graphs.
 
-use serde::{Deserialize, Serialize};
-
 /// One edge of a bipartite graph.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Edge {
     pub(crate) left: usize,
     pub(crate) right: usize,
@@ -16,8 +14,8 @@ pub(crate) struct Edge {
 /// Edges are stored per left vertex in insertion order. Duplicate
 /// `(left, right)` edges are allowed at the storage level; matchers treat
 /// them as parallel edges (only the best one can ever matter).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct BipartiteGraph {
+#[derive(Debug, Clone)]
+pub(crate) struct BipartiteGraph {
     n_left: usize,
     n_right: usize,
     adj: Vec<Vec<(usize, f64)>>,
@@ -26,7 +24,7 @@ pub struct BipartiteGraph {
 
 impl BipartiteGraph {
     /// An empty graph with the given partition sizes.
-    pub fn new(n_left: usize, n_right: usize) -> Self {
+    pub(crate) fn new(n_left: usize, n_right: usize) -> Self {
         BipartiteGraph {
             n_left,
             n_right,
@@ -58,7 +56,7 @@ impl BipartiteGraph {
     /// # Panics
     /// Panics if either endpoint is out of range or the weight is not
     /// finite.
-    pub fn add_edge(&mut self, left: usize, right: usize, weight: f64) {
+    pub(crate) fn add_edge(&mut self, left: usize, right: usize, weight: f64) {
         assert!(left < self.n_left, "left vertex {left} out of range");
         assert!(right < self.n_right, "right vertex {right} out of range");
         assert!(weight.is_finite(), "edge weight must be finite");
@@ -99,31 +97,28 @@ impl BipartiteGraph {
     }
 }
 
+/// A matching: `pairs[i] = (left, right, weight)` with every left and right
+/// vertex appearing at most once.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Matching {
+    pub(crate) pairs: Vec<(usize, usize, f64)>,
+}
+
 #[cfg(test)]
-impl BipartiteGraph {
-    /// Build from an edge list.
-    fn from_edges(n_left: usize, n_right: usize, edges: &[Edge]) -> Self {
-        let mut g = Self::new(n_left, n_right);
-        for e in edges {
-            g.add_edge(e.left, e.right, e.weight);
-        }
-        g
+impl Matching {
+    /// Total weight of the matching.
+    pub(crate) fn total_weight(&self) -> f64 {
+        self.pairs.iter().map(|&(_, _, w)| w).sum()
     }
 
-    /// A dense `n_left × n_right` weight matrix with `fill` for missing
-    /// edges (parallel edges collapse to their max). Used by the Hungarian
-    /// solver.
-    fn to_dense(&self, fill: f64) -> Vec<Vec<f64>> {
-        let mut m = vec![vec![fill; self.n_right]; self.n_left];
-        let mut set = vec![vec![false; self.n_right]; self.n_left];
-        for e in self.edges() {
-            let cell = &mut m[e.left][e.right];
-            if !set[e.left][e.right] || e.weight > *cell {
-                *cell = e.weight;
-                set[e.left][e.right] = true;
-            }
-        }
-        m
+    /// Number of matched pairs.
+    pub(crate) fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// Whether the matching is empty.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.pairs.is_empty()
     }
 }
 
@@ -166,17 +161,12 @@ mod tests {
                 weight: 2.0,
             },
         ];
-        let g = BipartiteGraph::from_edges(2, 2, &edges);
+        let mut g = BipartiteGraph::new(2, 2);
+        for e in &edges {
+            g.add_edge(e.left, e.right, e.weight);
+        }
         let back: Vec<Edge> = g.edges().collect();
         assert_eq!(back, edges);
-    }
-
-    #[test]
-    fn to_dense_fills_missing() {
-        let mut g = BipartiteGraph::new(2, 2);
-        g.add_edge(0, 1, 3.0);
-        let m = g.to_dense(0.0);
-        assert_eq!(m, vec![vec![0.0, 3.0], vec![0.0, 0.0]]);
     }
 
     #[test]

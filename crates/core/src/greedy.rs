@@ -6,7 +6,7 @@
 //! maximum weight matching.
 #![cfg(test)]
 
-use crate::{BipartiteGraph, Matching};
+use crate::graph::{BipartiteGraph, Matching};
 
 /// Compute a greedy matching. Ties in weight break on `(left, right)`
 /// index for determinism. Edges with non-positive weight are skipped (they

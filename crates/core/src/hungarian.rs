@@ -13,12 +13,12 @@
 //! positive are dropped from the returned matching (they contribute
 //! nothing to the revenue objective).
 
-use crate::{BipartiteGraph, Matching};
+use crate::graph::{BipartiteGraph, Matching};
 
 /// Exact maximum-weight matching. Suitable up to roughly
 /// `min(n,m) ≈ 2–3·10³` with `max(n,m) ≈ 10⁵`; beyond that use
-/// [`crate::ssp_max_weight`] (sparse).
-pub fn hungarian(g: &BipartiteGraph) -> Matching {
+/// [`crate::ssp::ssp_max_weight`] (sparse).
+pub(crate) fn hungarian(g: &BipartiteGraph) -> Matching {
     let (n, m) = (g.n_left(), g.n_right());
     if n == 0 || m == 0 || g.n_edges() == 0 {
         return Matching::default();

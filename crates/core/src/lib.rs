@@ -25,6 +25,24 @@
 //! * `offline.rs` — the OFF baseline: exact maximum-weight bipartite
 //!   matching for one-shot instances and a full-knowledge scheduler for
 //!   re-entry workloads.
+//! * The bipartite matching substrate under OFF. Section II-B reduces the
+//!   offline version of COM to *maximum weighted bipartite graph
+//!   matching*: workers on one side, requests on the other, an edge
+//!   wherever all of Definition 2.6's constraints hold, weighted by the
+//!   revenue of that assignment (`v_r` for inner workers, `v_r − v'_r` for
+//!   outer workers). `graph.rs` holds the sparse weighted graph and the
+//!   `Matching` every solver returns. `hungarian.rs` is exact dense
+//!   Kuhn–Munkres (`O(min(n,m)²·max(n,m))`): the solver behind
+//!   [`OfflineMode::ExactBipartite`], which the competitive-ratio
+//!   experiments use, and behind [`BatchedCom`]'s per-window matching.
+//!   `ssp.rs` is exact successive shortest paths with potentials (sparse,
+//!   `O(K·E·log V)`), behind [`OfflineMode::SparseExact`]; only tests
+//!   select that mode, as the Hungarian solver's cross-check.
+//!   `validate.rs` checks a matching against its graph: the auditor's
+//!   one-shot cross-check. The two exact solvers cross-validate each other
+//!   and are checked against brute-force enumeration and, in test builds,
+//!   against a sort-by-weight greedy 1/2-approximation (`greedy.rs`) as a
+//!   lower bound.
 //! * `engine.rs` — replays an [`Instance`]'s arrival stream against any
 //!   [`OnlineMatcher`], enforcing every constraint of Definition 2.6 and
 //!   timing each decision.
@@ -53,6 +71,9 @@ mod config;
 mod cooperative;
 mod demcom;
 mod engine;
+mod graph;
+mod greedy;
+mod hungarian;
 mod matcher;
 mod offline;
 mod outsource;
@@ -60,8 +81,10 @@ mod ramcom;
 mod ratio;
 mod registry;
 mod session;
+mod ssp;
 mod timeline;
 mod tota;
+mod validate;
 
 pub use audit::{validate_run, AuditFinding};
 pub use batched::{run_batched, BatchedCom};
@@ -72,10 +95,10 @@ pub use config::{DemComConfig, RamComConfig, ThresholdMode};
 pub use demcom::DemCom;
 pub use engine::{run_online, try_run_online, DecisionFailure, RunResult};
 pub use matcher::{Decision, OnlineMatcher, StreamInfo};
-pub use offline::{offline_solve, OfflineMode};
+pub use offline::{offline_solve, OfflineMode, OfflineResult};
 pub use outsource::{project_platform_run, OutsourceChannel, OutsourceOutcome};
 pub use ramcom::RamCom;
-pub use ratio::competitive_ratio_random_order;
+pub use ratio::{competitive_ratio_random_order, CrReport};
 pub use registry::{MatcherRegistry, MatcherSpec, SpecError};
 pub use session::{MatchSession, SessionConfig, SessionOutput};
 pub use timeline::{hourly_timeline, HourlyBucket};

@@ -21,10 +21,13 @@
 
 use serde::{Deserialize, Serialize};
 
-use com_matching::{hungarian, ssp_max_weight, BipartiteGraph};
 use com_sim::{
     IdleWorker, Instance, PlatformId, RequestSpec, Value, WaitingList, WorkerId, WorkerSpec,
 };
+
+use crate::graph::BipartiteGraph;
+use crate::hungarian::hungarian;
+use crate::ssp::ssp_max_weight;
 
 /// Which offline solver to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

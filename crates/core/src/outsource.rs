@@ -23,8 +23,7 @@
 //! requests: it is what a federated daemon reports as the owned half of
 //! its `bye`, and what that half is compared against.
 
-use com_sim::{PlatformId, RequestSpec, Value};
-use com_stream::WorkerId;
+use com_sim::{PlatformId, RequestSpec, Value, WorkerId};
 
 use crate::engine::RunResult;
 

@@ -36,9 +36,8 @@ use rand::SeedableRng;
 use com_pricing::WorkerHistory;
 use com_sim::{
     ArrivalEvent, Assignment, ConstraintViolation, Instance, MatchKind, PlatformId, RequestSpec,
-    Timestamp, Value, World, WorldConfig,
+    Timestamp, Value, WorkerId, World, WorldConfig,
 };
-use com_stream::WorkerId;
 
 use crate::engine::{DecisionFailure, RunResult};
 use crate::matcher::{Decision, OnlineMatcher, StreamInfo};
@@ -523,8 +522,8 @@ mod tests {
     use super::*;
     use crate::{DemCom, TotaGreedy};
     use com_geo::Point;
+    use com_sim::RequestSpec as Rq;
     use com_sim::{EventStream, PlatformId, RequestId, ServiceModel, WorkerSpec};
-    use com_stream::RequestSpec as Rq;
 
     fn tiny_instance() -> Instance {
         let p0 = PlatformId(0);

@@ -18,13 +18,13 @@
 //! bits). Floating-point reduced costs can go infinitesimally negative and
 //! let Dijkstra chase ε-improvement cycles forever; integer arithmetic
 //! makes every comparison exact. The quantisation error per edge is below
-//! `10⁻⁶`, far beneath the 0.1-granular revenue weights this crate is used
+//! `10⁻⁶`, far beneath the 0.1-granular revenue weights this module is used
 //! with.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::{BipartiteGraph, Matching};
+use crate::graph::{BipartiteGraph, Matching};
 
 /// Fixed-point scale: 20 fractional bits.
 const SCALE: f64 = (1u64 << 20) as f64;
@@ -96,7 +96,7 @@ impl Ord for HeapItem {
 
 /// Exact maximum-weight matching for sparse graphs. Edges with
 /// non-positive weight are ignored (they can never help the objective).
-pub fn ssp_max_weight(g: &BipartiteGraph) -> Matching {
+pub(crate) fn ssp_max_weight(g: &BipartiteGraph) -> Matching {
     let n = g.n_left();
     let m = g.n_right();
     if n == 0 || m == 0 || g.n_edges() == 0 {
@@ -225,7 +225,7 @@ pub fn ssp_max_weight(g: &BipartiteGraph) -> Matching {
 mod tests {
     use super::*;
     use crate::greedy::greedy_matching;
-    use crate::hungarian;
+    use crate::hungarian::hungarian;
     use crate::validate::is_valid_matching;
     use proptest::prelude::*;
 

@@ -4,7 +4,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use com_stream::SECONDS_PER_HOUR;
+use com_sim::SECONDS_PER_HOUR;
 
 use crate::engine::RunResult;
 

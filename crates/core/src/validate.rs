@@ -1,9 +1,9 @@
-//! Matching validation helpers (used pervasively in tests and debug
-//! assertions).
+//! Matching validation: the run auditor's one-shot cross-check, and the
+//! exact solvers' tests.
 
 use std::collections::HashSet;
 
-use crate::{BipartiteGraph, Matching};
+use crate::graph::{BipartiteGraph, Matching};
 
 /// Whether `m` is a valid matching of `g`:
 ///
@@ -12,7 +12,7 @@ use crate::{BipartiteGraph, Matching};
 ///   constraint),
 /// * every pair corresponds to an actual graph edge, and the recorded
 ///   weight equals some parallel edge's weight.
-pub fn is_valid_matching(g: &BipartiteGraph, m: &Matching) -> bool {
+pub(crate) fn is_valid_matching(g: &BipartiteGraph, m: &Matching) -> bool {
     let mut left_seen = HashSet::new();
     let mut right_seen = HashSet::new();
     for &(l, r, w) in &m.pairs {

@@ -36,7 +36,7 @@ mod scenario;
 mod temporal;
 mod values;
 
-pub use csv::{instance_from_csv, requests_to_csv, workers_to_csv};
+pub use csv::{instance_from_csv, requests_to_csv, workers_to_csv, CsvError};
 pub use hotspot::{Hotspot, SpatialMixture};
 pub use scenario::{generate, PlatformSpec, ScenarioConfig};
 pub use temporal::DailyProfile;

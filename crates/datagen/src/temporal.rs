@@ -8,7 +8,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use com_stream::{Timestamp, SECONDS_PER_DAY, SECONDS_PER_HOUR};
+use com_sim::{Timestamp, SECONDS_PER_DAY, SECONDS_PER_HOUR};
 
 use crate::dist::Normal;
 

@@ -70,49 +70,6 @@ impl BoundingBox {
 }
 
 #[cfg(test)]
-impl BoundingBox {
-    /// Grow the box by `margin` km on every side.
-    fn expanded(&self, margin: Km) -> BoundingBox {
-        BoundingBox {
-            min: Point::new(self.min.x - margin, self.min.y - margin),
-            max: Point::new(self.max.x + margin, self.max.y + margin),
-        }
-    }
-
-    /// Smallest box containing both `self` and `other`.
-    fn union(&self, other: &BoundingBox) -> BoundingBox {
-        BoundingBox {
-            min: Point::new(self.min.x.min(other.min.x), self.min.y.min(other.min.y)),
-            max: Point::new(self.max.x.max(other.max.x), self.max.y.max(other.max.y)),
-        }
-    }
-
-    /// Whether the circle `(center, radius)` intersects the box.
-    fn intersects_circle(&self, center: Point, radius: Km) -> bool {
-        let closest = self.clamp(center);
-        closest.distance_sq(center) <= radius * radius
-    }
-
-    /// Smallest box enclosing all points in the iterator, or `None` when
-    /// the iterator is empty.
-    fn enclosing<I: IntoIterator<Item = Point>>(points: I) -> Option<BoundingBox> {
-        let mut it = points.into_iter();
-        let first = it.next()?;
-        let mut bb = BoundingBox {
-            min: first,
-            max: first,
-        };
-        for p in it {
-            bb.min.x = bb.min.x.min(p.x);
-            bb.min.y = bb.min.y.min(p.y);
-            bb.max.x = bb.max.x.max(p.x);
-            bb.max.y = bb.max.y.max(p.y);
-        }
-        Some(bb)
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
@@ -149,45 +106,6 @@ mod tests {
         assert_eq!(bb.clamp(Point::new(3.0, 4.0)), Point::new(3.0, 4.0));
     }
 
-    #[test]
-    fn circle_intersection() {
-        let bb = BoundingBox::square(10.0);
-        // Circle centred outside, reaching in.
-        assert!(bb.intersects_circle(Point::new(-1.0, 5.0), 1.5));
-        // Circle centred outside, not reaching.
-        assert!(!bb.intersects_circle(Point::new(-3.0, 5.0), 1.5));
-        // Circle centred inside always intersects.
-        assert!(bb.intersects_circle(Point::new(5.0, 5.0), 0.01));
-        // Corner case: diagonal distance matters.
-        assert!(!bb.intersects_circle(Point::new(11.0, 11.0), 1.0));
-        assert!(bb.intersects_circle(Point::new(11.0, 11.0), 1.5));
-    }
-
-    #[test]
-    fn union_and_expand() {
-        let a = BoundingBox::square(1.0);
-        let b = BoundingBox::from_corners(Point::new(5.0, 5.0), Point::new(6.0, 7.0));
-        let u = a.union(&b);
-        assert_eq!(u.min, Point::ORIGIN);
-        assert_eq!(u.max, Point::new(6.0, 7.0));
-        let e = a.expanded(2.0);
-        assert_eq!(e.min, Point::new(-2.0, -2.0));
-        assert_eq!(e.max, Point::new(3.0, 3.0));
-    }
-
-    #[test]
-    fn enclosing_points() {
-        assert!(BoundingBox::enclosing(std::iter::empty()).is_none());
-        let bb = BoundingBox::enclosing(vec![
-            Point::new(1.0, 2.0),
-            Point::new(-3.0, 0.5),
-            Point::new(0.0, 9.0),
-        ])
-        .unwrap();
-        assert_eq!(bb.min, Point::new(-3.0, 0.5));
-        assert_eq!(bb.max, Point::new(1.0, 9.0));
-    }
-
     proptest! {
         #[test]
         fn prop_clamped_point_is_contained(
@@ -196,28 +114,6 @@ mod tests {
         ) {
             let bb = BoundingBox::square(side);
             prop_assert!(bb.contains(bb.clamp(Point::new(px, py))));
-        }
-
-        #[test]
-        fn prop_union_contains_both(
-            ax in -50.0..50.0f64, ay in -50.0..50.0f64,
-            bx in -50.0..50.0f64, by in -50.0..50.0f64,
-            cx in -50.0..50.0f64, cy in -50.0..50.0f64,
-            dx in -50.0..50.0f64, dy in -50.0..50.0f64,
-        ) {
-            let a = BoundingBox::from_corners(Point::new(ax, ay), Point::new(bx, by));
-            let b = BoundingBox::from_corners(Point::new(cx, cy), Point::new(dx, dy));
-            let u = a.union(&b);
-            prop_assert!(u.contains(a.min) && u.contains(a.max));
-            prop_assert!(u.contains(b.min) && u.contains(b.max));
-        }
-
-        #[test]
-        fn prop_contained_point_circle_intersects(
-            px in 0.0..10.0f64, py in 0.0..10.0f64, r in 0.0..5.0f64,
-        ) {
-            let bb = BoundingBox::square(10.0);
-            prop_assert!(bb.intersects_circle(Point::new(px, py), r));
         }
     }
 }

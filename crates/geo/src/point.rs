@@ -125,18 +125,6 @@ impl From<Point> for (f64, f64) {
 }
 
 #[cfg(test)]
-impl Point {
-    /// Linear interpolation: `t = 0` is `self`, `t = 1` is `other`.
-    #[inline]
-    fn lerp(&self, other: Point, t: f64) -> Point {
-        Point::new(
-            self.x + (other.x - self.x) * t,
-            self.y + (other.y - self.y) * t,
-        )
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
@@ -175,13 +163,10 @@ mod tests {
     }
 
     #[test]
-    fn midpoint_and_lerp() {
+    fn midpoint_is_halfway() {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(2.0, 4.0);
         assert_eq!(a.midpoint(b), Point::new(1.0, 2.0));
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.25), Point::new(0.5, 1.0));
     }
 
     #[test]

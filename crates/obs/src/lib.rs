@@ -37,7 +37,7 @@ mod telemetry;
 
 pub use collector::{
     begin_run, counter_add, end_run, gauge_set, install, install_with_trace, is_active,
-    snapshot_run, span, span_record, uninstall,
+    snapshot_run, span, span_record, uninstall, SpanGuard,
 };
 pub use histogram::Histogram;
 pub use telemetry::{CounterStat, GaugeStat, PhaseStats, RunTelemetry};

@@ -155,21 +155,6 @@ impl Deserialize for WorkerHistory {
 }
 
 #[cfg(test)]
-impl WorkerHistory {
-    /// The `q`-quantile of history values (`q ∈ [0, 1]`, nearest-rank).
-    fn quantile(&self, q: f64) -> Option<Value> {
-        if self.values.is_empty() {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((self.values.len() as f64 * q).ceil() as usize)
-            .saturating_sub(1)
-            .min(self.values.len() - 1);
-        Some(self.values[idx])
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
@@ -207,16 +192,6 @@ mod tests {
         h.record(6.0);
         assert_eq!(h.values(), &[2.0, 6.0, 10.0]);
         assert!((h.acceptance_prob(6.0) - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantiles() {
-        let h = WorkerHistory::from_values(vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(h.quantile(0.0), Some(1.0));
-        assert_eq!(h.quantile(0.25), Some(1.0));
-        assert_eq!(h.quantile(0.5), Some(2.0));
-        assert_eq!(h.quantile(1.0), Some(4.0));
-        assert_eq!(WorkerHistory::new().quantile(0.5), None);
     }
 
     #[test]

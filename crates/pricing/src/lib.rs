@@ -34,11 +34,12 @@ mod history;
 mod monte_carlo;
 mod sampling;
 
-pub use expected_revenue::{max_expected_revenue, PriceCandidates};
+pub use expected_revenue::{max_expected_revenue, PriceCandidates, PricingOutcome};
 pub use history::WorkerHistory;
 pub use monte_carlo::{MinPaymentEstimator, MonteCarloParams};
 pub use sampling::bernoulli;
 
-/// Monetary value type (kept structurally identical to `com_stream::Value`
-/// without introducing a dependency edge).
-pub(crate) type Value = f64;
+/// Monetary value of a request (`v_r`) or payment (`v'_r`), in the
+/// paper's currency unit (¥). Defined here, in the lowest crate that
+/// prices, and re-exported by `com-sim` for the rest of the workspace.
+pub type Value = f64;

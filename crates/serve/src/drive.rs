@@ -166,11 +166,11 @@ pub(crate) fn expect_ok(response: ServerMsg, what: &str) -> io::Result<()> {
 
 /// One session's decisions, by kind, once its stream is answered.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct Tally {
-    pub(crate) assigned: usize,
-    pub(crate) rejected: usize,
+struct Tally {
+    assigned: usize,
+    rejected: usize,
     /// Engine-refused decisions (`timeout` responses).
-    pub(crate) refused: usize,
+    refused: usize,
 }
 
 /// One in-flight message awaiting its session's next response.
@@ -236,12 +236,23 @@ impl<F: FnMut(&Assignment)> Pump<'_, F> {
 
 /// The one pump: stream `events` (of `instance`, which supplies the
 /// workers' histories) to every open session `sids` names on `client`,
-/// and return each session's `Tally` once every message is answered.
-/// Sessions interleave event by event and at most `window` messages are
-/// in flight (see the module docs). `on_decision` sees every request's
-/// decision, in stream order per session; a response of any other kind
-/// to a request is an error.
+/// and return once every message is answered. Sessions interleave event
+/// by event and at most `window` messages are in flight (see the module
+/// docs). `on_decision` sees every request's decision, in stream order
+/// per session; a response of any other kind to a request is an error.
 pub fn pump<'e>(
+    client: &mut Client,
+    sids: &[Option<u64>],
+    instance: &Instance,
+    events: impl IntoIterator<Item = &'e ArrivalEvent>,
+    window: usize,
+    on_decision: impl FnMut(&Assignment),
+) -> io::Result<()> {
+    tally(client, sids, instance, events, window, on_decision).map(drop)
+}
+
+/// [`pump`], returning each session's decisions by kind.
+fn tally<'e>(
     client: &mut Client,
     sids: &[Option<u64>],
     instance: &Instance,
@@ -299,7 +310,7 @@ fn drive_connection(
     }
     let started = Instant::now();
     let events = instance.stream.iter();
-    let tallies = pump(&mut client, &sids, instance, events, options.window, |_| {})?;
+    let tallies = tally(&mut client, &sids, instance, events, options.window, |_| {})?;
     // Stop the throughput clock here: every event has been sent *and*
     // answered.
     let wall_secs = started.elapsed().as_secs_f64();

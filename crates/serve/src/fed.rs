@@ -60,8 +60,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use com_core::{OutsourceChannel, OutsourceOutcome};
-use com_sim::{Assignment, MatchKind, PlatformId, RequestSpec, Value};
-use com_stream::WorkerId;
+use com_sim::{Assignment, MatchKind, PlatformId, RequestSpec, Value, WorkerId};
 
 use crate::client::Client;
 use crate::framing::WireFormat;

@@ -70,19 +70,19 @@ mod shard;
 pub mod trace;
 
 pub use client::{bad_data, Client};
-pub use drive::{drive, event_msg, hello_msg, pump, DriveOptions};
+pub use drive::{drive, event_msg, hello_msg, pump, DriveOptions, DriveReport, SessionOutcome};
 pub use fed::DEFAULT_OFFER_DEADLINE_MS;
 pub use framing::{
-    decode_payload, encode_frame, read_frame, write_frame, WireFormat, FRAME_MAGIC,
+    decode_payload, encode_frame, read_frame, write_frame, FrameError, WireFormat, FRAME_MAGIC,
     MAX_FRAME_PAYLOAD, MAX_LINE_BYTES,
 };
-pub use hot::WireMsg;
+pub use hot::{HotRead, HotWrite, WireMsg};
 pub use protocol::{
     client_frame_from_content, decode_client_frame, decode_server_frame, encode, read_line,
     server_frame_from_content, write_msg, ByeMsg, ClientFrame, ClientMsg, CounterRow, DecodeError,
     DeepStatsMsg, ErrorMsg, FedByeMsg, FedHello, FedStatsMsg, Frame, GaugeRow, Hello, OfferMsg,
     PhaseRow, ServerFrame, ServerMsg, ShardRow, StatsMsg, WorkerMsg,
 };
-pub use replay::{record_session, replay_trace, TraceReplayReport};
-pub use server::{serve, ServerConfig, ServerHandle};
-pub use session::ServeSession;
+pub use replay::{record_session, replay_trace, Divergence, TraceReplayReport};
+pub use server::{serve, ServerConfig, ServerCounters, ServerHandle};
+pub use session::{FinishedSession, ServeSession};

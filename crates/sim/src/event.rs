@@ -229,23 +229,6 @@ impl<'a> IntoIterator for &'a EventStream {
 }
 
 #[cfg(test)]
-impl EventStream {
-    /// Merge two streams (e.g. the two platforms of a city) into one global
-    /// arrival order.
-    fn merge(self, other: EventStream) -> EventStream {
-        let mut events = self.events;
-        events.extend(other.events);
-        events.sort_by_key(|a| a.sort_key());
-        EventStream { events }
-    }
-
-    /// Total value of all requests (the trivial revenue upper bound).
-    fn total_value(&self) -> Value {
-        self.requests().map(|r| r.value).sum()
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -292,7 +275,6 @@ mod tests {
         assert_eq!(s.worker_count(), 2);
         assert_eq!(s.request_count(), 2);
         assert_eq!(s.max_value(), Some(9.0));
-        assert_eq!(s.total_value(), 13.0);
     }
 
     #[test]
@@ -318,15 +300,6 @@ mod tests {
             kinds,
             vec!["w", "w", "r", "w", "r", "r", "w", "r", "w", "r"]
         );
-    }
-
-    #[test]
-    fn merge_interleaves() {
-        let a = EventStream::from_specs(vec![w(1, 1.0)], vec![r(1, 4.0, 2.0)]);
-        let b = EventStream::from_specs(vec![w(2, 2.0)], vec![r(2, 3.0, 2.0)]);
-        let m = a.merge(b);
-        let ids: Vec<f64> = m.iter().map(|e| e.time().as_secs()).collect();
-        assert_eq!(ids, vec![1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

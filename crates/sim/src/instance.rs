@@ -10,9 +10,8 @@
 use std::collections::HashMap;
 
 use com_pricing::WorkerHistory;
-use com_stream::{EventStream, WorkerId};
 
-use crate::{World, WorldConfig};
+use crate::{EventStream, WorkerId, World, WorldConfig};
 
 /// One replayable COM problem instance.
 #[derive(Debug, Clone)]
@@ -75,8 +74,8 @@ impl Instance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PlatformId, RequestId, RequestSpec, Timestamp, WorkerSpec};
     use com_geo::Point;
-    use com_stream::{PlatformId, RequestId, RequestSpec, Timestamp, WorkerSpec};
 
     fn tiny_instance() -> Instance {
         let workers = vec![WorkerSpec::new(

@@ -11,9 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use com_stream::{PlatformId, Value};
-
-use crate::{Assignment, MatchKind};
+use crate::{Assignment, MatchKind, PlatformId, Value};
 
 /// One platform's books for a finished (or in-flight) run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -112,8 +110,8 @@ impl PlatformLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{RequestId, RequestSpec, Timestamp, WorkerId};
     use com_geo::Point;
-    use com_stream::{RequestId, RequestSpec, Timestamp, WorkerId};
 
     fn assignment(
         request_platform: u16,

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use com_stream::{PlatformId, RequestSpec, Timestamp, Value, WorkerId};
+use crate::{PlatformId, RequestSpec, Timestamp, Value, WorkerId};
 
 /// How a request was resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -91,8 +91,8 @@ impl Assignment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RequestId;
     use com_geo::Point;
-    use com_stream::RequestId;
 
     fn req(value: f64) -> RequestSpec {
         RequestSpec::new(

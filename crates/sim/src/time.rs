@@ -101,15 +101,6 @@ impl fmt::Display for Timestamp {
 }
 
 #[cfg(test)]
-impl Timestamp {
-    /// Construct from hours.
-    #[inline]
-    fn from_hours(hours: f64) -> Self {
-        Self::from_secs(hours * SECONDS_PER_HOUR)
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -138,7 +129,7 @@ mod tests {
 
     #[test]
     fn hours_roundtrip() {
-        let t = Timestamp::from_hours(2.5);
+        let t = Timestamp::from_secs(2.5 * SECONDS_PER_HOUR);
         assert_eq!(t.as_secs(), 9000.0);
         assert_eq!(t.as_hours(), 2.5);
     }

@@ -42,20 +42,14 @@ impl<T> Ord for Entry<T> {
 
 /// A deterministic earliest-first timer queue.
 #[derive(Debug, Clone)]
-pub struct TimerQueue<T> {
+pub(crate) struct TimerQueue<T> {
     heap: BinaryHeap<Entry<T>>,
     seq: u64,
 }
 
-impl<T> Default for TimerQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<T> TimerQueue<T> {
     /// An empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TimerQueue {
             heap: BinaryHeap::new(),
             seq: 0,
@@ -63,14 +57,14 @@ impl<T> TimerQueue<T> {
     }
 
     /// Schedule `payload` to fire at `at`.
-    pub fn schedule(&mut self, at: Timestamp, payload: T) {
+    pub(crate) fn schedule(&mut self, at: Timestamp, payload: T) {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Entry { at, seq, payload });
     }
 
     /// Pop the next timer if it fires at or before `now`.
-    pub fn pop_due(&mut self, now: Timestamp) -> Option<(Timestamp, T)> {
+    pub(crate) fn pop_due(&mut self, now: Timestamp) -> Option<(Timestamp, T)> {
         if self.heap.peek().is_some_and(|e| e.at <= now) {
             self.heap.pop().map(|e| (e.at, e.payload))
         } else {
@@ -79,13 +73,8 @@ impl<T> TimerQueue<T> {
     }
 
     /// Number of pending timers.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
-    }
-
-    /// Whether there are no pending timers.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -147,11 +136,11 @@ mod tests {
     #[test]
     fn len_and_clear() {
         let mut q = TimerQueue::new();
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         q.schedule(ts(1.0), ());
         q.schedule(ts(2.0), ());
         assert_eq!(q.len(), 2);
         q.clear();
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 }

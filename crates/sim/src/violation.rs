@@ -14,7 +14,7 @@
 
 use std::fmt;
 
-use com_stream::{PlatformId, RequestId, Timestamp, Value, WorkerId};
+use crate::{PlatformId, RequestId, Timestamp, Value, WorkerId};
 
 /// A breach of one of COM's matching constraints (§II, Def. 2.2–2.4),
 /// detected either at enforcement time (`World::assign`, the

@@ -20,8 +20,8 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+use crate::{Timestamp, WorkerId};
 use com_geo::{BoundingBox, DistanceMetric, Km, Point};
-use com_stream::{Timestamp, WorkerId};
 
 /// An idle worker as seen by the matcher: everything needed to apply the
 /// range constraint and the nearest-worker tie-break.

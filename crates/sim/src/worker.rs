@@ -2,9 +2,9 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::{Timestamp, Value, WorkerSpec};
 use com_geo::Point;
 use com_pricing::WorkerHistory;
-use com_stream::{Timestamp, Value, WorkerSpec};
 
 /// Occupancy state of a worker (the paper's invariable + 1-by-1
 /// constraints: a busy worker is locked to its request until the service
@@ -94,7 +94,7 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use com_stream::{PlatformId, WorkerId};
+    use crate::{PlatformId, WorkerId};
 
     fn spec() -> WorkerSpec {
         WorkerSpec::new(

@@ -4,12 +4,15 @@ use std::collections::HashMap;
 
 use com_geo::{BoundingBox, DistanceMetric, Km, Point};
 use com_pricing::WorkerHistory;
-use com_stream::{PlatformId, RequestSpec, TimerQueue, Timestamp, Value, WorkerId, WorkerSpec};
 use serde::{Deserialize, Serialize};
 
+use crate::timer::TimerQueue;
 use crate::waiting_list::IdleWorker;
 use crate::worker::WorkerState;
-use crate::{ConstraintViolation, ServiceModel, WaitingList, Worker};
+use crate::{
+    ConstraintViolation, PlatformId, RequestSpec, ServiceModel, Timestamp, Value, WaitingList,
+    Worker, WorkerId, WorkerSpec,
+};
 
 /// Static configuration of a world. Serializes as plain JSON (the
 /// `com-serve` wire protocol ships one in its `hello` message); the
@@ -394,7 +397,7 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use com_stream::RequestId;
+    use crate::RequestId;
 
     fn ts(s: f64) -> Timestamp {
         Timestamp::from_secs(s)

@@ -6,8 +6,8 @@
 //! cargo run --release --example day_profile
 //! ```
 
+use com::bench::sparkline_row;
 use com::core::{hourly_timeline, HourlyBucket};
-use com::metrics::sparkline_row;
 use com::prelude::*;
 
 fn main() {

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Code-line table for simplicity PRs: per crate, the lines under src/ that
-# are neither blank nor `//` comments, and the same count with each file
-# cut at its first module-level `#[cfg(test)]` (i.e. without unit tests).
-# A `#[cfg(test)]` on a one-line item ending in `;` (`#[cfg(test)] mod
-# grid;`) drops just those two lines instead of cutting the file; a
-# file-level `#![cfg(test)]` (a test-only module) cuts it there. The third
-# count, `pub`, is the public surface: the non-test lines that declare a
-# `pub` (not `pub(crate)`) fn, struct, enum, const, trait, type, static,
-# mod or use.
+# are neither blank nor `//` comments, and the same count without test
+# code. A column-0 `#[cfg(test)]` on an inline `mod` (the unit tests) and
+# a file-level `#![cfg(test)]` (a test-only module) cut the file there.
+# Any other column-0 `#[cfg(test)]` item drops just that item: a one-line
+# item ending in `;` (`#[cfg(test)] mod grid;`), or an `impl`/`fn`/...
+# through its closing column-0 `}`, so production code below it still
+# counts. The third count, `pub`, is the public surface: the non-test
+# lines that declare a `pub` (not `pub(crate)`) fn, struct, enum, const,
+# trait, type, static, mod or use.
 #
 #   scripts/code-lines.sh                # every crate + workspace total
 #   scripts/code-lines.sh FILE...        # the same three counts per file
@@ -24,12 +25,20 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 count() { grep -vcE '^\s*(//|$)' || true; }
 count_pub() { grep -cE '^\s*pub (fn|struct|enum|const|trait|type|static|mod|use)\b' || true; }
 
-# the file without its tests: cut at the first module-level `#[cfg(test)]`
-# that is not on a one-line item, or at a file-level `#![cfg(test)]`
+# the file without its tests: cut at a column-0 `#[cfg(test)]` inline
+# `mod` or at `#![cfg(test)]`; skip any other column-0 `#[cfg(test)]` item
+# (state 1: after the attribute; state 2: inside a multi-line item)
 non_test() {
-    awk 'held { held = 0; if (/;[[:space:]]*$/) next; exit }
+    awk 'state == 2 { if (/^}/) state = 0; next }
+         state == 1 {
+             if (/^[[:space:]]*#\[/) next
+             if (/;[[:space:]]*$/) { state = 0; next }
+             if (/^(pub(\([a-z]+\))? )?mod /) exit
+             state = /\{[[:space:]]*$/ ? 2 : 0
+             next
+         }
          /^#!\[cfg\(test\)\]/ { exit }
-         /^#\[cfg\(test\)\]/ { held = 1; next }
+         /^#\[cfg\(test\)\]/ { state = 1; next }
          { print }' "$1"
 }
 

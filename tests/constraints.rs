@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 
 use com::prelude::*;
-use com::stream::ArrivalEvent;
+use com::sim::ArrivalEvent;
 
 fn check_constraints(inst: &Instance, run: &RunResult) {
     // Reconstruct worker arrival times and specs from the stream.

@@ -56,8 +56,8 @@ fn table_ii_arrival_order_is_reproduced() {
         .stream
         .iter()
         .map(|e| match e {
-            com::stream::ArrivalEvent::Worker(_) => 'w',
-            com::stream::ArrivalEvent::Request(_) => 'r',
+            com::sim::ArrivalEvent::Worker(_) => 'w',
+            com::sim::ArrivalEvent::Request(_) => 'r',
         })
         .collect();
     // Table II: w1 w2 r1 w3 r2 r3 w4 r4 w5 r5.

@@ -2,7 +2,8 @@
 //! matchers and reports exactly what the in-process engine computes,
 //! `--emit-config` round-trips through `--config`, an unknown `--algo` is
 //! a usage error that lists the valid specs, and a CSV row the engine
-//! would refuse is an error naming its line.
+//! would refuse is an error naming its line. `repro` checks every
+//! experiment name before it runs or writes anything.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -126,5 +127,24 @@ fn a_bad_requests_csv_row_exits_2_naming_its_line() {
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("line 2"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unknown_repro_experiment_exits_2_and_writes_nothing() {
+    let dir = scratch("repro");
+    for names in [["all", "typo"], ["cr", "typo"]] {
+        let mut args = vec!["--quick", "--out", dir.to_str().unwrap()];
+        args.extend(names);
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(&args)
+            .output()
+            .expect("run repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{names:?}: {stderr}");
+        assert!(stderr.contains("unknown experiment `typo`"), "{stderr}");
+        let written: Vec<_> = std::fs::read_dir(&dir).expect("read out dir").collect();
+        assert!(written.is_empty(), "{names:?} wrote {written:?}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
