@@ -3,8 +3,8 @@
 //! The paper proves DemCOM matches the greedy TOTA ratio in the random
 //! order model and RamCOM reaches `1/(8e) ≈ 0.046`. This study measures
 //! the empirical ratios on small one-shot instances where the offline
-//! optimum is computed exactly (Hungarian), sampling many random arrival
-//! orders per instance.
+//! optimum is computed exactly (the min-cost flow), sampling many random
+//! arrival orders per instance.
 
 use serde::{Deserialize, Serialize};
 
@@ -78,7 +78,7 @@ fn cr_params(seed: u64) -> SyntheticParams {
 /// order, so the study is bit-identical to serial execution.
 pub fn run_cr_study(runner: &SweepRunner, instances: usize, orders: usize) -> CrStudy {
     // Phase 1: the one-shot instances (Fig. 4's strict bipartite model,
-    // where the Hungarian OFF is exact), generated in parallel.
+    // where OFF is the exact matching), generated in parallel.
     let instance_jobs: Vec<usize> = (0..instances).collect();
     let generated = runner.map(instance_jobs, |_, &i| {
         let mut config = synthetic(cr_params(EXPERIMENT_SEED ^ (i as u64) << 8));

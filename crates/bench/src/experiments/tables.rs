@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use com_core::{offline_solve, Instance, MatcherSpec, OfflineMode, PlatformId, RunResult};
+use com_core::{offline_solve, Instance, MatcherSpec, PlatformId, RunResult};
 use com_datagen::profiles::{chengdu_nov, chengdu_oct, xian_nov};
 use com_datagen::{generate, ScenarioConfig};
 
@@ -161,7 +161,7 @@ fn method_rows(runner: &SweepRunner, instance: &Instance, seeds: &[u64]) -> Vec<
 
     // OFF: full-knowledge scheduler (workers re-enter during a day run).
     let started = Instant::now();
-    let off = offline_solve(instance, OfflineMode::GreedySchedule);
+    let off = offline_solve(instance);
     let off_ms = started.elapsed().as_secs_f64() * 1e3 / n_requests as f64;
     let mut rows = vec![MethodRow {
         method: "OFF".into(),

@@ -76,9 +76,9 @@ pub mod prelude {
         canonical_run_json, competitive_ratio_random_order, offline_solve, run_online,
         try_run_online, validate_run, Assignment, AuditFinding, ConstraintViolation, Decision,
         DecisionFailure, DemCom, DemComConfig, EventStream, GreedyRt, Instance, MatchKind,
-        MatcherRegistry, MatcherSpec, OfflineMode, OnlineMatcher, PlatformId, RamCom, RamComConfig,
-        RequestId, RequestSpec, RunResult, ServiceModel, SpecError, StreamInfo, ThresholdMode,
-        Timestamp, TotaGreedy, Value, WorkerId, WorkerSpec, World, WorldConfig,
+        MatcherRegistry, MatcherSpec, OnlineMatcher, PlatformId, RamCom, RamComConfig, RequestId,
+        RequestSpec, RunResult, ServiceModel, SpecError, StreamInfo, ThresholdMode, Timestamp,
+        TotaGreedy, Value, WorkerId, WorkerSpec, World, WorldConfig,
     };
     pub use com_datagen::profiles::{
         chengdu_nov, chengdu_oct, synthetic, xian_nov, SyntheticParams,

@@ -12,7 +12,7 @@
 //! Window `k` holds the requests arriving in `[k·w, (k+1)·w)` and is
 //! flushed at `(k+1)·w`, so no request waits longer than `w`. Growing
 //! windows recover most of greedy's myopia losses (the crossing instances
-//! of the Hungarian tests) at the cost of up to `window_secs` of
+//! of the exact solver's tests) at the cost of up to `window_secs` of
 //! user-visible waiting — quantified in the `repro ablation` experiment.
 
 use std::time::Instant;
@@ -28,9 +28,9 @@ use crate::config::DemComConfig;
 use crate::cooperative;
 use crate::engine::RunResult;
 use crate::graph::BipartiteGraph;
-use crate::hungarian::hungarian;
 use crate::matcher::Decision;
 use crate::session::try_apply_decision;
+use crate::ssp::ssp_max_weight;
 
 /// Configuration of the batched matcher.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -181,7 +181,7 @@ fn flush(
     for (i, j, w) in graph_edges {
         graph.add_edge(i, j, w);
     }
-    let matching = hungarian(&graph);
+    let matching = ssp_max_weight(&graph);
 
     // Every batch decision goes through the online engine's validation;
     // only the decision time differs (the flush, not the arrival).
@@ -390,7 +390,7 @@ mod tests {
         });
         config.service = ServiceModel::one_shot();
         let inst = generate(&config);
-        let opt = crate::offline_solve(&inst, crate::OfflineMode::ExactBipartite).total_revenue;
+        let opt = crate::offline_solve(&inst).total_revenue;
         for window in [30.0, 300.0, 3_000.0] {
             let run = run_batched(&inst, BatchedCom::new(window), 2);
             assert!(

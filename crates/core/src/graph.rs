@@ -19,7 +19,6 @@ pub(crate) struct BipartiteGraph {
     n_left: usize,
     n_right: usize,
     adj: Vec<Vec<(usize, f64)>>,
-    n_edges: usize,
 }
 
 impl BipartiteGraph {
@@ -29,7 +28,6 @@ impl BipartiteGraph {
             n_left,
             n_right,
             adj: vec![Vec::new(); n_left],
-            n_edges: 0,
         }
     }
 
@@ -45,12 +43,6 @@ impl BipartiteGraph {
         self.n_right
     }
 
-    /// Number of edges.
-    #[inline]
-    pub(crate) fn n_edges(&self) -> usize {
-        self.n_edges
-    }
-
     /// Add an edge. Weights must be finite.
     ///
     /// # Panics
@@ -61,7 +53,6 @@ impl BipartiteGraph {
         assert!(right < self.n_right, "right vertex {right} out of range");
         assert!(weight.is_finite(), "edge weight must be finite");
         self.adj[left].push((right, weight));
-        self.n_edges += 1;
     }
 
     /// Neighbours of a left vertex as `(right, weight)` pairs.
@@ -79,21 +70,6 @@ impl BipartiteGraph {
                 weight: w,
             })
         })
-    }
-
-    /// Weight of the edge `(left, right)` if present (the maximum over
-    /// parallel edges).
-    pub(crate) fn weight(&self, left: usize, right: usize) -> Option<f64> {
-        self.adj[left]
-            .iter()
-            .filter(|&&(r, _)| r == right)
-            .map(|&(_, w)| w)
-            .fold(None, |acc, w| {
-                Some(match acc {
-                    None => w,
-                    Some(a) => a.max(w),
-                })
-            })
     }
 }
 
@@ -132,10 +108,9 @@ mod tests {
         g.add_edge(0, 1, 4.0);
         g.add_edge(0, 2, 2.0);
         g.add_edge(1, 0, 7.0);
-        assert_eq!(g.n_edges(), 3);
+        assert_eq!(g.edges().count(), 3);
         assert_eq!(g.neighbors(0), &[(1, 4.0), (2, 2.0)]);
-        assert_eq!(g.weight(1, 0), Some(7.0));
-        assert_eq!(g.weight(1, 1), None);
+        assert_eq!(g.neighbors(1), &[(0, 7.0)]);
     }
 
     #[test]
@@ -144,7 +119,9 @@ mod tests {
         g.add_edge(0, 0, 3.0);
         g.add_edge(0, 0, 5.0);
         g.add_edge(0, 0, 1.0);
-        assert_eq!(g.weight(0, 0), Some(5.0));
+        assert_eq!(g.edges().count(), 3);
+        let m = crate::ssp::ssp_max_weight(&g);
+        assert_eq!(m.pairs, vec![(0, 0, 5.0)]);
     }
 
     #[test]
@@ -186,7 +163,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = BipartiteGraph::new(0, 0);
-        assert_eq!(g.n_edges(), 0);
+        assert_eq!((g.n_left(), g.n_right()), (0, 0));
         assert_eq!(g.edges().count(), 0);
     }
 }

@@ -1,5 +1,5 @@
 //! Greedy maximum-weight matching (1/2-approximation), the lower bound
-//! the exact solvers' property tests compare against.
+//! the exact solver's property tests compare against.
 //!
 //! Sorts edges by decreasing weight and takes an edge whenever both
 //! endpoints are still free. This is the classical 1/2-approximation for

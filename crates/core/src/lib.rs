@@ -31,18 +31,15 @@
 //!   wherever all of Definition 2.6's constraints hold, weighted by the
 //!   revenue of that assignment (`v_r` for inner workers, `v_r − v'_r` for
 //!   outer workers). `graph.rs` holds the sparse weighted graph and the
-//!   `Matching` every solver returns. `hungarian.rs` is exact dense
-//!   Kuhn–Munkres (`O(min(n,m)²·max(n,m))`): the solver behind
-//!   [`OfflineMode::ExactBipartite`], which the competitive-ratio
-//!   experiments use, and behind [`BatchedCom`]'s per-window matching.
-//!   `ssp.rs` is exact successive shortest paths with potentials (sparse,
-//!   `O(K·E·log V)`), behind [`OfflineMode::SparseExact`]; only tests
-//!   select that mode, as the Hungarian solver's cross-check.
-//!   `validate.rs` checks a matching against its graph: the auditor's
-//!   one-shot cross-check. The two exact solvers cross-validate each other
-//!   and are checked against brute-force enumeration and, in test builds,
-//!   against a sort-by-weight greedy 1/2-approximation (`greedy.rs`) as a
-//!   lower bound.
+//!   `Matching` the solver returns. `ssp.rs` is the one exact solver:
+//!   successive shortest paths with potentials over a min-cost flow
+//!   (sparse, `O(K·E·log V)`), behind [`offline_solve`] on one-shot
+//!   instances (hence every competitive ratio) and [`BatchedCom`]'s
+//!   per-window matching. `validate.rs` checks a matching against its
+//!   graph: the auditor's one-shot cross-check. The solver is checked
+//!   against brute-force enumeration and, in test builds, against a
+//!   sort-by-weight greedy 1/2-approximation (`greedy.rs`) as a lower
+//!   bound.
 //! * `engine.rs` — replays an [`Instance`]'s arrival stream against any
 //!   [`OnlineMatcher`], enforcing every constraint of Definition 2.6 and
 //!   timing each decision.
@@ -73,7 +70,6 @@ mod demcom;
 mod engine;
 mod graph;
 mod greedy;
-mod hungarian;
 mod matcher;
 mod offline;
 mod outsource;
@@ -95,7 +91,7 @@ pub use config::{DemComConfig, RamComConfig, ThresholdMode};
 pub use demcom::DemCom;
 pub use engine::{run_online, try_run_online, DecisionFailure, RunResult};
 pub use matcher::{Decision, OnlineMatcher, StreamInfo};
-pub use offline::{offline_solve, OfflineMode, OfflineResult};
+pub use offline::{offline_solve, OfflineResult};
 pub use outsource::{project_platform_run, OutsourceChannel, OutsourceOutcome};
 pub use ramcom::RamCom;
 pub use ratio::{competitive_ratio_random_order, CrReport};

@@ -8,16 +8,15 @@
 //! for an outer worker (with full knowledge, the outer payment is the
 //! worker's acceptance floor — the smallest value in its history).
 //!
-//! Three solvers cover the instance-size spectrum:
+//! The instance's service model picks the solver:
 //!
-//! * [`OfflineMode::ExactBipartite`] — dense Hungarian; the reference for
-//!   competitive-ratio experiments (one-shot instances).
-//! * [`OfflineMode::SparseExact`] — successive shortest paths; the same
-//!   optimum on spatially sparse city-scale instances.
-//! * [`OfflineMode::GreedySchedule`] — a full-knowledge value-descending
-//!   scheduler that honours worker re-entry (the paper's day-long tables
-//!   implicitly reuse workers); not provably optimal, documented as such
-//!   in EXPERIMENTS.md.
+//! * one-shot service (a worker serves at most once) is exactly Fig. 4:
+//!   the sparse min-cost flow of `ssp.rs` solves it, and it is the
+//!   optimum competitive ratios are measured against;
+//! * re-entry service (a worker rejoins after each job, as in the paper's
+//!   day-long tables) is solved by a full-knowledge value-descending
+//!   scheduler; not provably optimal, documented as such in
+//!   EXPERIMENTS.md.
 
 use serde::{Deserialize, Serialize};
 
@@ -26,25 +25,11 @@ use com_sim::{
 };
 
 use crate::graph::BipartiteGraph;
-use crate::hungarian::hungarian;
 use crate::ssp::ssp_max_weight;
-
-/// Which offline solver to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum OfflineMode {
-    /// Dense Hungarian (Kuhn–Munkres) — the reference exact solver.
-    ExactBipartite,
-    /// Sparse successive shortest paths — exact at city scale.
-    SparseExact,
-    /// Full-knowledge value-descending scheduler honouring worker
-    /// re-entry (the day-long tables' OFF row).
-    GreedySchedule,
-}
 
 /// The outcome of an offline solve.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OfflineResult {
-    pub(crate) mode: OfflineMode,
     pub total_revenue: Value,
     pub completed: usize,
     /// Revenue attributed to each platform (by the platform that owns the
@@ -114,8 +99,9 @@ fn build_graph(instance: &Instance, requests: &[RequestSpec]) -> BipartiteGraph 
     graph
 }
 
-/// Solve the offline COM instance.
-pub fn offline_solve(instance: &Instance, mode: OfflineMode) -> OfflineResult {
+/// Solve the offline COM instance: the exact Fig. 4 matching under
+/// one-shot service, the re-entry scheduler when workers re-enter.
+pub fn offline_solve(instance: &Instance) -> OfflineResult {
     let platforms = instance.platform_names.len();
     let mut revenue_by_platform = vec![0.0; platforms];
     let mut completed_by_platform = vec![0usize; platforms];
@@ -125,26 +111,16 @@ pub fn offline_solve(instance: &Instance, mode: OfflineMode) -> OfflineResult {
         completed_by_platform[platform.index()] += 1;
     };
 
-    match mode {
-        OfflineMode::ExactBipartite | OfflineMode::SparseExact => {
-            let requests: Vec<RequestSpec> = instance.stream.requests().copied().collect();
-            let graph = build_graph(instance, &requests);
-            let matching = if mode == OfflineMode::ExactBipartite {
-                hungarian(&graph)
-            } else {
-                ssp_max_weight(&graph)
-            };
-            for &(_, j, w) in &matching.pairs {
-                credit(requests[j].platform, w);
-            }
-        }
-        OfflineMode::GreedySchedule => {
-            greedy_schedule(instance, &mut credit);
+    if instance.config.service.reentry {
+        greedy_schedule(instance, &mut credit);
+    } else {
+        let requests: Vec<RequestSpec> = instance.stream.requests().copied().collect();
+        for (_, j, w) in ssp_max_weight(&build_graph(instance, &requests)).pairs {
+            credit(requests[j].platform, w);
         }
     }
 
     OfflineResult {
-        mode,
         total_revenue: revenue_by_platform.iter().sum(),
         completed: completed_by_platform.iter().sum(),
         revenue_by_platform,
@@ -189,9 +165,6 @@ fn greedy_schedule<F: FnMut(PlatformId, Value)>(instance: &Instance, credit: &mu
             };
             let end =
                 start + service.busy_secs_metric(instance.config.metric, w.location, r.location);
-            if !service.reentry && !busy[i].is_empty() {
-                return; // one-shot: a single service per worker
-            }
             let overlaps = busy[i].iter().any(|&(s, e)| s < end && start < e);
             if overlaps {
                 return;
@@ -264,22 +237,12 @@ mod tests {
     #[test]
     fn exact_bipartite_solves_the_small_instance() {
         let inst = small_instance(true);
-        let off = offline_solve(&inst, OfflineMode::ExactBipartite);
+        let off = offline_solve(&inst);
         // w1 → r1 (8), w2 → r2 (6 − 2 = 4); r3 unreachable.
         assert_eq!(off.completed, 2);
         assert_eq!(off.total_revenue, 12.0);
         assert_eq!(off.revenue_by_platform, vec![12.0, 0.0]);
         assert_eq!(off.completed_by_platform, vec![2, 0]);
-    }
-
-    #[test]
-    fn sparse_exact_agrees_with_hungarian() {
-        let inst = small_instance(true);
-        let a = offline_solve(&inst, OfflineMode::ExactBipartite);
-        let b = offline_solve(&inst, OfflineMode::SparseExact);
-        assert_eq!(a.total_revenue, b.total_revenue);
-        assert_eq!(a.completed, b.completed);
-        assert_eq!(a.revenue_by_platform, b.revenue_by_platform);
     }
 
     #[test]
@@ -306,13 +269,13 @@ mod tests {
             histories: HashMap::new(),
             stream: EventStream::from_specs(workers, requests),
         };
-        let off = offline_solve(&inst, OfflineMode::GreedySchedule);
+        let off = offline_solve(&inst);
         assert_eq!(off.completed, 2);
         assert_eq!(off.total_revenue, 9.0);
 
         let mut one_shot = inst.clone();
         one_shot.config.service = ServiceModel::one_shot();
-        let off1 = offline_solve(&one_shot, OfflineMode::GreedySchedule);
+        let off1 = offline_solve(&one_shot);
         assert_eq!(off1.completed, 1);
         assert_eq!(off1.total_revenue, 5.0);
     }
@@ -341,7 +304,7 @@ mod tests {
             histories: HashMap::new(),
             stream: EventStream::from_specs(workers, requests),
         };
-        let off = offline_solve(&inst, OfflineMode::GreedySchedule);
+        let off = offline_solve(&inst);
         assert_eq!(off.completed, 1);
         assert_eq!(off.total_revenue, 9.0);
     }
@@ -366,22 +329,17 @@ mod tests {
         )];
         let mut histories = HashMap::new();
         histories.insert(WorkerId(1), WorkerHistory::from_values(vec![50.0]));
-        let mut config = WorldConfig::city(10.0);
-        config.service = ServiceModel::one_shot();
-        let inst = Instance {
-            config,
+        let mut inst = Instance {
+            config: WorldConfig::city(10.0),
             platform_names: vec!["A".into(), "B".into()],
             histories,
             stream: EventStream::from_specs(workers, requests),
         };
-        for mode in [
-            OfflineMode::ExactBipartite,
-            OfflineMode::SparseExact,
-            OfflineMode::GreedySchedule,
-        ] {
-            let off = offline_solve(&inst, mode);
-            assert_eq!(off.completed, 0, "mode {mode:?}");
-            assert_eq!(off.total_revenue, 0.0, "mode {mode:?}");
+        for service in [ServiceModel::one_shot(), ServiceModel::taxi(30.0, 60.0)] {
+            inst.config.service = service;
+            let off = offline_solve(&inst);
+            assert_eq!(off.completed, 0, "{service:?}");
+            assert_eq!(off.total_revenue, 0.0, "{service:?}");
         }
     }
 
@@ -411,7 +369,7 @@ mod tests {
             histories: HashMap::new(),
             stream: EventStream::from_specs(workers, requests),
         };
-        let off = offline_solve(&inst, OfflineMode::ExactBipartite);
+        let off = offline_solve(&inst);
         assert_eq!(off.completed, 0);
     }
 }

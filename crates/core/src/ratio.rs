@@ -4,7 +4,7 @@
 //! the random-order model takes the expectation over uniformly random
 //! orders. Both are estimated by sampling permutations of the instance's
 //! arrival stream and comparing each online run to the offline optimum
-//! (`OfflineMode::ExactBipartite`, exact for one-shot instances).
+//! (the exact Fig. 4 matching of a one-shot instance).
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -14,7 +14,7 @@ use com_sim::Instance;
 
 use crate::engine::run_online;
 use crate::matcher::OnlineMatcher;
-use crate::offline::{offline_solve, OfflineMode};
+use crate::offline::offline_solve;
 
 /// The result of a competitive-ratio study on one instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,9 +56,11 @@ impl CrReport {
 /// `CrReport::optimum` is the natural order's.
 ///
 /// # Panics
-/// Panics if `orders == 0` or the natural-order offline optimum is zero
-/// (no feasible matching — a degenerate instance with no meaningful
-/// ratio).
+/// Panics if `orders == 0`, if the instance's workers re-enter (the exact
+/// optimum is the one-shot matching, which a re-entry run can beat, so
+/// its ratios could exceed 1), or if the natural-order offline optimum
+/// is zero (no feasible matching — a degenerate instance with no
+/// meaningful ratio).
 pub fn competitive_ratio_random_order(
     instance: &Instance,
     make_matcher: &mut dyn FnMut() -> Box<dyn OnlineMatcher>,
@@ -66,7 +68,11 @@ pub fn competitive_ratio_random_order(
     seed: u64,
 ) -> CrReport {
     assert!(orders > 0, "need at least one arrival order");
-    let opt = offline_solve(instance, OfflineMode::ExactBipartite).total_revenue;
+    assert!(
+        !instance.config.service.reentry,
+        "competitive ratio needs a one-shot instance; its workers re-enter"
+    );
+    let opt = offline_solve(instance).total_revenue;
     assert!(
         opt > 0.0,
         "offline optimum is zero; competitive ratio undefined"
@@ -89,7 +95,7 @@ pub fn competitive_ratio_random_order(
         let opt_trial = if trial == 0 {
             opt
         } else {
-            offline_solve(inst, OfflineMode::ExactBipartite).total_revenue
+            offline_solve(inst).total_revenue
         };
         let mut matcher = make_matcher();
         let result = run_online(inst, matcher.as_mut(), seed.wrapping_add(trial as u64));
@@ -212,6 +218,21 @@ mod tests {
             &inst,
             &mut || Box::new(TotaGreedy) as Box<dyn OnlineMatcher>,
             0,
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a one-shot instance")]
+    fn reentry_instance_rejected() {
+        // Under re-entry a worker serves several requests, so an online
+        // run can beat the one-shot optimum (ratios above 1).
+        let mut inst = cr_instance();
+        inst.config.service = ServiceModel::taxi(30.0, 60.0);
+        competitive_ratio_random_order(
+            &inst,
+            &mut || Box::new(TotaGreedy) as Box<dyn OnlineMatcher>,
+            4,
             1,
         );
     }

@@ -1,4 +1,6 @@
-//! Sparse exact maximum-weight matching via successive shortest paths.
+//! Exact maximum-weight bipartite matching via successive shortest paths
+//! — the one exact solver: OFF's Fig. 4 matching (hence every
+//! competitive ratio) and `BatchedCom`'s per-window assignment.
 //!
 //! The city-scale offline instances (tens of thousands of requests) are
 //! far too large for a dense cost matrix, but their bipartite graphs are
@@ -21,7 +23,7 @@
 //! `10⁻⁶`, far beneath the 0.1-granular revenue weights this module is used
 //! with.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::graph::{BipartiteGraph, Matching};
@@ -42,131 +44,126 @@ struct FlowEdge {
     rev: usize,
 }
 
-struct MinCostFlow {
-    graph: Vec<Vec<FlowEdge>>,
-}
-
-impl MinCostFlow {
-    fn new(n: usize) -> Self {
-        MinCostFlow {
-            graph: vec![Vec::new(); n],
-        }
-    }
-
-    fn add_edge(&mut self, from: usize, to: usize, cap: i32, cost: i64, weight: f64) {
-        let rev_from = self.graph[to].len();
-        let rev_to = self.graph[from].len();
-        self.graph[from].push(FlowEdge {
-            to,
-            cap,
-            cost,
-            weight,
-            rev: rev_from,
-        });
-        self.graph[to].push(FlowEdge {
-            to: from,
-            cap: 0,
-            cost: -cost,
-            weight: 0.0,
-            rev: rev_to,
-        });
-    }
-}
-
-#[derive(PartialEq, Eq)]
-struct HeapItem {
-    dist: i64,
-    node: usize,
-}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on distance, tie-break on node for determinism.
-        other
-            .dist
-            .cmp(&self.dist)
-            .then_with(|| other.node.cmp(&self.node))
-    }
+/// Add a unit-capacity edge and its empty reverse to the residual graph.
+fn add_edge(graph: &mut [Vec<FlowEdge>], from: usize, to: usize, cost: i64, weight: f64) {
+    let (rev_from, rev_to) = (graph[to].len(), graph[from].len());
+    graph[from].push(FlowEdge {
+        to,
+        cap: 1,
+        cost,
+        weight,
+        rev: rev_from,
+    });
+    graph[to].push(FlowEdge {
+        to: from,
+        cap: 0,
+        cost: -cost,
+        weight: 0.0,
+        rev: rev_to,
+    });
 }
 
 /// Exact maximum-weight matching for sparse graphs. Edges with
 /// non-positive weight are ignored (they can never help the objective).
+///
+/// A matching never crosses a connected component, so each component is
+/// solved alone and every Dijkstra pass explores only its own component.
 pub(crate) fn ssp_max_weight(g: &BipartiteGraph) -> Matching {
     let n = g.n_left();
-    let m = g.n_right();
-    if n == 0 || m == 0 || g.n_edges() == 0 {
-        return Matching::default();
+    // Union-find over the vertices, right vertex `r` at `n + r`.
+    let mut root: Vec<usize> = (0..n + g.n_right()).collect();
+    fn find(root: &mut [usize], mut v: usize) -> usize {
+        while root[v] != v {
+            root[v] = root[root[v]];
+            v = root[v];
+        }
+        v
     }
-
-    // Node layout: 0 = source, 1..=n left, n+1..=n+m right, n+m+1 sink.
-    let source = 0usize;
-    let sink = n + m + 1;
-    let total = n + m + 2;
-    let mut mcf = MinCostFlow::new(total);
-
-    let quantize = |w: f64| -> i64 { (w * SCALE).round() as i64 };
-
-    for l in 0..n {
-        mcf.add_edge(source, 1 + l, 1, 0, 0.0);
+    let edges: Vec<_> = g.edges().filter(|e| e.weight > 0.0).collect();
+    for e in &edges {
+        let (a, b) = (find(&mut root, e.left), find(&mut root, n + e.right));
+        root[a.max(b)] = a.min(b);
     }
-    for e in g.edges() {
-        if e.weight > 0.0 {
-            mcf.add_edge(
-                1 + e.left,
-                1 + n + e.right,
-                1,
-                -quantize(e.weight),
-                e.weight,
-            );
+    // Per component (indexed by its root): its edges, and its vertices
+    // renumbered from 0 in their global order (`vertices` maps back).
+    let mut parts = vec![Vec::new(); root.len()];
+    for e in &edges {
+        parts[find(&mut root, e.left)].push(*e);
+    }
+    let mut vertices = vec![[Vec::new(), Vec::new()]; root.len()];
+    let mut local = vec![0; root.len()];
+    for v in 0..root.len() {
+        let c = find(&mut root, v);
+        if !parts[c].is_empty() {
+            let side = &mut vertices[c][usize::from(v >= n)];
+            local[v] = side.len();
+            side.push(v);
         }
     }
+    let mut pairs = Vec::new();
+    for (part, [lefts, rights]) in parts.iter().zip(&vertices) {
+        if part.is_empty() {
+            continue;
+        }
+        let mut sub = BipartiteGraph::new(lefts.len(), rights.len());
+        for e in part {
+            sub.add_edge(local[e.left], local[n + e.right], e.weight);
+        }
+        let solved = ssp_connected(&sub).pairs.into_iter();
+        pairs.extend(solved.map(|(l, r, w)| (lefts[l], rights[r] - n, w)));
+    }
+    pairs.sort_by_key(|&(l, _, _)| l);
+    Matching { pairs }
+}
+
+/// [`ssp_max_weight`] on a connected graph of positive edges.
+fn ssp_connected(g: &BipartiteGraph) -> Matching {
+    let (n, m) = (g.n_left(), g.n_right());
+    // Node layout: 0 = source, 1..=n left, n+1..=n+m right, n+m+1 sink.
+    let (source, sink, total) = (0, n + m + 1, n + m + 2);
+    let quantize = |w: f64| -> i64 { (w * SCALE).round() as i64 };
+    let mut graph = vec![Vec::new(); total];
+    for l in 0..n {
+        add_edge(&mut graph, source, 1 + l, 0, 0.0);
+    }
+    for e in g.edges() {
+        let cost = -quantize(e.weight);
+        add_edge(&mut graph, 1 + e.left, 1 + n + e.right, cost, e.weight);
+    }
     for r in 0..m {
-        mcf.add_edge(1 + n + r, sink, 1, 0, 0.0);
+        add_edge(&mut graph, 1 + n + r, sink, 0, 0.0);
     }
 
     // Initial potentials: the network is a DAG (source→L→R→sink), so one
     // layered relaxation gives exact shortest distances under the raw
     // (negative) costs.
     let mut potential = vec![0i64; total];
-    let mut min_right = vec![0i64; m];
     for e in g.edges() {
-        if e.weight > 0.0 {
-            let c = -quantize(e.weight);
-            if c < min_right[e.right] {
-                min_right[e.right] = c;
-            }
-        }
+        let p = &mut potential[1 + n + e.right];
+        *p = (*p).min(-quantize(e.weight));
     }
-    let mut min_sink = 0i64;
-    for r in 0..m {
-        potential[1 + n + r] = min_right[r];
-        min_sink = min_sink.min(min_right[r]);
-    }
-    potential[sink] = min_sink;
+    potential[sink] = potential[1 + n..sink].iter().copied().min().unwrap_or(0);
 
     let inf = i64::MAX / 4;
     let mut dist = vec![inf; total];
-    let mut prev: Vec<(usize, usize)> = vec![(usize::MAX, usize::MAX); total];
-
+    let mut prev = vec![(0, 0); total];
+    let mut heap = BinaryHeap::new();
     loop {
-        // Dijkstra on reduced costs (exact integer arithmetic).
-        dist.iter_mut().for_each(|d| *d = inf);
+        // Dijkstra on reduced costs (exact integer arithmetic), popping
+        // the least `(distance, node)` first and stopping once the sink
+        // is settled.
+        dist.fill(inf);
         dist[source] = 0;
-        let mut heap = BinaryHeap::new();
-        heap.push(HeapItem {
-            dist: 0,
-            node: source,
-        });
-        while let Some(HeapItem { dist: d, node: u }) = heap.pop() {
+        heap.clear();
+        heap.push(Reverse((0, source)));
+        while let Some(Reverse((d, u))) = heap.pop() {
             if d > dist[u] {
                 continue;
             }
-            for (i, e) in mcf.graph[u].iter().enumerate() {
+            if u == sink {
+                break;
+            }
+            for (i, e) in graph[u].iter().enumerate() {
                 if e.cap <= 0 {
                     continue;
                 }
@@ -175,49 +172,39 @@ pub(crate) fn ssp_max_weight(g: &BipartiteGraph) -> Matching {
                 if nd < dist[e.to] {
                     dist[e.to] = nd;
                     prev[e.to] = (u, i);
-                    heap.push(HeapItem {
-                        dist: nd,
-                        node: e.to,
-                    });
+                    heap.push(Reverse((nd, e.to)));
                 }
             }
         }
-        if dist[sink] >= inf {
+        // Stop when no path is left or the next one (its true cost undoes
+        // the potential shift; the source's potential stays 0) would not
+        // increase the total weight.
+        if dist[sink] >= inf || dist[sink] + potential[sink] >= 0 {
             break;
         }
-        // True cost of this augmenting path (undo the potential shift).
-        let true_cost = dist[sink] + potential[sink] - potential[source];
-        if true_cost >= 0 {
-            // Next pair would not increase total weight.
-            break;
-        }
-        // Update potentials for the next round.
-        for v in 0..total {
-            if dist[v] < inf {
-                potential[v] += dist[v];
-            }
+        // Capping at the sink's distance keeps every residual reduced
+        // cost non-negative for the nodes the early stop left unsettled.
+        let reach = dist[sink];
+        for (p, &d) in potential.iter_mut().zip(&dist) {
+            *p += d.min(reach);
         }
         // Augment one unit along the path.
         let mut v = sink;
         while v != source {
             let (u, i) = prev[v];
-            let rev = mcf.graph[u][i].rev;
-            mcf.graph[u][i].cap -= 1;
-            mcf.graph[v][rev].cap += 1;
+            let rev = graph[u][i].rev;
+            graph[u][i].cap -= 1;
+            graph[v][rev].cap += 1;
             v = u;
         }
     }
 
-    // Extract matched pairs: left→right edges whose capacity was consumed.
+    // Matched pairs: forward left→right edges whose capacity was consumed.
     let mut pairs = Vec::new();
     for l in 0..n {
-        for e in &mcf.graph[1 + l] {
-            if e.cap == 0 && e.to > n && e.to <= n + m && e.cost < 0 {
-                pairs.push((l, e.to - n - 1, e.weight));
-            }
-        }
+        let matched = graph[1 + l].iter().filter(|e| e.cap == 0 && e.weight > 0.0);
+        pairs.extend(matched.map(|e| (l, e.to - n - 1, e.weight)));
     }
-    pairs.sort_by_key(|&(l, _, _)| l);
     Matching { pairs }
 }
 
@@ -225,7 +212,6 @@ pub(crate) fn ssp_max_weight(g: &BipartiteGraph) -> Matching {
 mod tests {
     use super::*;
     use crate::greedy::greedy_matching;
-    use crate::hungarian::hungarian;
     use crate::validate::is_valid_matching;
     use proptest::prelude::*;
 
@@ -235,6 +221,26 @@ mod tests {
             g.add_edge(l, r, w);
         }
         g
+    }
+
+    /// Brute force: the best matching over every choice, left vertex by
+    /// left vertex, of one free neighbour or none.
+    fn brute_max_weight(g: &BipartiteGraph) -> f64 {
+        fn best(g: &BipartiteGraph, l: usize, used: &mut [bool]) -> f64 {
+            if l == g.n_left() {
+                return 0.0;
+            }
+            let mut top = best(g, l + 1, used);
+            for &(r, w) in g.neighbors(l) {
+                if !used[r] {
+                    used[r] = true;
+                    top = top.max(w + best(g, l + 1, used));
+                    used[r] = false;
+                }
+            }
+            top
+        }
+        best(g, 0, &mut vec![false; g.n_right()])
     }
 
     #[test]
@@ -262,7 +268,31 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_hungarian_on_paper_example() {
+    fn paper_example_1_tota_offline() {
+        // Fig. 4(a): the TOTA-only bipartite graph of Example 1 has the
+        // optimal matching w1–r2(9), w2–r3(6), w4–r4(3) with revenue 18.
+        // Left = workers w1,w2,w4 (indices 0,1,2); right = r1..r5.
+        let g = graph(
+            3,
+            5,
+            &[
+                (0, 0, 4.0), // w1 can serve r1 (value 4)
+                (0, 1, 9.0), // w1 can serve r2 (value 9)
+                (1, 1, 9.0), // w2 can serve r2
+                (1, 2, 6.0), // w2 can serve r3
+                (2, 3, 3.0), // w4 can serve r4
+            ],
+        );
+        let m = ssp_max_weight(&g);
+        assert_eq!(m.total_weight(), 18.0);
+        assert_eq!(m.len(), 3);
+    }
+
+    #[test]
+    fn paper_example_1_com_offline() {
+        // Fig. 4(b): adding outer workers w3 (serving r3 at 50%) and w5
+        // (serving r5 at 50%) the optimum becomes
+        // 4 + 9 + 6·0.5 + 3 + 4·0.5 = 21.
         let g = graph(
             5,
             5,
@@ -272,11 +302,32 @@ mod tests {
                 (1, 1, 9.0),
                 (1, 2, 6.0),
                 (2, 3, 3.0),
+                // outer worker w3: half-value edge to r3
                 (3, 2, 3.0),
+                // outer worker w5: half-value edge to r5
                 (4, 4, 2.0),
             ],
         );
-        assert_eq!(ssp_max_weight(&g).total_weight(), 21.0);
+        let m = ssp_max_weight(&g);
+        assert_eq!(m.total_weight(), 21.0);
+        assert_eq!(m.len(), 5);
+    }
+
+    #[test]
+    fn leaves_unprofitable_vertices_unmatched() {
+        let g = graph(2, 1, &[(0, 0, 5.0), (1, 0, 3.0)]);
+        let m = ssp_max_weight(&g);
+        assert_eq!(m.total_weight(), 5.0);
+        assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn transposed_instances_agree() {
+        // More left than right vertices (n > m).
+        let g = graph(4, 2, &[(0, 0, 1.0), (1, 0, 8.0), (2, 1, 3.0), (3, 1, 2.0)]);
+        let m = ssp_max_weight(&g);
+        assert_eq!(m.total_weight(), 11.0);
+        assert!(is_valid_matching(&g, &m));
     }
 
     #[test]
@@ -288,6 +339,8 @@ mod tests {
 
     #[test]
     fn large_random_agrees_with_hungarian() {
+        // The literal is the optimum a dense Kuhn–Munkres solver computes
+        // on this graph, bit for bit.
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(7);
@@ -299,9 +352,10 @@ mod tests {
                 rng.random_range(0.1..30.0),
             );
         }
-        let a = ssp_max_weight(&g).total_weight();
-        let b = hungarian(&g).total_weight();
-        assert!((a - b).abs() < 1e-4, "ssp {a} != hungarian {b}");
+        let m = ssp_max_weight(&g);
+        assert!(is_valid_matching(&g, &m));
+        assert_eq!(m.total_weight(), 1014.3642684289398);
+        assert_eq!(m.len(), 40);
     }
 
     #[test]
@@ -326,21 +380,23 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(96))]
         #[test]
-        fn prop_agrees_with_hungarian(
+        fn prop_optimal_vs_brute_force(
+            n in 1usize..=6,
+            m in 1usize..=6,
             edges in proptest::collection::vec(
-                (0usize..5, 0usize..5, 0.1f64..20.0), 0..14),
+                (0usize..6, 0usize..6, 0.1f64..20.0), 0..16),
         ) {
-            let mut g = BipartiteGraph::new(5, 5);
+            let mut g = BipartiteGraph::new(n, m);
             for (l, r, w) in &edges {
-                g.add_edge(*l, *r, *w);
+                g.add_edge(l % n, r % m, *w);
             }
-            let ssp = ssp_max_weight(&g);
-            prop_assert!(is_valid_matching(&g, &ssp));
-            let h = hungarian(&g).total_weight();
-            prop_assert!((ssp.total_weight() - h).abs() < 1e-4,
-                "ssp {} != hungarian {}", ssp.total_weight(), h);
+            let flow = ssp_max_weight(&g);
+            prop_assert!(is_valid_matching(&g, &flow));
+            let brute = brute_max_weight(&g);
+            prop_assert!((flow.total_weight() - brute).abs() < 1e-5,
+                "flow {} != brute {}", flow.total_weight(), brute);
         }
 
         #[test]

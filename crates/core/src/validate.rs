@@ -1,5 +1,5 @@
 //! Matching validation: the run auditor's one-shot cross-check, and the
-//! exact solvers' tests.
+//! exact solver's tests.
 
 use std::collections::HashSet;
 

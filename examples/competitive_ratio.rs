@@ -9,7 +9,7 @@
 use com::prelude::*;
 
 fn main() {
-    // Small instances where Hungarian OFF is exact and fast. One-shot
+    // Small instances where the exact OFF matching is fast. One-shot
     // service (no re-entry) is the regime the theory speaks about.
     let mut config = synthetic(SyntheticParams {
         n_requests: 80,
@@ -21,9 +21,9 @@ fn main() {
     config.service = ServiceModel::one_shot();
     let instance = generate(&config);
 
-    let opt = offline_solve(&instance, OfflineMode::ExactBipartite);
+    let opt = offline_solve(&instance);
     println!(
-        "offline optimum (Hungarian, one-shot): ¥{:.0} over {} requests\n",
+        "offline optimum (exact matching, one-shot): ¥{:.0} over {} requests\n",
         opt.total_revenue,
         instance.request_count()
     );

@@ -34,7 +34,7 @@ fn main() {
     );
 
     // OFF: the full-knowledge baseline (upper reference).
-    let off = offline_solve(&instance, OfflineMode::GreedySchedule);
+    let off = offline_solve(&instance);
     table.push_row(vec![
         "OFF".into(),
         format!("{:.0}", off.total_revenue),

@@ -10,16 +10,42 @@
 # lines that declare a `pub` (not `pub(crate)`) fn, struct, enum, const,
 # trait, type, static, mod or use.
 #
-#   scripts/code-lines.sh                # every crate + workspace total
-#   scripts/code-lines.sh FILE...        # the same three counts per file
-#   scripts/code-lines.sh --against REV  # non-test and pub lines, REV's
-#                                        # crates/ vs this tree: crate
-#                                        # before after delta, then the
-#                                        # same for pub
-#
-# --against reads REV's crates/ through `git archive` into a temp dir, so
-# the "before" column needs no second checkout.
+# Usage is below. FILE paths are relative to the directory the script is
+# run from. --against reads REV's crates/ through `git archive` into a
+# temp dir, so the "before" column needs no second checkout.
 set -euo pipefail
+
+usage() {
+    cat <<'EOF'
+usage: scripts/code-lines.sh                # every crate + workspace total
+       scripts/code-lines.sh FILE...        # the same three counts per file
+       scripts/code-lines.sh --against REV  # non-test and pub lines, REV's
+                                            # crates/ vs this tree: crate
+                                            # before after delta, then the
+                                            # same for pub
+EOF
+}
+# refuse with the usage text and exit 2
+refuse() {
+    echo "code-lines.sh: $1" >&2
+    usage >&2
+    exit 2
+}
+
+case "${1:-}" in
+-h | --help) usage && exit 0 ;;
+--against) [ "$#" -eq 2 ] || refuse "--against takes one REV" ;;
+esac
+# FILE arguments, resolved before the cd to the repo root
+files=()
+if [ "${1:-}" != --against ]; then
+    for f in "$@"; do
+        case "$f" in -*) refuse "unknown flag $f" ;; esac
+        [[ "$f" == /* ]] || f="$PWD/$f"
+        [ -f "$f" ] && [ -r "$f" ] || refuse "cannot read $f"
+        files+=("$f")
+    done
+fi
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 count() { grep -vcE '^\s*(//|$)' || true; }
@@ -64,7 +90,6 @@ crate_counts() {
 row() { printf '%-12s %8s %10s %6s\n' "$@"; }
 
 if [ "${1:-}" = --against ]; then
-    [ "$#" -eq 2 ] || { echo "usage: $0 --against REV" >&2; exit 2; }
     base="$(mktemp -d)"
     trap 'rm -rf "$base"' EXIT
     git archive "$2" crates | tar -x -C "$base"
@@ -82,9 +107,9 @@ if [ "${1:-}" = --against ]; then
         "$pb" "$pa" $((pa - pb))
     exit
 fi
-if [ "$#" -gt 0 ]; then
+if [ "${#files[@]}" -gt 0 ]; then
     row file code non-test pub
-    for f in "$@"; do
+    for f in "${files[@]}"; do
         row "$(basename "$f")" $(counts "$f")
     done
     exit

@@ -120,16 +120,12 @@ fn offline_solvers_are_deterministic() {
         seed: 8,
         ..Default::default()
     });
-    config.service = ServiceModel::one_shot();
-    let inst = generate(&config);
-    for mode in [
-        OfflineMode::ExactBipartite,
-        OfflineMode::SparseExact,
-        OfflineMode::GreedySchedule,
-    ] {
-        let a = offline_solve(&inst, mode);
-        let b = offline_solve(&inst, mode);
-        assert_eq!(a, b, "{mode:?} not deterministic");
+    for service in [ServiceModel::one_shot(), ServiceModel::default_taxi()] {
+        config.service = service;
+        let inst = generate(&config);
+        let a = offline_solve(&inst);
+        let b = offline_solve(&inst);
+        assert_eq!(a, b, "{service:?} not deterministic");
     }
 }
 
@@ -198,7 +194,7 @@ fn candidate_search_digests_are_pinned() {
                 ("demcom", "fnv1a64:63e9c51aec0a098b"),
                 ("ramcom", "fnv1a64:3ba8d3de4fff596a"),
                 ("route-aware:2.5", "fnv1a64:6c4067b7ead04711"),
-                ("batched:30", "fnv1a64:cd41dc07e91a6b35"),
+                ("batched:30", "fnv1a64:8b40e9b0961efd7e"),
             ],
         ),
         (
@@ -209,7 +205,7 @@ fn candidate_search_digests_are_pinned() {
                 ("demcom", "fnv1a64:1f5271c8a8e10f01"),
                 ("ramcom", "fnv1a64:1e1c372bd9bac9ad"),
                 ("route-aware:2.5", "fnv1a64:b3e27ec4277056bf"),
-                ("batched:30", "fnv1a64:3063cad67317f9c0"),
+                ("batched:30", "fnv1a64:6fff8b136d90755d"),
             ],
         ),
     ] {
@@ -234,18 +230,21 @@ fn candidate_search_digests_are_pinned() {
 
 #[test]
 fn offline_solve_is_pinned_on_chengdu_oct() {
-    // Both offline solvers that discover edges through a waiting list:
-    // edge order and every credited cent must survive any change to it.
-    let inst = chengdu_oct_42();
-    let greedy = offline_solve(&inst, OfflineMode::GreedySchedule);
+    // Both offline solvers discover edges through a waiting list: edge
+    // order and every credited cent must survive any change to it. The
+    // profile's workers re-enter, so OFF is the re-entry scheduler.
+    let mut inst = chengdu_oct_42();
+    let greedy = offline_solve(&inst);
     assert_eq!(greedy.total_revenue, 258353.00000000035);
     assert_eq!(greedy.completed, 10_840);
     assert_eq!(
         greedy.revenue_by_platform,
         [132068.30000000013, 126284.70000000022]
     );
-    // The re-entry-free Fig. 4 graph: each worker serves at most once.
-    let exact = offline_solve(&inst, OfflineMode::SparseExact);
+    // A one-shot clone is the Fig. 4 graph: each worker serves at most
+    // once, and OFF is the exact matching.
+    inst.config.service = ServiceModel::one_shot();
+    let exact = offline_solve(&inst);
     assert_eq!(exact.total_revenue, 130380.39999999997);
     assert_eq!(exact.completed, 1_603);
     assert_eq!(exact.revenue_by_platform, [67219.4, 63160.99999999996]);

@@ -144,7 +144,7 @@ proptest! {
         seed in 0u64..100,
     ) {
         let inst = build_instance(workers, requests, true);
-        let opt = offline_solve(&inst, OfflineMode::ExactBipartite).total_revenue;
+        let opt = offline_solve(&inst).total_revenue;
         for mut matcher in [
             Box::new(TotaGreedy) as Box<dyn OnlineMatcher>,
             Box::new(DemCom::default()),
@@ -157,17 +157,6 @@ proptest! {
                 run.algorithm, run.total_revenue(), opt
             );
         }
-    }
-
-    #[test]
-    fn prop_exact_offline_solvers_agree(
-        workers in entity_strategy(12),
-        requests in entity_strategy(24),
-    ) {
-        let inst = build_instance(workers, requests, true);
-        let h = offline_solve(&inst, OfflineMode::ExactBipartite).total_revenue;
-        let s = offline_solve(&inst, OfflineMode::SparseExact).total_revenue;
-        prop_assert!((h - s).abs() < 1e-4, "hungarian {h} != ssp {s}");
     }
 
     #[test]

@@ -19,7 +19,7 @@ fn one_shot_instance(seed: u64, n_requests: usize, n_workers: usize) -> Instance
 fn exact_off_dominates_every_online_run() {
     for seed in [11, 22, 33] {
         let inst = one_shot_instance(seed, 120, 60);
-        let opt = offline_solve(&inst, OfflineMode::ExactBipartite).total_revenue;
+        let opt = offline_solve(&inst).total_revenue;
         for run_seed in [1, 2] {
             for run in [
                 run_online(&inst, &mut TotaGreedy, run_seed),
@@ -37,32 +37,6 @@ fn exact_off_dominates_every_online_run() {
             }
         }
     }
-}
-
-#[test]
-fn sparse_and_dense_exact_solvers_agree_on_synthetic_instances() {
-    for seed in [5, 6] {
-        let inst = one_shot_instance(seed, 150, 70);
-        let dense = offline_solve(&inst, OfflineMode::ExactBipartite);
-        let sparse = offline_solve(&inst, OfflineMode::SparseExact);
-        assert!(
-            (dense.total_revenue - sparse.total_revenue).abs() < 1e-6,
-            "hungarian {} vs ssp {}",
-            dense.total_revenue,
-            sparse.total_revenue
-        );
-        assert_eq!(dense.completed, sparse.completed);
-    }
-}
-
-#[test]
-fn exact_off_caps_the_greedy_schedule_without_reentry() {
-    // No re-entry, so both solve the same combinatorial problem and the
-    // exact matching is at least the schedule heuristic.
-    let inst = one_shot_instance(77, 100, 50);
-    let exact = offline_solve(&inst, OfflineMode::ExactBipartite).total_revenue;
-    let greedy = offline_solve(&inst, OfflineMode::GreedySchedule).total_revenue;
-    assert!(exact >= greedy - 1e-6);
 }
 
 #[test]
@@ -84,8 +58,8 @@ fn reentry_off_never_serves_fewer_than_one_shot_off() {
     // generation), so the comparison is apples to apples.
     assert_eq!(inst_one.stream, inst_re.stream);
 
-    let off_one = offline_solve(&inst_one, OfflineMode::GreedySchedule);
-    let off_re = offline_solve(&inst_re, OfflineMode::GreedySchedule);
+    let off_one = offline_solve(&inst_one);
+    let off_re = offline_solve(&inst_re);
     assert!(
         off_re.completed >= off_one.completed,
         "re-entry {} < one-shot {}",

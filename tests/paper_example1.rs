@@ -86,7 +86,7 @@ fn tota_offline_optimum_is_18() {
         histories: HashMap::new(),
         stream: EventStream::from_specs(workers, requests),
     };
-    let off = offline_solve(&single, OfflineMode::ExactBipartite);
+    let off = offline_solve(&single);
     assert_eq!(off.total_revenue, 18.0);
     assert_eq!(off.completed, 3);
 }
@@ -97,12 +97,9 @@ fn com_offline_optimum_is_21() {
     // the request values) lifts the optimum to
     // 4 + 9 + (6−3) + 3 + (4−2) = 21.
     let inst = example_1(3.0, 2.0);
-    let off = offline_solve(&inst, OfflineMode::ExactBipartite);
+    let off = offline_solve(&inst);
     assert_eq!(off.total_revenue, 21.0);
     assert_eq!(off.completed, 5);
-    // Sparse solver agrees.
-    let sparse = offline_solve(&inst, OfflineMode::SparseExact);
-    assert_eq!(sparse.total_revenue, 21.0);
 }
 
 #[test]
@@ -128,7 +125,7 @@ fn demcom_completes_all_five_with_willing_outer_workers() {
 #[test]
 fn online_never_beats_offline_on_example_1() {
     let inst = example_1(0.1, 0.1);
-    let off = offline_solve(&inst, OfflineMode::ExactBipartite);
+    let off = offline_solve(&inst);
     for seed in 0..10 {
         let dem = run_online(&inst, &mut DemCom::default(), seed);
         assert!(dem.total_revenue() <= off.total_revenue + 1e-9);

@@ -67,7 +67,7 @@ fn com_ordering_survives_the_metric_change() {
 fn offline_still_dominates_under_manhattan() {
     let mut inst = instance(DistanceMetric::Manhattan);
     inst.config.service = ServiceModel::one_shot();
-    let opt = offline_solve(&inst, OfflineMode::ExactBipartite).total_revenue;
+    let opt = offline_solve(&inst).total_revenue;
     for seed in [1, 2] {
         let run = run_online(&inst, &mut DemCom::default(), seed);
         assert!(run.total_revenue() <= opt + 1e-6);

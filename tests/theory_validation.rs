@@ -41,7 +41,7 @@ fn theorem_1_greedy_adversarial_ratio_is_unbounded() {
     let mut ratios = Vec::new();
     for big in [10.0, 100.0, 1000.0] {
         let inst = adversarial_instance(big);
-        let opt = offline_solve(&inst, OfflineMode::ExactBipartite).total_revenue;
+        let opt = offline_solve(&inst).total_revenue;
         assert_eq!(opt, big); // the optimum serves the expensive request
         let greedy = run_online(&inst, &mut TotaGreedy, 1).total_revenue();
         assert_eq!(greedy, 1.0); // greedy burned the worker on ¥1
@@ -58,7 +58,7 @@ fn ramcom_randomization_hedges_the_adversary() {
     // expensive one, so the *expected* ratio stays bounded away from the
     // greedy collapse.
     let inst = adversarial_instance(1000.0);
-    let opt = offline_solve(&inst, OfflineMode::ExactBipartite).total_revenue;
+    let opt = offline_solve(&inst).total_revenue;
     let mut total = 0.0;
     let trials = 64;
     // No-fallback literal mode: the hedge is the rejection of the cheap
