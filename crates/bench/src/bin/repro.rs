@@ -1,7 +1,7 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! cargo run -p com-bench --release --bin repro -- <experiment> [--quick] [--out DIR] [--threads N]
+//! cargo run -p com-bench --release --bin repro -- [experiment...] [--quick] [--out DIR] [--threads N]
 //!
 //! experiments:
 //!   table5 table6 table7        the paper's Tables V–VII
@@ -9,10 +9,11 @@
 //!   fig5r  fig5w  fig5rad       Fig. 5 sweeps over |R|, |W|, rad
 //!   cr                          empirical competitive ratios (Thms 1–2)
 //!   ablation                    design ablations (§III-D discussion)
-//!   all                         everything above
+//!   all                         everything above (the default)
 //! flags:
 //!   --quick                     1/10-scale smoke run (minutes, not hours)
-//!   --out DIR                   write markdown + JSON dumps (default: results/)
+//!   --out DIR                   write markdown + JSON dumps (default: results/);
+//!                               created before anything runs
 //!   --threads N                 fan the (instance × matcher × seed) grid
 //!                               across N workers (default: all cores;
 //!                               --threads 1 = old serial behaviour).
@@ -28,26 +29,14 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use com_bench::experiments::{ablation, cr, figures, tables};
+use com_bench::experiments::{ablation, cr, figures, tables, EXPERIMENTS};
 use com_bench::runner::SweepRunner;
 use com_bench::{CountingAllocator, Table};
+use com_datagen::Cli;
 use serde::Serialize;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
-
-/// Every experiment `all` runs, in order.
-const EXPERIMENTS: [&str; 9] = [
-    "table5",
-    "table6",
-    "table7",
-    "table5x30",
-    "fig5r",
-    "fig5w",
-    "fig5rad",
-    "cr",
-    "ablation",
-];
 
 struct Args {
     experiments: Vec<String>,
@@ -56,66 +45,29 @@ struct Args {
     threads: usize,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: repro <table5|table6|table7|fig5r|fig5w|fig5rad|cr|ablation|all> \
-         [--quick] [--out DIR] [--threads N]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut experiments = Vec::new();
-    let mut quick = false;
-    let mut out = PathBuf::from("results");
-    let mut threads = 0; // all cores
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
+fn parse_args(cli: &mut Cli) -> Args {
+    let mut args = Args {
+        experiments: Vec::new(),
+        quick: false,
+        out: PathBuf::from("results"),
+        threads: 0, // all cores
+    };
+    while let Some(arg) = cli.next() {
         match arg.as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                out = PathBuf::from(argv.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a directory");
-                    usage()
-                }));
-            }
-            "--threads" => {
-                threads = argv
-                    .next()
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads needs a worker count");
-                        usage()
-                    })
-                    .parse()
-                    .unwrap_or_else(|_| {
-                        eprintln!("--threads must be an integer (0 = all cores)");
-                        usage()
-                    });
-            }
-            "--help" | "-h" => {
-                println!("usage: repro <table5|table6|table7|fig5r|fig5w|fig5rad|cr|ablation|all> [--quick] [--out DIR] [--threads N]");
-                std::process::exit(0);
-            }
+            "--quick" => args.quick = true,
+            "--out" => args.out = cli.value().into(),
+            "--threads" => args.threads = cli.parse(),
             // Every name is checked here, before anything runs, so a typo
             // anywhere on the command line writes nothing.
-            name if name == "all" || EXPERIMENTS.contains(&name) => {
-                experiments.push(name.to_string())
-            }
-            other => {
-                eprintln!("unknown experiment `{other}` (see --help)");
-                std::process::exit(2);
-            }
+            name if name == "all" || EXPERIMENTS.contains(&name) => args.experiments.push(arg),
+            flag if flag.starts_with('-') => cli.unknown(flag),
+            name => cli.usage_error(format!("unknown experiment `{name}`")),
         }
     }
-    if experiments.is_empty() {
-        experiments.push("all".to_string());
+    if args.experiments.is_empty() || args.experiments.iter().any(|e| e == "all") {
+        args.experiments = EXPERIMENTS.map(String::from).to_vec();
     }
-    Args {
-        experiments,
-        quick,
-        out,
-        threads,
-    }
+    args
 }
 
 /// Print each table, then save them as `name.md` (a lone table as is,
@@ -129,7 +81,6 @@ fn emit(out: &Path, name: &str, tables: &[Table], json: &impl Serialize) {
             markdown.push('\n');
         }
     }
-    fs::create_dir_all(out).expect("create output directory");
     fs::write(out.join(format!("{name}.md")), markdown).expect("write markdown");
     let json = serde_json::to_string_pretty(json).expect("serialise");
     fs::write(out.join(format!("{name}.json")), json).expect("write json");
@@ -169,23 +120,28 @@ fn run(runner: &SweepRunner, name: &str, quick: bool, out: &Path) {
 }
 
 fn main() {
-    let args = parse_args();
+    let usage = format!(
+        "usage: repro [EXPERIMENT...] [--quick] [--out DIR] [--threads N]\n\
+         \x20 experiments: {} all (the default: every one)",
+        EXPERIMENTS.join(" ")
+    );
+    let mut cli = Cli::new("repro", usage);
+    let args = parse_args(&mut cli);
+    // The output directory exists before the first experiment runs, so an
+    // unwritable `--out` costs nothing.
+    fs::create_dir_all(&args.out)
+        .unwrap_or_else(|e| cli.fail(format!("cannot create --out {}: {e}", args.out.display())));
     let runner = SweepRunner::new(args.threads);
-    let list: Vec<String> = if args.experiments.iter().any(|e| e == "all") {
-        EXPERIMENTS.iter().map(|s| s.to_string()).collect()
-    } else {
-        args.experiments.clone()
-    };
 
     println!(
         "repro: {} experiment(s), {} mode, {} worker thread(s), output -> {}",
-        list.len(),
+        args.experiments.len(),
         if args.quick { "quick" } else { "full" },
         runner.threads(),
         args.out.display()
     );
 
-    for name in &list {
+    for name in &args.experiments {
         let started = Instant::now();
         CountingAllocator::reset_peak();
         run(&runner, name, args.quick, &args.out);

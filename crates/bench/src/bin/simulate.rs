@@ -2,17 +2,18 @@
 //!
 //! ```text
 //! cargo run -p com-bench --release --bin simulate -- \
-//!     [--config scenario.json | --profile chengdu-oct|chengdu-nov|xian-nov|synthetic \
+//!     [--config scenario.json \
+//!      | --profile chengdu-oct|chengdu-nov|xian-nov|synthetic|quick|full-scale \
 //!      | --workers-csv W.csv --requests-csv R.csv [--platforms "A,B"]] \
-//!     [--algo tota|demcom|ramcom|greedy-rt|route-aware:<cap-km>|all] \
+//!     [--matcher tota|demcom|ramcom|greedy-rt|route-aware:<cap-km>|all[,…]] \
 //!     [--seed N] [--metric euclidean|manhattan] [--json out.json] \
 //!     [--stats] [--trace out.jsonl] [--threads N]
 //! ```
 //!
-//! Algorithm names parse through `com-core`'s `MatcherSpec` — the
-//! same source of truth the `repro` harness uses — so an unknown
-//! `--algo` produces an error listing the valid specs instead of a
-//! panic.
+//! `--matcher` takes a comma-separated list (default `all`, the standard
+//! three). Each name parses through `com-core`'s `MatcherSpec` — the
+//! same source of truth the `repro` harness and the serving binaries use
+//! — so an unknown spec exits 2 with an error listing the valid specs.
 //!
 //! `--threads N` replays the requested algorithms on N workers via the
 //! deterministic sweep runner (default 1; `0` = all cores). Results are
@@ -43,18 +44,22 @@ use std::path::PathBuf;
 
 use com_bench::runner::{merged_telemetry, run_grid, SweepRunner};
 use com_bench::Table;
-use com_core::{MatcherSpec, RunResult};
-use com_datagen::{generate, instance_from_csv, profiles, ScenarioConfig};
+use com_core::{MatcherSpec, RunResult, SpecError};
+use com_datagen::{generate, instance_from_csv, Cli};
 use com_geo::DistanceMetric;
 use com_sim::{Instance, PlatformId, WorldConfig};
 
+const USAGE: &str = "usage: simulate [--config FILE | --profile NAME \
+     | --workers-csv W.csv --requests-csv R.csv [--platforms NAMES]] \
+     [--matcher LIST] [--seed N] [--metric euclidean|manhattan] \
+     [--json FILE] [--stats] [--trace FILE.jsonl] [--threads N] \
+     [--emit-config]";
+
 struct Args {
-    config: Option<PathBuf>,
-    profile: String,
     workers_csv: Option<PathBuf>,
     requests_csv: Option<PathBuf>,
     platforms: Vec<String>,
-    algos: Vec<String>,
+    specs: Vec<MatcherSpec>,
     seed: u64,
     metric: DistanceMetric,
     json_out: Option<PathBuf>,
@@ -64,25 +69,12 @@ struct Args {
     threads: usize,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: simulate [--config FILE | --profile NAME \
-         | --workers-csv W.csv --requests-csv R.csv [--platforms NAMES]] \
-         [--algo LIST] [--seed N] [--metric euclidean|manhattan] \
-         [--json FILE] [--stats] [--trace FILE.jsonl] [--threads N] \
-         [--emit-config]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
+fn parse_args(cli: &mut Cli) -> Args {
     let mut args = Args {
-        config: None,
-        profile: "synthetic".into(),
         workers_csv: None,
         requests_csv: None,
         platforms: vec!["A".into(), "B".into()],
-        algos: vec!["all".into()],
+        specs: MatcherSpec::standard().to_vec(),
         seed: 42,
         metric: DistanceMetric::Euclidean,
         json_out: None,
@@ -91,79 +83,41 @@ fn parse_args() -> Args {
         trace: None,
         threads: 1,
     };
-    let mut argv = std::env::args().skip(1);
-    while let Some(a) = argv.next() {
-        let mut next = |flag: &str| {
-            argv.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                usage()
-            })
-        };
-        match a.as_str() {
-            "--config" => args.config = Some(PathBuf::from(next("--config"))),
-            "--profile" => args.profile = next("--profile"),
-            "--workers-csv" => args.workers_csv = Some(PathBuf::from(next("--workers-csv"))),
-            "--requests-csv" => args.requests_csv = Some(PathBuf::from(next("--requests-csv"))),
-            "--platforms" => {
-                args.platforms = next("--platforms")
-                    .split(',')
-                    .map(|s| s.to_string())
-                    .collect()
-            }
-            "--algo" => args.algos = next("--algo").split(',').map(|s| s.to_string()).collect(),
-            "--seed" => {
-                args.seed = next("--seed").parse().unwrap_or_else(|_| {
-                    eprintln!("--seed must be an integer");
-                    usage()
-                })
-            }
+    while let Some(arg) = cli.next() {
+        match arg.as_str() {
+            "--workers-csv" => args.workers_csv = Some(cli.value().into()),
+            "--requests-csv" => args.requests_csv = Some(cli.value().into()),
+            "--platforms" => args.platforms = cli.value().split(',').map(String::from).collect(),
+            "--matcher" => args.specs = cli.parse_with(parse_specs),
+            "--seed" => args.seed = cli.parse(),
             "--metric" => {
-                args.metric = match next("--metric").as_str() {
-                    "euclidean" => DistanceMetric::Euclidean,
-                    "manhattan" => DistanceMetric::Manhattan,
-                    other => {
-                        eprintln!("unknown metric {other}");
-                        usage()
-                    }
-                }
-            }
-            "--json" => args.json_out = Some(PathBuf::from(next("--json"))),
-            "--stats" => args.stats = true,
-            "--trace" => args.trace = Some(PathBuf::from(next("--trace"))),
-            "--threads" => {
-                args.threads = next("--threads").parse().unwrap_or_else(|_| {
-                    eprintln!("--threads must be an integer (0 = all cores)");
-                    usage()
+                args.metric = cli.parse_with(|metric| match metric {
+                    "euclidean" => Ok(DistanceMetric::Euclidean),
+                    "manhattan" => Ok(DistanceMetric::Manhattan),
+                    _ => Err("must be euclidean or manhattan"),
                 })
             }
+            "--json" => args.json_out = Some(cli.value().into()),
+            "--stats" => args.stats = true,
+            "--trace" => args.trace = Some(cli.value().into()),
+            "--threads" => args.threads = cli.parse(),
             "--emit-config" => args.emit_config = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage()
-            }
+            _ => cli.unknown(&arg),
         }
+    }
+    if args.workers_csv.is_some() != args.requests_csv.is_some() {
+        cli.usage_error("--workers-csv and --requests-csv must be given together")
     }
     args
 }
 
-/// Print a one-line error and exit 2 (bad input, not a bug).
-fn fail(message: impl std::fmt::Display) -> ! {
-    eprintln!("simulate: {message}");
-    std::process::exit(2)
-}
-
-/// Parse every requested `--algo` spec (`all` is the standard three),
-/// exiting with the parser's own error message (which lists the valid
-/// specs) on the first unknown name.
-fn parse_algos(names: &[String]) -> Vec<MatcherSpec> {
-    if names.iter().any(|a| a == "all") {
-        return MatcherSpec::standard().to_vec();
+/// A `--matcher` list: comma-separated specs, `all` for the standard
+/// three.
+fn parse_specs(list: &str) -> Result<Vec<MatcherSpec>, SpecError> {
+    if list.split(',').any(|name| name == "all") {
+        return Ok(MatcherSpec::standard().to_vec());
     }
-    names
-        .iter()
-        .map(|name| MatcherSpec::parse(name).unwrap_or_else(|e| fail(e)))
-        .collect()
+    list.split(',').map(MatcherSpec::parse).collect()
 }
 
 fn report_row(run: &RunResult, platforms: usize) -> Vec<String> {
@@ -184,28 +138,21 @@ fn report_row(run: &RunResult, platforms: usize) -> Vec<String> {
     ]
 }
 
-fn build_instance(args: &Args, scenario: &ScenarioConfig) -> Instance {
-    match (&args.workers_csv, &args.requests_csv) {
-        (Some(w), Some(r)) => {
-            let read = |path: &PathBuf| {
-                fs::read_to_string(path)
-                    .unwrap_or_else(|e| fail(format!("cannot read {}: {e}", path.display())))
-            };
-            let (workers, requests) = (read(w), read(r));
-            instance_from_csv(
-                &workers,
-                &requests,
-                args.platforms.clone(),
-                WorldConfig::city(30.0),
-            )
-            .unwrap_or_else(|e| fail(format!("CSV error: {e}")))
-        }
-        (None, None) => generate(scenario),
-        _ => {
-            eprintln!("--workers-csv and --requests-csv must be given together");
-            usage()
-        }
-    }
+fn build_instance(cli: &Cli, args: &Args) -> Instance {
+    let (Some(w), Some(r)) = (&args.workers_csv, &args.requests_csv) else {
+        return generate(&cli.scenario());
+    };
+    let read = |path: &PathBuf| {
+        fs::read_to_string(path)
+            .unwrap_or_else(|e| cli.fail(format!("cannot read {}: {e}", path.display())))
+    };
+    instance_from_csv(
+        &read(w),
+        &read(r),
+        args.platforms.clone(),
+        WorldConfig::city(30.0),
+    )
+    .unwrap_or_else(|e| cli.fail(format!("CSV error: {e}")))
 }
 
 /// Nanoseconds rendered as microseconds with one decimal.
@@ -268,19 +215,16 @@ fn print_telemetry(reports: &[com_obs::RunTelemetry]) {
 }
 
 fn main() {
-    let args = parse_args();
-    let scenario =
-        profiles::load(args.config.as_deref(), &args.profile).unwrap_or_else(|e| fail(e));
+    let mut cli = Cli::new("simulate", USAGE).with_scenario("synthetic");
+    let args = parse_args(&mut cli);
 
     if args.emit_config {
         println!(
             "{}",
-            serde_json::to_string_pretty(&scenario).expect("serialise scenario")
+            serde_json::to_string_pretty(&cli.scenario()).expect("serialise scenario")
         );
         return;
     }
-
-    let specs = parse_algos(&args.algos);
 
     let threads = if args.trace.is_some() && args.threads != 1 {
         eprintln!("--trace streams through a single collector; forcing --threads 1");
@@ -289,7 +233,7 @@ fn main() {
         args.threads
     };
 
-    let mut instance = build_instance(&args, &scenario);
+    let mut instance = build_instance(&cli, &args);
     instance.config.metric = args.metric;
     println!(
         "scenario: {} requests, {} workers, {} platforms ({}), metric {:?}, seed {}",
@@ -316,8 +260,7 @@ fn main() {
     );
     if let Some(path) = &args.trace {
         com_obs::install_with_trace(path).unwrap_or_else(|e| {
-            eprintln!("cannot open trace file {}: {e}", path.display());
-            std::process::exit(2)
+            cli.fail(format!("cannot open trace file {}: {e}", path.display()))
         });
     }
 
@@ -327,7 +270,7 @@ fn main() {
     // active (the runner never clobbers a live collector); with `--stats`
     // the runner installs one per worker.
     let runner = SweepRunner::new(threads).with_telemetry(args.stats || args.trace.is_some());
-    let runs = run_grid(&runner, &instance, &specs, &[args.seed]);
+    let runs = run_grid(&runner, &instance, &args.specs, &[args.seed]);
 
     let mut dumps = Vec::new();
     let mut reports = Vec::new();
@@ -370,7 +313,7 @@ fn main() {
             }))
             .expect("serialise results"),
         )
-        .expect("write json output");
+        .unwrap_or_else(|e| cli.fail(format!("cannot write {}: {e}", path.display())));
         println!("results written to {}", path.display());
     }
 }

@@ -9,6 +9,19 @@
 //! (instance × matcher × seed) grid fans out across threads with
 //! bit-identical results.
 
+/// Every experiment `repro` runs, in the order `repro all` runs them.
+pub const EXPERIMENTS: [&str; 9] = [
+    "table5",
+    "table6",
+    "table7",
+    "table5x30",
+    "fig5r",
+    "fig5w",
+    "fig5rad",
+    "cr",
+    "ablation",
+];
+
 pub mod ablation;
 pub mod cr;
 pub mod figures;

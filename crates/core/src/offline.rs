@@ -51,10 +51,11 @@ fn acceptance_floor(instance: &Instance, w: &WorkerSpec) -> Value {
 }
 
 /// The offline edge weight for worker `w`, whose range covers request
-/// `r`, serving `r`; `None` when infeasible (time violated, or the outer
-/// floor eats the whole value).
+/// `r`, serving `r`; `None` when infeasible (time violated — the worker
+/// not yet arrived or its shift over, the window `World::advance_to`
+/// keeps — or the outer floor eats the whole value).
 fn edge_weight(instance: &Instance, w: &WorkerSpec, r: &RequestSpec) -> Option<Value> {
-    if w.arrival > r.arrival {
+    if w.arrival > r.arrival || r.arrival - w.arrival >= instance.config.service.shift_secs {
         return None;
     }
     let weight = if w.platform == r.platform {
@@ -340,6 +341,42 @@ mod tests {
             let off = offline_solve(&inst);
             assert_eq!(off.completed, 0, "{service:?}");
             assert_eq!(off.total_revenue, 0.0, "{service:?}");
+        }
+    }
+
+    #[test]
+    fn a_closed_shift_gives_no_edge_under_either_service_model() {
+        // One worker arriving at 0 s with a 100 s shift: a request at 50 s
+        // is served, the same request at 500 s finds the worker gone.
+        let p0 = PlatformId(0);
+        let workers = vec![WorkerSpec::new(
+            WorkerId(1),
+            p0,
+            ts(0.0),
+            Point::new(2.0, 2.0),
+            1.0,
+        )];
+        for (at, completed) in [(50.0, 1), (500.0, 0)] {
+            let requests = vec![RequestSpec::new(
+                RequestId(1),
+                p0,
+                ts(at),
+                Point::new(2.1, 2.0),
+                5.0,
+            )];
+            for service in [ServiceModel::one_shot(), ServiceModel::taxi(30.0, 60.0)] {
+                let mut config = WorldConfig::city(10.0);
+                config.service = service.with_shift(100.0);
+                let inst = Instance {
+                    config,
+                    platform_names: vec!["A".into()],
+                    histories: HashMap::new(),
+                    stream: EventStream::from_specs(workers.clone(), requests.clone()),
+                };
+                let off = offline_solve(&inst);
+                let service = inst.config.service;
+                assert_eq!(off.completed, completed, "request at {at} s, {service:?}");
+            }
         }
     }
 

@@ -27,7 +27,11 @@
 //!   RYC10), `chengdu_nov` (RDC11 + RYC11), `xian_nov` (RDX11 + RYX11),
 //!   each at 1/10 of the paper's daily volume, plus the Table IV
 //!   synthetic sweep configurations.
+//! * [`Cli`] — the command-line grammar every binary of the workspace
+//!   shares: one argument walker, `--profile NAME | --config FILE` for the
+//!   scenario, one `--help` and exit-code policy.
 
+mod cli;
 mod csv;
 mod dist;
 mod hotspot;
@@ -36,6 +40,7 @@ mod scenario;
 mod temporal;
 mod values;
 
+pub use cli::Cli;
 pub use csv::{instance_from_csv, requests_to_csv, workers_to_csv, CsvError};
 pub use hotspot::{Hotspot, SpatialMixture};
 pub use scenario::{generate, PlatformSpec, ScenarioConfig};

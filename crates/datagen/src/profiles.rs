@@ -210,7 +210,7 @@ pub fn synthetic(params: SyntheticParams) -> ScenarioConfig {
     )
 }
 
-/// The small synthetic smoke scenario behind every CLI's `--quick` (400
+/// The small synthetic smoke scenario behind `--profile quick` (400
 /// requests, 120 workers): what the CI serving smokes and the committed
 /// trace corpus run.
 pub fn quick() -> ScenarioConfig {
@@ -221,8 +221,8 @@ pub fn quick() -> ScenarioConfig {
     })
 }
 
-/// The full-scale synthetic city behind `--full-scale` (4000 requests,
-/// 1200 workers — 10× [`quick`]).
+/// The full-scale synthetic city behind `--profile full-scale` (4000
+/// requests, 1200 workers — 10× [`quick`]).
 pub fn full_scale() -> ScenarioConfig {
     synthetic(SyntheticParams {
         n_requests: 4_000,
@@ -232,8 +232,8 @@ pub fn full_scale() -> ScenarioConfig {
 }
 
 /// Resolve a `--profile` token (`chengdu-oct`, `chengdu-nov`, `xian-nov`,
-/// `synthetic`, and the `quick` / `full-scale` presets behind the flags
-/// of those names) to its scenario; `None` for an unknown name.
+/// `synthetic`, `quick`, `full-scale`) to its scenario; `None` for an
+/// unknown name.
 pub(crate) fn by_name(name: &str) -> Option<ScenarioConfig> {
     match name {
         "chengdu-oct" => Some(chengdu_oct()),
@@ -248,9 +248,9 @@ pub(crate) fn by_name(name: &str) -> Option<ScenarioConfig> {
 
 /// The scenario a CLI was asked for: the serialised [`ScenarioConfig`] in
 /// `config` (`--config FILE`) when given, else the `profile` token. The
-/// error is one line naming the file or token; every binary prints it and
-/// exits 2.
-pub fn load(config: Option<&Path>, profile: &str) -> Result<ScenarioConfig, String> {
+/// error is one line naming the file or token; [`crate::Cli::scenario`]
+/// prints it and exits 2.
+pub(crate) fn load(config: Option<&Path>, profile: &str) -> Result<ScenarioConfig, String> {
     let Some(path) = config else {
         return by_name(profile).ok_or_else(|| format!("unknown profile {profile}"));
     };

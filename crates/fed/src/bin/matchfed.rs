@@ -9,16 +9,16 @@
 //! and zero degraded offers. Any failed invariant exits 1.
 //!
 //! ```text
-//! matchfed --quick                               # in-process pair
-//! matchfed --quick --addr-file-a a.addr \
+//! matchfed --profile quick                       # in-process pair
+//! matchfed --profile quick --addr-file-a a.addr \
 //!          --addr-file-b b.addr                  # two external matchd
 //! ```
 //!
 //! Flags:
 //!
-//! * `--quick` — small synthetic scenario (400 requests, 120 workers).
-//! * `--full-scale` — the full-scale city scenario (4000 requests, 1200
-//!   workers).
+//! * `--profile NAME` / `--config FILE` — the scenario (default `quick`,
+//!   400 requests and 120 workers; `full-scale` is the 10× city),
+//!   named through `com_datagen::Cli`.
 //! * `--matcher <spec>` / `--seed <n>` — matcher and seed (both the
 //!   daemons and the local reference use them).
 //! * `--frame ndjson|binary` — wire framing for the client links (the
@@ -26,23 +26,25 @@
 //! * `--addr-a`, `--addr-b` — two external daemons instead of the
 //!   in-process pair; `--addr-file-a` / `--addr-file-b` poll a
 //!   `matchd --addr-file` drop instead (CI orchestration).
-//! * `--deadline-ms <n>` — per-offer deadline.
+//! * `--deadline-ms <n>` — per-offer deadline (0 is refused).
 //! * `--json <path>` — write the machine-readable report.
 
 use std::fs;
 use std::time::{Duration, Instant};
 
-use com_datagen::{generate, profiles};
+use com_core::MatcherSpec;
+use com_datagen::{generate, Cli};
 use com_fed::{drive_federated, verify, FedOptions, FedReport, LoopbackPair};
-use com_serve::{ServerConfig, WireFormat};
+use com_serve::ServerConfig;
+
+const USAGE: &str =
+    "usage: matchfed [--profile NAME | --config FILE] [--matcher SPEC] [--seed N]\n\
+     \x20               [--frame ndjson|binary] [--deadline-ms N] [--json PATH]\n\
+     \x20               [--addr-a HOST:PORT --addr-b HOST:PORT]\n\
+     \x20               [--addr-file-a PATH --addr-file-b PATH]";
 
 struct Args {
-    quick: bool,
-    full_scale: bool,
-    matcher: String,
-    seed: u64,
-    frame: WireFormat,
-    deadline_ms: u64,
+    options: FedOptions,
     json_out: Option<String>,
     addr_a: Option<String>,
     addr_b: Option<String>,
@@ -50,75 +52,33 @@ struct Args {
     addr_file_b: Option<String>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: matchfed [--quick | --full-scale] [--matcher SPEC] [--seed N]\n\
-         \x20               [--frame ndjson|binary] [--deadline-ms N]\n\
-         \x20               [--json PATH]\n\
-         \x20               [--addr-a HOST:PORT --addr-b HOST:PORT]\n\
-         \x20               [--addr-file-a PATH --addr-file-b PATH]"
-    );
-    std::process::exit(2)
-}
-
-fn parse_args() -> Args {
+fn parse_args(cli: &mut Cli) -> Args {
     let mut args = Args {
-        quick: false,
-        full_scale: false,
-        matcher: "demcom".into(),
-        seed: 42,
-        frame: WireFormat::Ndjson,
-        deadline_ms: com_serve::DEFAULT_OFFER_DEADLINE_MS,
+        options: FedOptions::default(),
         json_out: None,
         addr_a: None,
         addr_b: None,
         addr_file_a: None,
         addr_file_b: None,
     };
-    let mut argv = std::env::args().skip(1);
-    let next = |flag: &str, argv: &mut dyn Iterator<Item = String>| -> String {
-        argv.next().unwrap_or_else(|| {
-            eprintln!("{flag} needs a value");
-            usage()
-        })
-    };
-    while let Some(arg) = argv.next() {
+    while let Some(arg) = cli.next() {
         match arg.as_str() {
-            "--quick" => args.quick = true,
-            "--full-scale" => args.full_scale = true,
-            "--matcher" => args.matcher = next("--matcher", &mut argv),
-            "--seed" => {
-                args.seed = next("--seed", &mut argv).parse().unwrap_or_else(|_| {
-                    eprintln!("--seed needs an integer");
-                    usage()
-                })
-            }
-            "--frame" => {
-                let token = next("--frame", &mut argv);
-                args.frame = WireFormat::parse(&token).unwrap_or_else(|| {
-                    eprintln!("--frame must be ndjson or binary");
-                    usage()
-                })
-            }
-            "--deadline-ms" => {
-                args.deadline_ms = next("--deadline-ms", &mut argv)
-                    .parse()
-                    .unwrap_or_else(|_| {
-                        eprintln!("--deadline-ms needs an integer");
-                        usage()
-                    })
-            }
-            "--json" => args.json_out = Some(next("--json", &mut argv)),
-            "--addr-a" => args.addr_a = Some(next("--addr-a", &mut argv)),
-            "--addr-b" => args.addr_b = Some(next("--addr-b", &mut argv)),
-            "--addr-file-a" => args.addr_file_a = Some(next("--addr-file-a", &mut argv)),
-            "--addr-file-b" => args.addr_file_b = Some(next("--addr-file-b", &mut argv)),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage()
-            }
+            "--matcher" => args.options.matcher = cli.parse::<MatcherSpec>().to_string(),
+            "--seed" => args.options.seed = cli.parse(),
+            "--frame" => args.options.frame = cli.parse(),
+            "--deadline-ms" => args.options.deadline_ms = cli.count() as u64,
+            "--json" => args.json_out = Some(cli.value()),
+            "--addr-a" => args.addr_a = Some(cli.value()),
+            "--addr-b" => args.addr_b = Some(cli.value()),
+            "--addr-file-a" => args.addr_file_a = Some(cli.value()),
+            "--addr-file-b" => args.addr_file_b = Some(cli.value()),
+            _ => cli.unknown(&arg),
         }
+    }
+    let external_a = args.addr_a.is_some() || args.addr_file_a.is_some();
+    let external_b = args.addr_b.is_some() || args.addr_file_b.is_some();
+    if external_a != external_b {
+        cli.usage_error("provide both daemon addresses or neither")
     }
     args
 }
@@ -144,7 +104,7 @@ fn wait_addr_file(path: &str) -> String {
 
 fn report_json(
     scenario: &str,
-    args: &Args,
+    options: &FedOptions,
     report: &FedReport,
     failures: &[String],
 ) -> serde_json::Value {
@@ -176,9 +136,9 @@ fn report_json(
         .collect();
     serde_json::json!({
         "scenario": scenario,
-        "matcher": args.matcher,
-        "seed": args.seed,
-        "frame": args.frame.as_str(),
+        "matcher": options.matcher,
+        "seed": options.seed,
+        "frame": options.frame.as_str(),
         "events": report.events,
         "events_per_sec": report.events_per_sec(),
         "daemons": daemons,
@@ -188,26 +148,11 @@ fn report_json(
 }
 
 fn main() {
-    let args = parse_args();
-    let scenario_name = if args.full_scale {
-        "full-scale"
-    } else {
-        "quick"
-    };
-    let scenario = if args.full_scale {
-        profiles::full_scale()
-    } else {
-        // --quick and the default are the same small scenario.
-        profiles::quick()
-    };
-    let instance = generate(&scenario);
-    let options = FedOptions {
-        matcher: args.matcher.clone(),
-        seed: args.seed,
-        frame: args.frame,
-        deadline_ms: args.deadline_ms,
-        fed_sid: 1,
-    };
+    let mut cli = Cli::new("matchfed", USAGE).with_scenario("quick");
+    let args = parse_args(&mut cli);
+    let scenario_name = cli.scenario_name();
+    let instance = generate(&cli.scenario());
+    let options = &args.options;
 
     // Resolve the daemon pair: external addresses, addr-file drops, or a
     // fresh in-process pair.
@@ -221,7 +166,7 @@ fn main() {
         .or_else(|| args.addr_file_b.as_deref().map(wait_addr_file));
     let (pair, addr_a, addr_b) = match (external_a, external_b) {
         (Some(a), Some(b)) => (None, a, b),
-        (None, None) => {
+        _ => {
             let pair = LoopbackPair::start(&ServerConfig::default()).unwrap_or_else(|e| {
                 eprintln!("cannot start in-process pair: {e}");
                 std::process::exit(2)
@@ -229,17 +174,13 @@ fn main() {
             let (a, b) = (pair.addr_a(), pair.addr_b());
             (Some(pair), a, b)
         }
-        _ => {
-            eprintln!("provide both daemon addresses or neither");
-            usage()
-        }
     };
 
-    let report = drive_federated(&addr_a, &addr_b, &instance, &options).unwrap_or_else(|e| {
+    let report = drive_federated(&addr_a, &addr_b, &instance, options).unwrap_or_else(|e| {
         eprintln!("federated drive failed: {e}");
         std::process::exit(1)
     });
-    let failures = verify(&instance, &report, &options);
+    let failures = verify(&instance, &report, options);
     if let Some(pair) = pair {
         pair.shutdown();
     }
@@ -249,7 +190,7 @@ fn main() {
         report.events,
         report.wall_secs,
         report.events_per_sec(),
-        args.frame.as_str(),
+        options.frame.as_str(),
     );
     for d in &report.daemons {
         let fed = d.bye.fed.as_ref();
@@ -278,12 +219,9 @@ fn main() {
     }
 
     if let Some(path) = &args.json_out {
-        let value = report_json(scenario_name, &args, &report, &failures);
+        let value = report_json(&scenario_name, options, &report, &failures);
         let text = serde_json::to_string(&value).expect("report serializes");
-        fs::write(path, text).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2)
-        });
+        fs::write(path, text).unwrap_or_else(|e| cli.fail(format!("cannot write {path}: {e}")));
     }
     if !failures.is_empty() {
         std::process::exit(1);

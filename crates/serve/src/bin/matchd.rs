@@ -25,11 +25,11 @@
 //!   an ephemeral port.
 //! * `--addr-file` — write the bound address to FILE once listening
 //!   (how scripts discover an ephemeral port).
-//! * `--queue` — ingress queue capacity per shard (default 1024). Only
-//!   sizes a buffer: when it is full the connection's reader waits and
-//!   TCP pushes back on the client; nothing is dropped.
-//! * `--shards` — shard worker threads (default 1). Sessions are
-//!   identical at any shard count; only parallelism changes.
+//! * `--queue` — ingress queue capacity per shard (default 1024; 0 is
+//!   refused). Only sizes a buffer: when it is full the connection's
+//!   reader waits and TCP pushes back on the client; nothing is dropped.
+//! * `--shards` — shard worker threads (default 1; 0 is refused).
+//!   Sessions are identical at any shard count; only parallelism changes.
 //! * `--once` — exit once at least one connection was accepted and all
 //!   accepted connections have finished (CI smoke runs).
 //! * `--record` — flight recorder: write one trace per logical session
@@ -41,8 +41,11 @@
 //!   Decisions are identical either way (telemetry is observer-only).
 //!
 //! Without `--once` the daemon runs until killed; every in-flight
-//! session is still drained and audited on client disconnect.
+//! session is still drained and audited on client disconnect. The
+//! command line follows `com_datagen::Cli`'s grammar: `--help` exits 0,
+//! a bad flag or value exits 2 before anything binds.
 
+use com_datagen::Cli;
 use com_serve::{serve, ServerConfig};
 
 /// Write the bound address atomically: scripts poll `--addr-file` and
@@ -64,13 +67,8 @@ fn write_addr_file(path: &str, addr: &str) -> std::io::Result<()> {
     std::fs::rename(&tmp, target)
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: matchd [--addr HOST:PORT] [--addr-file FILE] [--queue N] \
-         [--shards N] [--once] [--record DIR] [--no-telemetry]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: matchd [--addr HOST:PORT] [--addr-file FILE] [--queue N] \
+                     [--shards N] [--once] [--record DIR] [--no-telemetry]";
 
 fn main() {
     let mut config = ServerConfig {
@@ -78,46 +76,22 @@ fn main() {
         ..ServerConfig::default()
     };
     let mut addr_file: Option<String> = None;
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        let mut next = |flag: &str| {
-            argv.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                usage()
-            })
-        };
+    let mut cli = Cli::new("matchd", USAGE);
+    while let Some(arg) = cli.next() {
         match arg.as_str() {
-            "--addr" => config.addr = next("--addr"),
-            "--addr-file" => addr_file = Some(next("--addr-file")),
-            "--queue" => {
-                config.queue_capacity = next("--queue").parse().unwrap_or_else(|_| {
-                    eprintln!("--queue must be a positive integer");
-                    usage()
-                })
-            }
-            "--shards" => {
-                config.shards = next("--shards").parse().unwrap_or_else(|_| {
-                    eprintln!("--shards must be a positive integer");
-                    usage()
-                });
-                if config.shards == 0 {
-                    eprintln!("--shards must be a positive integer");
-                    usage()
-                }
-            }
+            "--addr" => config.addr = cli.value(),
+            "--addr-file" => addr_file = Some(cli.value()),
+            "--queue" => config.queue_capacity = cli.count(),
+            "--shards" => config.shards = cli.count(),
             "--once" => config.once = true,
-            "--record" => config.record_dir = Some(next("--record").into()),
+            "--record" => config.record_dir = Some(cli.value().into()),
             "--no-telemetry" => config.telemetry = false,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage()
-            }
+            _ => cli.unknown(&arg),
         }
     }
 
     let once = config.once;
-    let shards = config.shards.max(1);
+    let shards = config.shards;
     if let Some(dir) = &config.record_dir {
         println!("matchd recording session traces to {}", dir.display());
     }

@@ -3,8 +3,8 @@
 //! ```text
 //! cargo run -p com-serve --release --bin matchload -- \
 //!     --addr HOST:PORT \
-//!     [--profile chengdu-oct|chengdu-nov|xian-nov|synthetic | --config FILE] \
-//!     [--quick] [--full-scale] [--matcher SPEC] [--seed N] \
+//!     [--profile chengdu-oct|chengdu-nov|xian-nov|synthetic|quick|full-scale \
+//!      | --config FILE] [--matcher SPEC] [--seed N] \
 //!     [--frame ndjson|binary] [--window N] \
 //!     [--connections M] [--sessions K] \
 //!     [--json FILE]
@@ -19,10 +19,12 @@
 //! latencies, queue high-water); the same tables land in the
 //! `--json` report as `server_shards` and `server_phases`.
 //!
-//! * `--quick` — a small synthetic scenario (400 requests, 120 workers)
-//!   regardless of profile; what CI's serve-smoke job runs.
-//! * `--full-scale` — the full-scale city scenario (4000 requests, 1200
-//!   workers — 10× quick); the paper-scale serving experiment.
+//! * `--profile` / `--config` — the scenario (default `synthetic`),
+//!   named through `com_datagen::Cli`: `quick` is the small
+//!   synthetic scenario (400 requests, 120 workers) CI's serve-smoke job
+//!   runs, `full-scale` the 10× city (4000 requests, 1200 workers).
+//! * `--matcher` — a `com_core::MatcherSpec` (default `demcom`); an
+//!   unknown spec exits 2 before any connection opens.
 //! * `--frame` — wire framing to negotiate in `hello` (default
 //!   `ndjson`); `binary` switches to length-prefixed frames after the
 //!   server's `welcome` confirms.
@@ -38,7 +40,8 @@
 //!   `k` on connection `k % M` (default 1). Never more connections than
 //!   sessions: M is clamped to K.
 //! * `--json` — write the report. One schema whatever K and M: run
-//!   parameters (`scenario`, `matcher`, `seed`, `connections`,
+//!   parameters (`scenario` — the profile name or config path —
+//!   `matcher`, `seed`, `connections`,
 //!   `sessions`, `requests`, `workers`, `events`, `frame`, `window`),
 //!   results (`wall_secs`, `events_per_sec`, `queue_high_water`,
 //!   `general_frames` — binary frames the server decoded through `Content`
@@ -56,97 +59,46 @@
 //! equal to the batch run's, zero audit findings; exit 1 otherwise.
 
 use std::fs;
-use std::path::Path;
 
 use com_core::{try_run_online, MatcherSpec};
-use com_datagen::{generate, profiles};
-use com_serve::{drive, DeepStatsMsg, DriveOptions, ShardRow, WireFormat};
+use com_datagen::{generate, Cli};
+use com_serve::{drive, DeepStatsMsg, DriveOptions, ShardRow};
+
+const USAGE: &str = "usage: matchload --addr HOST:PORT [--profile NAME | --config FILE] \
+     [--matcher SPEC] [--seed N] [--frame ndjson|binary] [--window N] [--connections M] \
+     [--sessions K] [--json FILE]\n\
+     \x20 --window N       max messages in flight per connection (1 = lockstep)\n\
+     \x20 --sessions K     logical sessions, seed N+k each; one is addressed bare,\n\
+     \x20                  more are multiplexed as sids 0..K\n\
+     \x20 --connections M  sockets to spread them over (clamped to K)";
 
 struct Args {
     addr: String,
-    profile: String,
-    config: Option<String>,
     json_out: Option<String>,
     drive: DriveOptions,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: matchload --addr HOST:PORT [--profile NAME | --config FILE] \
-         [--quick] [--full-scale] [--matcher SPEC] [--seed N] \
-         [--frame ndjson|binary] [--window N] [--connections M] \
-         [--sessions K] [--json FILE]\n\
-         \x20 --window N       max messages in flight per connection (1 = lockstep)\n\
-         \x20 --sessions K     logical sessions, seed N+k each; one is addressed bare,\n\
-         \x20                  more are multiplexed as sids 0..K\n\
-         \x20 --connections M  sockets to spread them over (clamped to K)"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
+fn parse_args(cli: &mut Cli) -> Args {
     let mut args = Args {
         addr: String::new(),
-        profile: "synthetic".into(),
-        config: None,
         json_out: None,
         drive: DriveOptions::default(),
     };
-    let (mut quick, mut full_scale) = (false, false);
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        let mut next = |flag: &str| {
-            argv.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                usage()
-            })
-        };
-        let mut positive = |flag: &str| match next(flag).parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("{flag} must be a positive integer");
-                usage()
-            }
-        };
+    while let Some(arg) = cli.next() {
         match arg.as_str() {
-            "--addr" => args.addr = next("--addr"),
-            "--profile" => args.profile = next("--profile"),
-            "--config" => args.config = Some(next("--config")),
-            "--quick" => quick = true,
-            "--full-scale" => full_scale = true,
-            "--matcher" => args.drive.matcher = next("--matcher"),
-            "--seed" => {
-                args.drive.seed = next("--seed").parse().unwrap_or_else(|_| {
-                    eprintln!("--seed must be an integer");
-                    usage()
-                })
-            }
-            "--frame" => {
-                let token = next("--frame");
-                args.drive.frame = WireFormat::parse(&token).unwrap_or_else(|| {
-                    eprintln!("--frame must be ndjson or binary");
-                    usage()
-                })
-            }
-            "--window" => args.drive.window = positive("--window"),
-            "--connections" => args.drive.connections = positive("--connections"),
-            "--sessions" => args.drive.sessions = positive("--sessions"),
-            "--json" => args.json_out = Some(next("--json")),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage()
-            }
+            "--addr" => args.addr = cli.value(),
+            "--matcher" => args.drive.matcher = cli.parse::<MatcherSpec>().to_string(),
+            "--seed" => args.drive.seed = cli.parse(),
+            "--frame" => args.drive.frame = cli.parse(),
+            "--window" => args.drive.window = cli.count(),
+            "--connections" => args.drive.connections = cli.count(),
+            "--sessions" => args.drive.sessions = cli.count(),
+            "--json" => args.json_out = Some(cli.value()),
+            _ => cli.unknown(&arg),
         }
     }
     if args.addr.is_empty() {
-        eprintln!("--addr is required");
-        usage()
-    }
-    // The two presets are profile tokens that beat --config and --profile.
-    if quick || full_scale {
-        args.config = None;
-        args.profile = if quick { "quick" } else { "full-scale" }.into();
+        cli.usage_error("--addr is required")
     }
     args
 }
@@ -198,33 +150,19 @@ fn print_shard_table(shards: &[ShardRow]) {
     }
 }
 
-fn scenario_name(args: &Args) -> String {
-    match args.profile.as_str() {
-        preset @ ("quick" | "full-scale") => format!("{preset}-synthetic"),
-        profile => profile.to_string(),
-    }
-}
-
-fn write_json(path: &str, json: &serde_json::Value) {
+fn write_json(cli: &Cli, path: &str, json: &serde_json::Value) {
     fs::write(
         path,
         serde_json::to_string_pretty(json).expect("serialise report"),
     )
-    .unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1)
-    });
+    .unwrap_or_else(|e| cli.fail(format!("cannot write {path}: {e}")));
     println!("report written to {path}");
 }
 
 fn main() {
-    let args = parse_args();
-    let scenario = profiles::load(args.config.as_deref().map(Path::new), &args.profile)
-        .unwrap_or_else(|e| {
-            eprintln!("matchload: {e}");
-            std::process::exit(2)
-        });
-    let instance = generate(&scenario);
+    let mut cli = Cli::new("matchload", USAGE).with_scenario("synthetic");
+    let args = parse_args(&mut cli);
+    let instance = generate(&cli.scenario());
     let options = &args.drive;
     println!(
         "matchload: {} events ({} requests, {} workers) x {} sessions -> {} \
@@ -303,7 +241,7 @@ fn main() {
             })
             .collect();
         let json = serde_json::json!({
-            "scenario": scenario_name(&args),
+            "scenario": cli.scenario_name(),
             "matcher": options.matcher,
             "seed": options.seed,
             "connections": report.connections,
@@ -328,15 +266,12 @@ fn main() {
                      listed cores, so throughput is a protocol-overhead floor, not \
                      a capacity ceiling — quote benchmark/run.sh for timings",
         });
-        write_json(path, &json);
+        write_json(&cli, path, &json);
     }
 
     // The ground truth: the same instance, matcher and seed through the
     // local batch engine must be the served run, byte for byte.
-    let spec = MatcherSpec::parse(&options.matcher).unwrap_or_else(|e| {
-        eprintln!("matchload: {e}");
-        std::process::exit(2)
-    });
+    let spec = MatcherSpec::parse(&options.matcher).expect("--matcher was parsed");
     let mut failures = Vec::new();
     for (k, s) in report.sessions.iter().enumerate() {
         let batch = try_run_online(&instance, spec.build().as_mut(), s.seed);

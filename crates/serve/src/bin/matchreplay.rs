@@ -6,8 +6,8 @@
 //!
 //! # record: write a trace by playing a scenario locally (no server)
 //! cargo run -p com-serve --release --bin matchreplay -- \
-//!     --record TRACE.jsonl --matcher SPEC [--seed N] \
-//!     [--quick | --profile NAME | --config FILE]
+//!     --record TRACE.jsonl [--matcher SPEC] [--seed N] \
+//!     [--profile NAME | --config FILE]
 //! ```
 //!
 //! Replay drives each trace's events straight through a `ServeSession` —
@@ -17,92 +17,57 @@
 //! both decisions side by side. Any divergence, digest mismatch,
 //! `validate_run` finding, or trace that cannot be read exits 1 — CI runs
 //! it over the committed `traces/` corpus on every push.
+//!
+//! Recording plays the scenario `--profile` / `--config` name (default
+//! `synthetic`; `quick` is the corpus's) with `--matcher` (default
+//! `demcom`) and `--seed` (default 42).
 
 use std::path::{Path, PathBuf};
 
-use com_datagen::{generate, profiles};
+use com_core::MatcherSpec;
+use com_datagen::{generate, Cli};
 use com_serve::{record_session, replay_trace, TraceReplayReport};
+
+const USAGE: &str = "usage: matchreplay TRACE.jsonl...\n\
+     \x20      matchreplay --record TRACE.jsonl [--matcher SPEC] [--seed N] \
+     [--profile NAME | --config FILE]";
 
 struct Args {
     traces: Vec<PathBuf>,
     record: Option<PathBuf>,
-    matcher: String,
+    matcher: MatcherSpec,
     seed: u64,
-    profile: String,
-    config: Option<String>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: matchreplay TRACE.jsonl...\n\
-         \x20      matchreplay --record TRACE.jsonl --matcher SPEC [--seed N] \
-         [--quick | --profile NAME | --config FILE]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
+fn parse_args(cli: &mut Cli) -> Args {
     let mut args = Args {
         traces: Vec::new(),
         record: None,
-        matcher: "demcom".into(),
+        matcher: MatcherSpec::DemCom,
         seed: 42,
-        profile: "synthetic".into(),
-        config: None,
     };
-    let mut quick = false;
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        let mut next = |flag: &str| {
-            argv.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                usage()
-            })
-        };
+    while let Some(arg) = cli.next() {
         match arg.as_str() {
-            "--record" => args.record = Some(next("--record").into()),
-            "--matcher" => args.matcher = next("--matcher"),
-            "--seed" => {
-                args.seed = next("--seed").parse().unwrap_or_else(|_| {
-                    eprintln!("--seed must be an integer");
-                    usage()
-                })
-            }
-            "--profile" => args.profile = next("--profile"),
-            "--config" => args.config = Some(next("--config")),
-            "--quick" => quick = true,
-            "--help" | "-h" => usage(),
-            other if other.starts_with('-') => {
-                eprintln!("unknown flag {other}");
-                usage()
-            }
-            trace => args.traces.push(trace.into()),
+            "--record" => args.record = Some(cli.value().into()),
+            "--matcher" => args.matcher = cli.parse(),
+            "--seed" => args.seed = cli.parse(),
+            flag if flag.starts_with('-') => cli.unknown(flag),
+            _ => args.traces.push(arg.into()),
         }
     }
     if args.record.is_none() && args.traces.is_empty() {
-        eprintln!("nothing to do: give trace files to replay, or --record");
-        usage()
+        cli.usage_error("nothing to do: give trace files to replay, or --record")
     }
     if args.record.is_some() && !args.traces.is_empty() {
-        eprintln!("--record and trace replay are mutually exclusive");
-        usage()
-    }
-    // The preset is a profile token that beats --config and --profile.
-    if quick {
-        args.config = None;
-        args.profile = "quick".into();
+        cli.usage_error("--record and trace replay are mutually exclusive")
     }
     args
 }
 
-fn record(args: &Args, path: &Path) {
-    let scenario = profiles::load(args.config.as_deref().map(Path::new), &args.profile)
-        .unwrap_or_else(|e| {
-            eprintln!("matchreplay: {e}");
-            std::process::exit(2)
-        });
-    let instance = generate(&scenario);
-    let finished = record_session(path, &instance, &args.matcher, args.seed).unwrap_or_else(|e| {
+fn record(cli: &Cli, args: &Args, path: &Path) {
+    let instance = generate(&cli.scenario());
+    let matcher = args.matcher.to_string();
+    let finished = record_session(path, &instance, &matcher, args.seed).unwrap_or_else(|e| {
         eprintln!("matchreplay: recording failed: {e}");
         std::process::exit(1)
     });
@@ -153,9 +118,10 @@ fn report_one(report: &TraceReplayReport) -> bool {
 }
 
 fn main() {
-    let args = parse_args();
-    if let Some(path) = args.record.clone() {
-        record(&args, &path);
+    let mut cli = Cli::new("matchreplay", USAGE).with_scenario("synthetic");
+    let args = parse_args(&mut cli);
+    if let Some(path) = &args.record {
+        record(&cli, &args, path);
         return;
     }
 

@@ -91,14 +91,18 @@ impl WireFormat {
             WireFormat::Binary => "binary",
         }
     }
+}
 
-    /// Parse a negotiation token; unknown tokens are `None` (callers
-    /// downgrade to NDJSON rather than fail).
-    pub fn parse(s: &str) -> Option<Self> {
+/// Parse a negotiation token (`hello.frame`, a CLI's `--frame`). A peer
+/// that sends an unknown token is answered in NDJSON rather than failed.
+impl std::str::FromStr for WireFormat {
+    type Err = &'static str;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "ndjson" => Some(WireFormat::Ndjson),
-            "binary" => Some(WireFormat::Binary),
-            _ => None,
+            "ndjson" => Ok(WireFormat::Ndjson),
+            "binary" => Ok(WireFormat::Binary),
+            _ => Err("must be ndjson or binary"),
         }
     }
 }
@@ -907,9 +911,9 @@ mod tests {
 
     #[test]
     fn wire_format_tokens() {
-        assert_eq!(WireFormat::parse("binary"), Some(WireFormat::Binary));
-        assert_eq!(WireFormat::parse("ndjson"), Some(WireFormat::Ndjson));
-        assert_eq!(WireFormat::parse("carrier-pigeon"), None);
+        assert_eq!("binary".parse(), Ok(WireFormat::Binary));
+        assert_eq!("ndjson".parse(), Ok(WireFormat::Ndjson));
+        assert!("carrier-pigeon".parse::<WireFormat>().is_err());
         assert_eq!(WireFormat::Binary.as_str(), "binary");
         assert_eq!(WireFormat::default(), WireFormat::Ndjson);
     }

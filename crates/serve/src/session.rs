@@ -150,7 +150,7 @@ impl ServeSession {
                 let format = hello
                     .frame
                     .as_deref()
-                    .and_then(WireFormat::parse)
+                    .and_then(|token| token.parse::<WireFormat>().ok())
                     .unwrap_or_default();
                 let channel = WireOutsource::new(
                     f.peer.clone(),

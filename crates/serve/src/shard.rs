@@ -399,7 +399,7 @@ impl Shard {
                         let format = hello
                             .frame
                             .as_deref()
-                            .and_then(WireFormat::parse)
+                            .and_then(|token| token.parse().ok())
                             .unwrap_or(WireFormat::Ndjson);
                         conn.queue_for(
                             sid,

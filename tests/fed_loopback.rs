@@ -291,7 +291,7 @@ fn an_offer_ahead_of_the_lenders_replica_parks_until_it_is_decided() {
 #[test]
 fn matchfed_verifies_the_quick_pair() {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_matchfed"))
-        .arg("--quick")
+        .args(["--profile", "quick"])
         .output()
         .expect("run matchfed");
     let stdout = String::from_utf8_lossy(&out.stdout);

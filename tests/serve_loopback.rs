@@ -120,7 +120,7 @@ fn stats_reports_live_counters_mid_session() {
 fn matchload_checks_every_served_session_against_its_batch_run() {
     let handle = serve(ServerConfig::default()).expect("bind ephemeral port");
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_matchload"))
-        .args(["--addr", &handle.addr().to_string(), "--quick"])
+        .args(["--addr", &handle.addr().to_string(), "--profile", "quick"])
         .output()
         .expect("run matchload");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -134,4 +134,50 @@ fn matchload_checks_every_served_session_against_its_batch_run() {
         "{stdout}"
     );
     handle.shutdown();
+}
+
+/// `matchd` under the exact command line the benchmark harness spawns:
+/// the address file appears within a deadline, one connection is
+/// accepted, and `--once` exits 0 after it closes.
+#[test]
+fn matchd_takes_the_harness_command_line_and_exits_once() {
+    use std::time::{Duration, Instant};
+
+    let dir = std::env::temp_dir().join(format!("com-matchd-once-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let addr_file = dir.join("matchd.addr");
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_matchd"))
+        .args(["--once", "--addr", "127.0.0.1:0", "--addr-file"])
+        .arg(&addr_file)
+        .args(["--queue", "16384", "--shards", "2", "--no-telemetry"])
+        .stdout(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn matchd");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let expire = |child: &mut std::process::Child, what: &str| {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("matchd: {what} within 10 s");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+
+    while !addr_file.exists() {
+        let exited = child.try_wait().expect("poll matchd");
+        assert!(
+            exited.is_none(),
+            "matchd exited before listening: {exited:?}"
+        );
+        expire(&mut child, "no address");
+    }
+    let addr = std::fs::read_to_string(&addr_file).expect("read addr file");
+    drop(std::net::TcpStream::connect(addr.trim()).expect("connect"));
+    let status = loop {
+        match child.try_wait().expect("poll matchd") {
+            Some(status) => break status,
+            None => expire(&mut child, "no exit after its one connection"),
+        }
+    };
+    assert!(status.success(), "{status}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,15 +1,17 @@
-//! The `simulate` binary end to end: `--algo all` runs the standard three
-//! matchers and reports exactly what the in-process engine computes,
-//! `--emit-config` round-trips through `--config`, an unknown `--algo` is
-//! a usage error that lists the valid specs, and a CSV row the engine
-//! would refuse is an error naming its line. `repro` checks every
-//! experiment name before it runs or writes anything.
+//! The `simulate` binary end to end: `--matcher all` runs the standard
+//! three matchers and reports exactly what the in-process engine
+//! computes, `--emit-config` round-trips through `--config`, an unknown
+//! `--matcher` is a usage error that lists the valid specs, and a CSV row
+//! the engine would refuse is an error naming its line. `repro` checks
+//! every experiment name and creates `--out` before it runs anything, and
+//! its `--help` names every experiment.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use serde::Deserialize;
 
+use com_bench::experiments::EXPERIMENTS;
 use com_core::{run_online, MatcherSpec};
 use com_datagen::{generate, profiles};
 
@@ -31,6 +33,13 @@ fn simulate(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("run simulate")
+}
+
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("run repro")
 }
 
 fn scratch(tag: &str) -> PathBuf {
@@ -59,7 +68,7 @@ fn runs(args: &[&str], json: &Path) -> Vec<Run> {
 fn algo_all_reports_the_standard_runs_and_the_config_round_trips() {
     let dir = scratch("all");
     let from_profile = runs(
-        &["--profile", "quick", "--algo", "all"],
+        &["--profile", "quick", "--matcher", "all"],
         &dir.join("profile.json"),
     );
 
@@ -84,7 +93,7 @@ fn algo_all_reports_the_standard_runs_and_the_config_round_trips() {
     let config = dir.join("quick-config.json");
     std::fs::write(&config, &emitted.stdout).expect("write config");
     let from_config = runs(
-        &["--config", config.to_str().unwrap(), "--algo", "all"],
+        &["--config", config.to_str().unwrap(), "--matcher", "all"],
         &dir.join("config.json"),
     );
     assert_eq!(from_config, from_profile);
@@ -93,10 +102,10 @@ fn algo_all_reports_the_standard_runs_and_the_config_round_trips() {
 
 #[test]
 fn an_unknown_algo_is_a_usage_error_listing_the_valid_specs() {
-    let out = simulate(&["--profile", "quick", "--algo", "nope"]);
+    let out = simulate(&["--profile", "quick", "--matcher", "nope"]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("nope"), "{stderr}");
+    assert!(stderr.contains("--matcher `nope`"), "{stderr}");
     for spec in ["tota", "demcom", "ramcom"] {
         assert!(stderr.contains(spec), "{spec} missing from: {stderr}");
     }
@@ -136,15 +145,40 @@ fn an_unknown_repro_experiment_exits_2_and_writes_nothing() {
     for names in [["all", "typo"], ["cr", "typo"]] {
         let mut args = vec!["--quick", "--out", dir.to_str().unwrap()];
         args.extend(names);
-        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(&args)
-            .output()
-            .expect("run repro");
+        let out = repro(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{names:?}: {stderr}");
         assert!(stderr.contains("unknown experiment `typo`"), "{stderr}");
         let written: Vec<_> = std::fs::read_dir(&dir).expect("read out dir").collect();
         assert!(written.is_empty(), "{names:?} wrote {written:?}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn repro_help_names_every_experiment() {
+    let out = repro(&["--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    let usage = String::from_utf8_lossy(&out.stdout);
+    for name in EXPERIMENTS.iter().chain(&["all"]) {
+        let listed = usage
+            .split(|c: char| c.is_whitespace() || c == '|')
+            .any(|word| word == *name);
+        assert!(listed, "`{name}` missing from: {usage}");
+    }
+}
+
+#[test]
+fn an_unwritable_repro_out_exits_2_before_anything_runs() {
+    let dir = scratch("repro-out");
+    let file = dir.join("a-file");
+    std::fs::write(&file, "").expect("write file");
+    let out_dir = file.join("results");
+    let out = repro(&["cr", "--quick", "--out", out_dir.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("--out"), "{stderr}");
+    assert!(out.stdout.is_empty(), "an experiment ran");
     let _ = std::fs::remove_dir_all(&dir);
 }
