@@ -44,8 +44,9 @@
 //!   `matcher`, `seed`, `connections`,
 //!   `sessions`, `requests`, `workers`, `events`, `frame`, `window`),
 //!   results (`wall_secs`, `events_per_sec`, `queue_high_water`,
-//!   `general_frames` — binary frames the server decoded through `Content`
-//!   rather than a typed hot layout; a binary run's cold messages only —
+//!   `general_frames` — binary frames the server read through `Content`
+//!   rather than a typed hot layout: cold messages and refusals, so a
+//!   binary run's cold messages only —
 //!   and `general_lines`, the same for NDJSON lines),
 //!   `per_session[]` (`sid` — null when bare —
 //!   `connection`, `seed`, `assigned`, `rejected`, `refused`, `revenue`,

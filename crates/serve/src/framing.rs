@@ -9,8 +9,7 @@
 //! ```
 //!
 //! The payload is a tag-prefixed encoding of the same [`Content`] value
-//! tree the JSON path serializes through, so any protocol message has
-//! exactly one binary form:
+//! tree the JSON path serializes through:
 //!
 //! | tag  | value                                            |
 //! |------|--------------------------------------------------|
@@ -24,6 +23,8 @@
 //! | 0x07 | sequence: varint count + that many values        |
 //! | 0x08 | map: varint count + that many key/value pairs    |
 //!
+//! Every varint is the shortest LEB128 form of a value that fits a u64.
+//!
 //! **Hot layouts.** The five messages every event crosses — client
 //! `request` and `worker`, server `ok`, `assign` and `reject`, bare or in
 //! the `{"sid","msg"}` mux envelope — are written and read straight
@@ -32,10 +33,13 @@
 //! module supplies the binary primitives it is written with. A layout is
 //! the canonical `Content` encoding written directly: the derive's key
 //! order, the derive's tags, the same bytes [`write_frame`] produces.
-//! [`read_frame`] takes that layout and nothing else; any other encoding
-//! of any message — keys reordered, an integer sent as a float, a cold
-//! message — still decodes, through `Content`, to exactly the result it
-//! always had.
+//! So a hot message has exactly one binary form: [`read_frame`] takes
+//! that layout and refuses any other — keys reordered, an integer sent as
+//! a float — as [`DecodeError::BadFrame`]. (One liberty is left: a worker
+//! history's values may come in any order, and are sorted as
+//! `WorkerHistory` keeps them.) A cold message decodes through `Content`.
+//! NDJSON, which people type, keeps its liberal reader
+//! ([`read_line`](crate::read_line)).
 //!
 //! The magic byte `0xB1` can never begin an NDJSON line (it is not ASCII
 //! and not a valid UTF-8 leading byte), so both sides detect the framing
@@ -249,12 +253,26 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// A LEB128 varint exactly as [`put_varint`] writes it: at most ten
+    /// bytes, no bit past the 64th, and no trailing zero group.
     fn varint(&mut self) -> Result<u64, FrameError> {
-        let mut v: u64 = 0;
-        for shift in (0..64).step_by(7) {
+        // Most of a hot frame's varints are one byte, always minimal: they
+        // return before any check.
+        let first = self.byte()?;
+        if first & 0x80 == 0 {
+            return Ok(u64::from(first));
+        }
+        let mut v = u64::from(first & 0x7f);
+        for shift in (7..64).step_by(7) {
             let byte = self.byte()?;
             v |= u64::from(byte & 0x7f) << shift;
             if byte & 0x80 == 0 {
+                if byte == 0 {
+                    return Err(malformed("overlong varint"));
+                }
+                if byte > 1 && shift == 63 {
+                    return Err(malformed("varint overflows u64"));
+                }
                 return Ok(v);
             }
         }
@@ -637,10 +655,12 @@ pub(crate) fn write_frame_for<M: WireMsg>(sid: Option<u64>, msg: &M, out: &mut V
 }
 
 /// Decode one frame payload (header stripped) into a typed frame — the one
-/// binary reader, on both sides of the wire. A hot layout is read straight
-/// into its struct; every other payload decodes through `Content`, which
-/// the second value reports, with exactly the result it always had:
-/// [`DecodeError::BadFrame`] for bytes that are no value,
+/// binary reader, on both sides of the wire, and the exact inverse of
+/// [`write_msg`](crate::write_msg). A hot layout is read straight into its
+/// struct; every other payload decodes through `Content`, which the second
+/// value reports, and must be a cold message:
+/// [`DecodeError::BadFrame`] for bytes that are no value, and for a hot
+/// message in any other form than its layout;
 /// [`DecodeError::BadEnvelope`] / [`DecodeError::UnknownMessage`] for a
 /// value that is no frame.
 pub fn read_frame<M: WireMsg>(payload: &[u8]) -> (Result<Frame<M>, DecodeError>, bool) {
@@ -651,15 +671,29 @@ pub fn read_frame<M: WireMsg>(payload: &[u8]) -> (Result<Frame<M>, DecodeError>,
         return (Ok(frame), false);
     }
     let decoded = match decode_payload(payload) {
-        Ok(content) => frame_from_content(&content),
+        Ok(content) => frame_from_content(&content).and_then(refuse_hot),
         Err(e) => Err(DecodeError::BadFrame(e.to_string())),
     };
     (decoded, true)
 }
 
+/// A frame the `Content` path read, kept only if its message is cold: a
+/// hot message has one binary form, its layout, which the typed path
+/// already tried.
+fn refuse_hot<M: WireMsg>(frame: Frame<M>) -> Result<Frame<M>, DecodeError> {
+    if frame.msg.put_hot(&mut BinaryOut(&mut Vec::new())) {
+        return Err(DecodeError::BadFrame(
+            "a hot message not in its canonical layout".into(),
+        ));
+    }
+    Ok(frame)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{read_line, write_msg, ClientMsg, ServerMsg};
+    use proptest::prelude::{prop_assert, prop_assert_eq, TestCaseError};
 
     fn round_trip(c: Content) {
         let mut buf = Vec::new();
@@ -726,6 +760,68 @@ mod tests {
         let mut deep = vec![[0x07u8, 0x01]; 200].concat();
         deep.push(0x00);
         assert!(decode_payload(&deep).is_err());
+    }
+
+    /// A varint with a bit past the 64th, or with a trailing zero group,
+    /// is refused wherever it stands: in a cold value, in a string's
+    /// length, and inside a hot layout, whose typed read then fails too.
+    #[test]
+    fn overflowing_and_overlong_varints_are_refused() {
+        fn cursor(bytes: &[u8]) -> Cursor<'_> {
+            Cursor { bytes, pos: 0 }
+        }
+        let refused = |payload: &[u8]| {
+            assert!(decode_payload(payload).is_err(), "{payload:02x?}");
+            assert!(hot::take_frame::<_, ServerMsg>(cursor(payload)).is_none());
+            assert!(hot::take_frame::<_, ClientMsg>(cursor(payload)).is_none());
+            let (server, general) = read_frame::<ServerMsg>(payload);
+            assert!(general && matches!(server, Err(DecodeError::BadFrame(_))));
+            let (client, general) = read_frame::<ClientMsg>(payload);
+            assert!(general && matches!(client, Err(DecodeError::BadFrame(_))));
+        };
+        // u64::MAX is nine full groups and a final 1.
+        let max = [&[0x03][..], &[0xFF; 9], &[0x01]].concat();
+        assert_eq!(decode_payload(&max), Ok(Content::U64(u64::MAX)));
+        refused(&[&[0x03][..], &[0xFF; 9], &[0x7F]].concat());
+        refused(&[&[0x03][..], &[0xFF; 9], &[0x02]].concat());
+        refused(&[0x03, 0x80, 0x80, 0x00]);
+        refused(&[0x04, 0x81, 0x00]);
+        assert_eq!(decode_payload(&[0x03, 0x80, 0x01]), Ok(Content::U64(128)));
+
+        // `ok` reads typed; with its length as two bytes it is refused.
+        let ok = [0x06, 0x02, b'o', b'k'];
+        assert!(hot::take_frame::<_, ServerMsg>(cursor(&ok)).is_some());
+        refused(&[0x06, 0x82, 0x00, b'o', b'k']);
+        // So is a cold `shutdown` with its length so sent.
+        let shutdown = [&[0x06, 0x08][..], b"shutdown"].concat();
+        assert!(matches!(read_frame::<ClientMsg>(&shutdown), (Ok(_), true)));
+        refused(&[&[0x06, 0x88, 0x00][..], b"shutdown"].concat());
+
+        // A request whose id is u64::MAX reads typed; with a bit past the
+        // 64th it is refused.
+        let spec = com_sim::RequestSpec::new(
+            com_sim::RequestId(u64::MAX),
+            com_sim::PlatformId(0),
+            com_sim::Timestamp::from_secs(1.0),
+            com_geo::Point::new(0.0, 0.0),
+            1.0,
+        );
+        let mut frame = Vec::new();
+        write_msg(
+            WireFormat::Binary,
+            None,
+            &ClientMsg::request(spec),
+            &mut frame,
+        );
+        let mut payload = frame.split_off(FRAME_HEADER_LEN);
+        assert!(hot::take_frame::<_, ClientMsg>(cursor(&payload)).is_some());
+        let last = payload
+            .windows(10)
+            .position(|w| w == &max[1..])
+            .expect("the id")
+            + 9;
+        payload[last] = 0x03;
+        refused(&payload);
     }
 
     #[test]
@@ -887,6 +983,249 @@ mod tests {
                 for piece in &expected {
                     proptest::prop_assert!(rest.any(|p| p == piece), "lost {}", piece);
                 }
+            }
+        }
+    }
+
+    /// A value tree on the wire as it stands: any map order, any value.
+    struct Raw(Content);
+
+    impl Serialize for Raw {
+        fn to_content(&self) -> Content {
+            self.0.clone()
+        }
+    }
+
+    /// Strings and keys trees are drawn from: message tags hot and cold,
+    /// the envelope's keys and the hot layouts' fields, so that a tree
+    /// often comes near a message.
+    const WORDS: [&str; 16] = [
+        "request", "worker", "ok", "assign", "reject", "sid", "msg", "shutdown", "stats", "busy",
+        "id", "platform", "arrival", "location", "value", "x",
+    ];
+
+    /// A value tree at most `depth` deep, drawn from the back of `draws`
+    /// (0 once they run out).
+    fn tree(draws: &mut Vec<u64>, depth: u32) -> Content {
+        let d = draws.pop().unwrap_or(0);
+        let (kind, rest) = (d % 16, d >> 4);
+        let word = |d: u64| Content::Str(WORDS[d as usize % WORDS.len()].into());
+        match kind % if depth == 0 { 12 } else { 16 } {
+            0 => Content::Null,
+            1 => Content::Bool(rest % 2 == 0),
+            2 | 3 => Content::U64(rest % 8),
+            4 => Content::U64(rest),
+            5 => Content::I64(rest as i64 - (1 << 59)),
+            6 | 7 => Content::F64((rest % 64) as f64 / 4.0),
+            8 => Content::F64(f64::from_bits(d)),
+            9..=11 => word(rest),
+            12 | 13 => Content::Seq((0..rest % 4).map(|_| tree(draws, depth - 1)).collect()),
+            _ => Content::Map(
+                (0..rest % 4)
+                    .map(|_| (word(draws.pop().unwrap_or(0)), tree(draws, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Rotate by one the entries of the `n`-th map of two or more entries
+    /// under `c`, in pre-order; `false` if there are not that many.
+    fn rotate_nth_map(c: &mut Content, n: &mut u64) -> bool {
+        let Content::Map(entries) = c else {
+            return false;
+        };
+        if entries.len() > 1 {
+            if *n == 0 {
+                entries.rotate_left(1);
+                return true;
+            }
+            *n -= 1;
+        }
+        entries.iter_mut().any(|(_, v)| rotate_nth_map(v, n))
+    }
+
+    /// Replace the `n`-th leaf under `c`, in pre-order, by `by`; `false`
+    /// if there are not that many.
+    fn replace_nth_leaf(c: &mut Content, n: &mut u64, by: &Content) -> bool {
+        match c {
+            Content::Map(entries) => entries.iter_mut().any(|(_, v)| replace_nth_leaf(v, n, by)),
+            Content::Seq(items) => items.iter_mut().any(|v| replace_nth_leaf(v, n, by)),
+            _ if *n == 0 => {
+                *c = by.clone();
+                true
+            }
+            _ => {
+                *n -= 1;
+                false
+            }
+        }
+    }
+
+    /// A hot message's tree — a `request`, a `worker` or an `assign`, its
+    /// floats finite — and whether it is a client message.
+    fn hot_tree(d: u64) -> (Content, bool) {
+        use com_geo::Point;
+        use com_pricing::WorkerHistory;
+        use com_sim::{
+            Assignment, MatchKind, PlatformId, RequestId, RequestSpec, Timestamp, WorkerId,
+            WorkerSpec,
+        };
+
+        let at = Timestamp::from_secs((d % 100) as f64);
+        let spec = RequestSpec::new(RequestId(d), PlatformId(1), at, Point::new(1.5, -2.0), 3.25);
+        match d % 3 {
+            0 => (ClientMsg::request(spec).to_content(), true),
+            1 => {
+                let spec =
+                    WorkerSpec::new(WorkerId(d), PlatformId(0), at, Point::new(0.5, 4.0), 2.0);
+                let history = Some(WorkerHistory::from_values(vec![1.0, 2.5]));
+                let msg = ClientMsg::worker(crate::protocol::WorkerMsg { spec, history });
+                (msg.to_content(), true)
+            }
+            _ => {
+                let assignment = Assignment {
+                    request: spec,
+                    kind: MatchKind::Outer,
+                    worker: Some(WorkerId(d / 2)),
+                    worker_platform: Some(PlatformId(0)),
+                    outer_payment: 1.25,
+                    was_cooperative_offer: true,
+                    travel_km: 0.5,
+                    decided_at: at,
+                    decision_nanos: d,
+                };
+                (ServerMsg::assign(assignment).to_content(), false)
+            }
+        }
+    }
+
+    /// `content` in the mux envelope for `sid`, or bare.
+    fn addressed(sid: Option<u64>, content: Content) -> Content {
+        match sid {
+            None => content,
+            Some(sid) => Content::Map(vec![
+                (Content::Str("sid".into()), Content::U64(sid)),
+                (Content::Str("msg".into()), content),
+            ]),
+        }
+    }
+
+    fn payload_of(content: Content) -> Vec<u8> {
+        let mut frame = Vec::new();
+        write_frame(&Raw(content), &mut frame);
+        frame.split_off(FRAME_HEADER_LEN)
+    }
+
+    /// `read_frame` on `payload`: a typed read is written back by
+    /// `write_msg` into a payload that reads typed, to the same bytes; a
+    /// general one is cold, so its own bytes read through `Content` too.
+    fn check_frame<M: WireMsg + std::fmt::Debug>(payload: &[u8]) -> Result<(), TestCaseError> {
+        let (Ok(frame), general) = read_frame::<M>(payload) else {
+            return Ok(());
+        };
+        let mut written = Vec::new();
+        write_msg(WireFormat::Binary, frame.sid, &frame.msg, &mut written);
+        let (back, back_general) = read_frame::<M>(&written[FRAME_HEADER_LEN..]);
+        prop_assert_eq!(back_general, general, "{:?} from {:02x?}", frame, payload);
+        if !general {
+            let back = back.expect("a written hot frame reads");
+            let mut again = Vec::new();
+            write_msg(WireFormat::Binary, back.sid, &back.msg, &mut again);
+            prop_assert_eq!(again, written);
+        }
+        Ok(())
+    }
+
+    /// `read_line` on `line`: a typed read is written back by `write_msg`
+    /// into a line that reads typed, to the same text.
+    fn check_line<M: WireMsg + std::fmt::Debug>(line: &str) -> Result<(), TestCaseError> {
+        let (Ok(frame), false) = read_line::<M>(line) else {
+            return Ok(());
+        };
+        let mut written = Vec::new();
+        write_msg(WireFormat::Ndjson, frame.sid, &frame.msg, &mut written);
+        let text = std::str::from_utf8(&written)
+            .expect("NDJSON is UTF-8")
+            .trim_end();
+        let (back, general) = read_line::<M>(text);
+        prop_assert!(!general, "{:?} from {}", frame, line);
+        let back = back.expect("a written hot line reads");
+        let mut again = Vec::new();
+        write_msg(WireFormat::Ndjson, back.sid, &back.msg, &mut again);
+        prop_assert_eq!(again, written);
+        Ok(())
+    }
+
+    /// [`check_frame`] and [`check_line`] in both directions, on `content`
+    /// as `write_frame` and `encode` write it.
+    fn check_tree(content: &Content) -> Result<(), TestCaseError> {
+        let payload = payload_of(content.clone());
+        check_frame::<ClientMsg>(&payload)?;
+        check_frame::<ServerMsg>(&payload)?;
+        let line = crate::protocol::encode(&Raw(content.clone()));
+        check_line::<ClientMsg>(&line)?;
+        check_line::<ServerMsg>(&line)
+    }
+
+    /// A reordered hot message: the binary reader refuses it, NDJSON reads
+    /// it through `Content`.
+    fn check_reordered<M: WireMsg + std::fmt::Debug>(
+        content: Content,
+    ) -> Result<(), TestCaseError> {
+        let payload = payload_of(content.clone());
+        let (frame, general) = read_frame::<M>(&payload);
+        prop_assert!(
+            general && matches!(frame, Err(DecodeError::BadFrame(_))),
+            "{:?}",
+            frame
+        );
+        let (line, general) = read_line::<M>(&crate::protocol::encode(&Raw(content)));
+        prop_assert!(general && line.is_ok(), "{:?}", line);
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// The four readers on arbitrary bytes, on arbitrary value trees
+        /// (some under a message tag), and on a hot message as written,
+        /// with one leaf replaced by such a tree, and with one map
+        /// reordered, bare or enveloped: no input panics; a message the
+        /// typed path reads, `write_msg` writes back to bytes that read as
+        /// the same message; the binary general path yields only cold
+        /// messages, refusing the reordered hot one NDJSON reads.
+        #[test]
+        fn the_readers_read_back_what_they_take_and_refuse_hot_messages_off_their_layout(
+            bytes in proptest::collection::vec(0u8..=255, 0..40),
+            mut draws in proptest::collection::vec(0u64..u64::MAX, 0..48),
+            tag in 0usize..2 * WORDS.len(),
+            hot in (0u64..u64::MAX, 0u64..16, proptest::bool::ANY),
+        ) {
+            let payload = &bytes[..];
+            check_frame::<ClientMsg>(payload)?;
+            check_frame::<ServerMsg>(payload)?;
+            let line = String::from_utf8_lossy(&bytes);
+            check_line::<ClientMsg>(&line)?;
+            check_line::<ServerMsg>(&line)?;
+
+            let mut tree = tree(&mut draws, 4);
+            if let Some(word) = WORDS.get(tag) {
+                tree = Content::Map(vec![(Content::Str(word.to_string()), tree)]);
+            }
+            check_tree(&tree)?;
+
+            let (d, n, enveloped) = hot;
+            let sid = enveloped.then_some(d);
+            let (message, client) = hot_tree(d);
+            check_tree(&addressed(sid, message.clone()))?;
+            let mut near = message.clone();
+            replace_nth_leaf(&mut near, &mut n.clone(), &tree);
+            check_tree(&addressed(sid, near))?;
+            let mut reordered = message;
+            prop_assert!(rotate_nth_map(&mut reordered, &mut (n % 2)));
+            let reordered = addressed(sid, reordered);
+            if client {
+                check_reordered::<ClientMsg>(reordered)?;
+            } else {
+                check_reordered::<ServerMsg>(reordered)?;
             }
         }
     }

@@ -12,9 +12,12 @@
 //! A layout is the one the derive produces through `Content` — its key
 //! order, its tags — so the writers emit exactly the bytes the framing's
 //! `Content` writer would, and the readers take that layout and nothing
-//! else. Any other encoding of any message — keys reordered, repeated or
-//! extra, an integer sent as a float, whitespace, a cold message — is left
-//! to `Content`, which decodes it to exactly the result it always had.
+//! else. Any other bytes — a cold message, or a hot one with keys
+//! reordered, repeated or extra, an integer sent as a float, whitespace —
+//! are left to the framing's `Content` path. There the two framings part:
+//! NDJSON decodes a hot message written any such way, while the binary
+//! reader refuses it, since every binary writer writes the layout
+//! ([`crate::framing`]). [`WireMsg::put_hot`] alone tells hot from cold.
 
 use com_geo::Point;
 use com_pricing::WorkerHistory;

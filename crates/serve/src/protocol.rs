@@ -57,7 +57,9 @@
 //! they are written with. [`write_msg`] writes those bytes directly and
 //! [`read_line`] reads exactly that text (no whitespace, the derive's key
 //! order, no escapes in keys, nothing trailing); any other line decodes
-//! through `Content`, to exactly the result it always had.
+//! through `Content`, to exactly the result it always had. The binary
+//! framing is narrower: a hot message in a frame off its layout is
+//! refused with `bad-frame` (see [`crate::framing`]).
 
 use std::io::Write as _;
 
@@ -322,12 +324,12 @@ pub struct DeepStatsMsg {
     /// so reports from pre-federation servers still parse.
     #[serde(default)]
     pub bad_envelope_rejected: u64,
-    /// Binary frames this connection decoded through the general `Content`
+    /// Binary frames this connection read through the general `Content`
     /// path instead of a typed hot layout (see `framing.rs`): cold
-    /// messages, malformed frames, and hot messages a peer encoded in any
-    /// non-canonical way. A well-behaved binary client sends only a
-    /// handful. `#[serde(default)]` so reports from older servers still
-    /// parse.
+    /// messages and refusals — malformed frames, and hot messages a peer
+    /// encoded in any non-canonical way, each refused as `bad-frame`. A
+    /// well-behaved binary client sends only a handful. `#[serde(default)]`
+    /// so reports from older servers still parse.
     #[serde(default)]
     pub general_frames: u64,
     /// NDJSON lines this connection decoded through the general `Content`
@@ -815,16 +817,6 @@ fn split_envelope(value: &Content) -> Result<(Option<u64>, &Content), String> {
     Ok((Some(*sid), msg))
 }
 
-impl<M: Deserialize> Deserialize for Frame<M> {
-    fn from_content(c: &Content) -> Result<Self, serde::de::Error> {
-        let (sid, msg) = split_envelope(c).map_err(serde::de::Error::custom)?;
-        Ok(Frame {
-            sid,
-            msg: M::from_content(msg)?,
-        })
-    }
-}
-
 /// The one body behind [`client_frame_from_content`],
 /// [`server_frame_from_content`] and both readers' `Content` paths.
 pub(crate) fn frame_from_content<M: Deserialize>(
@@ -839,9 +831,10 @@ pub(crate) fn frame_from_content<M: Deserialize>(
 /// Envelope failures (`sid` present but malformed, or `sid` without
 /// `msg`) are [`DecodeError::BadEnvelope`]; a well-formed envelope (or
 /// bare value) whose message is not a protocol message is
-/// [`DecodeError::UnknownMessage`]. This is the general path the binary
-/// reader ([`crate::framing::read_frame`]) takes for any payload that is
-/// not a canonical hot layout.
+/// [`DecodeError::UnknownMessage`]. This is the general path both
+/// readers take for anything that is not a canonical hot layout; the
+/// binary reader ([`crate::framing::read_frame`]) then refuses any hot
+/// message it yields.
 pub fn client_frame_from_content(content: &Content) -> Result<ClientFrame, DecodeError> {
     frame_from_content(content)
 }

@@ -4,7 +4,9 @@
 //! and a pipelined binary loopback run is byte-identical — run digest and
 //! all — to both the NDJSON run and the batch engine. The typed
 //! hot layouts are held to `Content` here in both framings: the same
-//! bytes out, the same `Result` in.
+//! bytes out; in, NDJSON reads what `Content` reads, and the binary
+//! reader reads the same except that it refuses a hot message in any form
+//! but its layout.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -15,15 +17,15 @@ use com_datagen::profiles::{synthetic, SyntheticParams};
 use com_geo::Point;
 use com_pricing::WorkerHistory;
 use com_serve::{
-    client_frame_from_content, decode_payload, drive, encode, encode_frame, read_frame, read_line,
-    serve, server_frame_from_content, write_msg, ByeMsg, Client, ClientFrame, ClientMsg,
-    CounterRow, DecodeError, DeepStatsMsg, DriveOptions, ErrorMsg, Frame, GaugeRow, Hello,
-    PhaseRow, ServerConfig, ServerMsg, ShardRow, StatsMsg, WireFormat, WireMsg, WorkerMsg,
-    FRAME_MAGIC, MAX_FRAME_PAYLOAD,
+    client_frame_from_content, decode_payload, drive, encode, encode_frame, hello_msg, pump,
+    read_frame, read_line, serve, server_frame_from_content, write_msg, ByeMsg, Client,
+    ClientFrame, ClientMsg, CounterRow, DecodeError, DeepStatsMsg, DriveOptions, ErrorMsg, Frame,
+    GaugeRow, Hello, PhaseRow, ServerConfig, ServerMsg, ShardRow, StatsMsg, WireFormat, WireMsg,
+    WorkerMsg, FRAME_MAGIC, MAX_FRAME_PAYLOAD,
 };
 use com_sim::{
-    Assignment, Instance, MatchKind, PlatformId, RequestId, RequestSpec, Timestamp, WorkerId,
-    WorkerSpec, WorldConfig,
+    ArrivalEvent, Assignment, Instance, MatchKind, PlatformId, RequestId, RequestSpec, Timestamp,
+    WorkerId, WorkerSpec, WorldConfig,
 };
 use proptest::prelude::*;
 use serde::{Content, Serialize};
@@ -544,11 +546,17 @@ fn hot_message_ndjson_bytes_are_pinned() {
     );
 }
 
+/// Whether `frame`'s message is hot: its written bytes read typed.
+fn is_hot<M: WireMsg>(frame: &Frame<M>) -> bool {
+    !read_frame::<M>(&typed_frame(frame.sid, &frame.msg)[FRAME_HEADER_LEN..]).1
+}
+
 /// Read one frame through the shared reader and through `Content` alone,
 /// the way every binary frame was read before the hot layouts: both must
 /// give the same `Result` — the same error, text included, or frames that
-/// write back to the same bytes, so even a NaN's bits count. Returns
-/// whether the typed path read it.
+/// write back to the same bytes, so even a NaN's bits count — except that
+/// a hot message `Content` reads off the typed path is refused as a bad
+/// frame. Returns whether the typed path read it.
 fn read_both<M: WireMsg + std::fmt::Debug>(
     payload: &[u8],
     from_content: fn(&Content) -> Result<Frame<M>, DecodeError>,
@@ -558,11 +566,15 @@ fn read_both<M: WireMsg + std::fmt::Debug>(
         .and_then(|c| from_content(&c));
     let (shared, was_general) = read_frame::<M>(payload);
     match (&shared, &general) {
-        (Ok(a), Ok(b)) => assert_eq!(
-            typed_frame(a.sid, &a.msg),
-            typed_frame(b.sid, &b.msg),
-            "{a:?} != {b:?}"
-        ),
+        (Ok(a), Ok(b)) => {
+            assert!(!was_general || !is_hot(a), "{a:?} read through Content");
+            assert_eq!(
+                typed_frame(a.sid, &a.msg),
+                typed_frame(b.sid, &b.msg),
+                "{a:?} != {b:?}"
+            )
+        }
+        (Err(DecodeError::BadFrame(_)), Ok(b)) if was_general && is_hot(b) => {}
         _ => assert_eq!(shared.err(), general.err(), "payload {payload:02x?}"),
     }
     !was_general
@@ -857,11 +869,24 @@ fn hot_line_round_trip<M: WireMsg + Clone + std::fmt::Debug>(
 }
 
 /// Every truncation and every single-byte flip of every hot frame of
-/// `quick` reads through the shared reader exactly as through `Content`
-/// alone, and never panics.
+/// `quick` either reads through the typed layout or is refused with a
+/// typed error, and never panics: none reads as a message through
+/// `Content`, which would be a hot message off its layout — refused — or
+/// a cold one no cut or flip of a hot frame makes. The counts pin the
+/// payloads, cuts and flips swept.
 #[test]
-fn hostile_hot_frames_read_exactly_as_content_does() {
-    fn sweep(payload: &[u8], read: fn(&[u8]) -> bool) {
+fn hostile_hot_frames_read_typed_or_are_refused() {
+    /// Count each variant of `payload` by whether `read_frame` took it
+    /// through `Content`.
+    fn sweep<M: WireMsg>(payload: &[u8], counts: &mut [usize; 2]) {
+        let mut read = |variant: &[u8]| {
+            let (decoded, general) = read_frame::<M>(variant);
+            assert!(
+                !general || decoded.is_err(),
+                "{variant:02x?} read off the typed path"
+            );
+            counts[usize::from(general)] += 1;
+        };
         for cut in 0..payload.len() {
             read(&payload[..cut]);
         }
@@ -880,12 +905,16 @@ fn hostile_hot_frames_read_exactly_as_content_does() {
             .collect()
     }
     let (to_server, to_client) = hot_messages(&generate(&com_datagen::profiles::quick()));
-    for payload in payloads(&to_server) {
-        sweep(&payload, read_client);
+    let (to_server, to_client) = (payloads(&to_server), payloads(&to_client));
+    assert_eq!((to_server.len(), to_client.len()), (1_040, 802));
+    let mut counts = [0; 2];
+    for payload in to_server {
+        sweep::<ClientMsg>(&payload, &mut counts);
     }
-    for payload in payloads(&to_client) {
-        sweep(&payload, read_server);
+    for payload in to_client {
+        sweep::<ServerMsg>(&payload, &mut counts);
     }
+    assert_eq!(counts, [195_428, 778_932], "[typed, through Content]");
 }
 
 /// Every truncation of the first hot lines of `quick` of each shape, and
@@ -1207,31 +1236,117 @@ fn general_count(deep: &DeepStatsMsg, frame: WireFormat) -> u64 {
     }
 }
 
-/// A `quick` run in `frame` at `window` counts only its cold messages as
-/// read through `Content` — `cold` of them by the time its `stats_deep` is
-/// answered — and a `request` with `value` sent first, answered exactly
-/// like the canonical one, adds one.
-fn typed_path_misses_are_counted(frame: WireFormat, window: usize, cold: u64) {
-    let handle = serve(ServerConfig::default()).expect("bind ephemeral port");
-    let addr = handle.addr().to_string();
-
+/// A `quick` ramcom run (seed 13) in `frame` at `window` through
+/// [`drive`]: what the daemon read through `Content` on its connection by
+/// the time the run's `stats_deep` was answered.
+fn cold_messages_counted(addr: &str, instance: &Instance, frame: WireFormat, window: usize) -> u64 {
     let report = drive(
-        &addr,
-        &generate(&com_datagen::profiles::quick()),
+        addr,
+        instance,
         &DriveOptions {
             matcher: "ramcom".into(),
+            seed: 13,
             frame,
             window,
             ..DriveOptions::default()
         },
     )
     .expect("replay");
-    let deep = report.deep_stats.expect("stats_deep");
-    assert_eq!(general_count(&deep, frame), cold);
+    general_count(&report.deep_stats.expect("stats_deep"), frame)
+}
 
-    // The same request twice, on two connections: once canonical, once
-    // with `value` sent first. Both are answered alike; only the second
-    // misses the typed path.
+/// `msg`, a one-entry map around a map, with that inner map's last entry
+/// sent first.
+fn reordered<M: Serialize>(msg: &M) -> Content {
+    let Content::Map(mut outer) = msg.to_content() else {
+        unreachable!("a hot variant is a one-entry map");
+    };
+    let Content::Map(fields) = &mut outer[0].1 else {
+        unreachable!("its body is a map");
+    };
+    fields.rotate_right(1);
+    Content::Map(outer)
+}
+
+/// `content` in the mux envelope for `sid`, or bare.
+fn addressed(sid: Option<u64>, content: Content) -> Content {
+    match sid {
+        None => content,
+        Some(sid) => map([("sid", Content::U64(sid)), ("msg", content)]),
+    }
+}
+
+/// Binary, pipelined: the `stats_deep` that reads the counter is the one
+/// cold frame of a run (`hello` is always NDJSON). Midway through two
+/// sessions on one connection, one bare and one under a sid, the next
+/// `request` sent with `value` first, to each, is refused as `bad-frame`
+/// and counted in `general_frames` and the protocol errors; both sessions
+/// then serve the rest of the stream to the batch run's digest.
+#[test]
+fn general_frames_count_what_the_typed_path_did_not_read() {
+    let handle = serve(ServerConfig::default()).expect("bind ephemeral port");
+    let addr = handle.addr().to_string();
+    let instance = generate(&com_datagen::profiles::quick());
+    assert_eq!(
+        cold_messages_counted(&addr, &instance, WireFormat::Binary, 64),
+        1
+    );
+
+    let mut client = Client::connect(&addr).expect("connect");
+    let sids = [None, Some(5)];
+    for sid in sids {
+        let hello = hello_msg(&instance, "ramcom", 13, WireFormat::Binary);
+        client.open(sid, hello).expect("hello");
+    }
+    let events = instance.stream.iter().as_slice();
+    let (head, tail) = events.split_at(events.len() / 2);
+    pump(&mut client, &sids, &instance, head, 64, |_| {}).expect("first half");
+    let next = tail
+        .iter()
+        .find_map(|event| match event {
+            ArrivalEvent::Request(spec) => Some(*spec),
+            ArrivalEvent::Worker(_) => None,
+        })
+        .expect("a request in the second half");
+    let request = reordered(&ClientMsg::request(next));
+    assert!(matches!(&request, Content::Map(m) if matches!(&m[0].1,
+        Content::Map(fields) if matches!(&fields[0].0, Content::Str(k) if k == "value"))));
+    for sid in sids {
+        let frame = encode_frame(&Raw(addressed(sid, request.clone())));
+        client.send_bytes(&frame).expect("send");
+        expect_error(&mut client, "bad-frame");
+    }
+    pump(&mut client, &sids, &instance, tail, 64, |_| {}).expect("second half");
+
+    let mut matcher = MatcherSpec::parse("ramcom").unwrap().build();
+    let batch = canonical_run_digest(&try_run_online(&instance, matcher.as_mut(), 13));
+    let mut deep = Vec::new();
+    // The bare session last: its `shutdown` ends the connection.
+    for sid in sids.into_iter().rev() {
+        let (stats, bye) = client.close(sid).expect("close");
+        assert_eq!(bye.digest, batch, "session {sid:?}");
+        deep.extend(stats.map(|d| d.general_frames));
+    }
+    // The second `hello` (binary, once the first one's `welcome` switched
+    // the client), the two refusals and the first close's `stats_deep`;
+    // then that close's `shutdown` and the second close's `stats_deep`.
+    assert_eq!(deep, [4, 6]);
+    assert_eq!(handle.counters().protocol_errors(), 2);
+    handle.shutdown();
+}
+
+/// NDJSON, lockstep: `hello` and the `stats_deep` that reads the counter
+/// are the cold lines of a run. The same request twice, on two
+/// connections, once canonical and once with `value` sent first, is
+/// answered alike; only the second misses the typed path.
+#[test]
+fn general_lines_count_what_the_typed_path_did_not_read() {
+    let handle = serve(ServerConfig::default()).expect("bind ephemeral port");
+    let addr = handle.addr().to_string();
+    let instance = generate(&com_datagen::profiles::quick());
+    let cold = cold_messages_counted(&addr, &instance, WireFormat::Ndjson, 1);
+    assert_eq!(cold, 2);
+
     let worker = WorkerMsg {
         spec: worker_spec(),
         history: None,
@@ -1241,29 +1356,17 @@ fn typed_path_misses_are_counted(frame: WireFormat, window: usize, cold: u64) {
         location: Point::new(9.0, 4.5),
         ..request_spec()
     };
-    let Content::Map(mut reordered) = ClientMsg::request(request).to_content() else {
-        unreachable!("a request is a one-entry map");
-    };
-    let Content::Map(fields) = &mut reordered[0].1 else {
-        unreachable!("a request spec is a map");
-    };
-    fields.rotate_right(1);
-    assert!(matches!(&fields[0].0, Content::Str(k) if k == "value"));
-    let reordered = Content::Map(reordered);
-
     let mut answers = Vec::new();
     for hand_built in [false, true] {
-        let mut client = open_session(&addr, Some(frame.as_str()));
+        let mut client = open_session(&addr, Some("ndjson"));
         let ack = client
             .rpc(&ClientMsg::worker(worker.clone()))
             .expect("worker");
         assert!(matches!(ack, ServerMsg::ok));
         let response = if hand_built {
-            match frame {
-                WireFormat::Binary => client.send_bytes(&encode_frame(&Raw(reordered.clone()))),
-                WireFormat::Ndjson => client.send_raw(&line(reordered.clone())),
-            }
-            .expect("send");
+            let reordered = line(reordered(&ClientMsg::request(request)));
+            assert!(reordered.starts_with("{\"request\":{\"value\""));
+            client.send_raw(&reordered).expect("send");
             client.recv().expect("response")
         } else {
             client.rpc(&ClientMsg::request(request)).expect("request")
@@ -1279,7 +1382,7 @@ fn typed_path_misses_are_counted(frame: WireFormat, window: usize, cold: u64) {
         else {
             panic!("expected stats_deep");
         };
-        answers.push((encode(&assignment), general_count(&deep, frame)));
+        answers.push((encode(&assignment), deep.general_lines));
         client.rpc(&ClientMsg::shutdown).expect("shutdown");
     }
     assert_eq!(answers[0].0, answers[1].0);
@@ -1287,16 +1390,29 @@ fn typed_path_misses_are_counted(frame: WireFormat, window: usize, cold: u64) {
     handle.shutdown();
 }
 
-/// Binary, pipelined: the `stats_deep` that reads the counter is the one
-/// cold frame (`hello` is always NDJSON).
+/// The client holds the server to the same rule: an `assign` frame with
+/// `decision_nanos` sent first is `InvalidData`, while the same value as
+/// an NDJSON line reads.
 #[test]
-fn general_frames_count_what_the_typed_path_did_not_read() {
-    typed_path_misses_are_counted(WireFormat::Binary, 64, 1);
-}
+fn client_refuses_a_hot_frame_off_its_layout() {
+    use std::io::{ErrorKind, Write};
 
-/// NDJSON, lockstep: `hello` and the `stats_deep` that reads the counter
-/// are the cold lines.
-#[test]
-fn general_lines_count_what_the_typed_path_did_not_read() {
-    typed_path_misses_are_counted(WireFormat::Ndjson, 1, 2);
+    let assign = reordered(&ServerMsg::assign(assignment(MatchKind::Outer)));
+    let frame = encode_frame(&Raw(assign.clone()));
+    let line = format!("{}\n", line(assign)).into_bytes();
+    for (wire, refused) in [(frame, true), (line, false)] {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("address").to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            stream.write_all(&wire).expect("write");
+        });
+        let mut client = Client::connect(&addr).expect("connect");
+        match client.recv() {
+            Err(e) if refused => assert_eq!(e.kind(), ErrorKind::InvalidData, "{e}"),
+            Ok(ServerMsg::assign(_)) if !refused => {}
+            other => panic!("refused {refused}: {other:?}"),
+        }
+        server.join().expect("listener thread");
+    }
 }
