@@ -46,8 +46,9 @@ use crate::outsource::{OutsourceChannel, OutsourceOutcome};
 /// How often (in processed stream events — worker arrivals count too) the
 /// session samples `World::approx_bytes` for the peak-memory metric once
 /// past the dense-sampling prefix. The first `MEMORY_SAMPLE_EVERY` events
-/// are sampled individually (bounded cost) so short runs still observe
-/// mid-run peaks, and the final world state is always sampled.
+/// are sampled individually so short runs still observe mid-run peaks,
+/// and the final world state is always sampled. A sample is O(platforms):
+/// the world keeps its footprint as running sums.
 const MEMORY_SAMPLE_EVERY: usize = 512;
 
 /// Everything a session needs to know before the first event arrives:

@@ -200,13 +200,17 @@ impl Client {
     }
 
     /// Open logical session `sid`: `hello` → `welcome`, or the server's
-    /// typed refusal as an error. The outgoing framing switches to binary
-    /// only when the hello asked for it *and* the welcome echoes it — an
-    /// old server (no echo) or a downgrading one keeps the client on
-    /// NDJSON.
+    /// typed refusal as an error. The `hello` is an NDJSON line whatever
+    /// the current framing (the framing module's compatibility policy).
+    /// The outgoing framing switches to binary only when the hello asked
+    /// for it *and* the welcome echoes it — an old server (no echo) or a
+    /// downgrading one keeps the client on NDJSON.
     pub fn open(&mut self, sid: Option<u64>, hello: Hello) -> io::Result<()> {
         let wants_binary = hello.frame.as_deref() == Some(WireFormat::Binary.as_str());
-        match self.rpc_for(sid, &ClientMsg::hello(hello))? {
+        let format = std::mem::replace(&mut self.format, WireFormat::Ndjson);
+        let response = self.rpc_for(sid, &ClientMsg::hello(hello));
+        self.format = format;
+        match response? {
             ServerMsg::welcome { frame, .. } => {
                 if wants_binary && frame.as_deref() == Some(WireFormat::Binary.as_str()) {
                     self.format = WireFormat::Binary;
@@ -334,6 +338,57 @@ mod tests {
             let err = read_first(wire).unwrap_err();
             assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
             assert!(err.to_string().contains("exceeds"), "{err}");
+        }
+    }
+
+    /// Opened with binary, a client still writes a later session's
+    /// `hello` as an NDJSON line. The listener's answers are written
+    /// before the client asks, so one thread drives both ends.
+    #[test]
+    fn every_hello_is_an_ndjson_line_whatever_the_framing() {
+        use std::net::TcpListener;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = Client::connect(&listener.local_addr().unwrap().to_string()).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        for sid in [1, 2] {
+            let welcome = ServerMsg::welcome {
+                algorithm: "TOTA".into(),
+                frame: Some(WireFormat::Binary.as_str().into()),
+            };
+            let line = format!("{}\n", encode(&tagged(sid, &welcome)));
+            server.write_all(line.as_bytes()).unwrap();
+        }
+        let hello = Hello {
+            matcher: "tota".into(),
+            seed: 1,
+            world: com_sim::WorldConfig::city(10.0),
+            platforms: vec!["A".into(), "B".into()],
+            max_value: None,
+            frame: Some(WireFormat::Binary.as_str().into()),
+            origin: None,
+            fed: None,
+        };
+        client.open(Some(1), hello.clone()).unwrap();
+        assert_eq!(client.format(), WireFormat::Binary);
+        client.open(Some(2), hello).unwrap();
+        assert_eq!(client.format(), WireFormat::Binary);
+        drop(client);
+
+        let mut sent = Vec::new();
+        server.read_to_end(&mut sent).unwrap();
+        let first = sent
+            .iter()
+            .position(|&b| b == b'\n')
+            .expect("sid 1's hello line")
+            + 1;
+        let second = &sent[first..];
+        assert!(second.starts_with(b"{"), "sid 2's hello: {second:?}");
+        for (sid, line) in [(1, &sent[..first - 1]), (2, &second[..second.len() - 1])] {
+            let (decoded, _) = read_line::<ClientMsg>(std::str::from_utf8(line).unwrap());
+            let frame = decoded.unwrap();
+            assert_eq!(frame.sid, Some(sid));
+            assert!(matches!(frame.msg, ClientMsg::hello(_)));
         }
     }
 

@@ -37,10 +37,19 @@
 //! the same envelope, so one connection can interleave hundreds of
 //! concurrent sessions: each `{"sid":N,"msg":{"hello":…}}` opens an
 //! independent session (routed to a shard by deterministic placement, see
-//! [`crate::shard`]), responses stay strictly ordered *per sid*, and
-//! `shutdown` closes one logical session without touching the connection
-//! or its other sessions. Mux-specific error codes: `unknown-sid` (no
-//! open session with that sid) and `duplicate-hello` (the sid is live).
+//! [`crate::shard`]), and responses stay strictly ordered *per sid*.
+//! Mux-specific error codes: `unknown-sid` (no open session with that
+//! sid) and `duplicate-hello` (the sid is live).
+//!
+//! ## Closing
+//!
+//! An enveloped `shutdown` closes its logical session and nothing else:
+//! the connection and its other sessions carry on. A bare `shutdown`
+//! closes the bare session and then **ends the connection**: the server
+//! reads nothing more from it, and every sid session still open on it is
+//! finished and audited as on any close. So a connection that mixes the
+//! bare session with sid sessions shuts its sid sessions down first and
+//! the bare session last.
 //!
 //! `timeout` is the engine-refused outcome: the matcher's decision
 //! breached a COM constraint (worker busy/out of range/bad payment), so

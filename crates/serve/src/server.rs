@@ -705,6 +705,66 @@ mod tests {
         assert_eq!(router.pool.daemon.counters.protocol_errors(), 3);
     }
 
+    /// The closing rule (see the protocol module's "Closing"), without
+    /// sockets or threads: the router queues each line, the shard is
+    /// stepped on this thread. An enveloped `shutdown` closes its session
+    /// only; a bare one closes the bare session and marks the connection
+    /// done, which stops its router, and the close that follows finishes
+    /// the sid session still open.
+    #[test]
+    fn a_bare_shutdown_ends_the_connection_and_an_enveloped_one_its_session() {
+        use crate::protocol::{encode, Hello};
+        use crate::shard::{Shard, ShardMsg};
+
+        let (tx, rx) = std::sync::mpsc::sync_channel(16);
+        let daemon = Arc::new(Daemon::new(ServerConfig::default()));
+        let router = Router {
+            pool: Arc::new(PoolShared {
+                txs: vec![tx.clone()],
+                daemon: Arc::clone(&daemon),
+            }),
+            conn: Conn::new(3, None),
+        };
+        let mut shard = Shard::new(0, Arc::clone(&daemon));
+        let mut send = |lines: &[String]| {
+            for line in lines {
+                assert!(router.on_piece(Piece::Line(line)));
+            }
+            for msg in rx.try_iter() {
+                assert!(shard.on_msg(msg));
+            }
+            let row = daemon.shards[0].row(0);
+            (
+                row.sessions,
+                daemon.counters.sessions_finished(),
+                router.conn.done.load(Ordering::SeqCst),
+            )
+        };
+        let hello = encode(&ClientMsg::hello(Hello {
+            matcher: "tota".into(),
+            seed: 1,
+            world: com_sim::WorldConfig::city(10.0),
+            platforms: vec!["A".into(), "B".into()],
+            max_value: None,
+            frame: None,
+            origin: None,
+            fed: None,
+        }));
+        let shutdown = encode(&ClientMsg::shutdown);
+        let enveloped = |sid: u64, msg: &str| format!("{{\"sid\":{sid},\"msg\":{msg}}}");
+
+        let opened = send(&[hello.clone(), enveloped(1, &hello), enveloped(2, &hello)]);
+        assert_eq!(opened, (3, 0, false));
+        assert_eq!(send(&[enveloped(2, &shutdown)]), (2, 1, false));
+        // The bare session closes and the connection is done; sid 1 is
+        // still open until the close.
+        assert_eq!(send(&[shutdown]), (1, 2, true));
+        let (ack, barrier) = std::sync::mpsc::channel::<()>();
+        tx.send(ShardMsg::CloseConn { conn_id: 3, ack }).unwrap();
+        assert_eq!(send(&[]), (0, 3, true));
+        assert!(barrier.recv().is_err(), "the shard dropped its ack");
+    }
+
     /// What the router's reader cuts off `chunks`, fed one read each, as
     /// `{:?}` text.
     fn ingress(chunks: &[&[u8]]) -> Vec<String> {

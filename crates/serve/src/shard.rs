@@ -244,7 +244,7 @@ fn constraint(violation: ConstraintViolation) -> ServerMsg {
 
 /// One shard executor: single-threaded ownership of its sessions — plain
 /// mutable data, never behind a lock.
-struct Shard {
+pub(crate) struct Shard {
     id: usize,
     daemon: Arc<Daemon>,
     sessions: HashMap<Key, ServeSession>,
@@ -253,7 +253,7 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(id: usize, daemon: Arc<Daemon>) -> Shard {
+    pub(crate) fn new(id: usize, daemon: Arc<Daemon>) -> Shard {
         Shard {
             id,
             daemon,
@@ -295,46 +295,55 @@ impl Shard {
                 }
                 Err(TryRecvError::Disconnected) => break,
             };
-            match msg {
-                ShardMsg::Stop => break,
-                ShardMsg::Reply { conn, msg } => {
-                    self.stats().queue.on_drain();
-                    self.remember(&conn);
-                    conn.queue_for(None, &msg);
-                }
-                ShardMsg::Ingress {
-                    conn,
-                    sid,
-                    msg,
-                    decode_ns,
-                } => {
-                    let depth = self.stats().queue.on_drain();
-                    com_obs::gauge_set("ingress.queue_depth", depth as f64);
-                    com_obs::span_record(com_obs::PHASE_SERVE_DECODE, decode_ns);
-                    self.remember(&conn);
-                    self.handle_msg(&conn, sid, msg);
-                }
-                ShardMsg::CloseConn { conn_id, ack } => {
-                    let Some(conn) = self.conns.remove(&conn_id) else {
-                        continue;
-                    };
-                    let keys: Vec<Key> = self
-                        .sessions
-                        .keys()
-                        .filter(|k| k.0 == conn_id)
-                        .copied()
-                        .collect();
-                    for key in keys {
-                        let session = self.sessions.remove(&key).expect("key just listed");
-                        self.finish_session(&conn, key.1, session);
-                    }
-                    drop(ack);
-                }
+            if !self.on_msg(msg) {
+                break;
             }
         }
         if self.daemon.config.telemetry {
             com_obs::uninstall();
         }
+    }
+
+    /// Handle one message off the ingress queue. Returns `false` on
+    /// `Stop`.
+    pub(crate) fn on_msg(&mut self, msg: ShardMsg) -> bool {
+        match msg {
+            ShardMsg::Stop => return false,
+            ShardMsg::Reply { conn, msg } => {
+                self.stats().queue.on_drain();
+                self.remember(&conn);
+                conn.queue_for(None, &msg);
+            }
+            ShardMsg::Ingress {
+                conn,
+                sid,
+                msg,
+                decode_ns,
+            } => {
+                let depth = self.stats().queue.on_drain();
+                com_obs::gauge_set("ingress.queue_depth", depth as f64);
+                com_obs::span_record(com_obs::PHASE_SERVE_DECODE, decode_ns);
+                self.remember(&conn);
+                self.handle_msg(&conn, sid, msg);
+            }
+            ShardMsg::CloseConn { conn_id, ack } => {
+                let Some(conn) = self.conns.remove(&conn_id) else {
+                    return true;
+                };
+                let keys: Vec<Key> = self
+                    .sessions
+                    .keys()
+                    .filter(|k| k.0 == conn_id)
+                    .copied()
+                    .collect();
+                for key in keys {
+                    let session = self.sessions.remove(&key).expect("key just listed");
+                    self.finish_session(&conn, key.1, session);
+                }
+                drop(ack);
+            }
+        }
+        true
     }
 
     /// Finish one session: drop its federation route (if any), close the
@@ -457,8 +466,10 @@ impl Shard {
                 Some(session) => {
                     self.finish_session(conn, sid, session);
                     if sid.is_none() {
-                        // One-session semantics: `shutdown` on the bare session
-                        // ends the connection, not just the session.
+                        // A bare `shutdown` ends the connection, its sid
+                        // sessions included (the protocol module's
+                        // "Closing" rule): this shard cannot see the ones
+                        // placed elsewhere.
                         conn.done.store(true, Ordering::SeqCst);
                     }
                 }

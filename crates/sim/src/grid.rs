@@ -73,8 +73,9 @@ mod tests {
         );
         assert_eq!(g.nearest_coverer(q), brute_nearest(items, metric, q));
         assert_eq!(g.len(), items.len());
+        assert_eq!(g.approx_bytes(), g.recount_bytes());
         for w in items {
-            assert_eq!(g.get(w.id), Some(w));
+            assert_eq!(g.get(w.id, w.location), Some(w));
         }
     }
 
@@ -89,10 +90,11 @@ mod tests {
         let q = Point::new(5.2, 5.0);
         assert_eq!(ids(&covering(&g, q)), vec![1, 2]);
 
-        assert!(g.remove(WorkerId(2)).is_some());
-        assert!(g.get(WorkerId(2)).is_none());
+        let at = Point::new(5.5, 5.0);
+        assert!(g.remove(WorkerId(2), at).is_some());
+        assert!(g.get(WorkerId(2), at).is_none());
         assert_eq!(ids(&covering(&g, q)), vec![1]);
-        assert!(g.remove(WorkerId(2)).is_none());
+        assert!(g.remove(WorkerId(2), at).is_none());
     }
 
     #[test]
@@ -130,11 +132,11 @@ mod tests {
         g.add(idle(2, 1.0, 1.0, 4.0));
         g.add(idle(3, 9.0, 9.0, 4.0));
         assert_eq!(g.max_radius(), 4.0);
-        g.remove(WorkerId(2));
+        g.remove(WorkerId(2), Point::new(1.0, 1.0));
         assert_eq!(g.max_radius(), 4.0); // one 4.0-radius item still live
-        g.remove(WorkerId(3));
+        g.remove(WorkerId(3), Point::new(9.0, 9.0));
         assert_eq!(g.max_radius(), 0.5);
-        g.remove(WorkerId(1));
+        g.remove(WorkerId(1), Point::new(5.0, 5.0));
         assert_eq!(g.max_radius(), 0.0);
     }
 
@@ -164,7 +166,7 @@ mod tests {
         assert_eq!(covering(&g, q).len(), 1);
         let wide = cells_at("wide") - before_query;
 
-        g.remove(WorkerId(2));
+        g.remove(WorkerId(2), Point::new(3.0, 3.0));
         let mid = cells_at("mid");
         assert_eq!(covering(&g, q).len(), 1);
         let narrow = cells_at("narrow") - mid;
@@ -188,7 +190,8 @@ mod tests {
                 // somewhere new.
                 let id = rng.random_range(0..300u64);
                 if let Some(pos) = items.iter().position(|w| w.id == WorkerId(id)) {
-                    assert_eq!(g.remove(WorkerId(id)), Some(items.swap_remove(pos)));
+                    let w = items.swap_remove(pos);
+                    assert_eq!(g.remove(w.id, w.location), Some(w));
                 } else {
                     let x = rng.random_range(0.0..20.0);
                     let y = rng.random_range(0.0..20.0);
@@ -228,9 +231,9 @@ mod tests {
                 g.add(w);
                 items.push(w);
             }
-            for (i, (_, _, _, leaves)) in points.iter().enumerate() {
+            for (i, (x, y, _, leaves)) in points.iter().enumerate() {
                 if *leaves {
-                    prop_assert!(g.remove(WorkerId(i as u64)).is_some());
+                    prop_assert!(g.remove(WorkerId(i as u64), Point::new(*x, *y)).is_some());
                     items.retain(|w| w.id != WorkerId(i as u64));
                 }
             }
@@ -238,7 +241,7 @@ mod tests {
             prop_assert_eq!(covering(&g, q), brute_coverers(&items, metric, q));
             prop_assert_eq!(g.nearest_coverer(q), brute_nearest(&items, metric, q));
             for w in &items {
-                prop_assert_eq!(g.get(w.id), Some(w));
+                prop_assert_eq!(g.get(w.id, w.location), Some(w));
             }
         }
 
@@ -254,9 +257,13 @@ mod tests {
                         g.add(idle(id, 1.0, 1.0, 0.5));
                     }
                 } else {
-                    prop_assert_eq!(g.remove(WorkerId(id)).is_some(), present.remove(&id));
+                    prop_assert_eq!(
+                        g.remove(WorkerId(id), Point::new(1.0, 1.0)).is_some(),
+                        present.remove(&id)
+                    );
                 }
                 prop_assert_eq!(g.len(), present.len());
+                prop_assert_eq!(g.approx_bytes(), g.recount_bytes());
             }
         }
     }

@@ -6,19 +6,21 @@
 //! to a request would be deleted from the waiting list." (Section II-A)
 //!
 //! The list *is* a uniform spatial grid over the city extent, and holds
-//! each idle worker once: in the cell its location falls in, found by one
-//! id → cell map. Matchers ask a reverse range query — which idle workers
-//! have the request inside their *own* service range? — so a query scans
-//! the ring of cells within the largest live radius of the request and
-//! tests each worker there once against the list's metric. Cells are one
-//! expected radius wide, which keeps that ring near 3 × 3 cells while
-//! workers churn in and out.
+//! each idle worker once: in the cell its location falls in. That cell is
+//! a pure function of the location, which the world always holds for an
+//! idle worker, so removal and lookup take the location and scan that one
+//! cell; no per-worker index is kept. Matchers ask a reverse range query
+//! — which idle workers have the request inside their *own* service
+//! range? — so a query scans the ring of cells within the largest live
+//! radius of the request and tests each worker there once against the
+//! list's metric. Cells are one expected radius wide, which keeps that
+//! ring near 3 × 3 cells while workers churn in and out.
 //!
 //! The grid costs one `Vec` per cell, so a served world is sized before it
 //! is built: `com-serve` refuses a `hello` whose waiting lists would hold
 //! more than 65,536 cells in all, counted with [`grid_shape`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use crate::{Timestamp, WorkerId};
 use com_geo::{BoundingBox, DistanceMetric, Km, Point};
@@ -73,10 +75,11 @@ pub fn grid_shape(extent: BoundingBox, expected_radius: Km) -> (f64, f64) {
 /// assert_eq!(coverers.len(), 1);
 /// assert_eq!(coverers[0].id, WorkerId(1));
 ///
-/// list.remove(WorkerId(1));
+/// // Removal names the worker and the location it was added at.
+/// list.remove(WorkerId(1), Point::new(5.0, 5.0));
 /// assert!(list.nearest_coverer(Point::new(5.4, 5.0)).is_none());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct WaitingList {
     extent: BoundingBox,
     cell_size: Km,
@@ -86,8 +89,12 @@ pub struct WaitingList {
     /// extent is clamped into a boundary cell; queries stay exact because
     /// the coverage test uses its true location.
     cells: Vec<Vec<IdleWorker>>,
-    /// worker → cell index; removal scans that (small) cell.
-    cell_of: HashMap<WorkerId, usize>,
+    /// Sum of the cells' capacities, kept where a cell grows (`add`'s
+    /// push; `swap_remove` never shrinks one), so the memory metric never
+    /// walks the grid.
+    cell_capacity: usize,
+    /// Number of idle workers.
+    len: usize,
     /// Largest live radius: the query ring's half-width.
     max_radius: Km,
     /// Live workers per radius, keyed by `f64::to_bits` (monotone for the
@@ -97,7 +104,7 @@ pub struct WaitingList {
     /// worker who is long gone.
     radius_counts: BTreeMap<u64, u32>,
     /// Most workers ever waiting at once — what the memory metric charges
-    /// the id map for (see [`WaitingList::approx_bytes`]).
+    /// for locating an idle worker (see [`WaitingList::approx_bytes`]).
     peak_len: usize,
     metric: DistanceMetric,
 }
@@ -138,7 +145,8 @@ impl WaitingList {
             cols,
             rows,
             cells: vec![Vec::new(); cols * rows],
-            cell_of: HashMap::new(),
+            cell_capacity: 0,
+            len: 0,
             max_radius: 0.0,
             radius_counts: BTreeMap::new(),
             peak_len: 0,
@@ -148,7 +156,7 @@ impl WaitingList {
 
     /// Number of idle workers.
     pub(crate) fn len(&self) -> usize {
-        self.cell_of.len()
+        self.len
     }
 
     #[inline]
@@ -160,23 +168,33 @@ impl WaitingList {
         (cx, cy)
     }
 
+    /// Index of the cell `p` falls in (clamped into the grid).
+    #[inline]
+    fn cell_index(&self, p: Point) -> usize {
+        let (cx, cy) = self.cell_coords(p);
+        cy * self.cols + cx
+    }
+
     /// Add a worker (arrival or re-entry).
     ///
     /// # Panics
-    /// Panics in debug builds if the worker is already waiting (the 1-by-1
-    /// constraint makes double-insertion a logic error).
+    /// Panics in debug builds if the worker is already waiting in the cell
+    /// its location falls in (the 1-by-1 constraint makes double-insertion
+    /// a logic error).
     pub fn add(&mut self, worker: IdleWorker) {
+        debug_assert!(worker.location.is_finite(), "location must be finite");
+        debug_assert!(worker.radius >= 0.0, "radius must be non-negative");
+        let cell = self.cell_index(worker.location);
+        let bucket = &mut self.cells[cell];
         debug_assert!(
-            !self.cell_of.contains_key(&worker.id),
+            bucket.iter().all(|w| w.id != worker.id),
             "worker {} already in waiting list",
             worker.id
         );
-        debug_assert!(worker.location.is_finite(), "location must be finite");
-        debug_assert!(worker.radius >= 0.0, "radius must be non-negative");
-        let (cx, cy) = self.cell_coords(worker.location);
-        let cell = cy * self.cols + cx;
-        self.cells[cell].push(worker);
-        self.cell_of.insert(worker.id, cell);
+        let capacity = bucket.capacity();
+        bucket.push(worker);
+        self.cell_capacity += bucket.capacity() - capacity;
+        self.len += 1;
         *self
             .radius_counts
             .entry(radius_key(worker.radius))
@@ -185,21 +203,23 @@ impl WaitingList {
         self.peak_len = self.peak_len.max(self.len());
     }
 
-    /// Remove a worker (assignment or departure). Returns the entry if it
-    /// was present.
+    /// Remove a worker (assignment or departure), found in the cell of
+    /// `location`. Returns the entry if it was there.
+    ///
+    /// `location` must be the one the worker was passed to
+    /// [`WaitingList::add`] with: only that cell is searched, so any
+    /// other location returns `None` and leaves the worker waiting.
     ///
     /// When the departing worker carried the largest live radius, the
     /// query ring shrinks back to the largest *remaining* radius. The
     /// covering set is unaffected either way (the ring over-approximates
     /// it); only the number of cells scanned changes.
-    pub fn remove(&mut self, id: WorkerId) -> Option<IdleWorker> {
-        let cell = self.cell_of.remove(&id)?;
+    pub fn remove(&mut self, id: WorkerId, location: Point) -> Option<IdleWorker> {
+        let cell = self.cell_index(location);
         let bucket = &mut self.cells[cell];
-        let pos = bucket
-            .iter()
-            .position(|w| w.id == id)
-            .expect("cell_of names the worker's cell");
+        let pos = bucket.iter().position(|w| w.id == id)?;
         let worker = bucket.swap_remove(pos);
+        self.len -= 1;
         let key = radius_key(worker.radius);
         if let Some(count) = self.radius_counts.get_mut(&key) {
             *count -= 1;
@@ -215,10 +235,12 @@ impl WaitingList {
         Some(worker)
     }
 
-    /// Look up one idle worker.
-    pub(crate) fn get(&self, id: WorkerId) -> Option<&IdleWorker> {
-        let cell = *self.cell_of.get(&id)?;
-        self.cells[cell].iter().find(|w| w.id == id)
+    /// Look up one idle worker in the cell of `location`, which must be the
+    /// location it was added at: only that cell is searched.
+    pub(crate) fn get(&self, id: WorkerId, location: Point) -> Option<&IdleWorker> {
+        self.cells[self.cell_index(location)]
+            .iter()
+            .find(|w| w.id == id)
     }
 
     /// All idle workers whose service range covers `point` under the
@@ -297,21 +319,27 @@ impl WaitingList {
         self.max_radius
     }
 
-    /// Approximate heap footprint in bytes (memory metric).
-    ///
-    /// The id map is charged for its high-water length — a map never
-    /// shrinks — rather than `HashMap::capacity()`: whether a remove/re-add
-    /// churn grows the table depends on the per-map random hash seed, and
-    /// the metric must be a function of the operation sequence alone so
-    /// two runs of one instance and seed report the same bytes.
+    /// Approximate heap footprint in bytes (memory metric), in O(1): the
+    /// cells' capacities are kept as a running sum.
     pub(crate) fn approx_bytes(&self) -> usize {
+        self.bytes(self.cell_capacity)
+    }
+
+    /// [`WaitingList::approx_bytes`] with the cells' capacities recounted:
+    /// the oracle the running sum is tested against.
+    pub(crate) fn recount_bytes(&self) -> usize {
+        self.bytes(self.cells.iter().map(Vec::capacity).sum())
+    }
+
+    /// The footprint given the cells' total capacity.
+    ///
+    /// Locating an idle worker is modelled as an id → cell table charged
+    /// for its high-water length, one entry per worker ever waiting at
+    /// once. The term is a function of the operation sequence alone, so
+    /// two runs of one instance and seed report the same bytes.
+    fn bytes(&self, cell_capacity: usize) -> usize {
         use std::mem::size_of;
-        let cells: usize = self
-            .cells
-            .iter()
-            .map(|c| c.capacity() * size_of::<IdleWorker>())
-            .sum();
-        cells
+        cell_capacity * size_of::<IdleWorker>()
             + self.cells.capacity() * size_of::<Vec<IdleWorker>>()
             + self.peak_len * (size_of::<WorkerId>() + size_of::<usize>() + 16)
             + self.radius_counts.len() * (size_of::<u64>() + size_of::<u32>() + 16)
@@ -348,7 +376,10 @@ mod tests {
         wl.add(idle(2, 5.5, 5.0, 1.0, 1.0));
         wl.add(idle(3, 9.0, 9.0, 1.0, 2.0));
         assert_eq!(wl.len(), 3);
-        assert_eq!(wl.get(WorkerId(2)), Some(&idle(2, 5.5, 5.0, 1.0, 1.0)));
+        assert_eq!(
+            wl.get(WorkerId(2), Point::new(5.5, 5.0)),
+            Some(&idle(2, 5.5, 5.0, 1.0, 1.0))
+        );
 
         let c = covering(&wl, Point::new(5.2, 5.0));
         assert_eq!(
@@ -356,11 +387,12 @@ mod tests {
             vec![WorkerId(1), WorkerId(2)]
         );
 
-        let removed = wl.remove(WorkerId(1)).unwrap();
+        let at = Point::new(5.0, 5.0);
+        let removed = wl.remove(WorkerId(1), at).unwrap();
         assert_eq!(removed.id, WorkerId(1));
-        assert!(wl.get(WorkerId(1)).is_none());
+        assert!(wl.get(WorkerId(1), at).is_none());
         assert_eq!(covering(&wl, Point::new(5.2, 5.0)).len(), 1);
-        assert!(wl.remove(WorkerId(1)).is_none());
+        assert!(wl.remove(WorkerId(1), at).is_none());
     }
 
     #[test]
@@ -395,8 +427,32 @@ mod tests {
     #[should_panic(expected = "already in waiting list")]
     #[cfg(debug_assertions)]
     fn double_add_is_a_logic_error() {
+        // The check scans the one cell the location falls in: a second add
+        // into the same 1 km cell.
         let mut wl = list();
         wl.add(idle(1, 1.0, 1.0, 1.0, 0.0));
-        wl.add(idle(1, 2.0, 2.0, 1.0, 1.0));
+        wl.add(idle(1, 1.5, 1.5, 1.0, 1.0));
+    }
+
+    #[test]
+    fn a_worker_outside_the_extent_is_found_through_its_location() {
+        let mut wl = list();
+        let far = idle(7, 14.0, -3.0, 1.0, 0.0);
+        wl.add(far);
+        // Clamped into the boundary cell (9, 0), which is also where a
+        // worker inside the extent at (9.5, 0.5) lives.
+        wl.add(idle(8, 9.5, 0.5, 1.0, 0.0));
+        assert_eq!(
+            wl.cell_index(far.location),
+            wl.cell_index(Point::new(9.5, 0.5))
+        );
+        assert_eq!(wl.get(WorkerId(7), far.location), Some(&far));
+        assert_eq!(wl.remove(WorkerId(7), far.location), Some(far));
+        assert!(wl.get(WorkerId(7), far.location).is_none());
+        assert_eq!(wl.len(), 1);
+        wl.add(far);
+        assert_eq!(wl.get(WorkerId(7), far.location), Some(&far));
+        assert_eq!(wl.len(), 2);
+        assert_eq!(wl.approx_bytes(), wl.recount_bytes());
     }
 }

@@ -67,12 +67,15 @@ impl WorldConfig {
 /// * **Cross-platform visibility**: [`World::outer_coverers_into`] exposes only
 ///   *unoccupied* workers of other platforms, which is all the paper
 ///   allows competitors to share.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct World {
     config: WorldConfig,
     platform_names: Vec<String>,
     waiting: Vec<WaitingList>,
     workers: HashMap<WorkerId, Worker>,
+    /// The workers' share of [`World::approx_bytes`], kept where it
+    /// changes: registration and a history that grows on assignment.
+    worker_bytes: usize,
     reentries: TimerQueue<WorkerId>,
     /// Scheduled shift-end checks (only populated for finite shifts).
     departures: TimerQueue<WorkerId>,
@@ -92,6 +95,7 @@ impl World {
             platform_names,
             waiting,
             workers: HashMap::new(),
+            worker_bytes: 0,
             reentries: TimerQueue::new(),
             departures: TimerQueue::new(),
             now: Timestamp::ZERO,
@@ -130,7 +134,9 @@ impl World {
         if self.workers.contains_key(&spec.id) {
             return Err(ConstraintViolation::DuplicateWorker { worker: spec.id });
         }
-        self.workers.insert(spec.id, Worker::new(spec, history));
+        let worker = Worker::new(spec, history);
+        self.worker_bytes += worker_bytes(&worker);
+        self.workers.insert(spec.id, worker);
         Ok(())
     }
 
@@ -171,7 +177,7 @@ impl World {
         while let Some((_, id)) = self.departures.pop_due(t) {
             let worker = self.workers.get_mut(&id).expect("unknown worker");
             if worker.is_idle() {
-                self.waiting[worker.spec.platform.index()].remove(id);
+                self.waiting[worker.spec.platform.index()].remove(id, worker.location);
                 worker.state = WorkerState::Departed;
             }
         }
@@ -321,8 +327,9 @@ impl World {
         }
         // Check the time constraint via `get` before `remove` so a
         // violation leaves the waiting list untouched.
-        let entry = self.waiting[worker.spec.platform.index()]
-            .get(worker_id)
+        let waiting = &mut self.waiting[worker.spec.platform.index()];
+        let entry = waiting
+            .get(worker_id, worker.location)
             .expect("idle worker missing from waiting list");
         if entry.entered_at > request.arrival {
             return Err(ConstraintViolation::EnteredAfterRequest {
@@ -332,24 +339,22 @@ impl World {
                 arrival: request.arrival,
             });
         }
-        self.waiting[worker.spec.platform.index()]
-            .remove(worker_id)
+        waiting
+            .remove(worker_id, worker.location)
             .expect("idle worker missing from waiting list");
-        let worker = self
-            .workers
-            .get_mut(&worker_id)
-            .expect("worker vanished mid-assign");
 
-        let busy = self.config.service.busy_secs_metric(
-            self.config.metric,
-            worker.location,
-            request.location,
-        );
+        let busy = self
+            .config
+            .service
+            .busy_secs_metric(metric, worker.location, request.location);
         let until = self.now + busy;
         worker.start_service(until, earned);
         worker.location = request.location;
         if self.config.update_histories {
+            // A history's buffer only grows, so the sum does too.
+            let before = worker.history.approx_bytes();
             worker.history.record(earned);
+            self.worker_bytes += worker.history.approx_bytes() - before;
         }
         if self.config.service.reentry {
             self.reentries.schedule(until, worker_id);
@@ -373,17 +378,31 @@ impl World {
     }
 
     /// Approximate heap footprint in bytes (memory metric): workers,
-    /// waiting lists, and the re-entry queue.
+    /// waiting lists, and the re-entry queue. O(platforms): every term is
+    /// a running sum or a length.
     pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let workers: usize = self
-            .workers
-            .values()
-            .map(|w| w.approx_bytes() + size_of::<WorkerId>() + 16)
-            .sum();
         let waiting: usize = self.waiting.iter().map(|w| w.approx_bytes()).sum();
-        workers + waiting + self.reentries.len() * (size_of::<(Timestamp, WorkerId)>() + 8)
+        self.worker_bytes + waiting + self.reentry_bytes()
     }
+
+    /// [`World::approx_bytes`] recounted from every worker and grid cell:
+    /// the oracle the running sums are tested against. O(workers + cells),
+    /// so no run samples it.
+    #[doc(hidden)]
+    pub fn recount_bytes(&self) -> usize {
+        let workers: usize = self.workers.values().map(worker_bytes).sum();
+        let waiting: usize = self.waiting.iter().map(|w| w.recount_bytes()).sum();
+        workers + waiting + self.reentry_bytes()
+    }
+
+    fn reentry_bytes(&self) -> usize {
+        self.reentries.len() * (std::mem::size_of::<(Timestamp, WorkerId)>() + 8)
+    }
+}
+
+/// One registered worker's term of [`World::approx_bytes`].
+fn worker_bytes(worker: &Worker) -> usize {
+    worker.approx_bytes() + std::mem::size_of::<WorkerId>() + 16
 }
 
 #[cfg(test)]
@@ -768,5 +787,6 @@ mod tests {
             .unwrap();
         }
         assert!(w.approx_bytes() > before);
+        assert_eq!(w.approx_bytes(), w.recount_bytes());
     }
 }

@@ -5,6 +5,8 @@
 
 use std::collections::HashMap;
 
+use com::core::{MatchSession, SessionConfig};
+use com::datagen::profiles::quick;
 use com::prelude::*;
 use proptest::prelude::*;
 
@@ -75,6 +77,61 @@ fn entity_strategy(max: usize) -> impl Strategy<Value = Vec<(f64, f64, f64, f64,
         ),
         1..max,
     )
+}
+
+/// Replay `inst` through a [`MatchSession`] per builtin online matcher,
+/// ticking the clock to each event with `drain_timers` before ingesting
+/// it, and check after every call that the world's footprint, kept as
+/// running sums, equals a recount from every worker and grid cell.
+/// `live` registers each worker at its arrival instead of up front.
+fn check_footprint(inst: &Instance, live: bool, seed: u64) -> Result<(), TestCaseError> {
+    for matcher in [
+        Box::new(TotaGreedy) as Box<dyn OnlineMatcher>,
+        Box::new(DemCom::default()),
+        Box::new(RamCom::default()),
+    ] {
+        let mut session = if live {
+            let config = SessionConfig {
+                world: inst.config.clone(),
+                platform_names: inst.platform_names.clone(),
+                max_value_hint: inst.max_value(),
+            };
+            let mut session = MatchSession::new(config, matcher, seed);
+            for (&id, history) in &inst.histories {
+                session.add_history(id, history.clone());
+            }
+            session
+        } else {
+            MatchSession::for_instance(inst, matcher, seed)
+        };
+        let agree = |session: &MatchSession, after: &str| {
+            let world = session.world();
+            prop_assert_eq!(
+                world.approx_bytes(),
+                world.recount_bytes(),
+                "after {}",
+                after
+            );
+            Ok(())
+        };
+        for event in inst.stream.iter() {
+            session.drain_timers(event.time()).unwrap();
+            agree(&session, "drain_timers")?;
+            session.ingest(event).unwrap();
+            agree(&session, "ingest")?;
+        }
+        session.drain_timers(Timestamp::from_secs(1e7)).unwrap();
+        agree(&session, "the last drain_timers")?;
+    }
+    Ok(())
+}
+
+#[test]
+fn footprint_sums_match_a_recount_on_the_quick_profile() {
+    let mut inst = generate(&quick());
+    check_footprint(&inst, false, 7).unwrap();
+    inst.config.update_histories = true;
+    check_footprint(&inst, false, 7).unwrap();
 }
 
 fn check_run(inst: &Instance, run: &RunResult) -> Result<(), TestCaseError> {
@@ -175,5 +232,27 @@ proptest! {
             prop_assert_eq!(x.worker, y.worker);
             prop_assert_eq!(x.outer_payment, y.outer_payment);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn prop_footprint_sums_match_a_recount(
+        workers in entity_strategy(16),
+        requests in entity_strategy(40),
+        one_shot in proptest::bool::ANY,
+        update_histories in proptest::bool::ANY,
+        (finite_shift, shift) in (proptest::bool::ANY, 0.0..1.0f64),
+        live in proptest::bool::ANY,
+        seed in 0u64..1000,
+    ) {
+        let mut inst = build_instance(workers, requests, one_shot);
+        inst.config.update_histories = update_histories;
+        if finite_shift {
+            inst.config.service = inst.config.service.with_shift(1_000.0 + shift * 40_000.0);
+        }
+        check_footprint(&inst, live, seed)?;
     }
 }

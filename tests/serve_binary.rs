@@ -1327,10 +1327,10 @@ fn general_frames_count_what_the_typed_path_did_not_read() {
         assert_eq!(bye.digest, batch, "session {sid:?}");
         deep.extend(stats.map(|d| d.general_frames));
     }
-    // The second `hello` (binary, once the first one's `welcome` switched
-    // the client), the two refusals and the first close's `stats_deep`;
-    // then that close's `shutdown` and the second close's `stats_deep`.
-    assert_eq!(deep, [4, 6]);
+    // The two refusals and the first close's `stats_deep` (the second
+    // `hello` is an NDJSON line, like every `hello`); then that close's
+    // `shutdown` and the second close's `stats_deep`.
+    assert_eq!(deep, [3, 5]);
     assert_eq!(handle.counters().protocol_errors(), 2);
     handle.shutdown();
 }

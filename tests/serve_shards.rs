@@ -402,15 +402,15 @@ fn one_session_is_bare_on_the_wire_and_k_sessions_tag_every_message() {
         let (sids, binary) = wire_addresses(&server, &options);
         assert_eq!(sids.len(), per_session, "{frame}: one session");
         assert!(sids.iter().all(Option::is_none), "{frame}: envelope sent");
-        // Only the hello that negotiates the framing is NDJSON.
-        let expect_binary = |n: usize| {
+        // Every `hello` is NDJSON, one per session.
+        let expect_binary = |n: usize, sessions: usize| {
             if frame == WireFormat::Binary {
-                n - 1
+                n - sessions
             } else {
                 0
             }
         };
-        assert_eq!(binary, expect_binary(sids.len()), "{frame}: framing");
+        assert_eq!(binary, expect_binary(sids.len(), 1), "{frame}: framing");
 
         let (sids, binary) = wire_addresses(
             &server,
@@ -424,7 +424,7 @@ fn one_session_is_bare_on_the_wire_and_k_sessions_tag_every_message() {
             let tagged = sids.iter().filter(|s| **s == Some(sid)).count();
             assert_eq!(tagged, per_session, "{frame}: sid {sid}");
         }
-        assert_eq!(binary, expect_binary(sids.len()), "{frame}: framing");
+        assert_eq!(binary, expect_binary(sids.len(), 3), "{frame}: framing");
     }
     server.shutdown();
 }
